@@ -18,7 +18,6 @@ from .dataset import (
     DEFAULT_SNR_GRID,
     DatasetSpec,
     generate_dataset,
-    load_entry,
     load_manifest,
 )
 from .decompose import (
@@ -33,12 +32,20 @@ from .decompose import (
     reconstruct_from_dump,
 )
 from .analytic import DcConvention
+from .classify import evaluate
 from .errors import DegenerateInputError, ParameterError
-from .fewshot import FewshotConfig, Pipeline, run_fewshot, sat_inputs, signal_channels
+from .fewshot import (
+    FewshotConfig,
+    Pipeline,
+    default_icvmd_config,
+    predict,
+    represent,
+    run_fewshot,
+)
 from .iqfile import read_iqf32, write_iqf32
 from .modulation import ModulationKind
 from .nn.checkpoint import load_checkpoint, save_checkpoint
-from .nn.model import ModelConfig, init_params, model_forward
+from .nn.model import ModelConfig, init_params
 from .nn.train import TrainConfig, train as train_model
 from .vmd import VmdConfig
 
@@ -213,19 +220,31 @@ def probe(input_file):
     )
 
 
-def _representations(manifest, entries, representation, icvmd_cfg):
-    from .fewshot import _decompose_all
+# The classifier pipeline behind each --representation choice.
+_REPRESENTATIONS = {"raw": Pipeline.RAW_NN, "icvmd": Pipeline.ICVMD_SAT}
 
-    if representation == "raw":
-        return [(signal_channels(load_entry(manifest, e)),) * 2 for e in entries]
-    cache: dict = {}
-    return [sat_inputs(r) for r in _decompose_all(manifest, entries, icvmd_cfg, cache)]
+
+def _represent_dataset(data_dir, representation, n_modes) -> tuple:
+    """Represent every capture of a dataset directory; warns about dropped captures."""
+    manifest = load_manifest(data_dir)
+    entries = sorted(manifest["files"], key=lambda e: e["path"])
+    skipped: list = []
+    kept, (mains, branches) = represent(
+        _REPRESENTATIONS[representation],
+        manifest,
+        entries,
+        default_icvmd_config(n_modes),
+        skipped=skipped,
+    )
+    for path, reason in skipped:
+        click.echo(f"skipped {path}: {reason}", err=True)
+    return kept, mains, branches
 
 
 @main.command("train")
 @click.option("--data", "data_dir", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_file", required=True, type=click.Path())
-@click.option("--representation", type=click.Choice(["raw", "icvmd"]), default="raw", show_default=True)
+@click.option("--representation", type=click.Choice(list(_REPRESENTATIONS)), default="raw", show_default=True)
 @click.option("--epochs", default=30, show_default=True)
 @click.option("--learning-rate", default=2e-3, show_default=True)
 @click.option("--batch-size", default=32, show_default=True)
@@ -235,25 +254,25 @@ def _representations(manifest, entries, representation, icvmd_cfg):
 @_guarded
 def train_cmd(data_dir, out_file, representation, epochs, learning_rate, batch_size, seed, segment_len, n_modes):
     """Train the toy classifier on a dataset directory; writes an .npz checkpoint."""
-    from .fewshot import default_icvmd_config
-
-    manifest = load_manifest(data_dir)
-    entries = sorted(manifest["files"], key=lambda e: e["path"])
-    reprs = _representations(manifest, entries, representation, default_icvmd_config(n_modes))
-    mains = np.stack([m for m, _ in reprs])
-    branches = np.stack([b for _, b in reprs])
-    class_ids = sorted({e["label"] for e in entries})
-    index = {c: i for i, c in enumerate(class_ids)}
-    labels = np.array([index[e["label"]] for e in entries])
+    entries, mains, branches = _represent_dataset(data_dir, representation, n_modes)
+    class_ids, labels = np.unique([e["label"] for e in entries], return_inverse=True)
 
     params = init_params(ModelConfig(segment_len=segment_len), n_classes=len(class_ids), seed=seed)
     cfg = TrainConfig(learning_rate=learning_rate, epochs=epochs, batch_size=batch_size, seed=seed)
     result = train_model(params, mains, branches, labels, cfg)
     save_checkpoint(out_file, result.params)
     Path(str(out_file) + ".labels.json").write_text(
-        json.dumps({"schema_version": 1, "class_ids": class_ids, "representation": representation})
+        json.dumps(
+            {
+                "schema_version": 1,
+                "class_ids": class_ids.tolist(),
+                "representation": representation,
+                "n_modes": n_modes,
+            }
+        )
     )
-    click.echo(f"final epoch loss {result.history[-1]:.4f}; checkpoint at {out_file}")
+    loss = f"{result.history[-1]:.4f}" if result.history else "n/a (no epochs)"
+    click.echo(f"final epoch loss {loss}; checkpoint at {out_file}")
 
 
 @main.command("eval")
@@ -262,11 +281,6 @@ def train_cmd(data_dir, out_file, representation, epochs, learning_rate, batch_s
 @_guarded
 def eval_cmd(data_dir, ck_file):
     """Evaluate a checkpoint on a dataset directory; prints a JSON report."""
-    from .classify import evaluate
-    from .fewshot import default_icvmd_config
-
-    manifest = load_manifest(data_dir)
-    entries = sorted(manifest["files"], key=lambda e: e["path"])
     meta_path = Path(str(ck_file) + ".labels.json")
     if not meta_path.exists():
         raise FileNotFoundError(f"missing label map {meta_path}")
@@ -274,14 +288,10 @@ def eval_cmd(data_dir, ck_file):
     class_ids = np.array(meta["class_ids"])
     params = load_checkpoint(ck_file)
 
-    reprs = _representations(manifest, entries, meta.get("representation", "raw"), default_icvmd_config())
-    mains = np.stack([m for m, _ in reprs])
-    branches = np.stack([b for _, b in reprs])
-    preds = []
-    for start in range(0, mains.shape[0], 64):
-        logits, _ = model_forward(params, mains[start : start + 64], branches[start : start + 64])
-        preds.append(np.argmax(logits, axis=1))
-    predictions = class_ids[np.concatenate(preds)]
+    entries, mains, branches = _represent_dataset(
+        data_dir, meta.get("representation", "raw"), meta.get("n_modes", 4)
+    )
+    predictions = predict(params, mains, branches, class_ids)
     truth = np.array([e["label"] for e in entries])
     snrs = np.array([e["snr_db"] for e in entries])
     report = evaluate(predictions, truth, snrs_db=snrs, known_labels=class_ids)
@@ -327,6 +337,8 @@ def fewshot(workdir, config, pipeline, proportions, **kw):
             f"{row['pipeline']}  p={row['proportion']}  snr={row['snr_db']}  "
             f"acc={row['accuracy'] or 'n/a'}  [{row['status']}]"
         )
+    for path, reason in result.skipped:
+        click.echo(f"skipped {path}: {reason}")
     click.echo(f"report: {result.csv_path}")
 
 

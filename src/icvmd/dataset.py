@@ -14,6 +14,7 @@ two runs with the same spec are byte-identical.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -192,10 +193,15 @@ def split_manifest(manifest: dict, test_fraction: float, seed: int) -> tuple:
 
     Strata are (label, snr_db); each stratum contributes
     round(test_fraction * size) test entries (at least 1 when the stratum has
-    more than one entry).  The two sides are disjoint by construction.
+    more than one entry).  The two sides are disjoint by construction, given
+    that no path is listed twice; a manifest that does is rejected.
     """
     if not (0.0 < test_fraction < 1.0):
         raise ParameterError("test_fraction must lie in (0, 1)")
+    counts = Counter(entry["path"] for entry in manifest["files"])
+    dupes = sorted(path for path, n in counts.items() if n > 1)
+    if dupes:
+        raise ParameterError(f"manifest lists these paths more than once: {dupes}")
     rng = np.random.default_rng(seed)
     strata: dict = {}
     for entry in manifest["files"]:
@@ -217,7 +223,6 @@ def split_manifest(manifest: dict, test_fraction: float, seed: int) -> tuple:
     base = {k: v for k, v in manifest.items() if k != "files"}
     train_m = dict(base, files=train)
     test_m = dict(base, files=test)
-    assert not {e["path"] for e in train} & {e["path"] for e in test}
     return train_m, test_m
 
 

@@ -287,7 +287,6 @@ def probe_parameters(sig: ComplexSignal) -> ProbeSuggestion:
 
     above = smooth > max(thresh, 1e-300)
     # Contiguous runs of above-threshold bins.
-    edges = np.flatnonzero(np.diff(above.astype(int)))
     starts = list(np.flatnonzero(np.diff(np.concatenate([[0], above.astype(int)])) == 1))
     ends = list(np.flatnonzero(np.diff(np.concatenate([above.astype(int), [0]])) == -1))
     regions = list(zip(starts, ends))

@@ -8,6 +8,11 @@ Three pipelines over the same generated dataset and the same train/test split:
                   attention branch pretrained on auxiliary emitters, frozen, and
                   the rest fine-tuned (spatial attention transfer)
 
+``represent`` turns manifest entries into the stacked arrays a pipeline fits on,
+decomposing each capture at most once per run and dropping (and naming) any
+capture that cannot be represented; ``predict`` is the batched classifier
+inference.  ``run_fewshot`` and the ``icvmd train``/``eval`` commands share both.
+
 For each training proportion the train set is subsampled per class; cells where
 a class would get zero samples are reported as unsupported rather than crashed.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,7 +44,7 @@ from .decompose import (
     reconstruct,
 )
 from .errors import DegenerateInputError, ParameterError
-from .features import extract_features
+from .features import DEFAULT_MAX_MODES, extract_features
 from .nn.model import ModelConfig, init_params, model_forward
 from .nn.train import TrainConfig, sat_transfer, train
 from .pa import auxiliary_bank
@@ -72,7 +78,7 @@ class FewshotConfig:
     split_seed: int = 0
     subsample_seed: int = 1
     icvmd: IcvmdConfig = field(default_factory=default_icvmd_config)
-    feature_max_modes: int = 6
+    feature_max_modes: int = DEFAULT_MAX_MODES
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=30, batch_size=32))
     model_seed: int = 0
@@ -99,6 +105,7 @@ class FewshotResult:
     rows: list  # CSV rows as dicts
     reports: dict  # proportion -> ExperimentReport (supported cells only)
     csv_path: str
+    skipped: list = field(default_factory=list)  # (path, reason) per dropped capture
 
 
 def signal_channels(sig: ComplexSignal) -> np.ndarray:
@@ -121,14 +128,54 @@ def sat_inputs(result) -> tuple:
     return signal_channels(feature_side), signal_channels(signal_side)
 
 
-def _decompose_all(manifest, entries, cfg: IcvmdConfig, cache: dict):
-    out = []
+def _represent_one(pipeline: Pipeline, sig: ComplexSignal, icvmd_cfg, feature_max_modes) -> tuple:
+    if pipeline is Pipeline.RAW_NN:
+        channels = signal_channels(sig)
+        return channels, channels
+    result = icvmd_decompose(sig, icvmd_cfg)
+    if pipeline is Pipeline.ICVMD_FEATURES:
+        return (extract_features(result, feature_max_modes),)
+    return sat_inputs(result)
+
+
+def represent(
+    pipeline: Pipeline,
+    manifest: dict,
+    entries: list,
+    icvmd_cfg: IcvmdConfig,
+    feature_max_modes: int = DEFAULT_MAX_MODES,
+    memo: dict | None = None,
+    skipped: list | None = None,
+) -> tuple:
+    """Load and represent each capture; returns ``(kept_entries, arrays)``.
+
+    ``arrays`` is what the pipeline's fit consumes, stacked over the kept
+    entries: ``(features,)`` for ICVMD_FEATURES, ``(mains, branches)`` for the
+    classifier pipelines.  A capture that raises DegenerateInputError is
+    dropped and ``(path, reason)`` is appended to ``skipped``.  Pass one
+    ``memo`` dict for a whole run so each capture is decomposed at most once;
+    it is keyed by (manifest directory, entry path).  Raises
+    DegenerateInputError when every capture was dropped.
+    """
+    memo = {} if memo is None else memo
+    skipped = [] if skipped is None else skipped
+    kept, reprs = [], []
     for entry in entries:
-        key = entry["path"]
-        if key not in cache:
-            cache[key] = icvmd_decompose(load_entry(manifest, entry), cfg)
-        out.append(cache[key])
-    return out
+        key = (manifest["_dir"], entry["path"])
+        if key not in memo:
+            try:
+                memo[key] = _represent_one(
+                    pipeline, load_entry(manifest, entry), icvmd_cfg, feature_max_modes
+                )
+            except DegenerateInputError as exc:
+                memo[key] = None
+                skipped.append((entry["path"], str(exc)))
+        if memo[key] is not None:
+            kept.append(entry)
+            reprs.append(memo[key])
+    if entries and not kept:
+        raise DegenerateInputError(f"none of {len(entries)} captures could be represented")
+    return kept, tuple(np.stack(part) for part in zip(*reprs))
 
 
 def _labels(entries) -> np.ndarray:
@@ -139,13 +186,8 @@ def _snrs(entries) -> np.ndarray:
     return np.array([e["snr_db"] for e in entries])
 
 
-def _nn_dataset(representations) -> tuple:
-    mains = np.stack([m for m, _ in representations])
-    branches = np.stack([b for _, b in representations])
-    return mains, branches
-
-
-def _nn_predict(params, mains, branches, class_ids, batch: int = 64) -> np.ndarray:
+def predict(params, mains, branches, class_ids, batch: int = 64) -> np.ndarray:
+    """Batched classifier inference; returns the predicted class ids."""
     preds = []
     for start in range(0, mains.shape[0], batch):
         logits, _ = model_forward(params, mains[start : start + batch], branches[start : start + batch])
@@ -175,12 +217,45 @@ def _generate_aux_manifest(base_spec: DatasetSpec, cfg: FewshotConfig, workdir: 
     return load_manifest(workdir / "aux_data")
 
 
+def _pretrain(spec: DatasetSpec, cfg: FewshotConfig, workdir: Path, memo: dict, skipped: list):
+    """Train the classifier on auxiliary emitters; SAT transfers from it."""
+    aux_manifest = _generate_aux_manifest(spec, cfg, workdir)
+    aux_entries = sorted(aux_manifest["files"], key=lambda e: e["path"])
+    aux_entries, aux_x = represent(
+        cfg.pipeline, aux_manifest, aux_entries, cfg.icvmd, cfg.feature_max_modes, memo, skipped
+    )
+    aux_ids, aux_y = np.unique(_labels(aux_entries), return_inverse=True)
+    base = init_params(cfg.model, n_classes=len(aux_ids), seed=cfg.model_seed)
+    return train(base, *aux_x, aux_y, cfg.pretrain).params
+
+
+def _fit_predict(cfg: FewshotConfig, pretrained, train_x, truth, class_ids, test_x) -> np.ndarray:
+    """Fit the pipeline's classifier on one training subset and label the test set.
+
+    ``pretrained`` is called only by the SAT fit, so the auxiliary set is
+    generated and pretrained on only when the pipeline needs it.
+    """
+    if cfg.pipeline is Pipeline.ICVMD_FEATURES:
+        return classify(fit_nearest_centroid(*train_x, truth), *test_x)
+    y = np.searchsorted(class_ids, truth)
+    if cfg.pipeline is Pipeline.RAW_NN:
+        fresh = init_params(cfg.model, n_classes=len(class_ids), seed=cfg.model_seed)
+        fitted = train(fresh, *train_x, y, cfg.train).params
+    else:
+        fitted = sat_transfer(
+            pretrained(), len(class_ids), *train_x, y, cfg.train, head_seed=cfg.model_seed
+        ).params
+    return predict(fitted, *test_x, class_ids)
+
+
 def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult:
     """Generate, split, and score one pipeline across the training proportions.
 
     Writes ``report.csv`` in the workdir: one row per (pipeline, proportion,
     snr_db) plus an overall row per proportion (snr_db = 'all'); unsupported
-    cells carry an empty accuracy and status 'unsupported'.
+    cells carry an empty accuracy and status 'unsupported'.  Captures that
+    cannot be represented are left out of every set and listed in
+    ``FewshotResult.skipped``.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -188,105 +263,43 @@ def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult
     manifest = load_manifest(workdir / "data")
     train_m, test_m = split_manifest(manifest, cfg.test_fraction, cfg.split_seed)
 
-    test_entries = sorted(test_m["files"], key=lambda e: e["path"])
-    test_truth = _labels(test_entries)
-    test_snrs = _snrs(test_entries)
-
-    decomp_cache: dict = {}
+    memo: dict = {}
+    skipped: list = []
     rows: list = []
     reports: dict = {}
 
-    # Representation of the immutable test set is shared across proportions.
-    if cfg.pipeline is Pipeline.ICVMD_FEATURES:
-        test_feats = np.stack(
-            [
-                extract_features(r, cfg.feature_max_modes)
-                for r in _decompose_all(manifest, test_entries, cfg.icvmd, decomp_cache)
-            ]
-        )
-    elif cfg.pipeline is Pipeline.RAW_NN:
-        test_mains, test_branches = _nn_dataset(
-            [
-                (signal_channels(load_entry(manifest, e)),) * 2
-                for e in test_entries
-            ]
-        )
-    else:
-        test_mains, test_branches = _nn_dataset(
-            [sat_inputs(r) for r in _decompose_all(manifest, test_entries, cfg.icvmd, decomp_cache)]
-        )
+    def represent_sorted(m: dict) -> tuple:
+        entries = sorted(m["files"], key=lambda e: e["path"])
+        return represent(cfg.pipeline, m, entries, cfg.icvmd, cfg.feature_max_modes, memo, skipped)
 
-    pretrained = None
-    if cfg.pipeline is Pipeline.ICVMD_SAT:
-        aux_manifest = _generate_aux_manifest(spec, cfg, workdir)
-        aux_entries = sorted(aux_manifest["files"], key=lambda e: e["path"])
-        aux_cache: dict = {}
-        aux_reprs = [
-            sat_inputs(r) for r in _decompose_all(aux_manifest, aux_entries, cfg.icvmd, aux_cache)
-        ]
-        aux_mains, aux_branches = _nn_dataset(aux_reprs)
-        aux_ids = sorted({e["label"] for e in aux_entries})
-        aux_index = {c: i for i, c in enumerate(aux_ids)}
-        aux_y = np.array([aux_index[e["label"]] for e in aux_entries])
-        base = init_params(cfg.model, n_classes=len(aux_ids), seed=cfg.model_seed)
-        pretrained = train(base, aux_mains, aux_branches, aux_y, cfg.pretrain).params
+    def row(proportion, snr_db, accuracy, n_test, status="ok") -> dict:
+        return {
+            "pipeline": cfg.pipeline.value,
+            "proportion": proportion,
+            "snr_db": snr_db,
+            "accuracy": accuracy,
+            "n_test": n_test,
+            "status": status,
+        }
+
+    # The test set is represented once and shared across proportions.
+    test_entries, test_x = represent_sorted(test_m)
+    test_truth = _labels(test_entries)
+    test_snrs = _snrs(test_entries)
+    pretrained = functools.cache(lambda: _pretrain(spec, cfg, workdir, memo, skipped))
 
     for proportion in cfg.proportions:
         t0 = time.perf_counter()
         try:
-            sub_m = subsample_manifest(train_m, proportion, cfg.subsample_seed)
-        except DegenerateInputError:
-            rows.append(
-                {
-                    "pipeline": cfg.pipeline.value,
-                    "proportion": proportion,
-                    "snr_db": "all",
-                    "accuracy": "",
-                    "n_test": len(test_entries),
-                    "status": "unsupported",
-                }
+            sub_entries, train_x = represent_sorted(
+                subsample_manifest(train_m, proportion, cfg.subsample_seed)
             )
+        except DegenerateInputError:
+            rows.append(row(proportion, "all", "", len(test_entries), "unsupported"))
             continue
-        sub_entries = sorted(sub_m["files"], key=lambda e: e["path"])
         sub_truth = _labels(sub_entries)
         class_ids = np.unique(sub_truth)
-
-        if cfg.pipeline is Pipeline.ICVMD_FEATURES:
-            feats = np.stack(
-                [
-                    extract_features(r, cfg.feature_max_modes)
-                    for r in _decompose_all(manifest, sub_entries, cfg.icvmd, decomp_cache)
-                ]
-            )
-            model = fit_nearest_centroid(feats, sub_truth)
-            preds = classify(model, test_feats)
-        else:
-            if cfg.pipeline is Pipeline.RAW_NN:
-                reprs = [
-                    (signal_channels(load_entry(manifest, e)),) * 2 for e in sub_entries
-                ]
-            else:
-                reprs = [
-                    sat_inputs(r)
-                    for r in _decompose_all(manifest, sub_entries, cfg.icvmd, decomp_cache)
-                ]
-            mains, branches = _nn_dataset(reprs)
-            index = {c: i for i, c in enumerate(class_ids.tolist())}
-            y = np.array([index[t] for t in sub_truth.tolist()])
-            if cfg.pipeline is Pipeline.RAW_NN:
-                fresh = init_params(cfg.model, n_classes=len(class_ids), seed=cfg.model_seed)
-                fitted = train(fresh, mains, branches, y, cfg.train).params
-            else:
-                fitted = sat_transfer(
-                    pretrained,
-                    len(class_ids),
-                    mains,
-                    branches,
-                    y,
-                    cfg.train,
-                    head_seed=cfg.model_seed,
-                ).params
-            preds = _nn_predict(fitted, test_mains, test_branches, class_ids)
+        preds = _fit_predict(cfg, pretrained, train_x, sub_truth, class_ids, test_x)
 
         report = evaluate(
             preds,
@@ -302,30 +315,12 @@ def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult
         )
         reports[proportion] = report
         for snr, acc in sorted(report.per_snr.items()):
-            rows.append(
-                {
-                    "pipeline": cfg.pipeline.value,
-                    "proportion": proportion,
-                    "snr_db": snr,
-                    "accuracy": f"{acc:.6f}",
-                    "n_test": int(np.sum(test_snrs == snr)),
-                    "status": "ok",
-                }
-            )
-        rows.append(
-            {
-                "pipeline": cfg.pipeline.value,
-                "proportion": proportion,
-                "snr_db": "all",
-                "accuracy": f"{report.accuracy:.6f}",
-                "n_test": len(test_entries),
-                "status": "ok",
-            }
-        )
+            rows.append(row(proportion, snr, f"{acc:.6f}", int(np.sum(test_snrs == snr))))
+        rows.append(row(proportion, "all", f"{report.accuracy:.6f}", len(test_entries)))
 
     csv_path = workdir / "report.csv"
     write_report_csv(rows, csv_path)
-    return FewshotResult(rows=rows, reports=reports, csv_path=str(csv_path))
+    return FewshotResult(rows=rows, reports=reports, csv_path=str(csv_path), skipped=skipped)
 
 
 def write_report_csv(rows, path) -> None:

@@ -14,8 +14,6 @@ import numpy as np
 from .errors import ParameterError
 from .signals import ComplexSignal
 
-SIDE_CAR_KEYS = ("sample_rate", "label", "modulation", "snr_db", "seed", "emitter_id")
-
 
 def sidecar_path(path) -> Path:
     return Path(path).with_suffix(".json")

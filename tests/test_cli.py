@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from icvmd import fewshot
 from icvmd.cli import main
+from icvmd.decompose import icvmd_decompose
+from icvmd.errors import DegenerateInputError
+from icvmd.features import extract_features
 from icvmd.iqfile import read_iqf32, write_iqf32
 
 
@@ -230,6 +234,43 @@ def test_eval_without_label_map_is_io_error(runner, tmp_path):
     assert res.exit_code == 3
 
 
+def test_eval_decomposes_with_the_trained_n_modes(runner, tmp_path, monkeypatch):
+    data = gen_tiny(runner, tmp_path / "data", spe=2)
+    ck = tmp_path / "model.npz"
+    res = runner.invoke(
+        main,
+        [
+            "train",
+            "--data",
+            str(data),
+            "--out",
+            str(ck),
+            "--representation",
+            "icvmd",
+            "--n-modes",
+            "3",
+            "--epochs",
+            "0",
+            "--segment-len",
+            "32",
+        ],
+    )
+    assert res.exit_code == 0, res.output
+    assert json.loads((tmp_path / "model.npz.labels.json").read_text())["n_modes"] == 3
+
+    used = []
+
+    def spy(sig, cfg):
+        used.append((cfg.pos.n_modes, cfg.neg.n_modes))
+        return icvmd_decompose(sig, cfg)
+
+    monkeypatch.setattr(fewshot, "icvmd_decompose", spy)
+    res = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(ck)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["n_test"] == 14
+    assert used and all(pair == (3, 3) for pair in used)
+
+
 # ------------------------------------------------------------------- fewshot
 
 
@@ -259,6 +300,42 @@ def test_fewshot_cli_writes_report(runner, tmp_path):
     assert res.exit_code == 0, res.output
     assert (tmp_path / "exp" / "report.csv").exists()
     assert "report:" in res.output
+
+
+def test_fewshot_cli_names_a_skipped_capture(runner, tmp_path, monkeypatch):
+    calls = []
+
+    def first_fails(result, max_modes):
+        calls.append(None)
+        if len(calls) == 1:
+            raise DegenerateInputError("no FEATURE modes were retained")
+        return extract_features(result, max_modes)
+
+    monkeypatch.setattr(fewshot, "extract_features", first_fails)
+    res = runner.invoke(
+        main,
+        [
+            "fewshot",
+            "--workdir",
+            str(tmp_path / "exp"),
+            "--proportions",
+            "1.0",
+            "--n-samples",
+            "128",
+            "--signals-per-emitter",
+            "6",
+            "--snr-db",
+            "18",
+            "--modulations",
+            "cw",
+            "--modulations",
+            "bpsk",
+        ],
+    )
+    assert res.exit_code == 0, res.output
+    skipped = [line for line in res.output.splitlines() if line.startswith("skipped ")]
+    assert len(skipped) == 1
+    assert skipped[0].endswith(": no FEATURE modes were retained")
 
 
 def test_fewshot_cli_rejects_bad_proportions(runner, tmp_path):

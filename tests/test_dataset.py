@@ -193,6 +193,15 @@ def test_split_validation():
         split_manifest(make_manifest(), 1.0, seed=0)
 
 
+def test_split_rejects_a_path_listed_twice():
+    # A repeated path is the only way the two sides could share a capture; the
+    # check is an exception, not an assert, so it also holds under python -O.
+    manifest = make_manifest(per_class=3)
+    manifest["files"].append(dict(manifest["files"][0]))
+    with pytest.raises(ParameterError, match="more than once"):
+        split_manifest(manifest, 1.0 / 3.0, seed=0)
+
+
 # ----------------------------------------------------------------- subsample
 
 

@@ -3,9 +3,11 @@ import csv
 import numpy as np
 import pytest
 
-from icvmd.dataset import DatasetSpec
+from icvmd import fewshot
+from icvmd.dataset import DatasetSpec, generate_dataset, load_entry, split_manifest
 from icvmd.decompose import FULL_SELECTION, icvmd_decompose, reconstruct
-from icvmd.errors import ParameterError
+from icvmd.errors import DegenerateInputError, ParameterError
+from icvmd.features import extract_features
 from icvmd.fewshot import (
     FewshotConfig,
     Pipeline,
@@ -129,6 +131,65 @@ def test_run_fewshot_is_deterministic(tmp_path):
         tmp_path / "b" / "report.csv"
     ).read_bytes()
     assert a.reports[1.0].accuracy == b.reports[1.0].accuracy
+
+
+def test_run_fewshot_skips_a_capture_it_cannot_represent(tmp_path, monkeypatch):
+    cfg = FewshotConfig(
+        pipeline=Pipeline.ICVMD_FEATURES,
+        proportions=(1.0, 0.5),
+        icvmd=default_icvmd_config(n_modes=2),
+    )
+    manifest = generate_dataset(TINY_SPEC, tmp_path / "data")
+    manifest["_dir"] = str(tmp_path / "data")
+    train_m, test_m = split_manifest(manifest, cfg.test_fraction, cfg.split_seed)
+    bad_entries = [test_m["files"][0], train_m["files"][0]]
+    bad_samples = [load_entry(manifest, e).samples for e in bad_entries]
+
+    def failing_extract(result, max_modes):
+        # The full reconstruction is the capture itself, which identifies it.
+        full = reconstruct(result, FULL_SELECTION).samples
+        if any(np.allclose(full, b, atol=1e-9) for b in bad_samples):
+            raise DegenerateInputError("no FEATURE modes were retained")
+        return extract_features(result, max_modes)
+
+    decomposed = []
+
+    def counting_decompose(sig, icvmd_cfg):
+        decomposed.append(sig)
+        return icvmd_decompose(sig, icvmd_cfg)
+
+    monkeypatch.setattr(fewshot, "extract_features", failing_extract)
+    monkeypatch.setattr(fewshot, "icvmd_decompose", counting_decompose)
+    result = run_fewshot(TINY_SPEC, cfg, tmp_path)
+
+    assert sorted(path for path, _ in result.skipped) == sorted(e["path"] for e in bad_entries)
+    assert all("FEATURE" in reason for _, reason in result.skipped)
+    overall = [r for r in result.rows if r["snr_db"] == "all"]
+    assert [r["status"] for r in overall] == ["ok", "ok"]
+    assert all(r["n_test"] == len(test_m["files"]) - 1 for r in overall)
+    assert result.reports[1.0].n_test == len(test_m["files"]) - 1
+    # Each capture is decomposed once per run, whether it was kept or skipped.
+    assert len(decomposed) == len(manifest["files"])
+
+
+def test_represent_raises_when_every_capture_is_dropped(tmp_path, monkeypatch):
+    manifest = generate_dataset(TINY_SPEC, tmp_path / "data")
+    manifest["_dir"] = str(tmp_path / "data")
+
+    def always_fails(result, max_modes):
+        raise DegenerateInputError("no FEATURE modes were retained")
+
+    monkeypatch.setattr(fewshot, "extract_features", always_fails)
+    skipped = []
+    with pytest.raises(DegenerateInputError, match="none of 2 captures"):
+        fewshot.represent(
+            Pipeline.ICVMD_FEATURES,
+            manifest,
+            manifest["files"][:2],
+            default_icvmd_config(n_modes=2),
+            skipped=skipped,
+        )
+    assert [path for path, _ in skipped] == [e["path"] for e in manifest["files"][:2]]
 
 
 # ------------------------------------------------------------------ NN runs
