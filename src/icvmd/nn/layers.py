@@ -3,6 +3,10 @@
 All math is float64.  Forward functions return (output, cache); the matching
 backward consumes (upstream_grad, cache) and returns input and parameter
 gradients.  Batched tensors are [batch, channels, time].
+
+A convolution runs one BLAS matmul per kernel tap against a lag-shifted view
+of the unpadded input, and its cache holds the caller's input by reference,
+not a copy: do not modify that input in place before the backward pass.
 """
 from __future__ import annotations
 
@@ -33,6 +37,10 @@ class ConvLayer:
             raise ParameterError("conv weights must be [out_ch, in_ch, width]")
         if self.bias.shape != (self.weights.shape[0],):
             raise ParameterError("conv bias must match out_ch")
+        if self.weights.shape[2] < 1:
+            raise ParameterError("conv width must be >= 1")
+        if isinstance(self.dilation, bool) or not isinstance(self.dilation, (int, np.integer)):
+            raise ParameterError(f"dilation must be an integer, got {self.dilation!r}")
         if self.dilation < 1:
             raise ParameterError("dilation must be >= 1")
 
@@ -54,36 +62,45 @@ class Dense:
 
 
 def conv_forward(x: np.ndarray, layer: ConvLayer):
-    """Batched causal dilated conv: x [B, C_in, T] -> y [B, C_out, T]."""
+    """Batched causal dilated conv: x [B, C_in, T] -> y [B, C_out, T].
+
+    Tap j is one matmul at lag (width-1-j)*dilation against a view of x; a
+    lag of T or more reaches no output and is skipped.  The cache holds x by
+    reference (no copy), so x must not be modified in place before
+    conv_backward.
+    """
     if x.ndim != 3:
         raise ParameterError(f"conv input must be [B, C, T], got shape {x.shape}")
     if x.shape[1] != layer.weights.shape[1]:
         raise ParameterError(
             f"conv expects {layer.weights.shape[1]} input channels, got {x.shape[1]}"
         )
-    b, _, t = x.shape
-    width, d = layer.width, layer.dilation
-    pad = (width - 1) * d
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, 0)))
-    y = np.broadcast_to(layer.bias[None, :, None], (b, layer.bias.size, t)).copy()
-    for j in range(width):
-        y += np.einsum("oi,bit->bot", layer.weights[:, :, j], xp[:, :, j * d : j * d + t])
-    return y, (xp, layer, t)
+    t = x.shape[2]
+    w, width, d = layer.weights, layer.width, layer.dilation
+    y = w[:, :, width - 1] @ x
+    for j in range(width - 1):
+        lag = (width - 1 - j) * d
+        if lag < t:
+            y[:, :, lag:] += w[:, :, j] @ x[:, :, : t - lag]
+    y += layer.bias[:, None]
+    return y, (x, layer)
 
 
 def conv_backward(dy: np.ndarray, cache):
     """Returns (dx, dweights, dbias)."""
-    xp, layer, t = cache
-    width, d = layer.width, layer.dilation
-    pad = (width - 1) * d
-    dw = np.empty_like(layer.weights)
-    dxp = np.zeros_like(xp)
-    for j in range(width):
-        sl = xp[:, :, j * d : j * d + t]
-        dw[:, :, j] = np.einsum("bot,bit->oi", dy, sl)
-        dxp[:, :, j * d : j * d + t] += np.einsum("oi,bot->bit", layer.weights[:, :, j], dy)
+    x, layer = cache
+    t = x.shape[2]
+    w, width, d = layer.weights, layer.width, layer.dilation
+    dw = np.zeros_like(w)
+    dx = w[:, :, width - 1].T @ dy
+    dw[:, :, width - 1] = (dy @ x.transpose(0, 2, 1)).sum(axis=0)
+    for j in range(width - 1):
+        lag = (width - 1 - j) * d
+        if lag < t:
+            dx[:, :, : t - lag] += w[:, :, j].T @ dy[:, :, lag:]
+            dw[:, :, j] = (dy[:, :, lag:] @ x[:, :, : t - lag].transpose(0, 2, 1)).sum(axis=0)
     db = dy.sum(axis=(0, 2))
-    return dxp[:, :, pad:], dw, db
+    return dx, dw, db
 
 
 def relu_forward(x: np.ndarray):
@@ -112,15 +129,6 @@ def dense_backward(dy: np.ndarray, cache, layer: Dense):
     return dx, dw, db
 
 
-def causal_dilated_conv(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """Single-sequence convenience wrapper: x [C, T] -> [C_out, T]."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ParameterError(f"expected [channels, T], got shape {x.shape}")
-    y, _ = conv_forward(x[None], layer)
-    return y[0]
-
-
 def receptive_field(width: int, dilations) -> int:
     """Number of past-inclusive input samples one output sample can see after a
     chain of causal convs with the given shared width and per-layer dilations:
@@ -131,31 +139,6 @@ def receptive_field(width: int, dilations) -> int:
     if not dil or any(d < 1 for d in dil):
         raise ParameterError("dilations must be a non-empty list of ints >= 1")
     return 1 + (width - 1) * sum(dil)
-
-
-def impulse_probe(width: int, dilations, t_len: int | None = None) -> int:
-    """Measure the receptive field empirically.
-
-    Builds a chain of single-channel causal convs with all-ones weights, feeds
-    a unit impulse, and returns the length of the nonzero output span.  With
-    exact arithmetic on an all-ones kernel the span equals receptive_field().
-    """
-    field_ = receptive_field(width, dilations)
-    if t_len is None:
-        t_len = 2 * field_ + 8
-    pos = field_ + 4
-    x = np.zeros((1, 1, t_len))
-    x[0, 0, pos] = 1.0
-    h = x
-    for d in dilations:
-        layer = ConvLayer(np.ones((1, 1, width)), np.zeros(1), dilation=d)
-        h, _ = conv_forward(h, layer)
-    nz = np.flatnonzero(h[0, 0] != 0.0)
-    if nz.size == 0:
-        return 0
-    if nz[0] != pos:
-        raise AssertionError("causal chain produced output before the impulse")
-    return int(nz[-1] - nz[0] + 1)
 
 
 def init_conv(rng: np.random.Generator, out_ch: int, in_ch: int, width: int, dilation: int) -> ConvLayer:

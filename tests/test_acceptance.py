@@ -21,12 +21,13 @@ from icvmd.features import extract_features, raw_cumulant_features
 from icvmd.fewshot import FewshotConfig, Pipeline, default_icvmd_config, run_fewshot, sat_inputs
 from icvmd.modulation import ModulationKind, ModulationSpec, gen_baseband
 from icvmd.nn.attention import softmax
-from icvmd.nn.layers import impulse_probe, receptive_field
+from icvmd.nn.layers import receptive_field
 from icvmd.nn.model import ModelConfig, features_forward, get_array, init_params, iter_arrays, model_forward
 from icvmd.nn.train import TrainConfig, grad_check, sat_transfer, train
 from icvmd.pa import auxiliary_bank, emitter_bank
 from icvmd.signals import ComplexSignal, add_awgn, normalize_power
 from icvmd.vmd import VmdConfig, half_grid, mirror_extend, vmd_decompose, wiener_mode_update
+from oracles import impulse_probe
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

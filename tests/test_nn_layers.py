@@ -8,18 +8,17 @@ from icvmd.nn.attention import scaled_softmax_attention, softmax, softmax_backwa
 from icvmd.nn.layers import (
     ConvLayer,
     Dense,
-    causal_dilated_conv,
     conv_backward,
     conv_forward,
     dense_backward,
     dense_forward,
-    impulse_probe,
     init_conv,
     init_dense,
     receptive_field,
     relu_backward,
     relu_forward,
 )
+from oracles import causal_dilated_conv, impulse_probe
 
 
 # ------------------------------------------------------------------- conv
@@ -86,6 +85,77 @@ def test_conv_backward_matches_finite_difference():
             assert grad[idx] == pytest.approx(num, abs=1e-5, rel=1e-5)
 
 
+def _direct_conv(x, layer):
+    """y[b, o, t] = bias[o] + sum_{i, j} w[o, i, j] x[b, i, t - (width-1-j) d]."""
+    b_n, c_in, t_n = x.shape
+    c_out, _, width = layer.weights.shape
+    y = np.empty((b_n, c_out, t_n))
+    y[:] = layer.bias[None, :, None]
+    for b in range(b_n):
+        for o in range(c_out):
+            for i in range(c_in):
+                for j in range(width):
+                    lag = (width - 1 - j) * layer.dilation
+                    for t in range(lag, t_n):
+                        y[b, o, t] += layer.weights[o, i, j] * x[b, i, t - lag]
+    return y
+
+
+def _direct_conv_backward(dy, x, layer):
+    b_n, c_in, t_n = x.shape
+    c_out, _, width = layer.weights.shape
+    dx = np.zeros(x.shape)
+    dw = np.zeros(layer.weights.shape)
+    for b in range(b_n):
+        for o in range(c_out):
+            for i in range(c_in):
+                for j in range(width):
+                    lag = (width - 1 - j) * layer.dilation
+                    for t in range(lag, t_n):
+                        dx[b, i, t - lag] += layer.weights[o, i, j] * dy[b, o, t]
+                        dw[o, i, j] += dy[b, o, t] * x[b, i, t - lag]
+    return dx, dw, dy.sum(axis=(0, 2))
+
+
+def _assert_rel_close(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _check_against_direct_sum(x, dy, layer):
+    x_before, dy_before = x.copy(), dy.copy()
+    y, cache = conv_forward(x, layer)
+    dx, dw, db = conv_backward(dy, cache)
+    _assert_rel_close(y, _direct_conv(x, layer))
+    for got, ref in zip((dx, dw, db), _direct_conv_backward(dy, x, layer)):
+        _assert_rel_close(got, ref)
+    # Neither pass writes into its inputs (the cache holds x by reference).
+    assert np.array_equal(x, x_before)
+    assert np.array_equal(dy, dy_before)
+
+
+@pytest.mark.parametrize(
+    "width,dilation,t",
+    [(w, d, 20) for w in (1, 2, 3) for d in (1, 2, 8)]
+    # Taps whose lag is >= T reach no output: zero weight gradient, no input gradient.
+    + [(2, 8, 5), (3, 2, 3), (3, 8, 1)],
+)
+def test_conv_matches_direct_sum(width, dilation, t):
+    rng = np.random.default_rng(100 * width + 10 * dilation + t)
+    layer = ConvLayer(rng.normal(size=(3, 2, width)), rng.normal(size=3), dilation=dilation)
+    x = rng.normal(size=(2, 2, t))
+    _check_against_direct_sum(x, rng.normal(size=(2, 3, t)), layer)
+
+
+def test_conv_matches_direct_sum_on_strided_views():
+    rng = np.random.default_rng(7)
+    layer = ConvLayer(rng.normal(size=(4, 3, 3)), rng.normal(size=4), dilation=2)
+    x = rng.normal(size=(2, 25, 3)).transpose(0, 2, 1)[:, :, 3:21]  # [2, 3, 18], time stride 3
+    dy = rng.normal(size=(2, 18, 4)).transpose(0, 2, 1)
+    assert not x.flags.c_contiguous and not dy.flags.c_contiguous
+    _check_against_direct_sum(x, dy, layer)
+
+
 def test_conv_validation():
     with pytest.raises(ParameterError):
         ConvLayer(np.zeros((2, 2)), np.zeros(2))
@@ -93,6 +163,12 @@ def test_conv_validation():
         ConvLayer(np.zeros((2, 2, 3)), np.zeros(3))
     with pytest.raises(ParameterError):
         ConvLayer(np.zeros((2, 2, 3)), np.zeros(2), dilation=0)
+    with pytest.raises(ParameterError):
+        ConvLayer(np.zeros((2, 2, 0)), np.zeros(2))  # width 0
+    for dilation in (2.5, 2.0, True, "2"):
+        with pytest.raises(ParameterError):
+            ConvLayer(np.zeros((2, 2, 3)), np.zeros(2), dilation=dilation)
+    assert ConvLayer(np.zeros((2, 2, 3)), np.zeros(2), dilation=np.int64(2)).dilation == 2
     layer = ConvLayer(np.zeros((2, 3, 1)), np.zeros(2))
     with pytest.raises(ParameterError):
         conv_forward(np.zeros((1, 2, 5)), layer)  # wrong channel count
