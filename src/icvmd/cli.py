@@ -176,6 +176,11 @@ def decompose(
             f"energy={entry['energy_fraction']:.4f}  label={entry['label']}"
         )
     click.echo(f"wrote {len(manifest['modes'])} modes to {out_dir}")
+    for side, s in manifest["solver"].items():
+        if not s["converged"]:
+            delta = "n/a" if s["final_delta"] is None else f"{s['final_delta']:.3g}"
+            msg = f"stopped at {s['iterations']} sweeps (--max-iter) without converging"
+            click.echo(f"warning: {side} side {msg}: final delta {delta} >= tol {tol:g}", err=True)
 
 
 @main.command()

@@ -24,7 +24,7 @@ from .analytic import (
 )
 from .errors import DegenerateInputError, ParameterError
 from .signals import ComplexSignal
-from .vmd import ModeSet, VmdConfig, VmdResult, vmd_decompose
+from .vmd import ModeSet, VmdConfig, VmdResult, check_memory_budget, vmd_decompose
 
 
 class ModeLabel(enum.Enum):
@@ -183,9 +183,11 @@ def icvmd_decompose(sig: ComplexSignal, cfg: IcvmdConfig) -> IcvmdResult:
             if side_degenerate:
                 raise DegenerateInputError("side carries no energy")
             res = vmd_decompose(x, side_cfg)
+            labels[name] = partition_modes(res, cfg.partition)
         except DegenerateInputError:
             n = x.size
             n_bins = n + 1  # rfft bins of the mirror-extended (2n) sequence
+            check_memory_budget(n, side_cfg.n_modes)
             res = VmdResult(
                 modes=np.zeros((side_cfg.n_modes, n)),
                 mode_set=ModeSet(
@@ -198,11 +200,8 @@ def icvmd_decompose(sig: ComplexSignal, cfg: IcvmdConfig) -> IcvmdResult:
                 ),
                 residual=np.zeros(n),
             )
-            results[name] = res
             labels[name] = tuple([ModeLabel.FEATURE] * side_cfg.n_modes)
-            continue
         results[name] = res
-        labels[name] = partition_modes(res, cfg.partition)
 
     return IcvmdResult(
         pos=results["pos"],
@@ -215,14 +214,25 @@ def icvmd_decompose(sig: ComplexSignal, cfg: IcvmdConfig) -> IcvmdResult:
     )
 
 
-def _select_side(result: VmdResult, labels, selection) -> np.ndarray:
-    out = np.zeros(result.modes.shape[1])
-    for mode, label in zip(result.modes, labels):
+def _assemble(selection, n, parts, read, dc_imag, nyquist_imag) -> np.ndarray:
+    """Recombine the selected (side, label, ref) parts into complex samples;
+    each side's residual is labeled Selection.RESIDUAL and carries the
+    boundary-bin correction.  ``read(ref)`` runs for selected parts only."""
+    selection = frozenset(selection)
+    bad = selection - (set(ModeLabel) | set(Selection))
+    if bad:
+        raise ParameterError(f"unknown selection entries: {sorted(str(b) for b in bad)}")
+    sides = {"pos": np.zeros(n), "neg": np.zeros(n)}
+    for side, label, ref in parts:
         if label in selection:
-            out = out + mode
+            sides[side] = sides[side] + read(ref)
+    if not np.any(sides["pos"]) and not np.any(sides["neg"]):
+        z = np.zeros(n, dtype=complex)
+    else:
+        z = combine_analytic(sides["pos"], sides["neg"])
     if Selection.RESIDUAL in selection:
-        out = out + result.residual
-    return out
+        z = z + boundary_correction(n, dc_imag, nyquist_imag)
+    return z
 
 
 def reconstruct(result: IcvmdResult, selection) -> ComplexSignal:
@@ -233,20 +243,16 @@ def reconstruct(result: IcvmdResult, selection) -> ComplexSignal:
     boundary-bin correction rides with RESIDUAL).  An empty selection yields
     an all-zero signal.
     """
-    selection = frozenset(selection)
-    allowed = set(ModeLabel) | set(Selection)
-    bad = selection - allowed
-    if bad:
-        raise ParameterError(f"unknown selection entries: {sorted(str(b) for b in bad)}")
-    s_plus = _select_side(result.pos, result.labels_pos, selection)
-    s_minus = _select_side(result.neg, result.labels_neg, selection)
-    n = s_plus.size
-    if not np.any(s_plus) and not np.any(s_minus):
-        z = np.zeros(n, dtype=complex)
-    else:
-        z = combine_analytic(s_plus, s_minus)
-    if Selection.RESIDUAL in selection:
-        z = z + boundary_correction(n, result.dc_imag, result.nyquist_imag)
+    parts = []
+    for name, side, labels in (
+        ("pos", result.pos, result.labels_pos),
+        ("neg", result.neg, result.labels_neg),
+    ):
+        parts += [(name, label, mode) for label, mode in zip(labels, side.modes)]
+        parts.append((name, Selection.RESIDUAL, side.residual))
+    z = _assemble(
+        selection, result.n_samples, parts, lambda part: part, result.dc_imag, result.nyquist_imag
+    )
     return ComplexSignal(z, result.sample_rate)
 
 
@@ -317,17 +323,23 @@ def dump_modes(result: IcvmdResult, out_dir) -> dict:
     Each mode is a real sequence; it is stored with a zero quadrature channel.
     The manifest records side, center frequency, energy fraction, and label for
     every file, plus the boundary-bin amplitudes, so a complex signal can be
-    rebuilt from the dump alone.
+    rebuilt from the dump alone.  ``solver`` holds each side's sweep count,
+    converged flag and final convergence metric (null when no two sweeps were
+    compared).
     """
     from .iqfile import write_iqf32
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
+    solver = {}
     for side_name, side, labels in (
         ("pos", result.pos, result.labels_pos),
         ("neg", result.neg, result.labels_neg),
     ):
+        ms = side.mode_set
+        delta = ms.final_delta if math.isfinite(ms.final_delta) else None
+        solver[side_name] = dict(iterations=ms.iterations, converged=ms.converged, final_delta=delta)
         energies = _mode_energies(side)
         total = max(_side_input_energy(side), 1e-300)
         for k in range(side.modes.shape[0]):
@@ -352,6 +364,7 @@ def dump_modes(result: IcvmdResult, out_dir) -> dict:
         "nyquist_imag": result.nyquist_imag,
         "residuals": {"pos": "residual_pos.iqf32", "neg": "residual_neg.iqf32"},
         "modes": entries,
+        "solver": solver,
     }
     (out_dir / "modes.json").write_text(json.dumps(manifest, indent=2))
     return manifest
@@ -372,27 +385,12 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
     manifest = json.loads(manifest_path.read_text())
     if manifest.get("schema_version") != 1:
         raise ParameterError("unsupported modes.json schema_version")
-    selection = frozenset(selection)
-    allowed = set(ModeLabel) | set(Selection)
-    if selection - allowed:
-        raise ParameterError(f"unknown selection entries: {sorted(map(str, selection - allowed))}")
+    parts = [(e["side"], ModeLabel(e["label"]), e["file"]) for e in manifest["modes"]]
+    parts += [(side, Selection.RESIDUAL, fname) for side, fname in manifest["residuals"].items()]
+
+    def read(fname):
+        return read_iqf32(dump_dir / fname, with_sidecar=False).samples.real
 
     n = int(manifest["n_samples"])
-    sides = {"pos": np.zeros(n), "neg": np.zeros(n)}
-    for entry in manifest["modes"]:
-        if ModeLabel(entry["label"]) in selection:
-            sides[entry["side"]] = sides[entry["side"]] + read_iqf32(
-                dump_dir / entry["file"], with_sidecar=False
-            ).samples.real
-    if Selection.RESIDUAL in selection:
-        for side_name, fname in manifest["residuals"].items():
-            sides[side_name] = sides[side_name] + read_iqf32(
-                dump_dir / fname, with_sidecar=False
-            ).samples.real
-    if not np.any(sides["pos"]) and not np.any(sides["neg"]):
-        z = np.zeros(n, dtype=complex)
-    else:
-        z = combine_analytic(sides["pos"], sides["neg"])
-    if Selection.RESIDUAL in selection:
-        z = z + boundary_correction(n, manifest["dc_imag"], manifest["nyquist_imag"])
+    z = _assemble(selection, n, parts, read, manifest["dc_imag"], manifest["nyquist_imag"])
     return ComplexSignal(z, float(manifest.get("sample_rate", 1.0)))

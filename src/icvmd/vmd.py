@@ -6,6 +6,17 @@ an rfft, and decomposed on the non-negative frequency half-grid
 spectrum is refreshed with a Wiener-style update, its center frequency tracked
 as the spectral power centroid, and a dual variable enforces (for tau > 0)
 exact reconstruction.
+
+The sweep carries one residual spectrum ``r = f + lam/2 - sum_k u_k``, so the
+Wiener update of mode k with the others held fixed reads
+
+    u_k <- (r + u_k) / (1 + 2*alpha*(w - w_k)^2),    then  r <- r - du_k,
+
+and runs in place on interleaved (re, im) float views of preallocated
+buffers.  The same pass yields ||du_k||^2 and the mode's energy ||u_k||^2;
+that energy is carried into the next sweep as the mode's previous norm in the
+convergence metric sum_k ||du_k||^2 / ||u_k_prev||^2, so no copy of the
+spectra is kept between sweeps.
 """
 from __future__ import annotations
 
@@ -18,6 +29,11 @@ from .errors import DegenerateInputError, ParameterError
 
 # Mode energies below this are treated as numerically zero in ratio guards.
 _ENERGY_GUARD = 1e-30
+
+# Most memory one vmd_decompose call may hold (see check_memory_budget).  Four
+# modes of a 2100-sample side need under 1 MiB; the budget stops a request
+# such as n_modes = n/2 on a long capture before any spectrum is allocated.
+_MEMORY_BUDGET_BYTES = 2**30
 
 
 class InitKind(enum.Enum):
@@ -115,64 +131,6 @@ def half_grid(n_ext: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n_ext // 2 + 1) / n_ext
 
 
-def wiener_mode_update(
-    signal_spectrum: np.ndarray,
-    other_modes_sum: np.ndarray,
-    dual_spectrum: np.ndarray,
-    omega_k: float,
-    alpha: float,
-    grid: np.ndarray,
-) -> np.ndarray:
-    """Closed-form minimizer for one mode with the others held fixed:
-
-        u_k(w) = (f(w) - sum_others(w) + dual(w)/2) / (1 + 2*alpha*(w - w_k)^2)
-    """
-    if not (
-        signal_spectrum.shape == other_modes_sum.shape == dual_spectrum.shape == grid.shape
-    ):
-        raise ParameterError("spectrum, others-sum, dual, and grid must share one shape")
-    if not (alpha > 0):
-        raise ParameterError("alpha must be positive")
-    denom = 1.0 + 2.0 * alpha * (grid - omega_k) ** 2
-    return (signal_spectrum - other_modes_sum + dual_spectrum / 2.0) / denom
-
-
-def center_frequency(mode_spectrum: np.ndarray, grid: np.ndarray) -> float:
-    """Power-weighted centroid of a half-spectrum, in radians."""
-    if mode_spectrum.shape != grid.shape:
-        raise ParameterError("mode spectrum and grid must share one shape")
-    w = np.abs(mode_spectrum) ** 2
-    total = float(np.sum(w))
-    if total <= _ENERGY_GUARD:
-        raise DegenerateInputError("center frequency of an (almost) all-zero mode is undefined")
-    return float(np.sum(grid * w) / total)
-
-
-def dual_ascent(
-    dual_spectrum: np.ndarray,
-    signal_spectrum: np.ndarray,
-    modes_sum: np.ndarray,
-    tau: float,
-) -> np.ndarray:
-    """One gradient-ascent step on the reconstruction constraint."""
-    if not (dual_spectrum.shape == signal_spectrum.shape == modes_sum.shape):
-        raise ParameterError("dual, signal, and modes-sum spectra must share one shape")
-    return dual_spectrum + tau * (signal_spectrum - modes_sum)
-
-
-def convergence_metric(prev_spectra: np.ndarray, curr_spectra: np.ndarray) -> float:
-    """Sum over modes of ||u_new - u_old||^2 / ||u_old||^2 with a tiny-energy guard."""
-    prev = np.asarray(prev_spectra)
-    curr = np.asarray(curr_spectra)
-    if prev.shape != curr.shape:
-        raise ParameterError("previous and current spectra must share one shape")
-    prev_norms = np.sum(np.abs(prev) ** 2, axis=-1)
-    if np.all(prev_norms <= _ENERGY_GUARD):
-        raise DegenerateInputError("metric undefined while every previous mode is all-zero")
-    diff = np.sum(np.abs(curr - prev) ** 2, axis=-1)
-    return float(np.sum(diff / np.maximum(prev_norms, _ENERGY_GUARD)))
-
-
 def _init_omegas(cfg: VmdConfig) -> np.ndarray:
     k = cfg.n_modes
     if cfg.init is InitKind.UNIFORM_SPREAD:
@@ -203,6 +161,19 @@ def _reseed_collisions(omegas: np.ndarray, min_gap: float) -> None:
         omegas[j] = (anchors[g] + anchors[g + 1]) / 2.0
 
 
+def check_memory_budget(n: int, n_modes: int) -> None:
+    """Raise ParameterError when decomposing an n-sample signal into n_modes
+    modes would hold more than _MEMORY_BUDGET_BYTES at its peak: per rfft bin
+    of the 2n-sample extension, the mode spectra and time-domain modes (16
+    bytes each per mode) plus eight spectrum-sized work buffers."""
+    need = 16 * (n + 1) * (2 * n_modes + 8)
+    if need > _MEMORY_BUDGET_BYTES:
+        raise ParameterError(
+            f"{n_modes} modes of a {n}-sample signal need about {need / 2**20:.0f} MiB, "
+            f"over the {_MEMORY_BUDGET_BYTES / 2**20:.0f} MiB budget"
+        )
+
+
 def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     """Decompose a real 1-D signal into ``cfg.n_modes`` band-limited modes.
 
@@ -221,6 +192,7 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
         raise ParameterError(
             f"signal of length {x.size} is too short for {cfg.n_modes} modes"
         )
+    check_memory_budget(x.size, cfg.n_modes)
     if not np.all(np.isfinite(x)):
         raise ParameterError("signal must be finite")
     if not np.any(x != 0.0):
@@ -231,56 +203,80 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     n_ext = ext.size
     grid = half_grid(n_ext)
     n_bins = grid.size
-    f_hat = np.fft.rfft(ext)
     min_gap = 2.0 * np.pi / n_ext
 
     k_modes = cfg.n_modes
+    two_alpha = 2.0 * cfg.alpha
     omegas = _init_omegas(cfg)
     u = np.zeros((k_modes, n_bins), dtype=complex)
     lam = np.zeros(n_bins, dtype=complex)
+    r = np.fft.rfft(ext)  # the residual f_hat + lam/2 - sum(u), with u = lam = 0
+    # Interleaved (re, im) float views: the Wiener filter is real, so every
+    # update runs as real arithmetic against the grid repeated per component.
+    uv = u.view(float)
+    rv = r.view(float)
+    g2 = np.repeat(grid, 2)
+    den = np.empty_like(g2)
+    d = np.empty_like(g2)
+    p = np.empty_like(g2)
+    step = np.empty_like(lam)
+    energies = [0.0] * k_modes
+    prev_norms = [0.0] * k_modes
+    diffs = [0.0] * k_modes
 
-    def sweep():
-        sum_u = u.sum(axis=0)
-        for k in range(k_modes):
-            others = sum_u - u[k]
-            u[k] = wiener_mode_update(f_hat, others, lam, omegas[k], cfg.alpha, grid)
-            sum_u = others + u[k]
-            if not (cfg.dc_lock and k == 0):
-                energy = float(np.sum(np.abs(u[k]) ** 2))
-                if energy > _ENERGY_GUARD:
-                    omegas[k] = min(max(center_frequency(u[k], grid), 0.0), np.pi)
-        return sum_u
+    def update(k):
+        """Refresh mode k from the residual; returns ||du_k||^2 and leaves
+        |u_k|^2 per component in p."""
+        uk = uv[k]
+        np.subtract(g2, omegas[k], out=den)
+        np.multiply(den, den, out=den)
+        np.multiply(den, two_alpha, out=den)
+        np.add(den, 1.0, out=den)
+        np.add(rv, uk, out=d)
+        np.divide(d, den, out=d)
+        np.subtract(d, uk, out=d)
+        np.add(uk, d, out=uk)
+        np.subtract(rv, d, out=rv)
+        np.multiply(uk, uk, out=p)
+        return d @ d
 
     converged = False
     final_delta = float("inf")
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        u_prev = u.copy()
-        sum_u = sweep()
-        lam[:] = dual_ascent(lam, f_hat, sum_u, cfg.tau)
+        for k in range(k_modes):
+            diffs[k] = float(update(k))
+            energy = energies[k] = float(p.sum())
+            if energy > _ENERGY_GUARD and not (cfg.dc_lock and k == 0):
+                omegas[k] = min(max((g2 @ p) / energy, 0.0), np.pi)
+        if cfg.tau > 0:
+            # lam += tau*(f_hat - sum(u)) = tau*(r - lam/2); r follows lam/2.
+            np.multiply(lam, -0.5, out=step)
+            step += r
+            step *= cfg.tau
+            lam += step
+            step *= 0.5
+            r += step
         _reseed_collisions(omegas, min_gap)
-        prev_norms = np.sum(np.abs(u_prev) ** 2, axis=-1)
-        if np.all(prev_norms <= _ENERGY_GUARD):
-            # First sweeps out of an all-zero start: nothing to compare yet.
-            continue
-        final_delta = convergence_metric(u_prev, u)
-        if final_delta < cfg.tol:
-            converged = True
+        # Out of an all-zero start the first sweep has nothing to compare to.
+        if not all(v <= _ENERGY_GUARD for v in prev_norms):
+            final_delta = sum(dk / max(v, _ENERGY_GUARD) for dk, v in zip(diffs, prev_norms))
+            converged = final_delta < cfg.tol
+        # This sweep's energies are the next sweep's previous norms.
+        prev_norms, energies = energies, prev_norms
+        if converged:
             break
 
     # Freeze centers and dual, then refresh every spectrum once so the output
     # is an exact Wiener fixed point of its own reported state.
-    sum_u = u.sum(axis=0)
     for k in range(k_modes):
-        others = sum_u - u[k]
-        u[k] = wiener_mode_update(f_hat, others, lam, omegas[k], cfg.alpha, grid)
-        sum_u = others + u[k]
+        update(k)
 
     order = np.argsort(omegas, kind="stable")
     omegas = omegas[order]
     u = u[order]
 
-    modes_ext = np.array([np.fft.irfft(u[k], n_ext) for k in range(k_modes)])
+    modes_ext = np.fft.irfft(u, n_ext, axis=-1)
     start = n // 2
     modes = modes_ext[:, start : start + n]
     residual = x - modes.sum(axis=0)

@@ -1,8 +1,18 @@
 """Reference helpers that only the tests use."""
 import numpy as np
 
-from icvmd.errors import ParameterError
+from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.nn.layers import ConvLayer, conv_forward, receptive_field
+from icvmd.vmd import (
+    _ENERGY_GUARD,
+    ModeSet,
+    VmdConfig,
+    VmdResult,
+    _init_omegas,
+    _reseed_collisions,
+    half_grid,
+    mirror_extend,
+)
 
 
 def causal_dilated_conv(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
@@ -37,3 +47,156 @@ def impulse_probe(width: int, dilations, t_len: int | None = None) -> int:
     if nz[0] != pos:
         raise AssertionError("causal chain produced output before the impulse")
     return int(nz[-1] - nz[0] + 1)
+
+
+def wiener_mode_update(
+    signal_spectrum: np.ndarray,
+    other_modes_sum: np.ndarray,
+    dual_spectrum: np.ndarray,
+    omega_k: float,
+    alpha: float,
+    grid: np.ndarray,
+) -> np.ndarray:
+    """Closed-form minimizer for one mode with the others held fixed:
+
+        u_k(w) = (f(w) - sum_others(w) + dual(w)/2) / (1 + 2*alpha*(w - w_k)^2)
+    """
+    if not (
+        signal_spectrum.shape == other_modes_sum.shape == dual_spectrum.shape == grid.shape
+    ):
+        raise ParameterError("spectrum, others-sum, dual, and grid must share one shape")
+    if not (alpha > 0):
+        raise ParameterError("alpha must be positive")
+    denom = 1.0 + 2.0 * alpha * (grid - omega_k) ** 2
+    return (signal_spectrum - other_modes_sum + dual_spectrum / 2.0) / denom
+
+
+def center_frequency(mode_spectrum: np.ndarray, grid: np.ndarray) -> float:
+    """Power-weighted centroid of a half-spectrum, in radians."""
+    if mode_spectrum.shape != grid.shape:
+        raise ParameterError("mode spectrum and grid must share one shape")
+    w = np.abs(mode_spectrum) ** 2
+    total = float(np.sum(w))
+    if total <= _ENERGY_GUARD:
+        raise DegenerateInputError("center frequency of an (almost) all-zero mode is undefined")
+    return float(np.sum(grid * w) / total)
+
+
+def dual_ascent(
+    dual_spectrum: np.ndarray,
+    signal_spectrum: np.ndarray,
+    modes_sum: np.ndarray,
+    tau: float,
+) -> np.ndarray:
+    """One gradient-ascent step on the reconstruction constraint."""
+    if not (dual_spectrum.shape == signal_spectrum.shape == modes_sum.shape):
+        raise ParameterError("dual, signal, and modes-sum spectra must share one shape")
+    return dual_spectrum + tau * (signal_spectrum - modes_sum)
+
+
+def convergence_metric(prev_spectra: np.ndarray, curr_spectra: np.ndarray) -> float:
+    """Sum over modes of ||u_new - u_old||^2 / ||u_old||^2 with a tiny-energy guard."""
+    prev = np.asarray(prev_spectra)
+    curr = np.asarray(curr_spectra)
+    if prev.shape != curr.shape:
+        raise ParameterError("previous and current spectra must share one shape")
+    prev_norms = np.sum(np.abs(prev) ** 2, axis=-1)
+    if np.all(prev_norms <= _ENERGY_GUARD):
+        raise DegenerateInputError("metric undefined while every previous mode is all-zero")
+    diff = np.sum(np.abs(curr - prev) ** 2, axis=-1)
+    return float(np.sum(diff / np.maximum(prev_norms, _ENERGY_GUARD)))
+
+
+def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
+    """The plain Gauss-Seidel loop that vmd_decompose fuses, kept as its oracle.
+
+    Decompose a real 1-D signal into ``cfg.n_modes`` band-limited modes.
+
+    The ADMM loop sweeps modes in index order, refreshing each spectrum with
+    the Wiener update (using the freshest other-mode sum) and immediately
+    re-centering it; the dual variable is stepped after every sweep.  After
+    convergence one extra mode-update sweep is run at the final centers so the
+    returned spectra satisfy the Wiener fixed-point form exactly.
+
+    Modes are returned sorted by ascending center frequency.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ParameterError(f"signal must be 1-D, got shape {x.shape}")
+    if x.size < 2 * cfg.n_modes:
+        raise ParameterError(
+            f"signal of length {x.size} is too short for {cfg.n_modes} modes"
+        )
+    if not np.all(np.isfinite(x)):
+        raise ParameterError("signal must be finite")
+    if not np.any(x != 0.0):
+        raise DegenerateInputError("cannot decompose an all-zero signal")
+
+    n = x.size
+    ext = mirror_extend(x)
+    n_ext = ext.size
+    grid = half_grid(n_ext)
+    n_bins = grid.size
+    f_hat = np.fft.rfft(ext)
+    min_gap = 2.0 * np.pi / n_ext
+
+    k_modes = cfg.n_modes
+    omegas = _init_omegas(cfg)
+    u = np.zeros((k_modes, n_bins), dtype=complex)
+    lam = np.zeros(n_bins, dtype=complex)
+
+    def sweep():
+        sum_u = u.sum(axis=0)
+        for k in range(k_modes):
+            others = sum_u - u[k]
+            u[k] = wiener_mode_update(f_hat, others, lam, omegas[k], cfg.alpha, grid)
+            sum_u = others + u[k]
+            if not (cfg.dc_lock and k == 0):
+                energy = float(np.sum(np.abs(u[k]) ** 2))
+                if energy > _ENERGY_GUARD:
+                    omegas[k] = min(max(center_frequency(u[k], grid), 0.0), np.pi)
+        return sum_u
+
+    converged = False
+    final_delta = float("inf")
+    iterations = 0
+    for iterations in range(1, cfg.max_iter + 1):
+        u_prev = u.copy()
+        sum_u = sweep()
+        lam[:] = dual_ascent(lam, f_hat, sum_u, cfg.tau)
+        _reseed_collisions(omegas, min_gap)
+        prev_norms = np.sum(np.abs(u_prev) ** 2, axis=-1)
+        if np.all(prev_norms <= _ENERGY_GUARD):
+            # First sweeps out of an all-zero start: nothing to compare yet.
+            continue
+        final_delta = convergence_metric(u_prev, u)
+        if final_delta < cfg.tol:
+            converged = True
+            break
+
+    # Freeze centers and dual, then refresh every spectrum once so the output
+    # is an exact Wiener fixed point of its own reported state.
+    sum_u = u.sum(axis=0)
+    for k in range(k_modes):
+        others = sum_u - u[k]
+        u[k] = wiener_mode_update(f_hat, others, lam, omegas[k], cfg.alpha, grid)
+        sum_u = others + u[k]
+
+    order = np.argsort(omegas, kind="stable")
+    omegas = omegas[order]
+    u = u[order]
+
+    modes_ext = np.array([np.fft.irfft(u[k], n_ext) for k in range(k_modes)])
+    start = n // 2
+    modes = modes_ext[:, start : start + n]
+    residual = x - modes.sum(axis=0)
+
+    mode_set = ModeSet(
+        mode_spectra=u,
+        omegas=omegas,
+        lambda_spectrum=lam,
+        iterations=iterations,
+        converged=converged,
+        final_delta=final_delta,
+    )
+    return VmdResult(modes=modes, mode_set=mode_set, residual=residual)

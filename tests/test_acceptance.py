@@ -26,8 +26,8 @@ from icvmd.nn.model import ModelConfig, features_forward, get_array, init_params
 from icvmd.nn.train import TrainConfig, grad_check, sat_transfer, train
 from icvmd.pa import auxiliary_bank, emitter_bank
 from icvmd.signals import ComplexSignal, add_awgn, normalize_power
-from icvmd.vmd import VmdConfig, half_grid, mirror_extend, vmd_decompose, wiener_mode_update
-from oracles import impulse_probe
+from icvmd.vmd import VmdConfig, half_grid, mirror_extend, vmd_decompose
+from oracles import impulse_probe, wiener_mode_update
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

@@ -155,6 +155,29 @@ def test_reconstruct_single_selection(runner, tmp_path):
     assert sig.meta["selection"] == ["signal"]
 
 
+def test_decompose_reports_solver_state_and_warns_at_the_cap(runner, tmp_path):
+    src = tmp_path / "tone.iqf32"
+    write_tone(src)
+    out = tmp_path / "m"
+    args = ["decompose", str(src), "--out", str(out), "--n-modes", "2", "--alpha", "300"]
+    res = runner.invoke(main, args + ["--max-iter", "2"])
+    assert res.exit_code == 0, res.output
+    solver = json.loads((out / "modes.json").read_text())["solver"]
+    assert set(solver) == {"pos", "neg"}
+    for side in ("pos", "neg"):
+        assert solver[side]["iterations"] == 2
+        assert solver[side]["converged"] is False
+        assert solver[side]["final_delta"] > 1e-7
+        assert f"warning: {side} side stopped at 2 sweeps" in res.stderr
+    assert "warning" not in res.stdout
+
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    solver = json.loads((out / "modes.json").read_text())["solver"]
+    assert all(s["converged"] and 2 < s["iterations"] < 500 for s in solver.values())
+    assert "warning" not in res.stderr
+
+
 def test_decompose_missing_input_is_usage_error(runner, tmp_path):
     res = runner.invoke(main, ["decompose", str(tmp_path / "ghost.iqf32"), "--out", str(tmp_path / "m")])
     assert res.exit_code == 2

@@ -168,6 +168,14 @@ def test_one_sided_input_gives_degenerate_side():
     assert np.allclose(out.samples, z, atol=1e-8)
 
 
+def test_empty_side_stand_in_respects_the_memory_budget():
+    n = 256
+    z = np.exp(-2j * np.pi * (51.0 / n) * np.arange(n))  # the positive side is empty
+    side = VmdConfig(n_modes=10**6)
+    with pytest.raises(ParameterError, match="budget"):
+        icvmd_decompose(ComplexSignal(z), IcvmdConfig(pos=side, neg=side))
+
+
 def test_result_side_accessor():
     res = icvmd_decompose(two_sided_tone_mix(), quick_cfg())
     assert res.side("pos") is res.pos

@@ -4,15 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icvmd.errors import DegenerateInputError, ParameterError
-from icvmd.vmd import (
-    InitKind,
-    VmdConfig,
+from icvmd.vmd import InitKind, VmdConfig, half_grid, mirror_extend, vmd_decompose
+from oracles import (
     center_frequency,
     convergence_metric,
     dual_ascent,
-    half_grid,
-    mirror_extend,
-    vmd_decompose,
+    reference_vmd_decompose,
     wiener_mode_update,
 )
 
@@ -212,6 +209,55 @@ def test_solver_input_validation():
         vmd_decompose(np.array([1.0, np.inf, 0.0, 0.0]), VmdConfig(n_modes=1))
     with pytest.raises(DegenerateInputError):
         vmd_decompose(np.zeros(64), VmdConfig(n_modes=2))
+
+
+def test_memory_budget_rejects_before_allocating():
+    # 5e5 modes of a 1e6-sample signal would need ~16 TB of spectra; the
+    # check must refuse it before any of them exists.
+    with pytest.raises(ParameterError, match="budget"):
+        vmd_decompose(np.ones(1_000_000), VmdConfig(n_modes=500_000))
+
+
+def _sweep_case_signal(n, seed):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    return (
+        0.4
+        + np.cos(2 * np.pi * 0.04 * t)
+        + 0.6 * np.cos(2 * np.pi * 0.19 * t + 0.3)
+        + 0.3 * np.sin(2 * np.pi * 0.41 * t)
+        + 0.2 * rng.normal(size=n)
+    )
+
+
+FUSED_SWEEP_CASES = [
+    (300, VmdConfig(n_modes=1, alpha=100.0, tol=1e-8)),
+    (301, VmdConfig(n_modes=2, alpha=500.0)),
+    (512, VmdConfig(n_modes=3, alpha=2000.0, init=InitKind.RANDOM_SEEDED, init_seed=3)),
+    (257, VmdConfig(n_modes=4, alpha=200.0, tol=1e-6, max_iter=300, dc_lock=True)),
+    (400, VmdConfig(n_modes=5, alpha=800.0, tau=0.5)),
+    (333, VmdConfig(n_modes=6, alpha=300.0, init=InitKind.ALL_ZERO)),  # every center collides
+    (431, VmdConfig(n_modes=3, alpha=1000.0, tau=0.1, dc_lock=True, init=InitKind.RANDOM_SEEDED)),
+    (700, VmdConfig(n_modes=4, alpha=200.0, tol=1e-16, max_iter=40)),  # stops at the cap
+]
+
+
+@pytest.mark.parametrize("n,cfg", FUSED_SWEEP_CASES)
+def test_fused_sweep_matches_reference_loop(n, cfg):
+    x = _sweep_case_signal(n, seed=n)
+    got = vmd_decompose(x, cfg)
+    want = reference_vmd_decompose(x, cfg)
+    assert got.mode_set.iterations == want.mode_set.iterations
+    assert got.mode_set.converged == want.mode_set.converged
+    assert want.mode_set.converged or want.mode_set.iterations == cfg.max_iter
+    for a, b in (
+        (got.omegas, want.omegas),
+        (got.mode_set.mode_spectra, want.mode_set.mode_spectra),
+        (got.mode_set.lambda_spectrum, want.mode_set.lambda_spectrum),
+        (got.modes, want.modes),
+    ):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-10 * max(np.max(np.abs(b)), 1e-300)
 
 
 def test_iteration_cap_respected():
