@@ -5,7 +5,6 @@ classifier is a fixed, fully deterministic reference point.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,14 +153,3 @@ def evaluate(
         config_echo=dict(config_echo or {}),
     )
 
-
-class Stopwatch:
-    """Context manager for the report's wall-clock field."""
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.t0
-        return False

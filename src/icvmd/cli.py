@@ -273,6 +273,11 @@ def train_cmd(data_dir, out_file, representation, epochs, learning_rate, batch_s
                 "class_ids": class_ids.tolist(),
                 "representation": representation,
                 "n_modes": n_modes,
+                "epochs": cfg.epochs,
+                "learning_rate": cfg.learning_rate,
+                "batch_size": cfg.batch_size,
+                "seed": cfg.seed,
+                "history": result.history,
             }
         )
     )

@@ -1,9 +1,7 @@
-"""Scaled dot-product attention with a numerically stable softmax."""
+"""Numerically stable softmax and its backward pass."""
 from __future__ import annotations
 
 import numpy as np
-
-from ..errors import ParameterError
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -19,29 +17,3 @@ def softmax_backward(dy: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarra
     inner = (dy * y).sum(axis=axis, keepdims=True)
     return y * (dy - inner)
 
-
-def scaled_softmax_attention(queries: np.ndarray, keys: np.ndarray, values: np.ndarray):
-    """Classic attention:
-
-        scores[i, j] = q_i . k_j / sqrt(d)
-        weights = softmax over j
-        out_i = sum_j weights[i, j] * v_j
-
-    queries [n_q, d], keys [n_k, d], values [n_k, d_v] -> (out [n_q, d_v],
-    weights [n_q, n_k]).  Every weight row sums to 1.
-    """
-    q = np.asarray(queries, dtype=float)
-    k = np.asarray(keys, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ParameterError("queries, keys, values must be 2-D")
-    if q.shape[1] != k.shape[1]:
-        raise ParameterError("queries and keys must share the feature dimension")
-    if v.shape[0] != k.shape[0]:
-        raise ParameterError("values must have one row per key")
-    d = q.shape[1]
-    if d == 0:
-        raise ParameterError("feature dimension must be positive")
-    scores = q @ k.T / np.sqrt(d)
-    weights = softmax(scores, axis=1)
-    return weights @ v, weights

@@ -1,22 +1,22 @@
 """Single-file .npz checkpoints with an embedded JSON manifest.
 
 The manifest records the format version and every architecture hyperparameter
-needed to rebuild the parameter containers; the arrays are stored float64
-under their traversal paths.  Loading validates every shape and refuses
-mismatches, with one sanctioned exception: the final affine head may be
-re-initialized for a different class count via ``resize_head_to``.
+needed to rebuild the model; the arrays are stored float64 under their
+parameter keys.  Loading refuses a missing or unknown key, a reshaped array
+and a non-finite value, with one sanctioned exception: the final affine head
+may be re-initialized for a different class count via ``resize_head_to``.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ParameterError
 from .layers import init_dense
-from .model import ModelConfig, NetParams, init_params, iter_arrays, set_array
+from .model import ModelConfig, NetParams, init_params, layer_arrays
 
 FORMAT_VERSION = 1
 
@@ -29,19 +29,26 @@ def save_checkpoint(path, params: NetParams) -> Path:
         "n_classes": params.n_classes,
         "n_out": params.n_out,
     }
-    arrays = {p: a.astype(np.float64) for p, a in iter_arrays(params)}
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, manifest=np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8), **arrays)
+    np.savez(path, manifest=np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8), **params.arrays)
     return path
+
+
+def _check_keys(what: str, stored, expected) -> None:
+    missing, extra = set(expected) - set(stored), set(stored) - set(expected)
+    if missing or extra:
+        raise ParameterError(f"checkpoint {what} mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
 
 
 def load_checkpoint(path, resize_head_to: int | None = None, head_seed: int = 0) -> NetParams:
     """Rebuild NetParams from a checkpoint.
 
-    Any stored array whose shape disagrees with the manifest architecture is a
-    hard error.  ``resize_head_to`` replaces the final affine head with a
-    freshly seeded one of the requested output size instead of loading it.
+    Every stored array must match the key, the shape and the finiteness of
+    the manifest architecture.  ``resize_head_to`` replaces the final affine
+    head with a freshly seeded one of the requested output size.
     """
+    if resize_head_to is not None and resize_head_to < 1:
+        raise ParameterError("resize_head_to must be >= 1")
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such checkpoint: {path}")
@@ -54,20 +61,17 @@ def load_checkpoint(path, resize_head_to: int | None = None, head_seed: int = 0)
         raise ParameterError(
             f"unsupported checkpoint format_version {manifest.get('format_version')!r}"
         )
+    _check_keys("config", manifest.get("config", {}), [f.name for f in fields(ModelConfig)])
     config = ModelConfig(**manifest["config"])
-    params = init_params(config, manifest["n_classes"], seed=0, n_out=manifest["n_out"])
-
-    expected = {p for p, _ in iter_arrays(params)}
-    head_keys = {"classifier2.weights", "classifier2.bias"}
-    stored = set(files)
-    if stored != expected:
-        missing = expected - stored
-        extra = stored - expected
-        raise ParameterError(f"checkpoint key mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-
-    for p in sorted(expected - (head_keys if resize_head_to is not None else set())):
-        set_array(params, p, files[p])  # set_array rejects shape mismatches
+    expected = init_params(config, manifest["n_classes"], seed=0, n_out=manifest["n_out"]).arrays
+    _check_keys("key", files, expected)
+    for key, ref in expected.items():
+        if files[key].shape != ref.shape:
+            raise ParameterError(f"shape mismatch at {key}: {ref.shape} vs {files[key].shape}")
+        if not np.all(np.isfinite(files[key])):
+            raise ParameterError(f"non-finite value in {key}")
+    arrays = {key: np.asarray(files[key], dtype=float) for key in expected}
     if resize_head_to is not None:
         rng = np.random.default_rng(head_seed)
-        params.classifier2 = init_dense(rng, resize_head_to, params.n_classes)
-    return params
+        arrays |= layer_arrays("classifier2", init_dense(rng, resize_head_to, manifest["n_classes"]))
+    return NetParams(config, arrays)

@@ -13,7 +13,7 @@ are replaced by one-hot argmax votes before weighting (inference only).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,20 +49,12 @@ class ModelConfig:
     segment_len: int = 100
 
     def __post_init__(self):
-        for name in (
-            "in_channels",
-            "channels",
-            "encoder_layers",
-            "encoder_width",
-            "n_blocks",
-            "block_width",
-            "branch_channels",
-            "branch_width",
-            "branch_layers",
-            "segment_len",
-        ):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{f.name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ParameterError(f"{f.name} must be >= 1")
 
     @property
     def dilations(self) -> list:
@@ -70,109 +62,87 @@ class ModelConfig:
 
 
 @dataclass
-class ResidualBlock:
-    """o = x + conv2(relu(conv1(x))); channel count must be preserved."""
-
-    conv1: ConvLayer
-    conv2: ConvLayer
-
-
-@dataclass
-class TcnStack:
-    blocks: list
-    merge: ConvLayer  # 1x1 conv over the channel-stacked block outputs
-
-
-@dataclass
-class BranchNet:
-    convs: list
-    head: Dense  # per-segment scalar score
-
-
-@dataclass
 class NetParams:
+    """Every trainable array under its layer path (``encoder.0.weights``,
+    ``tcn.blocks.1.conv2.bias``, ...), in one fixed order: encoder, TCN blocks,
+    merge, classifier1, branch convs, branch head, classifier2."""
+
     config: ModelConfig
-    encoder: list
-    tcn: TcnStack
-    classifier1: Dense  # per-segment logits over n_classes
-    branch: BranchNet
-    classifier2: Dense  # pooled evidence -> final logits
+    arrays: dict
 
     @property
     def n_classes(self) -> int:
-        return self.classifier1.weights.shape[0]
+        return self.arrays["classifier1.weights"].shape[0]
 
     @property
     def n_out(self) -> int:
-        return self.classifier2.weights.shape[0]
+        return self.arrays["classifier2.weights"].shape[0]
+
+
+def layer_arrays(name: str, layer) -> dict:
+    """The weights and bias of a ConvLayer or Dense under their parameter keys."""
+    return {f"{name}.weights": layer.weights, f"{name}.bias": layer.bias}
+
+
+def _conv(params: NetParams, name: str, dilation: int = 1) -> ConvLayer:
+    a = params.arrays
+    return ConvLayer(a[f"{name}.weights"], a[f"{name}.bias"], dilation)
+
+
+def _dense(params: NetParams, name: str) -> Dense:
+    return Dense(params.arrays[f"{name}.weights"], params.arrays[f"{name}.bias"])
+
+
+def _store(grads: dict, name: str, dw: np.ndarray, db: np.ndarray) -> None:
+    grads[f"{name}.weights"] = dw
+    grads[f"{name}.bias"] = db
 
 
 def init_params(
     config: ModelConfig, n_classes: int, seed: int, n_out: int | None = None
 ) -> NetParams:
-    """Seeded uniform(+-sqrt(1/fan_in)) initialization, zero biases."""
+    """Seeded uniform(+-sqrt(1/fan_in)) initialization; layers draw in key order."""
     if n_classes < 2:
         raise ParameterError("n_classes must be >= 2")
     rng = np.random.default_rng(seed)
     c = config.channels
-    encoder = []
+    arrays: dict = {}
     in_ch = config.in_channels
-    for _ in range(config.encoder_layers):
-        encoder.append(init_conv(rng, c, in_ch, config.encoder_width, 1))
+    for i in range(config.encoder_layers):
+        arrays |= layer_arrays(f"encoder.{i}", init_conv(rng, c, in_ch, config.encoder_width, 1))
         in_ch = c
-    blocks = [
-        ResidualBlock(
-            conv1=init_conv(rng, c, c, config.block_width, d),
-            conv2=init_conv(rng, c, c, config.block_width, d),
-        )
-        for d in config.dilations
-    ]
-    merge = init_conv(rng, c, c * config.n_blocks, 1, 1)
-    classifier1 = init_dense(rng, n_classes, c)
-    branch_convs = []
+    for i, d in enumerate(config.dilations):
+        for sub in ("conv1", "conv2"):
+            arrays |= layer_arrays(f"tcn.blocks.{i}.{sub}", init_conv(rng, c, c, config.block_width, d))
+    arrays |= layer_arrays("tcn.merge", init_conv(rng, c, c * config.n_blocks, 1, 1))
+    arrays |= layer_arrays("classifier1", init_dense(rng, n_classes, c))
     in_ch = config.in_channels
-    for _ in range(config.branch_layers):
-        branch_convs.append(init_conv(rng, config.branch_channels, in_ch, config.branch_width, 1))
+    for i in range(config.branch_layers):
+        conv = init_conv(rng, config.branch_channels, in_ch, config.branch_width, 1)
+        arrays |= layer_arrays(f"branch.convs.{i}", conv)
         in_ch = config.branch_channels
-    branch = BranchNet(convs=branch_convs, head=init_dense(rng, 1, config.branch_channels))
-    classifier2 = init_dense(rng, n_out if n_out is not None else n_classes, n_classes)
-    return NetParams(
-        config=config,
-        encoder=encoder,
-        tcn=TcnStack(blocks=blocks, merge=merge),
-        classifier1=classifier1,
-        branch=branch,
-        classifier2=classifier2,
-    )
+    arrays |= layer_arrays("branch.head", init_dense(rng, 1, config.branch_channels))
+    n_out = n_out if n_out is not None else n_classes
+    arrays |= layer_arrays("classifier2", init_dense(rng, n_out, n_classes))
+    return NetParams(config=config, arrays=arrays)
 
 
-def residual_block(x: np.ndarray, block: ResidualBlock) -> np.ndarray:
-    """Single-sequence residual block: x [C, T] -> [C, T]."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ParameterError(f"expected [channels, T], got shape {x.shape}")
-    if block.conv1.weights.shape[1] != x.shape[0] or block.conv2.weights.shape[0] != x.shape[0]:
-        raise ParameterError("residual block must preserve the channel count")
-    y, _ = _residual_forward(x[None], block)
-    return y[0]
-
-
-def _residual_forward(h: np.ndarray, block: ResidualBlock):
-    y1, c1 = conv_forward(h, block.conv1)
+def _residual_forward(h: np.ndarray, params: NetParams, i: int):
+    """TCN block i: o = h + conv2(relu(conv1(h))) at the block's dilation."""
+    d = params.config.dilations[i]
+    y1, c1 = conv_forward(h, _conv(params, f"tcn.blocks.{i}.conv1", d))
     a1, r1 = relu_forward(y1)
-    y2, c2 = conv_forward(a1, block.conv2)
+    y2, c2 = conv_forward(a1, _conv(params, f"tcn.blocks.{i}.conv2", d))
     return h + y2, (c1, r1, c2)
 
 
-def _residual_backward(dout: np.ndarray, block: ResidualBlock, cache, grads, prefix):
+def _residual_backward(dout: np.ndarray, cache, grads, prefix):
     c1, r1, c2 = cache
     da1, dw2, db2 = conv_backward(dout, c2)
     dy1 = relu_backward(da1, r1)
     dh, dw1, db1 = conv_backward(dy1, c1)
-    grads[f"{prefix}.conv1.weights"] = dw1
-    grads[f"{prefix}.conv1.bias"] = db1
-    grads[f"{prefix}.conv2.weights"] = dw2
-    grads[f"{prefix}.conv2.bias"] = db2
+    _store(grads, f"{prefix}.conv1", dw1, db1)
+    _store(grads, f"{prefix}.conv2", dw2, db2)
     return dout + dh  # skip connection plus the conv path
 
 
@@ -180,39 +150,37 @@ def features_forward(params: NetParams, x: np.ndarray):
     """Encoder + TCN + merge: x [B, C_in, T] -> feat [B, channels, T], cache."""
     enc_caches = []
     h = x
-    for conv in params.encoder:
-        y, cc = conv_forward(h, conv)
+    for i in range(params.config.encoder_layers):
+        y, cc = conv_forward(h, _conv(params, f"encoder.{i}"))
         a, rc = relu_forward(y)
         enc_caches.append((cc, rc))
         h = a
     block_caches = []
     block_outs = []
-    for blk in params.tcn.blocks:
-        h, cache = _residual_forward(h, blk)
+    for i in range(params.config.n_blocks):
+        h, cache = _residual_forward(h, params, i)
         block_caches.append(cache)
         block_outs.append(h)
     stacked = np.concatenate(block_outs, axis=1)
-    feat, merge_cache = conv_forward(stacked, params.tcn.merge)
+    feat, merge_cache = conv_forward(stacked, _conv(params, "tcn.merge"))
     return feat, (enc_caches, block_caches, merge_cache)
 
 
 def features_backward(params: NetParams, dfeat: np.ndarray, cache, grads) -> np.ndarray:
     enc_caches, block_caches, merge_cache = cache
     dstacked, dw, db = conv_backward(dfeat, merge_cache)
-    grads["tcn.merge.weights"] = dw
-    grads["tcn.merge.bias"] = db
+    _store(grads, "tcn.merge", dw, db)
     c = params.config.channels
     chunks = [dstacked[:, i * c : (i + 1) * c, :] for i in range(params.config.n_blocks)]
     dh = np.zeros_like(chunks[-1])
     for i in range(params.config.n_blocks - 1, -1, -1):
         dout = chunks[i] + dh
-        dh = _residual_backward(dout, params.tcn.blocks[i], block_caches[i], grads, f"tcn.blocks.{i}")
-    for i in range(len(params.encoder) - 1, -1, -1):
+        dh = _residual_backward(dout, block_caches[i], grads, f"tcn.blocks.{i}")
+    for i in range(params.config.encoder_layers - 1, -1, -1):
         cc, rc = enc_caches[i]
         dy = relu_backward(dh, rc)
         dh, dw, db = conv_backward(dy, cc)
-        grads[f"encoder.{i}.weights"] = dw
-        grads[f"encoder.{i}.bias"] = db
+        _store(grads, f"encoder.{i}", dw, db)
     return dh
 
 
@@ -238,13 +206,13 @@ def _branch_forward(params: NetParams, xb: np.ndarray, s: int):
     folded = folded.reshape(b * s, xb.shape[1], length)
     caches = []
     h = folded
-    for conv in params.branch.convs:
-        y, cc = conv_forward(h, conv)
+    for i in range(params.config.branch_layers):
+        y, cc = conv_forward(h, _conv(params, f"branch.convs.{i}"))
         a, rc = relu_forward(y)
         caches.append((cc, rc))
         h = a
     pooled = h.mean(axis=2)  # [B*S, branch_channels]
-    scores, dcache = dense_forward(pooled, params.branch.head)
+    scores, dcache = dense_forward(pooled, _dense(params, "branch.head"))
     return scores.reshape(b, s), (caches, dcache, h.shape, b, s)
 
 
@@ -252,16 +220,14 @@ def _branch_backward(params: NetParams, dscores: np.ndarray, cache, grads, t_ful
     caches, dcache, h_shape, b, s = cache
     length = params.config.segment_len
     dy = dscores.reshape(b * s, 1)
-    dpooled, dw, db = dense_backward(dy, dcache, params.branch.head)
-    grads["branch.head.weights"] = dw
-    grads["branch.head.bias"] = db
+    dpooled, dw, db = dense_backward(dy, dcache, _dense(params, "branch.head"))
+    _store(grads, "branch.head", dw, db)
     dh = np.broadcast_to(dpooled[:, :, None] / h_shape[2], h_shape).copy()
-    for i in range(len(params.branch.convs) - 1, -1, -1):
+    for i in range(params.config.branch_layers - 1, -1, -1):
         cc, rc = caches[i]
         dy = relu_backward(dh, rc)
         dh, dw, db = conv_backward(dy, cc)
-        grads[f"branch.convs.{i}.weights"] = dw
-        grads[f"branch.convs.{i}.bias"] = db
+        _store(grads, f"branch.convs.{i}", dw, db)
     dxs = dh.reshape(b, s, -1, length).transpose(0, 2, 1, 3).reshape(b, -1, s * length)
     if s * length < t_full:
         dxs = np.pad(dxs, ((0, 0), (0, 0), (0, t_full - s * length)))
@@ -313,7 +279,7 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, h
     pool = trimmed.reshape(b, feat.shape[1], s, length).mean(axis=3)  # [B, C, S]
 
     flat = pool.transpose(0, 2, 1).reshape(b * s, -1)
-    seg_logits_flat, cls1_cache = dense_forward(flat, params.classifier1)
+    seg_logits_flat, cls1_cache = dense_forward(flat, _dense(params, "classifier1"))
     seg_logits = seg_logits_flat.reshape(b, s, -1).transpose(0, 2, 1)  # [B, n_classes, S]
 
     scores, branch_cache = _branch_forward(params, xb, s)
@@ -328,7 +294,7 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, h
         evidence = seg_logits
 
     z = np.einsum("bs,bos->bo", att, evidence)  # [B, n_classes]
-    logits, cls2_cache = dense_forward(z, params.classifier2)
+    logits, cls2_cache = dense_forward(z, _dense(params, "classifier2"))
 
     cache = {
         "feat_cache": feat_cache,
@@ -356,9 +322,8 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache) -> dict:
         dlogits = dlogits[None]
 
     grads: dict = {}
-    dz, dw, db = dense_backward(dlogits, cache["cls2_cache"], params.classifier2)
-    grads["classifier2.weights"] = dw
-    grads["classifier2.bias"] = db
+    dz, dw, db = dense_backward(dlogits, cache["cls2_cache"], _dense(params, "classifier2"))
+    _store(grads, "classifier2", dw, db)
 
     att = cache["attention"]
     seg_logits = cache["seg_logits"]
@@ -369,9 +334,8 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache) -> dict:
     dxb = _branch_backward(params, dscores, cache["branch_cache"], grads, t)
 
     dflat = dseg_logits.transpose(0, 2, 1).reshape(b * s, -1)
-    dpool_flat, dw, db = dense_backward(dflat, cache["cls1_cache"], params.classifier1)
-    grads["classifier1.weights"] = dw
-    grads["classifier1.bias"] = db
+    dpool_flat, dw, db = dense_backward(dflat, cache["cls1_cache"], _dense(params, "classifier1"))
+    _store(grads, "classifier1", dw, db)
     dpool = dpool_flat.reshape(b, s, -1).transpose(0, 2, 1)  # [B, C, S]
 
     feat_shape = cache["feat_shape"]
@@ -385,47 +349,6 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache) -> dict:
     grads["_input_main"] = dxm
     grads["_input_branch"] = dxb
     return grads
-
-
-def relu_kink_margin(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray) -> float:
-    """Smallest |pre-activation| over every ReLU for this batch.
-
-    Finite-difference gradient verification is only trustworthy when this
-    margin is comfortably larger than the probe step.
-    """
-    xm = np.asarray(main_x, dtype=float)
-    xb = np.asarray(branch_x, dtype=float)
-    if xm.ndim == 2:
-        xm = xm[None]
-    if xb.ndim == 2:
-        xb = xb[None]
-    margin = np.inf
-    h = xm
-    for conv in params.encoder:
-        y, _ = conv_forward(h, conv)
-        margin = min(margin, float(np.abs(y).min()))
-        h = np.maximum(y, 0.0)
-    for blk in params.tcn.blocks:
-        y1, _ = conv_forward(h, blk.conv1)
-        margin = min(margin, float(np.abs(y1).min()))
-        a1 = np.maximum(y1, 0.0)
-        y2, _ = conv_forward(a1, blk.conv2)
-        h = h + y2
-    s = _segment_count(params, xb.shape[2])
-    length = params.config.segment_len
-    b = xb.shape[0]
-    folded = (
-        xb[:, :, : s * length]
-        .reshape(b, xb.shape[1], s, length)
-        .transpose(0, 2, 1, 3)
-        .reshape(b * s, xb.shape[1], length)
-    )
-    hb = folded
-    for conv in params.branch.convs:
-        y, _ = conv_forward(hb, conv)
-        margin = min(margin, float(np.abs(y).min()))
-        hb = np.maximum(y, 0.0)
-    return margin
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -447,56 +370,3 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     dlogits = (p - onehot) / b
     return loss, dlogits
 
-
-def iter_arrays(params: NetParams):
-    """Yield (path, array) for every trainable array, in a fixed order."""
-    for i, conv in enumerate(params.encoder):
-        yield f"encoder.{i}.weights", conv.weights
-        yield f"encoder.{i}.bias", conv.bias
-    for i, blk in enumerate(params.tcn.blocks):
-        for sub in ("conv1", "conv2"):
-            layer = getattr(blk, sub)
-            yield f"tcn.blocks.{i}.{sub}.weights", layer.weights
-            yield f"tcn.blocks.{i}.{sub}.bias", layer.bias
-    yield "tcn.merge.weights", params.tcn.merge.weights
-    yield "tcn.merge.bias", params.tcn.merge.bias
-    yield "classifier1.weights", params.classifier1.weights
-    yield "classifier1.bias", params.classifier1.bias
-    for i, conv in enumerate(params.branch.convs):
-        yield f"branch.convs.{i}.weights", conv.weights
-        yield f"branch.convs.{i}.bias", conv.bias
-    yield "branch.head.weights", params.branch.head.weights
-    yield "branch.head.bias", params.branch.head.bias
-    yield "classifier2.weights", params.classifier2.weights
-    yield "classifier2.bias", params.classifier2.bias
-
-
-def _resolve(params: NetParams, path: str):
-    obj = params
-    parts = path.split(".")
-    for part in parts[:-1]:
-        obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
-    return obj, parts[-1]
-
-
-def get_array(params: NetParams, path: str) -> np.ndarray:
-    obj, leaf = _resolve(params, path)
-    return getattr(obj, leaf)
-
-
-def set_array(params: NetParams, path: str, value: np.ndarray) -> None:
-    obj, leaf = _resolve(params, path)
-    current = getattr(obj, leaf)
-    if current.shape != value.shape:
-        raise ParameterError(f"shape mismatch at {path}: {current.shape} vs {value.shape}")
-    setattr(obj, leaf, np.asarray(value, dtype=float))
-
-
-def clone_params(params: NetParams) -> NetParams:
-    import copy
-
-    return copy.deepcopy(params)
-
-
-def param_count(params: NetParams) -> int:
-    return sum(arr.size for _, arr in iter_arrays(params))

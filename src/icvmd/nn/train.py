@@ -1,4 +1,4 @@
-"""Adam training loop, finite-difference gradient verification, and attention transfer."""
+"""Adam training loop and attention transfer."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -7,17 +7,7 @@ import numpy as np
 
 from ..errors import DegenerateInputError, ParameterError
 from .layers import init_dense
-from .model import (
-    NetParams,
-    clone_params,
-    cross_entropy,
-    get_array,
-    iter_arrays,
-    model_backward,
-    model_forward,
-    relu_kink_margin,
-    set_array,
-)
+from .model import NetParams, cross_entropy, layer_arrays, model_backward, model_forward
 
 
 @dataclass(frozen=True)
@@ -76,18 +66,22 @@ def train(
 ) -> TrainResult:
     """Run Adam on a copy of ``params``; the input object is never mutated.
 
-    Arrays whose path starts with any of ``freeze_prefixes`` receive no
-    updates at all, so they come back bit-identical.  learning_rate == 0
-    leaves every parameter bit-identical (useful as a determinism probe).
+    Arrays whose key starts with any of ``freeze_prefixes`` receive no
+    updates at all, so they come back bit-identical; a prefix that matches no
+    key is an error.  learning_rate == 0 leaves every parameter bit-identical
+    (useful as a determinism probe).
     """
     main, branch, labels = _check_dataset(main, branch, labels, params.n_out)
-    out = clone_params(params)
-    paths = [p for p, _ in iter_arrays(out)]
-    frozen = tuple(p for p in paths if any(p.startswith(f) for f in freeze_prefixes))
-    live = [p for p in paths if p not in frozen]
+    prefixes = tuple(freeze_prefixes)
+    unmatched = [f for f in prefixes if not any(k.startswith(f) for k in params.arrays)]
+    if unmatched:
+        raise ParameterError(f"freeze_prefixes {unmatched} match no parameter key")
+    out = NetParams(params.config, {k: a.copy() for k, a in params.arrays.items()})
+    frozen = tuple(k for k in out.arrays if k.startswith(prefixes))
+    live = {k: a for k, a in out.arrays.items() if k not in frozen}
 
-    m = {p: np.zeros_like(get_array(out, p)) for p in live}
-    v = {p: np.zeros_like(get_array(out, p)) for p in live}
+    m = {k: np.zeros_like(a) for k, a in live.items()}
+    v = {k: np.zeros_like(a) for k, a in live.items()}
     step = 0
     rng = np.random.default_rng(cfg.seed)
     n = main.shape[0]
@@ -104,91 +98,13 @@ def train(
             step += 1
             bc1 = 1.0 - cfg.beta1**step
             bc2 = 1.0 - cfg.beta2**step
-            for p in live:
-                g = grads[p]
-                m[p] = cfg.beta1 * m[p] + (1.0 - cfg.beta1) * g
-                v[p] = cfg.beta2 * v[p] + (1.0 - cfg.beta2) * g * g
-                update = cfg.learning_rate * (m[p] / bc1) / (np.sqrt(v[p] / bc2) + cfg.eps)
-                set_array(out, p, get_array(out, p) - update)
+            for k, a in live.items():
+                g = grads[k]
+                m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
+                v[k] = cfg.beta2 * v[k] + (1.0 - cfg.beta2) * g * g
+                a -= cfg.learning_rate * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + cfg.eps)
         history.append(float(np.mean(losses)))
     return TrainResult(params=out, history=history, frozen=frozen)
-
-
-def batch_loss(params: NetParams, main, branch, labels) -> float:
-    logits, _ = model_forward(params, main, branch)
-    loss, _ = cross_entropy(logits, labels)
-    return loss
-
-
-def grad_check(
-    params: NetParams,
-    main,
-    branch,
-    labels,
-    n_coords: int = 200,
-    step: float = 1e-5,
-    seed: int = 0,
-) -> dict:
-    """Compare analytic gradients against central differences on random coordinates.
-
-    Returns {"max_rel_err", "n_coords", "worst_path", "kink_margin"}.  The
-    relative error for each coordinate is |a - n| / max(|a|, |n|, 1e-6); the
-    floor keeps tiny near-zero gradients from inflating the ratio with pure
-    roundoff.
-
-    Central differences are only a valid oracle away from ReLU kinks: if some
-    pre-activation lies within ~|d pre / d theta| * step of zero, perturbing
-    that coordinate changes the active set and the two oracles legitimately
-    disagree.  ``kink_margin`` reports the smallest |pre-activation| seen in
-    the forward pass so callers can verify the fixture is clean (margin well
-    above ``step``) before trusting the comparison.
-    """
-    if n_coords < 1:
-        raise ParameterError("n_coords must be >= 1")
-    main = np.asarray(main, dtype=float)
-    branch = np.asarray(branch, dtype=float)
-    labels = np.asarray(labels)
-
-    logits, cache = model_forward(params, main, branch)
-    _, dlogits = cross_entropy(logits, labels)
-    grads = model_backward(params, dlogits, cache)
-
-    paths = [p for p, _ in iter_arrays(params)]
-    sizes = np.array([get_array(params, p).size for p in paths])
-    total = int(sizes.sum())
-    rng = np.random.default_rng(seed)
-    flat_idx = rng.choice(total, size=min(n_coords, total), replace=False)
-    bounds = np.cumsum(sizes)
-
-    margin = relu_kink_margin(params, main, branch)
-    worst = 0.0
-    worst_path = None
-    for fi in flat_idx:
-        which = int(np.searchsorted(bounds, fi, side="right"))
-        local = int(fi - (bounds[which - 1] if which > 0 else 0))
-        path = paths[which]
-        arr = get_array(params, path)
-        multi = np.unravel_index(local, arr.shape)
-
-        orig = arr[multi]
-        arr[multi] = orig + step
-        loss_plus = batch_loss(params, main, branch, labels)
-        arr[multi] = orig - step
-        loss_minus = batch_loss(params, main, branch, labels)
-        arr[multi] = orig
-
-        numeric = (loss_plus - loss_minus) / (2.0 * step)
-        analytic = float(grads[path][multi])
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
-        if rel > worst:
-            worst = rel
-            worst_path = path
-    return {
-        "max_rel_err": float(worst),
-        "n_coords": int(len(flat_idx)),
-        "worst_path": worst_path,
-        "kink_margin": float(margin),
-    }
 
 
 def sat_transfer(
@@ -211,9 +127,9 @@ def sat_transfer(
     """
     if n_classes_new < 2:
         raise ParameterError("n_classes_new must be >= 2")
-    start = clone_params(pretrained)
     rng = np.random.default_rng(head_seed)
-    trunk_channels = start.classifier1.weights.shape[1]
-    start.classifier1 = init_dense(rng, n_classes_new, trunk_channels)
-    start.classifier2 = init_dense(rng, n_classes_new, n_classes_new)
+    start = NetParams(pretrained.config, dict(pretrained.arrays))  # train() copies the arrays
+    trunk_channels = start.arrays["classifier1.weights"].shape[1]
+    start.arrays |= layer_arrays("classifier1", init_dense(rng, n_classes_new, trunk_channels))
+    start.arrays |= layer_arrays("classifier2", init_dense(rng, n_classes_new, n_classes_new))
     return train(start, main, branch, labels, cfg, freeze_prefixes=("branch.",))

@@ -1,8 +1,13 @@
 """Reference helpers that only the tests use."""
+import time
+
 import numpy as np
 
 from icvmd.errors import DegenerateInputError, ParameterError
+from icvmd.nn import model
+from icvmd.nn.attention import softmax
 from icvmd.nn.layers import ConvLayer, conv_forward, receptive_field
+from icvmd.nn.model import NetParams, _residual_forward, cross_entropy, model_backward, model_forward
 from icvmd.vmd import (
     _ENERGY_GUARD,
     ModeSet,
@@ -200,3 +205,153 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
         final_delta=final_delta,
     )
     return VmdResult(modes=modes, mode_set=mode_set, residual=residual)
+
+
+class Stopwatch:
+    """Context manager for the report's wall-clock field."""
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc):
+        self.elapsed = time.perf_counter() - self.t0
+        return False
+
+
+def scaled_softmax_attention(queries: np.ndarray, keys: np.ndarray, values: np.ndarray):
+    """Classic attention:
+
+        scores[i, j] = q_i . k_j / sqrt(d)
+        weights = softmax over j
+        out_i = sum_j weights[i, j] * v_j
+
+    queries [n_q, d], keys [n_k, d], values [n_k, d_v] -> (out [n_q, d_v],
+    weights [n_q, n_k]).  Every weight row sums to 1.
+    """
+    q = np.asarray(queries, dtype=float)
+    k = np.asarray(keys, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+        raise ParameterError("queries, keys, values must be 2-D")
+    if q.shape[1] != k.shape[1]:
+        raise ParameterError("queries and keys must share the feature dimension")
+    if v.shape[0] != k.shape[0]:
+        raise ParameterError("values must have one row per key")
+    d = q.shape[1]
+    if d == 0:
+        raise ParameterError("feature dimension must be positive")
+    scores = q @ k.T / np.sqrt(d)
+    weights = softmax(scores, axis=1)
+    return weights @ v, weights
+
+
+def residual_block(x: np.ndarray, params: NetParams, i: int) -> np.ndarray:
+    """Single-sequence TCN block ``i`` of the model: x [C, T] -> [C, T]."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ParameterError(f"expected [channels, T], got shape {x.shape}")
+    w1 = params.arrays[f"tcn.blocks.{i}.conv1.weights"]
+    w2 = params.arrays[f"tcn.blocks.{i}.conv2.weights"]
+    if w1.shape[1] != x.shape[0] or w2.shape[0] != x.shape[0]:
+        raise ParameterError("residual block must preserve the channel count")
+    y, _ = _residual_forward(x[None], params, i)
+    return y[0]
+
+
+def batch_loss(params: NetParams, main, branch, labels) -> float:
+    logits, _ = model_forward(params, main, branch)
+    loss, _ = cross_entropy(logits, labels)
+    return loss
+
+
+def kink_margin(params: NetParams, main, branch) -> float:
+    """Smallest |pre-activation| over every ReLU of one forward pass.
+
+    Wraps the model's ``relu_forward`` for the pass, so it sees exactly the
+    ReLUs the model runs: encoder, each block's conv1 and the branch convs.
+    """
+    seen = []
+    relu = model.relu_forward
+
+    def recording(x):
+        seen.append(float(np.abs(x).min()))
+        return relu(x)
+
+    model.relu_forward = recording
+    try:
+        model_forward(params, main, branch)
+    finally:
+        model.relu_forward = relu
+    return min(seen)
+
+
+def grad_check(
+    params: NetParams,
+    main,
+    branch,
+    labels,
+    n_coords: int = 200,
+    step: float = 1e-5,
+    seed: int = 0,
+) -> dict:
+    """Compare analytic gradients against central differences on random coordinates.
+
+    Returns {"max_rel_err", "n_coords", "worst_path", "kink_margin"}.  The
+    relative error for each coordinate is |a - n| / max(|a|, |n|, 1e-6); the
+    floor keeps tiny near-zero gradients from inflating the ratio with pure
+    roundoff.
+
+    Central differences are only a valid oracle away from ReLU kinks: if some
+    pre-activation lies within ~|d pre / d theta| * step of zero, perturbing
+    that coordinate changes the active set and the two oracles legitimately
+    disagree.  ``kink_margin`` reports the smallest |pre-activation| seen in
+    the forward pass so callers can verify the fixture is clean (margin well
+    above ``step``) before trusting the comparison.
+    """
+    if n_coords < 1:
+        raise ParameterError("n_coords must be >= 1")
+    main = np.asarray(main, dtype=float)
+    branch = np.asarray(branch, dtype=float)
+    labels = np.asarray(labels)
+
+    logits, cache = model_forward(params, main, branch)
+    _, dlogits = cross_entropy(logits, labels)
+    grads = model_backward(params, dlogits, cache)
+
+    paths = list(params.arrays)
+    sizes = np.array([a.size for a in params.arrays.values()])
+    total = int(sizes.sum())
+    rng = np.random.default_rng(seed)
+    flat_idx = rng.choice(total, size=min(n_coords, total), replace=False)
+    bounds = np.cumsum(sizes)
+
+    margin = kink_margin(params, main, branch)
+    worst = 0.0
+    worst_path = None
+    for fi in flat_idx:
+        which = int(np.searchsorted(bounds, fi, side="right"))
+        local = int(fi - (bounds[which - 1] if which > 0 else 0))
+        path = paths[which]
+        arr = params.arrays[path]
+        multi = np.unravel_index(local, arr.shape)
+
+        orig = arr[multi]
+        arr[multi] = orig + step
+        loss_plus = batch_loss(params, main, branch, labels)
+        arr[multi] = orig - step
+        loss_minus = batch_loss(params, main, branch, labels)
+        arr[multi] = orig
+
+        numeric = (loss_plus - loss_minus) / (2.0 * step)
+        analytic = float(grads[path][multi])
+        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
+        if rel > worst:
+            worst = rel
+            worst_path = path
+    return {
+        "max_rel_err": float(worst),
+        "n_coords": int(len(flat_idx)),
+        "worst_path": worst_path,
+        "kink_margin": float(margin),
+    }

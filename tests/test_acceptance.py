@@ -22,12 +22,12 @@ from icvmd.fewshot import FewshotConfig, Pipeline, default_icvmd_config, run_few
 from icvmd.modulation import ModulationKind, ModulationSpec, gen_baseband
 from icvmd.nn.attention import softmax
 from icvmd.nn.layers import receptive_field
-from icvmd.nn.model import ModelConfig, features_forward, get_array, init_params, iter_arrays, model_forward
-from icvmd.nn.train import TrainConfig, grad_check, sat_transfer, train
+from icvmd.nn.model import ModelConfig, features_forward, init_params, model_forward
+from icvmd.nn.train import TrainConfig, sat_transfer, train
 from icvmd.pa import auxiliary_bank, emitter_bank
 from icvmd.signals import ComplexSignal, add_awgn, normalize_power
 from icvmd.vmd import VmdConfig, half_grid, mirror_extend, vmd_decompose
-from oracles import impulse_probe, wiener_mode_update
+from oracles import grad_check, impulse_probe, wiener_mode_update
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -355,8 +355,8 @@ def test_10_attention_transfer_beats_scratch(tmp_path):
     acc_sat = accuracy(sat.params)
     acc_scratch = accuracy(scratch.params)
     branch_frozen = all(
-        np.array_equal(get_array(sat.params, p), get_array(pretrained, p))
-        for p, _ in iter_arrays(pretrained)
+        np.array_equal(sat.params.arrays[p], pretrained.arrays[p])
+        for p in pretrained.arrays
         if p.startswith("branch.")
     )
     ok = acc_sat >= acc_scratch and branch_frozen

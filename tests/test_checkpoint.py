@@ -5,7 +5,7 @@ import pytest
 
 from icvmd.errors import ParameterError
 from icvmd.nn.checkpoint import load_checkpoint, save_checkpoint
-from icvmd.nn.model import ModelConfig, get_array, init_params, iter_arrays
+from icvmd.nn.model import ModelConfig, init_params
 
 TINY = ModelConfig(
     channels=4,
@@ -22,8 +22,9 @@ def test_roundtrip_is_bit_identical(tmp_path):
     path = save_checkpoint(tmp_path / "m.npz", params)
     loaded = load_checkpoint(path)
     assert loaded.config == params.config
-    for p, a in iter_arrays(params):
-        b = get_array(loaded, p)
+    assert list(loaded.arrays) == list(params.arrays)
+    for p, a in params.arrays.items():
+        b = loaded.arrays[p]
         assert np.array_equal(a, b), p
         assert b.dtype == np.float64
 
@@ -34,16 +35,18 @@ def test_resize_head(tmp_path):
     resized = load_checkpoint(path, resize_head_to=9, head_seed=2)
     assert resized.n_out == 9
     assert resized.n_classes == 5
-    assert resized.classifier2.weights.shape == (9, 5)
+    assert resized.arrays["classifier2.weights"].shape == (9, 5)
     # Everything except the final head loads bit-identically.
-    for p, a in iter_arrays(params):
+    for p, a in params.arrays.items():
         if not p.startswith("classifier2."):
-            assert np.array_equal(a, get_array(resized, p)), p
+            assert np.array_equal(a, resized.arrays[p]), p
     # The fresh head is seeded.
     again = load_checkpoint(path, resize_head_to=9, head_seed=2)
-    assert np.array_equal(resized.classifier2.weights, again.classifier2.weights)
+    assert np.array_equal(resized.arrays["classifier2.weights"], again.arrays["classifier2.weights"])
     other = load_checkpoint(path, resize_head_to=9, head_seed=3)
-    assert not np.array_equal(resized.classifier2.weights, other.classifier2.weights)
+    assert not np.array_equal(resized.arrays["classifier2.weights"], other.arrays["classifier2.weights"])
+    with pytest.raises(ParameterError, match="resize_head_to"):
+        load_checkpoint(path, resize_head_to=0)
 
 
 def test_missing_file(tmp_path):
@@ -101,4 +104,35 @@ def test_shape_mismatch_rejected(tmp_path):
     files["classifier1.weights"] = np.zeros((2, 2))
     np.savez(path, **files)
     with pytest.raises(ParameterError, match="shape"):
+        load_checkpoint(path)
+
+
+def rewrite(path, edit):
+    with np.load(path) as z:
+        files = dict(z.items())
+    manifest = json.loads(bytes(files["manifest"].tobytes()).decode())
+    edit(files, manifest)
+    files["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+    np.savez(path, **files)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_array_rejected(tmp_path, bad):
+    path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 3, seed=0))
+
+    def poison(files, _):
+        files["tcn.merge.weights"][0, 0, 0] = bad
+
+    rewrite(path, poison)
+    with pytest.raises(ParameterError, match="non-finite"):
+        load_checkpoint(path)
+
+
+def test_config_key_mismatch_rejected(tmp_path):
+    path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 3, seed=0))
+    rewrite(path, lambda _, m: m["config"].update(depth=3))
+    with pytest.raises(ParameterError, match="extra"):
+        load_checkpoint(path)
+    rewrite(path, lambda _, m: [m["config"].pop(k) for k in ("depth", "channels")])
+    with pytest.raises(ParameterError, match="missing"):
         load_checkpoint(path)

@@ -3,12 +3,12 @@ import pytest
 
 from icvmd.classify import (
     ExperimentReport,
-    Stopwatch,
     classify,
     evaluate,
     fit_nearest_centroid,
 )
 from icvmd.errors import DegenerateInputError, ParameterError
+from oracles import Stopwatch
 
 
 def two_blob_data():

@@ -245,6 +245,36 @@ def test_train_then_eval(runner, tmp_path):
     assert "18.0" in report["per_snr"] or 18.0 in {float(k) for k in report["per_snr"]}
 
 
+def test_train_sidecar_records_the_training_run(runner, tmp_path):
+    data = gen_tiny(runner, tmp_path / "data", spe=2)
+    ck = tmp_path / "model.npz"
+    args = ["train", "--data", str(data), "--out", str(ck), "--segment-len", "32"]
+    res = runner.invoke(main, args + ["--epochs", "2", "--batch-size", "8", "--learning-rate", "0.01", "--seed", "3"])
+    assert res.exit_code == 0, res.output
+    meta = json.loads((tmp_path / "model.npz.labels.json").read_text())
+    assert meta["schema_version"] == 1
+    assert (meta["epochs"], meta["learning_rate"], meta["batch_size"], meta["seed"]) == (2, 0.01, 8, 3)
+    assert len(meta["history"]) == 2
+    assert all(loss > 0 for loss in meta["history"])
+    assert f"final epoch loss {meta['history'][-1]:.4f}" in res.output
+
+
+def test_eval_rejects_a_checkpoint_with_a_bad_config_key(runner, tmp_path):
+    data = gen_tiny(runner, tmp_path / "data", spe=2)
+    ck = tmp_path / "model.npz"
+    res = runner.invoke(main, ["train", "--data", str(data), "--out", str(ck), "--epochs", "0", "--segment-len", "32"])
+    assert res.exit_code == 0, res.output
+    with np.load(ck) as z:
+        files = dict(z.items())
+    manifest = json.loads(bytes(files["manifest"].tobytes()).decode())
+    manifest["config"]["depth"] = 3
+    files["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+    np.savez(ck, **files)
+    res = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(ck)])
+    assert res.exit_code == 2
+    assert "depth" in res.output
+
+
 def test_eval_without_label_map_is_io_error(runner, tmp_path):
     data = gen_tiny(runner, tmp_path / "data", spe=2)
     ck = tmp_path / "model.npz"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icvmd.errors import ParameterError
-from icvmd.nn.attention import scaled_softmax_attention, softmax, softmax_backward
+from icvmd.nn.attention import softmax, softmax_backward
 from icvmd.nn.layers import (
     ConvLayer,
     Dense,
@@ -18,7 +18,7 @@ from icvmd.nn.layers import (
     relu_backward,
     relu_forward,
 )
-from oracles import causal_dilated_conv, impulse_probe
+from oracles import causal_dilated_conv, impulse_probe, scaled_softmax_attention
 
 
 # ------------------------------------------------------------------- conv

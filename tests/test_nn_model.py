@@ -4,20 +4,15 @@ import pytest
 from icvmd.errors import ParameterError
 from icvmd.nn.model import (
     ModelConfig,
-    clone_params,
     cross_entropy,
     features_forward,
-    get_array,
     init_params,
-    iter_arrays,
     model_backward,
     model_forward,
-    param_count,
-    relu_kink_margin,
-    residual_block,
-    set_array,
     spatial_attention_weights,
 )
+from icvmd.nn.train import TrainConfig, train
+from oracles import kink_margin, residual_block
 
 
 TINY = ModelConfig(
@@ -47,6 +42,11 @@ def test_config_validation():
         ModelConfig(channels=0)
     with pytest.raises(ParameterError):
         ModelConfig(segment_len=0)
+    with pytest.raises(ParameterError, match="integer"):
+        ModelConfig(channels=2.5)
+    with pytest.raises(ParameterError, match="integer"):
+        ModelConfig(segment_len=True)
+    assert ModelConfig(channels=np.int64(3)).channels == 3
     assert ModelConfig(n_blocks=4).dilations == [1, 2, 4, 8]
 
 
@@ -54,7 +54,7 @@ def test_param_count_default_architecture():
     params = init_params(ModelConfig(), n_classes=4, seed=0)
     # Hand total: encoder 56+200, blocks 4*272, merge 264, cls1 36,
     # branch 28+52+5, cls2 20.
-    assert param_count(params) == 1749
+    assert sum(a.size for a in params.arrays.values()) == 1749
 
 
 def test_init_rejects_single_class():
@@ -143,21 +143,20 @@ def test_hard_votes_change_evidence():
 def test_residual_block_wrapper():
     params = tiny_model()
     x = np.random.default_rng(3).normal(size=(4, 20))
-    y = residual_block(x, params.tcn.blocks[0])
+    y = residual_block(x, params, 0)
     assert y.shape == x.shape
     with pytest.raises(ParameterError):
-        residual_block(np.zeros((3, 20)), params.tcn.blocks[0])  # wrong channels
+        residual_block(np.zeros((3, 20)), params, 0)  # wrong channels
     with pytest.raises(ParameterError):
-        residual_block(np.zeros(20), params.tcn.blocks[0])
+        residual_block(np.zeros(20), params, 0)
 
 
 def test_zero_weight_blocks_pass_input_through():
     params = tiny_model()
-    blk = params.tcn.blocks[0]
-    blk.conv2.weights = np.zeros_like(blk.conv2.weights)
-    blk.conv2.bias = np.zeros_like(blk.conv2.bias)
+    for key in ("tcn.blocks.0.conv2.weights", "tcn.blocks.0.conv2.bias"):
+        params.arrays[key] = np.zeros_like(params.arrays[key])
     x = np.random.default_rng(4).normal(size=(4, 15))
-    assert np.allclose(residual_block(x, blk), x)
+    assert np.allclose(residual_block(x, params, 0), x)
 
 
 # ------------------------------------------------------------- cross-entropy
@@ -189,7 +188,7 @@ def test_backward_produces_gradient_for_every_array():
     logits, cache = model_forward(params, xm, xb)
     _, dlogits = cross_entropy(logits, np.array([0, 1]))
     grads = model_backward(params, dlogits, cache)
-    for path, arr in iter_arrays(params):
+    for path, arr in params.arrays.items():
         assert path in grads
         assert grads[path].shape == arr.shape
     assert grads["_input_main"].shape == xm.shape
@@ -206,32 +205,46 @@ def test_input_gradient_respects_causal_trim():
     assert np.all(grads["_input_branch"][:, :, 30:] == 0)
 
 
-# ---------------------------------------------------------------- accessors
+# ------------------------------------------------------------ parameter dict
 
 
-def test_get_set_clone_roundtrip():
+def test_train_clone_is_independent_and_shapes_are_checked():
     params = tiny_model()
-    w = get_array(params, "tcn.blocks.1.conv2.weights")
-    copy = clone_params(params)
-    set_array(params, "tcn.blocks.1.conv2.weights", w + 1.0)
-    assert np.allclose(get_array(params, "tcn.blocks.1.conv2.weights"), w + 1.0)
+    xm, xb = tiny_batch(b=3, t=30)
+    labels = np.array([0, 1, 2])
+    w = params.arrays["tcn.blocks.1.conv2.weights"].copy()
+    copy = train(params, xm, xb, labels, TrainConfig(epochs=0)).params
+    params.arrays["tcn.blocks.1.conv2.weights"] += 1.0
+    assert np.allclose(params.arrays["tcn.blocks.1.conv2.weights"], w + 1.0)
     # The clone is unaffected.
-    assert np.allclose(get_array(copy, "tcn.blocks.1.conv2.weights"), w)
+    assert np.allclose(copy.arrays["tcn.blocks.1.conv2.weights"], w)
+    params.arrays["classifier1.weights"] = np.zeros((1, 1))
     with pytest.raises(ParameterError):
-        set_array(params, "classifier1.weights", np.zeros((1, 1)))
+        model_forward(params, xm, xb)
 
 
-def test_iter_arrays_paths_are_unique_and_resolvable():
+def test_array_keys_are_unique_and_in_layer_order():
     params = tiny_model()
-    paths = [p for p, _ in iter_arrays(params)]
-    assert len(paths) == len(set(paths))
-    for p in paths:
-        assert get_array(params, p) is not None
+    keys = list(params.arrays)
+    assert len(keys) == len(set(keys))
+    layers = [
+        "encoder.0",
+        "tcn.blocks.0.conv1",
+        "tcn.blocks.0.conv2",
+        "tcn.blocks.1.conv1",
+        "tcn.blocks.1.conv2",
+        "tcn.merge",
+        "classifier1",
+        "branch.convs.0",
+        "branch.head",
+        "classifier2",
+    ]
+    assert keys == [f"{layer}.{leaf}" for layer in layers for leaf in ("weights", "bias")]
 
 
 def test_kink_margin_positive_at_init():
     params = tiny_model()
     xm, xb = tiny_batch(b=2, t=30)
-    m = relu_kink_margin(params, xm, xb)
+    m = kink_margin(params, xm, xb)
     assert m > 0.0
     assert np.isfinite(m)

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from icvmd.errors import DegenerateInputError, ParameterError
-from icvmd.nn.model import (
-    ModelConfig,
-    get_array,
-    init_params,
-    iter_arrays,
-    model_forward,
-)
-from icvmd.nn.train import TrainConfig, batch_loss, grad_check, sat_transfer, train
+from icvmd.nn.model import ModelConfig, init_params, model_forward
+from icvmd.nn.train import TrainConfig, sat_transfer, train
+from oracles import batch_loss, grad_check
 
 TINY = ModelConfig(
     channels=4,
@@ -31,7 +26,7 @@ def toy_problem(n=24, t=30, n_classes=3, seed=0):
 
 
 def arrays_equal(a, b):
-    return all(np.array_equal(get_array(a, p), get_array(b, p)) for p, _ in iter_arrays(a))
+    return all(np.array_equal(a.arrays[p], b.arrays[p]) for p in a.arrays)
 
 
 # ------------------------------------------------------------------ training
@@ -47,10 +42,10 @@ def test_zero_learning_rate_is_identity():
 
 def test_training_does_not_mutate_input_params():
     params = init_params(TINY, 3, seed=0)
-    before = {p: a.copy() for p, a in iter_arrays(params)}
+    before = {p: a.copy() for p, a in params.arrays.items()}
     main, branch, labels = toy_problem()
     train(params, main, branch, labels, TrainConfig(epochs=1, batch_size=8))
-    for p, a in iter_arrays(params):
+    for p, a in params.arrays.items():
         assert np.array_equal(a, before[p])
 
 
@@ -79,13 +74,20 @@ def test_freeze_prefixes_pin_arrays():
     main, branch, labels = toy_problem()
     cfg = TrainConfig(epochs=2, batch_size=8)
     res = train(params, main, branch, labels, cfg, freeze_prefixes=("branch.",))
-    assert set(res.frozen) == {p for p, _ in iter_arrays(params) if p.startswith("branch.")}
-    for p, _ in iter_arrays(params):
-        same = np.array_equal(get_array(res.params, p), get_array(params, p))
+    assert set(res.frozen) == {p for p in params.arrays if p.startswith("branch.")}
+    for p in params.arrays:
+        same = np.array_equal(res.params.arrays[p], params.arrays[p])
         if p.startswith("branch."):
             assert same, p
         else:
             assert not same, p
+
+
+def test_freeze_prefix_matching_no_key_is_rejected():
+    params = init_params(TINY, 3, seed=0)
+    main, branch, labels = toy_problem()
+    with pytest.raises(ParameterError, match="brnch"):
+        train(params, main, branch, labels, TrainConfig(epochs=1), freeze_prefixes=("branch.", "brnch."))
 
 
 def test_train_config_validation():
@@ -139,7 +141,7 @@ def test_grad_check_covers_all_coordinates_when_asked():
     rng = np.random.default_rng(7)
     main = rng.normal(size=(1, 2, 20))
     branch = rng.normal(size=(1, 2, 20))
-    total = sum(a.size for _, a in iter_arrays(params))
+    total = sum(a.size for a in params.arrays.values())
     out = grad_check(params, main, branch, np.array([1]), n_coords=10 * total)
     assert out["n_coords"] == total
 
@@ -167,13 +169,13 @@ def test_sat_transfer_freezes_branch_and_swaps_heads():
     cfg = TrainConfig(epochs=1, batch_size=4)
     res = sat_transfer(pre, 4, main, branch, labels, cfg, head_seed=3)
     # The attention branch transfers bit-identically.
-    for p, _ in iter_arrays(pre):
+    for p in pre.arrays:
         if p.startswith("branch."):
-            assert np.array_equal(get_array(res.params, p), get_array(pre, p)), p
+            assert np.array_equal(res.params.arrays[p], pre.arrays[p]), p
     # Both heads now size for the new label set.
     assert res.params.n_classes == 4
     assert res.params.n_out == 4
-    assert res.params.classifier1.weights.shape == (4, TINY.channels)
+    assert res.params.arrays["classifier1.weights"].shape == (4, TINY.channels)
 
 
 def test_sat_transfer_head_seed_is_deterministic():
@@ -183,8 +185,8 @@ def test_sat_transfer_head_seed_is_deterministic():
     a = sat_transfer(pre, 4, main, branch, labels, cfg, head_seed=3)
     b = sat_transfer(pre, 4, main, branch, labels, cfg, head_seed=3)
     c = sat_transfer(pre, 4, main, branch, labels, cfg, head_seed=4)
-    assert np.array_equal(a.params.classifier1.weights, b.params.classifier1.weights)
-    assert not np.array_equal(a.params.classifier1.weights, c.params.classifier1.weights)
+    assert np.array_equal(a.params.arrays["classifier1.weights"], b.params.arrays["classifier1.weights"])
+    assert not np.array_equal(a.params.arrays["classifier1.weights"], c.params.arrays["classifier1.weights"])
 
 
 def test_sat_transfer_validation():
