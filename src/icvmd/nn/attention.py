@@ -5,8 +5,8 @@ import numpy as np
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable softmax; rows sum to one for any finite input."""
-    x = np.asarray(x, dtype=float)
+    """Stable softmax in the input's dtype; rows sum to one for any finite input."""
+    x = np.asarray(x)
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)

@@ -1,10 +1,11 @@
 """Single-file .npz checkpoints with an embedded JSON manifest.
 
 The manifest records the format version and every architecture hyperparameter
-needed to rebuild the model; the arrays are stored float64 under their
-parameter keys.  Loading refuses a missing or unknown key, a reshaped array
-and a non-finite value, with one sanctioned exception: the final affine head
-may be re-initialized for a different class count via ``resize_head_to``.
+needed to rebuild the model; the arrays are stored as trained under their
+parameter keys and load as float32.  Loading refuses a missing or unknown key,
+a reshaped array, a non-finite value and a non-integer class count, with one
+sanctioned exception: the final affine head may be re-initialized for a
+different class count via ``resize_head_to``.
 """
 from __future__ import annotations
 
@@ -63,6 +64,10 @@ def load_checkpoint(path, resize_head_to: int | None = None, head_seed: int = 0)
         )
     _check_keys("config", manifest.get("config", {}), [f.name for f in fields(ModelConfig)])
     config = ModelConfig(**manifest["config"])
+    for key, low in (("n_classes", 2), ("n_out", 1)):
+        value = manifest.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ParameterError(f"checkpoint manifest {key} must be an integer >= {low}, got {value!r}")
     expected = init_params(config, manifest["n_classes"], seed=0, n_out=manifest["n_out"]).arrays
     _check_keys("key", files, expected)
     for key, ref in expected.items():
@@ -70,7 +75,7 @@ def load_checkpoint(path, resize_head_to: int | None = None, head_seed: int = 0)
             raise ParameterError(f"shape mismatch at {key}: {ref.shape} vs {files[key].shape}")
         if not np.all(np.isfinite(files[key])):
             raise ParameterError(f"non-finite value in {key}")
-    arrays = {key: np.asarray(files[key], dtype=float) for key in expected}
+    arrays = {key: files[key].astype(np.float32, copy=False) for key in expected}
     if resize_head_to is not None:
         rng = np.random.default_rng(head_seed)
         arrays |= layer_arrays("classifier2", init_dense(rng, resize_head_to, manifest["n_classes"]))

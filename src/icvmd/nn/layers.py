@@ -1,6 +1,7 @@
 """Causal dilated convolutions, dense layers, and their exact backward passes.
 
-All math is float64.  Forward functions return (output, cache); the matching
+Every function computes in the dtype of its arrays and casts nothing; fresh
+layers are float32.  Forward functions return (output, cache); the matching
 backward consumes (upstream_grad, cache) and returns input and parameter
 gradients.  Batched tensors are [batch, channels, time].
 
@@ -31,8 +32,8 @@ class ConvLayer:
     dilation: int = 1
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.bias = np.asarray(self.bias, dtype=float)
+        self.weights = np.asarray(self.weights)
+        self.bias = np.asarray(self.bias)
         if self.weights.ndim != 3:
             raise ParameterError("conv weights must be [out_ch, in_ch, width]")
         if self.bias.shape != (self.weights.shape[0],):
@@ -55,8 +56,8 @@ class Dense:
     bias: np.ndarray  # [out]
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.bias = np.asarray(self.bias, dtype=float)
+        self.weights = np.asarray(self.weights)
+        self.bias = np.asarray(self.bias)
         if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
             raise ParameterError("dense layer needs weights [out, in] and bias [out]")
 
@@ -142,18 +143,18 @@ def receptive_field(width: int, dilations) -> int:
 
 
 def init_conv(rng: np.random.Generator, out_ch: int, in_ch: int, width: int, dilation: int) -> ConvLayer:
-    """Uniform(+-sqrt(1/fan_in)) weights and biases.
+    """Uniform(+-sqrt(1/fan_in)) weights and biases, drawn in float64 and
+    rounded once to float32: this and init_dense fix every model's dtype.
 
     Biases are drawn (not zeroed) so no pre-activation sits exactly on the
     ReLU kink at init, which would poison finite-difference verification.
     """
     bound = np.sqrt(1.0 / (in_ch * width))
-    w = rng.uniform(-bound, bound, (out_ch, in_ch, width))
-    return ConvLayer(w, rng.uniform(-bound, bound, out_ch), dilation)
+    w = rng.uniform(-bound, bound, (out_ch, in_ch, width)).astype(np.float32)
+    return ConvLayer(w, rng.uniform(-bound, bound, out_ch).astype(np.float32), dilation)
 
 
 def init_dense(rng: np.random.Generator, out_dim: int, in_dim: int) -> Dense:
     bound = np.sqrt(1.0 / in_dim)
-    return Dense(
-        rng.uniform(-bound, bound, (out_dim, in_dim)), rng.uniform(-bound, bound, out_dim)
-    )
+    w = rng.uniform(-bound, bound, (out_dim, in_dim)).astype(np.float32)
+    return Dense(w, rng.uniform(-bound, bound, out_dim).astype(np.float32))

@@ -8,8 +8,8 @@ one scalar score per segment; a softmax over segments turns the scores into
 spatial attention weights.
 
 Head: the attention-weighted sum of per-segment logit columns is mapped by one
-affine layer to the final logits.  With ``hard=True`` the per-segment logits
-are replaced by one-hot argmax votes before weighting (inference only).
+affine layer to the final logits.  Every layer runs in the parameters' dtype
+(float32 from init_params); the entry points cast their inputs to it.
 """
 from __future__ import annotations
 
@@ -77,6 +77,10 @@ class NetParams:
     @property
     def n_out(self) -> int:
         return self.arrays["classifier2.weights"].shape[0]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.arrays["classifier2.weights"].dtype
 
 
 def layer_arrays(name: str, layer) -> dict:
@@ -239,27 +243,27 @@ def spatial_attention_weights(params: NetParams, branch_x: np.ndarray) -> np.nda
 
     Accepts [C, T] (returns [S]) or [B, C, T] (returns [B, S]).
     """
-    xb = np.asarray(branch_x, dtype=float)
+    xb = np.asarray(branch_x, dtype=params.dtype)
     single = xb.ndim == 2
     if single:
         xb = xb[None]
     if xb.ndim != 3:
-        raise ParameterError(f"expected [C, T] or [B, C, T], got shape {branch_x.shape}")
+        raise ParameterError(f"expected [C, T] or [B, C, T], got shape {xb.shape}")
     s = _segment_count(params, xb.shape[2])
     scores, _ = _branch_forward(params, xb, s)
     w = softmax(scores, axis=1)
     return w[0] if single else w
 
 
-def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, hard: bool = False):
-    """Full forward pass.
+def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray):
+    """Full forward pass in the parameters' dtype.
 
     main_x and branch_x are [B, C_in, T] (or [C_in, T], auto-batched) over the
     same time grid.  Returns (logits [B, n_out], cache); the cache holds the
     attention weights under key 'attention'.
     """
-    xm = np.asarray(main_x, dtype=float)
-    xb = np.asarray(branch_x, dtype=float)
+    xm = np.asarray(main_x, dtype=params.dtype)
+    xb = np.asarray(branch_x, dtype=params.dtype)
     single = xm.ndim == 2
     if single:
         xm = xm[None]
@@ -285,27 +289,17 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, h
     scores, branch_cache = _branch_forward(params, xb, s)
     att = softmax(scores, axis=1)  # [B, S]
 
-    if hard:
-        votes = np.zeros_like(seg_logits)
-        top = np.argmax(seg_logits, axis=1)  # [B, S]
-        np.put_along_axis(votes, top[:, None, :], 1.0, axis=1)
-        evidence = votes
-    else:
-        evidence = seg_logits
-
-    z = np.einsum("bs,bos->bo", att, evidence)  # [B, n_classes]
+    z = np.einsum("bs,bos->bo", att, seg_logits)  # [B, n_classes]
     logits, cls2_cache = dense_forward(z, _dense(params, "classifier2"))
 
     cache = {
         "feat_cache": feat_cache,
-        "feat_shape": feat.shape,
         "cls1_cache": cls1_cache,
         "seg_logits": seg_logits,
         "branch_cache": branch_cache,
         "attention": att,
         "cls2_cache": cls2_cache,
         "dims": (b, s, t),
-        "hard": hard,
         "single": single,
     }
     return (logits[0] if single else logits), cache
@@ -313,11 +307,9 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, h
 
 def model_backward(params: NetParams, dlogits: np.ndarray, cache) -> dict:
     """Exact gradients of every parameter for the cached forward pass."""
-    if cache["hard"]:
-        raise ParameterError("hard-decision forward is not differentiable; train with hard=False")
     b, s, t = cache["dims"]
     length = params.config.segment_len
-    dlogits = np.asarray(dlogits, dtype=float)
+    dlogits = np.asarray(dlogits, dtype=params.dtype)
     if cache["single"]:
         dlogits = dlogits[None]
 
@@ -338,12 +330,11 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache) -> dict:
     _store(grads, "classifier1", dw, db)
     dpool = dpool_flat.reshape(b, s, -1).transpose(0, 2, 1)  # [B, C, S]
 
-    feat_shape = cache["feat_shape"]
-    dfeat = np.zeros(feat_shape)
-    dtrim = np.broadcast_to(
-        dpool[:, :, :, None] / length, (b, feat_shape[1], s, length)
-    ).reshape(b, feat_shape[1], s * length)
-    dfeat[:, :, : s * length] = dtrim
+    c = params.config.channels
+    dfeat = np.zeros((b, c, t), dtype=params.dtype)
+    dfeat[:, :, : s * length] = np.broadcast_to(
+        dpool[:, :, :, None] / length, (b, c, s, length)
+    ).reshape(b, c, s * length)
     dxm = features_backward(params, dfeat, cache["feat_cache"], grads)
 
     grads["_input_main"] = dxm
@@ -352,8 +343,8 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache) -> dict:
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy over the batch; returns (loss, dlogits)."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=float))
+    """Mean cross-entropy over the batch; returns (loss, dlogits in the logits' dtype)."""
+    logits = np.atleast_2d(np.asarray(logits))
     labels = np.atleast_1d(np.asarray(labels))
     b, k = logits.shape
     if labels.shape != (b,):

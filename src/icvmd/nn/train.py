@@ -41,9 +41,9 @@ class TrainResult:
     frozen: tuple = ()
 
 
-def _check_dataset(main, branch, labels, n_out):
-    main = np.asarray(main, dtype=float)
-    branch = np.asarray(branch, dtype=float)
+def _check_dataset(main, branch, labels, params: NetParams):
+    main = np.asarray(main, dtype=params.dtype)
+    branch = np.asarray(branch, dtype=params.dtype)
     labels = np.asarray(labels)
     if main.ndim != 3 or branch.shape != main.shape:
         raise ParameterError("main and branch inputs must both be [N, C, T]")
@@ -51,8 +51,8 @@ def _check_dataset(main, branch, labels, n_out):
         raise ParameterError("labels must be [N]")
     if main.shape[0] == 0:
         raise DegenerateInputError("empty training set")
-    if labels.min() < 0 or labels.max() >= n_out:
-        raise ParameterError(f"labels must lie in [0, {n_out})")
+    if labels.min() < 0 or labels.max() >= params.n_out:
+        raise ParameterError(f"labels must lie in [0, {params.n_out})")
     return main, branch, labels
 
 
@@ -66,12 +66,13 @@ def train(
 ) -> TrainResult:
     """Run Adam on a copy of ``params``; the input object is never mutated.
 
-    Arrays whose key starts with any of ``freeze_prefixes`` receive no
+    The inputs are cast once to the parameters' dtype, which every result
+    keeps.  Arrays whose key starts with any of ``freeze_prefixes`` receive no
     updates at all, so they come back bit-identical; a prefix that matches no
     key is an error.  learning_rate == 0 leaves every parameter bit-identical
     (useful as a determinism probe).
     """
-    main, branch, labels = _check_dataset(main, branch, labels, params.n_out)
+    main, branch, labels = _check_dataset(main, branch, labels, params)
     prefixes = tuple(freeze_prefixes)
     unmatched = [f for f in prefixes if not any(k.startswith(f) for k in params.arrays)]
     if unmatched:
@@ -130,6 +131,7 @@ def sat_transfer(
     rng = np.random.default_rng(head_seed)
     start = NetParams(pretrained.config, dict(pretrained.arrays))  # train() copies the arrays
     trunk_channels = start.arrays["classifier1.weights"].shape[1]
-    start.arrays |= layer_arrays("classifier1", init_dense(rng, n_classes_new, trunk_channels))
-    start.arrays |= layer_arrays("classifier2", init_dense(rng, n_classes_new, n_classes_new))
+    heads = layer_arrays("classifier1", init_dense(rng, n_classes_new, trunk_channels))
+    heads |= layer_arrays("classifier2", init_dense(rng, n_classes_new, n_classes_new))
+    start.arrays |= {k: a.astype(start.dtype, copy=False) for k, a in heads.items()}
     return train(start, main, branch, labels, cfg, freeze_prefixes=("branch.",))

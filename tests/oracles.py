@@ -248,7 +248,7 @@ def scaled_softmax_attention(queries: np.ndarray, keys: np.ndarray, values: np.n
 
 def residual_block(x: np.ndarray, params: NetParams, i: int) -> np.ndarray:
     """Single-sequence TCN block ``i`` of the model: x [C, T] -> [C, T]."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=params.dtype)
     if x.ndim != 2:
         raise ParameterError(f"expected [channels, T], got shape {x.shape}")
     w1 = params.arrays[f"tcn.blocks.{i}.conv1.weights"]
@@ -257,6 +257,11 @@ def residual_block(x: np.ndarray, params: NetParams, i: int) -> np.ndarray:
         raise ParameterError("residual block must preserve the channel count")
     y, _ = _residual_forward(x[None], params, i)
     return y[0]
+
+
+def as_float64(params: NetParams) -> NetParams:
+    """A float64 copy of ``params``: the model then runs in float64 throughout."""
+    return NetParams(params.config, {k: a.astype(np.float64) for k, a in params.arrays.items()})
 
 
 def batch_loss(params: NetParams, main, branch, labels) -> float:
@@ -308,11 +313,16 @@ def grad_check(
     disagree.  ``kink_margin`` reports the smallest |pre-activation| seen in
     the forward pass so callers can verify the fixture is clean (margin well
     above ``step``) before trusting the comparison.
+
+    A float32 loss cannot resolve a 1e-5 step, so the check runs the same
+    model code on a float64 copy of the parameters and inputs; the caller's
+    parameters are never touched.
     """
     if n_coords < 1:
         raise ParameterError("n_coords must be >= 1")
-    main = np.asarray(main, dtype=float)
-    branch = np.asarray(branch, dtype=float)
+    params = as_float64(params)
+    main = np.asarray(main, dtype=np.float64)
+    branch = np.asarray(branch, dtype=np.float64)
     labels = np.asarray(labels)
 
     logits, cache = model_forward(params, main, branch)

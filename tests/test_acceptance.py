@@ -177,7 +177,8 @@ def test_06_exact_gradients():
 
 # ---------------------------------------------------------------------------
 # 7. The conv trunk is causal: changing inputs after time t never changes
-#    features at or before t, bit-exactly, for 10 random models and inputs.
+#    features at or before t, bit-exactly, for 10 random models and inputs,
+#    in the models' own float32.
 # ---------------------------------------------------------------------------
 def test_07_trunk_causality():
     cfg = ModelConfig()
@@ -185,9 +186,10 @@ def test_07_trunk_causality():
     for seed in range(10):
         params = init_params(cfg, n_classes=3, seed=seed)
         rng = np.random.default_rng(1000 + seed)
-        x = rng.normal(size=(1, 2, 64))
+        x = rng.normal(size=(1, 2, 64)).astype(params.dtype)
         cut = int(rng.integers(20, 60))
         feat, _ = features_forward(params, x)
+        assert feat.dtype == np.float32
         x2 = x.copy()
         x2[:, :, cut:] += rng.normal(size=(1, 2, 64 - cut)) * 3.0
         feat2, _ = features_forward(params, x2)

@@ -5,7 +5,8 @@ import pytest
 
 from icvmd.errors import ParameterError
 from icvmd.nn.checkpoint import load_checkpoint, save_checkpoint
-from icvmd.nn.model import ModelConfig, init_params
+from icvmd.nn.model import ModelConfig, init_params, model_forward
+from oracles import as_float64
 
 TINY = ModelConfig(
     channels=4,
@@ -26,7 +27,26 @@ def test_roundtrip_is_bit_identical(tmp_path):
     for p, a in params.arrays.items():
         b = loaded.arrays[p]
         assert np.array_equal(a, b), p
-        assert b.dtype == np.float64
+        assert b.dtype == a.dtype == np.float32
+
+
+def test_float64_checkpoint_loads_as_float32(tmp_path):
+    # A float64 model, moved off the float32 grid, saved the way every
+    # checkpoint was written before models trained in float32.
+    params = as_float64(init_params(TINY, 3, seed=9))
+    rng = np.random.default_rng(4)
+    for a in params.arrays.values():
+        a += rng.normal(scale=1e-3, size=a.shape)
+    path = save_checkpoint(tmp_path / "old.npz", params)
+    with np.load(path) as z:
+        assert z["classifier1.weights"].dtype == np.float64
+    loaded = load_checkpoint(path)
+    assert all(a.dtype == np.float32 for a in loaded.arrays.values())
+    xm, xb = rng.normal(size=(2, 2, 30)), rng.normal(size=(2, 2, 30))
+    want, _ = model_forward(params, xm, xb)
+    got, _ = model_forward(loaded, xm, xb)
+    assert got.dtype == np.float32
+    assert np.allclose(got, want, rtol=1e-5, atol=1e-6)
 
 
 def test_resize_head(tmp_path):
@@ -125,6 +145,17 @@ def test_non_finite_array_rejected(tmp_path, bad):
 
     rewrite(path, poison)
     with pytest.raises(ParameterError, match="non-finite"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("n_classes", None), ("n_out", None), ("n_classes", 3.0), ("n_classes", True),
+                   ("n_classes", 1), ("n_out", 0), ("n_out", "3")]
+)
+def test_bad_class_count_in_manifest_rejected(tmp_path, key, value):
+    path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 3, seed=0))
+    rewrite(path, lambda _, m: m.pop(key) if value is None else m.update({key: value}))
+    with pytest.raises(ParameterError, match=f"manifest {key} must be an integer"):
         load_checkpoint(path)
 
 

@@ -259,7 +259,8 @@ def test_train_sidecar_records_the_training_run(runner, tmp_path):
     assert f"final epoch loss {meta['history'][-1]:.4f}" in res.output
 
 
-def test_eval_rejects_a_checkpoint_with_a_bad_config_key(runner, tmp_path):
+def eval_with_edited_manifest(runner, tmp_path, edit):
+    """Train an untrained checkpoint, apply ``edit`` to its manifest, then run eval on it."""
     data = gen_tiny(runner, tmp_path / "data", spe=2)
     ck = tmp_path / "model.npz"
     res = runner.invoke(main, ["train", "--data", str(data), "--out", str(ck), "--epochs", "0", "--segment-len", "32"])
@@ -267,12 +268,23 @@ def test_eval_rejects_a_checkpoint_with_a_bad_config_key(runner, tmp_path):
     with np.load(ck) as z:
         files = dict(z.items())
     manifest = json.loads(bytes(files["manifest"].tobytes()).decode())
-    manifest["config"]["depth"] = 3
+    edit(manifest)
     files["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
     np.savez(ck, **files)
-    res = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(ck)])
+    return runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(ck)])
+
+
+def test_eval_rejects_a_checkpoint_with_a_bad_config_key(runner, tmp_path):
+    res = eval_with_edited_manifest(runner, tmp_path, lambda m: m["config"].update(depth=3))
     assert res.exit_code == 2
     assert "depth" in res.output
+
+
+def test_eval_rejects_a_checkpoint_with_a_bad_class_count(runner, tmp_path):
+    res = eval_with_edited_manifest(runner, tmp_path, lambda m: m.update(n_classes=2.0))
+    assert res.exit_code == 2, res.output
+    assert "error: checkpoint manifest n_classes must be an integer" in res.output
+    assert isinstance(res.exception, SystemExit)
 
 
 def test_eval_without_label_map_is_io_error(runner, tmp_path):

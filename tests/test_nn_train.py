@@ -4,7 +4,7 @@ import pytest
 from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.nn.model import ModelConfig, init_params, model_forward
 from icvmd.nn.train import TrainConfig, sat_transfer, train
-from oracles import batch_loss, grad_check
+from oracles import as_float64, batch_loss, grad_check
 
 TINY = ModelConfig(
     channels=4,
@@ -88,6 +88,22 @@ def test_freeze_prefix_matching_no_key_is_rejected():
     main, branch, labels = toy_problem()
     with pytest.raises(ParameterError, match="brnch"):
         train(params, main, branch, labels, TrainConfig(epochs=1), freeze_prefixes=("branch.", "brnch."))
+
+
+@pytest.mark.parametrize("cast", [False, True])
+def test_train_and_transfer_keep_the_parameters_dtype(cast):
+    # float64 inputs and NumPy float64 hyperparameters (strong scalars under
+    # NumPy 2 promotion) must not upcast a float32 model.
+    params = as_float64(init_params(TINY, 3, seed=0)) if cast else init_params(TINY, 3, seed=0)
+    dtype = np.dtype(np.float64 if cast else np.float32)
+    main, branch, labels = toy_problem(n=12)
+    cfg = TrainConfig(learning_rate=np.float64(1e-2), beta1=np.float64(0.9), epochs=2, batch_size=4)
+    res = train(params, main, branch, labels, cfg)
+    sat = sat_transfer(params, 4, main, branch, labels, cfg, head_seed=1)
+    for out in (res, sat):
+        assert {k: a.dtype for k, a in out.params.arrays.items()} == {k: dtype for k in params.arrays}
+        assert all(type(loss) is float for loss in out.history)
+    assert sat.params.arrays["classifier1.weights"].shape == (4, TINY.channels)
 
 
 def test_train_config_validation():
