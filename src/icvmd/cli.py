@@ -85,9 +85,12 @@ def _spec_from_options(config, **kw) -> DatasetSpec:
         if raw.get("schema_version") != 1:
             raise ParameterError("dataset config must carry schema_version 1")
         raw = {k: v for k, v in raw.items() if k != "schema_version"}
-        if "modulations" in raw:
-            raw["modulations"] = tuple(ModulationKind(m) for m in raw["modulations"])
-        return DatasetSpec(**raw)
+        try:
+            if "modulations" in raw:
+                raw["modulations"] = tuple(ModulationKind(m) for m in raw["modulations"])
+            return DatasetSpec(**raw)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"bad dataset config: {exc}") from None
     mods = kw.pop("modulations")
     snrs = kw.pop("snr_db")
     return DatasetSpec(
@@ -114,12 +117,6 @@ def gen(out_dir, config, **kw):
     spec = _spec_from_options(config, **kw)
     manifest = generate_dataset(spec, out_dir)
     click.echo(f"wrote {len(manifest['files'])} signals to {out_dir}")
-
-
-def _vmd_config(n_modes, alpha, tau, tol, max_iter, dc_lock) -> VmdConfig:
-    return VmdConfig(
-        n_modes=n_modes, alpha=alpha, tau=tau, tol=tol, max_iter=max_iter, dc_lock=dc_lock
-    )
 
 
 @main.command()
@@ -156,10 +153,10 @@ def decompose(
 ):
     """Decompose an iqf32 file into labeled modes (one iqf32 per mode + modes.json)."""
     sig = read_iqf32(input_file)
-    side = _vmd_config(n_modes, alpha, tau, tol, max_iter, dc_lock)
     cfg = IcvmdConfig(
-        pos=side,
-        neg=side,
+        vmd=VmdConfig(
+            n_modes=n_modes, alpha=alpha, tau=tau, tol=tol, max_iter=max_iter, dc_lock=dc_lock
+        ),
         partition=PartitionPolicy(
             n_signal_modes=n_signal_modes,
             dc_policy=DcPolicy(dc_policy),

@@ -43,7 +43,6 @@ class Selection(enum.Enum):
 class DcPolicy(enum.Enum):
     MERGE_INTO_SIGNAL = "merge_into_signal"
     SEPARATE = "separate"
-    DROP = "drop"
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,7 @@ class PartitionPolicy:
     n_signal_modes     -- per side, how many of the strongest non-DC,
                           non-special modes count as intentional signal
     dc_policy          -- MERGE_INTO_SIGNAL labels the near-DC mode as signal;
-                          SEPARATE and DROP both label it DC (DROP only differs
-                          at selection time: callers simply do not select DC)
+                          SEPARATE labels it DC
     special_window     -- (low, high] band in radians; modes centered there
                           with enough energy are labeled SPECIAL
     special_energy_min -- minimum fraction of the side's input energy a mode
@@ -82,8 +80,9 @@ class PartitionPolicy:
 
 @dataclass(frozen=True)
 class IcvmdConfig:
-    pos: VmdConfig = field(default_factory=VmdConfig)
-    neg: VmdConfig = field(default_factory=VmdConfig)
+    """``vmd`` is the solver config both sides are decomposed with."""
+
+    vmd: VmdConfig = field(default_factory=VmdConfig)
     partition: PartitionPolicy = field(default_factory=PartitionPolicy)
     dc_convention: DcConvention = DcConvention.DC_TO_POSITIVE
 
@@ -105,19 +104,13 @@ class IcvmdResult:
     def n_samples(self) -> int:
         return self.pos.modes.shape[1]
 
-    def side(self, name: str) -> VmdResult:
-        if name == "pos":
-            return self.pos
-        if name == "neg":
-            return self.neg
-        raise ParameterError(f"side must be 'pos' or 'neg', got {name!r}")
 
-
-def _mode_energies(result: VmdResult) -> np.ndarray:
+def mode_energies(result: VmdResult) -> np.ndarray:
     return np.sum(result.modes**2, axis=1)
 
 
-def _side_input_energy(result: VmdResult) -> float:
+def side_input_energy(result: VmdResult) -> float:
+    """Energy of the side sequence the modes were decomposed from."""
     side_input = result.modes.sum(axis=0) + result.residual
     return float(np.sum(side_input**2))
 
@@ -128,8 +121,8 @@ def partition_modes(result: VmdResult, policy: PartitionPolicy) -> tuple:
     splits signal from feature.
     """
     k = result.modes.shape[0]
-    energies = _mode_energies(result)
-    total = max(_side_input_energy(result), 1e-300)
+    energies = mode_energies(result)
+    total = max(side_input_energy(result), 1e-300)
     fractions = energies / total
     n_bins = result.mode_set.mode_spectra.shape[1]
     grid_step = math.pi / (n_bins - 1)
@@ -161,7 +154,7 @@ def partition_modes(result: VmdResult, policy: PartitionPolicy) -> tuple:
 
 
 def icvmd_decompose(sig: ComplexSignal, cfg: IcvmdConfig) -> IcvmdResult:
-    """Split, decompose each side independently, and label the modes.
+    """Split, decompose each side independently with ``cfg.vmd``, and label the modes.
 
     A side whose sequence is numerically all-zero (e.g. a purely positive-
     frequency input) still yields a result: its modes are all zero and all
@@ -172,27 +165,25 @@ def icvmd_decompose(sig: ComplexSignal, cfg: IcvmdConfig) -> IcvmdResult:
     # of a purely positive-frequency input) is treated as empty rather than
     # decomposed: its "modes" would be arbitrary slices of numerical noise.
     input_energy = float(np.sum(np.abs(sig.samples) ** 2))
+    k = cfg.vmd.n_modes
     results = {}
     labels = {}
-    for name, x, side_cfg in (
-        ("pos", pair.x_plus, cfg.pos),
-        ("neg", pair.x_minus, cfg.neg),
-    ):
+    for name, x in (("pos", pair.x_plus), ("neg", pair.x_minus)):
         side_degenerate = float(np.sum(x**2)) <= 1e-24 * input_energy
         try:
             if side_degenerate:
                 raise DegenerateInputError("side carries no energy")
-            res = vmd_decompose(x, side_cfg)
+            res = vmd_decompose(x, cfg.vmd)
             labels[name] = partition_modes(res, cfg.partition)
         except DegenerateInputError:
             n = x.size
             n_bins = n + 1  # rfft bins of the mirror-extended (2n) sequence
-            check_memory_budget(n, side_cfg.n_modes)
+            check_memory_budget(n, k)
             res = VmdResult(
-                modes=np.zeros((side_cfg.n_modes, n)),
+                modes=np.zeros((k, n)),
                 mode_set=ModeSet(
-                    mode_spectra=np.zeros((side_cfg.n_modes, n_bins), dtype=complex),
-                    omegas=np.zeros(side_cfg.n_modes),
+                    mode_spectra=np.zeros((k, n_bins), dtype=complex),
+                    omegas=np.zeros(k),
                     lambda_spectrum=np.zeros(n_bins, dtype=complex),
                     iterations=0,
                     converged=True,
@@ -200,7 +191,7 @@ def icvmd_decompose(sig: ComplexSignal, cfg: IcvmdConfig) -> IcvmdResult:
                 ),
                 residual=np.zeros(n),
             )
-            labels[name] = tuple([ModeLabel.FEATURE] * side_cfg.n_modes)
+            labels[name] = tuple([ModeLabel.FEATURE] * k)
         results[name] = res
 
     return IcvmdResult(
@@ -340,8 +331,8 @@ def dump_modes(result: IcvmdResult, out_dir) -> dict:
         ms = side.mode_set
         delta = ms.final_delta if math.isfinite(ms.final_delta) else None
         solver[side_name] = dict(iterations=ms.iterations, converged=ms.converged, final_delta=delta)
-        energies = _mode_energies(side)
-        total = max(_side_input_energy(side), 1e-300)
+        energies = mode_energies(side)
+        total = max(side_input_energy(side), 1e-300)
         for k in range(side.modes.shape[0]):
             fname = f"mode_{side_name}_{k:02d}.iqf32"
             write_iqf32(out_dir / fname, side.modes[k].astype(complex))
@@ -374,7 +365,8 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
     """Rebuild a complex signal from a dump_modes() directory.
 
     Lossy float32 storage aside, selecting everything plus RESIDUAL reproduces
-    the originally decomposed signal.
+    the originally decomposed signal.  A manifest that lacks a key or names an
+    unknown label, and a selected file of the wrong length, raise ParameterError.
     """
     from .iqfile import read_iqf32
 
@@ -385,12 +377,21 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
     manifest = json.loads(manifest_path.read_text())
     if manifest.get("schema_version") != 1:
         raise ParameterError("unsupported modes.json schema_version")
-    parts = [(e["side"], ModeLabel(e["label"]), e["file"]) for e in manifest["modes"]]
-    parts += [(side, Selection.RESIDUAL, fname) for side, fname in manifest["residuals"].items()]
+    try:
+        parts = [(e["side"], ModeLabel(e["label"]), e["file"]) for e in manifest["modes"]]
+        parts += [(side, Selection.RESIDUAL, f) for side, f in manifest["residuals"].items()]
+        n = int(manifest["n_samples"])
+        dc_imag, nyquist_imag = manifest["dc_imag"], manifest["nyquist_imag"]
+    except KeyError as exc:
+        raise ParameterError(f"modes.json lacks the key {exc}") from None
+    except ValueError as exc:
+        raise ParameterError(f"bad modes.json: {exc}") from None
 
     def read(fname):
-        return read_iqf32(dump_dir / fname, with_sidecar=False).samples.real
+        x = read_iqf32(dump_dir / fname, with_sidecar=False).samples.real
+        if x.size != n:
+            raise ParameterError(f"{fname} holds {x.size} samples, modes.json says {n}")
+        return x
 
-    n = int(manifest["n_samples"])
-    z = _assemble(selection, n, parts, read, manifest["dc_imag"], manifest["nyquist_imag"])
+    z = _assemble(selection, n, parts, read, dc_imag, nyquist_imag)
     return ComplexSignal(z, float(manifest.get("sample_rate", 1.0)))

@@ -30,10 +30,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decompose import FULL_SELECTION, IcvmdResult, ModeLabel, reconstruct
+from .decompose import (
+    FULL_SELECTION,
+    IcvmdResult,
+    ModeLabel,
+    mode_energies,
+    reconstruct,
+    side_input_energy,
+)
 from .errors import DegenerateInputError, ParameterError
 from .signals import ComplexSignal
-from .vmd import VmdResult
 
 DEFAULT_MAX_MODES = 6
 _RETAINED = (ModeLabel.FEATURE, ModeLabel.SPECIAL)
@@ -74,14 +80,6 @@ def _bandwidth_3db(spectrum: np.ndarray, n_bins: int) -> float:
     return float((hi - lo + 1) * step)
 
 
-def _total_energy(result: IcvmdResult) -> float:
-    def side_energy(side: VmdResult) -> float:
-        x = side.modes.sum(axis=0) + side.residual
-        return float(np.sum(x**2))
-
-    return side_energy(result.pos) + side_energy(result.neg)
-
-
 def extract_features(result: IcvmdResult, max_modes: int = DEFAULT_MAX_MODES) -> np.ndarray:
     """Build the fixed-layout vector described in the module docstring.
 
@@ -94,14 +92,14 @@ def extract_features(result: IcvmdResult, max_modes: int = DEFAULT_MAX_MODES) ->
     if not has_feature:
         raise DegenerateInputError("no FEATURE modes were retained; nothing to extract")
 
-    total = max(_total_energy(result), 1e-300)
+    total = max(side_input_energy(result.pos) + side_input_energy(result.neg), 1e-300)
     rows = []
     for side_sign, side, labels in (
         (+1.0, result.pos, result.labels_pos),
         (-1.0, result.neg, result.labels_neg),
     ):
         n_bins = side.mode_set.mode_spectra.shape[1]
-        energies = np.sum(side.modes**2, axis=1)
+        energies = mode_energies(side)
         for k, label in enumerate(labels):
             if label not in _RETAINED or energies[k] == 0.0:
                 continue

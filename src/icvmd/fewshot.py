@@ -44,7 +44,7 @@ from .decompose import (
     reconstruct,
 )
 from .errors import DegenerateInputError, ParameterError
-from .features import DEFAULT_MAX_MODES, extract_features
+from .features import extract_features
 from .nn.model import ModelConfig, init_params, model_forward
 from .nn.train import TrainConfig, sat_transfer, train
 from .pa import auxiliary_bank
@@ -66,8 +66,7 @@ def default_icvmd_config(n_modes: int = 4, alpha: float = 200.0) -> IcvmdConfig:
     inside a basin of width ~1/sqrt(alpha), so a tight prior strands modes at
     their initial positions when the waveform's occupancy is unknown a priori.
     """
-    side = VmdConfig(n_modes=n_modes, alpha=alpha, tol=1e-6, max_iter=300)
-    return IcvmdConfig(pos=side, neg=side)
+    return IcvmdConfig(vmd=VmdConfig(n_modes=n_modes, alpha=alpha, tol=1e-6, max_iter=300))
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,6 @@ class FewshotConfig:
     split_seed: int = 0
     subsample_seed: int = 1
     icvmd: IcvmdConfig = field(default_factory=default_icvmd_config)
-    feature_max_modes: int = DEFAULT_MAX_MODES
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=30, batch_size=32))
     model_seed: int = 0
@@ -128,13 +126,13 @@ def sat_inputs(result) -> tuple:
     return signal_channels(feature_side), signal_channels(signal_side)
 
 
-def _represent_one(pipeline: Pipeline, sig: ComplexSignal, icvmd_cfg, feature_max_modes) -> tuple:
+def _represent_one(pipeline: Pipeline, sig: ComplexSignal, icvmd_cfg: IcvmdConfig) -> tuple:
     if pipeline is Pipeline.RAW_NN:
         channels = signal_channels(sig)
         return channels, channels
     result = icvmd_decompose(sig, icvmd_cfg)
     if pipeline is Pipeline.ICVMD_FEATURES:
-        return (extract_features(result, feature_max_modes),)
+        return (extract_features(result),)
     return sat_inputs(result)
 
 
@@ -143,7 +141,6 @@ def represent(
     manifest: dict,
     entries: list,
     icvmd_cfg: IcvmdConfig,
-    feature_max_modes: int = DEFAULT_MAX_MODES,
     memo: dict | None = None,
     skipped: list | None = None,
 ) -> tuple:
@@ -164,9 +161,7 @@ def represent(
         key = (manifest["_dir"], entry["path"])
         if key not in memo:
             try:
-                memo[key] = _represent_one(
-                    pipeline, load_entry(manifest, entry), icvmd_cfg, feature_max_modes
-                )
+                memo[key] = _represent_one(pipeline, load_entry(manifest, entry), icvmd_cfg)
             except DegenerateInputError as exc:
                 memo[key] = None
                 skipped.append((entry["path"], str(exc)))
@@ -222,7 +217,7 @@ def _pretrain(spec: DatasetSpec, cfg: FewshotConfig, workdir: Path, memo: dict, 
     aux_manifest = _generate_aux_manifest(spec, cfg, workdir)
     aux_entries = sorted(aux_manifest["files"], key=lambda e: e["path"])
     aux_entries, aux_x = represent(
-        cfg.pipeline, aux_manifest, aux_entries, cfg.icvmd, cfg.feature_max_modes, memo, skipped
+        cfg.pipeline, aux_manifest, aux_entries, cfg.icvmd, memo, skipped
     )
     aux_ids, aux_y = np.unique(_labels(aux_entries), return_inverse=True)
     base = init_params(cfg.model, n_classes=len(aux_ids), seed=cfg.model_seed)
@@ -270,7 +265,7 @@ def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult
 
     def represent_sorted(m: dict) -> tuple:
         entries = sorted(m["files"], key=lambda e: e["path"])
-        return represent(cfg.pipeline, m, entries, cfg.icvmd, cfg.feature_max_modes, memo, skipped)
+        return represent(cfg.pipeline, m, entries, cfg.icvmd, memo, skipped)
 
     def row(proportion, snr_db, accuracy, n_test, status="ok") -> dict:
         return {

@@ -51,6 +51,8 @@ def _check_dataset(main, branch, labels, params: NetParams):
         raise ParameterError("labels must be [N]")
     if main.shape[0] == 0:
         raise DegenerateInputError("empty training set")
+    if not np.issubdtype(labels.dtype, np.integer):  # rejects float and bool labels
+        raise ParameterError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= params.n_out:
         raise ParameterError(f"labels must lie in [0, {params.n_out})")
     return main, branch, labels

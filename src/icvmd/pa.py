@@ -1,16 +1,11 @@
 """Power-amplifier distortion models that imprint per-emitter fingerprints.
 
-Two models are provided:
-
-* Hammerstein: a static odd-order polynomial nonlinearity followed by a causal
-  FIR memory filter.  This is the workhorse used for the emitter bank.
-* A general finite Volterra series, kept as a brute-force reference for
-  cross-checking the Hammerstein path (a Hammerstein model is a Volterra
-  series with separable kernels).
+Each emitter is a Hammerstein model: a static odd-order polynomial
+nonlinearity followed by a causal FIR memory filter.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,29 +53,6 @@ class EmitterProfile:
     @property
     def memory_depth(self) -> int:
         return self.memory_taps.size
-
-
-@dataclass(frozen=True)
-class VolterraKernels:
-    """Triangular-free Volterra kernels: ``kernels[k]`` has order k+1 and shape (Q,)*(k+1)."""
-
-    kernels: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        kerns = []
-        for order0, h in enumerate(self.kernels):
-            h = np.asarray(h, dtype=complex)
-            expect_ndim = order0 + 1
-            if h.ndim != expect_ndim:
-                raise ParameterError(
-                    f"kernel of order {expect_ndim} must have {expect_ndim} axes, got {h.ndim}"
-                )
-            if len(set(h.shape)) > 1:
-                raise ParameterError("each kernel must be hypercubic (same depth on all axes)")
-            if not np.all(np.isfinite(h.real)) or not np.all(np.isfinite(h.imag)):
-                raise ParameterError("kernels must be finite")
-            kerns.append(h)
-        object.__setattr__(self, "kernels", tuple(kerns))
 
 
 # Odd-order envelope coefficients of the seven-emitter bank: (b3, b5) pairs with
@@ -151,60 +123,3 @@ def hammerstein_apply(sig: ComplexSignal, profile: EmitterProfile) -> ComplexSig
     out = sig.with_samples(y)
     out.meta["emitter_id"] = profile.emitter_id
     return out
-
-
-def volterra_apply(sig: ComplexSignal, kernels: VolterraKernels) -> ComplexSignal:
-    """Brute-force finite Volterra series:
-
-        y[n] = sum_k sum_{q1..qk} h_k[q1..qk] * prod_j x[n-q_j]
-
-    Exponential in kernel order; intended for small reference kernels only.
-    """
-    x = sig.samples
-    n = x.size
-    y = np.zeros(n, dtype=complex)
-    for h in kernels.kernels:
-        if h.size == 0:
-            continue
-        depth = h.shape[0]
-        if depth > n:
-            raise ParameterError(
-                f"kernel depth {depth} exceeds signal length {n}"
-            )
-        shifted = np.zeros((depth, n), dtype=complex)
-        for q in range(depth):
-            shifted[q, q:] = x[: n - q]
-        for idx in np.ndindex(h.shape):
-            coeff = h[idx]
-            if coeff == 0:
-                continue
-            term = np.ones(n, dtype=complex)
-            for q in idx:
-                term = term * shifted[q]
-            y += coeff * term
-    return sig.with_samples(y)
-
-
-def hammerstein_as_volterra(profile: EmitterProfile) -> VolterraKernels:
-    """Expand a Hammerstein profile with b = [b1, 0, b3] into explicit kernels.
-
-    Only orders 1 and 3 are expanded (enough for cross-checking); for a real
-    input x the cubic envelope term x|x|^2 equals x^3, so the order-3 kernel is
-    the separable product c[q] * b3 placed on the diagonal.
-    """
-    b = profile.nonlinear_coeffs
-    if b.size > 3 and np.any(b[3:] != 0):
-        raise ParameterError("expansion helper only covers orders up to 3")
-    if b.size > 1 and b[1] != 0:
-        raise ParameterError("expansion helper expects zero even-order coefficients")
-    c = profile.memory_taps
-    q = c.size
-    h1 = b[0] * c.astype(complex)
-    kernels = [h1]
-    if b.size >= 3 and b[2] != 0:
-        h3 = np.zeros((q, q, q), dtype=complex)
-        for i in range(q):
-            h3[i, i, i] = b[2] * c[i]
-        kernels.append(np.zeros((q, q), dtype=complex))
-        kernels.append(h3)
-    return VolterraKernels(tuple(kernels))

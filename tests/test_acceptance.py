@@ -88,7 +88,7 @@ def test_02_single_mode_matches_closed_form():
 def test_03_roundtrip_100_signals():
     rng = np.random.default_rng(0)
     side = VmdConfig(n_modes=2, alpha=300.0, tol=1e-5, max_iter=30)
-    cfg = IcvmdConfig(pos=side, neg=side)
+    cfg = IcvmdConfig(vmd=side)
     worst = 0.0
     for i in range(100):
         n = int(rng.integers(64, 200))
@@ -113,7 +113,7 @@ def test_04_signal_selection_denoises():
         gen_baseband(ModulationSpec(kind=ModulationKind.CW, carrier=0.1), n), 1.0
     )
     side = VmdConfig(n_modes=4, alpha=200.0, tol=1e-6, max_iter=300)
-    cfg = IcvmdConfig(pos=side, neg=side)
+    cfg = IcvmdConfig(vmd=side)
 
     def corr(a, b):
         return float(

@@ -90,6 +90,25 @@ def test_gen_rejects_wrong_config_schema(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["gen", "fewshot"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n_samples": 128, "snr_db": [18.0]},
+        {"modulations": ["cw", "qam1024"]},
+        {"n_samples": "128"},
+    ],
+    ids=["unknown-key", "unknown-modulation", "string-n-samples"],
+)
+def test_bad_config_payload_is_a_parameter_error(runner, tmp_path, command, payload):
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({"schema_version": 1, **payload}))
+    where = "--out" if command == "gen" else "--workdir"
+    res = runner.invoke(main, [command, where, str(tmp_path / "d"), "--config", str(cfg_path)])
+    assert res.exit_code == 2, res.output
+    assert "error: bad dataset config" in res.output
+
+
 # ---------------------------------------------------- decompose / reconstruct
 
 
@@ -153,6 +172,19 @@ def test_reconstruct_single_selection(runner, tmp_path):
     sig = read_iqf32(out_file)
     assert sig.samples.size == 256
     assert sig.meta["selection"] == ["signal"]
+
+
+def test_reconstruct_rejects_a_manifest_with_an_unknown_label(runner, tmp_path):
+    src = tmp_path / "tone.iqf32"
+    write_tone(src)
+    runner.invoke(main, ["decompose", str(src), "--out", str(tmp_path / "m"), "--n-modes", "2"])
+    manifest_path = tmp_path / "m" / "modes.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["modes"][0]["label"] = "carrier"
+    manifest_path.write_text(json.dumps(manifest))
+    res = runner.invoke(main, ["reconstruct", str(tmp_path / "m"), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "error: bad modes.json: 'carrier'" in res.output
 
 
 def test_decompose_reports_solver_state_and_warns_at_the_cap(runner, tmp_path):
@@ -326,14 +358,14 @@ def test_eval_decomposes_with_the_trained_n_modes(runner, tmp_path, monkeypatch)
     used = []
 
     def spy(sig, cfg):
-        used.append((cfg.pos.n_modes, cfg.neg.n_modes))
+        used.append(cfg.vmd.n_modes)
         return icvmd_decompose(sig, cfg)
 
     monkeypatch.setattr(fewshot, "icvmd_decompose", spy)
     res = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(ck)])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["n_test"] == 14
-    assert used and all(pair == (3, 3) for pair in used)
+    assert used and all(n_modes == 3 for n_modes in used)
 
 
 # ------------------------------------------------------------------- fewshot
@@ -370,11 +402,11 @@ def test_fewshot_cli_writes_report(runner, tmp_path):
 def test_fewshot_cli_names_a_skipped_capture(runner, tmp_path, monkeypatch):
     calls = []
 
-    def first_fails(result, max_modes):
+    def first_fails(result):
         calls.append(None)
         if len(calls) == 1:
             raise DegenerateInputError("no FEATURE modes were retained")
-        return extract_features(result, max_modes)
+        return extract_features(result)
 
     monkeypatch.setattr(fewshot, "extract_features", first_fails)
     res = runner.invoke(

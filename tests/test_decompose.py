@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ def two_sided_tone_mix(n=512):
 
 def quick_cfg(n_modes=2, **kw):
     vmd = VmdConfig(n_modes=n_modes, alpha=300.0, tol=1e-6, max_iter=200)
-    return IcvmdConfig(pos=vmd, neg=vmd, **kw)
+    return IcvmdConfig(vmd=vmd, **kw)
 
 
 # -------------------------------------------------------------- partitioning
@@ -63,7 +64,6 @@ def test_partition_near_dc_mode():
     res = vmd_decompose(x, VmdConfig(n_modes=2, alpha=500.0, dc_lock=True))
     for policy, want in [
         (DcPolicy.SEPARATE, ModeLabel.DC),
-        (DcPolicy.DROP, ModeLabel.DC),
         (DcPolicy.MERGE_INTO_SIGNAL, ModeLabel.SIGNAL),
     ]:
         labels = partition_modes(res, PartitionPolicy(n_signal_modes=1, dc_policy=policy))
@@ -173,16 +173,7 @@ def test_empty_side_stand_in_respects_the_memory_budget():
     z = np.exp(-2j * np.pi * (51.0 / n) * np.arange(n))  # the positive side is empty
     side = VmdConfig(n_modes=10**6)
     with pytest.raises(ParameterError, match="budget"):
-        icvmd_decompose(ComplexSignal(z), IcvmdConfig(pos=side, neg=side))
-
-
-def test_result_side_accessor():
-    res = icvmd_decompose(two_sided_tone_mix(), quick_cfg())
-    assert res.side("pos") is res.pos
-    assert res.side("neg") is res.neg
-    with pytest.raises(ParameterError):
-        res.side("up")
-    assert res.n_samples == 512
+        icvmd_decompose(ComplexSignal(z), IcvmdConfig(vmd=side))
 
 
 # -------------------------------------------------------------------- probe
@@ -252,6 +243,22 @@ def test_reconstruct_from_dump_errors(tmp_path):
     with pytest.raises(ParameterError):
         reconstruct_from_dump(tmp_path, {"sig"})
     manifest_path = tmp_path / "modes.json"
-    manifest_path.write_text(manifest_path.read_text().replace('"schema_version": 1', '"schema_version": 99'))
+    good = manifest_path.read_text()
+    manifest = json.loads(good)
+    manifest["modes"][1]["label"] = "carrier"
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ParameterError, match="'carrier'"):
+        reconstruct_from_dump(tmp_path, FULL_SELECTION)
+    manifest = json.loads(good)
+    del manifest["n_samples"]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ParameterError, match="n_samples"):
+        reconstruct_from_dump(tmp_path, FULL_SELECTION)
+    manifest = json.loads(good)
+    manifest["n_samples"] = 127
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ParameterError, match="holds 128 samples"):
+        reconstruct_from_dump(tmp_path, FULL_SELECTION)
+    manifest_path.write_text(good.replace('"schema_version": 1', '"schema_version": 99'))
     with pytest.raises(ParameterError):
         reconstruct_from_dump(tmp_path, FULL_SELECTION)

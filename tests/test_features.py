@@ -22,7 +22,7 @@ def decompose_demo(n=512, n_modes=3):
         + 0.2 * np.exp(-2j * np.pi * 0.12 * t)
     )
     vmd = VmdConfig(n_modes=n_modes, alpha=300.0, tol=1e-6, max_iter=150)
-    cfg = IcvmdConfig(pos=vmd, neg=vmd, partition=PartitionPolicy(n_signal_modes=1))
+    cfg = IcvmdConfig(vmd=vmd, partition=PartitionPolicy(n_signal_modes=1))
     return icvmd_decompose(ComplexSignal(z), cfg)
 
 
@@ -142,7 +142,7 @@ def test_geometry_is_gain_invariant_cumulants_are_not():
     t = np.arange(n)
     z = np.exp(2j * np.pi * 0.2 * t) + 0.3 * np.exp(2j * np.pi * 0.35 * t)
     vmd = VmdConfig(n_modes=2, alpha=300.0, tol=1e-6, max_iter=150)
-    cfg = IcvmdConfig(pos=vmd, neg=vmd)
+    cfg = IcvmdConfig(vmd=vmd)
     va = extract_features(icvmd_decompose(ComplexSignal(z), cfg))
     vb = extract_features(icvmd_decompose(ComplexSignal(2.0 * z), cfg))
     geo = slice(0, 3 * DEFAULT_MAX_MODES)
@@ -157,7 +157,7 @@ def test_degenerate_side_still_extracts():
     f = 51.0 / n  # bin-aligned so the negative side is empty
     z = np.exp(2j * np.pi * f * np.arange(n))
     vmd = VmdConfig(n_modes=1, alpha=300.0)
-    cfg = IcvmdConfig(pos=vmd, neg=vmd, partition=PartitionPolicy(n_signal_modes=1))
+    cfg = IcvmdConfig(vmd=vmd, partition=PartitionPolicy(n_signal_modes=1))
     res = icvmd_decompose(ComplexSignal(z), cfg)
     # The positive side's only mode is SIGNAL; the empty negative side is all
     # FEATURE (zero energy), which keeps extraction well-defined.

@@ -65,8 +65,8 @@ def test_config_validation():
 
 def test_default_icvmd_config_shape():
     cfg = default_icvmd_config(n_modes=3, alpha=150.0)
-    assert cfg.pos.n_modes == 3
-    assert cfg.neg.alpha == 150.0
+    assert cfg.vmd.n_modes == 3
+    assert cfg.vmd.alpha == 150.0
 
 
 def test_signal_channels():
@@ -145,12 +145,12 @@ def test_run_fewshot_skips_a_capture_it_cannot_represent(tmp_path, monkeypatch):
     bad_entries = [test_m["files"][0], train_m["files"][0]]
     bad_samples = [load_entry(manifest, e).samples for e in bad_entries]
 
-    def failing_extract(result, max_modes):
+    def failing_extract(result):
         # The full reconstruction is the capture itself, which identifies it.
         full = reconstruct(result, FULL_SELECTION).samples
         if any(np.allclose(full, b, atol=1e-9) for b in bad_samples):
             raise DegenerateInputError("no FEATURE modes were retained")
-        return extract_features(result, max_modes)
+        return extract_features(result)
 
     decomposed = []
 
@@ -176,7 +176,7 @@ def test_represent_raises_when_every_capture_is_dropped(tmp_path, monkeypatch):
     manifest = generate_dataset(TINY_SPEC, tmp_path / "data")
     manifest["_dir"] = str(tmp_path / "data")
 
-    def always_fails(result, max_modes):
+    def always_fails(result):
         raise DegenerateInputError("no FEATURE modes were retained")
 
     monkeypatch.setattr(fewshot, "extract_features", always_fails)

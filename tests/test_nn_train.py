@@ -135,6 +135,21 @@ def test_dataset_validation():
         train(params, main[:0], branch[:0], labels[:0], cfg)
 
 
+def test_float_labels_are_rejected():
+    params = init_params(TINY, 3, seed=0)
+    main, branch, _ = toy_problem(n=6)
+    with pytest.raises(ParameterError, match="integers"):
+        train(params, main, branch, np.array([0, 1, 2, 0, 1, 1.5]), TrainConfig(epochs=1))
+
+
+def test_bool_labels_are_rejected():
+    params = init_params(TINY, 3, seed=0)
+    main, branch, _ = toy_problem(n=6)
+    labels = np.array([False, True, True, False, True, False])
+    with pytest.raises(ParameterError, match="integers"):
+        train(params, main, branch, labels, TrainConfig(epochs=1))
+
+
 # --------------------------------------------------------------- grad check
 
 

@@ -6,14 +6,12 @@ from icvmd.modulation import ModulationKind, ModulationSpec, gen_baseband
 from icvmd.pa import (
     DEFAULT_MEMORY_TAPS,
     EmitterProfile,
-    VolterraKernels,
     auxiliary_bank,
     emitter_bank,
     hammerstein_apply,
-    hammerstein_as_volterra,
-    volterra_apply,
 )
 from icvmd.signals import ComplexSignal
+from oracles import VolterraKernels, hammerstein_as_volterra, volterra_apply
 
 
 def test_profile_validation():
