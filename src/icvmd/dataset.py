@@ -14,6 +14,7 @@ two runs with the same spec are byte-identical.
 from __future__ import annotations
 
 import json
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,6 +54,15 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_samples", "signals_per_emitter", "samples_per_symbol", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+        for value in (self.carrier, self.sweep_span, *self.snr_grid_db):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"carrier, sweep_span and SNRs must be numbers, got {value!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.n_samples < 16:
             raise ParameterError("n_samples must be >= 16")
         if self.signals_per_emitter < 1:

@@ -17,6 +17,15 @@ buffers.  The same pass yields ||du_k||^2 and the mode's energy ||u_k||^2;
 that energy is carried into the next sweep as the mode's previous norm in the
 convergence metric sum_k ||du_k||^2 / ||u_k_prev||^2, so no copy of the
 spectra is kept between sweeps.
+
+The sweep is over-relaxed under a guard (Boyd et al. 2011, sec. 3.4.3): each
+mode takes its plain step du_k, moves by beta*du_k, and re-centers with
+w_k <- w_k + beta*(w~_k - w_k), clipped to [0, pi], where w~_k is the power
+centroid of the moved spectrum.  beta is 1 until a sweep moves every center by
+less than _SETTLE_RAD and its metric is under _SETTLE_DELTA, then _RELAX; it
+falls back to 1 for the sweep after any rise of the metric.  The metric is
+always taken on the unrelaxed du_k, and only a plain (beta = 1) sweep may
+declare convergence: a relaxed sweep under tol is followed by a plain sweep.
 """
 from __future__ import annotations
 
@@ -35,6 +44,14 @@ _ENERGY_GUARD = 1e-30
 # such as n_modes = n/2 on a long capture before any spectrum is allocated.
 _MEMORY_BUDGET_BYTES = 2**30
 
+# Over-relaxation factor of a guarded sweep.  The next sweep may be relaxed
+# only after a sweep whose largest center shift (in radians) and convergence
+# metric are both below these: relaxing before the spectra settle makes a
+# wandering, never-converging solve sensitive to rounding.
+_RELAX = 1.7
+_SETTLE_RAD = 1e-2
+_SETTLE_DELTA = 1e-2
+
 
 class InitKind(enum.Enum):
     UNIFORM_SPREAD = "uniform_spread"
@@ -49,7 +66,8 @@ class VmdConfig:
     n_modes      -- number of modes extracted
     alpha        -- bandwidth penalty; larger alpha gives narrower modes
     tau          -- dual ascent step (0 disables the exact-reconstruction term)
-    tol          -- convergence threshold on the summed relative mode change
+    tol          -- convergence threshold on sum_k ||du_k||^2 / ||u_k_prev||^2,
+                    the squared per-mode relative change of an unrelaxed step
     max_iter     -- iteration cap
     init         -- center-frequency initialization scheme
     init_seed    -- RNG seed used by RANDOM_SEEDED init
@@ -66,6 +84,10 @@ class VmdConfig:
     dc_lock: bool = False
 
     def __post_init__(self):
+        for name in ("n_modes", "max_iter", "init_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.n_modes < 1:
             raise ParameterError(f"n_modes must be >= 1, got {self.n_modes}")
         if not (self.alpha > 0 and np.isfinite(self.alpha)):
@@ -89,7 +111,8 @@ class ModeSet:
     omegas          -- center frequencies in radians, ascending, within [0, pi]
     lambda_spectrum -- final dual variable on the same grid
     iterations      -- sweeps actually run
-    converged       -- True when the relative-change metric dropped below tol
+    converged       -- True when the relative-change metric of a plain sweep
+                       dropped below tol
     final_delta     -- last value of the convergence metric
     """
 
@@ -179,9 +202,12 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
 
     The ADMM loop sweeps modes in index order, refreshing each spectrum with
     the Wiener update (using the freshest other-mode sum) and immediately
-    re-centering it; the dual variable is stepped after every sweep.  After
-    convergence one extra mode-update sweep is run at the final centers so the
-    returned spectra satisfy the Wiener fixed-point form exactly.
+    re-centering it; the dual variable is stepped after every sweep.  Once the
+    centers settle, sweeps over-relax both steps by _RELAX, falling back to a
+    plain sweep after any rise of the metric; convergence is declared only on
+    a plain sweep (see the module docstring).  After the loop one plain
+    mode-update sweep is run at the final centers so the returned spectra
+    satisfy the Wiener fixed-point form exactly.
 
     Modes are returned sorted by ascending center frequency.
     """
@@ -224,9 +250,10 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     prev_norms = [0.0] * k_modes
     diffs = [0.0] * k_modes
 
-    def update(k):
-        """Refresh mode k from the residual; returns ||du_k||^2 and leaves
-        |u_k|^2 per component in p."""
+    def update(k, beta=1.0):
+        """Move mode k by beta times its Wiener step du_k from the residual;
+        returns ||du_k||^2 of the unrelaxed step and leaves |u_k|^2 per
+        component in p."""
         uk = uv[k]
         np.subtract(g2, omegas[k], out=den)
         np.multiply(den, den, out=den)
@@ -235,20 +262,27 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
         np.add(rv, uk, out=d)
         np.divide(d, den, out=d)
         np.subtract(d, uk, out=d)
+        diff = d @ d
+        if beta != 1.0:
+            np.multiply(d, beta, out=d)
         np.add(uk, d, out=uk)
         np.subtract(rv, d, out=rv)
         np.multiply(uk, uk, out=p)
-        return d @ d
+        return diff
 
     converged = False
     final_delta = float("inf")
     iterations = 0
+    beta = 1.0
     for iterations in range(1, cfg.max_iter + 1):
+        shift = 0.0
         for k in range(k_modes):
-            diffs[k] = float(update(k))
+            diffs[k] = float(update(k, beta))
             energy = energies[k] = float(p.sum())
             if energy > _ENERGY_GUARD and not (cfg.dc_lock and k == 0):
-                omegas[k] = min(max((g2 @ p) / energy, 0.0), np.pi)
+                move = (g2 @ p) / energy - omegas[k]
+                shift = max(shift, abs(move))
+                omegas[k] = min(max(omegas[k] + beta * move, 0.0), np.pi)
         if cfg.tau > 0:
             # lam += tau*(f_hat - sum(u)) = tau*(r - lam/2); r follows lam/2.
             np.multiply(lam, -0.5, out=step)
@@ -259,13 +293,18 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
             r += step
         _reseed_collisions(omegas, min_gap)
         # Out of an all-zero start the first sweep has nothing to compare to.
+        rising = False
         if not all(v <= _ENERGY_GUARD for v in prev_norms):
-            final_delta = sum(dk / max(v, _ENERGY_GUARD) for dk, v in zip(diffs, prev_norms))
-            converged = final_delta < cfg.tol
+            delta = sum(dk / max(v, _ENERGY_GUARD) for dk, v in zip(diffs, prev_norms))
+            rising = delta > final_delta
+            final_delta = delta
+            converged = delta < cfg.tol and beta == 1.0
         # This sweep's energies are the next sweep's previous norms.
         prev_norms, energies = energies, prev_norms
         if converged:
             break
+        settled = shift < _SETTLE_RAD and cfg.tol <= final_delta < _SETTLE_DELTA
+        beta = _RELAX if settled and not rising else 1.0
 
     # Freeze centers and dual, then refresh every spectrum once so the output
     # is an exact Wiener fixed point of its own reported state.

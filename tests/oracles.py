@@ -13,6 +13,9 @@ from icvmd.pa import EmitterProfile
 from icvmd.signals import ComplexSignal
 from icvmd.vmd import (
     _ENERGY_GUARD,
+    _RELAX,
+    _SETTLE_DELTA,
+    _SETTLE_RAD,
     ModeSet,
     VmdConfig,
     VmdResult,
@@ -115,16 +118,22 @@ def convergence_metric(prev_spectra: np.ndarray, curr_spectra: np.ndarray) -> fl
     return float(np.sum(diff / np.maximum(prev_norms, _ENERGY_GUARD)))
 
 
-def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
-    """The plain Gauss-Seidel loop that vmd_decompose fuses, kept as its oracle.
+def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX) -> VmdResult:
+    """The unfused Gauss-Seidel loop that vmd_decompose fuses, kept as its oracle.
 
     Decompose a real 1-D signal into ``cfg.n_modes`` band-limited modes.
 
     The ADMM loop sweeps modes in index order, refreshing each spectrum with
     the Wiener update (using the freshest other-mode sum) and immediately
     re-centering it; the dual variable is stepped after every sweep.  After
-    convergence one extra mode-update sweep is run at the final centers so the
-    returned spectra satisfy the Wiener fixed-point form exactly.
+    a sweep that moves no center by _SETTLE_RAD or more, with its metric under
+    _SETTLE_DELTA and not above the previous one, the next sweep moves each
+    spectrum ``relax`` times its plain step and each center ``relax`` times
+    its step to the new spectrum's centroid.  The metric is taken on the
+    plain steps, and only a plain sweep may stop the loop.  ``relax=1.0`` is
+    the plain loop of Dragomiretskiy & Zosso.
+    After the loop one plain mode-update sweep is run at the final centers so
+    the returned spectra satisfy the Wiener fixed-point form exactly.
 
     Modes are returned sorted by ascending center frequency.
     """
@@ -153,34 +162,50 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     u = np.zeros((k_modes, n_bins), dtype=complex)
     lam = np.zeros(n_bins, dtype=complex)
 
-    def sweep():
+    def sweep(beta):
+        """Returns the plain spectra, the sum of the new spectra and the
+        largest plain center shift."""
+        plain = u.copy()
+        shift = 0.0
         sum_u = u.sum(axis=0)
         for k in range(k_modes):
             others = sum_u - u[k]
-            u[k] = wiener_mode_update(f_hat, others, lam, omegas[k], cfg.alpha, grid)
+            plain[k] = wiener_mode_update(f_hat, others, lam, omegas[k], cfg.alpha, grid)
+            u[k] = u[k] + beta * (plain[k] - u[k])
             sum_u = others + u[k]
             if not (cfg.dc_lock and k == 0):
                 energy = float(np.sum(np.abs(u[k]) ** 2))
                 if energy > _ENERGY_GUARD:
-                    omegas[k] = min(max(center_frequency(u[k], grid), 0.0), np.pi)
-        return sum_u
+                    target = center_frequency(u[k], grid)
+                    shift = max(shift, abs(target - omegas[k]))
+                    omegas[k] = min(max(omegas[k] + beta * (target - omegas[k]), 0.0), np.pi)
+        return plain, sum_u, shift
 
     converged = False
     final_delta = float("inf")
     iterations = 0
+    beta = 1.0
     for iterations in range(1, cfg.max_iter + 1):
         u_prev = u.copy()
-        sum_u = sweep()
+        plain, sum_u, shift = sweep(beta)
         lam[:] = dual_ascent(lam, f_hat, sum_u, cfg.tau)
         _reseed_collisions(omegas, min_gap)
         prev_norms = np.sum(np.abs(u_prev) ** 2, axis=-1)
         if np.all(prev_norms <= _ENERGY_GUARD):
             # First sweeps out of an all-zero start: nothing to compare yet.
             continue
-        final_delta = convergence_metric(u_prev, u)
-        if final_delta < cfg.tol:
-            converged = True
-            break
+        delta = convergence_metric(u_prev, plain)
+        rising = delta > final_delta
+        final_delta = delta
+        if delta < cfg.tol:
+            if beta == 1.0:
+                converged = True
+                break
+            beta = 1.0  # a relaxed sweep under tol is confirmed by a plain one
+        elif rising or shift >= _SETTLE_RAD or delta >= _SETTLE_DELTA:
+            beta = 1.0
+        else:
+            beta = relax
 
     # Freeze centers and dual, then refresh every spectrum once so the output
     # is an exact Wiener fixed point of its own reported state.

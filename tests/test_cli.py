@@ -97,8 +97,12 @@ def test_gen_rejects_wrong_config_schema(runner, tmp_path):
         {"n_samples": 128, "snr_db": [18.0]},
         {"modulations": ["cw", "qam1024"]},
         {"n_samples": "128"},
+        {"n_samples": 100.5},
+        {"seed": "x"},
+        {"signals_per_emitter": True},
     ],
-    ids=["unknown-key", "unknown-modulation", "string-n-samples"],
+    ids=["unknown-key", "unknown-modulation", "string-n-samples", "float-n-samples",
+         "string-seed", "bool-signals-per-emitter"],
 )
 def test_bad_config_payload_is_a_parameter_error(runner, tmp_path, command, payload):
     cfg_path = tmp_path / "spec.json"

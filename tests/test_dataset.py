@@ -57,6 +57,16 @@ def test_spec_validation():
         tiny_spec(emitters=("not a profile",)).resolved_emitters()
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [{"n_samples": 100.5}, {"seed": "x"}, {"seed": -1}, {"signals_per_emitter": True},
+     {"samples_per_symbol": 8.0}, {"carrier": "0.1"}, {"snr_grid_db": (18.0, None)}],
+)
+def test_spec_rejects_wrong_types(kw):
+    with pytest.raises(ParameterError):
+        tiny_spec(**kw)
+
+
 def test_default_emitters_are_the_bank():
     spec = DatasetSpec()
     ids = [e.emitter_id for e in spec.resolved_emitters()]

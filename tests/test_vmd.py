@@ -1,9 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icvmd.analytic import analytic_split
+from icvmd.dataset import DEFAULT_MODULATIONS, DatasetSpec, synthesize_one
 from icvmd.errors import DegenerateInputError, ParameterError
+from icvmd.fewshot import default_icvmd_config
+from icvmd.pa import emitter_bank
 from icvmd.vmd import InitKind, VmdConfig, half_grid, mirror_extend, vmd_decompose
 from oracles import (
     center_frequency,
@@ -106,6 +112,17 @@ def test_config_validation():
         VmdConfig(max_iter=0)
     with pytest.raises(ParameterError):
         VmdConfig(init="uniform_spread")
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("n_modes", 2.5), ("n_modes", True), ("max_iter", 10.5), ("max_iter", "300"),
+     ("init_seed", 1.0), ("init_seed", False)],
+)
+def test_config_rejects_non_integer_counts(field, value):
+    # A hand-edited sidecar's n_modes reaches VmdConfig through `icvmd eval`.
+    with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+        VmdConfig(**{field: value})
 
 
 # ------------------------------------------------------------------- solver
@@ -258,6 +275,39 @@ def test_fused_sweep_matches_reference_loop(n, cfg):
     ):
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-10 * max(np.max(np.abs(b)), 1e-300)
+
+
+def _bench_shaped_sides():
+    """Both sides of six n=700 captures: one per emitter and modulation,
+    alternating between 18 and -4 dB."""
+    icfg = default_icvmd_config()
+    spec = DatasetSpec(n_samples=700)
+    sides = []
+    for i, profile in enumerate(emitter_bank()[:6]):
+        sig = synthesize_one(spec, profile, DEFAULT_MODULATIONS[i], (18.0, -4.0)[i % 2], i, 100 + i)
+        pair = analytic_split(sig, icfg.dc_convention)
+        sides += [pair.x_plus, pair.x_minus]
+    return icfg.vmd, sides
+
+
+def test_relaxed_solver_is_no_farther_from_the_fixed_point_in_fewer_sweeps():
+    # The tol-1e-11 plain solve stands in for the exact fixed point; the plain
+    # tol-1e-6 solve is the bar the relaxed solver must meet.
+    cfg, sides = _bench_shaped_sides()
+    tight = dataclasses.replace(cfg, tol=1e-11, max_iter=6000)
+    stars = [reference_vmd_decompose(x, tight, relax=1.0) for x in sides]
+    assert all(s.mode_set.converged for s in stars)
+    plain = [reference_vmd_decompose(x, cfg, relax=1.0) for x in sides]
+    relaxed = [vmd_decompose(x, cfg) for x in sides]
+
+    def distances(results):
+        return np.array([np.max(np.abs(r.omegas - s.omegas)) for r, s in zip(results, stars)])
+
+    d_plain, d_relaxed = distances(plain), distances(relaxed)
+    assert np.median(d_relaxed) <= np.median(d_plain)
+    assert np.percentile(d_relaxed, 90) <= np.percentile(d_plain, 90)
+    sweeps = [sum(r.mode_set.iterations for r in rs) for rs in (plain, relaxed)]
+    assert sweeps[1] < sweeps[0]
 
 
 def test_iteration_cap_respected():
