@@ -40,32 +40,14 @@ class AnalyticPair:
 
     x_plus / x_minus   -- real sequences whose analytic signals carry the
                           positive / negative frequency halves of the input
-    dc_convention      -- how the (real part of the) DC bin was routed
     dc_imag            -- imaginary part of the input mean (time-domain amplitude)
     nyquist_imag       -- imaginary amplitude of the Nyquist bin (0 for odd lengths)
     """
 
     x_plus: np.ndarray
     x_minus: np.ndarray
-    dc_convention: DcConvention
     dc_imag: float
     nyquist_imag: float
-
-    @property
-    def n_samples(self) -> int:
-        return self.x_plus.size
-
-
-def hilbert_imag(x: np.ndarray) -> np.ndarray:
-    """Imaginary part of the analytic signal of a real sequence."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ParameterError(f"input must be 1-D, got shape {x.shape}")
-    if x.size < _MIN_LEN:
-        raise ParameterError(f"input must have at least {_MIN_LEN} samples")
-    if not np.all(np.isfinite(x)):
-        raise ParameterError("input must be finite")
-    return scipy.signal.hilbert(x).imag
 
 
 def analytic_split(
@@ -112,7 +94,6 @@ def analytic_split(
     return AnalyticPair(
         x_plus=x_plus,
         x_minus=x_minus,
-        dc_convention=dc_convention,
         dc_imag=float(spec[0].imag) / n,
         nyquist_imag=nyquist_imag,
     )

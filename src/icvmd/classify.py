@@ -5,7 +5,7 @@ classifier is a fixed, fully deterministic reference point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,13 +101,6 @@ class ExperimentReport:
     confusion: np.ndarray
     n_test: int
     wall_clock_s: float
-    config_echo: dict = field(default_factory=dict)
-
-    def recalls(self) -> np.ndarray:
-        support = self.confusion.sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r = np.diag(self.confusion) / support
-        return np.where(support > 0, r, np.nan)
 
 
 def evaluate(
@@ -115,7 +108,6 @@ def evaluate(
     true_labels,
     snrs_db=None,
     known_labels=None,
-    config_echo: dict | None = None,
     wall_clock_s: float = 0.0,
 ) -> ExperimentReport:
     """Score predictions against truth, bucketed by SNR when provided."""
@@ -150,6 +142,5 @@ def evaluate(
         confusion=confusion,
         n_test=int(truth.size),
         wall_clock_s=wall_clock_s,
-        config_echo=dict(config_echo or {}),
     )
 

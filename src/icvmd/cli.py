@@ -78,6 +78,25 @@ def main():
 
 _MOD_CHOICES = [m.value for m in ModulationKind]
 
+# The DatasetSpec options shared by ``gen`` and ``fewshot``, in help order.
+_DATASET_OPTIONS = (
+    click.option("--config", type=click.Path(exists=True), default=None, help="JSON DatasetSpec (schema_version 1); overrides the other options."),
+    click.option("--snr-db", multiple=True, type=float, help="SNR grid point (repeatable)."),
+    click.option("--modulations", multiple=True, type=click.Choice(_MOD_CHOICES)),
+    click.option("--n-samples", default=2100, show_default=True),
+    click.option("--signals-per-emitter", default=60, show_default=True, help="Per emitter per SNR point."),
+    click.option("--carrier", default=0.1, show_default=True),
+    click.option("--samples-per-symbol", default=8, show_default=True),
+    click.option("--sweep-span", default=0.2, show_default=True),
+    click.option("--seed", default=0, show_default=True),
+)
+
+
+def _dataset_options(fn):
+    for option in reversed(_DATASET_OPTIONS):
+        fn = option(fn)
+    return fn
+
 
 def _spec_from_options(config, **kw) -> DatasetSpec:
     if config is not None:
@@ -102,15 +121,7 @@ def _spec_from_options(config, **kw) -> DatasetSpec:
 
 @main.command()
 @click.option("--out", "out_dir", required=True, type=click.Path(), help="Output directory.")
-@click.option("--config", type=click.Path(exists=True), default=None, help="JSON DatasetSpec (schema_version 1); overrides the other options.")
-@click.option("--snr-db", multiple=True, type=float, help="SNR grid point (repeatable).")
-@click.option("--modulations", multiple=True, type=click.Choice(_MOD_CHOICES))
-@click.option("--n-samples", default=2100, show_default=True)
-@click.option("--signals-per-emitter", default=60, show_default=True, help="Per emitter per SNR point.")
-@click.option("--carrier", default=0.1, show_default=True)
-@click.option("--samples-per-symbol", default=8, show_default=True)
-@click.option("--sweep-span", default=0.2, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@_dataset_options
 @_guarded
 def gen(out_dir, config, **kw):
     """Generate a simulated emitter dataset (iqf32 files + manifest.json)."""
@@ -256,11 +267,11 @@ def _represent_dataset(data_dir, representation, n_modes) -> tuple:
 @_guarded
 def train_cmd(data_dir, out_file, representation, epochs, learning_rate, batch_size, seed, segment_len, n_modes):
     """Train the toy classifier on a dataset directory; writes an .npz checkpoint."""
+    cfg = TrainConfig(learning_rate=learning_rate, epochs=epochs, batch_size=batch_size, seed=seed)
     entries, mains, branches = _represent_dataset(data_dir, representation, n_modes)
     class_ids, labels = np.unique([e["label"] for e in entries], return_inverse=True)
 
     params = init_params(ModelConfig(segment_len=segment_len), n_classes=len(class_ids), seed=seed)
-    cfg = TrainConfig(learning_rate=learning_rate, epochs=epochs, batch_size=batch_size, seed=seed)
     result = train_model(params, mains, branches, labels, cfg)
     save_checkpoint(out_file, result.params)
     Path(str(out_file) + ".labels.json").write_text(
@@ -292,12 +303,16 @@ def eval_cmd(data_dir, ck_file):
     if not meta_path.exists():
         raise FileNotFoundError(f"missing label map {meta_path}")
     meta = json.loads(meta_path.read_text())
-    class_ids = np.array(meta["class_ids"])
     params = load_checkpoint(ck_file)
+    ids = meta.get("class_ids") if isinstance(meta, dict) else None
+    if not (isinstance(ids, list) and len(ids) == params.n_out and all(type(c) is int for c in ids)):
+        raise ParameterError(f"{meta_path}: class_ids must list {params.n_out} integer labels, one per model output; got {ids!r}")
+    representation = meta.get("representation", "raw")
+    if not isinstance(representation, str) or representation not in _REPRESENTATIONS:
+        raise ParameterError(f"{meta_path} names an unknown representation {representation!r}")
 
-    entries, mains, branches = _represent_dataset(
-        data_dir, meta.get("representation", "raw"), meta.get("n_modes", 4)
-    )
+    entries, mains, branches = _represent_dataset(data_dir, representation, meta.get("n_modes", 4))
+    class_ids = np.array(ids)
     predictions = predict(params, mains, branches, class_ids)
     truth = np.array([e["label"] for e in entries])
     snrs = np.array([e["snr_db"] for e in entries])
@@ -318,17 +333,9 @@ def eval_cmd(data_dir, ck_file):
 
 @main.command()
 @click.option("--workdir", required=True, type=click.Path())
-@click.option("--config", type=click.Path(exists=True), default=None, help="JSON DatasetSpec (schema_version 1).")
 @click.option("--pipeline", type=click.Choice([p.value for p in Pipeline]), default=Pipeline.ICVMD_FEATURES.value, show_default=True)
 @click.option("--proportions", default="0.30,0.10,0.03", show_default=True)
-@click.option("--snr-db", multiple=True, type=float)
-@click.option("--modulations", multiple=True, type=click.Choice(_MOD_CHOICES))
-@click.option("--n-samples", default=2100, show_default=True)
-@click.option("--signals-per-emitter", default=60, show_default=True)
-@click.option("--carrier", default=0.1, show_default=True)
-@click.option("--samples-per-symbol", default=8, show_default=True)
-@click.option("--sweep-span", default=0.2, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@_dataset_options
 @_guarded
 def fewshot(workdir, config, pipeline, proportions, **kw):
     """Run a few-shot experiment; writes report.csv in the workdir."""

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
-from .iqfile import make_sidecar, read_iqf32, write_iqf32
+from .iqfile import read_iqf32, write_iqf32
 from .modulation import ModulationKind, ModulationSpec, gen_baseband
 from .pa import EmitterProfile, emitter_bank, hammerstein_apply
 from .signals import ComplexSignal, add_awgn, normalize_power
@@ -155,27 +155,19 @@ def generate_dataset(spec: DatasetSpec, out_dir) -> dict:
                         f"emitter{profile.emitter_id}_snr{int(round(snr_db)):+03d}_"
                         f"{kind.value}_{rep:04d}.iqf32"
                     )
-                    sidecar = make_sidecar(
-                        sample_rate=1.0,
-                        label=profile.emitter_id,
-                        modulation=kind.value,
-                        snr_db=float(snr_db),
-                        seed=symbol_seed,
-                        emitter_id=profile.emitter_id,
-                        noise_seed=noise_seed,
-                    )
+                    entry = {
+                        "path": fname,
+                        "label": profile.emitter_id,
+                        "emitter_id": profile.emitter_id,
+                        "modulation": kind.value,
+                        "snr_db": float(snr_db),
+                        "seed": symbol_seed,
+                        "noise_seed": noise_seed,
+                    }
+                    # The sidecar is the manifest entry with the sample rate in place of the path.
+                    sidecar = {k: v for k, v in entry.items() if k != "path"} | {"sample_rate": 1.0}
                     write_iqf32(out_dir / fname, sig.samples, sidecar)
-                    entries.append(
-                        {
-                            "path": fname,
-                            "label": profile.emitter_id,
-                            "emitter_id": profile.emitter_id,
-                            "modulation": kind.value,
-                            "snr_db": float(snr_db),
-                            "seed": symbol_seed,
-                            "noise_seed": noise_seed,
-                        }
-                    )
+                    entries.append(entry)
 
     manifest = {"schema_version": 1, "spec": spec.echo(), "files": entries}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))

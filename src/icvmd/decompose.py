@@ -381,10 +381,11 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
         parts = [(e["side"], ModeLabel(e["label"]), e["file"]) for e in manifest["modes"]]
         parts += [(side, Selection.RESIDUAL, f) for side, f in manifest["residuals"].items()]
         n = int(manifest["n_samples"])
-        dc_imag, nyquist_imag = manifest["dc_imag"], manifest["nyquist_imag"]
+        dc_imag, nyquist_imag = float(manifest["dc_imag"]), float(manifest["nyquist_imag"])
+        sample_rate = float(manifest.get("sample_rate", 1.0))
     except KeyError as exc:
         raise ParameterError(f"modes.json lacks the key {exc}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParameterError(f"bad modes.json: {exc}") from None
 
     def read(fname):
@@ -394,4 +395,4 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
         return x
 
     z = _assemble(selection, n, parts, read, dc_imag, nyquist_imag)
-    return ComplexSignal(z, float(manifest.get("sample_rate", 1.0)))
+    return ComplexSignal(z, sample_rate)

@@ -1,13 +1,13 @@
 """Fixed-layout feature vectors from a two-sided decomposition.
 
-Layout (``feature_names`` returns it programmatically):
+Layout of the ``3*max_modes + 12`` entries:
 
     [0 : 3*max_modes)   per retained mode, energy-descending:
                         (center frequency [rad, negative side negated],
                          3 dB bandwidth [rad],
                          energy fraction of the total input energy)
                         zero-padded when fewer modes are retained
-    [3*max_modes : +4)  |C20|, C21, |C40|, |C42| of the feature-part
+    [3*max_modes : +4)  |C20|, C21, |C40|, C42 of the feature-part
                         reconstruction (fourth-order mixed cumulants of the
                         centered complex sequence)
     [3*max_modes+4 : +8) the same four cumulants of the full reconstruction
@@ -65,6 +65,12 @@ def cumulants(z: np.ndarray) -> dict:
     return {"C20": complex(c20), "C21": c21, "C40": complex(c40), "C42": c42}
 
 
+def _cumulant_block(samples: np.ndarray) -> tuple:
+    """The 4-entry cumulant block of every feature layout: |C20|, C21, |C40|, C42."""
+    c = cumulants(samples)
+    return abs(c["C20"]), c["C21"], abs(c["C40"]), c["C42"]
+
+
 def _bandwidth_3db(spectrum: np.ndarray, n_bins: int) -> float:
     """Width in radians of the contiguous half-power region around the peak."""
     p = np.abs(spectrum) ** 2
@@ -118,18 +124,10 @@ def extract_features(result: IcvmdResult, max_modes: int = DEFAULT_MAX_MODES) ->
     for i, (_, omega, bw, frac) in enumerate(rows):
         vec[3 * i : 3 * i + 3] = (omega, bw, frac)
 
-    base = 3 * max_modes
-    feat_sig = reconstruct(result, {ModeLabel.FEATURE, ModeLabel.SPECIAL})
-    c = cumulants(feat_sig.samples)
-    vec[base : base + 4] = (abs(c["C20"]), c["C21"], abs(c["C40"]), c["C42"])
-
-    full_sig = reconstruct(result, FULL_SELECTION)
-    ct = cumulants(full_sig.samples)
-    vec[base + 4 : base + 8] = (abs(ct["C20"]), ct["C21"], abs(ct["C40"]), ct["C42"])
-
-    sig_sig = reconstruct(result, {ModeLabel.SIGNAL})
-    cs = cumulants(sig_sig.samples)
-    vec[base + 8 : base + 12] = (abs(cs["C20"]), cs["C21"], abs(cs["C40"]), cs["C42"])
+    blocks = ({ModeLabel.FEATURE, ModeLabel.SPECIAL}, FULL_SELECTION, {ModeLabel.SIGNAL})
+    for i, selection in enumerate(blocks):
+        start = 3 * max_modes + 4 * i
+        vec[start : start + 4] = _cumulant_block(reconstruct(result, selection).samples)
     return vec
 
 
@@ -140,15 +138,4 @@ def raw_cumulant_features(sig: ComplexSignal) -> np.ndarray:
     (|C20|, C21, |C40|, C42) but computed straight from the raw samples, so a
     classifier fed with these sees what the decomposition-based features add.
     """
-    c = cumulants(sig.samples)
-    return np.array([abs(c["C20"]), c["C21"], abs(c["C40"]), c["C42"]])
-
-
-def feature_names(max_modes: int = DEFAULT_MAX_MODES) -> list:
-    names = []
-    for i in range(max_modes):
-        names += [f"mode{i}_omega", f"mode{i}_bw3db", f"mode{i}_energy_frac"]
-    names += ["feat_abs_C20", "feat_C21", "feat_abs_C40", "feat_C42"]
-    names += ["total_abs_C20", "total_C21", "total_abs_C40", "total_C42"]
-    names += ["sig_abs_C20", "sig_C21", "sig_abs_C40", "sig_C42"]
-    return names
+    return np.array(_cumulant_block(sig.samples))

@@ -22,7 +22,7 @@ import csv
 import enum
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -191,21 +191,10 @@ def predict(params, mains, branches, class_ids, batch: int = 64) -> np.ndarray:
 
 
 def _generate_aux_manifest(base_spec: DatasetSpec, cfg: FewshotConfig, workdir: Path) -> dict:
-    aux_emitters = tuple(auxiliary_bank(cfg.n_aux_emitters, cfg.aux_emitter_seed))
-    per_emitter = (
-        base_spec.signals_per_emitter
-        if cfg.aux_signals_per_emitter is None
-        else cfg.aux_signals_per_emitter
-    )
-    aux_spec = DatasetSpec(
-        emitters=aux_emitters,
-        modulations=base_spec.modulations,
-        snr_grid_db=base_spec.snr_grid_db,
-        n_samples=base_spec.n_samples,
-        signals_per_emitter=per_emitter,
-        carrier=base_spec.carrier,
-        samples_per_symbol=base_spec.samples_per_symbol,
-        sweep_span=base_spec.sweep_span,
+    aux_spec = replace(
+        base_spec,
+        emitters=tuple(auxiliary_bank(cfg.n_aux_emitters, cfg.aux_emitter_seed)),
+        signals_per_emitter=cfg.aux_signals_per_emitter or base_spec.signals_per_emitter,
         seed=cfg.aux_dataset_seed,
     )
     generate_dataset(aux_spec, workdir / "aux_data")
@@ -301,11 +290,6 @@ def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult
             test_truth,
             snrs_db=test_snrs,
             known_labels=class_ids,
-            config_echo={
-                "pipeline": cfg.pipeline.value,
-                "proportion": proportion,
-                "spec": spec.echo(),
-            },
             wall_clock_s=time.perf_counter() - t0,
         )
         reports[proportion] = report

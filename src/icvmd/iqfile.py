@@ -1,8 +1,10 @@
 """The iqf32 on-disk sample format.
 
 Layout: little-endian float32, interleaved I then Q per sample, no header.
-A file of N complex samples is exactly 8*N bytes.  Metadata lives in a JSON
-sidecar with the same stem and a ``.json`` suffix.
+A file of N complex samples is exactly 8*N bytes.  Metadata lives in an
+optional JSON sidecar with the same stem and a ``.json`` suffix; the reader
+takes only its ``sample_rate`` (default 1.0), and the dataset writer adds the
+label, emitter, modulation, SNR and seeds of each capture.
 """
 from __future__ import annotations
 
@@ -38,8 +40,9 @@ def write_iqf32(path, samples, sidecar: dict | None = None) -> Path:
 def read_iqf32(path, with_sidecar: bool = True) -> ComplexSignal:
     """Read an iqf32 file back into a ComplexSignal (complex128 in memory).
 
-    If the sidecar exists its fields land in ``meta`` and its sample_rate is
-    honored; otherwise sample_rate defaults to 1.0.
+    The sidecar's sample_rate is honored when the sidecar exists; otherwise
+    sample_rate defaults to 1.0.  A sidecar sample_rate that is not a number
+    raises ParameterError.
     """
     path = Path(path)
     if not path.exists():
@@ -51,32 +54,10 @@ def read_iqf32(path, with_sidecar: bool = True) -> ComplexSignal:
             "positive, even count (interleaved I,Q)"
         )
     z = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
-    meta: dict = {}
     rate = 1.0
     side = sidecar_path(path)
     if with_sidecar and side.exists():
-        meta = json.loads(side.read_text())
-        rate = float(meta.get("sample_rate", 1.0))
-    return ComplexSignal(z, rate, meta)
-
-
-def make_sidecar(
-    sample_rate: float,
-    label: int,
-    modulation: str,
-    snr_db: float,
-    seed: int,
-    emitter_id: int,
-    **extra,
-) -> dict:
-    """Standard sidecar fields; extras are allowed but the six core keys always exist."""
-    d = {
-        "sample_rate": sample_rate,
-        "label": label,
-        "modulation": modulation,
-        "snr_db": snr_db,
-        "seed": seed,
-        "emitter_id": emitter_id,
-    }
-    d.update(extra)
-    return d
+        rate = json.loads(side.read_text()).get("sample_rate", 1.0)
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+            raise ParameterError(f"{side}: sample_rate must be a number, got {rate!r}")
+    return ComplexSignal(z, float(rate))

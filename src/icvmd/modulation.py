@@ -122,6 +122,4 @@ def gen_baseband(spec: ModulationSpec, n_samples: int) -> ComplexSignal:
         x = np.exp(1j * _phase_from_frequency(freq))
     else:  # pragma: no cover - enum is closed
         raise ParameterError(f"unsupported modulation kind {kind!r}")
-
-    meta = {"modulation": kind.value, "carrier": spec.carrier, "seed": spec.seed}
-    return ComplexSignal(x, 1.0, meta)
+    return ComplexSignal(x)

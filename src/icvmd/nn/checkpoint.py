@@ -3,9 +3,7 @@
 The manifest records the format version and every architecture hyperparameter
 needed to rebuild the model; the arrays are stored as trained under their
 parameter keys and load as float32.  Loading refuses a missing or unknown key,
-a reshaped array, a non-finite value and a non-integer class count, with one
-sanctioned exception: the final affine head may be re-initialized for a
-different class count via ``resize_head_to``.
+a reshaped array, a non-finite value and a non-integer class count.
 """
 from __future__ import annotations
 
@@ -16,8 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ParameterError
-from .layers import init_dense
-from .model import ModelConfig, NetParams, init_params, layer_arrays
+from .model import ModelConfig, NetParams, init_params
 
 FORMAT_VERSION = 1
 
@@ -41,15 +38,12 @@ def _check_keys(what: str, stored, expected) -> None:
         raise ParameterError(f"checkpoint {what} mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
 
 
-def load_checkpoint(path, resize_head_to: int | None = None, head_seed: int = 0) -> NetParams:
+def load_checkpoint(path) -> NetParams:
     """Rebuild NetParams from a checkpoint.
 
     Every stored array must match the key, the shape and the finiteness of
-    the manifest architecture.  ``resize_head_to`` replaces the final affine
-    head with a freshly seeded one of the requested output size.
+    the manifest architecture.
     """
-    if resize_head_to is not None and resize_head_to < 1:
-        raise ParameterError("resize_head_to must be >= 1")
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such checkpoint: {path}")
@@ -75,8 +69,4 @@ def load_checkpoint(path, resize_head_to: int | None = None, head_seed: int = 0)
             raise ParameterError(f"shape mismatch at {key}: {ref.shape} vs {files[key].shape}")
         if not np.all(np.isfinite(files[key])):
             raise ParameterError(f"non-finite value in {key}")
-    arrays = {key: files[key].astype(np.float32, copy=False) for key in expected}
-    if resize_head_to is not None:
-        rng = np.random.default_rng(head_seed)
-        arrays |= layer_arrays("classifier2", init_dense(rng, resize_head_to, manifest["n_classes"]))
-    return NetParams(config, arrays)
+    return NetParams(config, {key: files[key].astype(np.float32, copy=False) for key in expected})

@@ -130,18 +130,6 @@ def dense_backward(dy: np.ndarray, cache, layer: Dense):
     return dx, dw, db
 
 
-def receptive_field(width: int, dilations) -> int:
-    """Number of past-inclusive input samples one output sample can see after a
-    chain of causal convs with the given shared width and per-layer dilations:
-    1 + (width-1) * sum(dilations)."""
-    if width < 1:
-        raise ParameterError("width must be >= 1")
-    dil = list(dilations)
-    if not dil or any(d < 1 for d in dil):
-        raise ParameterError("dilations must be a non-empty list of ints >= 1")
-    return 1 + (width - 1) * sum(dil)
-
-
 def init_conv(rng: np.random.Generator, out_ch: int, in_ch: int, width: int, dilation: int) -> ConvLayer:
     """Uniform(+-sqrt(1/fan_in)) weights and biases, drawn in float64 and
     rounded once to float32: this and init_dense fix every model's dtype.

@@ -9,29 +9,32 @@ from ..errors import DegenerateInputError, ParameterError
 from .layers import init_dense
 from .model import NetParams, cross_entropy, layer_arrays, model_backward, model_forward
 
+# Adam moment decays and denominator guard (Kingma & Ba's defaults).
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Adam step size, epoch count, minibatch size and the shuffling seed."""
+
     learning_rate: float = 2e-3
     epochs: int = 20
     batch_size: int = 128
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.learning_rate < 0 or not np.isfinite(self.learning_rate):
             raise ParameterError("learning_rate must be >= 0")
         if self.epochs < 0:
             raise ParameterError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be >= 1")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ParameterError("betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ParameterError("eps must be positive")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -90,7 +93,7 @@ def train(
     n = main.shape[0]
     history = []
     for _ in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
@@ -99,13 +102,13 @@ def train(
             grads = model_backward(out, dlogits, cache)
             losses.append(loss)
             step += 1
-            bc1 = 1.0 - cfg.beta1**step
-            bc2 = 1.0 - cfg.beta2**step
+            bc1 = 1.0 - _BETA1**step
+            bc2 = 1.0 - _BETA2**step
             for k, a in live.items():
                 g = grads[k]
-                m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
-                v[k] = cfg.beta2 * v[k] + (1.0 - cfg.beta2) * g * g
-                a -= cfg.learning_rate * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + cfg.eps)
+                m[k] = _BETA1 * m[k] + (1.0 - _BETA1) * g
+                v[k] = _BETA2 * v[k] + (1.0 - _BETA2) * g * g
+                a -= cfg.learning_rate * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + _EPS)
         history.append(float(np.mean(losses)))
     return TrainResult(params=out, history=history, frozen=frozen)
 

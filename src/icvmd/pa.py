@@ -46,14 +46,6 @@ class EmitterProfile:
         object.__setattr__(self, "nonlinear_coeffs", b)
         object.__setattr__(self, "memory_taps", c)
 
-    @property
-    def nonlinear_order(self) -> int:
-        return self.nonlinear_coeffs.size
-
-    @property
-    def memory_depth(self) -> int:
-        return self.memory_taps.size
-
 
 # Odd-order envelope coefficients of the seven-emitter bank: (b3, b5) pairs with
 # b1 = 1 and even orders zero.  These are the fixed fingerprints the
@@ -120,6 +112,4 @@ def hammerstein_apply(sig: ComplexSignal, profile: EmitterProfile) -> ComplexSig
         if bk != 0.0:
             v += bk * x * mag ** (k - 1)
     y = np.convolve(v, profile.memory_taps)[: x.size]
-    out = sig.with_samples(y)
-    out.meta["emitter_id"] = profile.emitter_id
-    return out
+    return sig.with_samples(y)

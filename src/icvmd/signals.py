@@ -1,7 +1,7 @@
 """Complex baseband signal container and channel-level operations."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class ComplexSignal:
 
     samples: np.ndarray
     sample_rate: float = 1.0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         arr = _as_complex_samples(self.samples)
@@ -47,7 +46,7 @@ class ComplexSignal:
         return float(np.mean(np.abs(self.samples) ** 2))
 
     def with_samples(self, samples) -> "ComplexSignal":
-        return ComplexSignal(samples, self.sample_rate, dict(self.meta))
+        return ComplexSignal(samples, self.sample_rate)
 
 
 def normalize_power(sig: ComplexSignal, target_power: float = 1.0) -> ComplexSignal:

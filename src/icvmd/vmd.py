@@ -136,10 +136,6 @@ class VmdResult:
     def omegas(self) -> np.ndarray:
         return self.mode_set.omegas
 
-    @property
-    def n_samples(self) -> int:
-        return self.modes.shape[1]
-
 
 def mirror_extend(x: np.ndarray) -> np.ndarray:
     """Reflect half of the signal onto each end, doubling the length."""

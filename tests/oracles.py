@@ -7,7 +7,7 @@ import numpy as np
 from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.nn import model
 from icvmd.nn.attention import softmax
-from icvmd.nn.layers import ConvLayer, conv_forward, receptive_field
+from icvmd.nn.layers import ConvLayer, conv_forward
 from icvmd.nn.model import NetParams, _residual_forward, cross_entropy, model_backward, model_forward
 from icvmd.pa import EmitterProfile
 from icvmd.signals import ComplexSignal
@@ -33,6 +33,18 @@ def causal_dilated_conv(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
         raise ParameterError(f"expected [channels, T], got shape {x.shape}")
     y, _ = conv_forward(x[None], layer)
     return y[0]
+
+
+def receptive_field(width: int, dilations) -> int:
+    """Number of past-inclusive input samples one output sample can see after a
+    chain of causal convs with the given shared width and per-layer dilations:
+    1 + (width-1) * sum(dilations)."""
+    if width < 1:
+        raise ParameterError("width must be >= 1")
+    dil = list(dilations)
+    if not dil or any(d < 1 for d in dil):
+        raise ParameterError("dilations must be a non-empty list of ints >= 1")
+    return 1 + (width - 1) * sum(dil)
 
 
 def impulse_probe(width: int, dilations, t_len: int | None = None) -> int:

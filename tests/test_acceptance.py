@@ -21,13 +21,12 @@ from icvmd.features import extract_features, raw_cumulant_features
 from icvmd.fewshot import FewshotConfig, Pipeline, default_icvmd_config, run_fewshot, sat_inputs
 from icvmd.modulation import ModulationKind, ModulationSpec, gen_baseband
 from icvmd.nn.attention import softmax
-from icvmd.nn.layers import receptive_field
 from icvmd.nn.model import ModelConfig, features_forward, init_params, model_forward
 from icvmd.nn.train import TrainConfig, sat_transfer, train
 from icvmd.pa import auxiliary_bank, emitter_bank
 from icvmd.signals import ComplexSignal, add_awgn, normalize_power
 from icvmd.vmd import VmdConfig, half_grid, mirror_extend, vmd_decompose
-from oracles import grad_check, impulse_probe, wiener_mode_update
+from oracles import grad_check, impulse_probe, receptive_field, wiener_mode_update
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

@@ -49,26 +49,6 @@ def test_float64_checkpoint_loads_as_float32(tmp_path):
     assert np.allclose(got, want, rtol=1e-5, atol=1e-6)
 
 
-def test_resize_head(tmp_path):
-    params = init_params(TINY, 5, seed=0)
-    path = save_checkpoint(tmp_path / "m.npz", params)
-    resized = load_checkpoint(path, resize_head_to=9, head_seed=2)
-    assert resized.n_out == 9
-    assert resized.n_classes == 5
-    assert resized.arrays["classifier2.weights"].shape == (9, 5)
-    # Everything except the final head loads bit-identically.
-    for p, a in params.arrays.items():
-        if not p.startswith("classifier2."):
-            assert np.array_equal(a, resized.arrays[p]), p
-    # The fresh head is seeded.
-    again = load_checkpoint(path, resize_head_to=9, head_seed=2)
-    assert np.array_equal(resized.arrays["classifier2.weights"], again.arrays["classifier2.weights"])
-    other = load_checkpoint(path, resize_head_to=9, head_seed=3)
-    assert not np.array_equal(resized.arrays["classifier2.weights"], other.arrays["classifier2.weights"])
-    with pytest.raises(ParameterError, match="resize_head_to"):
-        load_checkpoint(path, resize_head_to=0)
-
-
 def test_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_checkpoint(tmp_path / "nope.npz")

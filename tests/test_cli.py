@@ -175,7 +175,7 @@ def test_reconstruct_single_selection(runner, tmp_path):
     assert res.exit_code == 0, res.output
     sig = read_iqf32(out_file)
     assert sig.samples.size == 256
-    assert sig.meta["selection"] == ["signal"]
+    assert json.loads(out_file.with_suffix(".json").read_text())["selection"] == ["signal"]
 
 
 def test_reconstruct_rejects_a_manifest_with_an_unknown_label(runner, tmp_path):
@@ -189,6 +189,26 @@ def test_reconstruct_rejects_a_manifest_with_an_unknown_label(runner, tmp_path):
     res = runner.invoke(main, ["reconstruct", str(tmp_path / "m"), "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
     assert "error: bad modes.json: 'carrier'" in res.output
+
+
+@pytest.mark.parametrize("rate", ["fast", None])
+def test_reconstruct_rejects_a_non_numeric_sample_rate(runner, tmp_path, rate):
+    src = tmp_path / "tone.iqf32"
+    write_tone(src)
+    runner.invoke(main, ["decompose", str(src), "--out", str(tmp_path / "m"), "--n-modes", "2"])
+    manifest_path = tmp_path / "m" / "modes.json"
+    manifest_path.write_text(json.dumps(json.loads(manifest_path.read_text()) | {"sample_rate": rate}))
+    res = runner.invoke(main, ["reconstruct", str(tmp_path / "m"), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "error: bad modes.json" in res.output
+
+
+def test_decompose_rejects_a_non_numeric_sidecar_sample_rate(runner, tmp_path):
+    src = tmp_path / "tone.iqf32"
+    write_iqf32(src, np.exp(2j * np.pi * 0.2 * np.arange(256)), sidecar={"sample_rate": "fast"})
+    res = runner.invoke(main, ["decompose", str(src), "--out", str(tmp_path / "m")])
+    assert res.exit_code == 2, res.output
+    assert "tone.json: sample_rate must be a number, got 'fast'" in res.output
 
 
 def test_decompose_reports_solver_state_and_warns_at_the_cap(runner, tmp_path):
@@ -321,6 +341,31 @@ def test_eval_rejects_a_checkpoint_with_a_bad_class_count(runner, tmp_path):
     assert res.exit_code == 2, res.output
     assert "error: checkpoint manifest n_classes must be an integer" in res.output
     assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m.pop("class_ids"), "class_ids must list 7 integer labels, one per model output; got None"),
+        (lambda m: m.update(representation="wavelet"), "unknown representation 'wavelet'"),
+        (lambda m: m.update(class_ids=m["class_ids"][:-1]), "class_ids must list 7 integer labels"),
+        (lambda m: m.update(class_ids=m["class_ids"] + [99]), "class_ids must list 7 integer labels"),
+        (lambda m: m.update(class_ids=[str(c) for c in m["class_ids"]]), "class_ids must list 7 integer labels"),
+    ],
+    ids=["no_class_ids", "unknown_representation", "short_class_ids", "long_class_ids", "string_class_ids"],
+)
+def test_eval_rejects_a_bad_label_map(runner, tmp_path, edit, message):
+    data = gen_tiny(runner, tmp_path / "data", spe=2)
+    ck = tmp_path / "model.npz"
+    res = runner.invoke(main, ["train", "--data", str(data), "--out", str(ck), "--epochs", "0", "--segment-len", "32"])
+    assert res.exit_code == 0, res.output
+    labels = tmp_path / "model.npz.labels.json"
+    meta = json.loads(labels.read_text())
+    edit(meta)
+    labels.write_text(json.dumps(meta))
+    res = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(ck)])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
 
 
 def test_eval_without_label_map_is_io_error(runner, tmp_path):

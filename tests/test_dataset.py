@@ -126,8 +126,10 @@ def test_entries_load_and_match_sidecars(tmp_path):
     entry = loaded["files"][0]
     sig = load_entry(loaded, entry)
     assert sig.samples.size == 128
-    assert sig.meta["label"] == entry["label"]
-    assert sig.meta["snr_db"] == entry["snr_db"]
+    side = json.loads((tmp_path / entry["path"]).with_suffix(".json").read_text())
+    assert side["sample_rate"] == sig.sample_rate == 1.0
+    for key in ("label", "emitter_id", "modulation", "snr_db", "seed", "noise_seed"):
+        assert side[key] == entry[key]
 
 
 def test_single_signal_chain_is_snr_faithful():

@@ -7,7 +7,6 @@ from icvmd.features import (
     DEFAULT_MAX_MODES,
     cumulants,
     extract_features,
-    feature_names,
     raw_cumulant_features,
 )
 from icvmd.signals import ComplexSignal
@@ -95,7 +94,6 @@ def test_vector_layout_and_padding():
     res = decompose_demo()
     vec = extract_features(res, max_modes=6)
     assert vec.shape == (3 * 6 + 12,)
-    assert len(feature_names(6)) == vec.size
     n_retained = sum(
         1
         for labels in (res.labels_pos, res.labels_neg)
@@ -184,23 +182,3 @@ def test_max_modes_validation():
     res = decompose_demo()
     with pytest.raises(ParameterError):
         extract_features(res, max_modes=0)
-
-
-def test_feature_names_default():
-    names = feature_names()
-    assert len(names) == 3 * DEFAULT_MAX_MODES + 12
-    assert names[0] == "mode0_omega"
-    assert names[-12:] == [
-        "feat_abs_C20",
-        "feat_C21",
-        "feat_abs_C40",
-        "feat_C42",
-        "total_abs_C20",
-        "total_C21",
-        "total_abs_C40",
-        "total_C42",
-        "sig_abs_C20",
-        "sig_C21",
-        "sig_abs_C40",
-        "sig_C42",
-    ]

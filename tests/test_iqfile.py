@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from icvmd.errors import ParameterError
-from icvmd.iqfile import make_sidecar, read_iqf32, sidecar_path, write_iqf32
+from icvmd.iqfile import read_iqf32, sidecar_path, write_iqf32
 
 
 def test_golden_byte_layout(tmp_path):
@@ -30,26 +30,22 @@ def test_roundtrip_within_float32(tmp_path):
 
 
 def test_sidecar_roundtrip(tmp_path):
-    side = make_sidecar(
-        sample_rate=2.0, label=3, modulation="qpsk", snr_db=6.0, seed=11, emitter_id=3
-    )
+    side = {"sample_rate": 2.0, "label": 3, "modulation": "qpsk"}
     path = write_iqf32(tmp_path / "x.iqf32", np.ones(4, dtype=complex), sidecar=side)
     assert sidecar_path(path) == tmp_path / "x.json"
     sig = read_iqf32(path)
     assert sig.sample_rate == 2.0
-    assert sig.meta["label"] == 3
-    assert sig.meta["modulation"] == "qpsk"
     # Sidecar can be ignored on request.
     bare = read_iqf32(path, with_sidecar=False)
-    assert bare.meta == {}
     assert bare.sample_rate == 1.0
 
 
-def test_sidecar_extras_and_core_keys():
-    side = make_sidecar(1.0, 0, "cw", 0.0, 1, 0, noise_seed=42)
-    for key in ("sample_rate", "label", "modulation", "snr_db", "seed", "emitter_id"):
-        assert key in side
-    assert side["noise_seed"] == 42
+@pytest.mark.parametrize("rate", ["fast", "2.0", None, [2.0], True])
+def test_sidecar_non_numeric_sample_rate_rejected(tmp_path, rate):
+    path = write_iqf32(tmp_path / "x.iqf32", np.ones(4, dtype=complex), sidecar={"sample_rate": rate})
+    with pytest.raises(ParameterError, match=r"x\.json: sample_rate must be a number"):
+        read_iqf32(path)
+    assert read_iqf32(path, with_sidecar=False).sample_rate == 1.0
 
 
 def test_missing_file(tmp_path):
@@ -82,7 +78,7 @@ def test_write_creates_parent_dirs(tmp_path):
 
 
 def test_sidecar_json_is_sorted_and_readable(tmp_path):
-    side = make_sidecar(1.0, 0, "cw", 0.0, 1, 0)
+    side = {"sample_rate": 1.0, "label": 0, "modulation": "cw", "snr_db": 0.0, "seed": 1}
     path = write_iqf32(tmp_path / "x.iqf32", np.ones(2, dtype=complex), sidecar=side)
     loaded = json.loads(sidecar_path(path).read_text())
     assert loaded == side

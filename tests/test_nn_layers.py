@@ -14,11 +14,10 @@ from icvmd.nn.layers import (
     dense_forward,
     init_conv,
     init_dense,
-    receptive_field,
     relu_backward,
     relu_forward,
 )
-from oracles import causal_dilated_conv, impulse_probe, scaled_softmax_attention
+from oracles import causal_dilated_conv, impulse_probe, receptive_field, scaled_softmax_attention
 
 
 # ------------------------------------------------------------------- conv

@@ -97,7 +97,7 @@ def test_train_and_transfer_keep_the_parameters_dtype(cast):
     params = as_float64(init_params(TINY, 3, seed=0)) if cast else init_params(TINY, 3, seed=0)
     dtype = np.dtype(np.float64 if cast else np.float32)
     main, branch, labels = toy_problem(n=12)
-    cfg = TrainConfig(learning_rate=np.float64(1e-2), beta1=np.float64(0.9), epochs=2, batch_size=4)
+    cfg = TrainConfig(learning_rate=np.float64(1e-2), epochs=2, batch_size=4)
     res = train(params, main, branch, labels, cfg)
     sat = sat_transfer(params, 4, main, branch, labels, cfg, head_seed=1)
     for out in (res, sat):
@@ -114,9 +114,12 @@ def test_train_config_validation():
     with pytest.raises(ParameterError):
         TrainConfig(batch_size=0)
     with pytest.raises(ParameterError):
-        TrainConfig(beta1=1.0)
-    with pytest.raises(ParameterError):
-        TrainConfig(eps=0.0)
+        TrainConfig(seed=-1)
+    for name, value in [("epochs", 2.0), ("epochs", True), ("batch_size", 8.5), ("batch_size", False),
+                        ("seed", 1.0), ("seed", "0")]:
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            TrainConfig(**{name: value})
+    assert TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), seed=np.uint8(1)).epochs == 2
 
 
 def test_dataset_validation():

@@ -22,8 +22,7 @@ def test_profile_validation():
     with pytest.raises(ParameterError):
         EmitterProfile(0, [np.nan], [1.0])
     p = EmitterProfile(3, [1.0, 0.0, 0.2], [1.0, 0.1])
-    assert p.nonlinear_order == 3
-    assert p.memory_depth == 2
+    assert p.nonlinear_coeffs.shape == (3,) and p.memory_taps.shape == (2,)
 
 
 def test_hammerstein_unit_impulse_gain():

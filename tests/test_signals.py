@@ -34,13 +34,10 @@ def test_power_is_mean_squared_magnitude():
     assert sig.power == pytest.approx((9.0 + 16.0) / 2.0)
 
 
-def test_with_samples_keeps_rate_and_copies_meta():
-    sig = ComplexSignal([1.0], sample_rate=2.0, meta={"a": 1})
+def test_with_samples_keeps_rate():
+    sig = ComplexSignal([1.0], sample_rate=2.0)
     out = sig.with_samples([5.0, 6.0])
     assert out.sample_rate == 2.0
-    assert out.meta == {"a": 1}
-    out.meta["a"] = 99
-    assert sig.meta == {"a": 1}
 
 
 def test_normalize_power_hits_target_exactly():
