@@ -21,7 +21,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .errors import ParameterError
 from .signals import ComplexSignal
@@ -110,7 +109,22 @@ def boundary_correction(n: int, dc_imag: float, nyquist_imag: float) -> np.ndarr
 
 
 def combine_analytic(s_plus: np.ndarray, s_minus: np.ndarray) -> np.ndarray:
-    """Rebuild a complex sequence from the two real parts (no boundary correction)."""
-    a_plus = scipy.signal.hilbert(np.asarray(s_plus, dtype=float))
-    a_minus = scipy.signal.hilbert(np.asarray(s_minus, dtype=float))
-    return a_plus + np.conj(a_minus)
+    """Rebuild a complex sequence from the two real parts (no boundary correction).
+
+    Returns a_plus + conj(a_minus) for the analytic signals of the inputs, as
+    one inverse FFT of a one-sided spectrum (Marple 1999): with P = rfft(s_plus)
+    and M = rfft(s_minus), bin 0 is P[0] + M[0], positive interior bin m is
+    2*P[m], negative interior bin n-m is 2*conj(M[m]), and for even n the
+    Nyquist bin n/2 is P[n/2] + M[n/2].
+    """
+    n = len(s_plus)
+    p = np.fft.rfft(np.asarray(s_plus, dtype=float))
+    m = np.fft.rfft(np.asarray(s_minus, dtype=float))
+    top = (n + 1) // 2  # first index past the positive interior
+    spec = np.empty(n, dtype=complex)
+    spec[0] = p[0] + m[0]
+    spec[1:top] = 2.0 * p[1:top]
+    spec[n - 1 : n - top : -1] = 2.0 * np.conj(m[1:top])
+    if n % 2 == 0:
+        spec[n // 2] = p[n // 2] + m[n // 2]
+    return np.fft.ifft(spec)

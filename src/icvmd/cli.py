@@ -42,7 +42,7 @@ from .fewshot import (
     represent,
     run_fewshot,
 )
-from .iqfile import read_iqf32, write_iqf32
+from .iqfile import json_object, read_iqf32, write_iqf32
 from .modulation import ModulationKind
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import ModelConfig, init_params
@@ -100,7 +100,7 @@ def _dataset_options(fn):
 
 def _spec_from_options(config, **kw) -> DatasetSpec:
     if config is not None:
-        raw = json.loads(Path(config).read_text())
+        raw = json_object(Path(config).read_text(), config)
         if raw.get("schema_version") != 1:
             raise ParameterError("dataset config must carry schema_version 1")
         raw = {k: v for k, v in raw.items() if k != "schema_version"}
@@ -302,9 +302,9 @@ def eval_cmd(data_dir, ck_file):
     meta_path = Path(str(ck_file) + ".labels.json")
     if not meta_path.exists():
         raise FileNotFoundError(f"missing label map {meta_path}")
-    meta = json.loads(meta_path.read_text())
+    meta = json_object(meta_path.read_text(), meta_path)
     params = load_checkpoint(ck_file)
-    ids = meta.get("class_ids") if isinstance(meta, dict) else None
+    ids = meta.get("class_ids")
     if not (isinstance(ids, list) and len(ids) == params.n_out and all(type(c) is int for c in ids)):
         raise ParameterError(f"{meta_path}: class_ids must list {params.n_out} integer labels, one per model output; got {ids!r}")
     representation = meta.get("representation", "raw")

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
-from .iqfile import read_iqf32, write_iqf32
+from .iqfile import json_object, read_iqf32, write_iqf32
 from .modulation import ModulationKind, ModulationSpec, gen_baseband
 from .pa import EmitterProfile, emitter_bank, hammerstein_apply
 from .signals import ComplexSignal, add_awgn, normalize_power
@@ -179,7 +179,7 @@ def load_manifest(data_dir) -> dict:
     path = data_dir / "manifest.json" if data_dir.is_dir() else data_dir
     if not path.exists():
         raise FileNotFoundError(f"no manifest at {path}")
-    manifest = json.loads(path.read_text())
+    manifest = json_object(path.read_text(), path)
     if manifest.get("schema_version") != 1:
         raise ParameterError(f"unsupported manifest schema_version {manifest.get('schema_version')!r}")
     manifest["_dir"] = str(path.parent)

@@ -368,13 +368,13 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
     the originally decomposed signal.  A manifest that lacks a key or names an
     unknown label, and a selected file of the wrong length, raise ParameterError.
     """
-    from .iqfile import read_iqf32
+    from .iqfile import json_object, read_iqf32
 
     dump_dir = Path(dump_dir)
     manifest_path = dump_dir / "modes.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no modes.json in {dump_dir}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = json_object(manifest_path.read_text(), manifest_path)
     if manifest.get("schema_version") != 1:
         raise ParameterError("unsupported modes.json schema_version")
     try:

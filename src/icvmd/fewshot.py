@@ -148,8 +148,10 @@ def represent(
 
     ``arrays`` is what the pipeline's fit consumes, stacked over the kept
     entries: ``(features,)`` for ICVMD_FEATURES, ``(mains, branches)`` for the
-    classifier pipelines.  A capture that raises DegenerateInputError is
-    dropped and ``(path, reason)`` is appended to ``skipped``.  Pass one
+    classifier pipelines.  A capture that cannot be loaded (missing file, bad
+    length, bad sidecar) or whose representation raises DegenerateInputError
+    is dropped and ``(path, reason)`` is appended to ``skipped``; a
+    ParameterError from the decomposition config propagates.  Pass one
     ``memo`` dict for a whole run so each capture is decomposed at most once;
     it is keyed by (manifest directory, entry path).  Raises
     DegenerateInputError when every capture was dropped.
@@ -161,7 +163,13 @@ def represent(
         key = (manifest["_dir"], entry["path"])
         if key not in memo:
             try:
-                memo[key] = _represent_one(pipeline, load_entry(manifest, entry), icvmd_cfg)
+                sig = load_entry(manifest, entry)
+            except (OSError, ValueError) as exc:
+                memo[key] = None
+                skipped.append((entry["path"], str(exc)))
+                continue
+            try:
+                memo[key] = _represent_one(pipeline, sig, icvmd_cfg)
             except DegenerateInputError as exc:
                 memo[key] = None
                 skipped.append((entry["path"], str(exc)))

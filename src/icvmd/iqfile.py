@@ -17,6 +17,14 @@ from .errors import ParameterError
 from .signals import ComplexSignal
 
 
+def json_object(text: str, source) -> dict:
+    """Parse JSON that must be an object; any other value raises ParameterError naming ``source``."""
+    value = json.loads(text)
+    if not isinstance(value, dict):
+        raise ParameterError(f"{source} must hold a JSON object, got {type(value).__name__}")
+    return value
+
+
 def sidecar_path(path) -> Path:
     return Path(path).with_suffix(".json")
 
@@ -57,7 +65,7 @@ def read_iqf32(path, with_sidecar: bool = True) -> ComplexSignal:
     rate = 1.0
     side = sidecar_path(path)
     if with_sidecar and side.exists():
-        rate = json.loads(side.read_text()).get("sample_rate", 1.0)
+        rate = json_object(side.read_text(), side).get("sample_rate", 1.0)
         if isinstance(rate, bool) or not isinstance(rate, (int, float)):
             raise ParameterError(f"{side}: sample_rate must be a number, got {rate!r}")
     return ComplexSignal(z, float(rate))

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ParameterError
+from ..iqfile import json_object
 from .model import ModelConfig, NetParams, init_params
 
 FORMAT_VERSION = 1
@@ -51,7 +52,7 @@ def load_checkpoint(path) -> NetParams:
         files = dict(z.items())
     if "manifest" not in files:
         raise ParameterError(f"{path} is not a model checkpoint (missing manifest)")
-    manifest = json.loads(bytes(files.pop("manifest").tobytes()).decode())
+    manifest = json_object(bytes(files.pop("manifest").tobytes()).decode(), f"{path} manifest")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise ParameterError(
             f"unsupported checkpoint format_version {manifest.get('format_version')!r}"

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -5,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import icvmd
 from icvmd.analytic import (
     DcConvention,
     analytic_split,
@@ -113,6 +119,44 @@ def test_pure_positive_tone_stays_in_plus():
     z_neg = np.exp(-2j * np.pi * 0.2 * np.arange(n))
     pair = analytic_split(make_sig(z_neg))
     assert np.linalg.norm(pair.x_plus) < 1e-9 * np.linalg.norm(pair.x_minus)
+
+
+def hilbert_oracle(a, b):
+    return scipy.signal.hilbert(a) + np.conj(scipy.signal.hilbert(b))
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 700, 2100])
+def test_combine_matches_the_hilbert_oracle(n):
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(size=n), rng.normal(size=n)
+    ref = hilbert_oracle(a, b)
+    assert np.linalg.norm(combine_analytic(a, b) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_combine_routes_dc_and_nyquist_as_real_content():
+    # The boundary bins have no one-sided counterpart: each half passes them
+    # through once, so a DC-only or Nyquist-only pair sums to a real sequence.
+    n = 16
+    alternating = np.ones(n)
+    alternating[1::2] = -1.0
+    for a, b in ((2.0 * np.ones(n), 0.5 * np.ones(n)), (3.0 * alternating, -1.0 * alternating)):
+        out = combine_analytic(a, b)
+        assert np.allclose(out, a + b, atol=1e-14)
+        assert np.allclose(out, hilbert_oracle(a, b), atol=1e-14)
+
+
+def test_no_module_loads_scipy():
+    # scipy.signal alone adds ~70 MB of peak RSS to every command; only the tests use it.
+    code = (
+        "import pkgutil, sys, importlib, icvmd\n"
+        "for m in pkgutil.walk_packages(icvmd.__path__, 'icvmd.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(icvmd.__file__).parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_split_rejects_short_signals():

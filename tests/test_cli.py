@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from click.testing import CliRunner
 
 from icvmd import fewshot
 from icvmd.cli import main
+from icvmd.dataset import generate_dataset
 from icvmd.decompose import icvmd_decompose
 from icvmd.errors import DegenerateInputError
 from icvmd.features import extract_features
@@ -37,6 +39,18 @@ def gen_tiny(runner, out_dir, spe=2, extra=()):
     res = runner.invoke(main, args)
     assert res.exit_code == 0, res.output
     return out_dir
+
+
+def break_first_capture(data_dir, fault) -> str:
+    """Break the first capture (by name) of a dataset in one of three ways; returns its name."""
+    path = sorted(Path(data_dir).glob("*.iqf32"))[0]
+    if fault == "bad_sidecar":
+        path.with_suffix(".json").write_text(json.dumps({"sample_rate": "x"}))
+    elif fault == "odd_float_count":
+        path.write_bytes(path.read_bytes()[:-4])
+    else:
+        path.unlink()
+    return path.name
 
 
 def write_tone(path, n=256, f=0.2):
@@ -211,6 +225,63 @@ def test_decompose_rejects_a_non_numeric_sidecar_sample_rate(runner, tmp_path):
     assert "tone.json: sample_rate must be a number, got 'fast'" in res.output
 
 
+def non_object_sidecar(runner, tmp_path, payload):
+    src = tmp_path / "tone.iqf32"
+    write_tone(src)
+    src.with_suffix(".json").write_text(payload)
+    return ["decompose", str(src), "--out", str(tmp_path / "m")], "tone.json"
+
+
+def non_object_dataset_config(runner, tmp_path, payload):
+    (tmp_path / "spec.json").write_text(payload)
+    return ["gen", "--out", str(tmp_path / "d"), "--config", str(tmp_path / "spec.json")], "spec.json"
+
+
+def non_object_dataset_manifest(runner, tmp_path, payload):
+    data = gen_tiny(runner, tmp_path / "data")
+    (data / "manifest.json").write_text(payload)
+    return ["train", "--data", str(data), "--out", str(tmp_path / "model.npz")], "manifest.json"
+
+
+def non_object_modes_json(runner, tmp_path, payload):
+    src = tmp_path / "tone.iqf32"
+    write_tone(src)
+    runner.invoke(main, ["decompose", str(src), "--out", str(tmp_path / "m"), "--n-modes", "2"])
+    (tmp_path / "m" / "modes.json").write_text(payload)
+    return ["reconstruct", str(tmp_path / "m"), "--out", str(tmp_path / "o")], "modes.json"
+
+
+def non_object_checkpoint_manifest(runner, tmp_path, payload):
+    data = gen_tiny(runner, tmp_path / "data")
+    ck = tmp_path / "model.npz"
+    res = runner.invoke(main, ["train", "--data", str(data), "--out", str(ck), "--epochs", "0", "--segment-len", "32"])
+    assert res.exit_code == 0, res.output
+    with np.load(ck) as z:
+        files = dict(z.items())
+    files["manifest"] = np.frombuffer(payload.encode(), dtype=np.uint8)
+    np.savez(ck, **files)
+    return ["eval", "--data", str(data), "--checkpoint", str(ck)], "model.npz manifest"
+
+
+@pytest.mark.parametrize("payload", ["[]", "[1, 2]"])
+@pytest.mark.parametrize(
+    "setup",
+    [
+        non_object_sidecar,
+        non_object_dataset_config,
+        non_object_dataset_manifest,
+        non_object_modes_json,
+        non_object_checkpoint_manifest,
+    ],
+    ids=["sidecar", "dataset_config", "dataset_manifest", "modes_json", "checkpoint_manifest"],
+)
+def test_a_json_file_that_is_not_an_object_is_a_parameter_error(runner, tmp_path, setup, payload):
+    args, name = setup(runner, tmp_path, payload)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert f"{name} must hold a JSON object, got list" in res.output
+
+
 def test_decompose_reports_solver_state_and_warns_at_the_cap(runner, tmp_path):
     src = tmp_path / "tone.iqf32"
     write_tone(src)
@@ -313,6 +384,22 @@ def test_train_sidecar_records_the_training_run(runner, tmp_path):
     assert len(meta["history"]) == 2
     assert all(loss > 0 for loss in meta["history"])
     assert f"final epoch loss {meta['history'][-1]:.4f}" in res.output
+
+
+@pytest.mark.parametrize("fault", ["bad_sidecar", "odd_float_count", "missing_file"])
+def test_train_and_eval_skip_an_unreadable_capture(runner, tmp_path, fault):
+    data = gen_tiny(runner, tmp_path / "data", spe=2)
+    bad = break_first_capture(data, fault)
+    ck = tmp_path / "model.npz"
+    res = runner.invoke(main, ["train", "--data", str(data), "--out", str(ck), "--epochs", "1", "--segment-len", "32"])
+    assert res.exit_code == 0, res.output
+    skipped = [line for line in res.stderr.splitlines() if line.startswith("skipped ")]
+    assert len(skipped) == 1
+    assert skipped[0].startswith(f"skipped {bad}: ")
+    res = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(ck)])
+    assert res.exit_code == 0, res.output
+    assert f"skipped {bad}: " in res.stderr
+    assert json.loads(res.stdout)["n_test"] == 13
 
 
 def eval_with_edited_manifest(runner, tmp_path, edit):
@@ -482,6 +569,42 @@ def test_fewshot_cli_names_a_skipped_capture(runner, tmp_path, monkeypatch):
     skipped = [line for line in res.output.splitlines() if line.startswith("skipped ")]
     assert len(skipped) == 1
     assert skipped[0].endswith(": no FEATURE modes were retained")
+
+
+def test_fewshot_cli_skips_a_capture_with_a_bad_sidecar(runner, tmp_path, monkeypatch):
+    broken = []
+
+    def generate_then_break(spec, out_dir):
+        manifest = generate_dataset(spec, out_dir)
+        broken.append(break_first_capture(out_dir, "bad_sidecar"))
+        return manifest
+
+    monkeypatch.setattr(fewshot, "generate_dataset", generate_then_break)
+    res = runner.invoke(
+        main,
+        [
+            "fewshot",
+            "--workdir",
+            str(tmp_path / "exp"),
+            "--proportions",
+            "1.0",
+            "--n-samples",
+            "128",
+            "--signals-per-emitter",
+            "2",
+            "--snr-db",
+            "18",
+            "--modulations",
+            "cw",
+            "--modulations",
+            "bpsk",
+        ],
+    )
+    assert res.exit_code == 0, res.output
+    skipped = [line for line in res.output.splitlines() if line.startswith("skipped ")]
+    assert len(skipped) == 1
+    assert skipped[0].startswith(f"skipped {broken[0]}: ")
+    assert skipped[0].endswith("sample_rate must be a number, got 'x'")
 
 
 def test_fewshot_cli_rejects_bad_proportions(runner, tmp_path):

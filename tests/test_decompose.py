@@ -19,7 +19,11 @@ from icvmd.decompose import (
     reconstruct,
     reconstruct_from_dump,
 )
+from icvmd.dataset import DatasetSpec, synthesize_one
 from icvmd.errors import ParameterError
+from icvmd.fewshot import default_icvmd_config
+from icvmd.modulation import ModulationKind
+from icvmd.pa import emitter_bank
 from icvmd.signals import ComplexSignal
 from icvmd.vmd import VmdConfig, vmd_decompose
 
@@ -232,6 +236,21 @@ def test_dump_and_reconstruct_from_dump(tmp_path):
     sel = reconstruct_from_dump(tmp_path, {ModeLabel.SIGNAL})
     ref = reconstruct(res, {ModeLabel.SIGNAL})
     assert np.allclose(sel.samples, ref.samples, atol=1e-4)
+
+
+@pytest.mark.parametrize("snr_db", [18.0, -4.0])
+def test_dump_roundtrip_loss_is_bounded(tmp_path, snr_db):
+    # The known loss of a mode dump: float32 samples with a zero Q channel.
+    spec = DatasetSpec(n_samples=700)
+    errors = []
+    for i, profile in enumerate(emitter_bank()[:5]):
+        for kind in (ModulationKind.CW, ModulationKind.QPSK):
+            sig = synthesize_one(spec, profile, kind, snr_db, symbol_seed=i, noise_seed=100 + i)
+            out = tmp_path / f"{profile.emitter_id}_{kind.value}"
+            dump_modes(icvmd_decompose(sig, default_icvmd_config()), out)
+            rebuilt = reconstruct_from_dump(out, FULL_SELECTION).samples
+            errors.append(np.linalg.norm(rebuilt - sig.samples) / np.linalg.norm(sig.samples))
+    assert max(errors) <= 1e-6, max(errors)
 
 
 def test_reconstruct_from_dump_errors(tmp_path):

@@ -192,6 +192,22 @@ def test_represent_raises_when_every_capture_is_dropped(tmp_path, monkeypatch):
     assert [path for path, _ in skipped] == [e["path"] for e in manifest["files"][:2]]
 
 
+def test_represent_propagates_a_config_error(tmp_path):
+    manifest = generate_dataset(TINY_SPEC, tmp_path / "data")
+    manifest["_dir"] = str(tmp_path / "data")
+    skipped = []
+    # More modes than a 128-sample capture can hold: a config fault, not a capture fault.
+    with pytest.raises(ParameterError, match="too short for 100 modes"):
+        fewshot.represent(
+            Pipeline.ICVMD_FEATURES,
+            manifest,
+            manifest["files"][:2],
+            default_icvmd_config(n_modes=100),
+            skipped=skipped,
+        )
+    assert skipped == []
+
+
 # ------------------------------------------------------------------ NN runs
 
 
