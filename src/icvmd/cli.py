@@ -239,13 +239,10 @@ _REPRESENTATIONS = {"raw": Pipeline.RAW_NN, "icvmd": Pipeline.ICVMD_SAT}
 
 def _represent_dataset(data_dir, representation, n_modes) -> tuple:
     """Represent every capture of a dataset directory; warns about dropped captures."""
-    manifest = load_manifest(data_dir)
-    entries = sorted(manifest["files"], key=lambda e: e["path"])
     skipped: list = []
     kept, (mains, branches) = represent(
         _REPRESENTATIONS[representation],
-        manifest,
-        entries,
+        load_manifest(data_dir),
         default_icvmd_config(n_modes),
         skipped=skipped,
     )
@@ -305,8 +302,8 @@ def eval_cmd(data_dir, ck_file):
     meta = json_object(meta_path.read_text(), meta_path)
     params = load_checkpoint(ck_file)
     ids = meta.get("class_ids")
-    if not (isinstance(ids, list) and len(ids) == params.n_out and all(type(c) is int for c in ids)):
-        raise ParameterError(f"{meta_path}: class_ids must list {params.n_out} integer labels, one per model output; got {ids!r}")
+    if not (isinstance(ids, list) and len(ids) == params.n_classes and all(type(c) is int for c in ids)):
+        raise ParameterError(f"{meta_path}: class_ids must list {params.n_classes} integer labels, one per model output; got {ids!r}")
     representation = meta.get("representation", "raw")
     if not isinstance(representation, str) or representation not in _REPRESENTATIONS:
         raise ParameterError(f"{meta_path} names an unknown representation {representation!r}")

@@ -182,6 +182,9 @@ def load_manifest(data_dir) -> dict:
     manifest = json_object(path.read_text(), path)
     if manifest.get("schema_version") != 1:
         raise ParameterError(f"unsupported manifest schema_version {manifest.get('schema_version')!r}")
+    files = manifest.get("files")
+    if not (isinstance(files, list) and all(isinstance(e, dict) and isinstance(e.get("path"), str) for e in files)):
+        raise ParameterError(f"{path}: files must be a list of objects, each with a string path")
     manifest["_dir"] = str(path.parent)
     return manifest
 

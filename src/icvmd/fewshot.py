@@ -8,10 +8,11 @@ Three pipelines over the same generated dataset and the same train/test split:
                   attention branch pretrained on auxiliary emitters, frozen, and
                   the rest fine-tuned (spatial attention transfer)
 
-``represent`` turns manifest entries into the stacked arrays a pipeline fits on,
-decomposing each capture at most once per run and dropping (and naming) any
-capture that cannot be represented; ``predict`` is the batched classifier
-inference.  ``run_fewshot`` and the ``icvmd train``/``eval`` commands share both.
+``represent`` stacks a manifest's captures, in path order, into the arrays a
+pipeline fits on, decomposing each capture at most once per run and dropping
+(and naming) any capture that cannot be represented; ``predict`` is the
+batched classifier inference.  ``run_fewshot`` and the ``icvmd train``/``eval``
+commands share both.
 
 For each training proportion the train set is subsampled per class; cells where
 a class would get zero samples are reported as unsupported rather than crashed.
@@ -52,6 +53,18 @@ from .signals import ComplexSignal
 from .vmd import VmdConfig
 
 
+# The experiment's fixed split and seeds: test split, per-proportion subsample,
+# classifier initialisation (also the SAT head), auxiliary bank and its dataset.
+TEST_FRACTION = 1.0 / 3.0
+SPLIT_SEED = 0
+SUBSAMPLE_SEED = 1
+MODEL_SEED = 0
+AUX_EMITTER_SEED = 77
+AUX_DATASET_SEED = 7700
+# Captures per classifier forward pass in predict.
+PREDICT_BATCH = 64
+
+
 class Pipeline(enum.Enum):
     RAW_NN = "raw_nn"
     ICVMD_FEATURES = "icvmd_features"
@@ -73,17 +86,11 @@ def default_icvmd_config(n_modes: int = 4, alpha: float = 200.0) -> IcvmdConfig:
 class FewshotConfig:
     pipeline: Pipeline = Pipeline.ICVMD_FEATURES
     proportions: tuple = (0.30, 0.10, 0.03)
-    test_fraction: float = 1.0 / 3.0
-    split_seed: int = 0
-    subsample_seed: int = 1
     icvmd: IcvmdConfig = field(default_factory=default_icvmd_config)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=30, batch_size=32))
-    model_seed: int = 0
     # SAT pretraining on auxiliary emitters
     n_aux_emitters: int = 5
-    aux_emitter_seed: int = 77
-    aux_dataset_seed: int = 7700
     aux_signals_per_emitter: int | None = None  # None -> same as the base spec
     pretrain: TrainConfig = field(
         default_factory=lambda: TrainConfig(epochs=40, batch_size=32, learning_rate=5e-3)
@@ -139,12 +146,11 @@ def _represent_one(pipeline: Pipeline, sig: ComplexSignal, icvmd_cfg: IcvmdConfi
 def represent(
     pipeline: Pipeline,
     manifest: dict,
-    entries: list,
     icvmd_cfg: IcvmdConfig,
     memo: dict | None = None,
     skipped: list | None = None,
 ) -> tuple:
-    """Load and represent each capture; returns ``(kept_entries, arrays)``.
+    """Represent the manifest's captures in path order; returns ``(kept_entries, arrays)``.
 
     ``arrays`` is what the pipeline's fit consumes, stacked over the kept
     entries: ``(features,)`` for ICVMD_FEATURES, ``(mains, branches)`` for the
@@ -158,6 +164,7 @@ def represent(
     """
     memo = {} if memo is None else memo
     skipped = [] if skipped is None else skipped
+    entries = sorted(manifest["files"], key=lambda e: e["path"])
     kept, reprs = [], []
     for entry in entries:
         key = (manifest["_dir"], entry["path"])
@@ -189,11 +196,12 @@ def _snrs(entries) -> np.ndarray:
     return np.array([e["snr_db"] for e in entries])
 
 
-def predict(params, mains, branches, class_ids, batch: int = 64) -> np.ndarray:
+def predict(params, mains, branches, class_ids) -> np.ndarray:
     """Batched classifier inference; returns the predicted class ids."""
     preds = []
-    for start in range(0, mains.shape[0], batch):
-        logits, _ = model_forward(params, mains[start : start + batch], branches[start : start + batch])
+    for start in range(0, mains.shape[0], PREDICT_BATCH):
+        stop = start + PREDICT_BATCH
+        logits, _ = model_forward(params, mains[start:stop], branches[start:stop])
         preds.append(np.argmax(logits, axis=1))
     return class_ids[np.concatenate(preds)]
 
@@ -201,9 +209,9 @@ def predict(params, mains, branches, class_ids, batch: int = 64) -> np.ndarray:
 def _generate_aux_manifest(base_spec: DatasetSpec, cfg: FewshotConfig, workdir: Path) -> dict:
     aux_spec = replace(
         base_spec,
-        emitters=tuple(auxiliary_bank(cfg.n_aux_emitters, cfg.aux_emitter_seed)),
+        emitters=tuple(auxiliary_bank(cfg.n_aux_emitters, AUX_EMITTER_SEED)),
         signals_per_emitter=cfg.aux_signals_per_emitter or base_spec.signals_per_emitter,
-        seed=cfg.aux_dataset_seed,
+        seed=AUX_DATASET_SEED,
     )
     generate_dataset(aux_spec, workdir / "aux_data")
     return load_manifest(workdir / "aux_data")
@@ -212,12 +220,9 @@ def _generate_aux_manifest(base_spec: DatasetSpec, cfg: FewshotConfig, workdir: 
 def _pretrain(spec: DatasetSpec, cfg: FewshotConfig, workdir: Path, memo: dict, skipped: list):
     """Train the classifier on auxiliary emitters; SAT transfers from it."""
     aux_manifest = _generate_aux_manifest(spec, cfg, workdir)
-    aux_entries = sorted(aux_manifest["files"], key=lambda e: e["path"])
-    aux_entries, aux_x = represent(
-        cfg.pipeline, aux_manifest, aux_entries, cfg.icvmd, memo, skipped
-    )
+    aux_entries, aux_x = represent(cfg.pipeline, aux_manifest, cfg.icvmd, memo, skipped)
     aux_ids, aux_y = np.unique(_labels(aux_entries), return_inverse=True)
-    base = init_params(cfg.model, n_classes=len(aux_ids), seed=cfg.model_seed)
+    base = init_params(cfg.model, n_classes=len(aux_ids), seed=MODEL_SEED)
     return train(base, *aux_x, aux_y, cfg.pretrain).params
 
 
@@ -231,11 +236,11 @@ def _fit_predict(cfg: FewshotConfig, pretrained, train_x, truth, class_ids, test
         return classify(fit_nearest_centroid(*train_x, truth), *test_x)
     y = np.searchsorted(class_ids, truth)
     if cfg.pipeline is Pipeline.RAW_NN:
-        fresh = init_params(cfg.model, n_classes=len(class_ids), seed=cfg.model_seed)
+        fresh = init_params(cfg.model, n_classes=len(class_ids), seed=MODEL_SEED)
         fitted = train(fresh, *train_x, y, cfg.train).params
     else:
         fitted = sat_transfer(
-            pretrained(), len(class_ids), *train_x, y, cfg.train, head_seed=cfg.model_seed
+            pretrained(), len(class_ids), *train_x, y, cfg.train, head_seed=MODEL_SEED
         ).params
     return predict(fitted, *test_x, class_ids)
 
@@ -253,16 +258,12 @@ def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult
     workdir.mkdir(parents=True, exist_ok=True)
     generate_dataset(spec, workdir / "data")
     manifest = load_manifest(workdir / "data")
-    train_m, test_m = split_manifest(manifest, cfg.test_fraction, cfg.split_seed)
+    train_m, test_m = split_manifest(manifest, TEST_FRACTION, SPLIT_SEED)
 
     memo: dict = {}
     skipped: list = []
     rows: list = []
     reports: dict = {}
-
-    def represent_sorted(m: dict) -> tuple:
-        entries = sorted(m["files"], key=lambda e: e["path"])
-        return represent(cfg.pipeline, m, entries, cfg.icvmd, memo, skipped)
 
     def row(proportion, snr_db, accuracy, n_test, status="ok") -> dict:
         return {
@@ -275,7 +276,7 @@ def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult
         }
 
     # The test set is represented once and shared across proportions.
-    test_entries, test_x = represent_sorted(test_m)
+    test_entries, test_x = represent(cfg.pipeline, test_m, cfg.icvmd, memo, skipped)
     test_truth = _labels(test_entries)
     test_snrs = _snrs(test_entries)
     pretrained = functools.cache(lambda: _pretrain(spec, cfg, workdir, memo, skipped))
@@ -283,9 +284,8 @@ def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult
     for proportion in cfg.proportions:
         t0 = time.perf_counter()
         try:
-            sub_entries, train_x = represent_sorted(
-                subsample_manifest(train_m, proportion, cfg.subsample_seed)
-            )
+            sub_m = subsample_manifest(train_m, proportion, SUBSAMPLE_SEED)
+            sub_entries, train_x = represent(cfg.pipeline, sub_m, cfg.icvmd, memo, skipped)
         except DegenerateInputError:
             rows.append(row(proportion, "all", "", len(test_entries), "unsupported"))
             continue

@@ -3,7 +3,8 @@
 The manifest records the format version and every architecture hyperparameter
 needed to rebuild the model; the arrays are stored as trained under their
 parameter keys and load as float32.  Loading refuses a missing or unknown key,
-a reshaped array, a non-finite value and a non-integer class count.
+a reshaped array, a non-finite value, a non-integer class count and an
+``n_out`` other than ``n_classes``.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ def save_checkpoint(path, params: NetParams) -> Path:
         "format_version": FORMAT_VERSION,
         "config": asdict(params.config),
         "n_classes": params.n_classes,
-        "n_out": params.n_out,
+        "n_out": params.n_classes,  # the head width, always n_classes
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savez(path, manifest=np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8), **params.arrays)
@@ -59,11 +60,12 @@ def load_checkpoint(path) -> NetParams:
         )
     _check_keys("config", manifest.get("config", {}), [f.name for f in fields(ModelConfig)])
     config = ModelConfig(**manifest["config"])
-    for key, low in (("n_classes", 2), ("n_out", 1)):
-        value = manifest.get(key)
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ParameterError(f"checkpoint manifest {key} must be an integer >= {low}, got {value!r}")
-    expected = init_params(config, manifest["n_classes"], seed=0, n_out=manifest["n_out"]).arrays
+    n, n_out = manifest.get("n_classes"), manifest.get("n_out")
+    if type(n) is not int or n < 2:
+        raise ParameterError(f"checkpoint manifest n_classes must be an integer >= 2, got {n!r}")
+    if type(n_out) is not int or n_out != n:
+        raise ParameterError(f"checkpoint manifest n_out must be an integer equal to n_classes, got {n_out!r}")
+    expected = init_params(config, n, seed=0).arrays
     _check_keys("key", files, expected)
     for key, ref in expected.items():
         if files[key].shape != ref.shape:

@@ -75,10 +75,6 @@ class NetParams:
         return self.arrays["classifier1.weights"].shape[0]
 
     @property
-    def n_out(self) -> int:
-        return self.arrays["classifier2.weights"].shape[0]
-
-    @property
     def dtype(self) -> np.dtype:
         return self.arrays["classifier2.weights"].dtype
 
@@ -102,9 +98,7 @@ def _store(grads: dict, name: str, dw: np.ndarray, db: np.ndarray) -> None:
     grads[f"{name}.bias"] = db
 
 
-def init_params(
-    config: ModelConfig, n_classes: int, seed: int, n_out: int | None = None
-) -> NetParams:
+def init_params(config: ModelConfig, n_classes: int, seed: int) -> NetParams:
     """Seeded uniform(+-sqrt(1/fan_in)) initialization; layers draw in key order."""
     if n_classes < 2:
         raise ParameterError("n_classes must be >= 2")
@@ -126,8 +120,7 @@ def init_params(
         arrays |= layer_arrays(f"branch.convs.{i}", conv)
         in_ch = config.branch_channels
     arrays |= layer_arrays("branch.head", init_dense(rng, 1, config.branch_channels))
-    n_out = n_out if n_out is not None else n_classes
-    arrays |= layer_arrays("classifier2", init_dense(rng, n_out, n_classes))
+    arrays |= layer_arrays("classifier2", init_dense(rng, n_classes, n_classes))
     return NetParams(config=config, arrays=arrays)
 
 
@@ -259,7 +252,7 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray):
     """Full forward pass in the parameters' dtype.
 
     main_x and branch_x are [B, C_in, T] (or [C_in, T], auto-batched) over the
-    same time grid.  Returns (logits [B, n_out], cache); the cache holds the
+    same time grid.  Returns (logits [B, n_classes], cache); the cache holds the
     attention weights under key 'attention'.
     """
     xm = np.asarray(main_x, dtype=params.dtype)

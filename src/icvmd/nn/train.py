@@ -56,8 +56,8 @@ def _check_dataset(main, branch, labels, params: NetParams):
         raise DegenerateInputError("empty training set")
     if not np.issubdtype(labels.dtype, np.integer):  # rejects float and bool labels
         raise ParameterError(f"labels must be integers, got dtype {labels.dtype}")
-    if labels.min() < 0 or labels.max() >= params.n_out:
-        raise ParameterError(f"labels must lie in [0, {params.n_out})")
+    if labels.min() < 0 or labels.max() >= params.n_classes:
+        raise ParameterError(f"labels must lie in [0, {params.n_classes})")
     return main, branch, labels
 
 

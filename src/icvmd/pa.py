@@ -64,20 +64,20 @@ _BANK_B3_B5 = (
 DEFAULT_MEMORY_TAPS = (1.0, 0.05, 0.01, 0.005, 0.001, 0.0005)
 
 
-def emitter_bank(memory_taps=DEFAULT_MEMORY_TAPS) -> list:
+def emitter_bank() -> list:
     """The standard bank of seven Hammerstein emitter profiles.
 
-    All emitters share ``memory_taps``; they differ only in the odd
+    All emitters share ``DEFAULT_MEMORY_TAPS``; they differ only in the odd
     polynomial coefficients, which is where the fingerprint lives.
     """
     profiles = []
     for idx, (b3, b5) in enumerate(_BANK_B3_B5):
         b = np.array([1.0, 0.0, b3, 0.0, b5])
-        profiles.append(EmitterProfile(idx, b, np.asarray(memory_taps, dtype=float)))
+        profiles.append(EmitterProfile(idx, b, DEFAULT_MEMORY_TAPS))
     return profiles
 
 
-def auxiliary_bank(n_emitters: int, seed: int, memory_taps=DEFAULT_MEMORY_TAPS) -> list:
+def auxiliary_bank(n_emitters: int, seed: int) -> list:
     """Randomly drawn disjoint emitter profiles used for pre-training.
 
     b3 and b5 are uniform on [0.1, 0.5] (same family as the main bank, but a
@@ -91,9 +91,7 @@ def auxiliary_bank(n_emitters: int, seed: int, memory_taps=DEFAULT_MEMORY_TAPS) 
     for k in range(n_emitters):
         b3, b5 = rng.uniform(0.1, 0.5, 2)
         b = np.array([1.0, 0.0, b3, 0.0, b5])
-        profiles.append(
-            EmitterProfile(len(_BANK_B3_B5) + k, b, np.asarray(memory_taps, dtype=float))
-        )
+        profiles.append(EmitterProfile(len(_BANK_B3_B5) + k, b, DEFAULT_MEMORY_TAPS))
     return profiles
 
 

@@ -29,7 +29,6 @@ declare convergence: a relaxed sweep under tol is followed by a plain sweep.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +52,6 @@ _SETTLE_RAD = 1e-2
 _SETTLE_DELTA = 1e-2
 
 
-class InitKind(enum.Enum):
-    UNIFORM_SPREAD = "uniform_spread"
-    ALL_ZERO = "all_zero"
-    RANDOM_SEEDED = "random_seeded"
-
-
 @dataclass(frozen=True)
 class VmdConfig:
     """Solver knobs.
@@ -69,8 +62,6 @@ class VmdConfig:
     tol          -- convergence threshold on sum_k ||du_k||^2 / ||u_k_prev||^2,
                     the squared per-mode relative change of an unrelaxed step
     max_iter     -- iteration cap
-    init         -- center-frequency initialization scheme
-    init_seed    -- RNG seed used by RANDOM_SEEDED init
     dc_lock      -- pin mode 0 at zero frequency (its center is never updated)
     """
 
@@ -79,12 +70,10 @@ class VmdConfig:
     tau: float = 0.0
     tol: float = 1e-7
     max_iter: int = 500
-    init: InitKind = InitKind.UNIFORM_SPREAD
-    init_seed: int = 0
     dc_lock: bool = False
 
     def __post_init__(self):
-        for name in ("n_modes", "max_iter", "init_seed"):
+        for name in ("n_modes", "max_iter"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
@@ -98,8 +87,6 @@ class VmdConfig:
             raise ParameterError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not isinstance(self.init, InitKind):
-            raise ParameterError(f"init must be an InitKind, got {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -151,13 +138,9 @@ def half_grid(n_ext: int) -> np.ndarray:
 
 
 def _init_omegas(cfg: VmdConfig) -> np.ndarray:
+    """Centers spread uniformly on (0, pi): (k + 0.5)*pi/K; a dc-locked mode 0 starts at 0."""
     k = cfg.n_modes
-    if cfg.init is InitKind.UNIFORM_SPREAD:
-        om = (np.arange(k) + 0.5) * np.pi / k
-    elif cfg.init is InitKind.ALL_ZERO:
-        om = np.zeros(k)
-    else:
-        om = np.random.default_rng(cfg.init_seed).uniform(0.0, np.pi, k)
+    om = (np.arange(k) + 0.5) * np.pi / k
     if cfg.dc_lock:
         om[0] = 0.0
     return om

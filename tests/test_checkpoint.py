@@ -130,7 +130,7 @@ def test_non_finite_array_rejected(tmp_path, bad):
 
 @pytest.mark.parametrize(
     "key, value", [("n_classes", None), ("n_out", None), ("n_classes", 3.0), ("n_classes", True),
-                   ("n_classes", 1), ("n_out", 0), ("n_out", "3")]
+                   ("n_classes", 1), ("n_out", 0), ("n_out", "3"), ("n_out", 4)]
 )
 def test_bad_class_count_in_manifest_rejected(tmp_path, key, value):
     path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 3, seed=0))

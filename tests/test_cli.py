@@ -282,6 +282,28 @@ def test_a_json_file_that_is_not_an_object_is_a_parameter_error(runner, tmp_path
     assert f"{name} must hold a JSON object, got list" in res.output
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m["files"].__setitem__(0, "x.iqf32"),
+        lambda m: m["files"][0].pop("path"),
+        lambda m: m["files"][0].update(path=3),
+        lambda m: m.update(files="x.iqf32"),
+        lambda m: m.pop("files"),
+    ],
+    ids=["string_entry", "no_path", "non_string_path", "string_files", "no_files"],
+)
+def test_train_rejects_a_manifest_with_a_bad_files_entry(runner, tmp_path, edit):
+    data = gen_tiny(runner, tmp_path / "data")
+    manifest = json.loads((data / "manifest.json").read_text())
+    edit(manifest)
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    res = runner.invoke(main, ["train", "--data", str(data), "--out", str(tmp_path / "model.npz")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "files must be a list of objects, each with a string path" in res.output
+
+
 def test_decompose_reports_solver_state_and_warns_at_the_cap(runner, tmp_path):
     src = tmp_path / "tone.iqf32"
     write_tone(src)

@@ -141,7 +141,7 @@ def test_run_fewshot_skips_a_capture_it_cannot_represent(tmp_path, monkeypatch):
     )
     manifest = generate_dataset(TINY_SPEC, tmp_path / "data")
     manifest["_dir"] = str(tmp_path / "data")
-    train_m, test_m = split_manifest(manifest, cfg.test_fraction, cfg.split_seed)
+    train_m, test_m = split_manifest(manifest, fewshot.TEST_FRACTION, fewshot.SPLIT_SEED)
     bad_entries = [test_m["files"][0], train_m["files"][0]]
     bad_samples = [load_entry(manifest, e).samples for e in bad_entries]
 
@@ -184,12 +184,23 @@ def test_represent_raises_when_every_capture_is_dropped(tmp_path, monkeypatch):
     with pytest.raises(DegenerateInputError, match="none of 2 captures"):
         fewshot.represent(
             Pipeline.ICVMD_FEATURES,
-            manifest,
-            manifest["files"][:2],
+            dict(manifest, files=manifest["files"][:2]),
             default_icvmd_config(n_modes=2),
             skipped=skipped,
         )
-    assert [path for path, _ in skipped] == [e["path"] for e in manifest["files"][:2]]
+    assert [path for path, _ in skipped] == sorted(e["path"] for e in manifest["files"][:2])
+
+
+def test_represent_reads_the_captures_in_path_order(tmp_path):
+    manifest = generate_dataset(TINY_SPEC, tmp_path / "data")
+    manifest["_dir"] = str(tmp_path / "data")
+    in_order = sorted(manifest["files"], key=lambda e: e["path"])
+    shuffled = [in_order[i] for i in np.random.default_rng(3).permutation(len(in_order))]
+    assert shuffled != in_order
+    cfg = default_icvmd_config(n_modes=2)
+    kept, (mains, _) = fewshot.represent(Pipeline.RAW_NN, dict(manifest, files=shuffled), cfg)
+    assert kept == in_order
+    assert np.array_equal(mains[0], signal_channels(load_entry(manifest, in_order[0])))
 
 
 def test_represent_propagates_a_config_error(tmp_path):
@@ -200,8 +211,7 @@ def test_represent_propagates_a_config_error(tmp_path):
     with pytest.raises(ParameterError, match="too short for 100 modes"):
         fewshot.represent(
             Pipeline.ICVMD_FEATURES,
-            manifest,
-            manifest["files"][:2],
+            dict(manifest, files=manifest["files"][:2]),
             default_icvmd_config(n_modes=100),
             skipped=skipped,
         )

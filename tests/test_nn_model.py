@@ -63,12 +63,6 @@ def test_init_rejects_single_class():
         init_params(TINY, n_classes=1, seed=0)
 
 
-def test_separate_output_head_size():
-    params = init_params(TINY, n_classes=3, seed=0, n_out=7)
-    assert params.n_classes == 3
-    assert params.n_out == 7
-
-
 # ------------------------------------------------------------------- forward
 
 

@@ -208,7 +208,7 @@ def test_sat_transfer_freezes_branch_and_swaps_heads():
             assert np.array_equal(res.params.arrays[p], pre.arrays[p]), p
     # Both heads now size for the new label set.
     assert res.params.n_classes == 4
-    assert res.params.n_out == 4
+    assert res.params.arrays["classifier2.weights"].shape == (4, 4)
     assert res.params.arrays["classifier1.weights"].shape == (4, TINY.channels)
 
 

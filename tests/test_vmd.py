@@ -10,7 +10,8 @@ from icvmd.dataset import DEFAULT_MODULATIONS, DatasetSpec, synthesize_one
 from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.fewshot import default_icvmd_config
 from icvmd.pa import emitter_bank
-from icvmd.vmd import InitKind, VmdConfig, half_grid, mirror_extend, vmd_decompose
+from icvmd import vmd
+from icvmd.vmd import VmdConfig, _reseed_collisions, half_grid, mirror_extend, vmd_decompose
 from oracles import (
     center_frequency,
     convergence_metric,
@@ -110,14 +111,11 @@ def test_config_validation():
         VmdConfig(tol=0.0)
     with pytest.raises(ParameterError):
         VmdConfig(max_iter=0)
-    with pytest.raises(ParameterError):
-        VmdConfig(init="uniform_spread")
 
 
 @pytest.mark.parametrize(
     "field,value",
-    [("n_modes", 2.5), ("n_modes", True), ("max_iter", 10.5), ("max_iter", "300"),
-     ("init_seed", 1.0), ("init_seed", False)],
+    [("n_modes", 2.5), ("n_modes", True), ("max_iter", 10.5), ("max_iter", "300")],
 )
 def test_config_rejects_non_integer_counts(field, value):
     # A hand-edited sidecar's n_modes reaches VmdConfig through `icvmd eval`.
@@ -185,28 +183,25 @@ def test_dc_lock_pins_first_mode():
     assert np.mean(res.modes[0]) == pytest.approx(2.0, abs=0.05)
 
 
-def test_init_kinds_all_run():
-    x = tone_mix(256, [0.1, 0.3], [1.0, 0.5])
-    for init in InitKind:
-        res = vmd_decompose(x, VmdConfig(n_modes=2, alpha=500.0, init=init, init_seed=4))
-        assert res.modes.shape == (2, 256)
-
-
-def test_random_init_is_seeded():
-    x = tone_mix(256, [0.1, 0.3], [1.0, 0.5])
-    cfg_a = VmdConfig(n_modes=2, alpha=500.0, init=InitKind.RANDOM_SEEDED, init_seed=9)
-    a = vmd_decompose(x, cfg_a)
-    b = vmd_decompose(x, cfg_a)
-    assert np.array_equal(a.modes, b.modes)
-    assert np.array_equal(a.omegas, b.omegas)
-
-
-def test_colliding_inits_separate():
-    # Both centers start at the same place (ALL_ZERO); the collision reseed
-    # must still let the solver find both distinct tones.
-    x = tone_mix(1024, [0.05, 0.3], [1.0, 1.0])
-    res = vmd_decompose(x, VmdConfig(n_modes=2, alpha=300.0, init=InitKind.ALL_ZERO))
-    assert abs(res.omegas[1] - res.omegas[0]) > 0.5
+@pytest.mark.parametrize(
+    "before, after",
+    [
+        # Anchors 0, 0.5, 2.0, pi: the widest free band is (0.5, 2.0).
+        ([0.5, 0.5, 2.0], [0.5, 1.25, 2.0]),
+        # The index decides, not the value: mode 1 moves to the middle of (0, 2.0).
+        ([2.0, 2.0], [2.0, 1.0]),
+        # A dc-locked mode 0 stays at zero; mode 1 takes (1.0, pi).
+        ([0.0, 0.0, 1.0], [0.0, (1.0 + np.pi) / 2, 1.0]),
+        # Centers farther apart than min_gap stay where they are.
+        ([0.0, 0.5, 0.502, 3.0], [0.0, 0.5, 0.502, 3.0]),
+    ],
+    ids=["widest_band", "index_not_value", "dc_locked", "separated"],
+)
+def test_reseed_moves_the_later_of_two_equal_centers(before, after):
+    omegas = np.array(before)
+    _reseed_collisions(omegas, min_gap=1e-3)
+    assert omegas.tolist() == pytest.approx(after, abs=1e-15)
+    assert omegas[0] == before[0]
 
 
 def test_tau_enforces_tight_reconstruction():
@@ -249,11 +244,11 @@ def _sweep_case_signal(n, seed):
 FUSED_SWEEP_CASES = [
     (300, VmdConfig(n_modes=1, alpha=100.0, tol=1e-8)),
     (301, VmdConfig(n_modes=2, alpha=500.0)),
-    (512, VmdConfig(n_modes=3, alpha=2000.0, init=InitKind.RANDOM_SEEDED, init_seed=3)),
+    (512, VmdConfig(n_modes=3, alpha=2000.0)),
     (257, VmdConfig(n_modes=4, alpha=200.0, tol=1e-6, max_iter=300, dc_lock=True)),
-    (400, VmdConfig(n_modes=5, alpha=800.0, tau=0.5)),
-    (333, VmdConfig(n_modes=6, alpha=300.0, init=InitKind.ALL_ZERO)),  # every center collides
-    (431, VmdConfig(n_modes=3, alpha=1000.0, tau=0.1, dc_lock=True, init=InitKind.RANDOM_SEEDED)),
+    (400, VmdConfig(n_modes=5, alpha=800.0, tau=0.5)),  # two centers collide mid-solve
+    (333, VmdConfig(n_modes=6, alpha=300.0)),
+    (431, VmdConfig(n_modes=3, alpha=1000.0, tau=0.1, dc_lock=True)),
     (700, VmdConfig(n_modes=4, alpha=200.0, tol=1e-16, max_iter=40)),  # stops at the cap
 ]
 
@@ -274,6 +269,22 @@ def test_fused_sweep_matches_reference_loop(n, cfg):
     ):
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-10 * max(np.max(np.abs(b)), 1e-300)
+
+
+def test_fused_sweep_cases_reach_the_collision_reseed(monkeypatch):
+    # The uniform start never collides, so the comparison above covers
+    # _reseed_collisions only if some case collides on its way.
+    moved = []
+
+    def counting_reseed(omegas, min_gap):
+        before = omegas.copy()
+        _reseed_collisions(omegas, min_gap)
+        moved.append(int(np.sum(omegas != before)))
+
+    monkeypatch.setattr(vmd, "_reseed_collisions", counting_reseed)
+    for n, cfg in FUSED_SWEEP_CASES:
+        vmd_decompose(_sweep_case_signal(n, seed=n), cfg)
+    assert sum(moved) >= 1
 
 
 def _bench_shaped_sides():
