@@ -5,6 +5,7 @@ problems (missing or malformed files).
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -218,19 +219,7 @@ def reconstruct(modes_dir, out_file, select):
 def probe(input_file):
     """Suggest decomposition parameters for an iqf32 file."""
     sig = read_iqf32(input_file)
-    s = probe_parameters(sig)
-    click.echo(
-        json.dumps(
-            {
-                "k_low": s.k_low,
-                "k_high": s.k_high,
-                "alpha": s.alpha,
-                "n_peaks": s.n_peaks,
-                "mean_bandwidth_rad": s.mean_bandwidth,
-            },
-            indent=2,
-        )
-    )
+    click.echo(json.dumps(dataclasses.asdict(probe_parameters(sig)), indent=2))
 
 
 # The classifier pipeline behind each --representation choice.

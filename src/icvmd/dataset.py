@@ -38,6 +38,11 @@ DEFAULT_MODULATIONS = (
 )
 
 
+def _is_a(value, kind) -> bool:
+    """isinstance, except that a bool is never a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     """What to simulate.  ``signals_per_emitter`` counts signals per emitter
@@ -56,10 +61,10 @@ class DatasetSpec:
     def __post_init__(self):
         for name in ("n_samples", "signals_per_emitter", "samples_per_symbol", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_a(value, (int, np.integer)):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
         for value in (self.carrier, self.sweep_span, *self.snr_grid_db):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not _is_a(value, numbers.Real):
                 raise ParameterError(f"carrier, sweep_span and SNRs must be numbers, got {value!r}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
@@ -185,6 +190,9 @@ def load_manifest(data_dir) -> dict:
     files = manifest.get("files")
     if not (isinstance(files, list) and all(isinstance(e, dict) and isinstance(e.get("path"), str) for e in files)):
         raise ParameterError(f"{path}: files must be a list of objects, each with a string path")
+    for e in files:
+        if not (_is_a(e.get("label"), int) and _is_a(e.get("snr_db"), numbers.Real)):
+            raise ParameterError(f"{path}: {e['path']} needs an integer label and a numeric snr_db")
     manifest["_dir"] = str(path.parent)
     return manifest
 
@@ -225,10 +233,7 @@ def split_manifest(manifest: dict, test_fraction: float, seed: int) -> tuple:
         for i, entry in enumerate(group):
             (test if i in chosen else train).append(entry)
 
-    base = {k: v for k, v in manifest.items() if k != "files"}
-    train_m = dict(base, files=train)
-    test_m = dict(base, files=test)
-    return train_m, test_m
+    return dict(manifest, files=train), dict(manifest, files=test)
 
 
 def subsample_manifest(manifest: dict, proportion: float, seed: int) -> dict:
@@ -254,4 +259,4 @@ def subsample_manifest(manifest: dict, proportion: float, seed: int) -> dict:
             )
         order = rng.permutation(len(group))
         kept.extend(group[i] for i in sorted(order[:k].tolist()))
-    return dict({k: v for k, v in manifest.items() if k != "files"}, files=kept)
+    return dict(manifest, files=kept)

@@ -22,7 +22,7 @@ from .analytic import (
     boundary_correction,
     combine_analytic,
 )
-from .errors import DegenerateInputError, ParameterError
+from .errors import ParameterError
 from .signals import ComplexSignal
 from .vmd import ModeSet, VmdConfig, VmdResult, check_memory_budget, vmd_decompose
 
@@ -169,13 +169,10 @@ def icvmd_decompose(sig: ComplexSignal, cfg: IcvmdConfig) -> IcvmdResult:
     results = {}
     labels = {}
     for name, x in (("pos", pair.x_plus), ("neg", pair.x_minus)):
-        side_degenerate = float(np.sum(x**2)) <= 1e-24 * input_energy
-        try:
-            if side_degenerate:
-                raise DegenerateInputError("side carries no energy")
+        if float(np.sum(x**2)) > 1e-24 * input_energy:
             res = vmd_decompose(x, cfg.vmd)
             labels[name] = partition_modes(res, cfg.partition)
-        except DegenerateInputError:
+        else:
             n = x.size
             n_bins = n + 1  # rfft bins of the mirror-extended (2n) sequence
             check_memory_budget(n, k)
@@ -258,7 +255,7 @@ class ProbeSuggestion:
     k_high: int
     alpha: float
     n_peaks: int
-    mean_bandwidth: float  # radians
+    mean_bandwidth_rad: float
 
 
 def probe_parameters(sig: ComplexSignal) -> ProbeSuggestion:
@@ -304,7 +301,7 @@ def probe_parameters(sig: ComplexSignal) -> ProbeSuggestion:
     alpha_raw = n / (4.0 * mean_bw)
     alpha = float(10.0 ** round(math.log10(alpha_raw))) if alpha_raw > 0 else 1000.0
     return ProbeSuggestion(
-        k_low=k_low, k_high=k_high, alpha=alpha, n_peaks=n_peaks, mean_bandwidth=mean_bw
+        k_low=k_low, k_high=k_high, alpha=alpha, n_peaks=n_peaks, mean_bandwidth_rad=mean_bw
     )
 
 

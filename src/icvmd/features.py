@@ -1,18 +1,18 @@
 """Fixed-layout feature vectors from a two-sided decomposition.
 
-Layout of the ``3*max_modes + 12`` entries:
+Layout of the ``3*MAX_MODES + 12`` entries:
 
-    [0 : 3*max_modes)   per retained mode, energy-descending:
+    [0 : 3*MAX_MODES)   per retained mode, energy-descending:
                         (center frequency [rad, negative side negated],
                          3 dB bandwidth [rad],
                          energy fraction of the total input energy)
                         zero-padded when fewer modes are retained
-    [3*max_modes : +4)  |C20|, C21, |C40|, C42 of the feature-part
+    [3*MAX_MODES : +4)  |C20|, C21, |C40|, C42 of the feature-part
                         reconstruction (fourth-order mixed cumulants of the
                         centered complex sequence)
-    [3*max_modes+4 : +8) the same four cumulants of the full reconstruction
+    [3*MAX_MODES+4 : +8) the same four cumulants of the full reconstruction
                         (all labels plus residual)
-    [3*max_modes+8 : +12) the same four cumulants of the narrowband-mode
+    [3*MAX_MODES+8 : +12) the same four cumulants of the narrowband-mode
                         (SIGNAL-labeled) reconstruction only
 
 Retained modes are those labeled FEATURE or SPECIAL on either side.
@@ -41,7 +41,7 @@ from .decompose import (
 from .errors import DegenerateInputError, ParameterError
 from .signals import ComplexSignal
 
-DEFAULT_MAX_MODES = 6
+MAX_MODES = 6
 _RETAINED = (ModeLabel.FEATURE, ModeLabel.SPECIAL)
 
 
@@ -86,14 +86,12 @@ def _bandwidth_3db(spectrum: np.ndarray, n_bins: int) -> float:
     return float((hi - lo + 1) * step)
 
 
-def extract_features(result: IcvmdResult, max_modes: int = DEFAULT_MAX_MODES) -> np.ndarray:
+def extract_features(result: IcvmdResult) -> np.ndarray:
     """Build the fixed-layout vector described in the module docstring.
 
     Raises DegenerateInputError when no FEATURE mode exists on either side
     (there is no fingerprint content to describe).
     """
-    if max_modes < 1:
-        raise ParameterError("max_modes must be >= 1")
     has_feature = ModeLabel.FEATURE in result.labels_pos or ModeLabel.FEATURE in result.labels_neg
     if not has_feature:
         raise DegenerateInputError("no FEATURE modes were retained; nothing to extract")
@@ -118,15 +116,15 @@ def extract_features(result: IcvmdResult, max_modes: int = DEFAULT_MAX_MODES) ->
                 )
             )
     rows.sort(key=lambda r: -r[0])
-    rows = rows[:max_modes]
+    rows = rows[:MAX_MODES]
 
-    vec = np.zeros(3 * max_modes + 12)
+    vec = np.zeros(3 * MAX_MODES + 12)
     for i, (_, omega, bw, frac) in enumerate(rows):
         vec[3 * i : 3 * i + 3] = (omega, bw, frac)
 
     blocks = ({ModeLabel.FEATURE, ModeLabel.SPECIAL}, FULL_SELECTION, {ModeLabel.SIGNAL})
     for i, selection in enumerate(blocks):
-        start = 3 * max_modes + 4 * i
+        start = 3 * MAX_MODES + 4 * i
         vec[start : start + 4] = _cumulant_block(reconstruct(result, selection).samples)
     return vec
 

@@ -143,15 +143,27 @@ def _residual_backward(dout: np.ndarray, cache, grads, prefix):
     return dout + dh  # skip connection plus the conv path
 
 
+def _stack_forward(params: NetParams, prefix: str, n_layers: int, h: np.ndarray):
+    """Layers ``{prefix}.0`` .. ``{prefix}.{n_layers-1}``, each conv then ReLU."""
+    caches = []
+    for i in range(n_layers):
+        y, cc = conv_forward(h, _conv(params, f"{prefix}.{i}"))
+        h, rc = relu_forward(y)
+        caches.append((cc, rc))
+    return h, caches
+
+
+def _stack_backward(dh: np.ndarray, caches, grads, prefix: str) -> np.ndarray:
+    for i in range(len(caches) - 1, -1, -1):
+        cc, rc = caches[i]
+        dh, dw, db = conv_backward(relu_backward(dh, rc), cc)
+        _store(grads, f"{prefix}.{i}", dw, db)
+    return dh
+
+
 def features_forward(params: NetParams, x: np.ndarray):
     """Encoder + TCN + merge: x [B, C_in, T] -> feat [B, channels, T], cache."""
-    enc_caches = []
-    h = x
-    for i in range(params.config.encoder_layers):
-        y, cc = conv_forward(h, _conv(params, f"encoder.{i}"))
-        a, rc = relu_forward(y)
-        enc_caches.append((cc, rc))
-        h = a
+    h, enc_caches = _stack_forward(params, "encoder", params.config.encoder_layers, x)
     block_caches = []
     block_outs = []
     for i in range(params.config.n_blocks):
@@ -173,12 +185,7 @@ def features_backward(params: NetParams, dfeat: np.ndarray, cache, grads) -> np.
     for i in range(params.config.n_blocks - 1, -1, -1):
         dout = chunks[i] + dh
         dh = _residual_backward(dout, block_caches[i], grads, f"tcn.blocks.{i}")
-    for i in range(params.config.encoder_layers - 1, -1, -1):
-        cc, rc = enc_caches[i]
-        dy = relu_backward(dh, rc)
-        dh, dw, db = conv_backward(dy, cc)
-        _store(grads, f"encoder.{i}", dw, db)
-    return dh
+    return _stack_backward(dh, enc_caches, grads, "encoder")
 
 
 def _segment_count(params: NetParams, t: int) -> int:
@@ -201,13 +208,7 @@ def _branch_forward(params: NetParams, xb: np.ndarray, s: int):
     xs = xb[:, :, : s * length]
     folded = xs.reshape(b, xb.shape[1], s, length).transpose(0, 2, 1, 3)
     folded = folded.reshape(b * s, xb.shape[1], length)
-    caches = []
-    h = folded
-    for i in range(params.config.branch_layers):
-        y, cc = conv_forward(h, _conv(params, f"branch.convs.{i}"))
-        a, rc = relu_forward(y)
-        caches.append((cc, rc))
-        h = a
+    h, caches = _stack_forward(params, "branch.convs", params.config.branch_layers, folded)
     pooled = h.mean(axis=2)  # [B*S, branch_channels]
     scores, dcache = dense_forward(pooled, _dense(params, "branch.head"))
     return scores.reshape(b, s), (caches, dcache, h.shape, b, s)
@@ -219,12 +220,8 @@ def _branch_backward(params: NetParams, dscores: np.ndarray, cache, grads, t_ful
     dy = dscores.reshape(b * s, 1)
     dpooled, dw, db = dense_backward(dy, dcache, _dense(params, "branch.head"))
     _store(grads, "branch.head", dw, db)
-    dh = np.broadcast_to(dpooled[:, :, None] / h_shape[2], h_shape).copy()
-    for i in range(params.config.branch_layers - 1, -1, -1):
-        cc, rc = caches[i]
-        dy = relu_backward(dh, rc)
-        dh, dw, db = conv_backward(dy, cc)
-        _store(grads, f"branch.convs.{i}", dw, db)
+    dh = np.broadcast_to(dpooled[:, :, None] / h_shape[2], h_shape)
+    dh = _stack_backward(dh, caches, grads, "branch.convs")
     dxs = dh.reshape(b, s, -1, length).transpose(0, 2, 1, 3).reshape(b, -1, s * length)
     if s * length < t_full:
         dxs = np.pad(dxs, ((0, 0), (0, 0), (0, t_full - s * length)))
@@ -232,37 +229,25 @@ def _branch_backward(params: NetParams, dscores: np.ndarray, cache, grads, t_ful
 
 
 def spatial_attention_weights(params: NetParams, branch_x: np.ndarray) -> np.ndarray:
-    """Softmax-normalized per-segment weights from the branch path.
-
-    Accepts [C, T] (returns [S]) or [B, C, T] (returns [B, S]).
-    """
+    """Softmax-normalized per-segment weights from the branch path: [B, C, T] -> [B, S]."""
     xb = np.asarray(branch_x, dtype=params.dtype)
-    single = xb.ndim == 2
-    if single:
-        xb = xb[None]
     if xb.ndim != 3:
-        raise ParameterError(f"expected [C, T] or [B, C, T], got shape {xb.shape}")
-    s = _segment_count(params, xb.shape[2])
-    scores, _ = _branch_forward(params, xb, s)
-    w = softmax(scores, axis=1)
-    return w[0] if single else w
+        raise ParameterError(f"expected [B, C, T], got shape {xb.shape}")
+    scores, _ = _branch_forward(params, xb, _segment_count(params, xb.shape[2]))
+    return softmax(scores, axis=1)
 
 
 def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray):
     """Full forward pass in the parameters' dtype.
 
-    main_x and branch_x are [B, C_in, T] (or [C_in, T], auto-batched) over the
-    same time grid.  Returns (logits [B, n_classes], cache); the cache holds the
-    attention weights under key 'attention'.
+    main_x and branch_x are [B, C_in, T] over the same time grid.  Returns
+    (logits [B, n_classes], cache); the cache holds the attention weights
+    under key 'attention'.
     """
     xm = np.asarray(main_x, dtype=params.dtype)
     xb = np.asarray(branch_x, dtype=params.dtype)
-    single = xm.ndim == 2
-    if single:
-        xm = xm[None]
-        xb = xb[None]
     if xm.ndim != 3 or xb.ndim != 3:
-        raise ParameterError("inputs must be [B, C, T] or [C, T]")
+        raise ParameterError(f"inputs must be [B, C, T], got {xm.shape} and {xb.shape}")
     if xm.shape[0] != xb.shape[0] or xm.shape[2] != xb.shape[2]:
         raise ParameterError(
             f"main {xm.shape} and branch {xb.shape} must share batch size and length"
@@ -293,9 +278,8 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray):
         "attention": att,
         "cls2_cache": cls2_cache,
         "dims": (b, s, t),
-        "single": single,
     }
-    return (logits[0] if single else logits), cache
+    return logits, cache
 
 
 def model_backward(params: NetParams, dlogits: np.ndarray, cache) -> dict:
@@ -303,8 +287,6 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache) -> dict:
     b, s, t = cache["dims"]
     length = params.config.segment_len
     dlogits = np.asarray(dlogits, dtype=params.dtype)
-    if cache["single"]:
-        dlogits = dlogits[None]
 
     grads: dict = {}
     dz, dw, db = dense_backward(dlogits, cache["cls2_cache"], _dense(params, "classifier2"))
@@ -337,8 +319,10 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache) -> dict:
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy over the batch; returns (loss, dlogits in the logits' dtype)."""
-    logits = np.atleast_2d(np.asarray(logits))
-    labels = np.atleast_1d(np.asarray(labels))
+    logits = np.asarray(logits)
+    labels = np.asarray(labels)
+    if logits.ndim != 2:
+        raise ParameterError(f"logits must be [batch, classes], got shape {logits.shape}")
     b, k = logits.shape
     if labels.shape != (b,):
         raise ParameterError("labels must be [batch]")

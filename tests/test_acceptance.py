@@ -248,32 +248,33 @@ def test_09_features_beat_raw_baseline(tmp_path):
         train_m, test_m = split_manifest(manifest, 1.0 / 3.0, seed=0)
 
         def featurize(entries):
-            icv, raw, labels = [], [], []
+            icv, raw, rms, labels = [], [], [], []
             for e in sorted(entries, key=lambda d: d["path"]):
                 sig = load_entry(manifest, e)
                 icv.append(extract_features(icvmd_decompose(sig, icvmd_cfg)))
                 raw.append(raw_cumulant_features(sig))
+                rms.append([np.sqrt(np.mean(np.abs(sig.samples) ** 2))])
                 labels.append(e["label"])
-            return np.stack(icv), np.stack(raw), np.array(labels)
+            return np.stack(icv), np.stack(raw), np.array(rms), np.array(labels)
 
-        tr_icv, tr_raw, tr_y = featurize(train_m["files"])
-        te_icv, te_raw, te_y = featurize(test_m["files"])
-        acc_icv = evaluate(
-            classify(fit_nearest_centroid(tr_icv, tr_y), te_icv), te_y
-        ).accuracy
-        acc_raw = evaluate(
-            classify(fit_nearest_centroid(tr_raw, tr_y), te_raw), te_y
-        ).accuracy
-        return acc_icv, acc_raw
+        *tr_sets, tr_y = featurize(train_m["files"])
+        *te_sets, te_y = featurize(test_m["files"])
+        return [
+            evaluate(classify(fit_nearest_centroid(tr, tr_y), te), te_y).accuracy
+            for tr, te in zip(tr_sets, te_sets)
+        ]
 
-    icv18, raw18 = run_snr(18.0)
-    icv_m4, _ = run_snr(-4.0)
+    icv18, raw18, rms18 = run_snr(18.0)
+    icv_m4, _, rms_m4 = run_snr(-4.0)
     ok = icv18 >= 0.43 and icv18 >= raw18 and icv18 >= icv_m4
+    # The simulated emitters differ only in gain (see README), so the RMS
+    # amplitude alone is printed as a reference; it is not asserted on.
     _report(
         "feature pipeline vs raw cumulants",
         ok,
         f"decomposed 18dB {icv18:.3f} (bar 0.43) vs raw 18dB {raw18:.3f}; "
-        f"decomposed -4dB {icv_m4:.3f} (must not exceed 18dB score)",
+        f"decomposed -4dB {icv_m4:.3f} (must not exceed 18dB score); "
+        f"RMS amplitude alone 18dB {rms18:.3f}, -4dB {rms_m4:.3f}",
     )
     assert icv18 >= 0.43
     assert icv18 >= raw18

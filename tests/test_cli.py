@@ -304,6 +304,35 @@ def test_train_rejects_a_manifest_with_a_bad_files_entry(runner, tmp_path, edit)
     assert "files must be a list of objects, each with a string path" in res.output
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda e: e.pop("label"),
+        lambda e: e.update(label="3"),
+        lambda e: e.update(label=True),
+        lambda e: e.pop("snr_db"),
+        lambda e: e.update(snr_db="18"),
+    ],
+    ids=["no_label", "string_label", "bool_label", "no_snr", "string_snr"],
+)
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_manifest_entry_needs_an_integer_label_and_a_numeric_snr(runner, tmp_path, command, edit):
+    data = gen_tiny(runner, tmp_path / "data")
+    ck = tmp_path / "model.npz"
+    train = ["train", "--data", str(data), "--out", str(ck), "--epochs", "0", "--segment-len", "32"]
+    if command == "eval":
+        res = runner.invoke(main, train)
+        assert res.exit_code == 0, res.output
+    manifest = json.loads((data / "manifest.json").read_text())
+    edit(manifest["files"][-1])
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    args = train if command == "train" else ["eval", "--data", str(data), "--checkpoint", str(ck)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "needs an integer label and a numeric snr_db" in res.output
+
+
 def test_decompose_reports_solver_state_and_warns_at_the_cap(runner, tmp_path):
     src = tmp_path / "tone.iqf32"
     write_tone(src)
@@ -348,7 +377,7 @@ def test_probe_prints_suggestion(runner, tmp_path):
     res = runner.invoke(main, ["probe", str(src)])
     assert res.exit_code == 0, res.output
     parsed = json.loads(res.output)
-    assert {"k_low", "k_high", "alpha", "n_peaks", "mean_bandwidth_rad"} <= set(parsed)
+    assert {"k_low", "k_high", "alpha", "n_peaks", "mean_bandwidth_rad"} == set(parsed)
 
 
 def test_probe_rejects_short_input(runner, tmp_path):

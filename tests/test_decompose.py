@@ -205,7 +205,7 @@ def test_probe_bandwidth_drives_alpha():
     wide = ComplexSignal(np.exp(1j * phase))
     narrow_probe = probe_parameters(narrow)
     wide_probe = probe_parameters(wide)
-    assert narrow_probe.mean_bandwidth < wide_probe.mean_bandwidth
+    assert narrow_probe.mean_bandwidth_rad < wide_probe.mean_bandwidth_rad
     assert narrow_probe.alpha >= wide_probe.alpha
 
 

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from icvmd.decompose import IcvmdConfig, ModeLabel, PartitionPolicy, icvmd_decompose
+from icvmd.decompose import (
+    IcvmdConfig,
+    ModeLabel,
+    PartitionPolicy,
+    icvmd_decompose,
+    mode_energies,
+    side_input_energy,
+)
 from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.features import (
-    DEFAULT_MAX_MODES,
+    MAX_MODES,
     cumulants,
     extract_features,
     raw_cumulant_features,
@@ -92,7 +99,7 @@ def test_raw_cumulant_features_layout():
 
 def test_vector_layout_and_padding():
     res = decompose_demo()
-    vec = extract_features(res, max_modes=6)
+    vec = extract_features(res)
     assert vec.shape == (3 * 6 + 12,)
     n_retained = sum(
         1
@@ -110,7 +117,7 @@ def test_vector_layout_and_padding():
 
 def test_modes_ordered_by_energy():
     res = decompose_demo()
-    vec = extract_features(res, max_modes=6)
+    vec = extract_features(res)
     fracs = [vec[3 * i + 2] for i in range(6)]
     populated = [f for f in fracs if f > 0]
     assert populated == sorted(populated, reverse=True)
@@ -118,21 +125,39 @@ def test_modes_ordered_by_energy():
 
 def test_negative_side_omega_is_negated():
     res = decompose_demo()
-    vec = extract_features(res, max_modes=6)
+    vec = extract_features(res)
     omegas = [vec[3 * i] for i in range(6) if vec[3 * i + 2] > 0]
     # The -0.12-cycle tone is a feature mode on the negative side.
     assert any(w < 0 for w in omegas)
 
 
 def test_max_modes_truncates():
-    res = decompose_demo()
-    vec = extract_features(res, max_modes=1)
-    assert vec.shape == (15,)
-    full = extract_features(res, max_modes=6)
-    # The strongest retained mode is the same in both.
-    assert np.allclose(vec[:3], full[:3])
-    # Cumulant blocks do not depend on max_modes.
-    assert np.allclose(vec[3:], full[18:])
+    # Five modes per side with one SIGNAL mode each retain eight FEATURE
+    # modes; only the MAX_MODES most energetic of them get a slot.
+    n = 1024
+    t = np.arange(n)
+    freqs = (0.04, 0.09, 0.15, 0.22, 0.31, -0.05, -0.11, -0.18, -0.26, -0.37)
+    z = sum((1.0 + 0.2 * i) * np.exp(2j * np.pi * f * t) for i, f in enumerate(freqs))
+    vmd = VmdConfig(n_modes=5, alpha=300.0, tol=1e-6, max_iter=300)
+    cfg = IcvmdConfig(vmd=vmd, partition=PartitionPolicy(n_signal_modes=1))
+    res = icvmd_decompose(ComplexSignal(z), cfg)
+    total = side_input_energy(res.pos) + side_input_energy(res.neg)
+    retained = sorted(
+        (
+            (-e, sign * float(side.omegas[k]), e / total)
+            for sign, side, labels in ((1.0, res.pos, res.labels_pos), (-1.0, res.neg, res.labels_neg))
+            for k, (e, label) in enumerate(zip(mode_energies(side), labels))
+            if label in (ModeLabel.FEATURE, ModeLabel.SPECIAL) and e > 0.0
+        )
+    )
+    assert len(retained) > MAX_MODES
+    vec = extract_features(res)
+    assert vec.shape == (3 * MAX_MODES + 12,)
+    for i, (_, omega, frac) in enumerate(retained[:MAX_MODES]):
+        assert vec[3 * i] == omega
+        assert vec[3 * i + 2] == frac
+    dropped = {frac for _, _, frac in retained[MAX_MODES:]}
+    assert dropped.isdisjoint(vec[2 : 3 * MAX_MODES : 3])
 
 
 def test_geometry_is_gain_invariant_cumulants_are_not():
@@ -143,9 +168,9 @@ def test_geometry_is_gain_invariant_cumulants_are_not():
     cfg = IcvmdConfig(vmd=vmd)
     va = extract_features(icvmd_decompose(ComplexSignal(z), cfg))
     vb = extract_features(icvmd_decompose(ComplexSignal(2.0 * z), cfg))
-    geo = slice(0, 3 * DEFAULT_MAX_MODES)
+    geo = slice(0, 3 * MAX_MODES)
     assert np.allclose(va[geo], vb[geo], atol=1e-6)
-    base = 3 * DEFAULT_MAX_MODES
+    base = 3 * MAX_MODES
     # C21-type entries scale with power (x4); fourth-order entries with x16.
     assert vb[base + 5] == pytest.approx(4.0 * va[base + 5], rel=1e-3)
 
@@ -160,7 +185,7 @@ def test_degenerate_side_still_extracts():
     # The positive side's only mode is SIGNAL; the empty negative side is all
     # FEATURE (zero energy), which keeps extraction well-defined.
     vec = extract_features(res)
-    assert vec.shape == (3 * DEFAULT_MAX_MODES + 12,)
+    assert vec.shape == (3 * MAX_MODES + 12,)
     assert np.all(vec[0:3] == 0)  # the zero-energy feature mode contributes nothing
 
 
@@ -176,9 +201,3 @@ def test_all_signal_labels_raise_degenerate():
     )
     with pytest.raises(DegenerateInputError):
         extract_features(forced)
-
-
-def test_max_modes_validation():
-    res = decompose_demo()
-    with pytest.raises(ParameterError):
-        extract_features(res, max_modes=0)

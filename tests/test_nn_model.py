@@ -72,9 +72,13 @@ def test_forward_shapes_batched_and_single():
     logits, cache = model_forward(params, xm, xb)
     assert logits.shape == (4, 3)
     assert cache["attention"].shape == (4, 3)  # 35 // 10 = 3 segments
-    single, _ = model_forward(params, xm[0], xb[0])
-    assert single.shape == (3,)
-    assert np.allclose(single, logits[0])
+    one, _ = model_forward(params, xm[:1], xb[:1])
+    assert one.shape == (1, 3)
+    assert np.allclose(one, logits[:1])
+    with pytest.raises(ParameterError, match=r"\[B, C, T\]"):
+        model_forward(params, xm[0], xb[0])
+    with pytest.raises(ParameterError, match=r"\[B, C, T\]"):
+        spatial_attention_weights(params, xb[0])
 
 
 def test_attention_rows_sum_to_one():
@@ -82,8 +86,8 @@ def test_attention_rows_sum_to_one():
     xm, xb = tiny_batch(b=5, t=50)
     _, cache = model_forward(params, xm, xb)
     assert np.allclose(cache["attention"].sum(axis=1), 1.0, atol=1e-12)
-    w = spatial_attention_weights(params, xb[0])
-    assert w.shape == (5,)
+    w = spatial_attention_weights(params, xb[:1])
+    assert w.shape == (1, 5)
     assert w.sum() == pytest.approx(1.0)
 
 
@@ -166,8 +170,6 @@ def test_forward_and_backward_run_in_the_parameters_dtype(cast):
     assert dlogits.dtype == dtype
     grads = model_backward(params, dlogits.astype(np.float64), cache)
     assert {k: g.dtype for k, g in grads.items()} == {k: np.dtype(dtype) for k in grads}
-    single, _ = model_forward(params, xm[0], xb[0])
-    assert single.dtype == dtype
     assert spatial_attention_weights(params, xb).dtype == dtype
     assert residual_block(np.ones((4, 20)), params, 0).dtype == dtype
 
@@ -190,6 +192,13 @@ def test_cross_entropy_batch_mean_and_stability():
         cross_entropy(logits, np.array([0]))
     with pytest.raises(ParameterError):
         cross_entropy(logits, np.array([0, 2]))
+
+
+def test_cross_entropy_rejects_logits_that_are_not_batch_by_class():
+    with pytest.raises(ParameterError, match=r"\[batch, classes\]"):
+        cross_entropy(np.array([0.0, 0.0]), np.array([0]))
+    with pytest.raises(ParameterError, match=r"\[batch, classes\]"):
+        cross_entropy(np.zeros((1, 2, 1)), np.array([0]))
 
 
 # ----------------------------------------------------------------- gradients
