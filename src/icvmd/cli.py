@@ -62,7 +62,7 @@ def _guarded(fn):
         except (ParameterError, DegenerateInputError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_PARAMETER)
-        except (FileNotFoundError, IsADirectoryError, PermissionError, OSError) as exc:
+        except OSError as exc:
             click.echo(f"i/o error: {exc}", err=True)
             sys.exit(EXIT_IO)
         except json.JSONDecodeError as exc:
@@ -226,17 +226,27 @@ def probe(input_file):
 _REPRESENTATIONS = {"raw": Pipeline.RAW_NN, "icvmd": Pipeline.ICVMD_SAT}
 
 
+def _warn_unconverged(n_unconverged: int, n_solved: int) -> None:
+    if n_unconverged:
+        msg = "decomposed sides stopped at max_iter without converging"
+        click.echo(f"warning: {n_unconverged} of {n_solved} {msg}", err=True)
+
+
 def _represent_dataset(data_dir, representation, n_modes) -> tuple:
-    """Represent every capture of a dataset directory; warns about dropped captures."""
+    """Represent every capture of a dataset directory; warns about dropped
+    captures and about sides the solver left unconverged."""
     skipped: list = []
+    sides: list = []
     kept, (mains, branches) = represent(
         _REPRESENTATIONS[representation],
         load_manifest(data_dir),
         default_icvmd_config(n_modes),
         skipped=skipped,
+        sides=sides,
     )
     for path, reason in skipped:
         click.echo(f"skipped {path}: {reason}", err=True)
+    _warn_unconverged(sides.count(False), len(sides))
     return kept, mains, branches
 
 
@@ -260,21 +270,10 @@ def train_cmd(data_dir, out_file, representation, epochs, learning_rate, batch_s
     params = init_params(ModelConfig(segment_len=segment_len), n_classes=len(class_ids), seed=seed)
     result = train_model(params, mains, branches, labels, cfg)
     save_checkpoint(out_file, result.params)
-    Path(str(out_file) + ".labels.json").write_text(
-        json.dumps(
-            {
-                "schema_version": 1,
-                "class_ids": class_ids.tolist(),
-                "representation": representation,
-                "n_modes": n_modes,
-                "epochs": cfg.epochs,
-                "learning_rate": cfg.learning_rate,
-                "batch_size": cfg.batch_size,
-                "seed": cfg.seed,
-                "history": result.history,
-            }
-        )
-    )
+    meta = dict(schema_version=1, class_ids=class_ids.tolist(), representation=representation)
+    meta |= dict(n_modes=n_modes, epochs=cfg.epochs, learning_rate=cfg.learning_rate)
+    meta |= dict(batch_size=cfg.batch_size, seed=cfg.seed, history=result.history)
+    Path(str(out_file) + ".labels.json").write_text(json.dumps(meta))
     loss = f"{result.history[-1]:.4f}" if result.history else "n/a (no epochs)"
     click.echo(f"final epoch loss {loss}; checkpoint at {out_file}")
 
@@ -303,18 +302,9 @@ def eval_cmd(data_dir, ck_file):
     truth = np.array([e["label"] for e in entries])
     snrs = np.array([e["snr_db"] for e in entries])
     report = evaluate(predictions, truth, snrs_db=snrs, known_labels=class_ids)
-    click.echo(
-        json.dumps(
-            {
-                "accuracy": report.accuracy,
-                "per_snr": report.per_snr,
-                "n_test": report.n_test,
-                "labels": report.label_set.tolist(),
-                "confusion": report.confusion.tolist(),
-            },
-            indent=2,
-        )
-    )
+    out = dict(accuracy=report.accuracy, per_snr=report.per_snr, n_test=report.n_test)
+    out |= dict(labels=report.label_set.tolist(), confusion=report.confusion.tolist())
+    click.echo(json.dumps(out, indent=2))
 
 
 @main.command()
@@ -339,6 +329,7 @@ def fewshot(workdir, config, pipeline, proportions, **kw):
         )
     for path, reason in result.skipped:
         click.echo(f"skipped {path}: {reason}")
+    _warn_unconverged(result.unconverged_sides, result.solved_sides)
     click.echo(f"report: {result.csv_path}")
 
 

@@ -90,25 +90,13 @@ class DatasetSpec:
 
     def echo(self) -> dict:
         """JSON-serializable summary embedded in manifests and reports."""
-        emitters = self.resolved_emitters()
-        return {
-            "emitters": [
-                {
-                    "emitter_id": e.emitter_id,
-                    "nonlinear_coeffs": e.nonlinear_coeffs.tolist(),
-                    "memory_taps": e.memory_taps.tolist(),
-                }
-                for e in emitters
-            ],
-            "modulations": [m.value for m in self.modulations],
-            "snr_grid_db": list(self.snr_grid_db),
-            "n_samples": self.n_samples,
-            "signals_per_emitter": self.signals_per_emitter,
-            "carrier": self.carrier,
-            "samples_per_symbol": self.samples_per_symbol,
-            "sweep_span": self.sweep_span,
-            "seed": self.seed,
-        }
+        emitters = [
+            dict(emitter_id=e.emitter_id, nonlinear_coeffs=e.nonlinear_coeffs.tolist(), memory_taps=e.memory_taps.tolist())
+            for e in self.resolved_emitters()
+        ]
+        out = dict(emitters=emitters, modulations=[m.value for m in self.modulations], snr_grid_db=list(self.snr_grid_db))
+        scalars = ("n_samples", "signals_per_emitter", "carrier", "samples_per_symbol", "sweep_span", "seed")
+        return out | {name: getattr(self, name) for name in scalars}
 
 
 def _rep_counts(total: int, n_kinds: int) -> list:

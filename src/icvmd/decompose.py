@@ -24,7 +24,7 @@ from .analytic import (
 )
 from .errors import ParameterError
 from .signals import ComplexSignal
-from .vmd import ModeSet, VmdConfig, VmdResult, check_memory_budget, vmd_decompose
+from .vmd import ModeSet, VmdConfig, VmdResult, check_memory_budget, smoothed_power, vmd_decompose
 
 
 class ModeLabel(enum.Enum):
@@ -174,20 +174,11 @@ def icvmd_decompose(sig: ComplexSignal, cfg: IcvmdConfig) -> IcvmdResult:
             labels[name] = partition_modes(res, cfg.partition)
         else:
             n = x.size
-            n_bins = n + 1  # rfft bins of the mirror-extended (2n) sequence
             check_memory_budget(n, k)
-            res = VmdResult(
-                modes=np.zeros((k, n)),
-                mode_set=ModeSet(
-                    mode_spectra=np.zeros((k, n_bins), dtype=complex),
-                    omegas=np.zeros(k),
-                    lambda_spectrum=np.zeros(n_bins, dtype=complex),
-                    iterations=0,
-                    converged=True,
-                    final_delta=0.0,
-                ),
-                residual=np.zeros(n),
-            )
+            # n + 1 rfft bins of the mirror-extended (2n) sequence; no sweep ran.
+            spectra = np.zeros((k, n + 1), dtype=complex)
+            empty = ModeSet(spectra, np.zeros(k), np.zeros(n + 1, dtype=complex), 0, True, 0.0)
+            res = VmdResult(modes=np.zeros((k, n)), mode_set=empty, residual=np.zeros(n))
             labels[name] = tuple([ModeLabel.FEATURE] * k)
         results[name] = res
 
@@ -272,10 +263,7 @@ def probe_parameters(sig: ComplexSignal) -> ProbeSuggestion:
     n = z.size
     if n < 16:
         raise ParameterError("probe needs at least 16 samples")
-    power = np.abs(np.fft.fft(z)) ** 2
-    width = max(3, n // 16)
-    kernel = np.ones(width) / width
-    smooth = np.convolve(power, kernel, mode="same")
+    smooth = smoothed_power(np.fft.fft(z), max(3, n // 16))
     floor = float(np.median(smooth))
     thresh = floor * (10.0 ** 0.6) if floor > 0 else 0.0
 

@@ -76,8 +76,10 @@ def default_icvmd_config(n_modes: int = 4, alpha: float = 200.0) -> IcvmdConfig:
 
     The bandwidth weight is deliberately lower than the generic VMD default:
     each center-frequency update only attracts a mode toward spectral mass
-    inside a basin of width ~1/sqrt(alpha), so a tight prior strands modes at
-    their initial positions when the waveform's occupancy is unknown a priori.
+    inside a basin of width ~1/sqrt(alpha).  The solver starts the centers at
+    the side's strongest spectral peaks, but weaker bands (the distortion the
+    features describe) lie between them, and a loose prior lets a mode reach
+    the band nearest its start.
     """
     return IcvmdConfig(vmd=VmdConfig(n_modes=n_modes, alpha=alpha, tol=1e-6, max_iter=300))
 
@@ -111,6 +113,8 @@ class FewshotResult:
     reports: dict  # proportion -> ExperimentReport (supported cells only)
     csv_path: str
     skipped: list = field(default_factory=list)  # (path, reason) per dropped capture
+    solved_sides: int = 0  # sides the solver ran on
+    unconverged_sides: int = 0  # of those, sides that stopped at max_iter
 
 
 def signal_channels(sig: ComplexSignal) -> np.ndarray:
@@ -133,11 +137,12 @@ def sat_inputs(result) -> tuple:
     return signal_channels(feature_side), signal_channels(signal_side)
 
 
-def _represent_one(pipeline: Pipeline, sig: ComplexSignal, icvmd_cfg: IcvmdConfig) -> tuple:
+def _represent_one(pipeline: Pipeline, sig: ComplexSignal, icvmd_cfg: IcvmdConfig, sides: list) -> tuple:
     if pipeline is Pipeline.RAW_NN:
         channels = signal_channels(sig)
         return channels, channels
     result = icvmd_decompose(sig, icvmd_cfg)
+    sides += [s.mode_set.converged for s in (result.pos, result.neg) if s.mode_set.iterations]
     if pipeline is Pipeline.ICVMD_FEATURES:
         return (extract_features(result),)
     return sat_inputs(result)
@@ -149,6 +154,7 @@ def represent(
     icvmd_cfg: IcvmdConfig,
     memo: dict | None = None,
     skipped: list | None = None,
+    sides: list | None = None,
 ) -> tuple:
     """Represent the manifest's captures in path order; returns ``(kept_entries, arrays)``.
 
@@ -160,10 +166,12 @@ def represent(
     ParameterError from the decomposition config propagates.  Pass one
     ``memo`` dict for a whole run so each capture is decomposed at most once;
     it is keyed by (manifest directory, entry path).  Raises
-    DegenerateInputError when every capture was dropped.
+    DegenerateInputError when every capture was dropped.  Each side the solver
+    runs on appends its ``converged`` flag to ``sides``.
     """
     memo = {} if memo is None else memo
     skipped = [] if skipped is None else skipped
+    sides = [] if sides is None else sides
     entries = sorted(manifest["files"], key=lambda e: e["path"])
     kept, reprs = [], []
     for entry in entries:
@@ -176,7 +184,7 @@ def represent(
                 skipped.append((entry["path"], str(exc)))
                 continue
             try:
-                memo[key] = _represent_one(pipeline, sig, icvmd_cfg)
+                memo[key] = _represent_one(pipeline, sig, icvmd_cfg, sides)
             except DegenerateInputError as exc:
                 memo[key] = None
                 skipped.append((entry["path"], str(exc)))
@@ -217,10 +225,10 @@ def _generate_aux_manifest(base_spec: DatasetSpec, cfg: FewshotConfig, workdir: 
     return load_manifest(workdir / "aux_data")
 
 
-def _pretrain(spec: DatasetSpec, cfg: FewshotConfig, workdir: Path, memo: dict, skipped: list):
+def _pretrain(spec: DatasetSpec, cfg: FewshotConfig, workdir: Path, memo: dict, skipped: list, sides: list):
     """Train the classifier on auxiliary emitters; SAT transfers from it."""
     aux_manifest = _generate_aux_manifest(spec, cfg, workdir)
-    aux_entries, aux_x = represent(cfg.pipeline, aux_manifest, cfg.icvmd, memo, skipped)
+    aux_entries, aux_x = represent(cfg.pipeline, aux_manifest, cfg.icvmd, memo, skipped, sides)
     aux_ids, aux_y = np.unique(_labels(aux_entries), return_inverse=True)
     base = init_params(cfg.model, n_classes=len(aux_ids), seed=MODEL_SEED)
     return train(base, *aux_x, aux_y, cfg.pretrain).params
@@ -252,7 +260,8 @@ def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult
     snr_db) plus an overall row per proportion (snr_db = 'all'); unsupported
     cells carry an empty accuracy and status 'unsupported'.  Captures that
     cannot be represented are left out of every set and listed in
-    ``FewshotResult.skipped``.
+    ``FewshotResult.skipped``; it also counts the decomposed sides and those
+    that stopped at max_iter without converging.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -262,6 +271,7 @@ def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult
 
     memo: dict = {}
     skipped: list = []
+    sides: list = []
     rows: list = []
     reports: dict = {}
 
@@ -276,16 +286,16 @@ def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult
         }
 
     # The test set is represented once and shared across proportions.
-    test_entries, test_x = represent(cfg.pipeline, test_m, cfg.icvmd, memo, skipped)
+    test_entries, test_x = represent(cfg.pipeline, test_m, cfg.icvmd, memo, skipped, sides)
     test_truth = _labels(test_entries)
     test_snrs = _snrs(test_entries)
-    pretrained = functools.cache(lambda: _pretrain(spec, cfg, workdir, memo, skipped))
+    pretrained = functools.cache(lambda: _pretrain(spec, cfg, workdir, memo, skipped, sides))
 
     for proportion in cfg.proportions:
         t0 = time.perf_counter()
         try:
             sub_m = subsample_manifest(train_m, proportion, SUBSAMPLE_SEED)
-            sub_entries, train_x = represent(cfg.pipeline, sub_m, cfg.icvmd, memo, skipped)
+            sub_entries, train_x = represent(cfg.pipeline, sub_m, cfg.icvmd, memo, skipped, sides)
         except DegenerateInputError:
             rows.append(row(proportion, "all", "", len(test_entries), "unsupported"))
             continue
@@ -307,7 +317,8 @@ def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult
 
     csv_path = workdir / "report.csv"
     write_report_csv(rows, csv_path)
-    return FewshotResult(rows=rows, reports=reports, csv_path=str(csv_path), skipped=skipped)
+    return FewshotResult(rows=rows, reports=reports, csv_path=str(csv_path), skipped=skipped,
+                         solved_sides=len(sides), unconverged_sides=sides.count(False))
 
 
 def write_report_csv(rows, path) -> None:

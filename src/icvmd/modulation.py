@@ -77,13 +77,6 @@ def occupied_halfwidth(spec: ModulationSpec) -> float:
     return 1.0 / spec.samples_per_symbol
 
 
-def _phase_from_frequency(freq: np.ndarray) -> np.ndarray:
-    """Integrate per-sample frequency (cycles/sample) into phase, phi[0] = 0."""
-    phi = np.zeros(freq.size)
-    phi[1:] = 2.0 * np.pi * np.cumsum(freq[:-1])
-    return phi
-
-
 def gen_baseband(spec: ModulationSpec, n_samples: int) -> ComplexSignal:
     """Generate ``n_samples`` of the requested unit-envelope waveform.
 
@@ -98,13 +91,9 @@ def gen_baseband(spec: ModulationSpec, n_samples: int) -> ComplexSignal:
     if kind is ModulationKind.CW:
         x = np.exp(2j * np.pi * spec.carrier * t)
     elif kind is ModulationKind.LFM:
-        if n_samples == 1:
-            x = np.ones(1, dtype=np.complex128)
-        else:
-            f0 = spec.carrier - spec.sweep_span / 2.0
-            rate = spec.sweep_span / (n_samples - 1)
-            phase = 2.0 * np.pi * (f0 * t + 0.5 * rate * t**2)
-            x = np.exp(1j * phase)
+        f0 = spec.carrier - spec.sweep_span / 2.0
+        rate = spec.sweep_span / max(n_samples - 1, 1)  # one sample: phase 0
+        x = np.exp(1j * (2.0 * np.pi * (f0 * t + 0.5 * rate * t**2)))
     elif kind in _PSK_ORDER:
         m = _PSK_ORDER[kind]
         rng = np.random.default_rng(spec.seed)
@@ -119,7 +108,9 @@ def gen_baseband(spec: ModulationSpec, n_samples: int) -> ComplexSignal:
         bits = 2 * rng.integers(0, 2, n_sym) - 1
         deviation = 1.0 / (4.0 * spec.samples_per_symbol)
         freq = spec.carrier + deviation * np.repeat(bits, spec.samples_per_symbol)[:n_samples]
-        x = np.exp(1j * _phase_from_frequency(freq))
+        phase = np.zeros(n_samples)  # integrated frequency, phase[0] = 0
+        phase[1:] = 2.0 * np.pi * np.cumsum(freq[:-1])
+        x = np.exp(1j * phase)
     else:  # pragma: no cover - enum is closed
         raise ParameterError(f"unsupported modulation kind {kind!r}")
     return ComplexSignal(x)

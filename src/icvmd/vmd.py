@@ -7,6 +7,13 @@ spectrum is refreshed with a Wiener-style update, its center frequency tracked
 as the spectral power centroid, and a dual variable enforces (for tau > 0)
 exact reconstruction.
 
+The centers start at the side's own spectral peaks, since each is drawn only
+to spectral mass within about 1/sqrt(alpha) of where it starts: the highest
+local maxima of the rfft power smoothed over n_bins // _PEAK_WINDOW_DIV bins,
+at least pi / (_PEAK_SEP_DIV * K) apart, then midpoints of the widest gaps
+between 0, the chosen centers and pi until there are K.  A dc-locked mode 0
+starts (and stays) at 0.
+
 The sweep carries one residual spectrum ``r = f + lam/2 - sum_k u_k``, so the
 Wiener update of mode k with the others held fixed reads
 
@@ -50,6 +57,10 @@ _MEMORY_BUDGET_BYTES = 2**30
 _RELAX = 1.7
 _SETTLE_RAD = 1e-2
 _SETTLE_DELTA = 1e-2
+
+# Smoothing-window and peak-separation divisors of the start (module docstring).
+_PEAK_WINDOW_DIV = 128
+_PEAK_SEP_DIV = 4
 
 
 @dataclass(frozen=True)
@@ -137,13 +148,37 @@ def half_grid(n_ext: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n_ext // 2 + 1) / n_ext
 
 
-def _init_omegas(cfg: VmdConfig) -> np.ndarray:
-    """Centers spread uniformly on (0, pi): (k + 0.5)*pi/K; a dc-locked mode 0 starts at 0."""
+def smoothed_power(spectrum: np.ndarray, width: int) -> np.ndarray:
+    """|spectrum|^2 under a centered moving average ``width`` bins wide."""
+    return np.convolve(np.abs(spectrum) ** 2, np.ones(width) / width, mode="same")
+
+
+def _widest_gap_midpoint(centers) -> float:
+    """Midpoint of the widest gap between 0, the given centers and pi."""
+    anchors = np.sort(np.concatenate([[0.0], centers, [np.pi]]))
+    g = int(np.argmax(np.diff(anchors)))
+    return (anchors[g] + anchors[g + 1]) / 2.0
+
+
+def _init_omegas(cfg: VmdConfig, spectrum: np.ndarray) -> np.ndarray:
+    """Ascending start centers at the peaks of the rfft ``spectrum`` (see the
+    module docstring); a dc-locked mode 0 is pinned at 0 and counts as chosen."""
     k = cfg.n_modes
-    om = (np.arange(k) + 0.5) * np.pi / k
-    if cfg.dc_lock:
-        om[0] = 0.0
-    return om
+    n_bins = spectrum.size
+    grid = half_grid(2 * (n_bins - 1))  # the spectrum is of an even-length extension
+    power = smoothed_power(spectrum, max(1, n_bins // _PEAK_WINDOW_DIV))
+    inner = power[1:-1]
+    peaks = 1 + np.flatnonzero((inner > power[:-2]) & (inner >= power[2:]))
+    sep = np.pi / (_PEAK_SEP_DIV * k)
+    chosen = [0.0] if cfg.dc_lock else []
+    for i in peaks[np.argsort(-power[peaks], kind="stable")]:
+        if len(chosen) == k:
+            break
+        if all(abs(grid[i] - c) >= sep for c in chosen):
+            chosen.append(grid[i])
+    while len(chosen) < k:
+        chosen.append(_widest_gap_midpoint(chosen))
+    return np.sort(np.array(chosen))
 
 
 def _reseed_collisions(omegas: np.ndarray, min_gap: float) -> None:
@@ -153,14 +188,9 @@ def _reseed_collisions(omegas: np.ndarray, min_gap: float) -> None:
     deterministic reseed breaks the tie in favor of empty spectrum.  Mode 0 is
     never moved, so a dc-locked mode stays put.
     """
-    k = omegas.size
-    for j in range(1, k):
-        if not any(abs(omegas[j] - omegas[i]) < min_gap for i in range(j)):
-            continue
-        anchors = np.sort(np.concatenate([[0.0], np.delete(omegas, j), [np.pi]]))
-        gaps = np.diff(anchors)
-        g = int(np.argmax(gaps))
-        omegas[j] = (anchors[g] + anchors[g + 1]) / 2.0
+    for j in range(1, omegas.size):
+        if any(abs(omegas[j] - omegas[i]) < min_gap for i in range(j)):
+            omegas[j] = _widest_gap_midpoint(np.delete(omegas, j))
 
 
 def check_memory_budget(n: int, n_modes: int) -> None:
@@ -212,10 +242,10 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
 
     k_modes = cfg.n_modes
     two_alpha = 2.0 * cfg.alpha
-    omegas = _init_omegas(cfg)
     u = np.zeros((k_modes, n_bins), dtype=complex)
     lam = np.zeros(n_bins, dtype=complex)
     r = np.fft.rfft(ext)  # the residual f_hat + lam/2 - sum(u), with u = lam = 0
+    omegas = _init_omegas(cfg, r)
     # Interleaved (re, im) float views: the Wiener filter is real, so every
     # update runs as real arithmetic against the grid repeated per component.
     uv = u.view(float)

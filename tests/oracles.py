@@ -130,6 +130,15 @@ def convergence_metric(prev_spectra: np.ndarray, curr_spectra: np.ndarray) -> fl
     return float(np.sum(diff / np.maximum(prev_norms, _ENERGY_GUARD)))
 
 
+def uniform_spread(cfg: VmdConfig) -> np.ndarray:
+    """Centers spread uniformly on (0, pi): (k + 0.5)*pi/K; a dc-locked mode 0 starts at 0."""
+    k = cfg.n_modes
+    om = (np.arange(k) + 0.5) * np.pi / k
+    if cfg.dc_lock:
+        om[0] = 0.0
+    return om
+
+
 def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX) -> VmdResult:
     """The unfused Gauss-Seidel loop that vmd_decompose fuses, kept as its oracle.
 
@@ -170,7 +179,7 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
     min_gap = 2.0 * np.pi / n_ext
 
     k_modes = cfg.n_modes
-    omegas = _init_omegas(cfg)
+    omegas = _init_omegas(cfg, f_hat)
     u = np.zeros((k_modes, n_bins), dtype=complex)
     lam = np.zeros(n_bins, dtype=complex)
 

@@ -1,10 +1,13 @@
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from icvmd import decompose as decompose_module
 from icvmd import fewshot
 from icvmd.cli import main
 from icvmd.dataset import generate_dataset
@@ -12,6 +15,7 @@ from icvmd.decompose import icvmd_decompose
 from icvmd.errors import DegenerateInputError
 from icvmd.features import extract_features
 from icvmd.iqfile import read_iqf32, write_iqf32
+from icvmd.vmd import vmd_decompose
 
 
 @pytest.fixture()
@@ -553,6 +557,42 @@ def test_eval_decomposes_with_the_trained_n_modes(runner, tmp_path, monkeypatch)
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["n_test"] == 14
     assert used and all(n_modes == 3 for n_modes in used)
+
+
+UNCONVERGED_LINE = re.compile(r"^warning: (\d+) of (\d+) decomposed sides stopped at max_iter without converging$")
+
+
+def unconverged_lines(stderr):
+    return [m.groups() for m in map(UNCONVERGED_LINE.match, stderr.splitlines()) if m]
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "fewshot"])
+def test_a_command_says_how_many_sides_did_not_converge(runner, tmp_path, monkeypatch, command):
+    data = gen_tiny(runner, tmp_path / "data", spe=2)
+    ck = tmp_path / "model.npz"
+    train = ["train", "--data", str(data), "--out", str(ck), "--representation", "icvmd", "--epochs", "0", "--segment-len", "32"]
+    res = runner.invoke(main, train)
+    assert res.exit_code == 0, res.output
+    # Without a cap the tiny set converges everywhere, and nothing is said.
+    assert unconverged_lines(res.stderr) == []
+
+    def two_sweeps(x, cfg):
+        return vmd_decompose(x, dataclasses.replace(cfg, max_iter=2))
+
+    monkeypatch.setattr(decompose_module, "vmd_decompose", two_sweeps)
+    args = {
+        "train": train,
+        "eval": ["eval", "--data", str(data), "--checkpoint", str(ck)],
+        "fewshot": ["fewshot", "--workdir", str(tmp_path / "exp"), "--proportions", "1.0",
+                    "--n-samples", "128", "--signals-per-emitter", "6", "--snr-db", "18",
+                    "--modulations", "cw", "--modulations", "bpsk"],
+    }[command]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    [(n, m)] = unconverged_lines(res.stderr)
+    assert n == m and int(m) > 0
+    if command != "fewshot":
+        assert int(m) == 2 * 14  # both sides of every capture
 
 
 # ------------------------------------------------------------------- fewshot

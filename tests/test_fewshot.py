@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from icvmd.dataset import DatasetSpec, generate_dataset, load_entry, split_manif
 from icvmd.decompose import FULL_SELECTION, icvmd_decompose, reconstruct
 from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.features import extract_features
+from icvmd.iqfile import write_iqf32
 from icvmd.fewshot import (
     FewshotConfig,
     Pipeline,
@@ -201,6 +203,52 @@ def test_represent_reads_the_captures_in_path_order(tmp_path):
     kept, (mains, _) = fewshot.represent(Pipeline.RAW_NN, dict(manifest, files=shuffled), cfg)
     assert kept == in_order
     assert np.array_equal(mains[0], signal_channels(load_entry(manifest, in_order[0])))
+
+
+def capped(max_iter, n_modes=2):
+    cfg = default_icvmd_config(n_modes=n_modes)
+    return replace(cfg, vmd=replace(cfg.vmd, max_iter=max_iter))
+
+
+def test_represent_counts_the_sides_that_stop_at_max_iter(tmp_path):
+    manifest = generate_dataset(TINY_SPEC, tmp_path / "data")
+    manifest["_dir"] = str(tmp_path / "data")
+    three = dict(manifest, files=manifest["files"][:3])
+    sides = []
+    fewshot.represent(Pipeline.ICVMD_FEATURES, three, capped(max_iter=2), sides=sides)
+    # Two sweeps cannot meet tol 1e-6: every solved side says so.
+    assert sides == [False] * 6
+    # A memo hit decomposes nothing, so it counts nothing.
+    memo, again = {}, []
+    fewshot.represent(Pipeline.ICVMD_SAT, three, capped(max_iter=300), memo, sides=again)
+    fewshot.represent(Pipeline.ICVMD_SAT, three, capped(max_iter=300), memo, sides=again)
+    assert len(again) == 6
+    raw = []
+    fewshot.represent(Pipeline.RAW_NN, three, capped(max_iter=2), sides=raw)
+    assert raw == []
+
+
+def test_represent_does_not_count_an_empty_side(tmp_path):
+    # A purely positive-frequency capture leaves the negative side empty: it is
+    # not solved, so only one side is counted.
+    data = tmp_path / "data"
+    data.mkdir()
+    z = np.array([1, 1j, -1, -1j] * 32)  # exp(2j*pi*t/4), exact in float32
+    write_iqf32(data / "tone.iqf32", z)
+    manifest = {"_dir": str(data), "files": [{"path": "tone.iqf32", "label": 0, "snr_db": 18.0}]}
+    sides = []
+    fewshot.represent(Pipeline.ICVMD_SAT, manifest, capped(max_iter=2), sides=sides)
+    assert sides == [False]
+
+
+def test_run_fewshot_carries_the_unconverged_count(tmp_path):
+    cfg = FewshotConfig(pipeline=Pipeline.ICVMD_FEATURES, proportions=(1.0,), icvmd=capped(2))
+    result = run_fewshot(TINY_SPEC, cfg, tmp_path / "capped")
+    n_captures = len(TINY_SPEC.resolved_emitters()) * TINY_SPEC.signals_per_emitter
+    assert result.solved_sides == result.unconverged_sides == 2 * n_captures
+    raw = run_fewshot(TINY_SPEC, FewshotConfig(pipeline=Pipeline.RAW_NN, proportions=(1.0,),
+                                               model=TINY_MODEL, train=TrainConfig(epochs=0)), tmp_path / "raw")
+    assert raw.solved_sides == raw.unconverged_sides == 0
 
 
 def test_represent_propagates_a_config_error(tmp_path):

@@ -17,6 +17,7 @@ from oracles import (
     convergence_metric,
     dual_ascent,
     reference_vmd_decompose,
+    uniform_spread,
     wiener_mode_update,
 )
 
@@ -204,6 +205,53 @@ def test_reseed_moves_the_later_of_two_equal_centers(before, after):
     assert omegas[0] == before[0]
 
 
+def _start(x, cfg):
+    return vmd._init_omegas(cfg, np.fft.rfft(mirror_extend(x)))
+
+
+def test_start_lands_on_the_two_tones():
+    n = 700
+    om = _start(tone_mix(n, [0.05, 0.3], [1.0, 0.5]), VmdConfig(n_modes=2))
+    window = (n + 1) // vmd._PEAK_WINDOW_DIV * np.pi / n  # one smoothing window in radians
+    assert np.all(np.abs(om - 2.0 * np.pi * np.array([0.05, 0.3])) <= window)
+
+
+def test_start_bisects_the_widest_gaps_when_peaks_run_out():
+    # One spectral line: one local maximum, so three centers come from bisection.
+    spectrum = np.zeros(701, dtype=complex)
+    spectrum[140] = 1.0
+    om = vmd._init_omegas(VmdConfig(n_modes=4), spectrum)
+    line = np.pi * 140 / 700
+    assert om[0] == pytest.approx(line, abs=5 * np.pi / 700)
+    assert np.min(np.diff(om)) >= np.pi / 16
+    a, b, c, d = om
+    assert b == pytest.approx((a + c) / 2) and c == pytest.approx((a + np.pi) / 2)
+    assert d == pytest.approx((c + np.pi) / 2)
+
+
+def test_start_pins_a_dc_locked_mode_at_zero():
+    cfg = VmdConfig(n_modes=3, dc_lock=True)
+    om = _start(0.8 + tone_mix(512, [0.05, 0.3], [1.0, 0.5]), cfg)
+    assert om[0] == 0.0
+    assert np.min(np.diff(om)) >= np.pi / 12
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(16, 600),
+    k=st.integers(1, 8),
+    dc_lock=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_start_is_ascending_inside_the_band(n, k, dc_lock, seed):
+    x = np.random.default_rng(seed).normal(size=n)
+    om = _start(x, VmdConfig(n_modes=k, dc_lock=dc_lock))
+    assert om.shape == (k,)
+    assert np.all(np.diff(om) >= np.pi / (4 * k))
+    assert 0.0 <= om[0] and om[-1] <= np.pi
+    assert (om[0] == 0.0) == dc_lock
+
+
 def test_tau_enforces_tight_reconstruction():
     x = tone_mix(512, [0.1, 0.3], [1.0, 1.0])
     loose = vmd_decompose(x, VmdConfig(n_modes=2, alpha=2000.0, tau=0.0))
@@ -249,7 +297,7 @@ FUSED_SWEEP_CASES = [
     (400, VmdConfig(n_modes=5, alpha=800.0, tau=0.5)),  # two centers collide mid-solve
     (333, VmdConfig(n_modes=6, alpha=300.0)),
     (431, VmdConfig(n_modes=3, alpha=1000.0, tau=0.1, dc_lock=True)),
-    (700, VmdConfig(n_modes=4, alpha=200.0, tol=1e-16, max_iter=40)),  # stops at the cap
+    (700, VmdConfig(n_modes=4, alpha=200.0, tol=1e-16, max_iter=40)),  # tol below rounding
 ]
 
 
@@ -272,8 +320,9 @@ def test_fused_sweep_matches_reference_loop(n, cfg):
 
 
 def test_fused_sweep_cases_reach_the_collision_reseed(monkeypatch):
-    # The uniform start never collides, so the comparison above covers
-    # _reseed_collisions only if some case collides on its way.
+    # The start never collides (its centers are at least pi/(4K) apart), so
+    # the comparison above covers _reseed_collisions only if some case
+    # collides on its way.
     moved = []
 
     def counting_reseed(omegas, min_gap):
@@ -318,6 +367,14 @@ def test_relaxed_solver_is_no_farther_from_the_fixed_point_in_fewer_sweeps():
     assert np.percentile(d_relaxed, 90) <= np.percentile(d_plain, 90)
     sweeps = [sum(r.mode_set.iterations for r in rs) for rs in (plain, relaxed)]
     assert sweeps[1] < sweeps[0]
+
+
+def test_peak_start_takes_fewer_sweeps_than_the_uniform_spread(monkeypatch):
+    cfg, sides = _bench_shaped_sides()
+    peaks = sum(vmd_decompose(x, cfg).mode_set.iterations for x in sides)
+    monkeypatch.setattr(vmd, "_init_omegas", lambda cfg, spectrum: uniform_spread(cfg))
+    uniform = sum(vmd_decompose(x, cfg).mode_set.iterations for x in sides)
+    assert peaks < uniform
 
 
 def test_iteration_cap_respected():
