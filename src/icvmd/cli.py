@@ -53,6 +53,9 @@ from .vmd import VmdConfig
 EXIT_PARAMETER = 2
 EXIT_IO = 3
 
+# How close to ln(n_classes), a uniform guess, a final epoch loss is at chance.
+PLATEAU_MARGIN = 0.05
+
 
 def _guarded(fn):
     @functools.wraps(fn)
@@ -134,25 +137,23 @@ def gen(out_dir, config, **kw):
 @main.command()
 @click.argument("input_file", type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--n-modes", default=5, show_default=True, help="Modes per side.")
-@click.option("--alpha", default=2000.0, show_default=True)
-@click.option("--tau", default=0.0, show_default=True)
-@click.option("--tol", default=1e-7, show_default=True)
-@click.option("--max-iter", default=500, show_default=True)
-@click.option("--dc-lock", is_flag=True)
-@click.option("--n-signal-modes", default=1, show_default=True)
-@click.option("--dc-policy", type=click.Choice([p.value for p in DcPolicy]), default=DcPolicy.SEPARATE.value, show_default=True)
-@click.option("--special-low", default=0.9 * np.pi, show_default=True, help="Special window low edge (rad).")
-@click.option("--special-high", default=float(np.pi), show_default=True, help="Special window high edge (rad).")
-@click.option("--special-energy-min", default=0.05, show_default=True)
-@click.option("--dc-convention", type=click.Choice([c.value for c in DcConvention]), default=DcConvention.DC_TO_POSITIVE.value, show_default=True)
+@click.option("--n-modes", default=VmdConfig.n_modes, show_default=True, help="Modes per side.")
+@click.option("--alpha", default=VmdConfig.alpha, show_default=True)
+@click.option("--tol", default=VmdConfig.tol, show_default=True)
+@click.option("--max-iter", default=VmdConfig.max_iter, show_default=True)
+@click.option("--dc-lock", is_flag=True, default=VmdConfig.dc_lock)
+@click.option("--n-signal-modes", default=PartitionPolicy.n_signal_modes, show_default=True)
+@click.option("--dc-policy", type=click.Choice([p.value for p in DcPolicy]), default=PartitionPolicy.dc_policy.value, show_default=True)
+@click.option("--special-low", default=PartitionPolicy.special_window[0], show_default=True, help="Special window low edge (rad).")
+@click.option("--special-high", default=PartitionPolicy.special_window[1], show_default=True, help="Special window high edge (rad).")
+@click.option("--special-energy-min", default=PartitionPolicy.special_energy_min, show_default=True)
+@click.option("--dc-convention", type=click.Choice([c.value for c in DcConvention]), default=IcvmdConfig.dc_convention.value, show_default=True)
 @_guarded
 def decompose(
     input_file,
     out_dir,
     n_modes,
     alpha,
-    tau,
     tol,
     max_iter,
     dc_lock,
@@ -166,9 +167,7 @@ def decompose(
     """Decompose an iqf32 file into labeled modes (one iqf32 per mode + modes.json)."""
     sig = read_iqf32(input_file)
     cfg = IcvmdConfig(
-        vmd=VmdConfig(
-            n_modes=n_modes, alpha=alpha, tau=tau, tol=tol, max_iter=max_iter, dc_lock=dc_lock
-        ),
+        vmd=VmdConfig(n_modes=n_modes, alpha=alpha, tol=tol, max_iter=max_iter, dc_lock=dc_lock),
         partition=PartitionPolicy(
             n_signal_modes=n_signal_modes,
             dc_policy=DcPolicy(dc_policy),
@@ -276,6 +275,10 @@ def train_cmd(data_dir, out_file, representation, epochs, learning_rate, batch_s
     Path(str(out_file) + ".labels.json").write_text(json.dumps(meta))
     loss = f"{result.history[-1]:.4f}" if result.history else "n/a (no epochs)"
     click.echo(f"final epoch loss {loss}; checkpoint at {out_file}")
+    chance = np.log(len(class_ids))
+    if result.history and result.history[-1] >= chance - PLATEAU_MARGIN:
+        msg = f"is within {PLATEAU_MARGIN} of ln({len(class_ids)}) = {chance:.3f}; the model is at chance"
+        click.echo(f"warning: final epoch loss {result.history[-1]:.3f} {msg}", err=True)
 
 
 @main.command("eval")

@@ -43,6 +43,11 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _repeated(values) -> list:
+    """The values that occur more than once, sorted."""
+    return sorted(v for v, n in Counter(values).items() if n > 1)
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     """What to simulate.  ``signals_per_emitter`` counts signals per emitter
@@ -64,8 +69,8 @@ class DatasetSpec:
             if not _is_a(value, (int, np.integer)):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
         for value in (self.carrier, self.sweep_span, *self.snr_grid_db):
-            if not _is_a(value, numbers.Real):
-                raise ParameterError(f"carrier, sweep_span and SNRs must be numbers, got {value!r}")
+            if not (_is_a(value, numbers.Real) and np.isfinite(value)):
+                raise ParameterError(f"carrier, sweep_span and SNRs must be finite numbers, got {value!r}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.n_samples < 16:
@@ -76,17 +81,24 @@ class DatasetSpec:
             raise ParameterError("snr_grid_db must be non-empty")
         if len(self.modulations) == 0:
             raise ParameterError("modulations must be non-empty")
+        if not all(isinstance(e, EmitterProfile) for e in self.emitters):
+            raise ParameterError("emitters must be EmitterProfile instances")
+        # Each of these names the files, so a repeat would overwrite a capture.
+        keys = {
+            "SNR point (in whole dB)": [int(round(v)) for v in self.snr_grid_db],
+            "modulation": [m.value for m in self.modulations],
+            "emitter_id": [e.emitter_id for e in self.emitters],
+        }
+        for what, values in keys.items():
+            dupes = _repeated(values)
+            if dupes:
+                raise ParameterError(f"each {what} may appear only once; repeated: {dupes}")
         object.__setattr__(self, "modulations", tuple(self.modulations))
         object.__setattr__(self, "snr_grid_db", tuple(self.snr_grid_db))
         object.__setattr__(self, "emitters", tuple(self.emitters))
 
     def resolved_emitters(self) -> list:
-        if self.emitters:
-            for e in self.emitters:
-                if not isinstance(e, EmitterProfile):
-                    raise ParameterError("emitters must be EmitterProfile instances")
-            return list(self.emitters)
-        return emitter_bank()
+        return list(self.emitters) or emitter_bank()
 
     def echo(self) -> dict:
         """JSON-serializable summary embedded in manifests and reports."""
@@ -181,6 +193,9 @@ def load_manifest(data_dir) -> dict:
     for e in files:
         if not (_is_a(e.get("label"), int) and _is_a(e.get("snr_db"), numbers.Real)):
             raise ParameterError(f"{path}: {e['path']} needs an integer label and a numeric snr_db")
+    dupes = _repeated(e["path"] for e in files)
+    if dupes:
+        raise ParameterError(f"{path}: files lists these paths more than once: {dupes}")
     manifest["_dir"] = str(path.parent)
     return manifest
 
@@ -199,8 +214,7 @@ def split_manifest(manifest: dict, test_fraction: float, seed: int) -> tuple:
     """
     if not (0.0 < test_fraction < 1.0):
         raise ParameterError("test_fraction must lie in (0, 1)")
-    counts = Counter(entry["path"] for entry in manifest["files"])
-    dupes = sorted(path for path, n in counts.items() if n > 1)
+    dupes = _repeated(entry["path"] for entry in manifest["files"])
     if dupes:
         raise ParameterError(f"manifest lists these paths more than once: {dupes}")
     rng = np.random.default_rng(seed)

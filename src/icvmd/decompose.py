@@ -177,7 +177,7 @@ def icvmd_decompose(sig: ComplexSignal, cfg: IcvmdConfig) -> IcvmdResult:
             check_memory_budget(n, k)
             # n + 1 rfft bins of the mirror-extended (2n) sequence; no sweep ran.
             spectra = np.zeros((k, n + 1), dtype=complex)
-            empty = ModeSet(spectra, np.zeros(k), np.zeros(n + 1, dtype=complex), 0, True, 0.0)
+            empty = ModeSet(spectra, np.zeros(k), 0, True, 0.0)
             res = VmdResult(modes=np.zeros((k, n)), mode_set=empty, residual=np.zeros(n))
             labels[name] = tuple([ModeLabel.FEATURE] * k)
         results[name] = res

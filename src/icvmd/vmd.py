@@ -4,17 +4,18 @@ The signal is mirror-extended to suppress boundary artifacts, transformed with
 an rfft, and decomposed on the non-negative frequency half-grid
 ``w[m] = 2*pi*m / n_ext`` (radians/sample, inclusive of 0 and pi).  Each mode
 spectrum is refreshed with a Wiener-style update, its center frequency tracked
-as the spectral power centroid, and a dual variable enforces (for tau > 0)
-exact reconstruction.
+as the spectral power centroid.  There is no dual step: the modes need not
+sum to the signal, since the residual returned beside them closes the sum.
 
 The centers start at the side's own spectral peaks, since each is drawn only
 to spectral mass within about 1/sqrt(alpha) of where it starts: the highest
-local maxima of the rfft power smoothed over n_bins // _PEAK_WINDOW_DIV bins,
-at least pi / (_PEAK_SEP_DIV * K) apart, then midpoints of the widest gaps
-between 0, the chosen centers and pi until there are K.  A dc-locked mode 0
-starts (and stays) at 0.
+local maxima of the rfft power smoothed over n_bins // _PEAK_WINDOW_DIV bins
+that hold at least _PEAK_FLOOR of its maximum, at least
+pi / (_PEAK_SEP_DIV * K) apart, then midpoints of the widest gaps between 0,
+the chosen centers and pi until there are K.  A dc-locked mode 0 starts (and
+stays) at 0.
 
-The sweep carries one residual spectrum ``r = f + lam/2 - sum_k u_k``, so the
+The sweep carries one residual spectrum ``r = f - sum_k u_k``, so the
 Wiener update of mode k with the others held fixed reads
 
     u_k <- (r + u_k) / (1 + 2*alpha*(w - w_k)^2),    then  r <- r - du_k,
@@ -28,11 +29,12 @@ spectra is kept between sweeps.
 The sweep is over-relaxed under a guard (Boyd et al. 2011, sec. 3.4.3): each
 mode takes its plain step du_k, moves by beta*du_k, and re-centers with
 w_k <- w_k + beta*(w~_k - w_k), clipped to [0, pi], where w~_k is the power
-centroid of the moved spectrum.  beta is 1 until a sweep moves every center by
-less than _SETTLE_RAD and its metric is under _SETTLE_DELTA, then _RELAX; it
-falls back to 1 for the sweep after any rise of the metric.  The metric is
-always taken on the unrelaxed du_k, and only a plain (beta = 1) sweep may
-declare convergence: a relaxed sweep under tol is followed by a plain sweep.
+centroid of the moved spectrum.  beta is 1 until a sweep that has a metric
+(every sweep after the first) moves every center by less than _SETTLE_RAD,
+then _RELAX; it falls back to 1 for the sweep after any rise of the metric.
+The metric is always taken on the unrelaxed du_k, and only a plain (beta = 1)
+sweep may declare convergence: a relaxed sweep under tol is followed by a
+plain sweep.
 """
 from __future__ import annotations
 
@@ -50,17 +52,16 @@ _ENERGY_GUARD = 1e-30
 # such as n_modes = n/2 on a long capture before any spectrum is allocated.
 _MEMORY_BUDGET_BYTES = 2**30
 
-# Over-relaxation factor of a guarded sweep.  The next sweep may be relaxed
-# only after a sweep whose largest center shift (in radians) and convergence
-# metric are both below these: relaxing before the spectra settle makes a
-# wandering, never-converging solve sensitive to rounding.
+# Over-relaxation factor of a guarded sweep, and the largest center shift (in
+# radians) of a sweep after which the next sweep may be relaxed.
 _RELAX = 1.7
 _SETTLE_RAD = 1e-2
-_SETTLE_DELTA = 1e-2
 
-# Smoothing-window and peak-separation divisors of the start (module docstring).
+# Smoothing-window and peak-separation divisors of the start, and the share of
+# the peak power under which a maximum is FFT rounding (module docstring).
 _PEAK_WINDOW_DIV = 128
 _PEAK_SEP_DIV = 4
+_PEAK_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,6 @@ class VmdConfig:
 
     n_modes      -- number of modes extracted
     alpha        -- bandwidth penalty; larger alpha gives narrower modes
-    tau          -- dual ascent step (0 disables the exact-reconstruction term)
     tol          -- convergence threshold on sum_k ||du_k||^2 / ||u_k_prev||^2,
                     the squared per-mode relative change of an unrelaxed step
     max_iter     -- iteration cap
@@ -78,7 +78,6 @@ class VmdConfig:
 
     n_modes: int = 5
     alpha: float = 2000.0
-    tau: float = 0.0
     tol: float = 1e-7
     max_iter: int = 500
     dc_lock: bool = False
@@ -92,8 +91,6 @@ class VmdConfig:
             raise ParameterError(f"n_modes must be >= 1, got {self.n_modes}")
         if not (self.alpha > 0 and np.isfinite(self.alpha)):
             raise ParameterError(f"alpha must be positive, got {self.alpha}")
-        if not (self.tau >= 0 and np.isfinite(self.tau)):
-            raise ParameterError(f"tau must be >= 0, got {self.tau}")
         if not (self.tol > 0):
             raise ParameterError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
@@ -107,7 +104,6 @@ class ModeSet:
     mode_spectra    -- complex array [n_modes, n_bins] on the rfft grid of the
                        mirror-extended signal
     omegas          -- center frequencies in radians, ascending, within [0, pi]
-    lambda_spectrum -- final dual variable on the same grid
     iterations      -- sweeps actually run
     converged       -- True when the relative-change metric of a plain sweep
                        dropped below tol
@@ -116,7 +112,6 @@ class ModeSet:
 
     mode_spectra: np.ndarray
     omegas: np.ndarray
-    lambda_spectrum: np.ndarray
     iterations: int
     converged: bool
     final_delta: float
@@ -169,6 +164,7 @@ def _init_omegas(cfg: VmdConfig, spectrum: np.ndarray) -> np.ndarray:
     power = smoothed_power(spectrum, max(1, n_bins // _PEAK_WINDOW_DIV))
     inner = power[1:-1]
     peaks = 1 + np.flatnonzero((inner > power[:-2]) & (inner >= power[2:]))
+    peaks = peaks[power[peaks] >= _PEAK_FLOOR * power.max()]
     sep = np.pi / (_PEAK_SEP_DIV * k)
     chosen = [0.0] if cfg.dc_lock else []
     for i in peaks[np.argsort(-power[peaks], kind="stable")]:
@@ -211,12 +207,11 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
 
     The ADMM loop sweeps modes in index order, refreshing each spectrum with
     the Wiener update (using the freshest other-mode sum) and immediately
-    re-centering it; the dual variable is stepped after every sweep.  Once the
-    centers settle, sweeps over-relax both steps by _RELAX, falling back to a
-    plain sweep after any rise of the metric; convergence is declared only on
-    a plain sweep (see the module docstring).  After the loop one plain
-    mode-update sweep is run at the final centers so the returned spectra
-    satisfy the Wiener fixed-point form exactly.
+    re-centering it.  Once the centers settle, sweeps over-relax both steps by
+    _RELAX, falling back to a plain sweep after any rise of the metric;
+    convergence is declared only on a plain sweep (see the module docstring).
+    After the loop one plain mode-update sweep is run at the final centers so
+    the returned spectra satisfy the Wiener fixed-point form exactly.
 
     Modes are returned sorted by ascending center frequency.
     """
@@ -243,8 +238,7 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     k_modes = cfg.n_modes
     two_alpha = 2.0 * cfg.alpha
     u = np.zeros((k_modes, n_bins), dtype=complex)
-    lam = np.zeros(n_bins, dtype=complex)
-    r = np.fft.rfft(ext)  # the residual f_hat + lam/2 - sum(u), with u = lam = 0
+    r = np.fft.rfft(ext)  # the residual f_hat - sum(u), with u = 0
     omegas = _init_omegas(cfg, r)
     # Interleaved (re, im) float views: the Wiener filter is real, so every
     # update runs as real arithmetic against the grid repeated per component.
@@ -254,7 +248,6 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     den = np.empty_like(g2)
     d = np.empty_like(g2)
     p = np.empty_like(g2)
-    step = np.empty_like(lam)
     energies = [0.0] * k_modes
     prev_norms = [0.0] * k_modes
     diffs = [0.0] * k_modes
@@ -292,30 +285,21 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
                 move = (g2 @ p) / energy - omegas[k]
                 shift = max(shift, abs(move))
                 omegas[k] = min(max(omegas[k] + beta * move, 0.0), np.pi)
-        if cfg.tau > 0:
-            # lam += tau*(f_hat - sum(u)) = tau*(r - lam/2); r follows lam/2.
-            np.multiply(lam, -0.5, out=step)
-            step += r
-            step *= cfg.tau
-            lam += step
-            step *= 0.5
-            r += step
         _reseed_collisions(omegas, min_gap)
         # Out of an all-zero start the first sweep has nothing to compare to.
-        rising = False
         if not all(v <= _ENERGY_GUARD for v in prev_norms):
             delta = sum(dk / max(v, _ENERGY_GUARD) for dk, v in zip(diffs, prev_norms))
-            rising = delta > final_delta
-            final_delta = delta
             converged = delta < cfg.tol and beta == 1.0
+            # A settled sweep whose metric did not rise relaxes the next one;
+            # a relaxed sweep under tol is confirmed by a plain one.
+            beta = _RELAX if shift < _SETTLE_RAD and cfg.tol <= delta <= final_delta else 1.0
+            final_delta = delta
         # This sweep's energies are the next sweep's previous norms.
         prev_norms, energies = energies, prev_norms
         if converged:
             break
-        settled = shift < _SETTLE_RAD and cfg.tol <= final_delta < _SETTLE_DELTA
-        beta = _RELAX if settled and not rising else 1.0
 
-    # Freeze centers and dual, then refresh every spectrum once so the output
+    # Freeze the centers, then refresh every spectrum once so the output
     # is an exact Wiener fixed point of its own reported state.
     for k in range(k_modes):
         update(k)
@@ -332,7 +316,6 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     mode_set = ModeSet(
         mode_spectra=u,
         omegas=omegas,
-        lambda_spectrum=lam,
         iterations=iterations,
         converged=converged,
         final_delta=final_delta,

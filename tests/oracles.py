@@ -14,7 +14,6 @@ from icvmd.signals import ComplexSignal
 from icvmd.vmd import (
     _ENERGY_GUARD,
     _RELAX,
-    _SETTLE_DELTA,
     _SETTLE_RAD,
     ModeSet,
     VmdConfig,
@@ -75,23 +74,20 @@ def impulse_probe(width: int, dilations, t_len: int | None = None) -> int:
 def wiener_mode_update(
     signal_spectrum: np.ndarray,
     other_modes_sum: np.ndarray,
-    dual_spectrum: np.ndarray,
     omega_k: float,
     alpha: float,
     grid: np.ndarray,
 ) -> np.ndarray:
     """Closed-form minimizer for one mode with the others held fixed:
 
-        u_k(w) = (f(w) - sum_others(w) + dual(w)/2) / (1 + 2*alpha*(w - w_k)^2)
+        u_k(w) = (f(w) - sum_others(w)) / (1 + 2*alpha*(w - w_k)^2)
     """
-    if not (
-        signal_spectrum.shape == other_modes_sum.shape == dual_spectrum.shape == grid.shape
-    ):
-        raise ParameterError("spectrum, others-sum, dual, and grid must share one shape")
+    if not (signal_spectrum.shape == other_modes_sum.shape == grid.shape):
+        raise ParameterError("spectrum, others-sum, and grid must share one shape")
     if not (alpha > 0):
         raise ParameterError("alpha must be positive")
     denom = 1.0 + 2.0 * alpha * (grid - omega_k) ** 2
-    return (signal_spectrum - other_modes_sum + dual_spectrum / 2.0) / denom
+    return (signal_spectrum - other_modes_sum) / denom
 
 
 def center_frequency(mode_spectrum: np.ndarray, grid: np.ndarray) -> float:
@@ -103,18 +99,6 @@ def center_frequency(mode_spectrum: np.ndarray, grid: np.ndarray) -> float:
     if total <= _ENERGY_GUARD:
         raise DegenerateInputError("center frequency of an (almost) all-zero mode is undefined")
     return float(np.sum(grid * w) / total)
-
-
-def dual_ascent(
-    dual_spectrum: np.ndarray,
-    signal_spectrum: np.ndarray,
-    modes_sum: np.ndarray,
-    tau: float,
-) -> np.ndarray:
-    """One gradient-ascent step on the reconstruction constraint."""
-    if not (dual_spectrum.shape == signal_spectrum.shape == modes_sum.shape):
-        raise ParameterError("dual, signal, and modes-sum spectra must share one shape")
-    return dual_spectrum + tau * (signal_spectrum - modes_sum)
 
 
 def convergence_metric(prev_spectra: np.ndarray, curr_spectra: np.ndarray) -> float:
@@ -146,13 +130,12 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
 
     The ADMM loop sweeps modes in index order, refreshing each spectrum with
     the Wiener update (using the freshest other-mode sum) and immediately
-    re-centering it; the dual variable is stepped after every sweep.  After
-    a sweep that moves no center by _SETTLE_RAD or more, with its metric under
-    _SETTLE_DELTA and not above the previous one, the next sweep moves each
-    spectrum ``relax`` times its plain step and each center ``relax`` times
-    its step to the new spectrum's centroid.  The metric is taken on the
-    plain steps, and only a plain sweep may stop the loop.  ``relax=1.0`` is
-    the plain loop of Dragomiretskiy & Zosso.
+    re-centering it.  After a sweep that has a metric, moves no center by
+    _SETTLE_RAD or more and whose metric is not above the previous one, the
+    next sweep moves each spectrum ``relax`` times its plain step and each
+    center ``relax`` times its step to the new spectrum's centroid.  The
+    metric is taken on the plain steps, and only a plain sweep may stop the
+    loop.  ``relax=1.0`` is the plain loop of Dragomiretskiy & Zosso.
     After the loop one plain mode-update sweep is run at the final centers so
     the returned spectra satisfy the Wiener fixed-point form exactly.
 
@@ -181,17 +164,15 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
     k_modes = cfg.n_modes
     omegas = _init_omegas(cfg, f_hat)
     u = np.zeros((k_modes, n_bins), dtype=complex)
-    lam = np.zeros(n_bins, dtype=complex)
 
     def sweep(beta):
-        """Returns the plain spectra, the sum of the new spectra and the
-        largest plain center shift."""
+        """Returns the plain spectra and the largest plain center shift."""
         plain = u.copy()
         shift = 0.0
         sum_u = u.sum(axis=0)
         for k in range(k_modes):
             others = sum_u - u[k]
-            plain[k] = wiener_mode_update(f_hat, others, lam, omegas[k], cfg.alpha, grid)
+            plain[k] = wiener_mode_update(f_hat, others, omegas[k], cfg.alpha, grid)
             u[k] = u[k] + beta * (plain[k] - u[k])
             sum_u = others + u[k]
             if not (cfg.dc_lock and k == 0):
@@ -200,7 +181,7 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
                     target = center_frequency(u[k], grid)
                     shift = max(shift, abs(target - omegas[k]))
                     omegas[k] = min(max(omegas[k] + beta * (target - omegas[k]), 0.0), np.pi)
-        return plain, sum_u, shift
+        return plain, shift
 
     converged = False
     final_delta = float("inf")
@@ -208,8 +189,7 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
     beta = 1.0
     for iterations in range(1, cfg.max_iter + 1):
         u_prev = u.copy()
-        plain, sum_u, shift = sweep(beta)
-        lam[:] = dual_ascent(lam, f_hat, sum_u, cfg.tau)
+        plain, shift = sweep(beta)
         _reseed_collisions(omegas, min_gap)
         prev_norms = np.sum(np.abs(u_prev) ** 2, axis=-1)
         if np.all(prev_norms <= _ENERGY_GUARD):
@@ -223,17 +203,17 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
                 converged = True
                 break
             beta = 1.0  # a relaxed sweep under tol is confirmed by a plain one
-        elif rising or shift >= _SETTLE_RAD or delta >= _SETTLE_DELTA:
+        elif rising or shift >= _SETTLE_RAD:
             beta = 1.0
         else:
             beta = relax
 
-    # Freeze centers and dual, then refresh every spectrum once so the output
+    # Freeze the centers, then refresh every spectrum once so the output
     # is an exact Wiener fixed point of its own reported state.
     sum_u = u.sum(axis=0)
     for k in range(k_modes):
         others = sum_u - u[k]
-        u[k] = wiener_mode_update(f_hat, others, lam, omegas[k], cfg.alpha, grid)
+        u[k] = wiener_mode_update(f_hat, others, omegas[k], cfg.alpha, grid)
         sum_u = others + u[k]
 
     order = np.argsort(omegas, kind="stable")
@@ -248,7 +228,6 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
     mode_set = ModeSet(
         mode_spectra=u,
         omegas=omegas,
-        lambda_spectrum=lam,
         iterations=iterations,
         converged=converged,
         final_delta=final_delta,

@@ -65,12 +65,11 @@ def test_02_single_mode_matches_closed_form():
     rng = np.random.default_rng(7)
     n = 512
     x = np.cos(2 * np.pi * 0.13 * np.arange(n)) + 0.1 * rng.normal(size=n)
-    cfg = VmdConfig(n_modes=1, alpha=700.0, tau=0.0, tol=1e-9)
+    cfg = VmdConfig(n_modes=1, alpha=700.0, tol=1e-9)
     res = vmd_decompose(x, cfg)
     grid = half_grid(2 * n)
     f_hat = np.fft.rfft(mirror_extend(x))
-    zeros = np.zeros_like(f_hat)
-    expect = wiener_mode_update(f_hat, zeros, zeros, res.omegas[0], cfg.alpha, grid)
+    expect = wiener_mode_update(f_hat, np.zeros_like(f_hat), res.omegas[0], cfg.alpha, grid)
     rel = float(
         np.linalg.norm(res.mode_set.mode_spectra[0] - expect) / np.linalg.norm(expect)
     )

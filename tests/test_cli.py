@@ -8,13 +8,14 @@ import pytest
 from click.testing import CliRunner
 
 from icvmd import decompose as decompose_module
-from icvmd import fewshot
+from icvmd import cli, fewshot
 from icvmd.cli import main
 from icvmd.dataset import generate_dataset
-from icvmd.decompose import icvmd_decompose
+from icvmd.decompose import IcvmdConfig, dump_modes, icvmd_decompose
 from icvmd.errors import DegenerateInputError
 from icvmd.features import extract_features
 from icvmd.iqfile import read_iqf32, write_iqf32
+from icvmd.nn.train import TrainResult
 from icvmd.vmd import vmd_decompose
 
 
@@ -77,6 +78,39 @@ def test_gen_rejects_bad_parameters(runner, tmp_path):
     res = runner.invoke(main, ["gen", "--out", str(tmp_path / "d"), "--n-samples", "4"])
     assert res.exit_code == 2
     assert "error" in res.output
+
+
+@pytest.mark.parametrize("command", ["gen", "fewshot"])
+@pytest.mark.parametrize(
+    "repeat",
+    [["--snr-db", "18", "--snr-db", "18.4", "--modulations", "cw"],
+     ["--snr-db", "18", "--modulations", "cw", "--modulations", "cw"]],
+    ids=["snr_same_whole_db", "modulation"],
+)
+def test_a_repeat_that_would_collide_in_the_file_names_exits_2(runner, tmp_path, command, repeat):
+    out = tmp_path / "d"
+    where = "--out" if command == "gen" else "--workdir"
+    res = runner.invoke(main, [command, where, str(out), "--n-samples", "128", "--signals-per-emitter", "1", *repeat])
+    assert res.exit_code == 2, res.output
+    assert "may appear only once" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_manifest_that_lists_a_path_twice_exits_2(runner, tmp_path, command):
+    data = gen_tiny(runner, tmp_path / "data")
+    ck = tmp_path / "model.npz"
+    train = ["train", "--data", str(data), "--out", str(ck), "--epochs", "0", "--segment-len", "32"]
+    if command == "eval":
+        assert runner.invoke(main, train).exit_code == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["files"].append(dict(manifest["files"][0]))
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    args = train if command == "train" else ["eval", "--data", str(data), "--checkpoint", str(ck)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "more than once" in res.output
 
 
 def test_gen_from_config_json(runner, tmp_path):
@@ -177,6 +211,15 @@ def test_decompose_reconstruct_roundtrip(runner, tmp_path):
     assert res.exit_code == 0, res.output
     rebuilt = read_iqf32(out_file)
     assert np.allclose(rebuilt.samples, z, atol=1e-3)  # float32 storage
+
+
+def test_decompose_defaults_are_the_config_defaults(runner, tmp_path):
+    src = tmp_path / "tone.iqf32"
+    write_tone(src)
+    res = runner.invoke(main, ["decompose", str(src), "--out", str(tmp_path / "cli")])
+    assert res.exit_code == 0, res.output
+    dump_modes(icvmd_decompose(read_iqf32(src), IcvmdConfig()), tmp_path / "api")
+    assert (tmp_path / "cli" / "modes.json").read_bytes() == (tmp_path / "api" / "modes.json").read_bytes()
 
 
 def test_reconstruct_single_selection(runner, tmp_path):
@@ -439,6 +482,20 @@ def test_train_sidecar_records_the_training_run(runner, tmp_path):
     assert len(meta["history"]) == 2
     assert all(loss > 0 for loss in meta["history"])
     assert f"final epoch loss {meta['history'][-1]:.4f}" in res.output
+
+
+@pytest.mark.parametrize(
+    "history, warns",
+    [([2.5, np.log(7) - 0.04], True), ([2.5, np.log(7) - 0.06], False), ([], False)],
+    ids=["within_margin", "outside_margin", "no_epochs"],
+)
+def test_train_warns_when_the_final_loss_sits_at_chance(runner, tmp_path, monkeypatch, history, warns):
+    data = gen_tiny(runner, tmp_path / "data")  # 7 classes
+    monkeypatch.setattr(cli, "train_model", lambda params, *a: TrainResult(params, history))
+    res = runner.invoke(main, ["train", "--data", str(data), "--out", str(tmp_path / "m.npz"), "--segment-len", "32"])
+    assert res.exit_code == 0, res.output
+    line = "warning: final epoch loss 1.906 is within 0.05 of ln(7) = 1.946; the model is at chance"
+    assert res.stderr.splitlines() == ([line] if warns else [])
 
 
 @pytest.mark.parametrize("fault", ["bad_sidecar", "odd_float_count", "missing_file"])

@@ -60,11 +60,39 @@ def test_spec_validation():
 @pytest.mark.parametrize(
     "kw",
     [{"n_samples": 100.5}, {"seed": "x"}, {"seed": -1}, {"signals_per_emitter": True},
-     {"samples_per_symbol": 8.0}, {"carrier": "0.1"}, {"snr_grid_db": (18.0, None)}],
+     {"samples_per_symbol": 8.0}, {"carrier": "0.1"}, {"snr_grid_db": (18.0, None)},
+     {"snr_grid_db": (float("nan"),)}, {"carrier": float("inf")}],
 )
 def test_spec_rejects_wrong_types(kw):
     with pytest.raises(ParameterError):
         tiny_spec(**kw)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"snr_grid_db": (18.0, 18.4)},
+        {"snr_grid_db": (-4, -4.0)},
+        {"modulations": (ModulationKind.CW, ModulationKind.BPSK, ModulationKind.CW)},
+        {"emitters": (emitter_bank()[1], emitter_bank()[1])},
+    ],
+    ids=["snr_same_whole_db", "snr_equal", "modulation", "emitter_id"],
+)
+def test_spec_rejects_values_whose_file_names_collide(kw):
+    # Each of these names the capture files; a repeat would overwrite files
+    # and list each surviving path twice in the manifest.
+    with pytest.raises(ParameterError, match="may appear only once"):
+        tiny_spec(**kw)
+
+
+def test_load_manifest_rejects_a_path_listed_twice(tmp_path):
+    generate_dataset(tiny_spec(), tmp_path)
+    path = tmp_path / "manifest.json"
+    content = json.loads(path.read_text())
+    content["files"].append(dict(content["files"][0], snr_db=18.4))
+    path.write_text(json.dumps(content))
+    with pytest.raises(ParameterError, match="more than once"):
+        load_manifest(tmp_path)
 
 
 def test_default_emitters_are_the_bank():
