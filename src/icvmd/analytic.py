@@ -10,14 +10,13 @@ corresponding analytic signal) and H is the Hilbert transform.  Each real
 sequence can then be decomposed independently by the real-signal machinery.
 
 The DC bin and (for even lengths) the Nyquist bin sit on the boundary between
-the halves.  Their real parts are routed according to ``DcConvention``; their
-imaginary parts cannot be represented by any pair of real sequences and are
-therefore carried alongside as two scalar correction amplitudes, restored at
-reconstruction time.
+the halves.  The real part of the DC bin goes to the positive side and that
+of the Nyquist bin is split half/half; their imaginary parts cannot be
+represented by any pair of real sequences and are therefore carried alongside
+as two scalar correction amplitudes, restored at reconstruction time.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +25,6 @@ from .errors import ParameterError
 from .signals import ComplexSignal
 
 _MIN_LEN = 4
-
-
-class DcConvention(enum.Enum):
-    DC_TO_POSITIVE = "dc_to_positive"
-    DC_SPLIT = "dc_split"
 
 
 @dataclass(frozen=True)
@@ -49,14 +43,12 @@ class AnalyticPair:
     nyquist_imag: float
 
 
-def analytic_split(
-    sig: ComplexSignal, dc_convention: DcConvention = DcConvention.DC_TO_POSITIVE
-) -> AnalyticPair:
+def analytic_split(sig: ComplexSignal) -> AnalyticPair:
     """Split a complex signal into the real pair described in the module docstring.
 
     Interior positive bins go to x_plus, interior negative bins (conjugated and
-    index-reflected) to x_minus; DC follows ``dc_convention`` and Nyquist is
-    always split half/half.  A real input with DC_SPLIT yields x_plus == x_minus.
+    index-reflected) to x_minus; the real DC bin goes to x_plus and Nyquist is
+    split half/half.
     """
     z = sig.samples
     n = z.size
@@ -73,14 +65,7 @@ def analytic_split(
     # Negative bin at -m lives at index n-m; reflect it to +m and conjugate so
     # the resulting analytic signal is conj(that half of z).
     minus[1:top] = np.conj(spec[n - 1 : n - top : -1])
-
-    if dc_convention is DcConvention.DC_TO_POSITIVE:
-        plus[0] = spec[0].real
-    elif dc_convention is DcConvention.DC_SPLIT:
-        plus[0] = spec[0].real / 2.0
-        minus[0] = spec[0].real / 2.0
-    else:  # pragma: no cover - enum is closed
-        raise ParameterError(f"unsupported dc convention {dc_convention!r}")
+    plus[0] = spec[0].real
 
     nyquist_imag = 0.0
     if nyq is not None:

@@ -22,17 +22,13 @@ from .dataset import (
     load_manifest,
 )
 from .decompose import (
-    DcPolicy,
-    IcvmdConfig,
     ModeLabel,
-    PartitionPolicy,
     Selection,
     dump_modes,
     icvmd_decompose,
     probe_parameters,
     reconstruct_from_dump,
 )
-from .analytic import DcConvention
 from .classify import evaluate
 from .errors import DegenerateInputError, ParameterError
 from .fewshot import (
@@ -87,12 +83,12 @@ _DATASET_OPTIONS = (
     click.option("--config", type=click.Path(exists=True), default=None, help="JSON DatasetSpec (schema_version 1); overrides the other options."),
     click.option("--snr-db", multiple=True, type=float, help="SNR grid point (repeatable)."),
     click.option("--modulations", multiple=True, type=click.Choice(_MOD_CHOICES)),
-    click.option("--n-samples", default=2100, show_default=True),
-    click.option("--signals-per-emitter", default=60, show_default=True, help="Per emitter per SNR point."),
-    click.option("--carrier", default=0.1, show_default=True),
-    click.option("--samples-per-symbol", default=8, show_default=True),
-    click.option("--sweep-span", default=0.2, show_default=True),
-    click.option("--seed", default=0, show_default=True),
+    click.option("--n-samples", default=DatasetSpec.n_samples, show_default=True),
+    click.option("--signals-per-emitter", default=DatasetSpec.signals_per_emitter, show_default=True, help="Per emitter per SNR point."),
+    click.option("--carrier", default=DatasetSpec.carrier, show_default=True),
+    click.option("--samples-per-symbol", default=DatasetSpec.samples_per_symbol, show_default=True),
+    click.option("--sweep-span", default=DatasetSpec.sweep_span, show_default=True),
+    click.option("--seed", default=DatasetSpec.seed, show_default=True),
 )
 
 
@@ -142,40 +138,11 @@ def gen(out_dir, config, **kw):
 @click.option("--tol", default=VmdConfig.tol, show_default=True)
 @click.option("--max-iter", default=VmdConfig.max_iter, show_default=True)
 @click.option("--dc-lock", is_flag=True, default=VmdConfig.dc_lock)
-@click.option("--n-signal-modes", default=PartitionPolicy.n_signal_modes, show_default=True)
-@click.option("--dc-policy", type=click.Choice([p.value for p in DcPolicy]), default=PartitionPolicy.dc_policy.value, show_default=True)
-@click.option("--special-low", default=PartitionPolicy.special_window[0], show_default=True, help="Special window low edge (rad).")
-@click.option("--special-high", default=PartitionPolicy.special_window[1], show_default=True, help="Special window high edge (rad).")
-@click.option("--special-energy-min", default=PartitionPolicy.special_energy_min, show_default=True)
-@click.option("--dc-convention", type=click.Choice([c.value for c in DcConvention]), default=IcvmdConfig.dc_convention.value, show_default=True)
 @_guarded
-def decompose(
-    input_file,
-    out_dir,
-    n_modes,
-    alpha,
-    tol,
-    max_iter,
-    dc_lock,
-    n_signal_modes,
-    dc_policy,
-    special_low,
-    special_high,
-    special_energy_min,
-    dc_convention,
-):
+def decompose(input_file, out_dir, n_modes, alpha, tol, max_iter, dc_lock):
     """Decompose an iqf32 file into labeled modes (one iqf32 per mode + modes.json)."""
     sig = read_iqf32(input_file)
-    cfg = IcvmdConfig(
-        vmd=VmdConfig(n_modes=n_modes, alpha=alpha, tol=tol, max_iter=max_iter, dc_lock=dc_lock),
-        partition=PartitionPolicy(
-            n_signal_modes=n_signal_modes,
-            dc_policy=DcPolicy(dc_policy),
-            special_window=(special_low, special_high),
-            special_energy_min=special_energy_min,
-        ),
-        dc_convention=DcConvention(dc_convention),
-    )
+    cfg = VmdConfig(n_modes=n_modes, alpha=alpha, tol=tol, max_iter=max_iter, dc_lock=dc_lock)
     result = icvmd_decompose(sig, cfg)
     manifest = dump_modes(result, out_dir)
     for entry in manifest["modes"]:
@@ -231,6 +198,13 @@ def _warn_unconverged(n_unconverged: int, n_solved: int) -> None:
         click.echo(f"warning: {n_unconverged} of {n_solved} {msg}", err=True)
 
 
+def _warn_plateau(loss: float, n_classes: int, where: str = "") -> None:
+    chance = np.log(n_classes)
+    if loss >= chance - PLATEAU_MARGIN:
+        msg = f"is within {PLATEAU_MARGIN} of ln({n_classes}) = {chance:.3f}; the model is at chance"
+        click.echo(f"warning: {where}final epoch loss {loss:.3f} {msg}", err=True)
+
+
 def _represent_dataset(data_dir, representation, n_modes) -> tuple:
     """Represent every capture of a dataset directory; warns about dropped
     captures and about sides the solver left unconverged."""
@@ -257,8 +231,8 @@ def _represent_dataset(data_dir, representation, n_modes) -> tuple:
 @click.option("--learning-rate", default=2e-3, show_default=True)
 @click.option("--batch-size", default=32, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--segment-len", default=100, show_default=True)
-@click.option("--n-modes", default=4, show_default=True, help="Modes per side for the icvmd representation.")
+@click.option("--segment-len", default=ModelConfig.segment_len, show_default=True)
+@click.option("--n-modes", default=default_icvmd_config().n_modes, show_default=True, help="Modes per side for the icvmd representation.")
 @_guarded
 def train_cmd(data_dir, out_file, representation, epochs, learning_rate, batch_size, seed, segment_len, n_modes):
     """Train the toy classifier on a dataset directory; writes an .npz checkpoint."""
@@ -275,10 +249,8 @@ def train_cmd(data_dir, out_file, representation, epochs, learning_rate, batch_s
     Path(str(out_file) + ".labels.json").write_text(json.dumps(meta))
     loss = f"{result.history[-1]:.4f}" if result.history else "n/a (no epochs)"
     click.echo(f"final epoch loss {loss}; checkpoint at {out_file}")
-    chance = np.log(len(class_ids))
-    if result.history and result.history[-1] >= chance - PLATEAU_MARGIN:
-        msg = f"is within {PLATEAU_MARGIN} of ln({len(class_ids)}) = {chance:.3f}; the model is at chance"
-        click.echo(f"warning: final epoch loss {result.history[-1]:.3f} {msg}", err=True)
+    if result.history:
+        _warn_plateau(result.history[-1], len(class_ids))
 
 
 @main.command("eval")
@@ -299,7 +271,8 @@ def eval_cmd(data_dir, ck_file):
     if not isinstance(representation, str) or representation not in _REPRESENTATIONS:
         raise ParameterError(f"{meta_path} names an unknown representation {representation!r}")
 
-    entries, mains, branches = _represent_dataset(data_dir, representation, meta.get("n_modes", 4))
+    n_modes = meta.get("n_modes", default_icvmd_config().n_modes)
+    entries, mains, branches = _represent_dataset(data_dir, representation, n_modes)
     class_ids = np.array(ids)
     predictions = predict(params, mains, branches, class_ids)
     truth = np.array([e["label"] for e in entries])
@@ -333,6 +306,8 @@ def fewshot(workdir, config, pipeline, proportions, **kw):
     for path, reason in result.skipped:
         click.echo(f"skipped {path}: {reason}")
     _warn_unconverged(result.unconverged_sides, result.solved_sides)
+    for proportion, (loss, n_classes) in result.final_losses.items():
+        _warn_plateau(loss, n_classes, f"p={proportion}: ")
     click.echo(f"report: {result.csv_path}")
 
 

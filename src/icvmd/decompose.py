@@ -1,90 +1,45 @@
-"""Two-sided decomposition of complex signals with mode partitioning.
+"""Two-sided decomposition of complex signals with mode labelling.
 
 Pipeline: split the complex input into two real sequences (positive- and
-negative-frequency halves), run the real-signal mode decomposition on each
-side independently, then label every mode so downstream code can select the
-intentional-modulation content, the distortion features, near-DC content, or
-flagged special bands, and rebuild a complex signal from any selection.
+negative-frequency halves, the DC bin with the positive side), run the
+real-signal mode decomposition on each side independently with one
+``VmdConfig``, then label every mode by one fixed rule so downstream code can
+select the intentional-modulation content, the distortion features, near-DC
+content, or near-Nyquist content, and rebuild a complex signal from any
+selection.
 """
 from __future__ import annotations
 
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .analytic import (
-    DcConvention,
-    analytic_split,
-    boundary_correction,
-    combine_analytic,
-)
-from .errors import ParameterError
+from .analytic import analytic_split, boundary_correction, combine_analytic
+from .errors import DegenerateInputError, ParameterError
 from .signals import ComplexSignal
 from .vmd import ModeSet, VmdConfig, VmdResult, check_memory_budget, smoothed_power, vmd_decompose
+
+# A mode centred above _SPECIAL_LOW (radians) that holds at least
+# _SPECIAL_ENERGY_MIN of its side's input energy is SPECIAL.
+_SPECIAL_LOW = 0.9 * math.pi
+_SPECIAL_ENERGY_MIN = 0.05
 
 
 class ModeLabel(enum.Enum):
     SIGNAL = "signal"  # intentional modulation content
     FEATURE = "feature"  # residual distortion bands (the fingerprint carriers)
     DC = "dc"  # near-zero-frequency content kept out of both groups
-    SPECIAL = "special"  # energy inside a user-flagged band (e.g. near Nyquist)
+    SPECIAL = "special"  # strong content near Nyquist
 
 
 class Selection(enum.Enum):
     """What reconstruct() may sum, besides explicit labels."""
 
     RESIDUAL = "residual"
-
-
-class DcPolicy(enum.Enum):
-    MERGE_INTO_SIGNAL = "merge_into_signal"
-    SEPARATE = "separate"
-
-
-@dataclass(frozen=True)
-class PartitionPolicy:
-    """How modes of each side get labeled.
-
-    n_signal_modes     -- per side, how many of the strongest non-DC,
-                          non-special modes count as intentional signal
-    dc_policy          -- MERGE_INTO_SIGNAL labels the near-DC mode as signal;
-                          SEPARATE labels it DC
-    special_window     -- (low, high] band in radians; modes centered there
-                          with enough energy are labeled SPECIAL
-    special_energy_min -- minimum fraction of the side's input energy a mode
-                          needs to qualify as SPECIAL
-    """
-
-    n_signal_modes: int = 1
-    dc_policy: DcPolicy = DcPolicy.SEPARATE
-    special_window: tuple = (0.9 * math.pi, math.pi)
-    special_energy_min: float = 0.05
-
-    def __post_init__(self):
-        if self.n_signal_modes < 0:
-            raise ParameterError("n_signal_modes must be >= 0")
-        lo, hi = self.special_window
-        if not (0.0 <= lo < hi <= math.pi):
-            raise ParameterError(
-                f"special_window must satisfy 0 <= low < high <= pi, got {self.special_window}"
-            )
-        if not (0.0 <= self.special_energy_min <= 1.0):
-            raise ParameterError("special_energy_min must lie in [0, 1]")
-        if not isinstance(self.dc_policy, DcPolicy):
-            raise ParameterError(f"dc_policy must be a DcPolicy, got {self.dc_policy!r}")
-
-
-@dataclass(frozen=True)
-class IcvmdConfig:
-    """``vmd`` is the solver config both sides are decomposed with."""
-
-    vmd: VmdConfig = field(default_factory=VmdConfig)
-    partition: PartitionPolicy = field(default_factory=PartitionPolicy)
-    dc_convention: DcConvention = DcConvention.DC_TO_POSITIVE
 
 
 @dataclass(frozen=True)
@@ -115,63 +70,49 @@ def side_input_energy(result: VmdResult) -> float:
     return float(np.sum(side_input**2))
 
 
-def partition_modes(result: VmdResult, policy: PartitionPolicy) -> tuple:
-    """Label each mode of one side per the policy.  Order of precedence:
-    near-DC first, then the special window, then the energy ranking that
-    splits signal from feature.
+def partition_modes(result: VmdResult) -> tuple:
+    """Label each mode of one side.
+
+    A mode centred within one grid step of 0 is DC; one centred above
+    ``_SPECIAL_LOW`` with at least ``_SPECIAL_ENERGY_MIN`` of the side's input
+    energy is SPECIAL; the strongest remaining mode is SIGNAL and the rest are
+    FEATURE.  A side with no mode left for SIGNAL raises DegenerateInputError.
     """
-    k = result.modes.shape[0]
     energies = mode_energies(result)
-    total = max(side_input_energy(result), 1e-300)
-    fractions = energies / total
-    n_bins = result.mode_set.mode_spectra.shape[1]
-    grid_step = math.pi / (n_bins - 1)
-    omegas = result.omegas
-
-    labels: list = [None] * k
-    for i in range(k):
-        if omegas[i] < grid_step:
-            labels[i] = (
-                ModeLabel.SIGNAL
-                if policy.dc_policy is DcPolicy.MERGE_INTO_SIGNAL
-                else ModeLabel.DC
-            )
-    lo, hi = policy.special_window
-    for i in range(k):
-        if labels[i] is None and lo < omegas[i] <= hi and fractions[i] >= policy.special_energy_min:
-            labels[i] = ModeLabel.SPECIAL
-
-    remaining = [i for i in range(k) if labels[i] is None]
-    if policy.n_signal_modes > len(remaining):
-        raise ParameterError(
-            f"policy wants {policy.n_signal_modes} signal modes but only "
-            f"{len(remaining)} modes are left after DC/special labeling"
-        )
-    ranked = sorted(remaining, key=lambda i: (-energies[i], i))
-    for rank, i in enumerate(ranked):
-        labels[i] = ModeLabel.SIGNAL if rank < policy.n_signal_modes else ModeLabel.FEATURE
+    fractions = energies / max(side_input_energy(result), 1e-300)
+    grid_step = math.pi / (result.mode_set.mode_spectra.shape[1] - 1)
+    labels = [
+        ModeLabel.DC if omega < grid_step
+        else ModeLabel.SPECIAL if omega > _SPECIAL_LOW and fraction >= _SPECIAL_ENERGY_MIN
+        else ModeLabel.FEATURE
+        for omega, fraction in zip(result.omegas, fractions)
+    ]
+    remaining = [i for i, label in enumerate(labels) if label is ModeLabel.FEATURE]
+    if not remaining:
+        raise DegenerateInputError("every mode of a side is DC or SPECIAL; none is left for SIGNAL")
+    labels[min(remaining, key=lambda i: (-energies[i], i))] = ModeLabel.SIGNAL
     return tuple(labels)
 
 
-def icvmd_decompose(sig: ComplexSignal, cfg: IcvmdConfig) -> IcvmdResult:
-    """Split, decompose each side independently with ``cfg.vmd``, and label the modes.
+def icvmd_decompose(sig: ComplexSignal, cfg: VmdConfig) -> IcvmdResult:
+    """Split, decompose each side independently with ``cfg``, and label the modes.
 
     A side whose sequence is numerically all-zero (e.g. a purely positive-
     frequency input) still yields a result: its modes are all zero and all
     labeled FEATURE, with the residual carrying nothing.
     """
-    pair = analytic_split(sig, cfg.dc_convention)
+    pair = analytic_split(sig)
     # A side holding only FFT roundoff from the split (e.g. the negative side
     # of a purely positive-frequency input) is treated as empty rather than
     # decomposed: its "modes" would be arbitrary slices of numerical noise.
     input_energy = float(np.sum(np.abs(sig.samples) ** 2))
-    k = cfg.vmd.n_modes
+    k = cfg.n_modes
     results = {}
     labels = {}
     for name, x in (("pos", pair.x_plus), ("neg", pair.x_minus)):
         if float(np.sum(x**2)) > 1e-24 * input_energy:
-            res = vmd_decompose(x, cfg.vmd)
-            labels[name] = partition_modes(res, cfg.partition)
+            res = vmd_decompose(x, cfg)
+            labels[name] = partition_modes(res)
         else:
             n = x.size
             check_memory_budget(n, k)
@@ -350,8 +291,9 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
     """Rebuild a complex signal from a dump_modes() directory.
 
     Lossy float32 storage aside, selecting everything plus RESIDUAL reproduces
-    the originally decomposed signal.  A manifest that lacks a key or names an
-    unknown label, and a selected file of the wrong length, raise ParameterError.
+    the originally decomposed signal.  A manifest that lacks a key, names an
+    unknown label or side, or names a file that is not a bare name inside the
+    dump, and a selected file of the wrong length, raise ParameterError.
     """
     from .iqfile import json_object, read_iqf32
 
@@ -364,7 +306,10 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
         raise ParameterError("unsupported modes.json schema_version")
     try:
         parts = [(e["side"], ModeLabel(e["label"]), e["file"]) for e in manifest["modes"]]
-        parts += [(side, Selection.RESIDUAL, f) for side, f in manifest["residuals"].items()]
+        residuals = manifest["residuals"]
+        if not isinstance(residuals, dict) or sorted(residuals) != ["neg", "pos"]:
+            raise TypeError(f"residuals must be an object with the keys pos and neg, got {residuals!r}")
+        parts += [(side, Selection.RESIDUAL, f) for side, f in residuals.items()]
         n = int(manifest["n_samples"])
         dc_imag, nyquist_imag = float(manifest["dc_imag"]), float(manifest["nyquist_imag"])
         sample_rate = float(manifest.get("sample_rate", 1.0))
@@ -372,6 +317,11 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
         raise ParameterError(f"modes.json lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"bad modes.json: {exc}") from None
+    for side, _, fname in parts:
+        if side not in ("pos", "neg"):
+            raise ParameterError(f"bad modes.json: unknown side {side!r}")
+        if not isinstance(fname, str) or fname in ("", "..") or Path(fname).name != fname:
+            raise ParameterError(f"bad modes.json: {fname!r} is not a file name inside the dump")
 
     def read(fname):
         x = read_iqf32(dump_dir / fname, with_sidecar=False).samples.real

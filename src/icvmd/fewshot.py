@@ -37,13 +37,7 @@ from .dataset import (
     split_manifest,
     subsample_manifest,
 )
-from .decompose import (
-    IcvmdConfig,
-    ModeLabel,
-    Selection,
-    icvmd_decompose,
-    reconstruct,
-)
+from .decompose import ModeLabel, Selection, icvmd_decompose, reconstruct
 from .errors import DegenerateInputError, ParameterError
 from .features import extract_features
 from .nn.model import ModelConfig, init_params, model_forward
@@ -71,8 +65,8 @@ class Pipeline(enum.Enum):
     ICVMD_SAT = "icvmd_sat"
 
 
-def default_icvmd_config(n_modes: int = 4, alpha: float = 200.0) -> IcvmdConfig:
-    """Experiment-default two-sided decomposition config.
+def default_icvmd_config(n_modes: int = 4, alpha: float = 200.0) -> VmdConfig:
+    """Experiment-default solver config for both sides of the decomposition.
 
     The bandwidth weight is deliberately lower than the generic VMD default:
     each center-frequency update only attracts a mode toward spectral mass
@@ -81,14 +75,14 @@ def default_icvmd_config(n_modes: int = 4, alpha: float = 200.0) -> IcvmdConfig:
     features describe) lie between them, and a loose prior lets a mode reach
     the band nearest its start.
     """
-    return IcvmdConfig(vmd=VmdConfig(n_modes=n_modes, alpha=alpha, tol=1e-6, max_iter=300))
+    return VmdConfig(n_modes=n_modes, alpha=alpha, tol=1e-6, max_iter=300)
 
 
 @dataclass(frozen=True)
 class FewshotConfig:
     pipeline: Pipeline = Pipeline.ICVMD_FEATURES
     proportions: tuple = (0.30, 0.10, 0.03)
-    icvmd: IcvmdConfig = field(default_factory=default_icvmd_config)
+    icvmd: VmdConfig = field(default_factory=default_icvmd_config)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=30, batch_size=32))
     # SAT pretraining on auxiliary emitters
@@ -115,6 +109,7 @@ class FewshotResult:
     skipped: list = field(default_factory=list)  # (path, reason) per dropped capture
     solved_sides: int = 0  # sides the solver ran on
     unconverged_sides: int = 0  # of those, sides that stopped at max_iter
+    final_losses: dict = field(default_factory=dict)  # proportion -> (last-epoch loss, n_classes)
 
 
 def signal_channels(sig: ComplexSignal) -> np.ndarray:
@@ -137,7 +132,7 @@ def sat_inputs(result) -> tuple:
     return signal_channels(feature_side), signal_channels(signal_side)
 
 
-def _represent_one(pipeline: Pipeline, sig: ComplexSignal, icvmd_cfg: IcvmdConfig, sides: list) -> tuple:
+def _represent_one(pipeline: Pipeline, sig: ComplexSignal, icvmd_cfg: VmdConfig, sides: list) -> tuple:
     if pipeline is Pipeline.RAW_NN:
         channels = signal_channels(sig)
         return channels, channels
@@ -151,7 +146,7 @@ def _represent_one(pipeline: Pipeline, sig: ComplexSignal, icvmd_cfg: IcvmdConfi
 def represent(
     pipeline: Pipeline,
     manifest: dict,
-    icvmd_cfg: IcvmdConfig,
+    icvmd_cfg: VmdConfig,
     memo: dict | None = None,
     skipped: list | None = None,
     sides: list | None = None,
@@ -162,8 +157,9 @@ def represent(
     entries: ``(features,)`` for ICVMD_FEATURES, ``(mains, branches)`` for the
     classifier pipelines.  A capture that cannot be loaded (missing file, bad
     length, bad sidecar) or whose representation raises DegenerateInputError
-    is dropped and ``(path, reason)`` is appended to ``skipped``; a
-    ParameterError from the decomposition config propagates.  Pass one
+    (for example a side whose every mode is DC or SPECIAL, or no FEATURE mode
+    to describe) is dropped and ``(path, reason)`` is appended to ``skipped``;
+    a ParameterError from the solver config propagates.  Pass one
     ``memo`` dict for a whole run so each capture is decomposed at most once;
     it is keyed by (manifest directory, entry path).  Raises
     DegenerateInputError when every capture was dropped.  Each side the solver
@@ -234,23 +230,25 @@ def _pretrain(spec: DatasetSpec, cfg: FewshotConfig, workdir: Path, memo: dict, 
     return train(base, *aux_x, aux_y, cfg.pretrain).params
 
 
-def _fit_predict(cfg: FewshotConfig, pretrained, train_x, truth, class_ids, test_x) -> np.ndarray:
+def _fit_predict(cfg: FewshotConfig, pretrained, train_x, truth, class_ids, test_x) -> tuple:
     """Fit the pipeline's classifier on one training subset and label the test set.
+
+    Returns the predicted labels and the classifier's last-epoch loss (None
+    for nearest centroid, or when no epoch ran).
 
     ``pretrained`` is called only by the SAT fit, so the auxiliary set is
     generated and pretrained on only when the pipeline needs it.
     """
     if cfg.pipeline is Pipeline.ICVMD_FEATURES:
-        return classify(fit_nearest_centroid(*train_x, truth), *test_x)
+        return classify(fit_nearest_centroid(*train_x, truth), *test_x), None
     y = np.searchsorted(class_ids, truth)
     if cfg.pipeline is Pipeline.RAW_NN:
         fresh = init_params(cfg.model, n_classes=len(class_ids), seed=MODEL_SEED)
-        fitted = train(fresh, *train_x, y, cfg.train).params
+        fitted = train(fresh, *train_x, y, cfg.train)
     else:
-        fitted = sat_transfer(
-            pretrained(), len(class_ids), *train_x, y, cfg.train, head_seed=MODEL_SEED
-        ).params
-    return predict(fitted, *test_x, class_ids)
+        fitted = sat_transfer(pretrained(), len(class_ids), *train_x, y, cfg.train, head_seed=MODEL_SEED)
+    loss = fitted.history[-1] if fitted.history else None
+    return predict(fitted.params, *test_x, class_ids), loss
 
 
 def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult:
@@ -261,7 +259,8 @@ def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult
     cells carry an empty accuracy and status 'unsupported'.  Captures that
     cannot be represented are left out of every set and listed in
     ``FewshotResult.skipped``; it also counts the decomposed sides and those
-    that stopped at max_iter without converging.
+    that stopped at max_iter without converging, and holds each trained
+    classifier's last-epoch loss.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -274,6 +273,7 @@ def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult
     sides: list = []
     rows: list = []
     reports: dict = {}
+    final_losses: dict = {}
 
     def row(proportion, snr_db, accuracy, n_test, status="ok") -> dict:
         return {
@@ -301,7 +301,9 @@ def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult
             continue
         sub_truth = _labels(sub_entries)
         class_ids = np.unique(sub_truth)
-        preds = _fit_predict(cfg, pretrained, train_x, sub_truth, class_ids, test_x)
+        preds, loss = _fit_predict(cfg, pretrained, train_x, sub_truth, class_ids, test_x)
+        if loss is not None:
+            final_losses[proportion] = (loss, len(class_ids))
 
         report = evaluate(
             preds,
@@ -318,7 +320,8 @@ def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult
     csv_path = workdir / "report.csv"
     write_report_csv(rows, csv_path)
     return FewshotResult(rows=rows, reports=reports, csv_path=str(csv_path), skipped=skipped,
-                         solved_sides=len(sides), unconverged_sides=sides.count(False))
+                         solved_sides=len(sides), unconverged_sides=sides.count(False),
+                         final_losses=final_losses)
 
 
 def write_report_csv(rows, path) -> None:

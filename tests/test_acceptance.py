@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from icvmd.classify import classify, evaluate, fit_nearest_centroid
 from icvmd.dataset import DatasetSpec, generate_dataset, load_entry, load_manifest, split_manifest, subsample_manifest
-from icvmd.decompose import FULL_SELECTION, IcvmdConfig, ModeLabel, icvmd_decompose, reconstruct
+from icvmd.decompose import FULL_SELECTION, ModeLabel, icvmd_decompose, reconstruct
 from icvmd.features import extract_features, raw_cumulant_features
 from icvmd.fewshot import FewshotConfig, Pipeline, default_icvmd_config, run_fewshot, sat_inputs
 from icvmd.modulation import ModulationKind, ModulationSpec, gen_baseband
@@ -85,8 +85,7 @@ def test_02_single_mode_matches_closed_form():
 # ---------------------------------------------------------------------------
 def test_03_roundtrip_100_signals():
     rng = np.random.default_rng(0)
-    side = VmdConfig(n_modes=2, alpha=300.0, tol=1e-5, max_iter=30)
-    cfg = IcvmdConfig(vmd=side)
+    cfg = VmdConfig(n_modes=2, alpha=300.0, tol=1e-5, max_iter=30)
     worst = 0.0
     for i in range(100):
         n = int(rng.integers(64, 200))
@@ -110,8 +109,7 @@ def test_04_signal_selection_denoises():
     clean = normalize_power(
         gen_baseband(ModulationSpec(kind=ModulationKind.CW, carrier=0.1), n), 1.0
     )
-    side = VmdConfig(n_modes=4, alpha=200.0, tol=1e-6, max_iter=300)
-    cfg = IcvmdConfig(vmd=side)
+    cfg = VmdConfig(n_modes=4, alpha=200.0, tol=1e-6, max_iter=300)
 
     def corr(a, b):
         return float(

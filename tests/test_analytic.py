@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import icvmd
-from icvmd.analytic import (
-    DcConvention,
-    analytic_split,
-    boundary_correction,
-    combine_analytic,
-)
+from icvmd.analytic import analytic_split, boundary_correction, combine_analytic
 from icvmd.errors import ParameterError
 from icvmd.signals import ComplexSignal
 
@@ -25,8 +20,8 @@ def make_sig(z):
     return ComplexSignal(samples=np.asarray(z, dtype=complex))
 
 
-def roundtrip(sig, convention):
-    pair = analytic_split(sig, convention)
+def roundtrip(sig):
+    pair = analytic_split(sig)
     z = combine_analytic(pair.x_plus, pair.x_minus)
     z = z + boundary_correction(pair.x_plus.size, pair.dc_imag, pair.nyquist_imag)
     return z, pair
@@ -38,22 +33,18 @@ finite_complex = st.complex_numbers(
 
 
 @settings(deadline=None, max_examples=80)
-@given(
-    z=arrays(np.complex128, st.integers(4, 257), elements=finite_complex),
-    convention=st.sampled_from(list(DcConvention)),
-)
-def test_roundtrip_is_lossless(z, convention):
+@given(z=arrays(np.complex128, st.integers(4, 257), elements=finite_complex))
+def test_roundtrip_is_lossless(z):
     z = z + (1 + 1j)  # keep the signal away from identically zero
-    out, _ = roundtrip(make_sig(z), convention)
+    out, _ = roundtrip(make_sig(z))
     assert np.allclose(out, z, atol=1e-9)
 
 
 @pytest.mark.parametrize("n", [4, 5, 64, 65])
-@pytest.mark.parametrize("convention", list(DcConvention))
-def test_roundtrip_fixed_cases(n, convention):
+def test_roundtrip_fixed_cases(n):
     rng = np.random.default_rng(n)
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
-    out, pair = roundtrip(make_sig(z), convention)
+    out, pair = roundtrip(make_sig(z))
     assert np.allclose(out, z, atol=1e-10)
     assert pair.x_plus.dtype == np.float64
     assert pair.x_minus.dtype == np.float64
@@ -77,16 +68,9 @@ def test_halves_are_one_sided():
 
 def test_dc_to_positive_routes_all_mean():
     z = np.full(16, 5.0 + 0j) + np.exp(2j * np.pi * 0.25 * np.arange(16))
-    pair = analytic_split(make_sig(z), DcConvention.DC_TO_POSITIVE)
+    pair = analytic_split(make_sig(z))
     assert np.mean(pair.x_plus) == pytest.approx(5.0)
     assert np.mean(pair.x_minus) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_dc_split_on_real_input_gives_equal_halves():
-    x = np.cos(2 * np.pi * 0.1 * np.arange(50)) + 0.7
-    pair = analytic_split(make_sig(x + 0j), DcConvention.DC_SPLIT)
-    assert np.allclose(pair.x_plus, pair.x_minus, atol=1e-12)
-    assert pair.dc_imag == 0.0
 
 
 def test_boundary_amplitudes():
@@ -98,7 +82,7 @@ def test_boundary_amplitudes():
     pair = analytic_split(make_sig(z))
     assert pair.dc_imag == pytest.approx(2.0)
     assert pair.nyquist_imag == pytest.approx(3.0)
-    out, _ = roundtrip(make_sig(z), DcConvention.DC_TO_POSITIVE)
+    out, _ = roundtrip(make_sig(z))
     assert np.allclose(out, z, atol=1e-10)
 
 

@@ -10,13 +10,15 @@ from click.testing import CliRunner
 from icvmd import decompose as decompose_module
 from icvmd import cli, fewshot
 from icvmd.cli import main
-from icvmd.dataset import generate_dataset
-from icvmd.decompose import IcvmdConfig, dump_modes, icvmd_decompose
+from icvmd.dataset import DatasetSpec, generate_dataset
+from icvmd.decompose import dump_modes, icvmd_decompose
 from icvmd.errors import DegenerateInputError
 from icvmd.features import extract_features
+from icvmd.fewshot import FewshotResult, default_icvmd_config
 from icvmd.iqfile import read_iqf32, write_iqf32
+from icvmd.nn.model import ModelConfig
 from icvmd.nn.train import TrainResult
-from icvmd.vmd import vmd_decompose
+from icvmd.vmd import VmdConfig, vmd_decompose
 
 
 @pytest.fixture()
@@ -72,6 +74,26 @@ def test_gen_writes_dataset(runner, tmp_path):
     assert (out / "manifest.json").exists()
     # 7 bank emitters x 1 SNR x 2 signals.
     assert len(list(out.glob("*.iqf32"))) == 14
+
+
+def option_defaults(command):
+    return {param.name: param.default for param in main.commands[command].params}
+
+
+def test_option_defaults_are_the_config_defaults():
+    fields = ("n_samples", "signals_per_emitter", "carrier", "samples_per_symbol", "sweep_span", "seed")
+    spec = DatasetSpec()
+    for command in ("gen", "fewshot"):
+        defaults = option_defaults(command)
+        assert {f: defaults[f] for f in fields} == {f: getattr(spec, f) for f in fields}
+    train = option_defaults("train")
+    assert train["segment_len"] == ModelConfig().segment_len
+    assert train["n_modes"] == default_icvmd_config().n_modes
+    side = VmdConfig()
+    decompose = option_defaults("decompose")
+    solver = ("n_modes", "alpha", "tol", "max_iter", "dc_lock")
+    assert {f: decompose.pop(f) for f in solver} == {f: getattr(side, f) for f in solver}
+    assert set(decompose) == {"input_file", "out_dir"}
 
 
 def test_gen_rejects_bad_parameters(runner, tmp_path):
@@ -218,7 +240,7 @@ def test_decompose_defaults_are_the_config_defaults(runner, tmp_path):
     write_tone(src)
     res = runner.invoke(main, ["decompose", str(src), "--out", str(tmp_path / "cli")])
     assert res.exit_code == 0, res.output
-    dump_modes(icvmd_decompose(read_iqf32(src), IcvmdConfig()), tmp_path / "api")
+    dump_modes(icvmd_decompose(read_iqf32(src), VmdConfig()), tmp_path / "api")
     assert (tmp_path / "cli" / "modes.json").read_bytes() == (tmp_path / "api" / "modes.json").read_bytes()
 
 
@@ -262,6 +284,32 @@ def test_reconstruct_rejects_a_non_numeric_sample_rate(runner, tmp_path, rate):
     res = runner.invoke(main, ["reconstruct", str(tmp_path / "m"), "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
     assert "error: bad modes.json" in res.output
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m.update(residuals=["residual_pos.iqf32"]), "residuals must be an object"),
+        (lambda m: m["residuals"].pop("neg"), "residuals must be an object with the keys pos and neg"),
+        (lambda m: m["modes"][0].update(side="up"), "unknown side 'up'"),
+        (lambda m: m["modes"][0].update(file=3), "3 is not a file name inside the dump"),
+        (lambda m: m["residuals"].update(neg="../tone.iqf32"), "'../tone.iqf32' is not a file name"),
+        (lambda m: m["modes"][0].update(file="/etc/hostname"), "'/etc/hostname' is not a file name"),
+        (lambda m: m["modes"][0].update(file=".."), "'..' is not a file name"),
+    ],
+    ids=["residuals_list", "residuals_missing_side", "unknown_side", "non_string_file", "parent_path", "absolute_path", "dot_dot"],
+)
+def test_reconstruct_rejects_a_bad_modes_json(runner, tmp_path, edit, message):
+    src = tmp_path / "tone.iqf32"
+    write_tone(src)
+    runner.invoke(main, ["decompose", str(src), "--out", str(tmp_path / "m"), "--n-modes", "2"])
+    manifest_path = tmp_path / "m" / "modes.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    res = runner.invoke(main, ["reconstruct", str(tmp_path / "m"), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "error: bad modes.json: " in res.output and message in res.output
 
 
 def test_decompose_rejects_a_non_numeric_sidecar_sample_rate(runner, tmp_path):
@@ -606,7 +654,7 @@ def test_eval_decomposes_with_the_trained_n_modes(runner, tmp_path, monkeypatch)
     used = []
 
     def spy(sig, cfg):
-        used.append(cfg.vmd.n_modes)
+        used.append(cfg.n_modes)
         return icvmd_decompose(sig, cfg)
 
     monkeypatch.setattr(fewshot, "icvmd_decompose", spy)
@@ -614,6 +662,45 @@ def test_eval_decomposes_with_the_trained_n_modes(runner, tmp_path, monkeypatch)
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["n_test"] == 14
     assert used and all(n_modes == 3 for n_modes in used)
+
+
+def test_eval_falls_back_to_the_default_n_modes_for_an_old_sidecar(runner, tmp_path, monkeypatch):
+    data = gen_tiny(runner, tmp_path / "data", spe=2)
+    ck = tmp_path / "model.npz"
+    train = ["train", "--data", str(data), "--out", str(ck), "--representation", "icvmd", "--epochs", "0", "--segment-len", "32"]
+    assert runner.invoke(main, train).exit_code == 0
+    meta_path = tmp_path / "model.npz.labels.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["n_modes"]
+    meta_path.write_text(json.dumps(meta))
+    used = []
+    monkeypatch.setattr(cli, "default_icvmd_config", lambda n_modes=3: default_icvmd_config(n_modes))
+    monkeypatch.setattr(fewshot, "icvmd_decompose", lambda sig, cfg: used.append(cfg.n_modes) or icvmd_decompose(sig, cfg))
+    res = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(ck)])
+    assert res.exit_code == 0, res.output
+    assert used and set(used) == {3}
+
+
+def test_a_capture_with_no_mode_left_for_signal_is_skipped(runner, tmp_path):
+    data = gen_tiny(runner, tmp_path / "data", spe=2)
+    # Noise on the positive bins above 0.91*pi only: all four modes of that
+    # side centre there with enough energy to be SPECIAL (for this seed).
+    n = 128
+    k = np.arange(n)
+    band = (k > 0.455 * n) & (k < n // 2)
+    rng = np.random.default_rng(1)
+    spec = np.zeros(n, dtype=complex)
+    spec[band] = rng.normal(size=band.sum()) + 1j * rng.normal(size=band.sum())
+    bad = sorted(data.glob("*.iqf32"))[0]
+    write_iqf32(bad, np.fft.ifft(spec))
+    ck = tmp_path / "model.npz"
+    train = ["train", "--data", str(data), "--out", str(ck), "--representation", "icvmd", "--epochs", "1", "--segment-len", "32"]
+    for args in (train, ["eval", "--data", str(data), "--checkpoint", str(ck)]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        skipped = [line for line in res.stderr.splitlines() if line.startswith("skipped ")]
+        assert skipped == [f"skipped {bad.name}: every mode of a side is DC or SPECIAL; none is left for SIGNAL"]
+    assert json.loads(res.stdout)["n_test"] == 13
 
 
 UNCONVERGED_LINE = re.compile(r"^warning: (\d+) of (\d+) decomposed sides stopped at max_iter without converging$")
@@ -753,6 +840,17 @@ def test_fewshot_cli_skips_a_capture_with_a_bad_sidecar(runner, tmp_path, monkey
     assert len(skipped) == 1
     assert skipped[0].startswith(f"skipped {broken[0]}: ")
     assert skipped[0].endswith("sample_rate must be a number, got 'x'")
+
+
+@pytest.mark.parametrize("loss, warns", [(np.log(7) - 0.04, True), (np.log(7) - 0.06, False)],
+                         ids=["within_margin", "outside_margin"])
+def test_fewshot_warns_for_each_proportion_whose_loss_sits_at_chance(runner, tmp_path, monkeypatch, loss, warns):
+    result = FewshotResult(rows=[], reports={}, csv_path="report.csv", final_losses={0.3: (loss, 7), 0.1: (1.2, 7)})
+    monkeypatch.setattr(cli, "run_fewshot", lambda spec, cfg, workdir: result)
+    res = runner.invoke(main, ["fewshot", "--workdir", str(tmp_path / "exp")])
+    assert res.exit_code == 0, res.output
+    line = "warning: p=0.3: final epoch loss 1.906 is within 0.05 of ln(7) = 1.946; the model is at chance"
+    assert res.stderr.splitlines() == ([line] if warns else [])
 
 
 def test_fewshot_cli_rejects_bad_proportions(runner, tmp_path):

@@ -6,21 +6,20 @@ import pytest
 
 from icvmd.decompose import (
     FULL_SELECTION,
-    DcPolicy,
-    IcvmdConfig,
     ModeLabel,
-    PartitionPolicy,
     ProbeSuggestion,
     Selection,
     dump_modes,
     icvmd_decompose,
+    mode_energies,
     partition_modes,
     probe_parameters,
     reconstruct,
     reconstruct_from_dump,
 )
+from icvmd.analytic import combine_analytic
 from icvmd.dataset import DatasetSpec, synthesize_one
-from icvmd.errors import ParameterError
+from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.fewshot import default_icvmd_config
 from icvmd.modulation import ModulationKind
 from icvmd.pa import emitter_bank
@@ -35,9 +34,8 @@ def two_sided_tone_mix(n=512):
     return ComplexSignal(z)
 
 
-def quick_cfg(n_modes=2, **kw):
-    vmd = VmdConfig(n_modes=n_modes, alpha=300.0, tol=1e-6, max_iter=200)
-    return IcvmdConfig(vmd=vmd, **kw)
+def quick_cfg(n_modes=2):
+    return VmdConfig(n_modes=n_modes, alpha=300.0, tol=1e-6, max_iter=200)
 
 
 # -------------------------------------------------------------- partitioning
@@ -51,14 +49,14 @@ def fake_result(freqs, amps, n=256, alpha=500.0):
 
 def test_partition_strongest_is_signal():
     res = fake_result([0.1, 0.3], [1.0, 0.3])
-    labels = partition_modes(res, PartitionPolicy(n_signal_modes=1))
+    labels = partition_modes(res)
     assert labels == (ModeLabel.SIGNAL, ModeLabel.FEATURE)
 
 
 def test_partition_signal_quota_by_energy_not_frequency():
-    # The stronger tone sits at the higher frequency; it must win the quota.
+    # The stronger tone sits at the higher frequency; it must be SIGNAL.
     res = fake_result([0.1, 0.3], [0.3, 1.0])
-    labels = partition_modes(res, PartitionPolicy(n_signal_modes=1))
+    labels = partition_modes(res)
     assert labels == (ModeLabel.FEATURE, ModeLabel.SIGNAL)
 
 
@@ -66,53 +64,46 @@ def test_partition_near_dc_mode():
     n = 512
     x = 3.0 + np.cos(2 * np.pi * 0.2 * np.arange(n))
     res = vmd_decompose(x, VmdConfig(n_modes=2, alpha=500.0, dc_lock=True))
-    for policy, want in [
-        (DcPolicy.SEPARATE, ModeLabel.DC),
-        (DcPolicy.MERGE_INTO_SIGNAL, ModeLabel.SIGNAL),
-    ]:
-        labels = partition_modes(res, PartitionPolicy(n_signal_modes=1, dc_policy=policy))
-        assert labels[0] is want
-        assert labels[1] is ModeLabel.SIGNAL
+    assert partition_modes(res) == (ModeLabel.DC, ModeLabel.SIGNAL)
+
+
+def test_selecting_signal_and_dc_sums_the_dc_mode_and_the_strongest_other():
+    # Merging DC into the signal is one selection: per side, the DC mode plus
+    # the strongest other mode.
+    t = np.arange(512)
+    z = 2.0 + np.exp(2j * np.pi * 0.2 * t) + 0.3 * np.exp(-2j * np.pi * 0.35 * t)
+    res = icvmd_decompose(ComplexSignal(z), VmdConfig(n_modes=3, alpha=500.0, dc_lock=True))
+    picked = []
+    for side, labels in ((res.pos, res.labels_pos), (res.neg, res.labels_neg)):
+        assert labels[0] is ModeLabel.DC and labels.count(ModeLabel.SIGNAL) == 1
+        energies = mode_energies(side)
+        strongest = max((1, 2), key=lambda i: energies[i])
+        assert labels[strongest] is ModeLabel.SIGNAL
+        picked.append(side.modes[0] + side.modes[strongest])
+    got = reconstruct(res, {ModeLabel.SIGNAL, ModeLabel.DC}).samples
+    assert np.allclose(got, combine_analytic(*picked), atol=1e-12)
 
 
 def test_partition_special_window():
     # Tone inside the flagged band with plenty of energy -> SPECIAL.
     res = fake_result([0.1, 0.48], [1.0, 1.0])
-    policy = PartitionPolicy(
-        n_signal_modes=1, special_window=(0.9 * math.pi, math.pi), special_energy_min=0.05
-    )
-    labels = partition_modes(res, policy)
-    assert labels == (ModeLabel.SIGNAL, ModeLabel.SPECIAL)
+    assert partition_modes(res) == (ModeLabel.SIGNAL, ModeLabel.SPECIAL)
 
 
 def test_partition_special_needs_energy():
     # Same placement but the in-band tone is tiny: fails the energy bar and
     # falls through to the ordinary signal/feature ranking.
     res = fake_result([0.1, 0.48], [1.0, 0.05])
-    policy = PartitionPolicy(
-        n_signal_modes=1, special_window=(0.9 * math.pi, math.pi), special_energy_min=0.05
-    )
-    labels = partition_modes(res, policy)
-    assert labels == (ModeLabel.SIGNAL, ModeLabel.FEATURE)
+    assert partition_modes(res) == (ModeLabel.SIGNAL, ModeLabel.FEATURE)
 
 
 def test_partition_quota_too_large_raises():
-    res = fake_result([0.1, 0.3], [1.0, 0.5])
-    with pytest.raises(ParameterError):
-        partition_modes(res, PartitionPolicy(n_signal_modes=3))
-
-
-def test_policy_validation():
-    with pytest.raises(ParameterError):
-        PartitionPolicy(n_signal_modes=-1)
-    with pytest.raises(ParameterError):
-        PartitionPolicy(special_window=(2.0, 1.0))
-    with pytest.raises(ParameterError):
-        PartitionPolicy(special_window=(0.0, 4.0))
-    with pytest.raises(ParameterError):
-        PartitionPolicy(special_energy_min=1.5)
-    with pytest.raises(ParameterError):
-        PartitionPolicy(dc_policy="separate")
+    # Every side gets one SIGNAL mode.  A lone dc_lock mode is DC, so the
+    # quota cannot be met: that is the data's fault, not a setting's.
+    x = 3.0 + np.cos(2 * np.pi * 0.2 * np.arange(256))
+    res = vmd_decompose(x, VmdConfig(n_modes=1, dc_lock=True))
+    with pytest.raises(DegenerateInputError, match="SIGNAL"):
+        partition_modes(res)
 
 
 # ------------------------------------------------------- decompose + rebuild
@@ -177,7 +168,7 @@ def test_empty_side_stand_in_respects_the_memory_budget():
     z = np.exp(-2j * np.pi * (51.0 / n) * np.arange(n))  # the positive side is empty
     side = VmdConfig(n_modes=10**6)
     with pytest.raises(ParameterError, match="budget"):
-        icvmd_decompose(ComplexSignal(z), IcvmdConfig(vmd=side))
+        icvmd_decompose(ComplexSignal(z), side)
 
 
 # -------------------------------------------------------------------- probe

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from icvmd.decompose import (
-    IcvmdConfig,
     ModeLabel,
-    PartitionPolicy,
     icvmd_decompose,
     mode_energies,
     side_input_energy,
@@ -27,8 +25,7 @@ def decompose_demo(n=512, n_modes=3):
         + 0.3 * np.exp(2j * np.pi * 0.35 * t)
         + 0.2 * np.exp(-2j * np.pi * 0.12 * t)
     )
-    vmd = VmdConfig(n_modes=n_modes, alpha=300.0, tol=1e-6, max_iter=150)
-    cfg = IcvmdConfig(vmd=vmd, partition=PartitionPolicy(n_signal_modes=1))
+    cfg = VmdConfig(n_modes=n_modes, alpha=300.0, tol=1e-6, max_iter=150)
     return icvmd_decompose(ComplexSignal(z), cfg)
 
 
@@ -138,8 +135,7 @@ def test_max_modes_truncates():
     t = np.arange(n)
     freqs = (0.04, 0.09, 0.15, 0.22, 0.31, -0.05, -0.11, -0.18, -0.26, -0.37)
     z = sum((1.0 + 0.2 * i) * np.exp(2j * np.pi * f * t) for i, f in enumerate(freqs))
-    vmd = VmdConfig(n_modes=5, alpha=300.0, tol=1e-6, max_iter=300)
-    cfg = IcvmdConfig(vmd=vmd, partition=PartitionPolicy(n_signal_modes=1))
+    cfg = VmdConfig(n_modes=5, alpha=300.0, tol=1e-6, max_iter=300)
     res = icvmd_decompose(ComplexSignal(z), cfg)
     total = side_input_energy(res.pos) + side_input_energy(res.neg)
     retained = sorted(
@@ -164,8 +160,7 @@ def test_geometry_is_gain_invariant_cumulants_are_not():
     n = 512
     t = np.arange(n)
     z = np.exp(2j * np.pi * 0.2 * t) + 0.3 * np.exp(2j * np.pi * 0.35 * t)
-    vmd = VmdConfig(n_modes=2, alpha=300.0, tol=1e-6, max_iter=150)
-    cfg = IcvmdConfig(vmd=vmd)
+    cfg = VmdConfig(n_modes=2, alpha=300.0, tol=1e-6, max_iter=150)
     va = extract_features(icvmd_decompose(ComplexSignal(z), cfg))
     vb = extract_features(icvmd_decompose(ComplexSignal(2.0 * z), cfg))
     geo = slice(0, 3 * MAX_MODES)
@@ -179,8 +174,7 @@ def test_degenerate_side_still_extracts():
     n = 256
     f = 51.0 / n  # bin-aligned so the negative side is empty
     z = np.exp(2j * np.pi * f * np.arange(n))
-    vmd = VmdConfig(n_modes=1, alpha=300.0)
-    cfg = IcvmdConfig(vmd=vmd, partition=PartitionPolicy(n_signal_modes=1))
+    cfg = VmdConfig(n_modes=1, alpha=300.0)
     res = icvmd_decompose(ComplexSignal(z), cfg)
     # The positive side's only mode is SIGNAL; the empty negative side is all
     # FEATURE (zero energy), which keeps extraction well-defined.

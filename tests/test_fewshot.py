@@ -67,8 +67,8 @@ def test_config_validation():
 
 def test_default_icvmd_config_shape():
     cfg = default_icvmd_config(n_modes=3, alpha=150.0)
-    assert cfg.vmd.n_modes == 3
-    assert cfg.vmd.alpha == 150.0
+    assert cfg.n_modes == 3
+    assert cfg.alpha == 150.0
 
 
 def test_signal_channels():
@@ -206,8 +206,7 @@ def test_represent_reads_the_captures_in_path_order(tmp_path):
 
 
 def capped(max_iter, n_modes=2):
-    cfg = default_icvmd_config(n_modes=n_modes)
-    return replace(cfg, vmd=replace(cfg.vmd, max_iter=max_iter))
+    return replace(default_icvmd_config(n_modes=n_modes), max_iter=max_iter)
 
 
 def test_represent_counts_the_sides_that_stop_at_max_iter(tmp_path):
@@ -249,6 +248,8 @@ def test_run_fewshot_carries_the_unconverged_count(tmp_path):
     raw = run_fewshot(TINY_SPEC, FewshotConfig(pipeline=Pipeline.RAW_NN, proportions=(1.0,),
                                                model=TINY_MODEL, train=TrainConfig(epochs=0)), tmp_path / "raw")
     assert raw.solved_sides == raw.unconverged_sides == 0
+    # Nearest centroid has no loss, and a classifier trained for no epochs has none either.
+    assert result.final_losses == raw.final_losses == {}
 
 
 def test_represent_propagates_a_config_error(tmp_path):
@@ -280,6 +281,8 @@ def test_run_fewshot_raw_nn(tmp_path):
     rows = read_csv(result.csv_path)
     assert all(r["pipeline"] == "raw_nn" for r in rows)
     assert any(r["snr_db"] == "all" and r["status"] == "ok" for r in rows)
+    [(proportion, (loss, n_classes))] = result.final_losses.items()
+    assert (proportion, n_classes) == (1.0, 2) and loss > 0
 
 
 def test_run_fewshot_sat(tmp_path):
@@ -301,6 +304,7 @@ def test_run_fewshot_sat(tmp_path):
     assert len(aux_files) == 8
     rows = read_csv(result.csv_path)
     assert any(r["status"] == "ok" for r in rows)
+    assert list(result.final_losses) == [1.0]
 
 
 # ----------------------------------------------------------------------- csv

@@ -284,7 +284,7 @@ def _colliding_cw_side():
     sig = synthesize_one(
         DatasetSpec(n_samples=700), emitter_bank()[6], ModulationKind.CW, 18.0, 2274038596, 4283324809
     )
-    return analytic_split(sig, default_icvmd_config().dc_convention).x_plus
+    return analytic_split(sig).x_plus
 
 
 def _case_signal(source):
@@ -301,7 +301,7 @@ FUSED_SWEEP_CASES = [
     (333, VmdConfig(n_modes=6, alpha=300.0)),
     (431, VmdConfig(n_modes=3, alpha=1000.0, dc_lock=True)),
     (700, VmdConfig(n_modes=4, alpha=200.0, tol=1e-16, max_iter=40)),  # tol below rounding
-    (_colliding_cw_side, default_icvmd_config().vmd),
+    (_colliding_cw_side, default_icvmd_config()),
 ]
 
 
@@ -342,14 +342,13 @@ def test_fused_sweep_cases_reach_the_collision_reseed(monkeypatch):
 def _bench_shaped_sides():
     """Both sides of six n=700 captures: one per emitter and modulation,
     alternating between 18 and -4 dB."""
-    icfg = default_icvmd_config()
     spec = DatasetSpec(n_samples=700)
     sides = []
     for i, profile in enumerate(emitter_bank()[:6]):
         sig = synthesize_one(spec, profile, DEFAULT_MODULATIONS[i], (18.0, -4.0)[i % 2], i, 100 + i)
-        pair = analytic_split(sig, icfg.dc_convention)
+        pair = analytic_split(sig)
         sides += [pair.x_plus, pair.x_minus]
-    return icfg.vmd, sides
+    return default_icvmd_config(), sides
 
 
 def test_relaxed_solver_is_no_farther_from_the_fixed_point_in_fewer_sweeps():
