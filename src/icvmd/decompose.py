@@ -111,13 +111,16 @@ def icvmd_decompose(sig: ComplexSignal, cfg: VmdConfig) -> IcvmdResult:
     labels = {}
     for name, x in (("pos", pair.x_plus), ("neg", pair.x_minus)):
         if float(np.sum(x**2)) > 1e-24 * input_energy:
-            res = vmd_decompose(x, cfg)
+            # The sweep runs in float32; the residual against the float64
+            # side keeps the full-selection roundtrip exact.
+            res = vmd_decompose(x.astype(np.float32), cfg)
+            res = VmdResult(res.modes, res.mode_set, residual=x - res.modes.sum(axis=0))
             labels[name] = partition_modes(res)
         else:
             n = x.size
             check_memory_budget(n, k)
             # n + 1 rfft bins of the mirror-extended (2n) sequence; no sweep ran.
-            spectra = np.zeros((k, n + 1), dtype=complex)
+            spectra = np.zeros((k, n + 1), dtype=np.complex64)
             empty = ModeSet(spectra, np.zeros(k), 0, True, 0.0)
             res = VmdResult(modes=np.zeros((k, n)), mode_set=empty, residual=np.zeros(n))
             labels[name] = tuple([ModeLabel.FEATURE] * k)
@@ -293,7 +296,8 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
     Lossy float32 storage aside, selecting everything plus RESIDUAL reproduces
     the originally decomposed signal.  A manifest that lacks a key, names an
     unknown label or side, or names a file that is not a bare name inside the
-    dump, and a selected file of the wrong length, raise ParameterError.
+    dump, a side whose mode indices are not 0..K-1 each once (the same K on
+    both sides), and a selected file of the wrong length, raise ParameterError.
     """
     from .iqfile import json_object, read_iqf32
 
@@ -306,6 +310,7 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
         raise ParameterError("unsupported modes.json schema_version")
     try:
         parts = [(e["side"], ModeLabel(e["label"]), e["file"]) for e in manifest["modes"]]
+        keys = [(e["side"], e["index"]) for e in manifest["modes"]]
         residuals = manifest["residuals"]
         if not isinstance(residuals, dict) or sorted(residuals) != ["neg", "pos"]:
             raise TypeError(f"residuals must be an object with the keys pos and neg, got {residuals!r}")
@@ -322,6 +327,15 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
             raise ParameterError(f"bad modes.json: unknown side {side!r}")
         if not isinstance(fname, str) or fname in ("", "..") or Path(fname).name != fname:
             raise ParameterError(f"bad modes.json: {fname!r} is not a file name inside the dump")
+    for side, index in keys:
+        if isinstance(index, bool) or not isinstance(index, int) or index < 0:
+            raise ParameterError(f"bad modes.json: {side} mode index {index!r} is not a non-negative integer")
+    k = max(sum(s == side for s, _ in keys) for side in ("pos", "neg"))
+    for side in ("pos", "neg"):
+        for index in range(k):
+            count = keys.count((side, index))
+            if count != 1:
+                raise ParameterError(f"bad modes.json: {side} mode {index} is listed {count} times, not once")
 
     def read(fname):
         x = read_iqf32(dump_dir / fname, with_sidecar=False).samples.real

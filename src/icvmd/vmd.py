@@ -26,6 +26,12 @@ that energy is carried into the next sweep as the mode's previous norm in the
 convergence metric sum_k ||du_k||^2 / ||u_k_prev||^2, so no copy of the
 spectra is kept between sweeps.
 
+The sweep runs in the precision of its input: a float32 signal is solved
+with complex64 mode and residual spectra and float32 grid and work buffers,
+any other dtype in float64.  The start (read off the float64 rfft), the
+centers, the convergence metric, the final irfft, the time-domain modes and
+the residual stay float64 either way.
+
 The sweep is over-relaxed under a guard (Boyd et al. 2011, sec. 3.4.3): each
 mode takes its plain step du_k, moves by beta*du_k, and re-centers with
 w_k <- w_k + beta*(w~_k - w_k), clipped to [0, pi], where w~_k is the power
@@ -102,7 +108,8 @@ class ModeSet:
     """Converged frequency-domain state on the half grid.
 
     mode_spectra    -- complex array [n_modes, n_bins] on the rfft grid of the
-                       mirror-extended signal
+                       mirror-extended signal; complex64 for a float32 input,
+                       complex128 otherwise (the centers stay float64)
     omegas          -- center frequencies in radians, ascending, within [0, pi]
     iterations      -- sweeps actually run
     converged       -- True when the relative-change metric of a plain sweep
@@ -215,6 +222,8 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
 
     Modes are returned sorted by ascending center frequency.
     """
+    x = np.asarray(x)
+    real = np.float32 if x.dtype == np.float32 else np.float64  # the sweep's precision
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ParameterError(f"signal must be 1-D, got shape {x.shape}")
@@ -236,15 +245,17 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     min_gap = 2.0 * np.pi / n_ext
 
     k_modes = cfg.n_modes
-    two_alpha = 2.0 * cfg.alpha
-    u = np.zeros((k_modes, n_bins), dtype=complex)
-    r = np.fft.rfft(ext)  # the residual f_hat - sum(u), with u = 0
-    omegas = _init_omegas(cfg, r)
+    # Python floats throughout, so no scalar promotes a float32 ufunc.
+    two_alpha = 2.0 * float(cfg.alpha)
+    u = np.zeros((k_modes, n_bins), dtype=np.result_type(real, 1j))
+    f_hat = np.fft.rfft(ext)
+    omegas = _init_omegas(cfg, f_hat)
+    r = f_hat.astype(u.dtype, copy=False)  # the residual f_hat - sum(u), with u = 0
     # Interleaved (re, im) float views: the Wiener filter is real, so every
     # update runs as real arithmetic against the grid repeated per component.
-    uv = u.view(float)
-    rv = r.view(float)
-    g2 = np.repeat(grid, 2)
+    uv = u.view(real)
+    rv = r.view(real)
+    g2 = np.repeat(grid, 2).astype(real)
     den = np.empty_like(g2)
     d = np.empty_like(g2)
     p = np.empty_like(g2)
@@ -257,7 +268,7 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
         returns ||du_k||^2 of the unrelaxed step and leaves |u_k|^2 per
         component in p."""
         uk = uv[k]
-        np.subtract(g2, omegas[k], out=den)
+        np.subtract(g2, float(omegas[k]), out=den)
         np.multiply(den, den, out=den)
         np.multiply(den, two_alpha, out=den)
         np.add(den, 1.0, out=den)
@@ -282,7 +293,7 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
             diffs[k] = float(update(k, beta))
             energy = energies[k] = float(p.sum())
             if energy > _ENERGY_GUARD and not (cfg.dc_lock and k == 0):
-                move = (g2 @ p) / energy - omegas[k]
+                move = float(g2 @ p) / energy - omegas[k]
                 shift = max(shift, abs(move))
                 omegas[k] = min(max(omegas[k] + beta * move, 0.0), np.pi)
         _reseed_collisions(omegas, min_gap)
@@ -308,7 +319,7 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     omegas = omegas[order]
     u = u[order]
 
-    modes_ext = np.fft.irfft(u, n_ext, axis=-1)
+    modes_ext = np.fft.irfft(u.astype(complex, copy=False), n_ext, axis=-1)
     start = n // 2
     modes = modes_ext[:, start : start + n]
     residual = x - modes.sum(axis=0)

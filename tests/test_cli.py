@@ -296,8 +296,13 @@ def test_reconstruct_rejects_a_non_numeric_sample_rate(runner, tmp_path, rate):
         (lambda m: m["residuals"].update(neg="../tone.iqf32"), "'../tone.iqf32' is not a file name"),
         (lambda m: m["modes"][0].update(file="/etc/hostname"), "'/etc/hostname' is not a file name"),
         (lambda m: m["modes"][0].update(file=".."), "'..' is not a file name"),
+        (lambda m: m["modes"].append(m["modes"][0]), "pos mode 0 is listed 2 times"),
+        (lambda m: m["modes"].pop(), "neg mode 1 is listed 0 times"),
     ],
-    ids=["residuals_list", "residuals_missing_side", "unknown_side", "non_string_file", "parent_path", "absolute_path", "dot_dot"],
+    ids=[
+        "residuals_list", "residuals_missing_side", "unknown_side", "non_string_file", "parent_path",
+        "absolute_path", "dot_dot", "repeated_mode", "dropped_mode",
+    ],
 )
 def test_reconstruct_rejects_a_bad_modes_json(runner, tmp_path, edit, message):
     src = tmp_path / "tone.iqf32"

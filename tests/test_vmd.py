@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from icvmd.analytic import analytic_split
 from icvmd.dataset import DEFAULT_MODULATIONS, DatasetSpec, synthesize_one
+from icvmd.decompose import icvmd_decompose
 from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.fewshot import default_icvmd_config
 from icvmd.modulation import ModulationKind
@@ -377,6 +378,39 @@ def test_peak_start_takes_fewer_sweeps_than_the_uniform_spread(monkeypatch):
     monkeypatch.setattr(vmd, "_init_omegas", lambda cfg, spectrum: uniform_spread(cfg))
     uniform = sum(vmd_decompose(x, cfg).mode_set.iterations for x in sides)
     assert peaks < uniform
+
+
+def test_solver_runs_in_the_precision_of_its_input():
+    x = tone_mix(300, [0.05, 0.2], [1.0, 0.5])
+    cfg = VmdConfig(n_modes=2, alpha=500.0)
+    single = vmd_decompose(x.astype(np.float32), cfg)
+    assert single.mode_set.mode_spectra.dtype == np.complex64
+    assert single.modes.dtype == single.residual.dtype == single.omegas.dtype == np.float64
+    for other in (x, np.round(100 * x).astype(np.int64), x.astype(np.float16)):
+        res = vmd_decompose(other, cfg)
+        assert res.mode_set.mode_spectra.dtype == np.complex128
+        assert res.modes.dtype == np.float64
+
+
+def test_icvmd_residual_closes_each_float64_side():
+    sig = synthesize_one(DatasetSpec(n_samples=700), emitter_bank()[2], ModulationKind.QPSK, 18.0, 3, 103)
+    pair = analytic_split(sig)
+    res = icvmd_decompose(sig, default_icvmd_config())
+    for side, x in ((res.pos, pair.x_plus), (res.neg, pair.x_minus)):
+        assert side.mode_set.mode_spectra.dtype == np.complex64
+        assert side.residual.dtype == np.float64
+        assert np.array_equal(side.residual, x - side.modes.sum(axis=0))
+
+
+def test_float32_solve_stays_near_the_float64_solve():
+    cfg, sides = _bench_shaped_sides()
+    double = [vmd_decompose(x, cfg) for x in sides]
+    single = [vmd_decompose(x.astype(np.float32), cfg) for x in sides]
+    for a, b in zip(double, single):
+        assert np.max(np.abs(a.omegas - b.omegas)) <= 1e-3
+    assert [r.mode_set.converged for r in single] == [r.mode_set.converged for r in double]
+    sweeps = [sum(r.mode_set.iterations for r in rs) for rs in (double, single)]
+    assert abs(sweeps[1] - sweeps[0]) <= 0.02 * sweeps[0], sweeps
 
 
 def test_iteration_cap_respected():
