@@ -5,7 +5,6 @@ problems (missing or malformed files).
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import sys
@@ -26,7 +25,6 @@ from .decompose import (
     Selection,
     dump_modes,
     icvmd_decompose,
-    probe_parameters,
     reconstruct_from_dump,
 )
 from .classify import evaluate
@@ -140,22 +138,18 @@ def gen(out_dir, config, **kw):
 @click.option("--dc-lock", is_flag=True, default=VmdConfig.dc_lock)
 @_guarded
 def decompose(input_file, out_dir, n_modes, alpha, tol, max_iter, dc_lock):
-    """Decompose an iqf32 file into labeled modes (one iqf32 per mode + modes.json)."""
+    """Decompose an iqf32 file into labeled modes (modes.npz + modes.json)."""
     sig = read_iqf32(input_file)
     cfg = VmdConfig(n_modes=n_modes, alpha=alpha, tol=tol, max_iter=max_iter, dc_lock=dc_lock)
-    result = icvmd_decompose(sig, cfg)
-    manifest = dump_modes(result, out_dir)
-    for entry in manifest["modes"]:
-        click.echo(
-            f"{entry['file']}  side={entry['side']}  omega={entry['omega']:.4f}  "
-            f"energy={entry['energy_fraction']:.4f}  label={entry['label']}"
-        )
-    click.echo(f"wrote {len(manifest['modes'])} modes to {out_dir}")
-    for side, s in manifest["solver"].items():
+    manifest = dump_modes(icvmd_decompose(sig, cfg), out_dir)
+    for side, s in manifest["sides"].items():
+        for index, row in enumerate(zip(s["omegas"], s["energy_fractions"], s["labels"])):
+            click.echo("side={}  index={}  omega={:.4f}  energy={:.4f}  label={}".format(side, index, *row))
         if not s["converged"]:
             delta = "n/a" if s["final_delta"] is None else f"{s['final_delta']:.3g}"
             msg = f"stopped at {s['iterations']} sweeps (--max-iter) without converging"
             click.echo(f"warning: {side} side {msg}: final delta {delta} >= tol {tol:g}", err=True)
+    click.echo(f"wrote {2 * n_modes} modes to {out_dir}")
 
 
 @main.command()
@@ -177,15 +171,6 @@ def reconstruct(modes_dir, out_file, select):
     sig = reconstruct_from_dump(modes_dir, selection)
     write_iqf32(out_file, sig.samples, {"sample_rate": sig.sample_rate, "selection": sorted(select)})
     click.echo(f"wrote {len(sig)} samples to {out_file}")
-
-
-@main.command()
-@click.argument("input_file", type=click.Path(exists=True))
-@_guarded
-def probe(input_file):
-    """Suggest decomposition parameters for an iqf32 file."""
-    sig = read_iqf32(input_file)
-    click.echo(json.dumps(dataclasses.asdict(probe_parameters(sig)), indent=2))
 
 
 # The classifier pipeline behind each --representation choice.

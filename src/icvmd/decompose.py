@@ -21,7 +21,7 @@ import numpy as np
 from .analytic import analytic_split, boundary_correction, combine_analytic
 from .errors import DegenerateInputError, ParameterError
 from .signals import ComplexSignal
-from .vmd import ModeSet, VmdConfig, VmdResult, check_memory_budget, smoothed_power, vmd_decompose
+from .vmd import ModeSet, VmdConfig, VmdResult, check_memory_budget, vmd_decompose
 
 # A mode centred above _SPECIAL_LOW (radians) that holds at least
 # _SPECIAL_ENERGY_MIN of its side's input energy is SPECIAL.
@@ -54,10 +54,6 @@ class IcvmdResult:
     dc_imag: float
     nyquist_imag: float
     sample_rate: float = 1.0
-
-    @property
-    def n_samples(self) -> int:
-        return self.pos.modes.shape[1]
 
 
 def mode_energies(result: VmdResult) -> np.ndarray:
@@ -137,24 +133,23 @@ def icvmd_decompose(sig: ComplexSignal, cfg: VmdConfig) -> IcvmdResult:
     )
 
 
-def _assemble(selection, n, parts, read, dc_imag, nyquist_imag) -> np.ndarray:
-    """Recombine the selected (side, label, ref) parts into complex samples;
-    each side's residual is labeled Selection.RESIDUAL and carries the
-    boundary-bin correction.  ``read(ref)`` runs for selected parts only."""
+def _assemble(selection, sides: dict, dc_imag, nyquist_imag) -> np.ndarray:
+    """Recombine the selected parts into complex samples.  ``sides`` maps pos
+    and neg to (labels, modes [K, n], residual [n]); each side's residual is
+    labeled Selection.RESIDUAL and carries the boundary-bin correction."""
     selection = frozenset(selection)
     bad = selection - (set(ModeLabel) | set(Selection))
     if bad:
         raise ParameterError(f"unknown selection entries: {sorted(str(b) for b in bad)}")
-    sides = {"pos": np.zeros(n), "neg": np.zeros(n)}
-    for side, label, ref in parts:
-        if label in selection:
-            sides[side] = sides[side] + read(ref)
-    if not np.any(sides["pos"]) and not np.any(sides["neg"]):
-        z = np.zeros(n, dtype=complex)
-    else:
-        z = combine_analytic(sides["pos"], sides["neg"])
+    summed = {}
+    for name, (labels, modes, residual) in sides.items():
+        picked = [mode for label, mode in zip(labels, modes) if label in selection]
+        if Selection.RESIDUAL in selection:
+            picked.append(residual)
+        summed[name] = sum(picked, np.zeros(residual.size))
+    z = combine_analytic(summed["pos"], summed["neg"])
     if Selection.RESIDUAL in selection:
-        z = z + boundary_correction(n, dc_imag, nyquist_imag)
+        z = z + boundary_correction(z.size, dc_imag, nyquist_imag)
     return z
 
 
@@ -166,182 +161,102 @@ def reconstruct(result: IcvmdResult, selection) -> ComplexSignal:
     boundary-bin correction rides with RESIDUAL).  An empty selection yields
     an all-zero signal.
     """
-    parts = []
-    for name, side, labels in (
-        ("pos", result.pos, result.labels_pos),
-        ("neg", result.neg, result.labels_neg),
-    ):
-        parts += [(name, label, mode) for label, mode in zip(labels, side.modes)]
-        parts.append((name, Selection.RESIDUAL, side.residual))
-    z = _assemble(
-        selection, result.n_samples, parts, lambda part: part, result.dc_imag, result.nyquist_imag
-    )
+    sides = {
+        "pos": (result.labels_pos, result.pos.modes, result.pos.residual),
+        "neg": (result.labels_neg, result.neg.modes, result.neg.residual),
+    }
+    z = _assemble(selection, sides, result.dc_imag, result.nyquist_imag)
     return ComplexSignal(z, result.sample_rate)
 
 
 FULL_SELECTION = frozenset(ModeLabel) | frozenset({Selection.RESIDUAL})
 
 
-@dataclass(frozen=True)
-class ProbeSuggestion:
-    """Data-driven starting point for the solver knobs."""
-
-    k_low: int
-    k_high: int
-    alpha: float
-    n_peaks: int
-    mean_bandwidth_rad: float
-
-
-def probe_parameters(sig: ComplexSignal) -> ProbeSuggestion:
-    """Suggest a mode-count range and a bandwidth-penalty decade from a
-    smoothed periodogram.
-
-    Peaks are contiguous regions at least 6 dB above the median smoothed
-    power; each contributes a 3 dB width.  The mode count brackets the peak
-    count (never below the usual working range), and alpha is the decade of
-    n / (4 * mean 3 dB width in radians) -- narrower structure needs a larger
-    penalty to isolate it.
-    """
-    z = sig.samples
-    n = z.size
-    if n < 16:
-        raise ParameterError("probe needs at least 16 samples")
-    smooth = smoothed_power(np.fft.fft(z), max(3, n // 16))
-    floor = float(np.median(smooth))
-    thresh = floor * (10.0 ** 0.6) if floor > 0 else 0.0
-
-    above = smooth > max(thresh, 1e-300)
-    # Contiguous runs of above-threshold bins.
-    starts = list(np.flatnonzero(np.diff(np.concatenate([[0], above.astype(int)])) == 1))
-    ends = list(np.flatnonzero(np.diff(np.concatenate([above.astype(int), [0]])) == -1))
-    regions = list(zip(starts, ends))
-
-    bandwidths = []
-    for s, e in regions:
-        seg = smooth[s : e + 1]
-        peak = float(seg.max())
-        half = peak / 2.0
-        idx = np.flatnonzero(seg >= half)
-        n_bins = idx[-1] - idx[0] + 1
-        bandwidths.append(n_bins * 2.0 * np.pi / n)
-
-    n_peaks = len(regions)
-    mean_bw = float(np.mean(bandwidths)) if bandwidths else math.pi
-    k_low = max(n_peaks, 5)
-    k_high = max(n_peaks + 2, 8)
-    alpha_raw = n / (4.0 * mean_bw)
-    alpha = float(10.0 ** round(math.log10(alpha_raw))) if alpha_raw > 0 else 1000.0
-    return ProbeSuggestion(
-        k_low=k_low, k_high=k_high, alpha=alpha, n_peaks=n_peaks, mean_bandwidth_rad=mean_bw
-    )
+DUMP_VERSION = 2
 
 
 def dump_modes(result: IcvmdResult, out_dir) -> dict:
-    """Write every mode (and the two residuals) as iqf32 files plus one JSON manifest.
+    """Write the modes and residuals to ``modes.npz`` and the rest to ``modes.json``.
 
-    Each mode is a real sequence; it is stored with a zero quadrature channel.
-    The manifest records side, center frequency, energy fraction, and label for
-    every file, plus the boundary-bin amplitudes, so a complex signal can be
-    rebuilt from the dump alone.  ``solver`` holds each side's sweep count,
-    converged flag and final convergence metric (null when no two sweeps were
+    ``modes.npz`` holds float64 ``modes_pos`` and ``modes_neg`` ``[K, n]`` and
+    ``residual_pos`` and ``residual_neg`` ``[n]``, so the dump rebuilds exactly
+    what ``reconstruct`` does.  Under ``sides``, ``modes.json`` lists each
+    side's labels, centers and energy fractions by mode row, and its sweep
+    count, converged flag and final metric (null when no two sweeps were
     compared).
     """
-    from .iqfile import write_iqf32
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    solver = {}
-    for side_name, side, labels in (
-        ("pos", result.pos, result.labels_pos),
-        ("neg", result.neg, result.labels_neg),
-    ):
+    arrays, sides = {}, {}
+    for name, side, labels in (("pos", result.pos, result.labels_pos), ("neg", result.neg, result.labels_neg)):
         ms = side.mode_set
-        delta = ms.final_delta if math.isfinite(ms.final_delta) else None
-        solver[side_name] = dict(iterations=ms.iterations, converged=ms.converged, final_delta=delta)
-        energies = mode_energies(side)
         total = max(side_input_energy(side), 1e-300)
-        for k in range(side.modes.shape[0]):
-            fname = f"mode_{side_name}_{k:02d}.iqf32"
-            write_iqf32(out_dir / fname, side.modes[k].astype(complex))
-            entries.append(
-                {
-                    "file": fname,
-                    "side": side_name,
-                    "index": k,
-                    "omega": float(side.omegas[k]),
-                    "energy_fraction": float(energies[k] / total),
-                    "label": labels[k].value,
-                }
-            )
-        write_iqf32(out_dir / f"residual_{side_name}.iqf32", side.residual.astype(complex))
+        arrays[f"modes_{name}"], arrays[f"residual_{name}"] = side.modes, side.residual
+        sides[name] = {
+            "labels": [label.value for label in labels],
+            "omegas": [float(w) for w in side.omegas],
+            "energy_fractions": [float(e / total) for e in mode_energies(side)],
+            "iterations": ms.iterations,
+            "converged": ms.converged,
+            "final_delta": ms.final_delta if math.isfinite(ms.final_delta) else None,
+        }
+    np.savez(out_dir / "modes.npz", **arrays)
     manifest = {
-        "schema_version": 1,
-        "n_samples": result.n_samples,
+        "schema_version": DUMP_VERSION,
         "sample_rate": result.sample_rate,
         "dc_imag": result.dc_imag,
         "nyquist_imag": result.nyquist_imag,
-        "residuals": {"pos": "residual_pos.iqf32", "neg": "residual_neg.iqf32"},
-        "modes": entries,
-        "solver": solver,
+        "sides": sides,
     }
     (out_dir / "modes.json").write_text(json.dumps(manifest, indent=2))
     return manifest
 
 
 def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
-    """Rebuild a complex signal from a dump_modes() directory.
+    """Rebuild a complex signal from a dump_modes() directory, exactly as
+    ``reconstruct`` rebuilds it from the dumped result.
 
-    Lossy float32 storage aside, selecting everything plus RESIDUAL reproduces
-    the originally decomposed signal.  A manifest that lacks a key, names an
-    unknown label or side, or names a file that is not a bare name inside the
-    dump, a side whose mode indices are not 0..K-1 each once (the same K on
-    both sides), and a selected file of the wrong length, raise ParameterError.
+    K and n come from the array shapes.  A ``modes.json`` that is not
+    ``schema_version`` 2, lacks a key, names an unknown label or has sides
+    other than pos and neg raises ParameterError; so does a ``modes.npz`` that
+    lacks a float64 array, or a side without one label per mode, without the
+    same n as the other side, or whose residual is not ``[n]``.
     """
-    from .iqfile import json_object, read_iqf32
+    from .iqfile import json_object, load_npz
 
     dump_dir = Path(dump_dir)
     manifest_path = dump_dir / "modes.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no modes.json in {dump_dir}")
     manifest = json_object(manifest_path.read_text(), manifest_path)
-    if manifest.get("schema_version") != 1:
-        raise ParameterError("unsupported modes.json schema_version")
+    version = manifest.get("schema_version")
+    if version != DUMP_VERSION:
+        raise ParameterError(f"unsupported modes.json schema_version {version!r}, not {DUMP_VERSION}")
     try:
-        parts = [(e["side"], ModeLabel(e["label"]), e["file"]) for e in manifest["modes"]]
-        keys = [(e["side"], e["index"]) for e in manifest["modes"]]
-        residuals = manifest["residuals"]
-        if not isinstance(residuals, dict) or sorted(residuals) != ["neg", "pos"]:
-            raise TypeError(f"residuals must be an object with the keys pos and neg, got {residuals!r}")
-        parts += [(side, Selection.RESIDUAL, f) for side, f in residuals.items()]
-        n = int(manifest["n_samples"])
+        sides = manifest["sides"]
+        labels = {name: [ModeLabel(v) for v in sides[name]["labels"]] for name in ("pos", "neg")}
+        if len(sides) != 2:
+            raise ValueError(f"sides must hold only pos and neg, got {sorted(sides)}")
         dc_imag, nyquist_imag = float(manifest["dc_imag"]), float(manifest["nyquist_imag"])
         sample_rate = float(manifest.get("sample_rate", 1.0))
     except KeyError as exc:
         raise ParameterError(f"modes.json lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"bad modes.json: {exc}") from None
-    for side, _, fname in parts:
-        if side not in ("pos", "neg"):
-            raise ParameterError(f"bad modes.json: unknown side {side!r}")
-        if not isinstance(fname, str) or fname in ("", "..") or Path(fname).name != fname:
-            raise ParameterError(f"bad modes.json: {fname!r} is not a file name inside the dump")
-    for side, index in keys:
-        if isinstance(index, bool) or not isinstance(index, int) or index < 0:
-            raise ParameterError(f"bad modes.json: {side} mode index {index!r} is not a non-negative integer")
-    k = max(sum(s == side for s, _ in keys) for side in ("pos", "neg"))
-    for side in ("pos", "neg"):
-        for index in range(k):
-            count = keys.count((side, index))
-            if count != 1:
-                raise ParameterError(f"bad modes.json: {side} mode {index} is listed {count} times, not once")
 
-    def read(fname):
-        x = read_iqf32(dump_dir / fname, with_sidecar=False).samples.real
-        if x.size != n:
-            raise ParameterError(f"{fname} holds {x.size} samples, modes.json says {n}")
-        return x
-
-    z = _assemble(selection, n, parts, read, dc_imag, nyquist_imag)
-    return ComplexSignal(z, sample_rate)
+    arrays = load_npz(dump_dir / "modes.npz")
+    for key in ("modes_pos", "modes_neg", "residual_pos", "residual_neg"):
+        found = arrays[key].dtype.name if key in arrays else "nothing"
+        if found != "float64":
+            raise ParameterError(f"modes.npz needs a float64 array {key}, found {found}")
+    n = arrays["modes_pos"].shape[-1:]
+    parts = {}
+    for name in ("pos", "neg"):
+        modes, residual = arrays[f"modes_{name}"], arrays[f"residual_{name}"]
+        if modes.shape != (len(labels[name]), *n) or residual.shape != n:
+            raise ParameterError(
+                f"bad dump: the {name} side has {len(labels[name])} labels, modes of shape {modes.shape} and a "
+                f"residual of shape {residual.shape}; the pos modes have shape {arrays['modes_pos'].shape}"
+            )
+        parts[name] = (labels[name], modes, residual)
+    return ComplexSignal(_assemble(selection, parts, dc_imag, nyquist_imag), sample_rate)

@@ -5,10 +5,14 @@ A file of N complex samples is exactly 8*N bytes.  Metadata lives in an
 optional JSON sidecar with the same stem and a ``.json`` suffix; the reader
 takes only its ``sample_rate`` (default 1.0), and the dataset writer adds the
 label, emitter, modulation, SNR and seeds of each capture.
+
+The module also holds the two readers that the other formats share:
+``json_object`` for JSON manifests and ``load_npz`` for npz archives.
 """
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +27,22 @@ def json_object(text: str, source) -> dict:
     if not isinstance(value, dict):
         raise ParameterError(f"{source} must hold a JSON object, got {type(value).__name__}")
     return value
+
+
+def load_npz(path) -> dict:
+    """Read every array of an ``.npz`` archive, refusing pickled objects.
+
+    A missing file raises FileNotFoundError; a file numpy cannot read as an
+    npz archive (truncated, corrupt or not a zip) raises ParameterError naming it.
+    """
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("it holds a single .npy array")
+        with archive:
+            return dict(archive.items())
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise ParameterError(f"{path} is not a readable .npz archive: {exc}") from None
 
 
 def sidecar_path(path) -> Path:
@@ -45,7 +65,7 @@ def write_iqf32(path, samples, sidecar: dict | None = None) -> Path:
     return path
 
 
-def read_iqf32(path, with_sidecar: bool = True) -> ComplexSignal:
+def read_iqf32(path) -> ComplexSignal:
     """Read an iqf32 file back into a ComplexSignal (complex128 in memory).
 
     The sidecar's sample_rate is honored when the sidecar exists; otherwise
@@ -64,7 +84,7 @@ def read_iqf32(path, with_sidecar: bool = True) -> ComplexSignal:
     z = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
     rate = 1.0
     side = sidecar_path(path)
-    if with_sidecar and side.exists():
+    if side.exists():
         rate = json_object(side.read_text(), side).get("sample_rate", 1.0)
         if isinstance(rate, bool) or not isinstance(rate, (int, float)):
             raise ParameterError(f"{side}: sample_rate must be a number, got {rate!r}")

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ParameterError
-from ..iqfile import json_object
+from ..iqfile import json_object, load_npz
 from .model import ModelConfig, NetParams, init_params
 
 FORMAT_VERSION = 1
@@ -46,11 +46,7 @@ def load_checkpoint(path) -> NetParams:
     Every stored array must match the key, the shape and the finiteness of
     the manifest architecture.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such checkpoint: {path}")
-    with np.load(path) as z:
-        files = dict(z.items())
+    files = load_npz(path)
     if "manifest" not in files:
         raise ParameterError(f"{path} is not a model checkpoint (missing manifest)")
     manifest = json_object(bytes(files.pop("manifest").tobytes()).decode(), f"{path} manifest")

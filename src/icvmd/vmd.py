@@ -223,6 +223,8 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     Modes are returned sorted by ascending center frequency.
     """
     x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ParameterError(f"signal must be real, got dtype {x.dtype}")
     real = np.float32 if x.dtype == np.float32 else np.float64  # the sweep's precision
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:

@@ -207,8 +207,8 @@ def test_decompose_reconstruct_roundtrip(runner, tmp_path):
         ],
     )
     assert res.exit_code == 0, res.output
-    assert (tmp_path / "modes" / "modes.json").exists()
-    assert "label=" in res.output
+    assert sorted(p.name for p in (tmp_path / "modes").iterdir()) == ["modes.json", "modes.npz"]
+    assert "side=pos  index=0  omega=" in res.output and "label=" in res.output
 
     out_file = tmp_path / "rebuilt.iqf32"
     res = runner.invoke(
@@ -267,7 +267,7 @@ def test_reconstruct_rejects_a_manifest_with_an_unknown_label(runner, tmp_path):
     runner.invoke(main, ["decompose", str(src), "--out", str(tmp_path / "m"), "--n-modes", "2"])
     manifest_path = tmp_path / "m" / "modes.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["modes"][0]["label"] = "carrier"
+    manifest["sides"]["pos"]["labels"][0] = "carrier"
     manifest_path.write_text(json.dumps(manifest))
     res = runner.invoke(main, ["reconstruct", str(tmp_path / "m"), "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
@@ -289,20 +289,20 @@ def test_reconstruct_rejects_a_non_numeric_sample_rate(runner, tmp_path, rate):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda m: m.update(residuals=["residual_pos.iqf32"]), "residuals must be an object"),
-        (lambda m: m["residuals"].pop("neg"), "residuals must be an object with the keys pos and neg"),
-        (lambda m: m["modes"][0].update(side="up"), "unknown side 'up'"),
-        (lambda m: m["modes"][0].update(file=3), "3 is not a file name inside the dump"),
-        (lambda m: m["residuals"].update(neg="../tone.iqf32"), "'../tone.iqf32' is not a file name"),
-        (lambda m: m["modes"][0].update(file="/etc/hostname"), "'/etc/hostname' is not a file name"),
-        (lambda m: m["modes"][0].update(file=".."), "'..' is not a file name"),
-        (lambda m: m["modes"].append(m["modes"][0]), "pos mode 0 is listed 2 times"),
-        (lambda m: m["modes"].pop(), "neg mode 1 is listed 0 times"),
+        (
+            lambda m: m["sides"].update(up=m["sides"]["pos"]),
+            "bad modes.json: sides must hold only pos and neg, got ['neg', 'pos', 'up']",
+        ),
+        (
+            lambda m: m["sides"]["pos"]["labels"].append(m["sides"]["pos"]["labels"][0]),
+            "bad dump: the pos side has 3 labels, modes of shape (2, 256)",
+        ),
+        (
+            lambda m: m["sides"]["neg"]["labels"].pop(),
+            "bad dump: the neg side has 1 labels, modes of shape (2, 256)",
+        ),
     ],
-    ids=[
-        "residuals_list", "residuals_missing_side", "unknown_side", "non_string_file", "parent_path",
-        "absolute_path", "dot_dot", "repeated_mode", "dropped_mode",
-    ],
+    ids=["unknown_side", "repeated_mode", "dropped_mode"],
 )
 def test_reconstruct_rejects_a_bad_modes_json(runner, tmp_path, edit, message):
     src = tmp_path / "tone.iqf32"
@@ -314,7 +314,7 @@ def test_reconstruct_rejects_a_bad_modes_json(runner, tmp_path, edit, message):
     manifest_path.write_text(json.dumps(manifest))
     res = runner.invoke(main, ["reconstruct", str(tmp_path / "m"), "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
-    assert "error: bad modes.json: " in res.output and message in res.output
+    assert f"error: {message}" in res.output
 
 
 def test_decompose_rejects_a_non_numeric_sidecar_sample_rate(runner, tmp_path):
@@ -440,7 +440,7 @@ def test_decompose_reports_solver_state_and_warns_at_the_cap(runner, tmp_path):
     args = ["decompose", str(src), "--out", str(out), "--n-modes", "2", "--alpha", "300"]
     res = runner.invoke(main, args + ["--max-iter", "2"])
     assert res.exit_code == 0, res.output
-    solver = json.loads((out / "modes.json").read_text())["solver"]
+    solver = json.loads((out / "modes.json").read_text())["sides"]
     assert set(solver) == {"pos", "neg"}
     for side in ("pos", "neg"):
         assert solver[side]["iterations"] == 2
@@ -451,7 +451,7 @@ def test_decompose_reports_solver_state_and_warns_at_the_cap(runner, tmp_path):
 
     res = runner.invoke(main, args)
     assert res.exit_code == 0, res.output
-    solver = json.loads((out / "modes.json").read_text())["solver"]
+    solver = json.loads((out / "modes.json").read_text())["sides"]
     assert all(s["converged"] and 2 < s["iterations"] < 500 for s in solver.values())
     assert "warning" not in res.stderr
 
@@ -468,23 +468,33 @@ def test_decompose_corrupt_input(runner, tmp_path):
     assert res.exit_code == 2
 
 
-# --------------------------------------------------------------------- probe
-
-
-def test_probe_prints_suggestion(runner, tmp_path):
+def dumped_modes_npz(runner, tmp_path):
     src = tmp_path / "tone.iqf32"
     write_tone(src)
-    res = runner.invoke(main, ["probe", str(src)])
+    res = runner.invoke(main, ["decompose", str(src), "--out", str(tmp_path / "m"), "--n-modes", "2"])
     assert res.exit_code == 0, res.output
-    parsed = json.loads(res.output)
-    assert {"k_low", "k_high", "alpha", "n_peaks", "mean_bandwidth_rad"} == set(parsed)
+    return tmp_path / "m" / "modes.npz", ["reconstruct", str(tmp_path / "m"), "--out", str(tmp_path / "o")]
 
 
-def test_probe_rejects_short_input(runner, tmp_path):
-    src = tmp_path / "short.iqf32"
-    write_iqf32(src, np.ones(4, dtype=complex))
-    res = runner.invoke(main, ["probe", str(src)])
-    assert res.exit_code == 2
+def trained_checkpoint(runner, tmp_path):
+    data = gen_tiny(runner, tmp_path / "data")
+    ck = tmp_path / "model.npz"
+    res = runner.invoke(main, ["train", "--data", str(data), "--out", str(ck), "--epochs", "0", "--segment-len", "32"])
+    assert res.exit_code == 0, res.output
+    return ck, ["eval", "--data", str(data), "--checkpoint", str(ck)]
+
+
+@pytest.mark.parametrize(
+    "damage", [lambda b: b[: len(b) // 2], lambda b: b"not an archive\n" * 8], ids=["truncated", "junk"]
+)
+@pytest.mark.parametrize("setup", [dumped_modes_npz, trained_checkpoint], ids=["reconstruct", "eval"])
+def test_an_unreadable_npz_is_a_parameter_error(runner, tmp_path, setup, damage):
+    path, args = setup(runner, tmp_path)
+    path.write_bytes(damage(path.read_bytes()))
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"error: {path} is not a readable .npz archive" in res.output
 
 
 # ---------------------------------------------------------------- train/eval

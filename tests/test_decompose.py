@@ -1,5 +1,5 @@
+import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -7,13 +7,11 @@ import pytest
 from icvmd.decompose import (
     FULL_SELECTION,
     ModeLabel,
-    ProbeSuggestion,
     Selection,
     dump_modes,
     icvmd_decompose,
     mode_energies,
     partition_modes,
-    probe_parameters,
     reconstruct,
     reconstruct_from_dump,
 )
@@ -173,40 +171,6 @@ def test_empty_side_stand_in_respects_the_memory_budget():
         icvmd_decompose(ComplexSignal(z), side)
 
 
-# -------------------------------------------------------------------- probe
-
-
-def test_probe_counts_two_tones():
-    n = 1024
-    t = np.arange(n)
-    z = np.exp(2j * np.pi * 0.1 * t) + np.exp(2j * np.pi * 0.3 * t)
-    s = probe_parameters(ComplexSignal(z))
-    assert isinstance(s, ProbeSuggestion)
-    assert s.n_peaks == 2
-    assert s.k_low >= s.n_peaks
-    assert s.k_high > s.k_low
-    assert s.alpha > 0
-    assert math.log10(s.alpha) == round(math.log10(s.alpha))  # a decade
-
-
-def test_probe_bandwidth_drives_alpha():
-    n = 2048
-    t = np.arange(n)
-    narrow = ComplexSignal(np.exp(2j * np.pi * 0.2 * t))
-    # Linear chirp sweeping 40% of the band: genuinely wide occupancy.
-    phase = 2 * np.pi * (0.05 * t + 0.4 / (2 * (n - 1)) * t**2)
-    wide = ComplexSignal(np.exp(1j * phase))
-    narrow_probe = probe_parameters(narrow)
-    wide_probe = probe_parameters(wide)
-    assert narrow_probe.mean_bandwidth_rad < wide_probe.mean_bandwidth_rad
-    assert narrow_probe.alpha >= wide_probe.alpha
-
-
-def test_probe_needs_enough_samples():
-    with pytest.raises(ParameterError):
-        probe_parameters(ComplexSignal(np.ones(8, dtype=complex)))
-
-
 # ------------------------------------------------------------ dump + reload
 
 
@@ -214,26 +178,47 @@ def test_dump_and_reconstruct_from_dump(tmp_path):
     sig = two_sided_tone_mix(n=300)
     res = icvmd_decompose(sig, quick_cfg())
     manifest = dump_modes(res, tmp_path)
-    assert (tmp_path / "modes.json").exists()
-    assert (tmp_path / "mode_pos_00.iqf32").exists()
-    assert (tmp_path / "residual_neg.iqf32").exists()
-    assert len(manifest["modes"]) == 4  # 2 modes per side
-    for entry in manifest["modes"]:
-        assert entry["label"] in {m.value for m in ModeLabel}
-        assert 0.0 <= entry["energy_fraction"] <= 1.1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["modes.json", "modes.npz"]
+    with np.load(tmp_path / "modes.npz") as z:
+        assert {key: (a.dtype, a.shape) for key, a in z.items()} == {
+            "modes_pos": (np.float64, (2, 300)),
+            "modes_neg": (np.float64, (2, 300)),
+            "residual_pos": (np.float64, (300,)),
+            "residual_neg": (np.float64, (300,)),
+        }
+    assert manifest["schema_version"] == 2
+    assert sorted(manifest["sides"]) == ["neg", "pos"]
+    for side in manifest["sides"].values():
+        assert len(side["labels"]) == len(side["omegas"]) == len(side["energy_fractions"]) == 2
+        assert set(side["labels"]) <= {m.value for m in ModeLabel}
+        assert all(0.0 <= e <= 1.1 for e in side["energy_fractions"])
 
     out = reconstruct_from_dump(tmp_path, FULL_SELECTION)
-    # float32 storage costs ~7 digits of precision.
-    assert np.allclose(out.samples, sig.samples, atol=1e-4)
+    assert np.array_equal(out.samples, reconstruct(res, FULL_SELECTION).samples)
+    assert np.allclose(out.samples, sig.samples, atol=1e-12)
 
     sel = reconstruct_from_dump(tmp_path, {ModeLabel.SIGNAL})
-    ref = reconstruct(res, {ModeLabel.SIGNAL})
-    assert np.allclose(sel.samples, ref.samples, atol=1e-4)
+    assert np.array_equal(sel.samples, reconstruct(res, {ModeLabel.SIGNAL}).samples)
+
+
+def test_a_dump_rebuilds_every_selection_exactly(tmp_path):
+    spec = DatasetSpec(n_samples=700)
+    sig = synthesize_one(spec, emitter_bank()[0], ModulationKind.QPSK, 18.0, symbol_seed=0, noise_seed=100)
+    sig = ComplexSignal(sig.samples + 0.3, sample_rate=2.5e6)  # a DC offset gives a DC mode
+    res = icvmd_decompose(sig, default_icvmd_config())
+    assert ModeLabel.DC in res.labels_pos
+    dump_modes(res, tmp_path)
+    parts = sorted(FULL_SELECTION, key=lambda part: part.value)
+    for size in range(len(parts) + 1):
+        for selection in itertools.combinations(parts, size):
+            out = reconstruct_from_dump(tmp_path, selection)
+            assert out.sample_rate == 2.5e6
+            assert np.array_equal(out.samples, reconstruct(res, selection).samples), selection
 
 
 @pytest.mark.parametrize("snr_db", [18.0, -4.0])
 def test_dump_roundtrip_loss_is_bounded(tmp_path, snr_db):
-    # The known loss of a mode dump: float32 samples with a zero Q channel.
+    # A dump keeps float64 modes and residuals, so it rebuilds the input to rounding.
     spec = DatasetSpec(n_samples=700)
     errors = []
     for i, profile in enumerate(emitter_bank()[:5]):
@@ -243,7 +228,7 @@ def test_dump_roundtrip_loss_is_bounded(tmp_path, snr_db):
             dump_modes(icvmd_decompose(sig, default_icvmd_config()), out)
             rebuilt = reconstruct_from_dump(out, FULL_SELECTION).samples
             errors.append(np.linalg.norm(rebuilt - sig.samples) / np.linalg.norm(sig.samples))
-    assert max(errors) <= 1e-6, max(errors)
+    assert max(errors) <= 1e-12, max(errors)
 
 
 def test_reconstruct_from_dump_errors(tmp_path):
@@ -257,45 +242,81 @@ def test_reconstruct_from_dump_errors(tmp_path):
     manifest_path = tmp_path / "modes.json"
     good = manifest_path.read_text()
     manifest = json.loads(good)
-    manifest["modes"][1]["label"] = "carrier"
+    manifest["sides"]["neg"]["labels"][0] = "carrier"
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ParameterError, match="'carrier'"):
         reconstruct_from_dump(tmp_path, FULL_SELECTION)
     manifest = json.loads(good)
-    del manifest["n_samples"]
+    del manifest["dc_imag"]
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ParameterError, match="n_samples"):
+    with pytest.raises(ParameterError, match="dc_imag"):
         reconstruct_from_dump(tmp_path, FULL_SELECTION)
     manifest = json.loads(good)
-    manifest["n_samples"] = 127
+    manifest["sides"]["pos"]["labels"] = []
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ParameterError, match="holds 128 samples"):
+    with pytest.raises(ParameterError, match=r"the pos side has 0 labels, modes of shape \(1, 128\)"):
         reconstruct_from_dump(tmp_path, FULL_SELECTION)
-    manifest_path.write_text(good.replace('"schema_version": 1', '"schema_version": 99'))
-    with pytest.raises(ParameterError):
+    manifest_path.write_text(good.replace('"schema_version": 2', '"schema_version": 99'))
+    with pytest.raises(ParameterError, match="schema_version 99"):
+        reconstruct_from_dump(tmp_path, FULL_SELECTION)
+    (tmp_path / "modes.npz").unlink()
+    manifest_path.write_text(good)
+    with pytest.raises(FileNotFoundError):
         reconstruct_from_dump(tmp_path, FULL_SELECTION)
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda m: m["modes"].append(m["modes"][0]), "pos mode 0 is listed 2 times"),
-        (lambda m: m["modes"].pop(), "neg mode 1 is listed 0 times"),
-        (lambda m: m["modes"][1].update(index=0), "pos mode 0 is listed 2 times"),
-        (lambda m: m["modes"][3].update(index=2), "neg mode 1 is listed 0 times"),
-        (lambda m: m["modes"][2].update(index="0"), "neg mode index '0' is not a non-negative integer"),
-        (lambda m: m["modes"][0].update(index=-1), "pos mode index -1 is not"),
-        (lambda m: m["modes"][0].pop("index"), "lacks the key 'index'"),
+        (
+            lambda m: m["sides"]["pos"]["labels"].append(m["sides"]["pos"]["labels"][0]),
+            r"the pos side has 3 labels, modes of shape \(2, 256\)",
+        ),
+        (lambda m: m["sides"]["neg"]["labels"].pop(), r"the neg side has 1 labels, modes of shape \(2, 256\)"),
+        (lambda m: m["sides"].pop("neg"), "lacks the key 'neg'"),
     ],
-    ids=["repeated", "dropped", "index_repeated", "index_past_k", "index_string", "index_negative", "index_missing"],
+    ids=["repeated", "dropped", "side_missing"],
 )
 def test_reconstruct_from_dump_needs_each_mode_index_once_per_side(tmp_path, edit, message):
+    # One label per row of a side's modes: a label added, one dropped, or a side left out.
     res = icvmd_decompose(two_sided_tone_mix(n=256), quick_cfg())
     manifest = dump_modes(res, tmp_path)
-    assert [(e["side"], e["index"]) for e in manifest["modes"]] == [
-        ("pos", 0), ("pos", 1), ("neg", 0), ("neg", 1)
-    ]
     edit(manifest)
     (tmp_path / "modes.json").write_text(json.dumps(manifest))
+    with pytest.raises(ParameterError, match=message):
+        reconstruct_from_dump(tmp_path, FULL_SELECTION)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m, a: m.update(schema_version=1), "unsupported modes.json schema_version 1"),
+        (
+            lambda m, a: m["sides"].update(up=m["sides"]["pos"]),
+            r"sides must hold only pos and neg, got \['neg', 'pos', 'up'\]",
+        ),
+        (lambda m, a: a.pop("residual_neg"), "modes.npz needs a float64 array residual_neg, found nothing"),
+        (
+            lambda m, a: a.update(modes_neg=a["modes_neg"][:, :-1]),
+            r"the neg side has 2 labels, modes of shape \(2, 255\) .* the pos modes have shape \(2, 256\)",
+        ),
+        (
+            lambda m, a: a.update(residual_pos=a["residual_pos"][:-1]),
+            r"the pos side has 2 labels, modes of shape \(2, 256\) and a residual of shape \(255,\)",
+        ),
+        (
+            lambda m, a: a.update(modes_pos=a["modes_pos"].astype(np.float32)),
+            "needs a float64 array modes_pos, found float32",
+        ),
+    ],
+    ids=["version_1", "unknown_side", "missing_array", "neg_length_differs", "short_residual", "float32_modes"],
+)
+def test_reconstruct_from_dump_rejects_a_bad_dump(tmp_path, edit, message):
+    manifest = dump_modes(icvmd_decompose(two_sided_tone_mix(n=256), quick_cfg()), tmp_path)
+    with np.load(tmp_path / "modes.npz") as z:
+        arrays = dict(z.items())
+    edit(manifest, arrays)
+    (tmp_path / "modes.json").write_text(json.dumps(manifest))
+    np.savez(tmp_path / "modes.npz", **arrays)
     with pytest.raises(ParameterError, match=message):
         reconstruct_from_dump(tmp_path, FULL_SELECTION)

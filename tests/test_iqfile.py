@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from icvmd.errors import ParameterError
-from icvmd.iqfile import read_iqf32, sidecar_path, write_iqf32
+from icvmd.iqfile import load_npz, read_iqf32, sidecar_path, write_iqf32
 
 
 def test_golden_byte_layout(tmp_path):
@@ -35,9 +35,6 @@ def test_sidecar_roundtrip(tmp_path):
     assert sidecar_path(path) == tmp_path / "x.json"
     sig = read_iqf32(path)
     assert sig.sample_rate == 2.0
-    # Sidecar can be ignored on request.
-    bare = read_iqf32(path, with_sidecar=False)
-    assert bare.sample_rate == 1.0
 
 
 @pytest.mark.parametrize("rate", ["fast", "2.0", None, [2.0], True])
@@ -45,7 +42,6 @@ def test_sidecar_non_numeric_sample_rate_rejected(tmp_path, rate):
     path = write_iqf32(tmp_path / "x.iqf32", np.ones(4, dtype=complex), sidecar={"sample_rate": rate})
     with pytest.raises(ParameterError, match=r"x\.json: sample_rate must be a number"):
         read_iqf32(path)
-    assert read_iqf32(path, with_sidecar=False).sample_rate == 1.0
 
 
 def test_missing_file(tmp_path):
@@ -82,3 +78,24 @@ def test_sidecar_json_is_sorted_and_readable(tmp_path):
     path = write_iqf32(tmp_path / "x.iqf32", np.ones(2, dtype=complex), sidecar=side)
     loaded = json.loads(sidecar_path(path).read_text())
     assert loaded == side
+
+
+def test_load_npz_reads_every_array(tmp_path):
+    np.savez(tmp_path / "a.npz", x=np.arange(3.0), y=np.ones((2, 2), dtype=np.float32))
+    arrays = load_npz(tmp_path / "a.npz")
+    assert sorted(arrays) == ["x", "y"]
+    assert np.array_equal(arrays["x"], np.arange(3.0)) and arrays["y"].dtype == np.float32
+    with pytest.raises(FileNotFoundError):
+        load_npz(tmp_path / "ghost.npz")
+
+
+@pytest.mark.parametrize("content", [b"", b"junk" * 16, "npy"], ids=["empty", "junk", "npy"])
+def test_load_npz_rejects_what_is_not_an_npz_archive(tmp_path, content):
+    path = tmp_path / "a.npz"
+    if content == "npy":
+        with path.open("wb") as f:
+            np.save(f, np.arange(3.0))
+    else:
+        path.write_bytes(content)
+    with pytest.raises(ParameterError, match=r"a\.npz is not a readable \.npz archive"):
+        load_npz(path)

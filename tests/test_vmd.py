@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,14 @@ def test_solver_input_validation():
         vmd_decompose(np.array([1.0, np.inf, 0.0, 0.0]), VmdConfig(n_modes=1))
     with pytest.raises(DegenerateInputError):
         vmd_decompose(np.zeros(64), VmdConfig(n_modes=2))
+
+
+def test_solver_rejects_complex_input():
+    # A complex signal must not be decomposed as its real part.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="signal must be real, got dtype complex128"):
+            vmd_decompose(np.exp(2j * np.pi * 0.1 * np.arange(200)), VmdConfig(n_modes=2))
 
 
 def test_memory_budget_rejects_before_allocating():
