@@ -21,10 +21,13 @@ Wiener update of mode k with the others held fixed reads
     u_k <- (r + u_k) / (1 + 2*alpha*(w - w_k)^2),    then  r <- r - du_k,
 
 and runs in place on interleaved (re, im) float views of preallocated
-buffers.  The same pass yields ||du_k||^2 and the mode's energy ||u_k||^2;
-that energy is carried into the next sweep as the mode's previous norm in the
-convergence metric sum_k ||du_k||^2 / ||u_k_prev||^2, so no copy of the
-spectra is kept between sweeps.
+buffers.  No center moves before its own mode's update, so each sweep first
+builds all K filter denominators as one [K, 2 * n_bins] block at the centers
+it starts from.  The update yields ||du_k||^2, and one product of the fixed
+rows (1, w) with |u_k|^2 gives the mode's energy and first moment, hence its
+centroid.  That energy is carried into the next sweep as the mode's previous
+norm in the convergence metric sum_k ||du_k||^2 / ||u_k_prev||^2, so no copy
+of the spectra is kept between sweeps; the centers are Python floats.
 
 The sweep runs in the precision of its input: a float32 signal is solved
 with complex64 mode and residual spectra and float32 grid and work buffers,
@@ -97,8 +100,8 @@ class VmdConfig:
             raise ParameterError(f"n_modes must be >= 1, got {self.n_modes}")
         if not (self.alpha > 0 and np.isfinite(self.alpha)):
             raise ParameterError(f"alpha must be positive, got {self.alpha}")
-        if not (self.tol > 0):
-            raise ParameterError(f"tol must be positive, got {self.tol}")
+        if not (self.tol > 0 and np.isfinite(self.tol)):
+            raise ParameterError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -173,35 +176,42 @@ def _init_omegas(cfg: VmdConfig, spectrum: np.ndarray) -> np.ndarray:
     peaks = 1 + np.flatnonzero((inner > power[:-2]) & (inner >= power[2:]))
     peaks = peaks[power[peaks] >= _PEAK_FLOOR * power.max()]
     sep = np.pi / (_PEAK_SEP_DIV * k)
+    # Greedy in power order: take the strongest peak still free, then free
+    # only the peaks at least sep from it.
+    cand = grid[peaks[np.argsort(-power[peaks], kind="stable")]]
     chosen = [0.0] if cfg.dc_lock else []
-    for i in peaks[np.argsort(-power[peaks], kind="stable")]:
-        if len(chosen) == k:
-            break
-        if all(abs(grid[i] - c) >= sep for c in chosen):
-            chosen.append(grid[i])
+    free = np.abs(cand) >= sep if cfg.dc_lock else np.ones(cand.size, dtype=bool)
+    while len(chosen) < k and free.any():
+        c = cand[np.argmax(free)]
+        chosen.append(c)
+        free &= np.abs(cand - c) >= sep
     while len(chosen) < k:
         chosen.append(_widest_gap_midpoint(chosen))
     return np.sort(np.array(chosen))
 
 
-def _reseed_collisions(omegas: np.ndarray, min_gap: float) -> None:
-    """Move the later of any colliding pair of centers to the widest free band.
+def _reseed_collisions(omegas: list | np.ndarray, min_gap: float) -> None:
+    """Move the later of any colliding pair of centers (a list or array,
+    changed in place) to the widest free band.
 
     Two modes chasing the same spectral line never separate on their own; the
     deterministic reseed breaks the tie in favor of empty spectrum.  Mode 0 is
     never moved, so a dc-locked mode stays put.
     """
-    for j in range(1, omegas.size):
+    for j in range(1, len(omegas)):
         if any(abs(omegas[j] - omegas[i]) < min_gap for i in range(j)):
-            omegas[j] = _widest_gap_midpoint(np.delete(omegas, j))
+            omegas[j] = float(_widest_gap_midpoint(np.delete(omegas, j)))
 
 
 def check_memory_budget(n: int, n_modes: int) -> None:
     """Raise ParameterError when decomposing an n-sample signal into n_modes
-    modes would hold more than _MEMORY_BUDGET_BYTES at its peak: per rfft bin
-    of the 2n-sample extension, the mode spectra and time-domain modes (16
-    bytes each per mode) plus eight spectrum-sized work buffers."""
-    need = 16 * (n + 1) * (2 * n_modes + 8)
+    modes would hold more than _MEMORY_BUDGET_BYTES at its peak, the inverse
+    FFT.  Per rfft bin of the 2n-sample extension, each mode then holds at
+    most 64 bytes: its filter row, its spectrum before and after sorting, the
+    complex128 copy fed to the irfft (float32 solves only) and its
+    time-domain output.  Ten 16-byte buffers per bin come on top: the
+    extension, grid, spectrum, residual, work buffers and the (1, g2) basis."""
+    need = 16 * (n + 1) * (4 * n_modes + 10)
     if need > _MEMORY_BUDGET_BYTES:
         raise ParameterError(
             f"{n_modes} modes of a {n}-sample signal need about {need / 2**20:.0f} MiB, "
@@ -251,33 +261,41 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     two_alpha = 2.0 * float(cfg.alpha)
     u = np.zeros((k_modes, n_bins), dtype=np.result_type(real, 1j))
     f_hat = np.fft.rfft(ext)
-    omegas = _init_omegas(cfg, f_hat)
+    omegas = _init_omegas(cfg, f_hat).tolist()
     r = f_hat.astype(u.dtype, copy=False)  # the residual f_hat - sum(u), with u = 0
     # Interleaved (re, im) float views: the Wiener filter is real, so every
     # update runs as real arithmetic against the grid repeated per component.
-    uv = u.view(real)
+    uv = list(u.view(real))
     rv = r.view(real)
     g2 = np.repeat(grid, 2).astype(real)
-    den = np.empty_like(g2)
+    # One product of the rows (1, g2) with |u_k|^2 gives energy and first moment.
+    basis = np.stack([np.ones_like(g2), g2])
+    centers = np.empty((k_modes, 1), dtype=real)
+    den = np.empty((k_modes, g2.size), dtype=real)
+    dens = list(den)
     d = np.empty_like(g2)
     p = np.empty_like(g2)
     energies = [0.0] * k_modes
     prev_norms = [0.0] * k_modes
     diffs = [0.0] * k_modes
 
+    def filters():
+        """Every mode's Wiener denominator 1 + 2*alpha*(w - w_k)^2 into den."""
+        centers[:, 0] = omegas
+        np.subtract(g2, centers, out=den)
+        np.multiply(den, den, out=den)
+        np.multiply(den, two_alpha, out=den)
+        np.add(den, 1.0, out=den)
+
     def update(k, beta=1.0):
         """Move mode k by beta times its Wiener step du_k from the residual;
         returns ||du_k||^2 of the unrelaxed step and leaves |u_k|^2 per
         component in p."""
         uk = uv[k]
-        np.subtract(g2, float(omegas[k]), out=den)
-        np.multiply(den, den, out=den)
-        np.multiply(den, two_alpha, out=den)
-        np.add(den, 1.0, out=den)
         np.add(rv, uk, out=d)
-        np.divide(d, den, out=d)
+        np.divide(d, dens[k], out=d)
         np.subtract(d, uk, out=d)
-        diff = d @ d
+        diff = float(d @ d)
         if beta != 1.0:
             np.multiply(d, beta, out=d)
         np.add(uk, d, out=uk)
@@ -290,12 +308,14 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     iterations = 0
     beta = 1.0
     for iterations in range(1, cfg.max_iter + 1):
+        filters()  # one block serves the sweep (module docstring)
         shift = 0.0
         for k in range(k_modes):
-            diffs[k] = float(update(k, beta))
-            energy = energies[k] = float(p.sum())
+            diffs[k] = update(k, beta)
+            energy, moment = (basis @ p).tolist()
+            energies[k] = energy
             if energy > _ENERGY_GUARD and not (cfg.dc_lock and k == 0):
-                move = float(g2 @ p) / energy - omegas[k]
+                move = moment / energy - omegas[k]
                 shift = max(shift, abs(move))
                 omegas[k] = min(max(omegas[k] + beta * move, 0.0), np.pi)
         _reseed_collisions(omegas, min_gap)
@@ -314,9 +334,11 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
 
     # Freeze the centers, then refresh every spectrum once so the output
     # is an exact Wiener fixed point of its own reported state.
+    filters()
     for k in range(k_modes):
         update(k)
 
+    omegas = np.array(omegas)
     order = np.argsort(omegas, kind="stable")
     omegas = omegas[order]
     u = u[order]

@@ -13,15 +13,19 @@ from icvmd.pa import EmitterProfile
 from icvmd.signals import ComplexSignal
 from icvmd.vmd import (
     _ENERGY_GUARD,
+    _PEAK_FLOOR,
+    _PEAK_SEP_DIV,
+    _PEAK_WINDOW_DIV,
     _RELAX,
     _SETTLE_RAD,
     ModeSet,
     VmdConfig,
     VmdResult,
-    _init_omegas,
     _reseed_collisions,
+    _widest_gap_midpoint,
     half_grid,
     mirror_extend,
+    smoothed_power,
 )
 
 
@@ -123,6 +127,29 @@ def uniform_spread(cfg: VmdConfig) -> np.ndarray:
     return om
 
 
+def reference_init_omegas(cfg: VmdConfig, spectrum: np.ndarray) -> np.ndarray:
+    """The per-peak loop that the solver's masked peak pick replaces, kept as
+    its oracle: walk the peaks in power order and keep each one at least
+    pi / (_PEAK_SEP_DIV * K) from every center already chosen."""
+    k = cfg.n_modes
+    n_bins = spectrum.size
+    grid = half_grid(2 * (n_bins - 1))
+    power = smoothed_power(spectrum, max(1, n_bins // _PEAK_WINDOW_DIV))
+    inner = power[1:-1]
+    peaks = 1 + np.flatnonzero((inner > power[:-2]) & (inner >= power[2:]))
+    peaks = peaks[power[peaks] >= _PEAK_FLOOR * power.max()]
+    sep = np.pi / (_PEAK_SEP_DIV * k)
+    chosen = [0.0] if cfg.dc_lock else []
+    for i in peaks[np.argsort(-power[peaks], kind="stable")]:
+        if len(chosen) == k:
+            break
+        if all(abs(grid[i] - c) >= sep for c in chosen):
+            chosen.append(grid[i])
+    while len(chosen) < k:
+        chosen.append(_widest_gap_midpoint(chosen))
+    return np.sort(np.array(chosen))
+
+
 def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX) -> VmdResult:
     """The unfused Gauss-Seidel loop that vmd_decompose fuses, kept as its oracle.
 
@@ -162,7 +189,7 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
     min_gap = 2.0 * np.pi / n_ext
 
     k_modes = cfg.n_modes
-    omegas = _init_omegas(cfg, f_hat)
+    omegas = reference_init_omegas(cfg, f_hat)
     u = np.zeros((k_modes, n_bins), dtype=complex)
 
     def sweep(beta):

@@ -325,6 +325,15 @@ def test_decompose_rejects_a_non_numeric_sidecar_sample_rate(runner, tmp_path):
     assert "tone.json: sample_rate must be a number, got 'fast'" in res.output
 
 
+def test_decompose_rejects_an_infinite_tol(runner, tmp_path):
+    src = tmp_path / "tone.iqf32"
+    write_tone(src)
+    res = runner.invoke(main, ["decompose", str(src), "--out", str(tmp_path / "m"), "--tol", "inf"])
+    assert res.exit_code == 2, res.output
+    assert "error: tol must be positive and finite, got inf" in res.output
+    assert not (tmp_path / "m").exists()
+
+
 def non_object_sidecar(runner, tmp_path, payload):
     src = tmp_path / "tone.iqf32"
     write_tone(src)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from icvmd.vmd import VmdConfig, _reseed_collisions, half_grid, mirror_extend, v
 from oracles import (
     center_frequency,
     convergence_metric,
+    reference_init_omegas,
     reference_vmd_decompose,
     uniform_spread,
     wiener_mode_update,
@@ -99,6 +101,10 @@ def test_config_validation():
         VmdConfig(alpha=0.0)
     with pytest.raises(ParameterError):
         VmdConfig(tol=0.0)
+    # An infinite tol would stop every solve after its second sweep.
+    for tol in (float("inf"), float("nan")):
+        with pytest.raises(ParameterError, match="tol must be positive and finite"):
+            VmdConfig(tol=tol)
     with pytest.raises(ParameterError):
         VmdConfig(max_iter=0)
 
@@ -250,6 +256,27 @@ def test_start_is_ascending_inside_the_band(n, k, dc_lock, seed):
     assert (om[0] == 0.0) == dc_lock
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    n_bins=st.integers(3, 1500),
+    k=st.integers(1, 8),
+    dc_lock=st.booleans(),
+    lines=st.integers(0, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_start_picks_the_peaks_of_the_per_peak_loop(n_bins, k, dc_lock, lines, seed):
+    # A noise floor plus a few strong lines, some close enough to one another
+    # for the separation rule to drop them, and one close enough to dc.
+    rng = np.random.default_rng(seed)
+    spectrum = rng.normal(size=n_bins) + 1j * rng.normal(size=n_bins)
+    at = rng.integers(0, n_bins, size=lines)
+    spectrum[at] += 30.0 * rng.random(lines) * n_bins ** 0.5
+    spectrum[1 + n_bins // (16 * k)] += 40.0 * n_bins ** 0.5
+    cfg = VmdConfig(n_modes=k, dc_lock=dc_lock)
+    got = vmd._init_omegas(cfg, spectrum)
+    assert np.array_equal(got, reference_init_omegas(cfg, spectrum))
+
+
 def test_solver_input_validation():
     with pytest.raises(ParameterError):
         vmd_decompose(np.zeros((4, 4)), VmdConfig(n_modes=1))
@@ -274,6 +301,26 @@ def test_memory_budget_rejects_before_allocating():
     # check must refuse it before any of them exists.
     with pytest.raises(ParameterError, match="budget"):
         vmd_decompose(np.ones(1_000_000), VmdConfig(n_modes=500_000))
+
+
+@pytest.mark.parametrize("n,k", [(20_000, 4), (20_000, 16), (4_000, 64)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_memory_budget_covers_the_measured_peak(monkeypatch, n, k, dtype):
+    x = np.random.default_rng(k).normal(size=n).astype(dtype)
+    cfg = VmdConfig(n_modes=k, alpha=200.0, max_iter=2)
+    tracemalloc.start()
+    try:
+        vmd_decompose(x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The estimate is at least the peak (a budget one byte under the peak
+    # refuses the solve) and less than twice it.
+    monkeypatch.setattr(vmd, "_MEMORY_BUDGET_BYTES", peak - 1)
+    with pytest.raises(ParameterError, match="budget"):
+        vmd.check_memory_budget(n, k)
+    monkeypatch.setattr(vmd, "_MEMORY_BUDGET_BYTES", 2 * peak)
+    vmd.check_memory_budget(n, k)
 
 
 def _sweep_case_signal(n, seed):
@@ -339,9 +386,9 @@ def test_fused_sweep_cases_reach_the_collision_reseed(monkeypatch):
     moved = []
 
     def counting_reseed(omegas, min_gap):
-        before = omegas.copy()
+        before = list(omegas)
         _reseed_collisions(omegas, min_gap)
-        moved.append(int(np.sum(omegas != before)))
+        moved.append(int(np.sum(np.asarray(omegas) != before)))
 
     monkeypatch.setattr(vmd, "_reseed_collisions", counting_reseed)
     for source, cfg in FUSED_SWEEP_CASES:
