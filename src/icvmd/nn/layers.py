@@ -8,6 +8,9 @@ gradients.  Batched tensors are [batch, channels, time].
 A convolution runs one BLAS matmul per kernel tap against a lag-shifted view
 of the unpadded input, and its cache holds the caller's input by reference,
 not a copy: do not modify that input in place before the backward pass.
+conv_backward can continue the parameter gradients of an earlier call, so a
+batch split into consecutive chunks of samples gets the same bytes as one
+call over the whole batch.
 """
 from __future__ import annotations
 
@@ -87,20 +90,36 @@ def conv_forward(x: np.ndarray, layer: ConvLayer):
     return y, (x, layer)
 
 
-def conv_backward(dy: np.ndarray, cache):
-    """Returns (dx, dweights, dbias)."""
+def _summed(parts: np.ndarray, prior) -> np.ndarray:
+    """parts.sum(axis=0), continued from ``prior`` (the sum over earlier samples)
+    when given.  NumPy sums a leading axis one row after another, so the result
+    is bit-identical to one sum over the earlier samples' rows and these."""
+    if prior is not None:
+        parts[0] += prior
+    return parts.sum(axis=0)
+
+
+def conv_backward(dy: np.ndarray, cache, total=None):
+    """Returns (dx [B, C_in, T], dweights [C_out, C_in, W], dbias [C_out]).
+
+    ``total``, the (dweights, dbias) of an earlier call over the preceding
+    samples, is continued: the parameter gradients then sum over those samples
+    and these, bit-identical to one call over the concatenated batch.
+    """
     x, layer = cache
     t = x.shape[2]
     w, width, d = layer.weights, layer.width, layer.dilation
+    prior_w, prior_b = (None, None) if total is None else total
     dw = np.zeros_like(w)
     dx = w[:, :, width - 1].T @ dy
-    dw[:, :, width - 1] = (dy @ x.transpose(0, 2, 1)).sum(axis=0)
-    for j in range(width - 1):
+    for j in range(width):
         lag = (width - 1 - j) * d
         if lag < t:
-            dx[:, :, : t - lag] += w[:, :, j].T @ dy[:, :, lag:]
-            dw[:, :, j] = (dy[:, :, lag:] @ x[:, :, : t - lag].transpose(0, 2, 1)).sum(axis=0)
-    db = dy.sum(axis=(0, 2))
+            if lag:
+                dx[:, :, : t - lag] += w[:, :, j].T @ dy[:, :, lag:]
+            parts = dy[:, :, lag:] @ x[:, :, : t - lag].transpose(0, 2, 1)
+            dw[:, :, j] = _summed(parts, None if prior_w is None else prior_w[:, :, j])
+    db = _summed(dy.sum(axis=2), prior_b)
     return dx, dw, db
 
 

@@ -10,6 +10,12 @@ spatial attention weights.
 Head: the attention-weighted sum of per-segment logit columns is mapped by one
 affine layer to the final logits.  Every layer runs in the parameters' dtype
 (float32 from init_params); the entry points cast their inputs to it.
+
+The conv trunk and the branch conv stack run over consecutive chunks of
+samples, each small enough that its activations stay in a core's L2 cache;
+the dense heads, the softmax and the loss see the whole batch.  Backward
+continues each conv's weight and bias sums from chunk to chunk in sample
+order, so every result is bit-identical to one pass over the whole batch.
 """
 from __future__ import annotations
 
@@ -124,6 +130,27 @@ def init_params(config: ModelConfig, n_classes: int, seed: int) -> NetParams:
     return NetParams(config=config, arrays=arrays)
 
 
+# Samples per chunk of the conv trunk: a chunk's [channels, T] activation holds
+# at most this many floats (512 KiB in float32), so the activations a layer
+# reads and writes stay in a 2 MB L2 instead of streaming through memory.
+_CHUNK_ELEMS = 1 << 17
+
+
+def _chunks(params: NetParams, b: int, t: int) -> list:
+    """Consecutive sample slices of a batch of b inputs of length t, in order."""
+    step = max(1, _CHUNK_ELEMS // (params.config.channels * t))
+    return [slice(lo, min(lo + step, b)) for lo in range(0, b, step)]
+
+
+def _conv_grads(dy: np.ndarray, cache, grads: dict, name: str) -> np.ndarray:
+    """conv_backward for layer ``name``, continuing the weight and bias sums an
+    earlier chunk left in ``grads``; returns the input gradient."""
+    w_key, b_key = f"{name}.weights", f"{name}.bias"
+    total = (grads[w_key], grads[b_key]) if w_key in grads else None
+    dx, grads[w_key], grads[b_key] = conv_backward(dy, cache, total)
+    return dx
+
+
 def _residual_forward(h: np.ndarray, params: NetParams, i: int):
     """TCN block i: o = h + conv2(relu(conv1(h))) at the block's dilation."""
     d = params.config.dilations[i]
@@ -135,11 +162,8 @@ def _residual_forward(h: np.ndarray, params: NetParams, i: int):
 
 def _residual_backward(dout: np.ndarray, cache, grads, prefix):
     c1, r1, c2 = cache
-    da1, dw2, db2 = conv_backward(dout, c2)
-    dy1 = relu_backward(da1, r1)
-    dh, dw1, db1 = conv_backward(dy1, c1)
-    _store(grads, f"{prefix}.conv1", dw1, db1)
-    _store(grads, f"{prefix}.conv2", dw2, db2)
+    da1 = _conv_grads(dout, c2, grads, f"{prefix}.conv2")
+    dh = _conv_grads(relu_backward(da1, r1), c1, grads, f"{prefix}.conv1")
     return dout + dh  # skip connection plus the conv path
 
 
@@ -156,8 +180,7 @@ def _stack_forward(params: NetParams, prefix: str, n_layers: int, h: np.ndarray)
 def _stack_backward(dh: np.ndarray, caches, grads, prefix: str) -> np.ndarray:
     for i in range(len(caches) - 1, -1, -1):
         cc, rc = caches[i]
-        dh, dw, db = conv_backward(relu_backward(dh, rc), cc)
-        _store(grads, f"{prefix}.{i}", dw, db)
+        dh = _conv_grads(relu_backward(dh, rc), cc, grads, f"{prefix}.{i}")
     return dh
 
 
@@ -176,15 +199,15 @@ def features_forward(params: NetParams, x: np.ndarray):
 
 
 def features_backward(params: NetParams, dfeat: np.ndarray, cache, grads) -> np.ndarray:
+    """Input gradient of features_forward; adds the trunk's parameter gradients
+    to any that an earlier chunk of samples left in ``grads``."""
     enc_caches, block_caches, merge_cache = cache
-    dstacked, dw, db = conv_backward(dfeat, merge_cache)
-    _store(grads, "tcn.merge", dw, db)
+    dstacked = _conv_grads(dfeat, merge_cache, grads, "tcn.merge")
     c = params.config.channels
-    chunks = [dstacked[:, i * c : (i + 1) * c, :] for i in range(params.config.n_blocks)]
-    dh = np.zeros_like(chunks[-1])
+    douts = [dstacked[:, i * c : (i + 1) * c, :] for i in range(params.config.n_blocks)]
+    dh = np.zeros_like(douts[-1])
     for i in range(params.config.n_blocks - 1, -1, -1):
-        dout = chunks[i] + dh
-        dh = _residual_backward(dout, block_caches[i], grads, f"tcn.blocks.{i}")
+        dh = _residual_backward(douts[i] + dh, block_caches[i], grads, f"tcn.blocks.{i}")
     return _stack_backward(dh, enc_caches, grads, "encoder")
 
 
@@ -201,31 +224,40 @@ def _branch_forward(params: NetParams, xb: np.ndarray, s: int):
     """Per-segment scores: xb [B, C_in, T] -> scores [B, S], cache.
 
     Segments are processed independently (folded into the batch axis), so the
-    score of segment s depends only on the samples inside segment s.
+    score of segment s depends only on the samples inside segment s.  The conv
+    stack runs chunk by chunk; the scoring head sees the whole batch.
     """
     length = params.config.segment_len
-    b = xb.shape[0]
-    xs = xb[:, :, : s * length]
-    folded = xs.reshape(b, xb.shape[1], s, length).transpose(0, 2, 1, 3)
-    folded = folded.reshape(b * s, xb.shape[1], length)
-    h, caches = _stack_forward(params, "branch.convs", params.config.branch_layers, folded)
-    pooled = h.mean(axis=2)  # [B*S, branch_channels]
+    b, c_in, t = xb.shape
+    pooled = np.empty((b * s, params.config.branch_channels), dtype=params.dtype)
+    chunks = []
+    for rows in _chunks(params, b, t):
+        n = rows.stop - rows.start
+        xs = xb[rows, :, : s * length].reshape(n, c_in, s, length)
+        folded = xs.transpose(0, 2, 1, 3).reshape(n * s, c_in, length)
+        h, caches = _stack_forward(params, "branch.convs", params.config.branch_layers, folded)
+        pooled[rows.start * s : rows.stop * s] = h.mean(axis=2)
+        chunks.append((rows, caches))
     scores, dcache = dense_forward(pooled, _dense(params, "branch.head"))
-    return scores.reshape(b, s), (caches, dcache, h.shape, b, s)
+    return scores.reshape(b, s), (chunks, dcache)
 
 
 def _branch_backward(params: NetParams, dscores: np.ndarray, cache, grads, t_full: int):
-    caches, dcache, h_shape, b, s = cache
+    chunks, dcache = cache
     length = params.config.segment_len
+    b, s = dscores.shape
     dy = dscores.reshape(b * s, 1)
     dpooled, dw, db = dense_backward(dy, dcache, _dense(params, "branch.head"))
     _store(grads, "branch.head", dw, db)
-    dh = np.broadcast_to(dpooled[:, :, None] / h_shape[2], h_shape)
-    dh = _stack_backward(dh, caches, grads, "branch.convs")
-    dxs = dh.reshape(b, s, -1, length).transpose(0, 2, 1, 3).reshape(b, -1, s * length)
-    if s * length < t_full:
-        dxs = np.pad(dxs, ((0, 0), (0, 0), (0, t_full - s * length)))
-    return dxs
+    dxb = np.zeros((b, params.config.in_channels, t_full), dtype=params.dtype)
+    for rows, caches in chunks:
+        n = rows.stop - rows.start
+        dp = dpooled[rows.start * s : rows.stop * s, :, None] / length
+        dh = np.broadcast_to(dp, (n * s, dp.shape[1], length))
+        dh = _stack_backward(dh, caches, grads, "branch.convs")
+        dxs = dh.reshape(n, s, -1, length).transpose(0, 2, 1, 3).reshape(n, -1, s * length)
+        dxb[rows, :, : s * length] = dxs
+    return dxb
 
 
 def spatial_attention_weights(params: NetParams, branch_x: np.ndarray) -> np.ndarray:
@@ -233,6 +265,8 @@ def spatial_attention_weights(params: NetParams, branch_x: np.ndarray) -> np.nda
     xb = np.asarray(branch_x, dtype=params.dtype)
     if xb.ndim != 3:
         raise ParameterError(f"expected [B, C, T], got shape {xb.shape}")
+    if xb.shape[0] == 0:
+        raise ParameterError(f"empty batch: input of shape {xb.shape}")
     scores, _ = _branch_forward(params, xb, _segment_count(params, xb.shape[2]))
     return softmax(scores, axis=1)
 
@@ -240,9 +274,12 @@ def spatial_attention_weights(params: NetParams, branch_x: np.ndarray) -> np.nda
 def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray):
     """Full forward pass in the parameters' dtype.
 
-    main_x and branch_x are [B, C_in, T] over the same time grid.  Returns
-    (logits [B, n_classes], cache); the cache holds the attention weights
-    under key 'attention'.
+    main_x and branch_x are [B, C_in, T] over the same time grid, B >= 1.
+    Returns (logits [B, n_classes], cache); the cache holds the attention
+    weights under key 'attention'.  The conv trunk and the branch conv stack
+    run over consecutive chunks of samples sized to stay in cache, and the
+    heads over the whole batch; every result is bit-identical to one pass
+    over the whole batch.
     """
     xm = np.asarray(main_x, dtype=params.dtype)
     xb = np.asarray(branch_x, dtype=params.dtype)
@@ -252,13 +289,19 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray):
         raise ParameterError(
             f"main {xm.shape} and branch {xb.shape} must share batch size and length"
         )
+    if xm.shape[0] == 0:
+        raise ParameterError(f"empty batch: inputs of shape {xm.shape} and {xb.shape}")
     b, _, t = xm.shape
     s = _segment_count(params, t)
     length = params.config.segment_len
+    c = params.config.channels
 
-    feat, feat_cache = features_forward(params, xm)
-    trimmed = feat[:, :, : s * length]
-    pool = trimmed.reshape(b, feat.shape[1], s, length).mean(axis=3)  # [B, C, S]
+    pool = np.empty((b, c, s), dtype=params.dtype)
+    trunk = []
+    for rows in _chunks(params, b, t):
+        feat, feat_cache = features_forward(params, xm[rows])
+        pool[rows] = feat[:, :, : s * length].reshape(-1, c, s, length).mean(axis=3)
+        trunk.append((rows, feat_cache))
 
     flat = pool.transpose(0, 2, 1).reshape(b * s, -1)
     seg_logits_flat, cls1_cache = dense_forward(flat, _dense(params, "classifier1"))
@@ -271,7 +314,7 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray):
     logits, cls2_cache = dense_forward(z, _dense(params, "classifier2"))
 
     cache = {
-        "feat_cache": feat_cache,
+        "trunk": trunk,
         "cls1_cache": cls1_cache,
         "seg_logits": seg_logits,
         "branch_cache": branch_cache,
@@ -283,7 +326,12 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray):
 
 
 def model_backward(params: NetParams, dlogits: np.ndarray, cache) -> dict:
-    """Exact gradients of every parameter for the cached forward pass."""
+    """Exact gradients of every parameter for the cached forward pass.
+
+    The trunk runs backward chunk by chunk in sample order, each conv's weight
+    and bias sums continuing from the chunk before, so every gradient is
+    bit-identical to one backward pass over the whole batch.
+    """
     b, s, t = cache["dims"]
     length = params.config.segment_len
     dlogits = np.asarray(dlogits, dtype=params.dtype)
@@ -306,11 +354,14 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache) -> dict:
     dpool = dpool_flat.reshape(b, s, -1).transpose(0, 2, 1)  # [B, C, S]
 
     c = params.config.channels
-    dfeat = np.zeros((b, c, t), dtype=params.dtype)
-    dfeat[:, :, : s * length] = np.broadcast_to(
-        dpool[:, :, :, None] / length, (b, c, s, length)
-    ).reshape(b, c, s * length)
-    dxm = features_backward(params, dfeat, cache["feat_cache"], grads)
+    dxm = np.empty((b, params.config.in_channels, t), dtype=params.dtype)
+    for rows, feat_cache in cache["trunk"]:
+        n = rows.stop - rows.start
+        dfeat = np.zeros((n, c, t), dtype=params.dtype)
+        dfeat[:, :, : s * length] = np.broadcast_to(
+            dpool[rows, :, :, None] / length, (n, c, s, length)
+        ).reshape(n, c, s * length)
+        dxm[rows] = features_backward(params, dfeat, feat_cache, grads)
 
     grads["_input_main"] = dxm
     grads["_input_branch"] = dxb

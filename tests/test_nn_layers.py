@@ -155,6 +155,32 @@ def test_conv_matches_direct_sum_on_strided_views():
     _check_against_direct_sum(x, dy, layer)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width,dilation,t", [(3, 1, 40), (2, 8, 40), (2, 8, 5)])
+def test_conv_backward_continues_a_running_total(dtype, width, dilation, t):
+    # Chunks of 3, 1 and 2 samples, each continuing the last one's (dw, db),
+    # give the bytes of one call over all 6.  The return shapes stay
+    # [B, C_in, T], [C_out, C_in, W] and [C_out]: the benchmark's tracer
+    # (perfbench/spans.py) unpacks them to count each call's FLOPs.
+    rng = np.random.default_rng(width + dilation + t)
+    layer = ConvLayer(
+        rng.normal(size=(4, 3, width)).astype(dtype), rng.normal(size=4).astype(dtype), dilation
+    )
+    x = rng.normal(size=(6, 3, t)).astype(dtype)
+    dy = rng.normal(size=(6, 4, t)).astype(dtype)
+    want = conv_backward(dy, conv_forward(x, layer)[1])
+    assert [a.shape for a in want] == [(6, 3, t), (4, 3, width), (4,)]
+    total, dxs = None, []
+    for rows in (slice(0, 3), slice(3, 4), slice(4, 6)):
+        dx, dw, db = conv_backward(dy[rows], conv_forward(x[rows], layer)[1], total)
+        n = rows.stop - rows.start
+        assert [a.shape for a in (dx, dw, db)] == [(n, 3, t), (4, 3, width), (4,)]
+        total = (dw, db)
+        dxs.append(dx)
+    for got, ref in zip((np.concatenate(dxs), *total), want):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 def test_conv_validation():
     with pytest.raises(ParameterError):
         ConvLayer(np.zeros((2, 2)), np.zeros(2))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from icvmd.errors import ParameterError
+from icvmd.nn import model
 from icvmd.nn.model import (
     ModelConfig,
     _branch_forward,
@@ -102,6 +103,15 @@ def test_forward_validation():
         model_forward(params, xm[:, :, :5], xb[:, :, :5])  # below one segment
     with pytest.raises(ParameterError):
         spatial_attention_weights(params, np.zeros((1, 1, 2, 30)))
+
+
+def test_forward_rejects_an_empty_batch():
+    params = tiny_model()
+    empty = np.zeros((0, 2, 30))
+    with pytest.raises(ParameterError, match=r"empty batch.*\(0, 2, 30\)"):
+        model_forward(params, empty, empty)
+    with pytest.raises(ParameterError, match=r"empty batch.*\(0, 2, 30\)"):
+        spatial_attention_weights(params, empty)
 
 
 def test_trunk_is_causal():
@@ -225,6 +235,42 @@ def test_input_gradient_respects_causal_trim():
     _, dlogits = cross_entropy(logits, np.array([0]))
     grads = model_backward(params, dlogits, cache)
     assert np.all(grads["_input_branch"][:, :, 30:] == 0)
+
+
+# ------------------------------------------------------------- chunked trunk
+
+
+def _forward_backward_train(params, xm, xb, labels):
+    logits, cache = model_forward(params, xm, xb)
+    _, dlogits = cross_entropy(logits, labels)
+    fit = train(params, xm, xb, labels, TrainConfig(epochs=2, batch_size=5))
+    return logits, cache["attention"], model_backward(params, dlogits, cache), fit
+
+
+@pytest.mark.parametrize("cast", [False, True])
+def test_chunked_trunk_is_bit_identical_to_one_chunk(monkeypatch, cast):
+    # Every conv's weight and bias sums continue across chunks in sample
+    # order, so chunks of 2, 2 and 1 round exactly as one chunk of 5, in the
+    # model's float32 and in the float64 copy the gradient check runs on.
+    params = as_float64(tiny_model()) if cast else tiny_model()
+    xm, xb = tiny_batch(b=5, t=30)
+    labels = np.array([0, 1, 2, 0, 1])
+    assert len(model._chunks(params, 5, 30)) == 1
+    whole = _forward_backward_train(params, xm, xb, labels)
+    monkeypatch.setattr(model, "_CHUNK_ELEMS", 2 * TINY.channels * 30)
+    assert [r.stop - r.start for r in model._chunks(params, 5, 30)] == [2, 2, 1]
+    chunked = _forward_backward_train(params, xm, xb, labels)
+
+    for got, want in zip(chunked[:2], whole[:2]):  # logits, attention
+        assert np.array_equal(got, want)
+    grads, want_grads = chunked[2], whole[2]
+    assert grads.keys() == want_grads.keys() >= {"_input_main", "_input_branch"}
+    for key, want in want_grads.items():
+        assert np.array_equal(grads[key], want), key
+    fit, want_fit = chunked[3], whole[3]
+    assert fit.history == want_fit.history
+    for key, want in want_fit.params.arrays.items():
+        assert np.array_equal(fit.params.arrays[key], want), key
 
 
 # ------------------------------------------------------------ parameter dict
