@@ -162,8 +162,9 @@ def represent(
     a ParameterError from the solver config propagates.  Pass one
     ``memo`` dict for a whole run so each capture is decomposed at most once;
     it is keyed by (manifest directory, entry path).  Raises
-    DegenerateInputError when every capture was dropped.  Each side the solver
-    runs on appends its ``converged`` flag to ``sides``.
+    DegenerateInputError when the manifest lists no capture or every capture
+    was dropped.  Each side the solver runs on appends its ``converged`` flag
+    to ``sides``.
     """
     memo = {} if memo is None else memo
     skipped = [] if skipped is None else skipped
@@ -187,7 +188,9 @@ def represent(
         if memo[key] is not None:
             kept.append(entry)
             reprs.append(memo[key])
-    if entries and not kept:
+    if not entries:
+        raise DegenerateInputError(f"the manifest in {manifest['_dir']} lists no captures")
+    if not kept:
         raise DegenerateInputError(f"none of {len(entries)} captures could be represented")
     return kept, tuple(np.stack(part) for part in zip(*reprs))
 
@@ -202,6 +205,8 @@ def _snrs(entries) -> np.ndarray:
 
 def predict(params, mains, branches, class_ids) -> np.ndarray:
     """Batched classifier inference; returns the predicted class ids."""
+    if mains.shape[0] == 0:
+        raise ParameterError(f"empty batch: inputs of shape {mains.shape} and {branches.shape}")
     preds = []
     for start in range(0, mains.shape[0], PREDICT_BATCH):
         stop = start + PREDICT_BATCH

@@ -8,6 +8,9 @@ gradients.  Batched tensors are [batch, channels, time].
 A convolution runs one BLAS matmul per kernel tap against a lag-shifted view
 of the unpadded input, and its cache holds the caller's input by reference,
 not a copy: do not modify that input in place before the backward pass.
+The ReLU overwrites the array it is given (a conv output the caller owns)
+and its cache is that output, which the next conv caches anyway; so a
+training forward keeps each conv input once and nothing beside it.
 conv_backward can continue the parameter gradients of an earlier call, so a
 batch split into consecutive chunks of samples gets the same bytes as one
 call over the whole batch.
@@ -69,9 +72,10 @@ def conv_forward(x: np.ndarray, layer: ConvLayer):
     """Batched causal dilated conv: x [B, C_in, T] -> y [B, C_out, T].
 
     Tap j is one matmul at lag (width-1-j)*dilation against a view of x; a
-    lag of T or more reaches no output and is skipped.  The cache holds x by
-    reference (no copy), so x must not be modified in place before
-    conv_backward.
+    lag of T or more reaches no output and is skipped.  The bias is added as
+    one [C_out, T] block, so the add runs over contiguous rows.  The cache
+    holds x by reference (no copy), so x must not be modified in place
+    before conv_backward.
     """
     if x.ndim != 3:
         raise ParameterError(f"conv input must be [B, C, T], got shape {x.shape}")
@@ -86,7 +90,7 @@ def conv_forward(x: np.ndarray, layer: ConvLayer):
         lag = (width - 1 - j) * d
         if lag < t:
             y[:, :, lag:] += w[:, :, j] @ x[:, :, : t - lag]
-    y += layer.bias[:, None]
+    y += np.repeat(layer.bias[:, None], t, axis=1)
     return y, (x, layer)
 
 
@@ -124,12 +128,19 @@ def conv_backward(dy: np.ndarray, cache, total=None):
 
 
 def relu_forward(x: np.ndarray):
-    y = np.maximum(x, 0.0)
-    return y, (x > 0.0)
+    """max(x, 0) written over x, which the caller must own; returns (x, x).
+
+    The cache is the output: y > 0 exactly where x > 0 (NaN and -0.0 included).
+    The zeros are one block of x's trailing shape, so the pass runs over
+    contiguous rows.
+    """
+    np.maximum(x, np.zeros(x.shape[1:], x.dtype), out=x)
+    return x, x
 
 
 def relu_backward(dy: np.ndarray, cache):
-    return dy * cache
+    """dy where the cached ReLU output is positive, zero elsewhere."""
+    return dy * (cache > 0.0)
 
 
 def dense_forward(x: np.ndarray, layer: Dense):

@@ -16,6 +16,10 @@ samples, each small enough that its activations stay in a core's L2 cache;
 the dense heads, the softmax and the loss see the whole batch.  Backward
 continues each conv's weight and bias sums from chunk to chunk in sample
 order, so every result is bit-identical to one pass over the whole batch.
+
+The forward cache keeps each conv input once and nothing beside it: a ReLU
+runs in place and its backward reads the output the next conv caches, and
+the residual blocks write straight into the merge conv's input.
 """
 from __future__ import annotations
 
@@ -151,13 +155,14 @@ def _conv_grads(dy: np.ndarray, cache, grads: dict, name: str) -> np.ndarray:
     return dx
 
 
-def _residual_forward(h: np.ndarray, params: NetParams, i: int):
-    """TCN block i: o = h + conv2(relu(conv1(h))) at the block's dilation."""
+def _residual_forward(h: np.ndarray, params: NetParams, i: int, out=None):
+    """TCN block i: o = h + conv2(relu(conv1(h))) at the block's dilation,
+    written into ``out`` when given."""
     d = params.config.dilations[i]
     y1, c1 = conv_forward(h, _conv(params, f"tcn.blocks.{i}.conv1", d))
     a1, r1 = relu_forward(y1)
     y2, c2 = conv_forward(a1, _conv(params, f"tcn.blocks.{i}.conv2", d))
-    return h + y2, (c1, r1, c2)
+    return np.add(h, y2, out=out), (c1, r1, c2)
 
 
 def _residual_backward(dout: np.ndarray, cache, grads, prefix):
@@ -185,15 +190,18 @@ def _stack_backward(dh: np.ndarray, caches, grads, prefix: str) -> np.ndarray:
 
 
 def features_forward(params: NetParams, x: np.ndarray):
-    """Encoder + TCN + merge: x [B, C_in, T] -> feat [B, channels, T], cache."""
+    """Encoder + TCN + merge: x [B, C_in, T] -> feat [B, channels, T], cache.
+
+    Block i writes its output into channel slice i of the merge input, and
+    block i+1 reads that slice: each block output is held once.
+    """
     h, enc_caches = _stack_forward(params, "encoder", params.config.encoder_layers, x)
+    c, n_blocks = params.config.channels, params.config.n_blocks
+    stacked = np.empty((h.shape[0], c * n_blocks, h.shape[2]), dtype=h.dtype)
     block_caches = []
-    block_outs = []
-    for i in range(params.config.n_blocks):
-        h, cache = _residual_forward(h, params, i)
+    for i in range(n_blocks):
+        h, cache = _residual_forward(h, params, i, stacked[:, i * c : (i + 1) * c])
         block_caches.append(cache)
-        block_outs.append(h)
-    stacked = np.concatenate(block_outs, axis=1)
     feat, merge_cache = conv_forward(stacked, _conv(params, "tcn.merge"))
     return feat, (enc_caches, block_caches, merge_cache)
 
@@ -375,6 +383,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     if logits.ndim != 2:
         raise ParameterError(f"logits must be [batch, classes], got shape {logits.shape}")
     b, k = logits.shape
+    if b == 0:
+        raise ParameterError(f"empty batch: logits of shape {logits.shape}")
     if labels.shape != (b,):
         raise ParameterError("labels must be [batch]")
     if labels.min() < 0 or labels.max() >= k:

@@ -8,7 +8,7 @@ from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.nn import model
 from icvmd.nn.attention import softmax
 from icvmd.nn.layers import ConvLayer, conv_forward
-from icvmd.nn.model import NetParams, _residual_forward, cross_entropy, model_backward, model_forward
+from icvmd.nn.model import NetParams, _conv, _residual_forward, cross_entropy, model_backward, model_forward
 from icvmd.pa import EmitterProfile
 from icvmd.signals import ComplexSignal
 from icvmd.vmd import (
@@ -312,6 +312,33 @@ def residual_block(x: np.ndarray, params: NetParams, i: int) -> np.ndarray:
         raise ParameterError("residual block must preserve the channel count")
     y, _ = _residual_forward(x[None], params, i)
     return y[0]
+
+
+def reference_features_forward(params: NetParams, x: np.ndarray):
+    """The model's trunk forward as it was before its cache was trimmed: each
+    ReLU returns a fresh output and caches a bool mask, and the merge conv's
+    input is a concatenated copy of the block outputs.  Returns (feat, cache)
+    in the layout ``features_backward`` reads."""
+
+    def relu(y):
+        return np.maximum(y, 0.0), y > 0.0
+
+    h, enc_caches = x, []
+    for i in range(params.config.encoder_layers):
+        y, cc = conv_forward(h, _conv(params, f"encoder.{i}"))
+        h, rc = relu(y)
+        enc_caches.append((cc, rc))
+    block_caches, block_outs = [], []
+    for i, d in enumerate(params.config.dilations):
+        y1, c1 = conv_forward(h, _conv(params, f"tcn.blocks.{i}.conv1", d))
+        a1, r1 = relu(y1)
+        y2, c2 = conv_forward(a1, _conv(params, f"tcn.blocks.{i}.conv2", d))
+        h = h + y2
+        block_caches.append((c1, r1, c2))
+        block_outs.append(h)
+    stacked = np.concatenate(block_outs, axis=1)
+    feat, merge_cache = conv_forward(stacked, _conv(params, "tcn.merge"))
+    return feat, (enc_caches, block_caches, merge_cache)
 
 
 def as_float64(params: NetParams) -> NetParams:

@@ -586,6 +586,23 @@ def test_train_and_eval_skip_an_unreadable_capture(runner, tmp_path, fault):
     assert json.loads(res.stdout)["n_test"] == 13
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_manifest_with_no_captures_exits_2(runner, tmp_path, command):
+    data = gen_tiny(runner, tmp_path / "data")
+    ck = tmp_path / "model.npz"
+    train = ["train", "--data", str(data), "--out", str(ck), "--epochs", "0", "--segment-len", "32"]
+    if command == "eval":
+        res = runner.invoke(main, train)
+        assert res.exit_code == 0, res.output
+    manifest = json.loads((data / "manifest.json").read_text())
+    (data / "manifest.json").write_text(json.dumps(dict(manifest, files=[])))
+    args = train if command == "train" else ["eval", "--data", str(data), "--checkpoint", str(ck)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"error: the manifest in {data} lists no captures" in res.stderr
+
+
 def eval_with_edited_manifest(runner, tmp_path, edit):
     """Train an untrained checkpoint, apply ``edit`` to its manifest, then run eval on it."""
     data = gen_tiny(runner, tmp_path / "data", spe=2)

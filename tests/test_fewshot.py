@@ -20,7 +20,7 @@ from icvmd.fewshot import (
     write_report_csv,
 )
 from icvmd.modulation import ModulationKind
-from icvmd.nn.model import ModelConfig
+from icvmd.nn.model import ModelConfig, init_params
 from icvmd.nn.train import TrainConfig
 from icvmd.pa import emitter_bank
 from icvmd.signals import ComplexSignal
@@ -191,6 +191,19 @@ def test_represent_raises_when_every_capture_is_dropped(tmp_path, monkeypatch):
             skipped=skipped,
         )
     assert [path for path, _ in skipped] == sorted(e["path"] for e in manifest["files"][:2])
+
+
+def test_represent_rejects_a_manifest_with_no_captures(tmp_path):
+    manifest = {"_dir": str(tmp_path), "files": []}
+    with pytest.raises(DegenerateInputError, match="lists no captures"):
+        fewshot.represent(Pipeline.RAW_NN, manifest, default_icvmd_config(n_modes=2))
+
+
+def test_predict_rejects_zero_captures():
+    params = init_params(TINY_MODEL, n_classes=2, seed=0)
+    empty = np.zeros((0, 2, 128), dtype=np.float32)
+    with pytest.raises(ParameterError, match=r"empty batch.*\(0, 2, 128\)"):
+        fewshot.predict(params, empty, empty, np.array([3, 5]))
 
 
 def test_represent_reads_the_captures_in_path_order(tmp_path):

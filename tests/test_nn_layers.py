@@ -237,6 +237,18 @@ def test_relu_forward_backward():
     assert np.array_equal(relu_backward(dy, cache), [0.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_backward_from_the_output_matches_the_input_mask(dtype):
+    tiny = np.finfo(dtype).smallest_subnormal
+    x = np.array([[-0.0, 0.0, tiny, -tiny, np.nan, np.inf, -np.inf, 2.0, -3.0]], dtype=dtype)
+    dy = np.arange(1, x.size + 1, dtype=dtype).reshape(x.shape)
+    want = dy * (x > 0)
+    y, cache = relu_forward(x.copy())
+    assert cache is y
+    assert relu_backward(dy, cache).tobytes() == want.tobytes()
+    assert y.tobytes() == np.maximum(x, 0.0).tobytes()
+
+
 # ----------------------------------------------------------- receptive field
 
 

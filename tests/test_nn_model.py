@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from icvmd.nn.model import (
     ModelConfig,
     _branch_forward,
     cross_entropy,
+    features_backward,
     features_forward,
     init_params,
     model_backward,
@@ -14,7 +17,7 @@ from icvmd.nn.model import (
     spatial_attention_weights,
 )
 from icvmd.nn.train import TrainConfig, train
-from oracles import as_float64, kink_margin, residual_block
+from oracles import as_float64, kink_margin, reference_features_forward, residual_block
 
 
 TINY = ModelConfig(
@@ -211,6 +214,11 @@ def test_cross_entropy_rejects_logits_that_are_not_batch_by_class():
         cross_entropy(np.zeros((1, 2, 1)), np.array([0]))
 
 
+def test_cross_entropy_rejects_an_empty_batch():
+    with pytest.raises(ParameterError, match=r"empty batch.*\(0, 3\)"):
+        cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+
 # ----------------------------------------------------------------- gradients
 
 
@@ -271,6 +279,55 @@ def test_chunked_trunk_is_bit_identical_to_one_chunk(monkeypatch, cast):
     assert fit.history == want_fit.history
     for key, want in want_fit.params.arrays.items():
         assert np.array_equal(fit.params.arrays[key], want), key
+
+
+# ------------------------------------------------------------- trunk cache
+
+
+@pytest.mark.parametrize("cast", [False, True])
+def test_trunk_matches_the_concatenating_reference(cast):
+    # Blocks that write into the merge input and ReLUs that cache their output
+    # give the bytes of the old trunk: concatenated block outputs, mask caches.
+    params = init_params(ModelConfig(), n_classes=3, seed=5)
+    params = as_float64(params) if cast else params
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(3, 2, 250)).astype(params.dtype)
+    dfeat = rng.normal(size=(3, 8, 250)).astype(params.dtype)
+    feat, cache = features_forward(params, x)
+    want_feat, want_cache = reference_features_forward(params, x)
+    assert feat.tobytes() == want_feat.tobytes()
+    assert cache[2][0].tobytes() == want_cache[2][0].tobytes()  # the merge input
+    grads, want_grads = {}, {}
+    dx = features_backward(params, dfeat, cache, grads)
+    want_dx = features_backward(params, dfeat, want_cache, want_grads)
+    assert dx.dtype == params.dtype and dx.tobytes() == want_dx.tobytes()
+    assert grads.keys() == want_grads.keys()
+    for key, want in want_grads.items():
+        assert grads[key].tobytes() == want.tobytes(), key
+
+
+def test_training_forward_keeps_each_conv_input_once():
+    # What model_forward leaves allocated is its cache: the encoder outputs,
+    # each block's conv1 output and block output (in the merge input), plus
+    # the branch stack's outputs and its folded input copy, and one more
+    # input-sized array for the heads' small arrays.  A second copy of the
+    # block outputs or the ReLU masks would exceed it.
+    cfg = ModelConfig()
+    b, t = 16, 2100
+    params = init_params(cfg, n_classes=4, seed=0)
+    rng = np.random.default_rng(1)
+    xm = rng.normal(size=(b, cfg.in_channels, t)).astype(np.float32)
+    xb = rng.normal(size=(b, cfg.in_channels, t)).astype(np.float32)
+    f32 = np.dtype(np.float32).itemsize
+    trunk = (cfg.encoder_layers + 2 * cfg.n_blocks) * b * cfg.channels * t * f32
+    allowance = (cfg.branch_layers * cfg.branch_channels + 2 * cfg.in_channels) * b * t * f32
+    tracemalloc.start()
+    try:
+        _, cache = model_forward(params, xm, xb)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert trunk <= held <= trunk + allowance
 
 
 # ------------------------------------------------------------ parameter dict
