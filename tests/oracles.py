@@ -157,12 +157,12 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
 
     The ADMM loop sweeps modes in index order, refreshing each spectrum with
     the Wiener update (using the freshest other-mode sum) and immediately
-    re-centering it.  After a sweep that has a metric, moves no center by
-    _SETTLE_RAD or more and whose metric is not above the previous one, the
-    next sweep moves each spectrum ``relax`` times its plain step and each
-    center ``relax`` times its step to the new spectrum's centroid.  The
-    metric is taken on the plain steps, and only a plain sweep may stop the
-    loop.  ``relax=1.0`` is the plain loop of Dragomiretskiy & Zosso.
+    re-centering it.  After a sweep that has a metric not under tol and
+    moves no center by _SETTLE_RAD or more, the next sweep moves each
+    spectrum ``relax`` times its plain step and each center ``relax`` times
+    its step to the new spectrum's centroid.  The metric is taken on the
+    plain steps, and only a plain sweep may stop the loop.  ``relax=1.0``
+    is the plain loop of Dragomiretskiy & Zosso.
     After the loop one plain mode-update sweep is run at the final centers so
     the returned spectra satisfy the Wiener fixed-point form exactly.
 
@@ -222,15 +222,13 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
         if np.all(prev_norms <= _ENERGY_GUARD):
             # First sweeps out of an all-zero start: nothing to compare yet.
             continue
-        delta = convergence_metric(u_prev, plain)
-        rising = delta > final_delta
-        final_delta = delta
+        final_delta = delta = convergence_metric(u_prev, plain)
         if delta < cfg.tol:
             if beta == 1.0:
                 converged = True
                 break
             beta = 1.0  # a relaxed sweep under tol is confirmed by a plain one
-        elif rising or shift >= _SETTLE_RAD:
+        elif shift >= _SETTLE_RAD:
             beta = 1.0
         else:
             beta = relax

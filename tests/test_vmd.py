@@ -323,6 +323,23 @@ def test_memory_budget_covers_the_measured_peak(monkeypatch, n, k, dtype):
     vmd.check_memory_budget(n, k)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_solve_peaks_at_two_spectra_per_mode_and_keeps_no_extension(dtype):
+    n, k = 4_000, 64
+    x = np.random.default_rng(k).normal(size=n).astype(dtype)
+    tracemalloc.start()
+    try:
+        res = vmd_decompose(x, VmdConfig(n_modes=k, alpha=200.0, max_iter=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A spectrum-sized buffer is one complex128 rfft of the 2n-sample
+    # extension; check_memory_budget's estimate is this bound.
+    assert peak <= 16 * (n + 1) * (2 * k + 12)
+    # The modes own their [K, n] rows, not a view of the [K, 2n] irfft.
+    assert res.modes.shape == (k, n) and res.modes.base is None
+
+
 def _sweep_case_signal(n, seed):
     rng = np.random.default_rng(seed)
     t = np.arange(n)
@@ -426,6 +443,22 @@ def test_relaxed_solver_is_no_farther_from_the_fixed_point_in_fewer_sweeps():
     assert np.percentile(d_relaxed, 90) <= np.percentile(d_plain, 90)
     sweeps = [sum(r.mode_set.iterations for r in rs) for rs in (plain, relaxed)]
     assert sweeps[1] < sweeps[0]
+
+
+def test_relaxed_solver_converges_where_the_metric_keeps_rising():
+    # An n=700 LFM side at 18 dB whose metric rises on most late sweeps; a
+    # relaxation that paused for every rise would stall it at the cap.
+    sig = synthesize_one(DatasetSpec(n_samples=700), emitter_bank()[3], DEFAULT_MODULATIONS[1], 18.0, 1, 1040)
+    x = analytic_split(sig).x_plus
+    cfg = default_icvmd_config()
+    star = reference_vmd_decompose(x, dataclasses.replace(cfg, tol=1e-11, max_iter=6000), relax=1.0)
+    plain = reference_vmd_decompose(x, cfg, relax=1.0)
+    assert star.mode_set.converged and not plain.mode_set.converged
+    bar = np.max(np.abs(plain.omegas - star.omegas))
+    for dtype in (np.float64, np.float32):
+        res = vmd_decompose(x.astype(dtype), cfg)
+        assert res.mode_set.converged
+        assert np.max(np.abs(res.omegas - star.omegas)) < bar
 
 
 def test_peak_start_takes_fewer_sweeps_than_the_uniform_spread(monkeypatch):
