@@ -12,8 +12,10 @@ sequence can then be decomposed independently by the real-signal machinery.
 The DC bin and (for even lengths) the Nyquist bin sit on the boundary between
 the halves.  The real part of the DC bin goes to the positive side and that
 of the Nyquist bin is split half/half; their imaginary parts cannot be
-represented by any pair of real sequences and are therefore carried alongside
-as two scalar correction amplitudes, restored at reconstruction time.
+represented by any pair of real sequences, so the split drops them: the
+imaginary mean and the imaginary Nyquist alternation.  A reconstruction that
+includes the residual returns them, since it is built as the input minus the
+unselected modes (see ``decompose.reconstruct``).
 """
 from __future__ import annotations
 
@@ -29,18 +31,14 @@ _MIN_LEN = 4
 
 @dataclass(frozen=True)
 class AnalyticPair:
-    """The two real sequences plus the boundary-bin bookkeeping.
+    """The two real sequences of the split.
 
     x_plus / x_minus   -- real sequences whose analytic signals carry the
                           positive / negative frequency halves of the input
-    dc_imag            -- imaginary part of the input mean (time-domain amplitude)
-    nyquist_imag       -- imaginary amplitude of the Nyquist bin (0 for odd lengths)
     """
 
     x_plus: np.ndarray
     x_minus: np.ndarray
-    dc_imag: float
-    nyquist_imag: float
 
 
 def analytic_split(sig: ComplexSignal) -> AnalyticPair:
@@ -55,9 +53,7 @@ def analytic_split(sig: ComplexSignal) -> AnalyticPair:
     if n < _MIN_LEN:
         raise ParameterError(f"signal must have at least {_MIN_LEN} samples")
     spec = np.fft.fft(z)
-
-    nyq = n // 2 if n % 2 == 0 else None
-    top = nyq if nyq is not None else (n + 1) // 2  # first index past the positive interior
+    top = (n + 1) // 2  # first index past the positive interior
 
     plus = np.zeros(n, dtype=complex)
     minus = np.zeros(n, dtype=complex)
@@ -66,35 +62,16 @@ def analytic_split(sig: ComplexSignal) -> AnalyticPair:
     # the resulting analytic signal is conj(that half of z).
     minus[1:top] = np.conj(spec[n - 1 : n - top : -1])
     plus[0] = spec[0].real
-
-    nyquist_imag = 0.0
-    if nyq is not None:
-        plus[nyq] = spec[nyq].real / 2.0
-        minus[nyq] = spec[nyq].real / 2.0
-        nyquist_imag = float(spec[nyq].imag) / n
-
-    x_plus = np.fft.ifft(plus).real
-    x_minus = np.fft.ifft(minus).real
-    return AnalyticPair(
-        x_plus=x_plus,
-        x_minus=x_minus,
-        dc_imag=float(spec[0].imag) / n,
-        nyquist_imag=nyquist_imag,
-    )
-
-
-def boundary_correction(n: int, dc_imag: float, nyquist_imag: float) -> np.ndarray:
-    """Purely imaginary time series restoring the split's lost boundary content."""
-    out = np.full(n, 1j * dc_imag)
     if n % 2 == 0:
-        alternating = np.ones(n)
-        alternating[1::2] = -1.0
-        out = out + 1j * nyquist_imag * alternating
-    return out
+        plus[n // 2] = minus[n // 2] = spec[n // 2].real / 2.0
+    return AnalyticPair(x_plus=np.fft.ifft(plus).real, x_minus=np.fft.ifft(minus).real)
 
 
 def combine_analytic(s_plus: np.ndarray, s_minus: np.ndarray) -> np.ndarray:
-    """Rebuild a complex sequence from the two real parts (no boundary correction).
+    """Rebuild a complex sequence from the two real parts.
+
+    The boundary bins come back real, so combining the split of z misses the
+    imaginary DC and Nyquist content of z (module docstring).
 
     Returns a_plus + conj(a_minus) for the analytic signals of the inputs, as
     one inverse FFT of a one-sided spectrum (Marple 1999): with P = rfft(s_plus)

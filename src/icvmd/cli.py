@@ -78,7 +78,7 @@ _MOD_CHOICES = [m.value for m in ModulationKind]
 
 # The DatasetSpec options shared by ``gen`` and ``fewshot``, in help order.
 _DATASET_OPTIONS = (
-    click.option("--config", type=click.Path(exists=True), default=None, help="JSON DatasetSpec (schema_version 1); overrides the other options."),
+    click.option("--config", type=click.Path(exists=True), default=None, help="JSON DatasetSpec (schema_version 1); no other dataset option may be given with it."),
     click.option("--snr-db", multiple=True, type=float, help="SNR grid point (repeatable)."),
     click.option("--modulations", multiple=True, type=click.Choice(_MOD_CHOICES)),
     click.option("--n-samples", default=DatasetSpec.n_samples, show_default=True),
@@ -98,6 +98,11 @@ def _dataset_options(fn):
 
 def _spec_from_options(config, **kw) -> DatasetSpec:
     if config is not None:
+        ctx = click.get_current_context()
+        default = click.core.ParameterSource.DEFAULT
+        given = [p.opts[0] for p in ctx.command.params if p.name in kw and ctx.get_parameter_source(p.name) is not default]
+        if given:
+            raise ParameterError(f"{', '.join(given)} cannot be given with --config, which sets every dataset option")
         raw = json_object(Path(config).read_text(), config)
         if raw.get("schema_version") != 1:
             raise ParameterError("dataset config must carry schema_version 1")
@@ -135,12 +140,11 @@ def gen(out_dir, config, **kw):
 @click.option("--alpha", default=VmdConfig.alpha, show_default=True)
 @click.option("--tol", default=VmdConfig.tol, show_default=True)
 @click.option("--max-iter", default=VmdConfig.max_iter, show_default=True)
-@click.option("--dc-lock", is_flag=True, default=VmdConfig.dc_lock)
 @_guarded
-def decompose(input_file, out_dir, n_modes, alpha, tol, max_iter, dc_lock):
+def decompose(input_file, out_dir, n_modes, alpha, tol, max_iter):
     """Decompose an iqf32 file into labeled modes (modes.npz + modes.json)."""
     sig = read_iqf32(input_file)
-    cfg = VmdConfig(n_modes=n_modes, alpha=alpha, tol=tol, max_iter=max_iter, dc_lock=dc_lock)
+    cfg = VmdConfig(n_modes=n_modes, alpha=alpha, tol=tol, max_iter=max_iter)
     manifest = dump_modes(icvmd_decompose(sig, cfg), out_dir)
     for side, s in manifest["sides"].items():
         for index, row in enumerate(zip(s["omegas"], s["energy_fractions"], s["labels"])):

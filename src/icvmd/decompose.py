@@ -6,7 +6,8 @@ real-signal mode decomposition on each side independently with one
 ``VmdConfig``, then label every mode by one fixed rule so downstream code can
 select the intentional-modulation content, the distortion features, near-DC
 content, or near-Nyquist content, and rebuild a complex signal from any
-selection.
+selection.  A selection with the residual is rebuilt as the input minus the
+modes it leaves out, so selecting everything returns the input bit for bit.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import analytic_split, boundary_correction, combine_analytic
+from .analytic import analytic_split, combine_analytic
 from .errors import DegenerateInputError, ParameterError
 from .signals import ComplexSignal
 from .vmd import ModeSet, VmdConfig, VmdResult, check_memory_budget, vmd_decompose
@@ -45,15 +46,13 @@ class Selection(enum.Enum):
 @dataclass(frozen=True)
 class IcvmdResult:
     """Everything needed to select, inspect, or rebuild: per-side mode sets,
-    labels, residuals, and the boundary-bin amplitudes the split cannot carry."""
+    labels and residuals, and the decomposed input."""
 
     pos: VmdResult
     neg: VmdResult
     labels_pos: tuple
     labels_neg: tuple
-    dc_imag: float
-    nyquist_imag: float
-    sample_rate: float = 1.0
+    input_signal: ComplexSignal
 
 
 def mode_energies(result: VmdResult) -> np.ndarray:
@@ -108,7 +107,8 @@ def icvmd_decompose(sig: ComplexSignal, cfg: VmdConfig) -> IcvmdResult:
     for name, x in (("pos", pair.x_plus), ("neg", pair.x_minus)):
         if float(np.sum(x**2)) > 1e-24 * input_energy:
             # The sweep runs in float32; the residual against the float64
-            # side keeps the full-selection roundtrip exact.
+            # side keeps side_input_energy, and so each energy fraction, that
+            # of the float64 side.
             res = vmd_decompose(x.astype(np.float32), cfg)
             res = VmdResult(res.modes, res.mode_set, residual=x - res.modes.sum(axis=0))
             labels[name] = partition_modes(res)
@@ -127,71 +127,64 @@ def icvmd_decompose(sig: ComplexSignal, cfg: VmdConfig) -> IcvmdResult:
         neg=results["neg"],
         labels_pos=labels["pos"],
         labels_neg=labels["neg"],
-        dc_imag=pair.dc_imag,
-        nyquist_imag=pair.nyquist_imag,
-        sample_rate=sig.sample_rate,
+        input_signal=sig,
     )
 
 
-def _assemble(selection, sides: dict, dc_imag, nyquist_imag) -> np.ndarray:
-    """Recombine the selected parts into complex samples.  ``sides`` maps pos
-    and neg to (labels, modes [K, n], residual [n]); each side's residual is
-    labeled Selection.RESIDUAL and carries the boundary-bin correction."""
+def _assemble(selection, sides: dict, samples: np.ndarray) -> np.ndarray:
+    """Recombine a selection into complex samples.  ``sides`` maps pos and neg
+    to (labels, modes [K, n]) and ``samples`` is the decomposed input.  Without
+    Selection.RESIDUAL this combines the selected modes; with it, it subtracts
+    the unselected modes from the input, so the residual carries everything
+    the modes do not, the boundary bins the split drops included."""
     selection = frozenset(selection)
     bad = selection - (set(ModeLabel) | set(Selection))
     if bad:
         raise ParameterError(f"unknown selection entries: {sorted(str(b) for b in bad)}")
+    selected = Selection.RESIDUAL not in selection  # combine the selected modes, or the others
     summed = {}
-    for name, (labels, modes, residual) in sides.items():
-        picked = [mode for label, mode in zip(labels, modes) if label in selection]
-        if Selection.RESIDUAL in selection:
-            picked.append(residual)
-        summed[name] = sum(picked, np.zeros(residual.size))
+    for name, (labels, modes) in sides.items():
+        picked = [mode for label, mode in zip(labels, modes) if (label in selection) == selected]
+        summed[name] = sum(picked, np.zeros(samples.size))
     z = combine_analytic(summed["pos"], summed["neg"])
-    if Selection.RESIDUAL in selection:
-        z = z + boundary_correction(z.size, dc_imag, nyquist_imag)
-    return z
+    return z if selected else samples - z
 
 
 def reconstruct(result: IcvmdResult, selection) -> ComplexSignal:
     """Rebuild a complex signal from the selected labels.
 
     ``selection`` is an iterable of ModeLabel and/or Selection.RESIDUAL.
-    Selecting every label plus RESIDUAL reproduces the original input (the
-    boundary-bin correction rides with RESIDUAL).  An empty selection yields
-    an all-zero signal.
+    Selecting every label plus RESIDUAL returns the input bit for bit, and a
+    selection and its complement sum to the input to rounding.  An empty
+    selection yields an all-zero signal.
     """
-    sides = {
-        "pos": (result.labels_pos, result.pos.modes, result.pos.residual),
-        "neg": (result.labels_neg, result.neg.modes, result.neg.residual),
-    }
-    z = _assemble(selection, sides, result.dc_imag, result.nyquist_imag)
-    return ComplexSignal(z, result.sample_rate)
+    sides = {"pos": (result.labels_pos, result.pos.modes), "neg": (result.labels_neg, result.neg.modes)}
+    return result.input_signal.with_samples(_assemble(selection, sides, result.input_signal.samples))
 
 
 FULL_SELECTION = frozenset(ModeLabel) | frozenset({Selection.RESIDUAL})
 
 
-DUMP_VERSION = 2
+DUMP_VERSION = 3
 
 
 def dump_modes(result: IcvmdResult, out_dir) -> dict:
-    """Write the modes and residuals to ``modes.npz`` and the rest to ``modes.json``.
+    """Write the modes and the input to ``modes.npz`` and the rest to ``modes.json``.
 
     ``modes.npz`` holds float64 ``modes_pos`` and ``modes_neg`` ``[K, n]`` and
-    ``residual_pos`` and ``residual_neg`` ``[n]``, so the dump rebuilds exactly
-    what ``reconstruct`` does.  Under ``sides``, ``modes.json`` lists each
+    the complex128 ``input`` ``[n]``, so the dump rebuilds exactly what
+    ``reconstruct`` does.  Under ``sides``, ``modes.json`` lists each
     side's labels, centers and energy fractions by mode row, and its sweep
     count, converged flag and final metric (null when no two sweeps were
     compared).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    arrays, sides = {}, {}
+    arrays, sides = {"input": result.input_signal.samples}, {}
     for name, side, labels in (("pos", result.pos, result.labels_pos), ("neg", result.neg, result.labels_neg)):
         ms = side.mode_set
         total = max(side_input_energy(side), 1e-300)
-        arrays[f"modes_{name}"], arrays[f"residual_{name}"] = side.modes, side.residual
+        arrays[f"modes_{name}"] = side.modes
         sides[name] = {
             "labels": [label.value for label in labels],
             "omegas": [float(w) for w in side.omegas],
@@ -203,9 +196,7 @@ def dump_modes(result: IcvmdResult, out_dir) -> dict:
     np.savez(out_dir / "modes.npz", **arrays)
     manifest = {
         "schema_version": DUMP_VERSION,
-        "sample_rate": result.sample_rate,
-        "dc_imag": result.dc_imag,
-        "nyquist_imag": result.nyquist_imag,
+        "sample_rate": result.input_signal.sample_rate,
         "sides": sides,
     }
     (out_dir / "modes.json").write_text(json.dumps(manifest, indent=2))
@@ -217,10 +208,10 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
     ``reconstruct`` rebuilds it from the dumped result.
 
     K and n come from the array shapes.  A ``modes.json`` that is not
-    ``schema_version`` 2, lacks a key, names an unknown label or has sides
+    ``schema_version`` 3, lacks a key, names an unknown label or has sides
     other than pos and neg raises ParameterError; so does a ``modes.npz`` that
-    lacks a float64 array, or a side without one label per mode, without the
-    same n as the other side, or whose residual is not ``[n]``.
+    lacks a float64 modes array or the complex128 input, or a side without
+    one label per mode or without the input's n.
     """
     from .iqfile import json_object, load_npz
 
@@ -237,7 +228,6 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
         labels = {name: [ModeLabel(v) for v in sides[name]["labels"]] for name in ("pos", "neg")}
         if len(sides) != 2:
             raise ValueError(f"sides must hold only pos and neg, got {sorted(sides)}")
-        dc_imag, nyquist_imag = float(manifest["dc_imag"]), float(manifest["nyquist_imag"])
         sample_rate = float(manifest.get("sample_rate", 1.0))
     except KeyError as exc:
         raise ParameterError(f"modes.json lacks the key {exc}") from None
@@ -245,18 +235,19 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
         raise ParameterError(f"bad modes.json: {exc}") from None
 
     arrays = load_npz(dump_dir / "modes.npz")
-    for key in ("modes_pos", "modes_neg", "residual_pos", "residual_neg"):
+    for key, dtype in (("modes_pos", "float64"), ("modes_neg", "float64"), ("input", "complex128")):
         found = arrays[key].dtype.name if key in arrays else "nothing"
-        if found != "float64":
-            raise ParameterError(f"modes.npz needs a float64 array {key}, found {found}")
-    n = arrays["modes_pos"].shape[-1:]
+        if found != dtype:
+            raise ParameterError(f"modes.npz needs a {dtype} array {key}, found {found}")
+    samples = arrays["input"]
     parts = {}
     for name in ("pos", "neg"):
-        modes, residual = arrays[f"modes_{name}"], arrays[f"residual_{name}"]
-        if modes.shape != (len(labels[name]), *n) or residual.shape != n:
+        modes = arrays[f"modes_{name}"]
+        if samples.ndim != 1 or modes.shape != (len(labels[name]), samples.size):
             raise ParameterError(
-                f"bad dump: the {name} side has {len(labels[name])} labels, modes of shape {modes.shape} and a "
-                f"residual of shape {residual.shape}; the pos modes have shape {arrays['modes_pos'].shape}"
+                f"bad dump: the {name} side has {len(labels[name])} labels and modes of shape {modes.shape}; "
+                f"the input has shape {samples.shape}"
             )
-        parts[name] = (labels[name], modes, residual)
-    return ComplexSignal(_assemble(selection, parts, dc_imag, nyquist_imag), sample_rate)
+        parts[name] = (labels[name], modes)
+    sig = ComplexSignal(samples, sample_rate)  # rejects an empty or non-finite input
+    return sig.with_samples(_assemble(selection, parts, sig.samples))

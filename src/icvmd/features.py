@@ -10,8 +10,9 @@ Layout of the ``3*MAX_MODES + 12`` entries:
     [3*MAX_MODES : +4)  |C20|, C21, |C40|, C42 of the feature-part
                         reconstruction (fourth-order mixed cumulants of the
                         centered complex sequence)
-    [3*MAX_MODES+4 : +8) the same four cumulants of the full reconstruction
-                        (all labels plus residual)
+    [3*MAX_MODES+4 : +8) the same four cumulants of the input itself, which
+                        the full selection returns bit for bit: this block
+                        equals raw_cumulant_features
     [3*MAX_MODES+8 : +12) the same four cumulants of the narrowband-mode
                         (SIGNAL-labeled) reconstruction only
 
@@ -20,24 +21,15 @@ Retained modes are those labeled FEATURE or SPECIAL on either side.
 The decomposition is linear in the input, so every geometric quantity
 (centers, bandwidths, energy fractions) is invariant to an overall gain; the
 absolute cumulant blocks are what carry amplifier-scale fingerprints.  The
-full-reconstruction block is deliberately (near) modulation-invariant for
-unit-envelope waveforms, the feature-part block reacts to distortion and
-noise-floor structure, and the signal-part block is a denoised power reading:
-it drops the out-of-band noise that inflates raw-signal cumulants, which is
-where the decomposition pays off at low SNR.
+input block is (near) modulation-invariant for unit-envelope waveforms, the
+feature-part block reacts to distortion and noise-floor structure, and the
+signal-part block reads the power of the SIGNAL modes alone.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .decompose import (
-    FULL_SELECTION,
-    IcvmdResult,
-    ModeLabel,
-    mode_energies,
-    reconstruct,
-    side_input_energy,
-)
+from .decompose import IcvmdResult, ModeLabel, mode_energies, reconstruct, side_input_energy
 from .errors import DegenerateInputError, ParameterError
 from .signals import ComplexSignal
 
@@ -122,10 +114,10 @@ def extract_features(result: IcvmdResult) -> np.ndarray:
     for i, (_, omega, bw, frac) in enumerate(rows):
         vec[3 * i : 3 * i + 3] = (omega, bw, frac)
 
-    blocks = ({ModeLabel.FEATURE, ModeLabel.SPECIAL}, FULL_SELECTION, {ModeLabel.SIGNAL})
-    for i, selection in enumerate(blocks):
-        start = 3 * MAX_MODES + 4 * i
-        vec[start : start + 4] = _cumulant_block(reconstruct(result, selection).samples)
+    base = 3 * MAX_MODES
+    vec[base : base + 4] = _cumulant_block(reconstruct(result, _RETAINED).samples)
+    vec[base + 4 : base + 8] = _cumulant_block(result.input_signal.samples)
+    vec[base + 8 :] = _cumulant_block(reconstruct(result, {ModeLabel.SIGNAL}).samples)
     return vec
 
 

@@ -37,7 +37,7 @@ from .dataset import (
     split_manifest,
     subsample_manifest,
 )
-from .decompose import ModeLabel, Selection, icvmd_decompose, reconstruct
+from .decompose import ModeLabel, icvmd_decompose, reconstruct
 from .errors import DegenerateInputError, ParameterError
 from .features import extract_features
 from .nn.model import ModelConfig, init_params, model_forward
@@ -121,14 +121,14 @@ def sat_inputs(result) -> tuple:
     """Input pair for the SAT pipeline.
 
     Main path: everything EXCEPT the intentional-modulation modes (the
-    fingerprint lives in the distortion and noise-floor structure).
+    fingerprint lives in the distortion and noise-floor structure): the input
+    minus the branch, which is what ``reconstruct`` returns for every other
+    label plus the residual.
     Branch path: the intentional-modulation reconstruction, which tells the
     attention where the waveform actually carries structure.
     """
-    feature_side = reconstruct(
-        result, {ModeLabel.FEATURE, ModeLabel.SPECIAL, ModeLabel.DC, Selection.RESIDUAL}
-    )
     signal_side = reconstruct(result, {ModeLabel.SIGNAL})
+    feature_side = result.input_signal.with_samples(result.input_signal.samples - signal_side.samples)
     return signal_channels(feature_side), signal_channels(signal_side)
 
 

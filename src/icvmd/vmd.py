@@ -12,8 +12,7 @@ to spectral mass within about 1/sqrt(alpha) of where it starts: the highest
 local maxima of the rfft power smoothed over n_bins // _PEAK_WINDOW_DIV bins
 that hold at least _PEAK_FLOOR of its maximum, at least
 pi / (_PEAK_SEP_DIV * K) apart, then midpoints of the widest gaps between 0,
-the chosen centers and pi until there are K.  A dc-locked mode 0 starts (and
-stays) at 0.
+the chosen centers and pi until there are K.
 
 The sweep carries one residual spectrum ``r = f - sum_k u_k``, so the
 Wiener update of mode k with the others held fixed reads
@@ -82,14 +81,12 @@ class VmdConfig:
     tol          -- convergence threshold on sum_k ||du_k||^2 / ||u_k_prev||^2,
                     the squared per-mode relative change of an unrelaxed step
     max_iter     -- iteration cap
-    dc_lock      -- pin mode 0 at zero frequency (its center is never updated)
     """
 
     n_modes: int = 5
     alpha: float = 2000.0
     tol: float = 1e-7
     max_iter: int = 500
-    dc_lock: bool = False
 
     def __post_init__(self):
         for name in ("n_modes", "max_iter"):
@@ -167,7 +164,7 @@ def _widest_gap_midpoint(centers) -> float:
 
 def _init_omegas(cfg: VmdConfig, spectrum: np.ndarray) -> np.ndarray:
     """Ascending start centers at the peaks of the rfft ``spectrum`` (see the
-    module docstring); a dc-locked mode 0 is pinned at 0 and counts as chosen."""
+    module docstring)."""
     k = cfg.n_modes
     n_bins = spectrum.size
     grid = half_grid(2 * (n_bins - 1))  # the spectrum is of an even-length extension
@@ -179,8 +176,8 @@ def _init_omegas(cfg: VmdConfig, spectrum: np.ndarray) -> np.ndarray:
     # Greedy in power order: take the strongest peak still free, then free
     # only the peaks at least sep from it.
     cand = grid[peaks[np.argsort(-power[peaks], kind="stable")]]
-    chosen = [0.0] if cfg.dc_lock else []
-    free = np.abs(cand) >= sep if cfg.dc_lock else np.ones(cand.size, dtype=bool)
+    chosen = []
+    free = np.ones(cand.size, dtype=bool)
     while len(chosen) < k and free.any():
         c = cand[np.argmax(free)]
         chosen.append(c)
@@ -196,7 +193,7 @@ def _reseed_collisions(omegas: list | np.ndarray, min_gap: float) -> None:
 
     Two modes chasing the same spectral line never separate on their own; the
     deterministic reseed breaks the tie in favor of empty spectrum.  Mode 0 is
-    never moved, so a dc-locked mode stays put.
+    never moved.
     """
     for j in range(1, len(omegas)):
         if any(abs(omegas[j] - omegas[i]) < min_gap for i in range(j)):
@@ -314,7 +311,7 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
             diffs[k] = update(k, beta)
             energy, moment = (basis @ p).tolist()
             energies[k] = energy
-            if energy > _ENERGY_GUARD and not (cfg.dc_lock and k == 0):
+            if energy > _ENERGY_GUARD:
                 move = moment / energy - omegas[k]
                 shift = max(shift, abs(move))
                 omegas[k] = min(max(omegas[k] + beta * move, 0.0), np.pi)

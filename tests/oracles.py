@@ -119,12 +119,9 @@ def convergence_metric(prev_spectra: np.ndarray, curr_spectra: np.ndarray) -> fl
 
 
 def uniform_spread(cfg: VmdConfig) -> np.ndarray:
-    """Centers spread uniformly on (0, pi): (k + 0.5)*pi/K; a dc-locked mode 0 starts at 0."""
+    """Centers spread uniformly on (0, pi): (k + 0.5)*pi/K."""
     k = cfg.n_modes
-    om = (np.arange(k) + 0.5) * np.pi / k
-    if cfg.dc_lock:
-        om[0] = 0.0
-    return om
+    return (np.arange(k) + 0.5) * np.pi / k
 
 
 def reference_init_omegas(cfg: VmdConfig, spectrum: np.ndarray) -> np.ndarray:
@@ -139,7 +136,7 @@ def reference_init_omegas(cfg: VmdConfig, spectrum: np.ndarray) -> np.ndarray:
     peaks = 1 + np.flatnonzero((inner > power[:-2]) & (inner >= power[2:]))
     peaks = peaks[power[peaks] >= _PEAK_FLOOR * power.max()]
     sep = np.pi / (_PEAK_SEP_DIV * k)
-    chosen = [0.0] if cfg.dc_lock else []
+    chosen = []
     for i in peaks[np.argsort(-power[peaks], kind="stable")]:
         if len(chosen) == k:
             break
@@ -202,12 +199,11 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
             plain[k] = wiener_mode_update(f_hat, others, omegas[k], cfg.alpha, grid)
             u[k] = u[k] + beta * (plain[k] - u[k])
             sum_u = others + u[k]
-            if not (cfg.dc_lock and k == 0):
-                energy = float(np.sum(np.abs(u[k]) ** 2))
-                if energy > _ENERGY_GUARD:
-                    target = center_frequency(u[k], grid)
-                    shift = max(shift, abs(target - omegas[k]))
-                    omegas[k] = min(max(omegas[k] + beta * (target - omegas[k]), 0.0), np.pi)
+            energy = float(np.sum(np.abs(u[k]) ** 2))
+            if energy > _ENERGY_GUARD:
+                target = center_frequency(u[k], grid)
+                shift = max(shift, abs(target - omegas[k]))
+                omegas[k] = min(max(omegas[k] + beta * (target - omegas[k]), 0.0), np.pi)
         return plain, shift
 
     converged = False

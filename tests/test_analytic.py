@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import icvmd
-from icvmd.analytic import analytic_split, boundary_correction, combine_analytic
+from icvmd.analytic import analytic_split, combine_analytic
 from icvmd.errors import ParameterError
 from icvmd.signals import ComplexSignal
 
@@ -20,11 +20,30 @@ def make_sig(z):
     return ComplexSignal(samples=np.asarray(z, dtype=complex))
 
 
+def alternating(n):
+    out = np.ones(n)
+    out[1::2] = -1.0
+    return out
+
+
+def boundary_amplitudes(z):
+    """The imaginary DC mean and the imaginary Nyquist amplitude of z (0 for odd n)."""
+    n = z.size
+    return float(np.mean(z.imag)), float(np.mean(z.imag * alternating(n))) if n % 2 == 0 else 0.0
+
+
+def boundary_content(z):
+    """The purely imaginary series the split cannot carry: the imaginary DC
+    mean plus the imaginary Nyquist alternation."""
+    dc_imag, nyquist_imag = boundary_amplitudes(z)
+    return 1j * dc_imag + 1j * nyquist_imag * alternating(z.size)
+
+
 def roundtrip(sig):
+    """Split and combine, then add back what the split drops."""
     pair = analytic_split(sig)
     z = combine_analytic(pair.x_plus, pair.x_minus)
-    z = z + boundary_correction(pair.x_plus.size, pair.dc_imag, pair.nyquist_imag)
-    return z, pair
+    return z + boundary_content(sig.samples), pair
 
 
 finite_complex = st.complex_numbers(
@@ -76,12 +95,12 @@ def test_dc_to_positive_routes_all_mean():
 def test_boundary_amplitudes():
     n = 32
     z = (1.0 + 2.0j) * np.ones(n)  # imaginary mean of 2
-    alternating = np.ones(n)
-    alternating[1::2] = -1.0
-    z = z + 3j * alternating  # imaginary Nyquist content
+    z = z + 3j * alternating(n)  # imaginary Nyquist content
+    assert boundary_amplitudes(z) == pytest.approx((2.0, 3.0))
     pair = analytic_split(make_sig(z))
-    assert pair.dc_imag == pytest.approx(2.0)
-    assert pair.nyquist_imag == pytest.approx(3.0)
+    # The split drops exactly the imaginary DC mean and Nyquist alternation.
+    dropped = z - combine_analytic(pair.x_plus, pair.x_minus)
+    assert np.allclose(dropped, 2j + 3j * alternating(n), atol=1e-10)
     out, _ = roundtrip(make_sig(z))
     assert np.allclose(out, z, atol=1e-10)
 
@@ -89,10 +108,11 @@ def test_boundary_amplitudes():
 def test_odd_length_has_no_nyquist_term():
     rng = np.random.default_rng(8)
     z = rng.normal(size=33) + 1j * rng.normal(size=33)
+    dc_imag, nyquist_imag = boundary_amplitudes(z)
+    assert nyquist_imag == 0.0
     pair = analytic_split(make_sig(z))
-    assert pair.nyquist_imag == 0.0
-    corr = boundary_correction(33, pair.dc_imag, pair.nyquist_imag)
-    assert np.allclose(corr, 1j * pair.dc_imag)
+    dropped = z - combine_analytic(pair.x_plus, pair.x_minus)
+    assert np.allclose(dropped, 1j * dc_imag, atol=1e-12)
 
 
 def test_pure_positive_tone_stays_in_plus():
@@ -121,9 +141,7 @@ def test_combine_routes_dc_and_nyquist_as_real_content():
     # The boundary bins have no one-sided counterpart: each half passes them
     # through once, so a DC-only or Nyquist-only pair sums to a real sequence.
     n = 16
-    alternating = np.ones(n)
-    alternating[1::2] = -1.0
-    for a, b in ((2.0 * np.ones(n), 0.5 * np.ones(n)), (3.0 * alternating, -1.0 * alternating)):
+    for a, b in ((2.0 * np.ones(n), 0.5 * np.ones(n)), (3.0 * alternating(n), -1.0 * alternating(n))):
         out = combine_analytic(a, b)
         assert np.allclose(out, a + b, atol=1e-14)
         assert np.allclose(out, hilbert_oracle(a, b), atol=1e-14)

@@ -91,7 +91,7 @@ def test_option_defaults_are_the_config_defaults():
     assert train["n_modes"] == default_icvmd_config().n_modes
     side = VmdConfig()
     decompose = option_defaults("decompose")
-    solver = ("n_modes", "alpha", "tol", "max_iter", "dc_lock")
+    solver = ("n_modes", "alpha", "tol", "max_iter")
     assert {f: decompose.pop(f) for f in solver} == {f: getattr(side, f) for f in solver}
     assert set(decompose) == {"input_file", "out_dir"}
 
@@ -185,6 +185,20 @@ def test_bad_config_payload_is_a_parameter_error(runner, tmp_path, command, payl
     res = runner.invoke(main, [command, where, str(tmp_path / "d"), "--config", str(cfg_path)])
     assert res.exit_code == 2, res.output
     assert "error: bad dataset config" in res.output
+
+
+@pytest.mark.parametrize("command", ["gen", "fewshot"])
+def test_config_rejects_dataset_options_given_beside_it(runner, tmp_path, command):
+    # Each dataset option given with --config is named, even one at its
+    # default value; the other options of the command may still be given.
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({"schema_version": 1, "n_samples": 64, "signals_per_emitter": 1}))
+    where = ["--out"] if command == "gen" else ["--pipeline", "raw_nn", "--workdir"]
+    args = [command, *where, str(tmp_path / "d"), "--config", str(cfg_path)]
+    res = runner.invoke(main, args + ["--n-samples", "128", "--signals-per-emitter", "3", "--seed", "0"])
+    assert res.exit_code == 2, res.output
+    assert "error: --n-samples, --signals-per-emitter, --seed cannot be given with --config" in res.output
+    assert not (tmp_path / "d").exists()
 
 
 # ---------------------------------------------------- decompose / reconstruct
@@ -295,11 +309,11 @@ def test_reconstruct_rejects_a_non_numeric_sample_rate(runner, tmp_path, rate):
         ),
         (
             lambda m: m["sides"]["pos"]["labels"].append(m["sides"]["pos"]["labels"][0]),
-            "bad dump: the pos side has 3 labels, modes of shape (2, 256)",
+            "bad dump: the pos side has 3 labels and modes of shape (2, 256)",
         ),
         (
             lambda m: m["sides"]["neg"]["labels"].pop(),
-            "bad dump: the neg side has 1 labels, modes of shape (2, 256)",
+            "bad dump: the neg side has 1 labels and modes of shape (2, 256)",
         ),
     ],
     ids=["unknown_side", "repeated_mode", "dropped_mode"],

@@ -59,25 +59,29 @@ def test_partition_signal_quota_by_energy_not_frequency():
 
 
 def test_partition_near_dc_mode():
+    # A DC offset draws a mode to zero frequency, which is labeled DC.
     n = 512
     x = 3.0 + np.cos(2 * np.pi * 0.2 * np.arange(n))
-    res = vmd_decompose(x, VmdConfig(n_modes=2, alpha=500.0, dc_lock=True))
+    res = vmd_decompose(x, VmdConfig(n_modes=2, alpha=500.0))
     assert partition_modes(res) == (ModeLabel.DC, ModeLabel.SIGNAL)
 
 
 def test_selecting_signal_and_dc_sums_the_dc_mode_and_the_strongest_other():
-    # Merging DC into the signal is one selection: per side, the DC mode plus
-    # the strongest other mode.
+    # Merging DC into the signal is one selection: per side, the DC mode (the
+    # offset rides on the positive side) plus the strongest other mode.
     t = np.arange(512)
     z = 2.0 + np.exp(2j * np.pi * 0.2 * t) + 0.3 * np.exp(-2j * np.pi * 0.35 * t)
-    res = icvmd_decompose(ComplexSignal(z), VmdConfig(n_modes=3, alpha=500.0, dc_lock=True))
+    res = icvmd_decompose(ComplexSignal(z), VmdConfig(n_modes=3, alpha=500.0))
+    assert res.labels_pos == (ModeLabel.DC, ModeLabel.SIGNAL, ModeLabel.FEATURE)
+    assert ModeLabel.DC not in res.labels_neg
     picked = []
     for side, labels in ((res.pos, res.labels_pos), (res.neg, res.labels_neg)):
-        assert labels[0] is ModeLabel.DC and labels.count(ModeLabel.SIGNAL) == 1
+        assert labels.count(ModeLabel.SIGNAL) == 1
         energies = mode_energies(side)
-        strongest = max((1, 2), key=lambda i: energies[i])
+        others = [i for i, label in enumerate(labels) if label is not ModeLabel.DC]
+        strongest = max(others, key=lambda i: energies[i])
         assert labels[strongest] is ModeLabel.SIGNAL
-        picked.append(side.modes[0] + side.modes[strongest])
+        picked.append(sum(side.modes[i] for i, label in enumerate(labels) if i == strongest or label is ModeLabel.DC))
     got = reconstruct(res, {ModeLabel.SIGNAL, ModeLabel.DC}).samples
     assert np.allclose(got, combine_analytic(*picked), atol=1e-12)
 
@@ -96,10 +100,9 @@ def test_partition_special_needs_energy():
 
 
 def test_partition_quota_too_large_raises():
-    # Every side gets one SIGNAL mode.  A lone dc_lock mode is DC, so the
-    # quota cannot be met: that is the data's fault, not a setting's.
-    x = 3.0 + np.cos(2 * np.pi * 0.2 * np.arange(256))
-    res = vmd_decompose(x, VmdConfig(n_modes=1, dc_lock=True))
+    # Every side gets one SIGNAL mode.  The lone mode of a constant side is
+    # DC, so the quota cannot be met: that is the data's fault, not a setting's.
+    res = vmd_decompose(np.full(256, 3.0), VmdConfig(n_modes=1))
     with pytest.raises(DegenerateInputError, match="SIGNAL"):
         partition_modes(res)
 
@@ -111,9 +114,8 @@ def test_full_selection_roundtrip():
     sig = two_sided_tone_mix()
     res = icvmd_decompose(sig, quick_cfg())
     out = reconstruct(res, FULL_SELECTION)
-    # The float64 residual closes the sum after the float32 solve.
-    peak = np.max(np.abs(sig.samples))
-    assert np.max(np.abs(out.samples - sig.samples)) <= 1e-12 * peak
+    # The full selection is the input minus no mode: the input bit for bit.
+    assert np.array_equal(out.samples, sig.samples)
     assert out.sample_rate == sig.sample_rate
 
 
@@ -183,10 +185,9 @@ def test_dump_and_reconstruct_from_dump(tmp_path):
         assert {key: (a.dtype, a.shape) for key, a in z.items()} == {
             "modes_pos": (np.float64, (2, 300)),
             "modes_neg": (np.float64, (2, 300)),
-            "residual_pos": (np.float64, (300,)),
-            "residual_neg": (np.float64, (300,)),
+            "input": (np.complex128, (300,)),
         }
-    assert manifest["schema_version"] == 2
+    assert manifest["schema_version"] == 3
     assert sorted(manifest["sides"]) == ["neg", "pos"]
     for side in manifest["sides"].values():
         assert len(side["labels"]) == len(side["omegas"]) == len(side["energy_fractions"]) == 2
@@ -195,7 +196,7 @@ def test_dump_and_reconstruct_from_dump(tmp_path):
 
     out = reconstruct_from_dump(tmp_path, FULL_SELECTION)
     assert np.array_equal(out.samples, reconstruct(res, FULL_SELECTION).samples)
-    assert np.allclose(out.samples, sig.samples, atol=1e-12)
+    assert np.array_equal(out.samples, sig.samples)
 
     sel = reconstruct_from_dump(tmp_path, {ModeLabel.SIGNAL})
     assert np.array_equal(sel.samples, reconstruct(res, {ModeLabel.SIGNAL}).samples)
@@ -203,22 +204,28 @@ def test_dump_and_reconstruct_from_dump(tmp_path):
 
 def test_a_dump_rebuilds_every_selection_exactly(tmp_path):
     spec = DatasetSpec(n_samples=700)
-    sig = synthesize_one(spec, emitter_bank()[0], ModulationKind.QPSK, 18.0, symbol_seed=0, noise_seed=100)
-    sig = ComplexSignal(sig.samples + 0.3, sample_rate=2.5e6)  # a DC offset gives a DC mode
-    res = icvmd_decompose(sig, default_icvmd_config())
-    assert ModeLabel.DC in res.labels_pos
-    dump_modes(res, tmp_path)
+    qpsk = synthesize_one(spec, emitter_bank()[0], ModulationKind.QPSK, 18.0, symbol_seed=0, noise_seed=100)
+    cw = synthesize_one(spec, emitter_bank()[3], ModulationKind.CW, -4.0, symbol_seed=1, noise_seed=101)
+    captures = (
+        ComplexSignal(qpsk.samples + 0.3, sample_rate=2.5e6),  # a DC offset gives a DC mode
+        ComplexSignal(cw.samples, sample_rate=2.5e6),
+    )
     parts = sorted(FULL_SELECTION, key=lambda part: part.value)
-    for size in range(len(parts) + 1):
-        for selection in itertools.combinations(parts, size):
-            out = reconstruct_from_dump(tmp_path, selection)
+    selections = [s for size in range(len(parts) + 1) for s in itertools.combinations(parts, size)]
+    assert len(selections) == 32
+    for i, sig in enumerate(captures):
+        res = icvmd_decompose(sig, default_icvmd_config())
+        assert (ModeLabel.DC in res.labels_pos) == (i == 0)
+        dump_modes(res, tmp_path / str(i))
+        for selection in selections:
+            out = reconstruct_from_dump(tmp_path / str(i), selection)
             assert out.sample_rate == 2.5e6
             assert np.array_equal(out.samples, reconstruct(res, selection).samples), selection
 
 
 @pytest.mark.parametrize("snr_db", [18.0, -4.0])
 def test_dump_roundtrip_loss_is_bounded(tmp_path, snr_db):
-    # A dump keeps float64 modes and residuals, so it rebuilds the input to rounding.
+    # A dump keeps the input, so its full selection rebuilds it exactly.
     spec = DatasetSpec(n_samples=700)
     errors = []
     for i, profile in enumerate(emitter_bank()[:5]):
@@ -228,7 +235,7 @@ def test_dump_roundtrip_loss_is_bounded(tmp_path, snr_db):
             dump_modes(icvmd_decompose(sig, default_icvmd_config()), out)
             rebuilt = reconstruct_from_dump(out, FULL_SELECTION).samples
             errors.append(np.linalg.norm(rebuilt - sig.samples) / np.linalg.norm(sig.samples))
-    assert max(errors) <= 1e-12, max(errors)
+    assert max(errors) == 0.0, max(errors)
 
 
 def test_reconstruct_from_dump_errors(tmp_path):
@@ -247,16 +254,16 @@ def test_reconstruct_from_dump_errors(tmp_path):
     with pytest.raises(ParameterError, match="'carrier'"):
         reconstruct_from_dump(tmp_path, FULL_SELECTION)
     manifest = json.loads(good)
-    del manifest["dc_imag"]
+    del manifest["sides"]["pos"]["labels"]
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ParameterError, match="dc_imag"):
+    with pytest.raises(ParameterError, match="lacks the key 'labels'"):
         reconstruct_from_dump(tmp_path, FULL_SELECTION)
     manifest = json.loads(good)
     manifest["sides"]["pos"]["labels"] = []
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ParameterError, match=r"the pos side has 0 labels, modes of shape \(1, 128\)"):
+    with pytest.raises(ParameterError, match=r"the pos side has 0 labels and modes of shape \(1, 128\)"):
         reconstruct_from_dump(tmp_path, FULL_SELECTION)
-    manifest_path.write_text(good.replace('"schema_version": 2', '"schema_version": 99'))
+    manifest_path.write_text(good.replace('"schema_version": 3', '"schema_version": 99'))
     with pytest.raises(ParameterError, match="schema_version 99"):
         reconstruct_from_dump(tmp_path, FULL_SELECTION)
     (tmp_path / "modes.npz").unlink()
@@ -270,9 +277,9 @@ def test_reconstruct_from_dump_errors(tmp_path):
     [
         (
             lambda m: m["sides"]["pos"]["labels"].append(m["sides"]["pos"]["labels"][0]),
-            r"the pos side has 3 labels, modes of shape \(2, 256\)",
+            r"the pos side has 3 labels and modes of shape \(2, 256\)",
         ),
-        (lambda m: m["sides"]["neg"]["labels"].pop(), r"the neg side has 1 labels, modes of shape \(2, 256\)"),
+        (lambda m: m["sides"]["neg"]["labels"].pop(), r"the neg side has 1 labels and modes of shape \(2, 256\)"),
         (lambda m: m["sides"].pop("neg"), "lacks the key 'neg'"),
     ],
     ids=["repeated", "dropped", "side_missing"],
@@ -291,25 +298,37 @@ def test_reconstruct_from_dump_needs_each_mode_index_once_per_side(tmp_path, edi
     "edit, message",
     [
         (lambda m, a: m.update(schema_version=1), "unsupported modes.json schema_version 1"),
+        (lambda m, a: m.update(schema_version=2), "unsupported modes.json schema_version 2, not 3"),
         (
             lambda m, a: m["sides"].update(up=m["sides"]["pos"]),
             r"sides must hold only pos and neg, got \['neg', 'pos', 'up'\]",
         ),
-        (lambda m, a: a.pop("residual_neg"), "modes.npz needs a float64 array residual_neg, found nothing"),
+        (lambda m, a: a.pop("input"), "modes.npz needs a complex128 array input, found nothing"),
         (
             lambda m, a: a.update(modes_neg=a["modes_neg"][:, :-1]),
-            r"the neg side has 2 labels, modes of shape \(2, 255\) .* the pos modes have shape \(2, 256\)",
+            r"the neg side has 2 labels and modes of shape \(2, 255\); the input has shape \(256,\)",
         ),
         (
-            lambda m, a: a.update(residual_pos=a["residual_pos"][:-1]),
-            r"the pos side has 2 labels, modes of shape \(2, 256\) and a residual of shape \(255,\)",
+            lambda m, a: a.update(input=a["input"][:-1]),
+            r"the pos side has 2 labels and modes of shape \(2, 256\); the input has shape \(255,\)",
         ),
         (
             lambda m, a: a.update(modes_pos=a["modes_pos"].astype(np.float32)),
             "needs a float64 array modes_pos, found float32",
         ),
+        (
+            lambda m, a: a.update(input=a["input"].astype(np.complex64)),
+            "needs a complex128 array input, found complex64",
+        ),
+        (
+            lambda m, a: a.update(input=a["input"][:0], modes_pos=a["modes_pos"][:, :0], modes_neg=a["modes_neg"][:, :0]),
+            "samples must be non-empty",
+        ),
     ],
-    ids=["version_1", "unknown_side", "missing_array", "neg_length_differs", "short_residual", "float32_modes"],
+    ids=[
+        "version_1", "version_2", "unknown_side", "missing_array", "neg_length_differs", "short_input",
+        "float32_modes", "complex64_input", "empty",
+    ],
 )
 def test_reconstruct_from_dump_rejects_a_bad_dump(tmp_path, edit, message):
     manifest = dump_modes(icvmd_decompose(two_sided_tone_mix(n=256), quick_cfg()), tmp_path)

@@ -156,6 +156,16 @@ def test_max_modes_truncates():
     assert dropped.isdisjoint(vec[2 : 3 * MAX_MODES : 3])
 
 
+def test_input_block_is_the_raw_cumulants():
+    # Entries 22:26 are the cumulants of the input itself, not of a rebuild.
+    t = np.arange(512)
+    z = 0.4 + 0.3j + np.exp(2j * np.pi * 0.2 * t) + 0.2 * np.exp(-2j * np.pi * 0.12 * t)
+    sig = ComplexSignal(z)
+    vec = extract_features(icvmd_decompose(sig, VmdConfig(n_modes=3, alpha=300.0, tol=1e-6, max_iter=150)))
+    base = 3 * MAX_MODES + 4
+    assert np.array_equal(vec[base : base + 4], raw_cumulant_features(sig))
+
+
 def test_geometry_is_gain_invariant_cumulants_are_not():
     n = 512
     t = np.arange(n)

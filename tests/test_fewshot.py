@@ -6,7 +6,7 @@ import pytest
 
 from icvmd import fewshot
 from icvmd.dataset import DatasetSpec, generate_dataset, load_entry, split_manifest
-from icvmd.decompose import FULL_SELECTION, icvmd_decompose, reconstruct
+from icvmd.decompose import FULL_SELECTION, ModeLabel, Selection, icvmd_decompose, reconstruct
 from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.features import extract_features
 from icvmd.iqfile import write_iqf32
@@ -92,6 +92,11 @@ def test_sat_inputs_partition_the_signal():
     full = reconstruct(res, FULL_SELECTION).samples
     combined = (main[0] + branch[0]) + 1j * (main[1] + branch[1])
     assert np.allclose(combined, full, atol=1e-8)
+    # Bit for bit, the branch is the SIGNAL selection and the main input the
+    # selection of everything else.
+    rest = {ModeLabel.FEATURE, ModeLabel.SPECIAL, ModeLabel.DC, Selection.RESIDUAL}
+    assert np.array_equal(branch, signal_channels(reconstruct(res, {ModeLabel.SIGNAL})))
+    assert np.array_equal(main, signal_channels(reconstruct(res, rest)))
 
 
 # ------------------------------------------------------------- feature runs

@@ -167,16 +167,6 @@ def test_returned_spectra_satisfy_wiener_fixed_point():
         assert err < 1e-8
 
 
-def test_dc_lock_pins_first_mode():
-    t = np.arange(800)
-    x = 2.0 + np.cos(2 * np.pi * 0.2 * t)
-    res = vmd_decompose(x, VmdConfig(n_modes=2, alpha=1000.0, dc_lock=True))
-    assert res.omegas[0] == 0.0
-    assert res.omegas[1] == pytest.approx(2 * np.pi * 0.2, abs=0.01)
-    # The locked mode actually carries the constant level.
-    assert np.mean(res.modes[0]) == pytest.approx(2.0, abs=0.05)
-
-
 @pytest.mark.parametrize(
     "before, after",
     [
@@ -184,12 +174,12 @@ def test_dc_lock_pins_first_mode():
         ([0.5, 0.5, 2.0], [0.5, 1.25, 2.0]),
         # The index decides, not the value: mode 1 moves to the middle of (0, 2.0).
         ([2.0, 2.0], [2.0, 1.0]),
-        # A dc-locked mode 0 stays at zero; mode 1 takes (1.0, pi).
+        # Mode 0 at zero stays there; mode 1 takes (1.0, pi).
         ([0.0, 0.0, 1.0], [0.0, (1.0 + np.pi) / 2, 1.0]),
         # Centers farther apart than min_gap stay where they are.
         ([0.0, 0.5, 0.502, 3.0], [0.0, 0.5, 0.502, 3.0]),
     ],
-    ids=["widest_band", "index_not_value", "dc_locked", "separated"],
+    ids=["widest_band", "index_not_value", "mode_0_at_zero", "separated"],
 )
 def test_reseed_moves_the_later_of_two_equal_centers(before, after):
     omegas = np.array(before)
@@ -233,38 +223,28 @@ def test_start_bisects_past_maxima_at_rounding_level():
     assert np.diff(om) == pytest.approx([(np.pi - om[0]) / 4] * 3, abs=1e-12)
 
 
-def test_start_pins_a_dc_locked_mode_at_zero():
-    cfg = VmdConfig(n_modes=3, dc_lock=True)
-    om = _start(0.8 + tone_mix(512, [0.05, 0.3], [1.0, 0.5]), cfg)
-    assert om[0] == 0.0
-    assert np.min(np.diff(om)) >= np.pi / 12
-
-
 @settings(deadline=None, max_examples=40)
 @given(
     n=st.integers(16, 600),
     k=st.integers(1, 8),
-    dc_lock=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_start_is_ascending_inside_the_band(n, k, dc_lock, seed):
+def test_start_is_ascending_inside_the_band(n, k, seed):
     x = np.random.default_rng(seed).normal(size=n)
-    om = _start(x, VmdConfig(n_modes=k, dc_lock=dc_lock))
+    om = _start(x, VmdConfig(n_modes=k))
     assert om.shape == (k,)
     assert np.all(np.diff(om) >= np.pi / (4 * k))
     assert 0.0 <= om[0] and om[-1] <= np.pi
-    assert (om[0] == 0.0) == dc_lock
 
 
 @settings(deadline=None, max_examples=60)
 @given(
     n_bins=st.integers(3, 1500),
     k=st.integers(1, 8),
-    dc_lock=st.booleans(),
     lines=st.integers(0, 12),
     seed=st.integers(0, 2**16),
 )
-def test_start_picks_the_peaks_of_the_per_peak_loop(n_bins, k, dc_lock, lines, seed):
+def test_start_picks_the_peaks_of_the_per_peak_loop(n_bins, k, lines, seed):
     # A noise floor plus a few strong lines, some close enough to one another
     # for the separation rule to drop them, and one close enough to dc.
     rng = np.random.default_rng(seed)
@@ -272,7 +252,7 @@ def test_start_picks_the_peaks_of_the_per_peak_loop(n_bins, k, dc_lock, lines, s
     at = rng.integers(0, n_bins, size=lines)
     spectrum[at] += 30.0 * rng.random(lines) * n_bins ** 0.5
     spectrum[1 + n_bins // (16 * k)] += 40.0 * n_bins ** 0.5
-    cfg = VmdConfig(n_modes=k, dc_lock=dc_lock)
+    cfg = VmdConfig(n_modes=k)
     got = vmd._init_omegas(cfg, spectrum)
     assert np.array_equal(got, reference_init_omegas(cfg, spectrum))
 
@@ -370,10 +350,10 @@ FUSED_SWEEP_CASES = [
     (300, VmdConfig(n_modes=1, alpha=100.0, tol=1e-8)),
     (301, VmdConfig(n_modes=2, alpha=500.0)),
     (512, VmdConfig(n_modes=3, alpha=2000.0)),
-    (257, VmdConfig(n_modes=4, alpha=200.0, tol=1e-6, max_iter=300, dc_lock=True)),
+    (257, VmdConfig(n_modes=4, alpha=200.0, tol=1e-6, max_iter=300)),
     (400, VmdConfig(n_modes=5, alpha=800.0)),
     (333, VmdConfig(n_modes=6, alpha=300.0)),
-    (431, VmdConfig(n_modes=3, alpha=1000.0, dc_lock=True)),
+    (431, VmdConfig(n_modes=3, alpha=1000.0)),
     (700, VmdConfig(n_modes=4, alpha=200.0, tol=1e-16, max_iter=40)),  # tol below rounding
     (_colliding_cw_side, default_icvmd_config()),
 ]
