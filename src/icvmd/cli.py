@@ -231,11 +231,9 @@ def train_cmd(data_dir, out_file, representation, epochs, learning_rate, batch_s
 
     params = init_params(ModelConfig(segment_len=segment_len), n_classes=len(class_ids), seed=seed)
     result = train_model(params, mains, branches, labels, cfg)
-    save_checkpoint(out_file, result.params)
-    meta = dict(schema_version=1, class_ids=class_ids.tolist(), representation=representation)
-    meta |= dict(n_modes=n_modes, epochs=cfg.epochs, learning_rate=cfg.learning_rate)
-    meta |= dict(batch_size=cfg.batch_size, seed=cfg.seed, history=result.history)
-    Path(str(out_file) + ".labels.json").write_text(json.dumps(meta))
+    meta = dict(class_ids=class_ids.tolist(), representation=representation, n_modes=n_modes, epochs=cfg.epochs)
+    meta |= dict(learning_rate=cfg.learning_rate, batch_size=cfg.batch_size, seed=cfg.seed, history=result.history)
+    save_checkpoint(out_file, result.params, meta)
     loss = f"{result.history[-1]:.4f}" if result.history else "n/a (no epochs)"
     click.echo(f"final epoch loss {loss}; checkpoint at {out_file}")
     if result.history:
@@ -248,21 +246,13 @@ def train_cmd(data_dir, out_file, representation, epochs, learning_rate, batch_s
 @_guarded
 def eval_cmd(data_dir, ck_file):
     """Evaluate a checkpoint on a dataset directory; prints a JSON report."""
-    meta_path = Path(str(ck_file) + ".labels.json")
-    if not meta_path.exists():
-        raise FileNotFoundError(f"missing label map {meta_path}")
-    meta = json_object(meta_path.read_text(), meta_path)
-    params = load_checkpoint(ck_file)
-    ids = meta.get("class_ids")
-    if not (isinstance(ids, list) and len(ids) == params.n_classes and all(type(c) is int for c in ids)):
-        raise ParameterError(f"{meta_path}: class_ids must list {params.n_classes} integer labels, one per model output; got {ids!r}")
-    representation = meta.get("representation", "raw")
+    params, meta = load_checkpoint(ck_file)
+    representation = meta.get("representation")
     if not isinstance(representation, str) or representation not in _REPRESENTATIONS:
-        raise ParameterError(f"{meta_path} names an unknown representation {representation!r}")
+        raise ParameterError(f"{ck_file} names an unknown representation {representation!r}")
 
-    n_modes = meta.get("n_modes", default_icvmd_config().n_modes)
-    entries, mains, branches = _represent_dataset(data_dir, representation, n_modes)
-    class_ids = np.array(ids)
+    entries, mains, branches = _represent_dataset(data_dir, representation, meta.get("n_modes"))
+    class_ids = np.array(meta["class_ids"])
     predictions = predict(params, mains, branches, class_ids)
     truth = np.array([e["label"] for e in entries])
     snrs = np.array([e["snr_db"] for e in entries])

@@ -1,10 +1,12 @@
 """Single-file .npz checkpoints with an embedded JSON manifest.
 
-The manifest records the format version and every architecture hyperparameter
-needed to rebuild the model; the arrays are stored as trained under their
-parameter keys and load as float32.  Loading refuses a missing or unknown key,
-a reshaped array, a non-finite value, a non-integer class count and an
-``n_out`` other than ``n_classes``.
+The manifest records the format version, every architecture hyperparameter
+needed to rebuild the model, and the caller's metadata, which must include
+``class_ids``, the emitter label of each model output.  The arrays are stored
+as trained under their parameter keys and load as float32.  Loading refuses a
+manifest that is not UTF-8 JSON, a missing or unknown key, ``class_ids`` that
+are not at least 2 distinct integers, an array shaped for another head width
+or architecture, and a non-finite value.
 """
 from __future__ import annotations
 
@@ -18,17 +20,12 @@ from ..errors import ParameterError
 from ..iqfile import json_object, load_npz
 from .model import ModelConfig, NetParams, init_params
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
-def save_checkpoint(path, params: NetParams) -> Path:
+def save_checkpoint(path, params: NetParams, meta: dict) -> Path:
     path = Path(path)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "config": asdict(params.config),
-        "n_classes": params.n_classes,
-        "n_out": params.n_classes,  # the head width, always n_classes
-    }
+    manifest = dict(meta, format_version=FORMAT_VERSION, config=asdict(params.config))
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savez(path, manifest=np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8), **params.arrays)
     return path
@@ -40,32 +37,35 @@ def _check_keys(what: str, stored, expected) -> None:
         raise ParameterError(f"checkpoint {what} mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
 
 
-def load_checkpoint(path) -> NetParams:
-    """Rebuild NetParams from a checkpoint.
+def load_checkpoint(path) -> tuple[NetParams, dict]:
+    """Rebuild NetParams from a checkpoint; returns them with the metadata it was saved with.
 
     Every stored array must match the key, the shape and the finiteness of
-    the manifest architecture.
+    the manifest architecture with one output per class id.
     """
     files = load_npz(path)
     if "manifest" not in files:
         raise ParameterError(f"{path} is not a model checkpoint (missing manifest)")
-    manifest = json_object(bytes(files.pop("manifest").tobytes()).decode(), f"{path} manifest")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ParameterError(
-            f"unsupported checkpoint format_version {manifest.get('format_version')!r}"
-        )
-    _check_keys("config", manifest.get("config", {}), [f.name for f in fields(ModelConfig)])
-    config = ModelConfig(**manifest["config"])
-    n, n_out = manifest.get("n_classes"), manifest.get("n_out")
-    if type(n) is not int or n < 2:
-        raise ParameterError(f"checkpoint manifest n_classes must be an integer >= 2, got {n!r}")
-    if type(n_out) is not int or n_out != n:
-        raise ParameterError(f"checkpoint manifest n_out must be an integer equal to n_classes, got {n_out!r}")
-    expected = init_params(config, n, seed=0).arrays
+    try:
+        text = files.pop("manifest").astype(np.uint8, casting="equiv").tobytes().decode()
+    except (TypeError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"{path} manifest is not UTF-8 bytes: {exc}") from None
+    meta = json_object(text, f"{path} manifest")
+    version, config = meta.pop("format_version", None), meta.pop("config", None)
+    if version != FORMAT_VERSION:
+        raise ParameterError(f"unsupported checkpoint format_version {version!r}, not {FORMAT_VERSION}")
+    if not isinstance(config, dict):
+        raise ParameterError(f"{path} manifest config must be a JSON object, got {config!r}")
+    _check_keys("config", config, [f.name for f in fields(ModelConfig)])
+    ids = meta.get("class_ids")
+    if not (isinstance(ids, list) and all(type(c) is int for c in ids) and len(set(ids)) == len(ids) >= 2):
+        raise ParameterError(f"{path} manifest class_ids must list at least 2 distinct integers, got {ids!r}")
+    config = ModelConfig(**config)
+    expected = init_params(config, len(ids), seed=0).arrays
     _check_keys("key", files, expected)
     for key, ref in expected.items():
         if files[key].shape != ref.shape:
             raise ParameterError(f"shape mismatch at {key}: {ref.shape} vs {files[key].shape}")
         if not np.all(np.isfinite(files[key])):
             raise ParameterError(f"non-finite value in {key}")
-    return NetParams(config, {key: files[key].astype(np.float32, copy=False) for key in expected})
+    return NetParams(config, {key: files[key].astype(np.float32, copy=False) for key in expected}), meta

@@ -7,7 +7,7 @@ import numpy as np
 
 from ..errors import DegenerateInputError, ParameterError
 from .layers import init_dense
-from .model import NetParams, cross_entropy, layer_arrays, model_backward, model_forward
+from .model import NetParams, _segment_count, cross_entropy, layer_arrays, model_backward, model_forward
 
 # Adam moment decays and denominator guard (Kingma & Ba's defaults).
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
@@ -58,6 +58,7 @@ def _check_dataset(main, branch, labels, params: NetParams):
         raise ParameterError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= params.n_classes:
         raise ParameterError(f"labels must lie in [0, {params.n_classes})")
+    _segment_count(params, main.shape[2])  # also at epochs=0, so no model that no input can run comes back
     return main, branch, labels
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ TINY = ModelConfig(
     branch_layers=1,
     segment_len=10,
 )
+META = {"class_ids": [3, 5, 9], "note": "saved by the tests"}
 
 
 def test_roundtrip_is_bit_identical(tmp_path):
     params = init_params(TINY, 3, seed=9)
-    path = save_checkpoint(tmp_path / "m.npz", params)
-    loaded = load_checkpoint(path)
+    path = save_checkpoint(tmp_path / "m.npz", params, META)
+    loaded, meta = load_checkpoint(path)
+    assert meta == META
     assert loaded.config == params.config
     assert list(loaded.arrays) == list(params.arrays)
     for p, a in params.arrays.items():
@@ -37,16 +40,25 @@ def test_float64_checkpoint_loads_as_float32(tmp_path):
     rng = np.random.default_rng(4)
     for a in params.arrays.values():
         a += rng.normal(scale=1e-3, size=a.shape)
-    path = save_checkpoint(tmp_path / "old.npz", params)
+    path = save_checkpoint(tmp_path / "old.npz", params, META)
     with np.load(path) as z:
         assert z["classifier1.weights"].dtype == np.float64
-    loaded = load_checkpoint(path)
+    loaded, _ = load_checkpoint(path)
     assert all(a.dtype == np.float32 for a in loaded.arrays.values())
     xm, xb = rng.normal(size=(2, 2, 30)), rng.normal(size=(2, 2, 30))
     want, _ = model_forward(params, xm, xb)
     got, _ = model_forward(loaded, xm, xb)
     assert got.dtype == np.float32
     assert np.allclose(got, want, rtol=1e-5, atol=1e-6)
+
+
+def rewrite(path, edit):
+    with np.load(path) as z:
+        files = dict(z.items())
+    manifest = json.loads(bytes(files["manifest"].tobytes()).decode())
+    edit(files, manifest)
+    files["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+    np.savez(path, **files)
 
 
 def test_missing_file(tmp_path):
@@ -62,21 +74,16 @@ def test_not_a_checkpoint(tmp_path):
 
 
 def test_wrong_format_version(tmp_path):
-    params = init_params(TINY, 3, seed=0)
-    path = save_checkpoint(tmp_path / "m.npz", params)
-    with np.load(path) as z:
-        files = dict(z.items())
-    manifest = json.loads(bytes(files["manifest"].tobytes()).decode())
-    manifest["format_version"] = 99
-    files["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
-    np.savez(path, **files)
-    with pytest.raises(ParameterError):
-        load_checkpoint(path)
+    path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 3, seed=0), META)
+    for version in (99, 1):  # version 1 kept its label map in a separate .labels.json file
+        rewrite(path, lambda _, m: m.update(format_version=version))
+        with pytest.raises(ParameterError, match=f"unsupported checkpoint format_version {version}, not 2"):
+            load_checkpoint(path)
 
 
 def test_missing_key_rejected(tmp_path):
     params = init_params(TINY, 3, seed=0)
-    path = save_checkpoint(tmp_path / "m.npz", params)
+    path = save_checkpoint(tmp_path / "m.npz", params, META)
     with np.load(path) as z:
         files = dict(z.items())
     files.pop("classifier1.bias")
@@ -87,7 +94,7 @@ def test_missing_key_rejected(tmp_path):
 
 def test_extra_key_rejected(tmp_path):
     params = init_params(TINY, 3, seed=0)
-    path = save_checkpoint(tmp_path / "m.npz", params)
+    path = save_checkpoint(tmp_path / "m.npz", params, META)
     with np.load(path) as z:
         files = dict(z.items())
     files["bogus.weights"] = np.zeros(2)
@@ -98,7 +105,7 @@ def test_extra_key_rejected(tmp_path):
 
 def test_shape_mismatch_rejected(tmp_path):
     params = init_params(TINY, 3, seed=0)
-    path = save_checkpoint(tmp_path / "m.npz", params)
+    path = save_checkpoint(tmp_path / "m.npz", params, META)
     with np.load(path) as z:
         files = dict(z.items())
     files["classifier1.weights"] = np.zeros((2, 2))
@@ -107,18 +114,9 @@ def test_shape_mismatch_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def rewrite(path, edit):
-    with np.load(path) as z:
-        files = dict(z.items())
-    manifest = json.loads(bytes(files["manifest"].tobytes()).decode())
-    edit(files, manifest)
-    files["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
-    np.savez(path, **files)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_array_rejected(tmp_path, bad):
-    path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 3, seed=0))
+    path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 3, seed=0), META)
 
     def poison(files, _):
         files["tcn.merge.weights"][0, 0, 0] = bad
@@ -129,18 +127,35 @@ def test_non_finite_array_rejected(tmp_path, bad):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("n_classes", None), ("n_out", None), ("n_classes", 3.0), ("n_classes", True),
-                   ("n_classes", 1), ("n_out", 0), ("n_out", "3"), ("n_out", 4)]
+    "edit",
+    [
+        lambda m: m.pop("class_ids"),
+        lambda m: m.update(class_ids={"0": 3}),
+        lambda m: m.update(class_ids=[3]),
+        lambda m: m.update(class_ids=[3, 5, True]),
+        lambda m: m.update(class_ids=[3, 5, "9"]),
+        lambda m: m.update(class_ids=[3, 5, 9.0]),
+        lambda m: m.update(class_ids=[3, 5, 5]),
+    ],
+    ids=["missing", "not_a_list", "single_id", "bool", "string", "float", "repeated"],
 )
-def test_bad_class_count_in_manifest_rejected(tmp_path, key, value):
-    path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 3, seed=0))
-    rewrite(path, lambda _, m: m.pop(key) if value is None else m.update({key: value}))
-    with pytest.raises(ParameterError, match=f"manifest {key} must be an integer"):
+def test_bad_class_count_in_manifest_rejected(tmp_path, edit):
+    path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 3, seed=0), META)
+    rewrite(path, lambda _, m: edit(m))
+    with pytest.raises(ParameterError, match=re.escape(f"{path} manifest class_ids must list at least 2 distinct integers")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("ids", [[3, 5], [3, 5, 9, 11]], ids=["fewer", "more"])
+def test_class_ids_for_another_head_width_rejected(tmp_path, ids):
+    path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 3, seed=0), META)
+    rewrite(path, lambda _, m: m.update(class_ids=ids))
+    with pytest.raises(ParameterError, match="shape mismatch at classifier1.weights"):
         load_checkpoint(path)
 
 
 def test_config_key_mismatch_rejected(tmp_path):
-    path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 3, seed=0))
+    path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 3, seed=0), META)
     rewrite(path, lambda _, m: m["config"].update(depth=3))
     with pytest.raises(ParameterError, match="extra"):
         load_checkpoint(path)

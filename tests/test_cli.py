@@ -545,8 +545,7 @@ def test_train_then_eval(runner, tmp_path):
         ],
     )
     assert res.exit_code == 0, res.output
-    assert ck.exists()
-    assert (tmp_path / "model.npz.labels.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "model.npz"]
 
     res = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(ck)])
     assert res.exit_code == 0, res.output
@@ -556,18 +555,51 @@ def test_train_then_eval(runner, tmp_path):
     assert "18.0" in report["per_snr"] or 18.0 in {float(k) for k in report["per_snr"]}
 
 
-def test_train_sidecar_records_the_training_run(runner, tmp_path):
+def read_manifest(ck) -> dict:
+    with np.load(ck) as z:
+        return json.loads(z["manifest"].tobytes().decode())
+
+
+def test_train_manifest_records_the_training_run(runner, tmp_path):
     data = gen_tiny(runner, tmp_path / "data", spe=2)
     ck = tmp_path / "model.npz"
     args = ["train", "--data", str(data), "--out", str(ck), "--segment-len", "32"]
     res = runner.invoke(main, args + ["--epochs", "2", "--batch-size", "8", "--learning-rate", "0.01", "--seed", "3"])
     assert res.exit_code == 0, res.output
-    meta = json.loads((tmp_path / "model.npz.labels.json").read_text())
-    assert meta["schema_version"] == 1
+    meta = read_manifest(ck)
+    assert meta["format_version"] == 2
+    assert meta["config"] == dataclasses.asdict(ModelConfig(segment_len=32))
+    assert (meta["class_ids"], meta["representation"], meta["n_modes"]) == (list(range(7)), "raw", default_icvmd_config().n_modes)
     assert (meta["epochs"], meta["learning_rate"], meta["batch_size"], meta["seed"]) == (2, 0.01, 8, 3)
     assert len(meta["history"]) == 2
     assert all(loss > 0 for loss in meta["history"])
     assert f"final epoch loss {meta['history'][-1]:.4f}" in res.output
+
+
+def test_a_checkpoint_copied_alone_evaluates_the_same(runner, tmp_path):
+    data = gen_tiny(runner, tmp_path / "data", spe=2)
+    ck = tmp_path / "train" / "model.npz"
+    args = ["train", "--data", str(data), "--out", str(ck), "--representation", "icvmd", "--n-modes", "3"]
+    res = runner.invoke(main, args + ["--epochs", "1", "--batch-size", "8", "--segment-len", "32"])
+    assert res.exit_code == 0, res.output
+    assert [p.name for p in ck.parent.iterdir()] == ["model.npz"]
+    moved = tmp_path / "elsewhere" / "copy.npz"
+    moved.parent.mkdir()
+    moved.write_bytes(ck.read_bytes())
+    here = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(ck)])
+    there = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(moved)])
+    assert here.exit_code == there.exit_code == 0, here.output + there.output
+    assert there.stdout == here.stdout
+    assert json.loads(there.stdout)["n_test"] == 14
+
+
+def test_train_refuses_a_segment_longer_than_every_capture(runner, tmp_path):
+    data = gen_tiny(runner, tmp_path / "data")  # 128 samples per capture
+    ck = tmp_path / "model.npz"
+    res = runner.invoke(main, ["train", "--data", str(data), "--out", str(ck), "--epochs", "0", "--segment-len", "500"])
+    assert res.exit_code == 2, res.output
+    assert "error: need at least one full segment: T=128 < segment_len=500" in res.stderr
+    assert not ck.exists()
 
 
 @pytest.mark.parametrize(
@@ -639,47 +671,52 @@ def test_eval_rejects_a_checkpoint_with_a_bad_config_key(runner, tmp_path):
 
 
 def test_eval_rejects_a_checkpoint_with_a_bad_class_count(runner, tmp_path):
-    res = eval_with_edited_manifest(runner, tmp_path, lambda m: m.update(n_classes=2.0))
-    assert res.exit_code == 2, res.output
-    assert "error: checkpoint manifest n_classes must be an integer" in res.output
-    assert isinstance(res.exception, SystemExit)
+    # Missing, not a list, a single id, and ids that are bool, string or float.
+    for i, ids in enumerate([None, {"0": 0}, [0], [0, 1, True], [0, 1, "2"], [0, 1, 2.0]]):
+        edit = (lambda m: m.pop("class_ids")) if ids is None else (lambda m: m.update(class_ids=ids))
+        res = eval_with_edited_manifest(runner, tmp_path / str(i), edit)
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"manifest class_ids must list at least 2 distinct integers, got {ids!r}" in res.stderr
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda m: m.pop("class_ids"), "class_ids must list 7 integer labels, one per model output; got None"),
+        (lambda m: m.pop("class_ids"), "class_ids must list at least 2 distinct integers, got None"),
         (lambda m: m.update(representation="wavelet"), "unknown representation 'wavelet'"),
-        (lambda m: m.update(class_ids=m["class_ids"][:-1]), "class_ids must list 7 integer labels"),
-        (lambda m: m.update(class_ids=m["class_ids"] + [99]), "class_ids must list 7 integer labels"),
-        (lambda m: m.update(class_ids=[str(c) for c in m["class_ids"]]), "class_ids must list 7 integer labels"),
+        (lambda m: m.update(class_ids=m["class_ids"][:-1]), "shape mismatch at classifier1.weights"),
+        (lambda m: m.update(class_ids=m["class_ids"] + [99]), "shape mismatch at classifier1.weights"),
+        (lambda m: m.update(class_ids=[str(c) for c in m["class_ids"]]), "class_ids must list at least 2 distinct integers"),
+        (lambda m: m.update(class_ids=m["class_ids"][:1] + m["class_ids"][:-1]), "class_ids must list at least 2 distinct integers"),
     ],
-    ids=["no_class_ids", "unknown_representation", "short_class_ids", "long_class_ids", "string_class_ids"],
+    ids=["no_class_ids", "unknown_representation", "short_class_ids", "long_class_ids", "string_class_ids", "repeated_class_ids"],
 )
 def test_eval_rejects_a_bad_label_map(runner, tmp_path, edit, message):
-    data = gen_tiny(runner, tmp_path / "data", spe=2)
-    ck = tmp_path / "model.npz"
-    res = runner.invoke(main, ["train", "--data", str(data), "--out", str(ck), "--epochs", "0", "--segment-len", "32"])
-    assert res.exit_code == 0, res.output
-    labels = tmp_path / "model.npz.labels.json"
-    meta = json.loads(labels.read_text())
-    edit(meta)
-    labels.write_text(json.dumps(meta))
-    res = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(ck)])
+    res = eval_with_edited_manifest(runner, tmp_path, edit)
     assert res.exit_code == 2, res.output
-    assert message in res.output
+    assert "error: " in res.stderr and message in res.stderr
 
 
-def test_eval_without_label_map_is_io_error(runner, tmp_path):
-    data = gen_tiny(runner, tmp_path / "data", spe=2)
-    ck = tmp_path / "model.npz"
-    runner.invoke(
-        main,
-        ["train", "--data", str(data), "--out", str(ck), "--epochs", "0", "--segment-len", "32"],
-    )
-    (tmp_path / "model.npz.labels.json").unlink()
-    res = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(ck)])
-    assert res.exit_code == 3
+@pytest.mark.parametrize("config", [5, None])
+def test_eval_rejects_a_manifest_config_that_is_not_an_object(runner, tmp_path, config):
+    res = eval_with_edited_manifest(runner, tmp_path, lambda m: m.update(config=config))
+    assert res.exit_code == 2, res.output
+    assert f"error: {tmp_path / 'model.npz'} manifest config must be a JSON object, got {config!r}" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "payload", [np.array([255, 254, 250], np.uint8), np.array([1.5, 2.5])], ids=["not_utf8", "float_array"]
+)
+def test_eval_rejects_a_manifest_that_is_not_utf8_bytes(runner, tmp_path, payload):
+    ck, args = trained_checkpoint(runner, tmp_path)
+    with np.load(ck) as z:
+        files = dict(z.items())
+    np.savez(ck, **dict(files, manifest=payload))
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"error: {ck} manifest is not UTF-8 bytes" in res.stderr
 
 
 def test_eval_decomposes_with_the_trained_n_modes(runner, tmp_path, monkeypatch):
@@ -704,7 +741,7 @@ def test_eval_decomposes_with_the_trained_n_modes(runner, tmp_path, monkeypatch)
         ],
     )
     assert res.exit_code == 0, res.output
-    assert json.loads((tmp_path / "model.npz.labels.json").read_text())["n_modes"] == 3
+    assert read_manifest(ck)["n_modes"] == 3
 
     used = []
 
@@ -717,23 +754,6 @@ def test_eval_decomposes_with_the_trained_n_modes(runner, tmp_path, monkeypatch)
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["n_test"] == 14
     assert used and all(n_modes == 3 for n_modes in used)
-
-
-def test_eval_falls_back_to_the_default_n_modes_for_an_old_sidecar(runner, tmp_path, monkeypatch):
-    data = gen_tiny(runner, tmp_path / "data", spe=2)
-    ck = tmp_path / "model.npz"
-    train = ["train", "--data", str(data), "--out", str(ck), "--representation", "icvmd", "--epochs", "0", "--segment-len", "32"]
-    assert runner.invoke(main, train).exit_code == 0
-    meta_path = tmp_path / "model.npz.labels.json"
-    meta = json.loads(meta_path.read_text())
-    del meta["n_modes"]
-    meta_path.write_text(json.dumps(meta))
-    used = []
-    monkeypatch.setattr(cli, "default_icvmd_config", lambda n_modes=3: default_icvmd_config(n_modes))
-    monkeypatch.setattr(fewshot, "icvmd_decompose", lambda sig, cfg: used.append(cfg.n_modes) or icvmd_decompose(sig, cfg))
-    res = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(ck)])
-    assert res.exit_code == 0, res.output
-    assert used and set(used) == {3}
 
 
 def test_a_capture_with_no_mode_left_for_signal_is_skipped(runner, tmp_path):

@@ -153,6 +153,15 @@ def test_bool_labels_are_rejected():
         train(params, main, branch, labels, TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("epochs", [0, 1])
+def test_inputs_shorter_than_one_segment_are_rejected(epochs):
+    # With no epoch to run, train() would otherwise return a model that no input this short can run.
+    params = init_params(TINY, 3, seed=0)
+    main, branch, labels = toy_problem(n=6, t=TINY.segment_len - 1)
+    with pytest.raises(ParameterError, match="need at least one full segment: T=9 < segment_len=10"):
+        train(params, main, branch, labels, TrainConfig(epochs=epochs))
+
+
 # --------------------------------------------------------------- grad check
 
 

@@ -114,7 +114,7 @@ def test_config_validation():
     [("n_modes", 2.5), ("n_modes", True), ("max_iter", 10.5), ("max_iter", "300")],
 )
 def test_config_rejects_non_integer_counts(field, value):
-    # A hand-edited sidecar's n_modes reaches VmdConfig through `icvmd eval`.
+    # A hand-edited checkpoint manifest's n_modes reaches VmdConfig through `icvmd eval`.
     with pytest.raises(ParameterError, match=f"{field} must be an integer"):
         VmdConfig(**{field: value})
 
