@@ -30,7 +30,6 @@ from .decompose import (
 from .classify import evaluate
 from .errors import DegenerateInputError, ParameterError
 from .fewshot import (
-    FewshotConfig,
     Pipeline,
     default_icvmd_config,
     predict,
@@ -63,7 +62,7 @@ def _guarded(fn):
             click.echo(f"i/o error: {exc}", err=True)
             sys.exit(EXIT_IO)
         except json.JSONDecodeError as exc:
-            click.echo(f"i/o error: malformed JSON: {exc}", err=True)
+            click.echo(f"i/o error: {exc}", err=True)
             sys.exit(EXIT_IO)
 
     return wrapper
@@ -275,8 +274,7 @@ def fewshot(workdir, config, pipeline, proportions, **kw):
         props = tuple(float(p) for p in proportions.split(","))
     except ValueError as exc:
         raise ParameterError(f"bad proportions list {proportions!r}: {exc}") from None
-    cfg = FewshotConfig(pipeline=Pipeline(pipeline), proportions=props)
-    result = run_fewshot(spec, cfg, workdir)
+    result = run_fewshot(spec, Pipeline(pipeline), props, workdir)
     for row in result.rows:
         click.echo(
             f"{row['pipeline']}  p={row['proportion']}  snr={row['snr_db']}  "

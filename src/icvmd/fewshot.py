@@ -16,6 +16,8 @@ commands share both.
 
 For each training proportion the train set is subsampled per class; cells where
 a class would get zero samples are reported as unsupported rather than crashed.
+The solver config, the architecture and the training sizes are the fixed ones
+below; ``icvmd fewshot`` chooses only the pipeline and the proportions.
 """
 from __future__ import annotations
 
@@ -57,6 +59,11 @@ AUX_EMITTER_SEED = 77
 AUX_DATASET_SEED = 7700
 # Captures per classifier forward pass in predict.
 PREDICT_BATCH = 64
+# The experiment's fixed training sizes: each classifier's fit, and the SAT
+# pretraining on auxiliary emitters, which get the base spec's captures per emitter.
+FIT = TrainConfig(epochs=30, batch_size=32)
+PRETRAIN = TrainConfig(epochs=40, batch_size=32, learning_rate=5e-3)
+N_AUX_EMITTERS = 5
 
 
 class Pipeline(enum.Enum):
@@ -65,7 +72,7 @@ class Pipeline(enum.Enum):
     ICVMD_SAT = "icvmd_sat"
 
 
-def default_icvmd_config(n_modes: int = 4, alpha: float = 200.0) -> VmdConfig:
+def default_icvmd_config(n_modes: int = 4) -> VmdConfig:
     """Experiment-default solver config for both sides of the decomposition.
 
     The bandwidth weight is deliberately lower than the generic VMD default:
@@ -75,30 +82,7 @@ def default_icvmd_config(n_modes: int = 4, alpha: float = 200.0) -> VmdConfig:
     features describe) lie between them, and a loose prior lets a mode reach
     the band nearest its start.
     """
-    return VmdConfig(n_modes=n_modes, alpha=alpha, tol=1e-6, max_iter=300)
-
-
-@dataclass(frozen=True)
-class FewshotConfig:
-    pipeline: Pipeline = Pipeline.ICVMD_FEATURES
-    proportions: tuple = (0.30, 0.10, 0.03)
-    icvmd: VmdConfig = field(default_factory=default_icvmd_config)
-    model: ModelConfig = field(default_factory=ModelConfig)
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=30, batch_size=32))
-    # SAT pretraining on auxiliary emitters
-    n_aux_emitters: int = 5
-    aux_signals_per_emitter: int | None = None  # None -> same as the base spec
-    pretrain: TrainConfig = field(
-        default_factory=lambda: TrainConfig(epochs=40, batch_size=32, learning_rate=5e-3)
-    )
-
-    def __post_init__(self):
-        if not self.proportions or any(not (0 < p <= 1) for p in self.proportions):
-            raise ParameterError("proportions must be fractions in (0, 1]")
-        if not isinstance(self.pipeline, Pipeline):
-            raise ParameterError(f"pipeline must be a Pipeline, got {self.pipeline!r}")
-        if self.aux_signals_per_emitter is not None and self.aux_signals_per_emitter < 1:
-            raise ParameterError("aux_signals_per_emitter must be >= 1 when given")
+    return VmdConfig(n_modes=n_modes, alpha=200.0, tol=1e-6, max_iter=300)
 
 
 @dataclass
@@ -215,49 +199,40 @@ def predict(params, mains, branches, class_ids) -> np.ndarray:
     return class_ids[np.concatenate(preds)]
 
 
-def _generate_aux_manifest(base_spec: DatasetSpec, cfg: FewshotConfig, workdir: Path) -> dict:
-    aux_spec = replace(
-        base_spec,
-        emitters=tuple(auxiliary_bank(cfg.n_aux_emitters, AUX_EMITTER_SEED)),
-        signals_per_emitter=cfg.aux_signals_per_emitter or base_spec.signals_per_emitter,
-        seed=AUX_DATASET_SEED,
-    )
-    generate_dataset(aux_spec, workdir / "aux_data")
-    return load_manifest(workdir / "aux_data")
-
-
-def _pretrain(spec: DatasetSpec, cfg: FewshotConfig, workdir: Path, memo: dict, skipped: list, sides: list):
+def _pretrain(spec: DatasetSpec, icvmd_cfg: VmdConfig, workdir: Path, memo: dict, skipped: list, sides: list):
     """Train the classifier on auxiliary emitters; SAT transfers from it."""
-    aux_manifest = _generate_aux_manifest(spec, cfg, workdir)
-    aux_entries, aux_x = represent(cfg.pipeline, aux_manifest, cfg.icvmd, memo, skipped, sides)
+    emitters = tuple(auxiliary_bank(N_AUX_EMITTERS, AUX_EMITTER_SEED))
+    generate_dataset(replace(spec, emitters=emitters, seed=AUX_DATASET_SEED), workdir / "aux_data")
+    aux_manifest = load_manifest(workdir / "aux_data")
+    aux_entries, aux_x = represent(Pipeline.ICVMD_SAT, aux_manifest, icvmd_cfg, memo, skipped, sides)
     aux_ids, aux_y = np.unique(_labels(aux_entries), return_inverse=True)
-    base = init_params(cfg.model, n_classes=len(aux_ids), seed=MODEL_SEED)
-    return train(base, *aux_x, aux_y, cfg.pretrain).params
+    base = init_params(ModelConfig(), n_classes=len(aux_ids), seed=MODEL_SEED)
+    return train(base, *aux_x, aux_y, PRETRAIN).params
 
 
-def _fit_predict(cfg: FewshotConfig, pretrained, train_x, truth, class_ids, test_x) -> tuple:
+def _fit_predict(pipeline: Pipeline, pretrained, train_x, truth, class_ids, test_x) -> tuple:
     """Fit the pipeline's classifier on one training subset and label the test set.
 
     Returns the predicted labels and the classifier's last-epoch loss (None
-    for nearest centroid, or when no epoch ran).
+    for nearest centroid).
 
     ``pretrained`` is called only by the SAT fit, so the auxiliary set is
     generated and pretrained on only when the pipeline needs it.
     """
-    if cfg.pipeline is Pipeline.ICVMD_FEATURES:
+    if pipeline is Pipeline.ICVMD_FEATURES:
         return classify(fit_nearest_centroid(*train_x, truth), *test_x), None
     y = np.searchsorted(class_ids, truth)
-    if cfg.pipeline is Pipeline.RAW_NN:
-        fresh = init_params(cfg.model, n_classes=len(class_ids), seed=MODEL_SEED)
-        fitted = train(fresh, *train_x, y, cfg.train)
+    if pipeline is Pipeline.RAW_NN:
+        fresh = init_params(ModelConfig(), n_classes=len(class_ids), seed=MODEL_SEED)
+        fitted = train(fresh, *train_x, y, FIT)
     else:
-        fitted = sat_transfer(pretrained(), len(class_ids), *train_x, y, cfg.train, head_seed=MODEL_SEED)
-    loss = fitted.history[-1] if fitted.history else None
-    return predict(fitted.params, *test_x, class_ids), loss
+        fitted = sat_transfer(pretrained(), len(class_ids), *train_x, y, FIT, head_seed=MODEL_SEED)
+    return predict(fitted.params, *test_x, class_ids), fitted.history[-1]
 
 
-def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult:
-    """Generate, split, and score one pipeline across the training proportions.
+def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> FewshotResult:
+    """Generate, split, and score one pipeline across the training proportions,
+    each a distinct fraction in (0, 1].
 
     Writes ``report.csv`` in the workdir: one row per (pipeline, proportion,
     snr_db) plus an overall row per proportion (snr_db = 'all'); unsupported
@@ -267,6 +242,14 @@ def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult
     that stopped at max_iter without converging, and holds each trained
     classifier's last-epoch loss.
     """
+    if not isinstance(pipeline, Pipeline):
+        raise ParameterError(f"pipeline must be a Pipeline, got {pipeline!r}")
+    if not proportions or any(not (0 < p <= 1) for p in proportions):
+        raise ParameterError("proportions must be fractions in (0, 1]")
+    dupes = sorted({p for p in proportions if proportions.count(p) > 1})
+    if dupes:
+        raise ParameterError(f"each proportion may appear only once; repeated: {dupes}")
+    icvmd_cfg = default_icvmd_config()
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     generate_dataset(spec, workdir / "data")
@@ -282,7 +265,7 @@ def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult
 
     def row(proportion, snr_db, accuracy, n_test, status="ok") -> dict:
         return {
-            "pipeline": cfg.pipeline.value,
+            "pipeline": pipeline.value,
             "proportion": proportion,
             "snr_db": snr_db,
             "accuracy": accuracy,
@@ -291,22 +274,22 @@ def run_fewshot(spec: DatasetSpec, cfg: FewshotConfig, workdir) -> FewshotResult
         }
 
     # The test set is represented once and shared across proportions.
-    test_entries, test_x = represent(cfg.pipeline, test_m, cfg.icvmd, memo, skipped, sides)
+    test_entries, test_x = represent(pipeline, test_m, icvmd_cfg, memo, skipped, sides)
     test_truth = _labels(test_entries)
     test_snrs = _snrs(test_entries)
-    pretrained = functools.cache(lambda: _pretrain(spec, cfg, workdir, memo, skipped, sides))
+    pretrained = functools.cache(lambda: _pretrain(spec, icvmd_cfg, workdir, memo, skipped, sides))
 
-    for proportion in cfg.proportions:
+    for proportion in proportions:
         t0 = time.perf_counter()
         try:
             sub_m = subsample_manifest(train_m, proportion, SUBSAMPLE_SEED)
-            sub_entries, train_x = represent(cfg.pipeline, sub_m, cfg.icvmd, memo, skipped, sides)
+            sub_entries, train_x = represent(pipeline, sub_m, icvmd_cfg, memo, skipped, sides)
         except DegenerateInputError:
             rows.append(row(proportion, "all", "", len(test_entries), "unsupported"))
             continue
         sub_truth = _labels(sub_entries)
         class_ids = np.unique(sub_truth)
-        preds, loss = _fit_predict(cfg, pretrained, train_x, sub_truth, class_ids, test_x)
+        preds, loss = _fit_predict(pipeline, pretrained, train_x, sub_truth, class_ids, test_x)
         if loss is not None:
             final_losses[proportion] = (loss, len(class_ids))
 

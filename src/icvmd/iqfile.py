@@ -22,8 +22,12 @@ from .signals import ComplexSignal
 
 
 def json_object(text: str, source) -> dict:
-    """Parse JSON that must be an object; any other value raises ParameterError naming ``source``."""
-    value = json.loads(text)
+    """Parse JSON that must be an object.  Text that is not JSON raises
+    json.JSONDecodeError and any other value ParameterError, both naming ``source``."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"malformed JSON in {source}: {exc.msg}", exc.doc, exc.pos) from None
     if not isinstance(value, dict):
         raise ParameterError(f"{source} must hold a JSON object, got {type(value).__name__}")
     return value

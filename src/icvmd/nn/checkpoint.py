@@ -1,12 +1,12 @@
 """Single-file .npz checkpoints with an embedded JSON manifest.
 
-The manifest records the format version, every architecture hyperparameter
-needed to rebuild the model, and the caller's metadata, which must include
-``class_ids``, the emitter label of each model output.  The arrays are stored
-as trained under their parameter keys and load as float32.  Loading refuses a
-manifest that is not UTF-8 JSON, a missing or unknown key, ``class_ids`` that
-are not at least 2 distinct integers, an array shaped for another head width
-or architecture, and a non-finite value.
+The manifest records the format version, the model's ``config`` (its segment
+length, as the rest of the architecture is fixed) and the caller's metadata,
+which must include ``class_ids``, the emitter label of each model output.
+The arrays are stored as trained under their parameter keys and load as
+float32.  Loading refuses a manifest that is not UTF-8 JSON, a missing or
+unknown key, ``class_ids`` that are not at least 2 distinct integers, an
+array shaped for another head width, and a non-finite value.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from ..errors import ParameterError
 from ..iqfile import json_object, load_npz
 from .model import ModelConfig, NetParams, init_params
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def save_checkpoint(path, params: NetParams, meta: dict) -> Path:
@@ -41,7 +41,7 @@ def load_checkpoint(path) -> tuple[NetParams, dict]:
     """Rebuild NetParams from a checkpoint; returns them with the metadata it was saved with.
 
     Every stored array must match the key, the shape and the finiteness of
-    the manifest architecture with one output per class id.
+    the model with one output per class id.
     """
     files = load_npz(path)
     if "manifest" not in files:

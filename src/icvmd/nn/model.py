@@ -1,5 +1,10 @@
 """The two-input temporal-convolutional classifier.
 
+The architecture is fixed, at toy scale on purpose: on the 2 I/Q channels, a
+trunk 8 channels wide of 2 width-3 encoder convs and 4 residual blocks of two
+width-2 convs at dilations 1, 2, 4 and 8, and a branch of 2 width-3 convs 4
+channels wide.  ``ModelConfig`` holds the one setting, the segment length.
+
 Main path: encoder convs -> residual dilated blocks -> 1x1 merge of the
 stacked block outputs -> per-segment mean pooling -> per-segment class logits.
 
@@ -23,7 +28,7 @@ the residual blocks write straight into the merge conv's input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,32 +48,26 @@ from .layers import (
 )
 
 
+# The fixed architecture: channel counts, then each conv stack's depth and width.
+IN_CHANNELS, CHANNELS, BRANCH_CHANNELS = 2, 8, 4
+ENCODER_LAYERS, ENCODER_WIDTH = 2, 3
+N_BLOCKS, BLOCK_WIDTH = 4, 2
+BRANCH_LAYERS, BRANCH_WIDTH = 2, 3
+DILATIONS = tuple(2**i for i in range(N_BLOCKS))
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters (toy scale on purpose)."""
+    """Samples per attention segment, the one setting of the model."""
 
-    in_channels: int = 2
-    channels: int = 8
-    encoder_layers: int = 2
-    encoder_width: int = 3
-    n_blocks: int = 4
-    block_width: int = 2
-    branch_channels: int = 4
-    branch_width: int = 3
-    branch_layers: int = 2
     segment_len: int = 100
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ParameterError(f"{f.name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ParameterError(f"{f.name} must be >= 1")
-
-    @property
-    def dilations(self) -> list:
-        return [2**i for i in range(self.n_blocks)]
+        value = self.segment_len
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ParameterError(f"segment_len must be an integer, got {value!r}")
+        if value < 1:
+            raise ParameterError("segment_len must be >= 1")
 
 
 @dataclass
@@ -113,23 +112,22 @@ def init_params(config: ModelConfig, n_classes: int, seed: int) -> NetParams:
     if n_classes < 2:
         raise ParameterError("n_classes must be >= 2")
     rng = np.random.default_rng(seed)
-    c = config.channels
+    c = CHANNELS
     arrays: dict = {}
-    in_ch = config.in_channels
-    for i in range(config.encoder_layers):
-        arrays |= layer_arrays(f"encoder.{i}", init_conv(rng, c, in_ch, config.encoder_width, 1))
+    in_ch = IN_CHANNELS
+    for i in range(ENCODER_LAYERS):
+        arrays |= layer_arrays(f"encoder.{i}", init_conv(rng, c, in_ch, ENCODER_WIDTH, 1))
         in_ch = c
-    for i, d in enumerate(config.dilations):
+    for i, d in enumerate(DILATIONS):
         for sub in ("conv1", "conv2"):
-            arrays |= layer_arrays(f"tcn.blocks.{i}.{sub}", init_conv(rng, c, c, config.block_width, d))
-    arrays |= layer_arrays("tcn.merge", init_conv(rng, c, c * config.n_blocks, 1, 1))
+            arrays |= layer_arrays(f"tcn.blocks.{i}.{sub}", init_conv(rng, c, c, BLOCK_WIDTH, d))
+    arrays |= layer_arrays("tcn.merge", init_conv(rng, c, c * N_BLOCKS, 1, 1))
     arrays |= layer_arrays("classifier1", init_dense(rng, n_classes, c))
-    in_ch = config.in_channels
-    for i in range(config.branch_layers):
-        conv = init_conv(rng, config.branch_channels, in_ch, config.branch_width, 1)
-        arrays |= layer_arrays(f"branch.convs.{i}", conv)
-        in_ch = config.branch_channels
-    arrays |= layer_arrays("branch.head", init_dense(rng, 1, config.branch_channels))
+    in_ch = IN_CHANNELS
+    for i in range(BRANCH_LAYERS):
+        arrays |= layer_arrays(f"branch.convs.{i}", init_conv(rng, BRANCH_CHANNELS, in_ch, BRANCH_WIDTH, 1))
+        in_ch = BRANCH_CHANNELS
+    arrays |= layer_arrays("branch.head", init_dense(rng, 1, BRANCH_CHANNELS))
     arrays |= layer_arrays("classifier2", init_dense(rng, n_classes, n_classes))
     return NetParams(config=config, arrays=arrays)
 
@@ -140,9 +138,9 @@ def init_params(config: ModelConfig, n_classes: int, seed: int) -> NetParams:
 _CHUNK_ELEMS = 1 << 17
 
 
-def _chunks(params: NetParams, b: int, t: int) -> list:
+def _chunks(b: int, t: int) -> list:
     """Consecutive sample slices of a batch of b inputs of length t, in order."""
-    step = max(1, _CHUNK_ELEMS // (params.config.channels * t))
+    step = max(1, _CHUNK_ELEMS // (CHANNELS * t))
     return [slice(lo, min(lo + step, b)) for lo in range(0, b, step)]
 
 
@@ -158,7 +156,7 @@ def _conv_grads(dy: np.ndarray, cache, grads: dict, name: str) -> np.ndarray:
 def _residual_forward(h: np.ndarray, params: NetParams, i: int, out=None):
     """TCN block i: o = h + conv2(relu(conv1(h))) at the block's dilation,
     written into ``out`` when given."""
-    d = params.config.dilations[i]
+    d = DILATIONS[i]
     y1, c1 = conv_forward(h, _conv(params, f"tcn.blocks.{i}.conv1", d))
     a1, r1 = relu_forward(y1)
     y2, c2 = conv_forward(a1, _conv(params, f"tcn.blocks.{i}.conv2", d))
@@ -195,11 +193,11 @@ def features_forward(params: NetParams, x: np.ndarray):
     Block i writes its output into channel slice i of the merge input, and
     block i+1 reads that slice: each block output is held once.
     """
-    h, enc_caches = _stack_forward(params, "encoder", params.config.encoder_layers, x)
-    c, n_blocks = params.config.channels, params.config.n_blocks
-    stacked = np.empty((h.shape[0], c * n_blocks, h.shape[2]), dtype=h.dtype)
+    h, enc_caches = _stack_forward(params, "encoder", ENCODER_LAYERS, x)
+    c = CHANNELS
+    stacked = np.empty((h.shape[0], c * N_BLOCKS, h.shape[2]), dtype=h.dtype)
     block_caches = []
-    for i in range(n_blocks):
+    for i in range(N_BLOCKS):
         h, cache = _residual_forward(h, params, i, stacked[:, i * c : (i + 1) * c])
         block_caches.append(cache)
     feat, merge_cache = conv_forward(stacked, _conv(params, "tcn.merge"))
@@ -211,10 +209,10 @@ def features_backward(params: NetParams, dfeat: np.ndarray, cache, grads) -> np.
     to any that an earlier chunk of samples left in ``grads``."""
     enc_caches, block_caches, merge_cache = cache
     dstacked = _conv_grads(dfeat, merge_cache, grads, "tcn.merge")
-    c = params.config.channels
-    douts = [dstacked[:, i * c : (i + 1) * c, :] for i in range(params.config.n_blocks)]
+    c = CHANNELS
+    douts = [dstacked[:, i * c : (i + 1) * c, :] for i in range(N_BLOCKS)]
     dh = np.zeros_like(douts[-1])
-    for i in range(params.config.n_blocks - 1, -1, -1):
+    for i in range(N_BLOCKS - 1, -1, -1):
         dh = _residual_backward(douts[i] + dh, block_caches[i], grads, f"tcn.blocks.{i}")
     return _stack_backward(dh, enc_caches, grads, "encoder")
 
@@ -237,35 +235,31 @@ def _branch_forward(params: NetParams, xb: np.ndarray, s: int):
     """
     length = params.config.segment_len
     b, c_in, t = xb.shape
-    pooled = np.empty((b * s, params.config.branch_channels), dtype=params.dtype)
+    pooled = np.empty((b * s, BRANCH_CHANNELS), dtype=params.dtype)
     chunks = []
-    for rows in _chunks(params, b, t):
+    for rows in _chunks(b, t):
         n = rows.stop - rows.start
         xs = xb[rows, :, : s * length].reshape(n, c_in, s, length)
         folded = xs.transpose(0, 2, 1, 3).reshape(n * s, c_in, length)
-        h, caches = _stack_forward(params, "branch.convs", params.config.branch_layers, folded)
+        h, caches = _stack_forward(params, "branch.convs", BRANCH_LAYERS, folded)
         pooled[rows.start * s : rows.stop * s] = h.mean(axis=2)
         chunks.append((rows, caches))
     scores, dcache = dense_forward(pooled, _dense(params, "branch.head"))
     return scores.reshape(b, s), (chunks, dcache)
 
 
-def _branch_backward(params: NetParams, dscores: np.ndarray, cache, grads, t_full: int):
+def _branch_backward(params: NetParams, dscores: np.ndarray, cache, grads) -> None:
     chunks, dcache = cache
     length = params.config.segment_len
     b, s = dscores.shape
     dy = dscores.reshape(b * s, 1)
     dpooled, dw, db = dense_backward(dy, dcache, _dense(params, "branch.head"))
     _store(grads, "branch.head", dw, db)
-    dxb = np.zeros((b, params.config.in_channels, t_full), dtype=params.dtype)
     for rows, caches in chunks:
         n = rows.stop - rows.start
         dp = dpooled[rows.start * s : rows.stop * s, :, None] / length
         dh = np.broadcast_to(dp, (n * s, dp.shape[1], length))
-        dh = _stack_backward(dh, caches, grads, "branch.convs")
-        dxs = dh.reshape(n, s, -1, length).transpose(0, 2, 1, 3).reshape(n, -1, s * length)
-        dxb[rows, :, : s * length] = dxs
-    return dxb
+        _stack_backward(dh, caches, grads, "branch.convs")
 
 
 def spatial_attention_weights(params: NetParams, branch_x: np.ndarray) -> np.ndarray:
@@ -302,11 +296,11 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray):
     b, _, t = xm.shape
     s = _segment_count(params, t)
     length = params.config.segment_len
-    c = params.config.channels
+    c = CHANNELS
 
     pool = np.empty((b, c, s), dtype=params.dtype)
     trunk = []
-    for rows in _chunks(params, b, t):
+    for rows in _chunks(b, t):
         feat, feat_cache = features_forward(params, xm[rows])
         pool[rows] = feat[:, :, : s * length].reshape(-1, c, s, length).mean(axis=3)
         trunk.append((rows, feat_cache))
@@ -354,25 +348,21 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache) -> dict:
     dseg_logits = np.einsum("bo,bs->bos", dz, att)
 
     dscores = softmax_backward(datt, att, axis=1)
-    dxb = _branch_backward(params, dscores, cache["branch_cache"], grads, t)
+    _branch_backward(params, dscores, cache["branch_cache"], grads)
 
     dflat = dseg_logits.transpose(0, 2, 1).reshape(b * s, -1)
     dpool_flat, dw, db = dense_backward(dflat, cache["cls1_cache"], _dense(params, "classifier1"))
     _store(grads, "classifier1", dw, db)
     dpool = dpool_flat.reshape(b, s, -1).transpose(0, 2, 1)  # [B, C, S]
 
-    c = params.config.channels
-    dxm = np.empty((b, params.config.in_channels, t), dtype=params.dtype)
+    c = CHANNELS
     for rows, feat_cache in cache["trunk"]:
         n = rows.stop - rows.start
         dfeat = np.zeros((n, c, t), dtype=params.dtype)
         dfeat[:, :, : s * length] = np.broadcast_to(
             dpool[rows, :, :, None] / length, (n, c, s, length)
         ).reshape(n, c, s * length)
-        dxm[rows] = features_backward(params, dfeat, feat_cache, grads)
-
-    grads["_input_main"] = dxm
-    grads["_input_branch"] = dxb
+        features_backward(params, dfeat, feat_cache, grads)
     return grads
 
 

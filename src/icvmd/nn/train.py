@@ -41,7 +41,6 @@ class TrainConfig:
 class TrainResult:
     params: NetParams
     history: list  # mean loss per epoch
-    frozen: tuple = ()
 
 
 def _check_dataset(main, branch, labels, params: NetParams):
@@ -84,8 +83,7 @@ def train(
     if unmatched:
         raise ParameterError(f"freeze_prefixes {unmatched} match no parameter key")
     out = NetParams(params.config, {k: a.copy() for k, a in params.arrays.items()})
-    frozen = tuple(k for k in out.arrays if k.startswith(prefixes))
-    live = {k: a for k, a in out.arrays.items() if k not in frozen}
+    live = {k: a for k, a in out.arrays.items() if not k.startswith(prefixes)}
 
     m = {k: np.zeros_like(a) for k, a in live.items()}
     v = {k: np.zeros_like(a) for k, a in live.items()}
@@ -111,7 +109,7 @@ def train(
                 v[k] = _BETA2 * v[k] + (1.0 - _BETA2) * g * g
                 a -= cfg.learning_rate * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + _EPS)
         history.append(float(np.mean(losses)))
-    return TrainResult(params=out, history=history, frozen=frozen)
+    return TrainResult(params=out, history=history)
 
 
 def sat_transfer(

@@ -318,12 +318,12 @@ def reference_features_forward(params: NetParams, x: np.ndarray):
         return np.maximum(y, 0.0), y > 0.0
 
     h, enc_caches = x, []
-    for i in range(params.config.encoder_layers):
+    for i in range(model.ENCODER_LAYERS):
         y, cc = conv_forward(h, _conv(params, f"encoder.{i}"))
         h, rc = relu(y)
         enc_caches.append((cc, rc))
     block_caches, block_outs = [], []
-    for i, d in enumerate(params.config.dilations):
+    for i, d in enumerate(model.DILATIONS):
         y1, c1 = conv_forward(h, _conv(params, f"tcn.blocks.{i}.conv1", d))
         a1, r1 = relu(y1)
         y2, c2 = conv_forward(a1, _conv(params, f"tcn.blocks.{i}.conv2", d))

@@ -18,7 +18,7 @@ from icvmd.classify import classify, evaluate, fit_nearest_centroid
 from icvmd.dataset import DatasetSpec, generate_dataset, load_entry, load_manifest, split_manifest, subsample_manifest
 from icvmd.decompose import FULL_SELECTION, ModeLabel, icvmd_decompose, reconstruct
 from icvmd.features import extract_features, raw_cumulant_features
-from icvmd.fewshot import FewshotConfig, Pipeline, default_icvmd_config, run_fewshot, sat_inputs
+from icvmd.fewshot import Pipeline, default_icvmd_config, run_fewshot, sat_inputs
 from icvmd.modulation import ModulationKind, ModulationSpec, gen_baseband
 from icvmd.nn.attention import softmax
 from icvmd.nn.model import ModelConfig, features_forward, init_params, model_forward
@@ -403,13 +403,8 @@ def test_11_end_to_end_reproducibility(tmp_path):
     generate_dataset(spec, tmp_path / "gen_b")
     data_same = digest(tmp_path / "gen_a") == digest(tmp_path / "gen_b")
 
-    cfg = FewshotConfig(
-        pipeline=Pipeline.ICVMD_FEATURES,
-        proportions=(1.0,),
-        icvmd=default_icvmd_config(n_modes=2),
-    )
-    run_fewshot(spec, cfg, tmp_path / "exp_a")
-    run_fewshot(spec, cfg, tmp_path / "exp_b")
+    run_fewshot(spec, Pipeline.ICVMD_FEATURES, (1.0,), tmp_path / "exp_a")
+    run_fewshot(spec, Pipeline.ICVMD_FEATURES, (1.0,), tmp_path / "exp_b")
     report_same = (tmp_path / "exp_a" / "report.csv").read_bytes() == (
         tmp_path / "exp_b" / "report.csv"
     ).read_bytes()

@@ -9,14 +9,7 @@ from icvmd.nn.checkpoint import load_checkpoint, save_checkpoint
 from icvmd.nn.model import ModelConfig, init_params, model_forward
 from oracles import as_float64
 
-TINY = ModelConfig(
-    channels=4,
-    encoder_layers=1,
-    n_blocks=2,
-    branch_channels=3,
-    branch_layers=1,
-    segment_len=10,
-)
+TINY = ModelConfig(segment_len=10)
 META = {"class_ids": [3, 5, 9], "note": "saved by the tests"}
 
 
@@ -75,9 +68,11 @@ def test_not_a_checkpoint(tmp_path):
 
 def test_wrong_format_version(tmp_path):
     path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 3, seed=0), META)
-    for version in (99, 1):  # version 1 kept its label map in a separate .labels.json file
+    # Version 1 kept its label map in a separate .labels.json file, and version 2
+    # stored nine architecture settings that are now fixed.
+    for version in (99, 2, 1):
         rewrite(path, lambda _, m: m.update(format_version=version))
-        with pytest.raises(ParameterError, match=f"unsupported checkpoint format_version {version}, not 2"):
+        with pytest.raises(ParameterError, match=f"unsupported checkpoint format_version {version}, not 3"):
             load_checkpoint(path)
 
 
@@ -159,6 +154,6 @@ def test_config_key_mismatch_rejected(tmp_path):
     rewrite(path, lambda _, m: m["config"].update(depth=3))
     with pytest.raises(ParameterError, match="extra"):
         load_checkpoint(path)
-    rewrite(path, lambda _, m: [m["config"].pop(k) for k in ("depth", "channels")])
+    rewrite(path, lambda _, m: [m["config"].pop(k) for k in ("depth", "segment_len")])
     with pytest.raises(ParameterError, match="missing"):
         load_checkpoint(path)

@@ -49,10 +49,12 @@ def gen_tiny(runner, out_dir, spe=2, extra=()):
 
 
 def break_first_capture(data_dir, fault) -> str:
-    """Break the first capture (by name) of a dataset in one of three ways; returns its name."""
+    """Break the first capture (by name) of a dataset in one of four ways; returns its name."""
     path = sorted(Path(data_dir).glob("*.iqf32"))[0]
     if fault == "bad_sidecar":
         path.with_suffix(".json").write_text(json.dumps({"sample_rate": "x"}))
+    elif fault == "malformed_sidecar":
+        path.with_suffix(".json").write_text("{not json")
     elif fault == "odd_float_count":
         path.write_bytes(path.read_bytes()[:-4])
     else:
@@ -386,8 +388,8 @@ def non_object_checkpoint_manifest(runner, tmp_path, payload):
     return ["eval", "--data", str(data), "--checkpoint", str(ck)], "model.npz manifest"
 
 
-@pytest.mark.parametrize("payload", ["[]", "[1, 2]"])
-@pytest.mark.parametrize(
+# Every JSON file a command reads, each written with the payload a test gives.
+EACH_JSON_FILE = pytest.mark.parametrize(
     "setup",
     [
         non_object_sidecar,
@@ -398,11 +400,24 @@ def non_object_checkpoint_manifest(runner, tmp_path, payload):
     ],
     ids=["sidecar", "dataset_config", "dataset_manifest", "modes_json", "checkpoint_manifest"],
 )
+
+
+@pytest.mark.parametrize("payload", ["[]", "[1, 2]"])
+@EACH_JSON_FILE
 def test_a_json_file_that_is_not_an_object_is_a_parameter_error(runner, tmp_path, setup, payload):
     args, name = setup(runner, tmp_path, payload)
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert f"{name} must hold a JSON object, got list" in res.output
+
+
+@EACH_JSON_FILE
+def test_a_json_file_that_does_not_parse_is_an_io_error_naming_it(runner, tmp_path, setup):
+    args, name = setup(runner, tmp_path, "{not json")
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3, res.output
+    where = rf"{re.escape(str(tmp_path))}/\S*{re.escape(name)}"
+    assert re.search(rf"i/o error: malformed JSON in {where}: Expecting property name", res.output), res.output
 
 
 @pytest.mark.parametrize(
@@ -567,8 +582,8 @@ def test_train_manifest_records_the_training_run(runner, tmp_path):
     res = runner.invoke(main, args + ["--epochs", "2", "--batch-size", "8", "--learning-rate", "0.01", "--seed", "3"])
     assert res.exit_code == 0, res.output
     meta = read_manifest(ck)
-    assert meta["format_version"] == 2
-    assert meta["config"] == dataclasses.asdict(ModelConfig(segment_len=32))
+    assert meta["format_version"] == 3
+    assert meta["config"] == {"segment_len": 32}
     assert (meta["class_ids"], meta["representation"], meta["n_modes"]) == (list(range(7)), "raw", default_icvmd_config().n_modes)
     assert (meta["epochs"], meta["learning_rate"], meta["batch_size"], meta["seed"]) == (2, 0.01, 8, 3)
     assert len(meta["history"]) == 2
@@ -917,11 +932,37 @@ def test_fewshot_cli_skips_a_capture_with_a_bad_sidecar(runner, tmp_path, monkey
     assert skipped[0].endswith("sample_rate must be a number, got 'x'")
 
 
+def test_fewshot_cli_names_a_sidecar_that_does_not_parse(runner, tmp_path, monkeypatch):
+    broken = []
+
+    def generate_then_break(spec, out_dir):
+        manifest = generate_dataset(spec, out_dir)
+        broken.append(break_first_capture(out_dir, "malformed_sidecar"))
+        return manifest
+
+    monkeypatch.setattr(fewshot, "generate_dataset", generate_then_break)
+    args = ["fewshot", "--workdir", str(tmp_path / "exp"), "--proportions", "1.0", "--n-samples", "128"]
+    args += ["--signals-per-emitter", "2", "--snr-db", "18", "--modulations", "cw", "--modulations", "bpsk"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    skipped = [line for line in res.output.splitlines() if line.startswith("skipped ")]
+    sidecar = tmp_path / "exp" / "data" / Path(broken[0]).with_suffix(".json")
+    assert skipped == [f"skipped {broken[0]}: malformed JSON in {sidecar}: Expecting property name "
+                       "enclosed in double quotes: line 1 column 2 (char 1)"]
+
+
+def test_fewshot_cli_refuses_a_repeated_proportion(runner, tmp_path):
+    res = runner.invoke(main, ["fewshot", "--workdir", str(tmp_path / "exp"), "--proportions", "0.5,0.3,0.50"])
+    assert res.exit_code == 2, res.output
+    assert "error: each proportion may appear only once; repeated: [0.5]" in res.output
+    assert not (tmp_path / "exp").exists()
+
+
 @pytest.mark.parametrize("loss, warns", [(np.log(7) - 0.04, True), (np.log(7) - 0.06, False)],
                          ids=["within_margin", "outside_margin"])
 def test_fewshot_warns_for_each_proportion_whose_loss_sits_at_chance(runner, tmp_path, monkeypatch, loss, warns):
     result = FewshotResult(rows=[], reports={}, csv_path="report.csv", final_losses={0.3: (loss, 7), 0.1: (1.2, 7)})
-    monkeypatch.setattr(cli, "run_fewshot", lambda spec, cfg, workdir: result)
+    monkeypatch.setattr(cli, "run_fewshot", lambda spec, pipeline, proportions, workdir: result)
     res = runner.invoke(main, ["fewshot", "--workdir", str(tmp_path / "exp")])
     assert res.exit_code == 0, res.output
     line = "warning: p=0.3: final epoch loss 1.906 is within 0.05 of ln(7) = 1.946; the model is at chance"

@@ -11,7 +11,6 @@ from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.features import extract_features
 from icvmd.iqfile import write_iqf32
 from icvmd.fewshot import (
-    FewshotConfig,
     Pipeline,
     default_icvmd_config,
     run_fewshot,
@@ -21,7 +20,6 @@ from icvmd.fewshot import (
 )
 from icvmd.modulation import ModulationKind
 from icvmd.nn.model import ModelConfig, init_params
-from icvmd.nn.train import TrainConfig
 from icvmd.pa import emitter_bank
 from icvmd.signals import ComplexSignal
 
@@ -34,16 +32,6 @@ TINY_SPEC = DatasetSpec(
     seed=0,
 )
 
-TINY_MODEL = ModelConfig(
-    channels=3,
-    encoder_layers=1,
-    n_blocks=1,
-    branch_channels=2,
-    branch_layers=1,
-    segment_len=32,
-)
-
-
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -52,23 +40,27 @@ def read_csv(path):
 # ---------------------------------------------------------------- primitives
 
 
-def test_config_validation():
-    with pytest.raises(ParameterError):
-        FewshotConfig(proportions=())
-    with pytest.raises(ParameterError):
-        FewshotConfig(proportions=(0.0,))
-    with pytest.raises(ParameterError):
-        FewshotConfig(proportions=(1.5,))
-    with pytest.raises(ParameterError):
-        FewshotConfig(pipeline="raw_nn")
-    with pytest.raises(ParameterError):
-        FewshotConfig(aux_signals_per_emitter=0)
+@pytest.mark.parametrize(
+    "pipeline, proportions, message",
+    [
+        (Pipeline.RAW_NN, (), r"proportions must be fractions in \(0, 1\]"),
+        (Pipeline.RAW_NN, (0.0,), r"proportions must be fractions in \(0, 1\]"),
+        (Pipeline.RAW_NN, (1.5,), r"proportions must be fractions in \(0, 1\]"),
+        ("raw_nn", (0.5,), "pipeline must be a Pipeline, got 'raw_nn'"),
+        (Pipeline.ICVMD_FEATURES, (0.3, 0.5, 0.3), r"each proportion may appear only once; repeated: \[0.3\]"),
+    ],
+    ids=["empty", "zero", "above_one", "pipeline_string", "repeated"],
+)
+def test_run_fewshot_rejects_a_bad_run_before_writing(tmp_path, pipeline, proportions, message):
+    with pytest.raises(ParameterError, match=message):
+        run_fewshot(TINY_SPEC, pipeline, proportions, tmp_path / "exp")
+    assert not (tmp_path / "exp").exists()
 
 
 def test_default_icvmd_config_shape():
-    cfg = default_icvmd_config(n_modes=3, alpha=150.0)
+    cfg = default_icvmd_config(n_modes=3)
     assert cfg.n_modes == 3
-    assert cfg.alpha == 150.0
+    assert cfg.alpha == 200.0
 
 
 def test_signal_channels():
@@ -103,12 +95,8 @@ def test_sat_inputs_partition_the_signal():
 
 
 def test_run_fewshot_features_with_unsupported_cell(tmp_path):
-    cfg = FewshotConfig(
-        pipeline=Pipeline.ICVMD_FEATURES,
-        proportions=(1.0, 0.1),  # 0.1 of 4 per class floors to zero
-        icvmd=default_icvmd_config(n_modes=2),
-    )
-    result = run_fewshot(TINY_SPEC, cfg, tmp_path)
+    # 0.1 of 4 per class floors to zero.
+    result = run_fewshot(TINY_SPEC, Pipeline.ICVMD_FEATURES, (1.0, 0.1), tmp_path)
 
     rows = read_csv(result.csv_path)
     assert rows == [dict(r) for r in result.rows] or len(rows) == len(result.rows)
@@ -127,13 +115,8 @@ def test_run_fewshot_features_with_unsupported_cell(tmp_path):
 
 
 def test_run_fewshot_is_deterministic(tmp_path):
-    cfg = FewshotConfig(
-        pipeline=Pipeline.ICVMD_FEATURES,
-        proportions=(1.0,),
-        icvmd=default_icvmd_config(n_modes=2),
-    )
-    a = run_fewshot(TINY_SPEC, cfg, tmp_path / "a")
-    b = run_fewshot(TINY_SPEC, cfg, tmp_path / "b")
+    a = run_fewshot(TINY_SPEC, Pipeline.ICVMD_FEATURES, (1.0,), tmp_path / "a")
+    b = run_fewshot(TINY_SPEC, Pipeline.ICVMD_FEATURES, (1.0,), tmp_path / "b")
     assert (tmp_path / "a" / "report.csv").read_bytes() == (
         tmp_path / "b" / "report.csv"
     ).read_bytes()
@@ -141,11 +124,6 @@ def test_run_fewshot_is_deterministic(tmp_path):
 
 
 def test_run_fewshot_skips_a_capture_it_cannot_represent(tmp_path, monkeypatch):
-    cfg = FewshotConfig(
-        pipeline=Pipeline.ICVMD_FEATURES,
-        proportions=(1.0, 0.5),
-        icvmd=default_icvmd_config(n_modes=2),
-    )
     manifest = generate_dataset(TINY_SPEC, tmp_path / "data")
     manifest["_dir"] = str(tmp_path / "data")
     train_m, test_m = split_manifest(manifest, fewshot.TEST_FRACTION, fewshot.SPLIT_SEED)
@@ -167,7 +145,7 @@ def test_run_fewshot_skips_a_capture_it_cannot_represent(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fewshot, "extract_features", failing_extract)
     monkeypatch.setattr(fewshot, "icvmd_decompose", counting_decompose)
-    result = run_fewshot(TINY_SPEC, cfg, tmp_path)
+    result = run_fewshot(TINY_SPEC, Pipeline.ICVMD_FEATURES, (1.0, 0.5), tmp_path)
 
     assert sorted(path for path, _ in result.skipped) == sorted(e["path"] for e in bad_entries)
     assert all("FEATURE" in reason for _, reason in result.skipped)
@@ -205,7 +183,7 @@ def test_represent_rejects_a_manifest_with_no_captures(tmp_path):
 
 
 def test_predict_rejects_zero_captures():
-    params = init_params(TINY_MODEL, n_classes=2, seed=0)
+    params = init_params(ModelConfig(), n_classes=2, seed=0)
     empty = np.zeros((0, 2, 128), dtype=np.float32)
     with pytest.raises(ParameterError, match=r"empty batch.*\(0, 2, 128\)"):
         fewshot.predict(params, empty, empty, np.array([3, 5]))
@@ -258,16 +236,13 @@ def test_represent_does_not_count_an_empty_side(tmp_path):
     assert sides == [False]
 
 
-def test_run_fewshot_carries_the_unconverged_count(tmp_path):
-    cfg = FewshotConfig(pipeline=Pipeline.ICVMD_FEATURES, proportions=(1.0,), icvmd=capped(2))
-    result = run_fewshot(TINY_SPEC, cfg, tmp_path / "capped")
+def test_run_fewshot_carries_the_unconverged_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(fewshot, "default_icvmd_config", lambda: capped(2))
+    result = run_fewshot(TINY_SPEC, Pipeline.ICVMD_FEATURES, (1.0,), tmp_path / "capped")
     n_captures = len(TINY_SPEC.resolved_emitters()) * TINY_SPEC.signals_per_emitter
     assert result.solved_sides == result.unconverged_sides == 2 * n_captures
-    raw = run_fewshot(TINY_SPEC, FewshotConfig(pipeline=Pipeline.RAW_NN, proportions=(1.0,),
-                                               model=TINY_MODEL, train=TrainConfig(epochs=0)), tmp_path / "raw")
-    assert raw.solved_sides == raw.unconverged_sides == 0
-    # Nearest centroid has no loss, and a classifier trained for no epochs has none either.
-    assert result.final_losses == raw.final_losses == {}
+    # Nearest centroid has no loss.
+    assert result.final_losses == {}
 
 
 def test_represent_propagates_a_config_error(tmp_path):
@@ -289,37 +264,22 @@ def test_represent_propagates_a_config_error(tmp_path):
 
 
 def test_run_fewshot_raw_nn(tmp_path):
-    cfg = FewshotConfig(
-        pipeline=Pipeline.RAW_NN,
-        proportions=(1.0,),
-        model=TINY_MODEL,
-        train=TrainConfig(epochs=1, batch_size=8),
-    )
-    result = run_fewshot(TINY_SPEC, cfg, tmp_path)
+    result = run_fewshot(TINY_SPEC, Pipeline.RAW_NN, (1.0,), tmp_path)
     rows = read_csv(result.csv_path)
     assert all(r["pipeline"] == "raw_nn" for r in rows)
     assert any(r["snr_db"] == "all" and r["status"] == "ok" for r in rows)
+    assert result.solved_sides == result.unconverged_sides == 0
     [(proportion, (loss, n_classes))] = result.final_losses.items()
     assert (proportion, n_classes) == (1.0, 2) and loss > 0
 
 
 def test_run_fewshot_sat(tmp_path):
-    cfg = FewshotConfig(
-        pipeline=Pipeline.ICVMD_SAT,
-        proportions=(1.0,),
-        icvmd=default_icvmd_config(n_modes=2),
-        model=TINY_MODEL,
-        train=TrainConfig(epochs=1, batch_size=8),
-        n_aux_emitters=2,
-        aux_signals_per_emitter=4,
-        pretrain=TrainConfig(epochs=1, batch_size=8),
-    )
-    result = run_fewshot(TINY_SPEC, cfg, tmp_path)
+    result = run_fewshot(TINY_SPEC, Pipeline.ICVMD_SAT, (1.0,), tmp_path)
     assert (tmp_path / "aux_data" / "manifest.json").exists()
-    # The auxiliary dataset respects the reduced per-emitter count:
-    # 2 emitters x 1 SNR x 4 signals.
+    # The auxiliary dataset keeps the base spec's captures per emitter:
+    # 5 emitters x 1 SNR x 6 signals.
     aux_files = list((tmp_path / "aux_data").glob("*.iqf32"))
-    assert len(aux_files) == 8
+    assert len(aux_files) == fewshot.N_AUX_EMITTERS * TINY_SPEC.signals_per_emitter == 30
     rows = read_csv(result.csv_path)
     assert any(r["status"] == "ok" for r in rows)
     assert list(result.final_losses) == [1.0]

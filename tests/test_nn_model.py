@@ -6,6 +6,12 @@ import pytest
 from icvmd.errors import ParameterError
 from icvmd.nn import model
 from icvmd.nn.model import (
+    BRANCH_CHANNELS,
+    BRANCH_LAYERS,
+    CHANNELS,
+    ENCODER_LAYERS,
+    IN_CHANNELS,
+    N_BLOCKS,
     ModelConfig,
     _branch_forward,
     cross_entropy,
@@ -20,14 +26,7 @@ from icvmd.nn.train import TrainConfig, train
 from oracles import as_float64, kink_margin, reference_features_forward, residual_block
 
 
-TINY = ModelConfig(
-    channels=4,
-    encoder_layers=1,
-    n_blocks=2,
-    branch_channels=3,
-    branch_layers=1,
-    segment_len=10,
-)
+TINY = ModelConfig(segment_len=10)
 
 
 def tiny_model(n_classes=3, seed=0):
@@ -44,15 +43,13 @@ def tiny_batch(b=2, t=30, seed=0):
 
 def test_config_validation():
     with pytest.raises(ParameterError):
-        ModelConfig(channels=0)
-    with pytest.raises(ParameterError):
         ModelConfig(segment_len=0)
     with pytest.raises(ParameterError, match="integer"):
-        ModelConfig(channels=2.5)
+        ModelConfig(segment_len=2.5)
     with pytest.raises(ParameterError, match="integer"):
         ModelConfig(segment_len=True)
-    assert ModelConfig(channels=np.int64(3)).channels == 3
-    assert ModelConfig(n_blocks=4).dilations == [1, 2, 4, 8]
+    assert ModelConfig(segment_len=np.int64(3)).segment_len == 3
+    assert model.DILATIONS == (1, 2, 4, 8)
 
 
 def test_param_count_default_architecture():
@@ -149,7 +146,7 @@ def test_branch_scores_are_segment_local():
 
 def test_residual_block_wrapper():
     params = tiny_model()
-    x = np.random.default_rng(3).normal(size=(4, 20))
+    x = np.random.default_rng(3).normal(size=(CHANNELS, 20))
     y = residual_block(x, params, 0)
     assert y.shape == x.shape
     with pytest.raises(ParameterError):
@@ -162,7 +159,7 @@ def test_zero_weight_blocks_pass_input_through():
     params = tiny_model()
     for key in ("tcn.blocks.0.conv2.weights", "tcn.blocks.0.conv2.bias"):
         params.arrays[key] = np.zeros_like(params.arrays[key])
-    x = np.random.default_rng(4).normal(size=(4, 15))
+    x = np.random.default_rng(4).normal(size=(CHANNELS, 15))
     assert np.allclose(residual_block(x, params, 0), x)
 
 
@@ -184,7 +181,7 @@ def test_forward_and_backward_run_in_the_parameters_dtype(cast):
     grads = model_backward(params, dlogits.astype(np.float64), cache)
     assert {k: g.dtype for k, g in grads.items()} == {k: np.dtype(dtype) for k in grads}
     assert spatial_attention_weights(params, xb).dtype == dtype
-    assert residual_block(np.ones((4, 20)), params, 0).dtype == dtype
+    assert residual_block(np.ones((CHANNELS, 20)), params, 0).dtype == dtype
 
 
 # ------------------------------------------------------------- cross-entropy
@@ -228,21 +225,22 @@ def test_backward_produces_gradient_for_every_array():
     logits, cache = model_forward(params, xm, xb)
     _, dlogits = cross_entropy(logits, np.array([0, 1]))
     grads = model_backward(params, dlogits, cache)
+    assert grads.keys() == params.arrays.keys()
     for path, arr in params.arrays.items():
-        assert path in grads
         assert grads[path].shape == arr.shape
-    assert grads["_input_main"].shape == xm.shape
-    assert grads["_input_branch"].shape == xb.shape
 
 
-def test_input_gradient_respects_causal_trim():
-    # With T=35 and segments of 10, samples 30..34 feed nothing.
+@pytest.mark.parametrize("edit", ["main", "branch"])
+def test_samples_past_the_last_full_segment_feed_nothing(edit):
+    # With T=35 and segments of 10, samples 30..34 reach neither path.
     params = tiny_model()
-    xm, xb = tiny_batch(b=1, t=35)
+    xm, xb = tiny_batch(b=2, t=35)
     logits, cache = model_forward(params, xm, xb)
-    _, dlogits = cross_entropy(logits, np.array([0]))
-    grads = model_backward(params, dlogits, cache)
-    assert np.all(grads["_input_branch"][:, :, 30:] == 0)
+    inputs = {"main": xm.copy(), "branch": xb.copy()}
+    inputs[edit][:, :, 30:] += 5.0 * np.random.default_rng(9).normal(size=(2, 2, 5))
+    got, got_cache = model_forward(params, inputs["main"], inputs["branch"])
+    assert np.array_equal(got, logits)
+    assert np.array_equal(got_cache["attention"], cache["attention"])
 
 
 # ------------------------------------------------------------- chunked trunk
@@ -263,16 +261,16 @@ def test_chunked_trunk_is_bit_identical_to_one_chunk(monkeypatch, cast):
     params = as_float64(tiny_model()) if cast else tiny_model()
     xm, xb = tiny_batch(b=5, t=30)
     labels = np.array([0, 1, 2, 0, 1])
-    assert len(model._chunks(params, 5, 30)) == 1
+    assert len(model._chunks(5, 30)) == 1
     whole = _forward_backward_train(params, xm, xb, labels)
-    monkeypatch.setattr(model, "_CHUNK_ELEMS", 2 * TINY.channels * 30)
-    assert [r.stop - r.start for r in model._chunks(params, 5, 30)] == [2, 2, 1]
+    monkeypatch.setattr(model, "_CHUNK_ELEMS", 2 * CHANNELS * 30)
+    assert [r.stop - r.start for r in model._chunks(5, 30)] == [2, 2, 1]
     chunked = _forward_backward_train(params, xm, xb, labels)
 
     for got, want in zip(chunked[:2], whole[:2]):  # logits, attention
         assert np.array_equal(got, want)
     grads, want_grads = chunked[2], whole[2]
-    assert grads.keys() == want_grads.keys() >= {"_input_main", "_input_branch"}
+    assert grads.keys() == want_grads.keys() == params.arrays.keys()
     for key, want in want_grads.items():
         assert np.array_equal(grads[key], want), key
     fit, want_fit = chunked[3], whole[3]
@@ -292,7 +290,7 @@ def test_trunk_matches_the_concatenating_reference(cast):
     params = as_float64(params) if cast else params
     rng = np.random.default_rng(6)
     x = rng.normal(size=(3, 2, 250)).astype(params.dtype)
-    dfeat = rng.normal(size=(3, 8, 250)).astype(params.dtype)
+    dfeat = rng.normal(size=(3, CHANNELS, 250)).astype(params.dtype)
     feat, cache = features_forward(params, x)
     want_feat, want_cache = reference_features_forward(params, x)
     assert feat.tobytes() == want_feat.tobytes()
@@ -312,15 +310,14 @@ def test_training_forward_keeps_each_conv_input_once():
     # the branch stack's outputs and its folded input copy, and one more
     # input-sized array for the heads' small arrays.  A second copy of the
     # block outputs or the ReLU masks would exceed it.
-    cfg = ModelConfig()
     b, t = 16, 2100
-    params = init_params(cfg, n_classes=4, seed=0)
+    params = init_params(ModelConfig(), n_classes=4, seed=0)
     rng = np.random.default_rng(1)
-    xm = rng.normal(size=(b, cfg.in_channels, t)).astype(np.float32)
-    xb = rng.normal(size=(b, cfg.in_channels, t)).astype(np.float32)
+    xm = rng.normal(size=(b, IN_CHANNELS, t)).astype(np.float32)
+    xb = rng.normal(size=(b, IN_CHANNELS, t)).astype(np.float32)
     f32 = np.dtype(np.float32).itemsize
-    trunk = (cfg.encoder_layers + 2 * cfg.n_blocks) * b * cfg.channels * t * f32
-    allowance = (cfg.branch_layers * cfg.branch_channels + 2 * cfg.in_channels) * b * t * f32
+    trunk = (ENCODER_LAYERS + 2 * N_BLOCKS) * b * CHANNELS * t * f32
+    allowance = (BRANCH_LAYERS * BRANCH_CHANNELS + 2 * IN_CHANNELS) * b * t * f32
     tracemalloc.start()
     try:
         _, cache = model_forward(params, xm, xb)
@@ -352,18 +349,9 @@ def test_array_keys_are_unique_and_in_layer_order():
     params = tiny_model()
     keys = list(params.arrays)
     assert len(keys) == len(set(keys))
-    layers = [
-        "encoder.0",
-        "tcn.blocks.0.conv1",
-        "tcn.blocks.0.conv2",
-        "tcn.blocks.1.conv1",
-        "tcn.blocks.1.conv2",
-        "tcn.merge",
-        "classifier1",
-        "branch.convs.0",
-        "branch.head",
-        "classifier2",
-    ]
+    blocks = [f"tcn.blocks.{i}.{sub}" for i in range(N_BLOCKS) for sub in ("conv1", "conv2")]
+    layers = ["encoder.0", "encoder.1", *blocks, "tcn.merge", "classifier1"]
+    layers += ["branch.convs.0", "branch.convs.1", "branch.head", "classifier2"]
     assert keys == [f"{layer}.{leaf}" for layer in layers for leaf in ("weights", "bias")]
 
 
