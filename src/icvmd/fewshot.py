@@ -118,8 +118,7 @@ def sat_inputs(result) -> tuple:
 
 def _represent_one(pipeline: Pipeline, sig: ComplexSignal, icvmd_cfg: VmdConfig, sides: list) -> tuple:
     if pipeline is Pipeline.RAW_NN:
-        channels = signal_channels(sig)
-        return channels, channels
+        return (signal_channels(sig),)
     result = icvmd_decompose(sig, icvmd_cfg)
     sides += [s.mode_set.converged for s in (result.pos, result.neg) if s.mode_set.iterations]
     if pipeline is Pipeline.ICVMD_FEATURES:
@@ -139,10 +138,11 @@ def represent(
 
     ``arrays`` is what the pipeline's fit consumes, stacked over the kept
     entries: ``(features,)`` for ICVMD_FEATURES, ``(mains, branches)`` for the
-    classifier pipelines.  A capture that cannot be loaded (missing file, bad
-    length, bad sidecar) or whose representation raises DegenerateInputError
-    (for example a side whose every mode is DC or SPECIAL, or no FEATURE mode
-    to describe) is dropped and ``(path, reason)`` is appended to ``skipped``;
+    classifier pipelines, where RAW_NN's two are one array.  A capture that
+    cannot be loaded (missing file, bad length, bad sidecar) or whose
+    representation raises DegenerateInputError (for example a side whose
+    every mode is DC or SPECIAL, or no FEATURE mode to describe) is dropped
+    and ``(path, reason)`` is appended to ``skipped``;
     a ParameterError from the solver config propagates.  Pass one
     ``memo`` dict for a whole run so each capture is decomposed at most once;
     it is keyed by (manifest directory, entry path).  Raises
@@ -176,7 +176,8 @@ def represent(
         raise DegenerateInputError(f"the manifest in {manifest['_dir']} lists no captures")
     if not kept:
         raise DegenerateInputError(f"none of {len(entries)} captures could be represented")
-    return kept, tuple(np.stack(part) for part in zip(*reprs))
+    arrays = tuple(np.stack(part) for part in zip(*reprs))
+    return kept, arrays * 2 if pipeline is Pipeline.RAW_NN else arrays
 
 
 def _labels(entries) -> np.ndarray:

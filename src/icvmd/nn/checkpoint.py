@@ -4,9 +4,11 @@ The manifest records the format version, the model's ``config`` (its segment
 length, as the rest of the architecture is fixed) and the caller's metadata,
 which must include ``class_ids``, the emitter label of each model output.
 The arrays are stored as trained under their parameter keys and load as
-float32.  Loading refuses a manifest that is not UTF-8 JSON, a missing or
-unknown key, ``class_ids`` that are not at least 2 distinct integers, an
-array shaped for another head width, and a non-finite value.
+float32.  Saving refuses a non-finite value, so a diverged run writes no
+file that loading would refuse.  Loading refuses a manifest that is not
+UTF-8 JSON, a missing or unknown key, ``class_ids`` that are not at least 2
+distinct integers, an array shaped for another head width, and a non-finite
+value.
 """
 from __future__ import annotations
 
@@ -23,7 +25,14 @@ from .model import ModelConfig, NetParams, init_params
 FORMAT_VERSION = 3
 
 
+def _check_finite(key: str, a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ParameterError(f"non-finite value in {key}")
+
+
 def save_checkpoint(path, params: NetParams, meta: dict) -> Path:
+    for key, a in params.arrays.items():
+        _check_finite(key, a)
     path = Path(path)
     manifest = dict(meta, format_version=FORMAT_VERSION, config=asdict(params.config))
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -66,6 +75,5 @@ def load_checkpoint(path) -> tuple[NetParams, dict]:
     for key, ref in expected.items():
         if files[key].shape != ref.shape:
             raise ParameterError(f"shape mismatch at {key}: {ref.shape} vs {files[key].shape}")
-        if not np.all(np.isfinite(files[key])):
-            raise ParameterError(f"non-finite value in {key}")
+        _check_finite(key, files[key])
     return NetParams(config, {key: files[key].astype(np.float32, copy=False) for key in expected}), meta

@@ -14,6 +14,10 @@ training forward keeps each conv input once and nothing beside it.
 conv_backward can continue the parameter gradients of an earlier call, so a
 batch split into consecutive chunks of samples gets the same bytes as one
 call over the whole batch.
+The conv passes and relu_backward write into ``out`` when given, and each
+lagged tap's product goes into ``scratch`` (shaped like the result) before
+it is added, so a caller that reuses both allocates no activation; the bytes
+are the same either way.
 """
 from __future__ import annotations
 
@@ -68,14 +72,15 @@ class Dense:
             raise ParameterError("dense layer needs weights [out, in] and bias [out]")
 
 
-def conv_forward(x: np.ndarray, layer: ConvLayer):
+def conv_forward(x: np.ndarray, layer: ConvLayer, out=None, scratch=None):
     """Batched causal dilated conv: x [B, C_in, T] -> y [B, C_out, T].
 
     Tap j is one matmul at lag (width-1-j)*dilation against a view of x; a
     lag of T or more reaches no output and is skipped.  The bias is added as
     one [C_out, T] block, so the add runs over contiguous rows.  The cache
     holds x by reference (no copy), so x must not be modified in place
-    before conv_backward.
+    before conv_backward.  ``out`` and ``scratch`` are [B, C_out, T] and
+    must not overlap x.
     """
     if x.ndim != 3:
         raise ParameterError(f"conv input must be [B, C, T], got shape {x.shape}")
@@ -85,11 +90,12 @@ def conv_forward(x: np.ndarray, layer: ConvLayer):
         )
     t = x.shape[2]
     w, width, d = layer.weights, layer.width, layer.dilation
-    y = w[:, :, width - 1] @ x
+    y = np.matmul(w[:, :, width - 1], x, out=out)
     for j in range(width - 1):
         lag = (width - 1 - j) * d
         if lag < t:
-            y[:, :, lag:] += w[:, :, j] @ x[:, :, : t - lag]
+            tap = None if scratch is None else scratch[:, :, : t - lag]
+            y[:, :, lag:] += np.matmul(w[:, :, j], x[:, :, : t - lag], out=tap)
     y += np.repeat(layer.bias[:, None], t, axis=1)
     return y, (x, layer)
 
@@ -103,24 +109,26 @@ def _summed(parts: np.ndarray, prior) -> np.ndarray:
     return parts.sum(axis=0)
 
 
-def conv_backward(dy: np.ndarray, cache, total=None):
+def conv_backward(dy: np.ndarray, cache, total=None, out=None, scratch=None):
     """Returns (dx [B, C_in, T], dweights [C_out, C_in, W], dbias [C_out]).
 
     ``total``, the (dweights, dbias) of an earlier call over the preceding
     samples, is continued: the parameter gradients then sum over those samples
     and these, bit-identical to one call over the concatenated batch.
+    ``out`` and ``scratch`` are [B, C_in, T] and must not overlap dy.
     """
     x, layer = cache
     t = x.shape[2]
     w, width, d = layer.weights, layer.width, layer.dilation
     prior_w, prior_b = (None, None) if total is None else total
     dw = np.zeros_like(w)
-    dx = w[:, :, width - 1].T @ dy
+    dx = np.matmul(w[:, :, width - 1].T, dy, out=out)
     for j in range(width):
         lag = (width - 1 - j) * d
         if lag < t:
             if lag:
-                dx[:, :, : t - lag] += w[:, :, j].T @ dy[:, :, lag:]
+                tap = None if scratch is None else scratch[:, :, : t - lag]
+                dx[:, :, : t - lag] += np.matmul(w[:, :, j].T, dy[:, :, lag:], out=tap)
             parts = dy[:, :, lag:] @ x[:, :, : t - lag].transpose(0, 2, 1)
             dw[:, :, j] = _summed(parts, None if prior_w is None else prior_w[:, :, j])
     db = _summed(dy.sum(axis=2), prior_b)
@@ -138,9 +146,9 @@ def relu_forward(x: np.ndarray):
     return x, x
 
 
-def relu_backward(dy: np.ndarray, cache):
-    """dy where the cached ReLU output is positive, zero elsewhere."""
-    return dy * (cache > 0.0)
+def relu_backward(dy: np.ndarray, cache, out=None):
+    """dy where the cached ReLU output is positive, zero elsewhere (into ``out`` when given)."""
+    return np.multiply(dy, cache > 0.0, out=out)
 
 
 def dense_forward(x: np.ndarray, layer: Dense):

@@ -25,6 +25,13 @@ order, so every result is bit-identical to one pass over the whole batch.
 The forward cache keeps each conv input once and nothing beside it: a ReLU
 runs in place and its backward reads the output the next conv caches, and
 the residual blocks write straight into the merge conv's input.
+
+Activations live in a workspace, a dict of buffers, one per activation per
+chunk; train() passes one to every step and frees it on return, so no step
+after the first allocates an activation.  Backward keeps its chunk-sized
+gradients there too, and the next forward borrows them as tap scratch.  A
+forward without a workspace runs every chunk through buffers local to the
+call and keeps only the attention.
 """
 from __future__ import annotations
 
@@ -144,77 +151,111 @@ def _chunks(b: int, t: int) -> list:
     return [slice(lo, min(lo + step, b)) for lo in range(0, b, step)]
 
 
-def _conv_grads(dy: np.ndarray, cache, grads: dict, name: str) -> np.ndarray:
+def _buf(ws: dict, key, shape: tuple, dtype) -> np.ndarray:
+    """The first shape[0] rows of buffer ``key`` in ``ws``; made on first use,
+    and made again if its row shape or dtype differs or it has too few rows."""
+    a = ws.get(key)
+    if a is None or a.shape[0] < shape[0] or a.shape[1:] != shape[1:] or a.dtype != dtype:
+        a = ws[key] = np.empty(shape, dtype)
+    return a[: shape[0]]
+
+
+def _scratch(ws: dict, shape: tuple, dtype):
+    """The tap scratch keyed by its row shape, if backward has made it."""
+    return _buf(ws, shape[1:], shape, dtype) if shape[1:] in ws else None
+
+
+def _conv_out(x: np.ndarray, layer: ConvLayer, ws: dict, key, out=None):
+    """conv_forward into buffer ``key`` of ``ws`` (or into ``out``)."""
+    shape = (x.shape[0], layer.weights.shape[0], x.shape[2])
+    out = _buf(ws, key, shape, x.dtype) if out is None else out
+    return conv_forward(x, layer, out, _scratch(ws, shape, x.dtype))
+
+
+def _conv_grads(dy: np.ndarray, cache, grads: dict, name: str, ws: dict) -> np.ndarray:
     """conv_backward for layer ``name``, continuing the weight and bias sums an
-    earlier chunk left in ``grads``; returns the input gradient."""
+    earlier chunk left in ``grads``; returns the input gradient, in ``ws``."""
     w_key, b_key = f"{name}.weights", f"{name}.bias"
     total = (grads[w_key], grads[b_key]) if w_key in grads else None
-    dx, grads[w_key], grads[b_key] = conv_backward(dy, cache, total)
+    x, layer = cache
+    out = _buf(ws, ("d", *x.shape[1:]), x.shape, x.dtype)
+    tap = _buf(ws, x.shape[1:], x.shape, x.dtype) if layer.width > 1 else None
+    dx, grads[w_key], grads[b_key] = conv_backward(dy, cache, total, out, tap)
     return dx
 
 
-def _residual_forward(h: np.ndarray, params: NetParams, i: int, out=None):
+def _relu_grads(dy: np.ndarray, cache, ws: dict) -> np.ndarray:
+    return relu_backward(dy, cache, _buf(ws, ("r", *dy.shape[1:]), dy.shape, dy.dtype))
+
+
+def _residual_forward(h: np.ndarray, params: NetParams, i: int, out=None, ws=None, chunk=0):
     """TCN block i: o = h + conv2(relu(conv1(h))) at the block's dilation,
-    written into ``out`` when given."""
-    d = DILATIONS[i]
-    y1, c1 = conv_forward(h, _conv(params, f"tcn.blocks.{i}.conv1", d))
+    written into ``out`` when given (conv2 writes there, then h is added)."""
+    d, ws = DILATIONS[i], {} if ws is None else ws
+    name = f"tcn.blocks.{i}.conv1"
+    y1, c1 = _conv_out(h, _conv(params, name, d), ws, (name, chunk))
     a1, r1 = relu_forward(y1)
-    y2, c2 = conv_forward(a1, _conv(params, f"tcn.blocks.{i}.conv2", d))
-    return np.add(h, y2, out=out), (c1, r1, c2)
+    y2, c2 = _conv_out(a1, _conv(params, f"tcn.blocks.{i}.conv2", d), ws, "y", out)
+    return np.add(h, y2, out=y2), (c1, r1, c2)
 
 
-def _residual_backward(dout: np.ndarray, cache, grads, prefix):
+def _residual_backward(dout: np.ndarray, cache, grads, prefix, ws):
     c1, r1, c2 = cache
-    da1 = _conv_grads(dout, c2, grads, f"{prefix}.conv2")
-    dh = _conv_grads(relu_backward(da1, r1), c1, grads, f"{prefix}.conv1")
-    return dout + dh  # skip connection plus the conv path
+    da1 = _conv_grads(dout, c2, grads, f"{prefix}.conv2", ws)
+    dh = _conv_grads(_relu_grads(da1, r1, ws), c1, grads, f"{prefix}.conv1", ws)
+    return np.add(dout, dh, out=dh)  # skip connection plus the conv path
 
 
-def _stack_forward(params: NetParams, prefix: str, n_layers: int, h: np.ndarray):
+def _stack_forward(params: NetParams, prefix: str, n_layers: int, h: np.ndarray, ws: dict, chunk: int):
     """Layers ``{prefix}.0`` .. ``{prefix}.{n_layers-1}``, each conv then ReLU."""
     caches = []
     for i in range(n_layers):
-        y, cc = conv_forward(h, _conv(params, f"{prefix}.{i}"))
+        y, cc = _conv_out(h, _conv(params, f"{prefix}.{i}"), ws, (f"{prefix}.{i}", chunk))
         h, rc = relu_forward(y)
         caches.append((cc, rc))
     return h, caches
 
 
-def _stack_backward(dh: np.ndarray, caches, grads, prefix: str) -> np.ndarray:
+def _stack_backward(dh: np.ndarray, caches, grads, prefix: str, ws: dict) -> np.ndarray:
     for i in range(len(caches) - 1, -1, -1):
         cc, rc = caches[i]
-        dh = _conv_grads(relu_backward(dh, rc), cc, grads, f"{prefix}.{i}")
+        dh = _conv_grads(_relu_grads(dh, rc, ws), cc, grads, f"{prefix}.{i}", ws)
     return dh
 
 
-def features_forward(params: NetParams, x: np.ndarray):
+def features_forward(params: NetParams, x: np.ndarray, ws=None, chunk=0):
     """Encoder + TCN + merge: x [B, C_in, T] -> feat [B, channels, T], cache.
 
     Block i writes its output into channel slice i of the merge input, and
-    block i+1 reads that slice: each block output is held once.
+    block i+1 reads that slice: each block output is held once.  Activations
+    go into buffers ``chunk`` of ``ws``, feat into its tap scratch if any.
     """
-    h, enc_caches = _stack_forward(params, "encoder", ENCODER_LAYERS, x)
+    ws = {} if ws is None else ws
+    h, enc_caches = _stack_forward(params, "encoder", ENCODER_LAYERS, x, ws, chunk)
     c = CHANNELS
-    stacked = np.empty((h.shape[0], c * N_BLOCKS, h.shape[2]), dtype=h.dtype)
+    stacked = _buf(ws, ("tcn.merge", chunk), (h.shape[0], c * N_BLOCKS, h.shape[2]), h.dtype)
     block_caches = []
     for i in range(N_BLOCKS):
-        h, cache = _residual_forward(h, params, i, stacked[:, i * c : (i + 1) * c])
+        h, cache = _residual_forward(h, params, i, stacked[:, i * c : (i + 1) * c], ws, chunk)
         block_caches.append(cache)
-    feat, merge_cache = conv_forward(stacked, _conv(params, "tcn.merge"))
+    feat, merge_cache = conv_forward(stacked, _conv(params, "tcn.merge"), _scratch(ws, h.shape, h.dtype))
     return feat, (enc_caches, block_caches, merge_cache)
 
 
-def features_backward(params: NetParams, dfeat: np.ndarray, cache, grads) -> np.ndarray:
+def features_backward(params: NetParams, dfeat: np.ndarray, cache, grads, ws=None) -> np.ndarray:
     """Input gradient of features_forward; adds the trunk's parameter gradients
-    to any that an earlier chunk of samples left in ``grads``."""
+    to any that an earlier chunk of samples left in ``grads``.  Each input
+    gradient goes into a buffer of ``ws``, valid until the next backward."""
+    ws = {} if ws is None else ws
     enc_caches, block_caches, merge_cache = cache
-    dstacked = _conv_grads(dfeat, merge_cache, grads, "tcn.merge")
+    dstacked = _conv_grads(dfeat, merge_cache, grads, "tcn.merge", ws)
     c = CHANNELS
-    douts = [dstacked[:, i * c : (i + 1) * c, :] for i in range(N_BLOCKS)]
-    dh = np.zeros_like(douts[-1])
+    dh = 0.0
     for i in range(N_BLOCKS - 1, -1, -1):
-        dh = _residual_backward(douts[i] + dh, block_caches[i], grads, f"tcn.blocks.{i}")
-    return _stack_backward(dh, enc_caches, grads, "encoder")
+        dout = dstacked[:, i * c : (i + 1) * c, :]
+        dout += dh  # adds +0.0 above the top block, as a zero array would
+        dh = _residual_backward(dout, block_caches[i], grads, f"tcn.blocks.{i}", ws)
+    return _stack_backward(dh, enc_caches, grads, "encoder", ws)
 
 
 def _segment_count(params: NetParams, t: int) -> int:
@@ -226,29 +267,31 @@ def _segment_count(params: NetParams, t: int) -> int:
     return s
 
 
-def _branch_forward(params: NetParams, xb: np.ndarray, s: int):
+def _branch_forward(params: NetParams, xb: np.ndarray, s: int, workspace=None):
     """Per-segment scores: xb [B, C_in, T] -> scores [B, S], cache.
 
     Segments are processed independently (folded into the batch axis), so the
     score of segment s depends only on the samples inside segment s.  The conv
-    stack runs chunk by chunk; the scoring head sees the whole batch.
+    stack runs chunk by chunk, as the trunk does; the head sees the whole batch.
     """
     length = params.config.segment_len
     b, c_in, t = xb.shape
     pooled = np.empty((b * s, BRANCH_CHANNELS), dtype=params.dtype)
+    ws = {} if workspace is None else workspace
     chunks = []
-    for rows in _chunks(b, t):
-        n = rows.stop - rows.start
+    for k, rows in enumerate(_chunks(b, t)):
+        n, at = rows.stop - rows.start, 0 if workspace is None else k
+        folded = _buf(ws, ("branch.in", at), (n * s, c_in, length), params.dtype)
         xs = xb[rows, :, : s * length].reshape(n, c_in, s, length)
-        folded = xs.transpose(0, 2, 1, 3).reshape(n * s, c_in, length)
-        h, caches = _stack_forward(params, "branch.convs", BRANCH_LAYERS, folded)
+        np.copyto(folded.reshape(n, s, c_in, length), xs.transpose(0, 2, 1, 3))
+        h, caches = _stack_forward(params, "branch.convs", BRANCH_LAYERS, folded, ws, at)
         pooled[rows.start * s : rows.stop * s] = h.mean(axis=2)
         chunks.append((rows, caches))
     scores, dcache = dense_forward(pooled, _dense(params, "branch.head"))
     return scores.reshape(b, s), (chunks, dcache)
 
 
-def _branch_backward(params: NetParams, dscores: np.ndarray, cache, grads) -> None:
+def _branch_backward(params: NetParams, dscores: np.ndarray, cache, grads, ws: dict) -> None:
     chunks, dcache = cache
     length = params.config.segment_len
     b, s = dscores.shape
@@ -259,7 +302,7 @@ def _branch_backward(params: NetParams, dscores: np.ndarray, cache, grads) -> No
         n = rows.stop - rows.start
         dp = dpooled[rows.start * s : rows.stop * s, :, None] / length
         dh = np.broadcast_to(dp, (n * s, dp.shape[1], length))
-        _stack_backward(dh, caches, grads, "branch.convs")
+        _stack_backward(dh, caches, grads, "branch.convs", ws)
 
 
 def spatial_attention_weights(params: NetParams, branch_x: np.ndarray) -> np.ndarray:
@@ -273,7 +316,7 @@ def spatial_attention_weights(params: NetParams, branch_x: np.ndarray) -> np.nda
     return softmax(scores, axis=1)
 
 
-def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray):
+def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, workspace=None):
     """Full forward pass in the parameters' dtype.
 
     main_x and branch_x are [B, C_in, T] over the same time grid, B >= 1.
@@ -282,6 +325,11 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray):
     run over consecutive chunks of samples sized to stay in cache, and the
     heads over the whole batch; every result is bit-identical to one pass
     over the whole batch.
+
+    With a ``workspace`` (a dict, ``{}`` at first) the cache refers to its
+    buffers and to the inputs, valid until the next forward that uses the same
+    workspace.  Without one the cache holds only the attention, and
+    model_backward refuses it.
     """
     xm = np.asarray(main_x, dtype=params.dtype)
     xb = np.asarray(branch_x, dtype=params.dtype)
@@ -298,10 +346,11 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray):
     length = params.config.segment_len
     c = CHANNELS
 
+    ws = {} if workspace is None else workspace
     pool = np.empty((b, c, s), dtype=params.dtype)
     trunk = []
-    for rows in _chunks(b, t):
-        feat, feat_cache = features_forward(params, xm[rows])
+    for k, rows in enumerate(_chunks(b, t)):
+        feat, feat_cache = features_forward(params, xm[rows], ws, 0 if workspace is None else k)
         pool[rows] = feat[:, :, : s * length].reshape(-1, c, s, length).mean(axis=3)
         trunk.append((rows, feat_cache))
 
@@ -309,13 +358,16 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray):
     seg_logits_flat, cls1_cache = dense_forward(flat, _dense(params, "classifier1"))
     seg_logits = seg_logits_flat.reshape(b, s, -1).transpose(0, 2, 1)  # [B, n_classes, S]
 
-    scores, branch_cache = _branch_forward(params, xb, s)
+    scores, branch_cache = _branch_forward(params, xb, s, workspace)
     att = softmax(scores, axis=1)  # [B, S]
 
     z = np.einsum("bs,bos->bo", att, seg_logits)  # [B, n_classes]
     logits, cls2_cache = dense_forward(z, _dense(params, "classifier2"))
+    if workspace is None:
+        return logits, {"attention": att}
 
     cache = {
+        "workspace": workspace,
         "trunk": trunk,
         "cls1_cache": cls1_cache,
         "seg_logits": seg_logits,
@@ -330,10 +382,14 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray):
 def model_backward(params: NetParams, dlogits: np.ndarray, cache) -> dict:
     """Exact gradients of every parameter for the cached forward pass.
 
-    The trunk runs backward chunk by chunk in sample order, each conv's weight
-    and bias sums continuing from the chunk before, so every gradient is
-    bit-identical to one backward pass over the whole batch.
+    The cache must come from a model_forward given a workspace.  The trunk
+    runs backward chunk by chunk in sample order, each conv's weight and bias
+    sums continuing from the chunk before, so every gradient is bit-identical
+    to one backward pass over the whole batch.
     """
+    if "workspace" not in cache:
+        raise ParameterError("this cache keeps no activations: pass a workspace (a dict) to model_forward to train")
+    ws = cache["workspace"]
     b, s, t = cache["dims"]
     length = params.config.segment_len
     dlogits = np.asarray(dlogits, dtype=params.dtype)
@@ -348,7 +404,7 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache) -> dict:
     dseg_logits = np.einsum("bo,bs->bos", dz, att)
 
     dscores = softmax_backward(datt, att, axis=1)
-    _branch_backward(params, dscores, cache["branch_cache"], grads)
+    _branch_backward(params, dscores, cache["branch_cache"], grads, ws)
 
     dflat = dseg_logits.transpose(0, 2, 1).reshape(b * s, -1)
     dpool_flat, dw, db = dense_backward(dflat, cache["cls1_cache"], _dense(params, "classifier1"))
@@ -358,11 +414,10 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache) -> dict:
     c = CHANNELS
     for rows, feat_cache in cache["trunk"]:
         n = rows.stop - rows.start
-        dfeat = np.zeros((n, c, t), dtype=params.dtype)
-        dfeat[:, :, : s * length] = np.broadcast_to(
-            dpool[rows, :, :, None] / length, (n, c, s, length)
-        ).reshape(n, c, s * length)
-        features_backward(params, dfeat, feat_cache, grads)
+        dfeat = _buf(ws, "dfeat", (n, c, t), params.dtype)
+        dfeat[:, :, s * length :] = 0.0
+        dfeat[:, :, : s * length].reshape(n, c, s, length)[...] = dpool[rows, :, :, None] / length
+        features_backward(params, dfeat, feat_cache, grads, ws)
     return grads
 
 

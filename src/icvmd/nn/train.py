@@ -7,7 +7,7 @@ import numpy as np
 
 from ..errors import DegenerateInputError, ParameterError
 from .layers import init_dense
-from .model import NetParams, _segment_count, cross_entropy, layer_arrays, model_backward, model_forward
+from .model import NetParams, _buf, _segment_count, cross_entropy, layer_arrays, model_backward, model_forward
 
 # Adam moment decays and denominator guard (Kingma & Ba's defaults).
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
@@ -44,8 +44,10 @@ class TrainResult:
 
 
 def _check_dataset(main, branch, labels, params: NetParams):
+    """The inputs cast to the parameters' dtype (one array when branch is main)."""
+    same = branch is main
     main = np.asarray(main, dtype=params.dtype)
-    branch = np.asarray(branch, dtype=params.dtype)
+    branch = main if same else np.asarray(branch, dtype=params.dtype)
     labels = np.asarray(labels)
     if main.ndim != 3 or branch.shape != main.shape:
         raise ParameterError("main and branch inputs must both be [N, C, T]")
@@ -58,7 +60,16 @@ def _check_dataset(main, branch, labels, params: NetParams):
     if labels.min() < 0 or labels.max() >= params.n_classes:
         raise ParameterError(f"labels must lie in [0, {params.n_classes})")
     _segment_count(params, main.shape[2])  # also at epochs=0, so no model that no input can run comes back
+    for name, x in (("main", main), ("branch", branch))[: 1 if same else 2]:
+        if not np.isfinite(x).all():  # after the cast, so a float64 value past float32's range counts
+            raise ParameterError(f"{name} input holds a non-finite value in {params.dtype}")
     return main, branch, labels
+
+
+def _gather(ws: dict, key: str, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """x[idx] in buffer ``key`` of ``ws``; mode "clip" writes straight into it
+    (idx is in range), where "raise" would gather into a copy first."""
+    return np.take(x, idx, axis=0, out=_buf(ws, key, (len(idx), *x.shape[1:]), x.dtype), mode="clip")
 
 
 def train(
@@ -72,10 +83,13 @@ def train(
     """Run Adam on a copy of ``params``; the input object is never mutated.
 
     The inputs are cast once to the parameters' dtype, which every result
-    keeps.  Arrays whose key starts with any of ``freeze_prefixes`` receive no
-    updates at all, so they come back bit-identical; a prefix that matches no
-    key is an error.  learning_rate == 0 leaves every parameter bit-identical
-    (useful as a determinism probe).
+    keeps, and must be finite; one array passed as both ``main`` and
+    ``branch`` is cast and gathered once.  Every step runs through one
+    workspace (see nn/model.py) that this call frees on return.  Arrays whose
+    key starts with any of ``freeze_prefixes`` receive no updates at all, so
+    they come back bit-identical; a prefix that matches no key is an error.
+    learning_rate == 0 leaves every parameter bit-identical (useful as a
+    determinism probe).
     """
     main, branch, labels = _check_dataset(main, branch, labels, params)
     prefixes = tuple(freeze_prefixes)
@@ -91,12 +105,15 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     n = main.shape[0]
     history = []
+    ws: dict = {}
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            logits, cache = model_forward(out, main[idx], branch[idx])
+            xm = _gather(ws, "main", main, idx)
+            xb = xm if branch is main else _gather(ws, "branch", branch, idx)
+            logits, cache = model_forward(out, xm, xb, ws)
             loss, dlogits = cross_entropy(logits, labels[idx])
             grads = model_backward(out, dlogits, cache)
             losses.append(loss)

@@ -335,6 +335,15 @@ def reference_features_forward(params: NetParams, x: np.ndarray):
     return feat, (enc_caches, block_caches, merge_cache)
 
 
+def training_cache_bytes(b: int, t: int, itemsize: int = 4) -> int:
+    """Bytes of the activations a training forward keeps for b inputs of length
+    t: the ten trunk conv inputs past the first, each CHANNELS wide, the
+    branch's folded input and its conv outputs."""
+    rows = (model.ENCODER_LAYERS + 2 * model.N_BLOCKS) * model.CHANNELS
+    rows += model.IN_CHANNELS + model.BRANCH_LAYERS * model.BRANCH_CHANNELS
+    return rows * b * t * itemsize
+
+
 def as_float64(params: NetParams) -> NetParams:
     """A float64 copy of ``params``: the model then runs in float64 throughout."""
     return NetParams(params.config, {k: a.astype(np.float64) for k, a in params.arrays.items()})
@@ -401,7 +410,7 @@ def grad_check(
     branch = np.asarray(branch, dtype=np.float64)
     labels = np.asarray(labels)
 
-    logits, cache = model_forward(params, main, branch)
+    logits, cache = model_forward(params, main, branch, {})
     _, dlogits = cross_entropy(logits, labels)
     grads = model_backward(params, dlogits, cache)
 

@@ -121,6 +121,17 @@ def test_non_finite_array_rejected(tmp_path, bad):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_array_is_not_saved(tmp_path, bad):
+    # A diverged run would otherwise write a file that load_checkpoint refuses.
+    params = init_params(TINY, 3, seed=0)
+    params.arrays["encoder.0.weights"][1, 0, 2] = bad
+    path = tmp_path / "out" / "m.npz"
+    with pytest.raises(ParameterError, match=r"^non-finite value in encoder\.0\.weights$"):
+        save_checkpoint(path, params, META)
+    assert not path.parent.exists()
+
+
 @pytest.mark.parametrize(
     "edit",
     [

@@ -196,9 +196,10 @@ def test_represent_reads_the_captures_in_path_order(tmp_path):
     shuffled = [in_order[i] for i in np.random.default_rng(3).permutation(len(in_order))]
     assert shuffled != in_order
     cfg = default_icvmd_config(n_modes=2)
-    kept, (mains, _) = fewshot.represent(Pipeline.RAW_NN, dict(manifest, files=shuffled), cfg)
+    kept, (mains, branches) = fewshot.represent(Pipeline.RAW_NN, dict(manifest, files=shuffled), cfg)
     assert kept == in_order
     assert np.array_equal(mains[0], signal_channels(load_entry(manifest, in_order[0])))
+    assert branches is mains  # stacked once, so train() casts and gathers it once
 
 
 def capped(max_iter, n_modes=2):

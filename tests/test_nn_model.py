@@ -23,7 +23,7 @@ from icvmd.nn.model import (
     spatial_attention_weights,
 )
 from icvmd.nn.train import TrainConfig, train
-from oracles import as_float64, kink_margin, reference_features_forward, residual_block
+from oracles import as_float64, kink_margin, reference_features_forward, residual_block, training_cache_bytes
 
 
 TINY = ModelConfig(segment_len=10)
@@ -174,7 +174,7 @@ def test_forward_and_backward_run_in_the_parameters_dtype(cast):
     dtype = np.float64 if cast else np.float32
     assert {a.dtype for a in params.arrays.values()} == {np.dtype(dtype)}
     xm, xb = tiny_batch(b=2, t=35)
-    logits, cache = model_forward(params, xm, xb)
+    logits, cache = model_forward(params, xm, xb, {})
     assert logits.dtype == cache["attention"].dtype == dtype
     _, dlogits = cross_entropy(logits, np.array([0, 2]))
     assert dlogits.dtype == dtype
@@ -222,7 +222,7 @@ def test_cross_entropy_rejects_an_empty_batch():
 def test_backward_produces_gradient_for_every_array():
     params = tiny_model()
     xm, xb = tiny_batch(b=2, t=30)
-    logits, cache = model_forward(params, xm, xb)
+    logits, cache = model_forward(params, xm, xb, {})
     _, dlogits = cross_entropy(logits, np.array([0, 1]))
     grads = model_backward(params, dlogits, cache)
     assert grads.keys() == params.arrays.keys()
@@ -247,7 +247,7 @@ def test_samples_past_the_last_full_segment_feed_nothing(edit):
 
 
 def _forward_backward_train(params, xm, xb, labels):
-    logits, cache = model_forward(params, xm, xb)
+    logits, cache = model_forward(params, xm, xb, {})
     _, dlogits = cross_entropy(logits, labels)
     fit = train(params, xm, xb, labels, TrainConfig(epochs=2, batch_size=5))
     return logits, cache["attention"], model_backward(params, dlogits, cache), fit
@@ -320,11 +320,57 @@ def test_training_forward_keeps_each_conv_input_once():
     allowance = (BRANCH_LAYERS * BRANCH_CHANNELS + 2 * IN_CHANNELS) * b * t * f32
     tracemalloc.start()
     try:
-        _, cache = model_forward(params, xm, xb)
+        _, cache = model_forward(params, xm, xb, {})
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert trunk <= held <= trunk + allowance
+
+
+def test_inference_without_a_workspace_keeps_one_chunk_at_a_time():
+    # Every chunk runs through the same buffers and none is kept, so the peak
+    # is one chunk's activations plus a tap product and the merge output,
+    # where a forward that keeps them all holds the whole batch's (4.5x here).
+    b, t = 32, 2100
+    params = init_params(ModelConfig(), n_classes=4, seed=0)
+    rng = np.random.default_rng(2)
+    xm = rng.normal(size=(b, IN_CHANNELS, t)).astype(np.float32)
+    xb = rng.normal(size=(b, IN_CHANNELS, t)).astype(np.float32)
+    rows = model._chunks(b, t)[0].stop
+    tracemalloc.start()
+    try:
+        logits, cache = model_forward(params, xm, xb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= training_cache_bytes(rows, t) + 2 * rows * CHANNELS * t * 4
+    assert cache.keys() == {"attention"}
+    want, want_cache = model_forward(params, xm, xb, {})
+    assert logits.tobytes() == want.tobytes()
+    assert cache["attention"].tobytes() == want_cache["attention"].tobytes()
+    with pytest.raises(ParameterError, match="pass a workspace"):
+        model_backward(params, np.zeros_like(logits), cache)
+
+
+def test_a_reused_workspace_gives_the_bytes_of_a_fresh_one():
+    # The batch of 12 runs in chunks of 7 and 5, in the leading rows of the
+    # buffers the batch of 32 made; backward's buffers are reused the same way.
+    params = init_params(ModelConfig(), n_classes=4, seed=3)
+    rng = np.random.default_rng(4)
+
+    def step(b, ws):
+        xm, xb = rng.normal(size=(2, b, IN_CHANNELS, 2100)).astype(np.float32)
+        logits, cache = model_forward(params, xm, xb, ws)
+        _, dlogits = cross_entropy(logits, np.arange(b) % 4)
+        return [logits, cache["attention"], *model_backward(params, dlogits, cache).values()]
+
+    ws: dict = {}
+    step(32, ws)
+    state = rng.bit_generator.state
+    got = step(12, ws)
+    rng.bit_generator.state = state
+    want = step(12, {})
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 # ------------------------------------------------------------ parameter dict

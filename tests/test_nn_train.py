@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from icvmd.errors import DegenerateInputError, ParameterError
-from icvmd.nn.model import CHANNELS, ModelConfig, init_params, model_forward
-from icvmd.nn.train import TrainConfig, sat_transfer, train
-from oracles import as_float64, batch_loss, grad_check
+from icvmd.nn import train as train_module
+from icvmd.nn import model
+from icvmd.nn.model import CHANNELS, IN_CHANNELS, ModelConfig, init_params, model_forward
+from icvmd.nn.train import TrainConfig, _check_dataset, sat_transfer, train
+from oracles import as_float64, batch_loss, grad_check, training_cache_bytes
 
 TINY = ModelConfig(segment_len=10)
 
@@ -145,6 +149,44 @@ def test_bool_labels_are_rejected():
         train(params, main, branch, labels, TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("which", ["main", "branch"])
+def test_a_non_finite_input_is_rejected(which):
+    # One NaN would otherwise train every parameter to NaN.
+    params = init_params(TINY, 3, seed=0)
+    main, branch, labels = toy_problem()
+    inputs = {"main": main, "branch": branch}
+    inputs[which][4, 1, 7] = np.nan
+    with pytest.raises(ParameterError, match=f"^{which} input holds a non-finite value in float32$"):
+        train(params, main, branch, labels, TrainConfig(epochs=1))
+
+
+def test_an_input_past_the_parameters_range_is_rejected_after_the_cast():
+    params = init_params(TINY, 3, seed=0)
+    main, branch, labels = toy_problem()
+    branch[0, 0, 0] = 1e39  # finite in float64, inf once cast to the model's float32
+    with np.errstate(over="ignore"), pytest.raises(ParameterError, match="^branch input holds a non-finite"):
+        train(params, main, branch, labels, TrainConfig(epochs=0))
+    # A float64 model holds the same value, so it trains.
+    assert train(as_float64(params), main, branch, labels, TrainConfig(epochs=0)).params.dtype == np.float64
+
+
+def test_one_array_as_both_inputs_is_cast_and_gathered_once(monkeypatch):
+    params = init_params(TINY, 3, seed=0)
+    main, _, labels = toy_problem()
+    cast, branch, _ = _check_dataset(main, main, labels, params)
+    assert branch is cast and cast.dtype == np.float32
+    keys = []
+    gather = train_module._gather
+    monkeypatch.setattr(train_module, "_gather", lambda ws, key, *a: keys.append(key) or gather(ws, key, *a))
+    cfg = TrainConfig(epochs=2, batch_size=10)
+    shared = train(params, main, main, labels, cfg)
+    assert keys == ["main"] * 6  # 24 samples: steps of 10, 10 and 4, twice
+    copied = train(params, main, main.copy(), labels, cfg)
+    assert keys[6:] == ["main", "branch"] * 6
+    assert shared.history == copied.history
+    assert arrays_equal(shared.params, copied.params)
+
+
 @pytest.mark.parametrize("epochs", [0, 1])
 def test_inputs_shorter_than_one_segment_are_rejected(epochs):
     # With no epoch to run, train() would otherwise return a model that no input this short can run.
@@ -152,6 +194,63 @@ def test_inputs_shorter_than_one_segment_are_rejected(epochs):
     main, branch, labels = toy_problem(n=6, t=TINY.segment_len - 1)
     with pytest.raises(ParameterError, match="need at least one full segment: T=9 < segment_len=10"):
         train(params, main, branch, labels, TrainConfig(epochs=epochs))
+
+
+# -------------------------------------------------------------------- memory
+
+
+def traced_steps(monkeypatch, *args) -> list:
+    """Run train(*args) under tracemalloc; returns the traced (current, peak)
+    bytes at the start of each step and at the end, each peak since the mark
+    before it."""
+    marks = []
+    forward = train_module.model_forward
+
+    def marking(*a):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return forward(*a)
+
+    monkeypatch.setattr(train_module, "model_forward", marking)
+    tracemalloc.start()
+    try:
+        train(*args)
+        marks.append(tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return marks
+
+
+def raw_problem(n, t=2100, dtype=np.float64):
+    return np.random.default_rng(5).normal(size=(n, IN_CHANNELS, t)).astype(dtype), np.arange(n) % 4
+
+
+def test_training_peaks_at_one_batch_cache(monkeypatch):
+    # Steps of 32, 32 and 6 share one workspace.  A step that made its cache
+    # while the last step's was still held would peak near two caches.
+    b, t = 32, 2100
+    x, labels = raw_problem(70)
+    params = init_params(ModelConfig(), n_classes=4, seed=0)
+    marks = traced_steps(monkeypatch, params, x, x, labels, TrainConfig(epochs=1, batch_size=b))
+    cache, cast = training_cache_bytes(b, t), x.size * 4
+    # A third of a cache covers the gathered minibatch, backward's chunk-sized
+    # gradient buffers and the heads' small arrays.
+    assert max(peak for _, peak in marks) <= cache + cast + cache // 3
+
+
+def test_a_training_step_after_the_first_allocates_no_activation(monkeypatch):
+    # The first step makes the workspace; every later one reuses it, so it
+    # allocates less than one conv output of one chunk and holds no more after.
+    b, t = 32, 2100
+    x, labels = raw_problem(64, dtype=np.float32)
+    params = init_params(ModelConfig(), n_classes=4, seed=0)
+    marks = traced_steps(monkeypatch, params, x, x, labels, TrainConfig(epochs=2, batch_size=b))
+    bound = model._chunks(b, t)[0].stop * CHANNELS * t * 4
+    starts = [current for current, _ in marks[1:-1]]
+    assert len(starts) == 3
+    for start, (_, peak) in zip(starts, marks[2:]):
+        assert peak - start <= bound
+    assert max(starts) - min(starts) <= bound
 
 
 # --------------------------------------------------------------- grad check
