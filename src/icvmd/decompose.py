@@ -4,10 +4,10 @@ Pipeline: split the complex input into two real sequences (positive- and
 negative-frequency halves, the DC bin with the positive side), run the
 real-signal mode decomposition on each side independently with one
 ``VmdConfig``, then label every mode by one fixed rule so downstream code can
-select the intentional-modulation content, the distortion features, near-DC
-content, or near-Nyquist content, and rebuild a complex signal from any
-selection.  A selection with the residual is rebuilt as the input minus the
-modes it leaves out, so selecting everything returns the input bit for bit.
+select the intentional-modulation content or the distortion features, and
+rebuild a complex signal from any selection.  A selection with the residual
+is rebuilt as the input minus the modes it leaves out, so selecting
+everything returns the input bit for bit.
 """
 from __future__ import annotations
 
@@ -20,21 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import analytic_split, combine_analytic
-from .errors import DegenerateInputError, ParameterError
+from .errors import ParameterError
 from .signals import ComplexSignal
 from .vmd import ModeSet, VmdConfig, VmdResult, check_memory_budget, vmd_decompose
-
-# A mode centred above _SPECIAL_LOW (radians) that holds at least
-# _SPECIAL_ENERGY_MIN of its side's input energy is SPECIAL.
-_SPECIAL_LOW = 0.9 * math.pi
-_SPECIAL_ENERGY_MIN = 0.05
-
 
 class ModeLabel(enum.Enum):
     SIGNAL = "signal"  # intentional modulation content
     FEATURE = "feature"  # residual distortion bands (the fingerprint carriers)
-    DC = "dc"  # near-zero-frequency content kept out of both groups
-    SPECIAL = "special"  # strong content near Nyquist
 
 
 class Selection(enum.Enum):
@@ -66,26 +58,10 @@ def side_input_energy(result: VmdResult) -> float:
 
 
 def partition_modes(result: VmdResult) -> tuple:
-    """Label each mode of one side.
-
-    A mode centred within one grid step of 0 is DC; one centred above
-    ``_SPECIAL_LOW`` with at least ``_SPECIAL_ENERGY_MIN`` of the side's input
-    energy is SPECIAL; the strongest remaining mode is SIGNAL and the rest are
-    FEATURE.  A side with no mode left for SIGNAL raises DegenerateInputError.
-    """
-    energies = mode_energies(result)
-    fractions = energies / max(side_input_energy(result), 1e-300)
-    grid_step = math.pi / (result.mode_set.mode_spectra.shape[1] - 1)
-    labels = [
-        ModeLabel.DC if omega < grid_step
-        else ModeLabel.SPECIAL if omega > _SPECIAL_LOW and fraction >= _SPECIAL_ENERGY_MIN
-        else ModeLabel.FEATURE
-        for omega, fraction in zip(result.omegas, fractions)
-    ]
-    remaining = [i for i, label in enumerate(labels) if label is ModeLabel.FEATURE]
-    if not remaining:
-        raise DegenerateInputError("every mode of a side is DC or SPECIAL; none is left for SIGNAL")
-    labels[min(remaining, key=lambda i: (-energies[i], i))] = ModeLabel.SIGNAL
+    """Label each mode of one side: the strongest is SIGNAL (the lower index
+    on a tie) and the rest are FEATURE."""
+    labels = [ModeLabel.FEATURE] * len(result.omegas)
+    labels[int(np.argmax(mode_energies(result)))] = ModeLabel.SIGNAL
     return tuple(labels)
 
 

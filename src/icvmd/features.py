@@ -16,7 +16,7 @@ Layout of the ``3*MAX_MODES + 12`` entries:
     [3*MAX_MODES+8 : +12) the same four cumulants of the narrowband-mode
                         (SIGNAL-labeled) reconstruction only
 
-Retained modes are those labeled FEATURE or SPECIAL on either side.
+Retained modes are those labeled FEATURE on either side.
 
 The decomposition is linear in the input, so every geometric quantity
 (centers, bandwidths, energy fractions) is invariant to an overall gain; the
@@ -34,7 +34,6 @@ from .errors import DegenerateInputError, ParameterError
 from .signals import ComplexSignal
 
 MAX_MODES = 6
-_RETAINED = (ModeLabel.FEATURE, ModeLabel.SPECIAL)
 
 
 def cumulants(z: np.ndarray) -> dict:
@@ -97,7 +96,7 @@ def extract_features(result: IcvmdResult) -> np.ndarray:
         n_bins = side.mode_set.mode_spectra.shape[1]
         energies = mode_energies(side)
         for k, label in enumerate(labels):
-            if label not in _RETAINED or energies[k] == 0.0:
+            if label is not ModeLabel.FEATURE or energies[k] == 0.0:
                 continue
             rows.append(
                 (
@@ -115,7 +114,7 @@ def extract_features(result: IcvmdResult) -> np.ndarray:
         vec[3 * i : 3 * i + 3] = (omega, bw, frac)
 
     base = 3 * MAX_MODES
-    vec[base : base + 4] = _cumulant_block(reconstruct(result, _RETAINED).samples)
+    vec[base : base + 4] = _cumulant_block(reconstruct(result, {ModeLabel.FEATURE}).samples)
     vec[base + 4 : base + 8] = _cumulant_block(result.input_signal.samples)
     vec[base + 8 :] = _cumulant_block(reconstruct(result, {ModeLabel.SIGNAL}).samples)
     return vec

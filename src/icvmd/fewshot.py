@@ -140,9 +140,9 @@ def represent(
     entries: ``(features,)`` for ICVMD_FEATURES, ``(mains, branches)`` for the
     classifier pipelines, where RAW_NN's two are one array.  A capture that
     cannot be loaded (missing file, bad length, bad sidecar) or whose
-    representation raises DegenerateInputError (for example a side whose
-    every mode is DC or SPECIAL, or no FEATURE mode to describe) is dropped
-    and ``(path, reason)`` is appended to ``skipped``;
+    representation raises DegenerateInputError (for example a decomposition
+    that keeps no FEATURE mode to describe) is dropped and ``(path, reason)``
+    is appended to ``skipped``;
     a ParameterError from the solver config propagates.  Pass one
     ``memo`` dict for a whole run so each capture is decomposed at most once;
     it is keyed by (manifest directory, entry path).  Raises

@@ -89,7 +89,8 @@ def train(
     key starts with any of ``freeze_prefixes`` receive no updates at all, so
     they come back bit-identical; a prefix that matches no key is an error.
     learning_rate == 0 leaves every parameter bit-identical (useful as a
-    determinism probe).
+    determinism probe).  A non-finite minibatch loss raises ParameterError
+    naming its epoch and step (both counted from 1).
     """
     main, branch, labels = _check_dataset(main, branch, labels, params)
     prefixes = tuple(freeze_prefixes)
@@ -106,7 +107,7 @@ def train(
     n = main.shape[0]
     history = []
     ws: dict = {}
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         losses = []
         for start in range(0, n, cfg.batch_size):
@@ -115,9 +116,11 @@ def train(
             xb = xm if branch is main else _gather(ws, "branch", branch, idx)
             logits, cache = model_forward(out, xm, xb, ws)
             loss, dlogits = cross_entropy(logits, labels[idx])
+            step += 1
+            if not np.isfinite(loss):
+                raise ParameterError(f"non-finite training loss at epoch {epoch}, step {step}; lower the learning rate")
             grads = model_backward(out, dlogits, cache)
             losses.append(loss)
-            step += 1
             bc1 = 1.0 - _BETA1**step
             bc2 = 1.0 - _BETA2**step
             for k, a in live.items():

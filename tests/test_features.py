@@ -102,7 +102,7 @@ def test_vector_layout_and_padding():
         1
         for labels in (res.labels_pos, res.labels_neg)
         for l in labels
-        if l in (ModeLabel.FEATURE, ModeLabel.SPECIAL)
+        if l is ModeLabel.FEATURE
     )
     # Trailing geometric slots beyond the retained modes stay zero-padded.
     for i in range(n_retained, 6):
@@ -143,7 +143,7 @@ def test_max_modes_truncates():
             (-e, sign * float(side.omegas[k]), e / total)
             for sign, side, labels in ((1.0, res.pos, res.labels_pos), (-1.0, res.neg, res.labels_neg))
             for k, (e, label) in enumerate(zip(mode_energies(side), labels))
-            if label in (ModeLabel.FEATURE, ModeLabel.SPECIAL) and e > 0.0
+            if label is ModeLabel.FEATURE and e > 0.0
         )
     )
     assert len(retained) > MAX_MODES

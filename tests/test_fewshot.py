@@ -86,7 +86,7 @@ def test_sat_inputs_partition_the_signal():
     assert np.allclose(combined, full, atol=1e-8)
     # Bit for bit, the branch is the SIGNAL selection and the main input the
     # selection of everything else.
-    rest = {ModeLabel.FEATURE, ModeLabel.SPECIAL, ModeLabel.DC, Selection.RESIDUAL}
+    rest = {ModeLabel.FEATURE, Selection.RESIDUAL}
     assert np.array_equal(branch, signal_channels(reconstruct(res, {ModeLabel.SIGNAL})))
     assert np.array_equal(main, signal_channels(reconstruct(res, rest)))
 

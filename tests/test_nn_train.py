@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -168,6 +169,20 @@ def test_an_input_past_the_parameters_range_is_rejected_after_the_cast():
         train(params, main, branch, labels, TrainConfig(epochs=0))
     # A float64 model holds the same value, so it trains.
     assert train(as_float64(params), main, branch, labels, TrainConfig(epochs=0)).params.dtype == np.float64
+
+
+def test_training_stops_at_the_first_non_finite_loss():
+    # At this step size the parameters overflow within a few steps; the run
+    # stops there rather than stepping on through all 50 epochs.
+    params = init_params(TINY, 3, seed=0)
+    main, branch, labels = toy_problem()
+    with np.errstate(all="ignore"), pytest.raises(ParameterError) as err:
+        train(params, main, branch, labels, TrainConfig(learning_rate=1e30, epochs=50, batch_size=8))
+    match = re.fullmatch(r"non-finite training loss at epoch (\d+), step (\d+); lower the learning rate", str(err.value))
+    assert match, str(err.value)
+    epoch, step = map(int, match.groups())
+    assert 1 <= epoch < 50
+    assert 3 * (epoch - 1) < step <= 3 * epoch  # 24 samples at batch 8: three steps per epoch
 
 
 def test_one_array_as_both_inputs_is_cast_and_gathered_once(monkeypatch):
