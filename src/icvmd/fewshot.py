@@ -42,6 +42,7 @@ from .dataset import (
 from .decompose import ModeLabel, icvmd_decompose, reconstruct
 from .errors import DegenerateInputError, ParameterError
 from .features import extract_features
+from .nn.layers import DTYPE
 from .nn.model import ModelConfig, init_params, model_forward
 from .nn.train import TrainConfig, sat_transfer, train
 from .pa import auxiliary_bank
@@ -97,12 +98,12 @@ class FewshotResult:
 
 
 def signal_channels(sig: ComplexSignal) -> np.ndarray:
-    """Complex sequence -> the [2, T] real I/Q stack the classifier eats."""
-    return np.stack([sig.samples.real, sig.samples.imag])
+    """Complex sequence -> the [2, T] I/Q stack the classifier eats, built in its DTYPE."""
+    return np.stack([sig.samples.real, sig.samples.imag], dtype=DTYPE)
 
 
 def sat_inputs(result) -> tuple:
-    """Input pair for the SAT pipeline.
+    """Input pair for the SAT pipeline, two ``signal_channels`` stacks.
 
     Main path: everything EXCEPT the intentional-modulation modes (the
     fingerprint lives in the distortion and noise-floor structure): the input
@@ -137,18 +138,17 @@ def represent(
     """Represent the manifest's captures in path order; returns ``(kept_entries, arrays)``.
 
     ``arrays`` is what the pipeline's fit consumes, stacked over the kept
-    entries: ``(features,)`` for ICVMD_FEATURES, ``(mains, branches)`` for the
-    classifier pipelines, where RAW_NN's two are one array.  A capture that
-    cannot be loaded (missing file, bad length, bad sidecar) or whose
-    representation raises DegenerateInputError (for example a decomposition
-    that keeps no FEATURE mode to describe) is dropped and ``(path, reason)``
-    is appended to ``skipped``;
-    a ParameterError from the solver config propagates.  Pass one
-    ``memo`` dict for a whole run so each capture is decomposed at most once;
-    it is keyed by (manifest directory, entry path).  Raises
-    DegenerateInputError when the manifest lists no capture or every capture
-    was dropped.  Each side the solver runs on appends its ``converged`` flag
-    to ``sides``.
+    entries: ``(features,)`` for ICVMD_FEATURES, ``(mains, branches)`` in the
+    classifier's float32 for the classifier pipelines, where RAW_NN's two are
+    one array.  A capture that cannot be loaded (missing file, bad length, bad
+    sidecar) or whose representation raises DegenerateInputError (for example
+    a decomposition that keeps no FEATURE mode to describe) is dropped and
+    ``(path, reason)`` is appended to ``skipped``; a ParameterError from the
+    solver config propagates.  Pass one ``memo`` dict for a whole run so each
+    capture is decomposed at most once; it is keyed by (manifest directory,
+    entry path).  Raises DegenerateInputError when the manifest lists no
+    capture or every capture was dropped.  Each side the solver runs on
+    appends its ``converged`` flag to ``sides``.
     """
     memo = {} if memo is None else memo
     skipped = [] if skipped is None else skipped

@@ -3,12 +3,12 @@
 The manifest records the format version, the model's ``config`` (its segment
 length, as the rest of the architecture is fixed) and the caller's metadata,
 which must include ``class_ids``, the emitter label of each model output.
-The arrays are stored as trained under their parameter keys and load as
-float32.  Saving refuses a non-finite value, so a diverged run writes no
-file that loading would refuse.  Loading refuses a manifest that is not
-UTF-8 JSON, a missing or unknown key, ``class_ids`` that are not at least 2
-distinct integers, an array shaped for another head width, and a non-finite
-value.
+The arrays are stored as trained under their parameter keys and load in
+the classifier's DTYPE.  Saving refuses a non-finite value, so a diverged
+run writes no file that loading would refuse.  Loading refuses a manifest
+that is not UTF-8 JSON, a missing or unknown key, ``class_ids`` that are
+not at least 2 distinct integers, an array shaped for another head width,
+and a non-finite value.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..iqfile import json_object, load_npz
+from .layers import DTYPE
 from .model import ModelConfig, NetParams, init_params
 
 FORMAT_VERSION = 3
@@ -76,4 +77,4 @@ def load_checkpoint(path) -> tuple[NetParams, dict]:
         if files[key].shape != ref.shape:
             raise ParameterError(f"shape mismatch at {key}: {ref.shape} vs {files[key].shape}")
         _check_finite(key, files[key])
-    return NetParams(config, {key: files[key].astype(np.float32, copy=False) for key in expected}), meta
+    return NetParams(config, {key: files[key].astype(DTYPE, copy=False) for key in expected}), meta

@@ -1,7 +1,7 @@
 """Causal dilated convolutions, dense layers, and their exact backward passes.
 
 Every function computes in the dtype of its arrays and casts nothing; fresh
-layers are float32.  Forward functions return (output, cache); the matching
+layers are in DTYPE.  Forward functions return (output, cache); the matching
 backward consumes (upstream_grad, cache) and returns input and parameter
 gradients.  Batched tensors are [batch, channels, time].
 
@@ -26,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
+
+DTYPE = np.float32  # the classifier's: its fresh layers, loaded checkpoints and input stacks
 
 
 @dataclass
@@ -170,17 +172,17 @@ def dense_backward(dy: np.ndarray, cache, layer: Dense):
 
 def init_conv(rng: np.random.Generator, out_ch: int, in_ch: int, width: int, dilation: int) -> ConvLayer:
     """Uniform(+-sqrt(1/fan_in)) weights and biases, drawn in float64 and
-    rounded once to float32: this and init_dense fix every model's dtype.
+    rounded once to DTYPE: this and init_dense fix every model's dtype.
 
     Biases are drawn (not zeroed) so no pre-activation sits exactly on the
     ReLU kink at init, which would poison finite-difference verification.
     """
     bound = np.sqrt(1.0 / (in_ch * width))
-    w = rng.uniform(-bound, bound, (out_ch, in_ch, width)).astype(np.float32)
-    return ConvLayer(w, rng.uniform(-bound, bound, out_ch).astype(np.float32), dilation)
+    w = rng.uniform(-bound, bound, (out_ch, in_ch, width)).astype(DTYPE)
+    return ConvLayer(w, rng.uniform(-bound, bound, out_ch).astype(DTYPE), dilation)
 
 
 def init_dense(rng: np.random.Generator, out_dim: int, in_dim: int) -> Dense:
     bound = np.sqrt(1.0 / in_dim)
-    w = rng.uniform(-bound, bound, (out_dim, in_dim)).astype(np.float32)
-    return Dense(w, rng.uniform(-bound, bound, out_dim).astype(np.float32))
+    w = rng.uniform(-bound, bound, (out_dim, in_dim)).astype(DTYPE)
+    return Dense(w, rng.uniform(-bound, bound, out_dim).astype(DTYPE))

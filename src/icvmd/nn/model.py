@@ -13,8 +13,9 @@ one scalar score per segment; a softmax over segments turns the scores into
 spatial attention weights.
 
 Head: the attention-weighted sum of per-segment logit columns is mapped by one
-affine layer to the final logits.  Every layer runs in the parameters' dtype
-(float32 from init_params); the entry points cast their inputs to it.
+affine layer to the final logits.  Every layer runs in the parameters' dtype,
+layers.DTYPE, which signal_channels builds its stacks in; the entry points
+cast an input of any other dtype to it.
 
 The conv trunk and the branch conv stack run over consecutive chunks of
 samples, each small enough that its activations stay in a core's L2 cache;

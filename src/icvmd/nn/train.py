@@ -61,7 +61,7 @@ def _check_dataset(main, branch, labels, params: NetParams):
         raise ParameterError(f"labels must lie in [0, {params.n_classes})")
     _segment_count(params, main.shape[2])  # also at epochs=0, so no model that no input can run comes back
     for name, x in (("main", main), ("branch", branch))[: 1 if same else 2]:
-        if not np.isfinite(x).all():  # after the cast, so a float64 value past float32's range counts
+        if not np.isfinite([x.min(), x.max()]).all():  # NaN propagates, no mask; after the cast, so 1e39 counts
             raise ParameterError(f"{name} input holds a non-finite value in {params.dtype}")
     return main, branch, labels
 
@@ -82,15 +82,15 @@ def train(
 ) -> TrainResult:
     """Run Adam on a copy of ``params``; the input object is never mutated.
 
-    The inputs are cast once to the parameters' dtype, which every result
-    keeps, and must be finite; one array passed as both ``main`` and
-    ``branch`` is cast and gathered once.  Every step runs through one
-    workspace (see nn/model.py) that this call frees on return.  Arrays whose
-    key starts with any of ``freeze_prefixes`` receive no updates at all, so
-    they come back bit-identical; a prefix that matches no key is an error.
-    learning_rate == 0 leaves every parameter bit-identical (useful as a
-    determinism probe).  A non-finite minibatch loss raises ParameterError
-    naming its epoch and step (both counted from 1).
+    The inputs are cast to the parameters' dtype, which every result keeps,
+    unless already in it, and must be finite; one array passed as both
+    ``main`` and ``branch`` is cast and gathered once.  Every step runs
+    through one workspace (see nn/model.py) that this call frees on return.
+    Arrays whose key starts with any of ``freeze_prefixes`` receive no
+    updates, so they come back bit-identical; a prefix that matches no key is
+    an error.  learning_rate == 0 leaves every parameter bit-identical.  A
+    non-finite minibatch loss or updated parameter raises ParameterError
+    naming its epoch and step (both counted from 1), and no numpy warning.
     """
     main, branch, labels = _check_dataset(main, branch, labels, params)
     prefixes = tuple(freeze_prefixes)
@@ -104,30 +104,31 @@ def train(
     v = {k: np.zeros_like(a) for k, a in live.items()}
     step = 0
     rng = np.random.default_rng(cfg.seed)
-    n = main.shape[0]
     history = []
     ws: dict = {}
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
+        order = rng.permutation(len(main))
         losses = []
-        for start in range(0, n, cfg.batch_size):
+        for start in range(0, len(main), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xm = _gather(ws, "main", main, idx)
             xb = xm if branch is main else _gather(ws, "branch", branch, idx)
-            logits, cache = model_forward(out, xm, xb, ws)
-            loss, dlogits = cross_entropy(logits, labels[idx])
             step += 1
-            if not np.isfinite(loss):
-                raise ParameterError(f"non-finite training loss at epoch {epoch}, step {step}; lower the learning rate")
-            grads = model_backward(out, dlogits, cache)
-            losses.append(loss)
-            bc1 = 1.0 - _BETA1**step
-            bc2 = 1.0 - _BETA2**step
-            for k, a in live.items():
-                g = grads[k]
-                m[k] = _BETA1 * m[k] + (1.0 - _BETA1) * g
-                v[k] = _BETA2 * v[k] + (1.0 - _BETA2) * g * g
-                a -= cfg.learning_rate * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + _EPS)
+            with np.errstate(over="ignore", invalid="ignore"):  # the checks below name any overflow
+                logits, cache = model_forward(out, xm, xb, ws)
+                loss, dlogits = cross_entropy(logits, labels[idx])
+                if not np.isfinite(loss):
+                    raise ParameterError(f"non-finite training loss at epoch {epoch}, step {step}; lower the learning rate")
+                grads = model_backward(out, dlogits, cache)
+                losses.append(loss)
+                bc1, bc2 = 1.0 - _BETA1**step, 1.0 - _BETA2**step
+                for k, a in live.items():
+                    g = grads[k]
+                    m[k] = _BETA1 * m[k] + (1.0 - _BETA1) * g
+                    v[k] = _BETA2 * v[k] + (1.0 - _BETA2) * g * g
+                    a -= cfg.learning_rate * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + _EPS)
+                    if not np.isfinite(a).all():
+                        raise ParameterError(f"non-finite {k} updated at epoch {epoch}, step {step}; lower the learning rate")
         history.append(float(np.mean(losses)))
     return TrainResult(params=out, history=history)
 

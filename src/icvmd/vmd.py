@@ -279,25 +279,25 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     def filters():
         """Every mode's Wiener denominator 1 + 2*alpha*(w - w_k)^2 into den."""
         centers[:, 0] = omegas
-        np.subtract(g2, centers, out=den)
-        np.multiply(den, den, out=den)
-        np.multiply(den, two_alpha, out=den)
-        np.add(den, 1.0, out=den)
+        np.subtract(g2, centers, den)
+        np.multiply(den, den, den)
+        np.multiply(den, two_alpha, den)
+        np.add(den, 1.0, den)
 
     def update(k, beta=1.0):
         """Move mode k by beta times its Wiener step du_k from the residual;
         returns ||du_k||^2 of the unrelaxed step and leaves |u_k|^2 per
         component in p."""
         uk = uv[k]
-        np.add(rv, uk, out=d)
-        np.divide(d, dens[k], out=d)
-        np.subtract(d, uk, out=d)
-        diff = float(d @ d)
+        np.add(rv, uk, d)
+        np.divide(d, dens[k], d)
+        np.subtract(d, uk, d)
+        diff = float(d.dot(d))
         if beta != 1.0:
-            np.multiply(d, beta, out=d)
-        np.add(uk, d, out=uk)
-        np.subtract(rv, d, out=rv)
-        np.multiply(uk, uk, out=p)
+            np.multiply(d, beta, d)
+        np.add(uk, d, uk)
+        np.subtract(rv, d, rv)
+        np.multiply(uk, uk, p)
         return diff
 
     converged = False
@@ -309,7 +309,7 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
         shift = 0.0
         for k in range(k_modes):
             diffs[k] = update(k, beta)
-            energy, moment = (basis @ p).tolist()
+            energy, moment = basis.dot(p).tolist()
             energies[k] = energy
             if energy > _ENERGY_GUARD:
                 move = moment / energy - omegas[k]

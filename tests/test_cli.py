@@ -604,16 +604,18 @@ def test_a_checkpoint_copied_alone_evaluates_the_same(runner, tmp_path):
     assert json.loads(there.stdout)["n_test"] == 14
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow this test provokes
 def test_train_writes_no_checkpoint_for_a_diverged_run(runner, tmp_path):
     # At this step size the parameters overflow to NaN within three epochs,
-    # and training stops at the first non-finite loss.
+    # and training stops at the first non-finite loss.  The overflow raises
+    # no numpy warning (the suite would fail on one), and the error line is
+    # all the user sees.
     data = gen_tiny(runner, tmp_path / "data")
     ck = tmp_path / "model.npz"
     args = ["train", "--data", str(data), "--out", str(ck), "--segment-len", "32", "--epochs", "3"]
     res = runner.invoke(main, args + ["--batch-size", "8", "--learning-rate", "1e30"])
     assert res.exit_code == 2, res.output
     assert "error: non-finite training loss at epoch " in res.stderr
+    assert res.stderr == "error: non-finite training loss at epoch 1, step 2; lower the learning rate\n"
     assert not ck.exists()
 
 

@@ -19,6 +19,7 @@ from icvmd.fewshot import (
     write_report_csv,
 )
 from icvmd.modulation import ModulationKind
+from icvmd.nn.layers import DTYPE
 from icvmd.nn.model import ModelConfig, init_params
 from icvmd.pa import emitter_bank
 from icvmd.signals import ComplexSignal
@@ -71,6 +72,15 @@ def test_signal_channels():
     assert np.array_equal(ch[1], [2.0, -4.0])
 
 
+def test_signal_channels_builds_the_classifier_dtype():
+    z = np.random.default_rng(4).normal(size=(300, 2)) @ [1.0, 1j]
+    ch = signal_channels(ComplexSignal(z))
+    assert DTYPE == np.float32 and ch.dtype == DTYPE
+    assert np.array_equal(ch[0], z.real.astype(np.float32))
+    assert np.array_equal(ch[1], z.imag.astype(np.float32))
+    assert not np.array_equal(ch[0], z.real)  # rounded once, not held in float64
+
+
 def test_sat_inputs_partition_the_signal():
     t = np.arange(256)
     z = np.exp(2j * np.pi * 0.2 * t) + 0.2 * np.exp(-2j * np.pi * 0.33 * t)
@@ -79,6 +89,7 @@ def test_sat_inputs_partition_the_signal():
     main, branch = sat_inputs(res)
     assert main.shape == (2, 256)
     assert branch.shape == (2, 256)
+    assert main.dtype == branch.dtype == np.float32
     # The two inputs are complementary selections: together they rebuild the
     # full reconstruction.
     full = reconstruct(res, FULL_SELECTION).samples
@@ -200,6 +211,7 @@ def test_represent_reads_the_captures_in_path_order(tmp_path):
     assert kept == in_order
     assert np.array_equal(mains[0], signal_channels(load_entry(manifest, in_order[0])))
     assert branches is mains  # stacked once, so train() casts and gathers it once
+    assert mains.dtype == np.float32  # and in the model's dtype, so the cast copies nothing
 
 
 def capped(max_iter, n_modes=2):

@@ -185,6 +185,45 @@ def test_training_stops_at_the_first_non_finite_loss():
     assert 3 * (epoch - 1) < step <= 3 * epoch  # 24 samples at batch 8: three steps per epoch
 
 
+def test_a_non_finite_parameter_after_an_update_stops_the_run():
+    # A step size past float32's range makes the first update infinite while
+    # that step's loss is finite, so only the parameter check can stop it.
+    params = init_params(TINY, 3, seed=0)
+    main, branch, labels = toy_problem()
+    message = r"^non-finite encoder\.0\.weights updated at epoch 1, step 1; lower the learning rate$"
+    with pytest.raises(ParameterError, match=message):
+        train(params, main, branch, labels, TrainConfig(learning_rate=1e39, epochs=3, batch_size=8))
+
+
+def test_a_backward_overflow_on_the_last_step_is_not_returned(monkeypatch):
+    # One step in all: no later loss would see the NaN the overflow leaves.
+    backward = train_module.model_backward
+
+    def overflowing(*a):
+        grads = backward(*a)
+        grads["classifier2.bias"][0] = np.inf
+        return grads
+
+    monkeypatch.setattr(train_module, "model_backward", overflowing)
+    params = init_params(TINY, 3, seed=0)
+    main, branch, labels = toy_problem()
+    with pytest.raises(ParameterError, match=r"^non-finite classifier2\.bias updated at epoch 1, step 1; "):
+        train(params, main, branch, labels, TrainConfig(epochs=1, batch_size=24))
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["two_arrays", "one_array"])
+def test_float32_inputs_train_to_the_bytes_of_their_float64_source(shared):
+    params = init_params(TINY, 3, seed=0)
+    main, branch, labels = toy_problem()
+    branch = main if shared else branch
+    narrow = main.astype(np.float32)
+    cfg = TrainConfig(epochs=3, batch_size=8)
+    wide = train(params, main, branch, labels, cfg)
+    cast = train(params, narrow, narrow if shared else branch.astype(np.float32), labels, cfg)
+    assert wide.history == cast.history
+    assert all(wide.params.arrays[k].tobytes() == cast.params.arrays[k].tobytes() for k in params.arrays)
+
+
 def test_one_array_as_both_inputs_is_cast_and_gathered_once(monkeypatch):
     params = init_params(TINY, 3, seed=0)
     main, _, labels = toy_problem()
@@ -238,6 +277,25 @@ def traced_steps(monkeypatch, *args) -> list:
 
 def raw_problem(n, t=2100, dtype=np.float64):
     return np.random.default_rng(5).normal(size=(n, IN_CHANNELS, t)).astype(dtype), np.arange(n) % 4
+
+
+def traced_peak(*args) -> int:
+    tracemalloc.start()
+    try:
+        train(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_copies_an_input_only_to_cast_it():
+    # At epochs=0 train() runs every input check and no step.  An input in
+    # the model's float32 is used as it is; a float64 one is cast to a copy.
+    params = init_params(ModelConfig(), n_classes=4, seed=0)
+    x, labels = raw_problem(70, dtype=np.float32)
+    assert traced_peak(params, x, x, labels, TrainConfig(epochs=0)) < x.nbytes / 10
+    wide = x.astype(np.float64)
+    assert traced_peak(params, wide, wide, labels, TrainConfig(epochs=0)) >= x.nbytes
 
 
 def test_training_peaks_at_one_batch_cache(monkeypatch):
