@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -29,16 +30,10 @@ from .decompose import (
 )
 from .classify import evaluate
 from .errors import DegenerateInputError, ParameterError
-from .fewshot import (
-    Pipeline,
-    default_icvmd_config,
-    predict,
-    represent,
-    run_fewshot,
-)
+from .fewshot import Pipeline, predict, represent, run_fewshot
 from .iqfile import json_object, read_iqf32, write_iqf32
 from .modulation import ModulationKind
-from .nn.checkpoint import load_checkpoint, save_checkpoint
+from .nn.checkpoint import _check_keys, load_checkpoint, save_checkpoint
 from .nn.model import ModelConfig, init_params
 from .nn.train import TrainConfig, train as train_model
 from .vmd import VmdConfig
@@ -193,18 +188,13 @@ def _warn_plateau(loss: float, n_classes: int, where: str = "") -> None:
         click.echo(f"warning: {where}final epoch loss {loss:.3f} {msg}", err=True)
 
 
-def _represent_dataset(data_dir, representation, n_modes) -> tuple:
+def _represent_dataset(data_dir, representation, vmd: VmdConfig) -> tuple:
     """Represent every capture of a dataset directory; warns about dropped
     captures and about sides the solver left unconverged."""
     skipped: list = []
     sides: list = []
-    kept, (mains, branches) = represent(
-        _REPRESENTATIONS[representation],
-        load_manifest(data_dir),
-        default_icvmd_config(n_modes),
-        skipped=skipped,
-        sides=sides,
-    )
+    manifest = load_manifest(data_dir)
+    kept, (mains, branches) = represent(_REPRESENTATIONS[representation], manifest, vmd, skipped=skipped, sides=sides)
     for path, reason in skipped:
         click.echo(f"skipped {path}: {reason}", err=True)
     _warn_unconverged(sides.count(False), len(sides))
@@ -215,22 +205,23 @@ def _represent_dataset(data_dir, representation, n_modes) -> tuple:
 @click.option("--data", "data_dir", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_file", required=True, type=click.Path())
 @click.option("--representation", type=click.Choice(list(_REPRESENTATIONS)), default="raw", show_default=True)
-@click.option("--epochs", default=30, show_default=True)
-@click.option("--learning-rate", default=2e-3, show_default=True)
-@click.option("--batch-size", default=32, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--epochs", default=TrainConfig.epochs, show_default=True)
+@click.option("--learning-rate", default=TrainConfig.learning_rate, show_default=True)
+@click.option("--batch-size", default=TrainConfig.batch_size, show_default=True)
+@click.option("--seed", default=TrainConfig.seed, show_default=True)
 @click.option("--segment-len", default=ModelConfig.segment_len, show_default=True)
-@click.option("--n-modes", default=default_icvmd_config().n_modes, show_default=True, help="Modes per side for the icvmd representation.")
+@click.option("--n-modes", default=VmdConfig.n_modes, show_default=True, help="Modes per side for the icvmd representation.")
 @_guarded
 def train_cmd(data_dir, out_file, representation, epochs, learning_rate, batch_size, seed, segment_len, n_modes):
     """Train the toy classifier on a dataset directory; writes an .npz checkpoint."""
     cfg = TrainConfig(learning_rate=learning_rate, epochs=epochs, batch_size=batch_size, seed=seed)
-    entries, mains, branches = _represent_dataset(data_dir, representation, n_modes)
+    vmd = VmdConfig(n_modes=n_modes)
+    entries, mains, branches = _represent_dataset(data_dir, representation, vmd)
     class_ids, labels = np.unique([e["label"] for e in entries], return_inverse=True)
 
     params = init_params(ModelConfig(segment_len=segment_len), n_classes=len(class_ids), seed=seed)
     result = train_model(params, mains, branches, labels, cfg)
-    meta = dict(class_ids=class_ids.tolist(), representation=representation, n_modes=n_modes, epochs=cfg.epochs)
+    meta = dict(class_ids=class_ids.tolist(), representation=representation, vmd=asdict(vmd), epochs=cfg.epochs)
     meta |= dict(learning_rate=cfg.learning_rate, batch_size=cfg.batch_size, seed=cfg.seed, history=result.history)
     save_checkpoint(out_file, result.params, meta)
     loss = f"{result.history[-1]:.4f}" if result.history else "n/a (no epochs)"
@@ -250,7 +241,12 @@ def eval_cmd(data_dir, ck_file):
     if not isinstance(representation, str) or representation not in _REPRESENTATIONS:
         raise ParameterError(f"{ck_file} names an unknown representation {representation!r}")
 
-    entries, mains, branches = _represent_dataset(data_dir, representation, meta.get("n_modes"))
+    # The solver config the model was trained on, every field of it: no default fills a gap.
+    vmd = meta.get("vmd")
+    if not isinstance(vmd, dict):
+        raise ParameterError(f"{ck_file} manifest vmd must be a JSON object, got {vmd!r}")
+    _check_keys("vmd", vmd, [f.name for f in fields(VmdConfig)])
+    entries, mains, branches = _represent_dataset(data_dir, representation, VmdConfig(**vmd))
     class_ids = np.array(meta["class_ids"])
     predictions = predict(params, mains, branches, class_ids)
     truth = np.array([e["label"] for e in entries])

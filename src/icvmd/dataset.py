@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError
+from .errors import DegenerateInputError, ParameterError, check_int
 from .iqfile import json_object, read_iqf32, write_iqf32
 from .modulation import ModulationKind, ModulationSpec, gen_baseband
 from .pa import EmitterProfile, emitter_bank, hammerstein_apply
@@ -64,23 +64,17 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_samples", "signals_per_emitter", "samples_per_symbol", "seed"):
-            value = getattr(self, name)
-            if not _is_a(value, (int, np.integer)):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
+        for name, low in (("n_samples", 16), ("signals_per_emitter", 1), ("samples_per_symbol", 1), ("seed", 0)):
+            check_int(name, getattr(self, name), low)
         for value in (self.carrier, self.sweep_span, *self.snr_grid_db):
             if not (_is_a(value, numbers.Real) and np.isfinite(value)):
                 raise ParameterError(f"carrier, sweep_span and SNRs must be finite numbers, got {value!r}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.n_samples < 16:
-            raise ParameterError("n_samples must be >= 16")
-        if self.signals_per_emitter < 1:
-            raise ParameterError("signals_per_emitter must be >= 1")
         if len(self.snr_grid_db) == 0:
             raise ParameterError("snr_grid_db must be non-empty")
         if len(self.modulations) == 0:
             raise ParameterError("modulations must be non-empty")
+        if not all(isinstance(m, ModulationKind) for m in self.modulations):
+            raise ParameterError(f"modulations must be ModulationKind members, got {self.modulations!r}")
         if not all(isinstance(e, EmitterProfile) for e in self.emitters):
             raise ParameterError("emitters must be EmitterProfile instances")
         # Each of these names the files, so a repeat would overwrite a capture.

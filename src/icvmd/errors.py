@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer-field check."""
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -7,3 +8,11 @@ class ParameterError(ValueError):
 
 class DegenerateInputError(ValueError):
     """Structurally valid input with no usable content (all-zero signal, empty class, ...)."""
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Raise ParameterError unless value is an integer (never a bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ParameterError(f"{name} must be >= {low}, got {value}")

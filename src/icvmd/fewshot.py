@@ -16,8 +16,9 @@ commands share both.
 
 For each training proportion the train set is subsampled per class; cells where
 a class would get zero samples are reported as unsupported rather than crashed.
-The solver config, the architecture and the training sizes are the fixed ones
-below; ``icvmd fewshot`` chooses only the pipeline and the proportions.
+Every capture is decomposed with ``VmdConfig()`` and each classifier fits with
+``TrainConfig()``; the architecture, the seeds and the SAT pretraining are the
+fixed ones below.  ``icvmd fewshot`` chooses only the pipeline and the proportions.
 """
 from __future__ import annotations
 
@@ -60,9 +61,7 @@ AUX_EMITTER_SEED = 77
 AUX_DATASET_SEED = 7700
 # Captures per classifier forward pass in predict.
 PREDICT_BATCH = 64
-# The experiment's fixed training sizes: each classifier's fit, and the SAT
-# pretraining on auxiliary emitters, which get the base spec's captures per emitter.
-FIT = TrainConfig(epochs=30, batch_size=32)
+# The SAT pretraining on auxiliary emitters, which get the base spec's captures per emitter.
 PRETRAIN = TrainConfig(epochs=40, batch_size=32, learning_rate=5e-3)
 N_AUX_EMITTERS = 5
 
@@ -73,17 +72,8 @@ class Pipeline(enum.Enum):
     ICVMD_SAT = "icvmd_sat"
 
 
-def default_icvmd_config(n_modes: int = 4) -> VmdConfig:
-    """Experiment-default solver config for both sides of the decomposition.
-
-    The bandwidth weight is deliberately lower than the generic VMD default:
-    each center-frequency update only attracts a mode toward spectral mass
-    inside a basin of width ~1/sqrt(alpha).  The solver starts the centers at
-    the side's strongest spectral peaks, but weaker bands (the distortion the
-    features describe) lie between them, and a loose prior lets a mode reach
-    the band nearest its start.
-    """
-    return VmdConfig(n_modes=n_modes, alpha=200.0, tol=1e-6, max_iter=300)
+# perfbench/workloads.py imports this name; nothing in the package calls it.
+default_icvmd_config = VmdConfig
 
 
 @dataclass
@@ -225,9 +215,9 @@ def _fit_predict(pipeline: Pipeline, pretrained, train_x, truth, class_ids, test
     y = np.searchsorted(class_ids, truth)
     if pipeline is Pipeline.RAW_NN:
         fresh = init_params(ModelConfig(), n_classes=len(class_ids), seed=MODEL_SEED)
-        fitted = train(fresh, *train_x, y, FIT)
+        fitted = train(fresh, *train_x, y, TrainConfig())
     else:
-        fitted = sat_transfer(pretrained(), len(class_ids), *train_x, y, FIT, head_seed=MODEL_SEED)
+        fitted = sat_transfer(pretrained(), len(class_ids), *train_x, y, TrainConfig(), head_seed=MODEL_SEED)
     return predict(fitted.params, *test_x, class_ids), fitted.history[-1]
 
 
@@ -250,7 +240,7 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
     dupes = sorted({p for p in proportions if proportions.count(p) > 1})
     if dupes:
         raise ParameterError(f"each proportion may appear only once; repeated: {dupes}")
-    icvmd_cfg = default_icvmd_config()
+    icvmd_cfg = VmdConfig()
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     generate_dataset(spec, workdir / "data")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 from .signals import ComplexSignal
 
 
@@ -52,8 +52,7 @@ class ModulationSpec:
             raise ParameterError(f"kind must be a ModulationKind, got {self.kind!r}")
         if not (0.0 <= self.carrier < 0.5):
             raise ParameterError(f"carrier must lie in [0, 0.5), got {self.carrier}")
-        if self.samples_per_symbol < 1:
-            raise ParameterError("samples_per_symbol must be >= 1")
+        check_int("samples_per_symbol", self.samples_per_symbol, 1)
         if not (0.0 <= self.sweep_span):
             raise ParameterError("sweep_span must be >= 0")
         hw = occupied_halfwidth(self)

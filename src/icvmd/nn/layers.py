@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, check_int
 
 DTYPE = np.float32  # the classifier's: its fresh layers, loaded checkpoints and input stacks
 
@@ -52,10 +52,7 @@ class ConvLayer:
             raise ParameterError("conv bias must match out_ch")
         if self.weights.shape[2] < 1:
             raise ParameterError("conv width must be >= 1")
-        if isinstance(self.dilation, bool) or not isinstance(self.dilation, (int, np.integer)):
-            raise ParameterError(f"dilation must be an integer, got {self.dilation!r}")
-        if self.dilation < 1:
-            raise ParameterError("dilation must be >= 1")
+        check_int("dilation", self.dilation, 1)
 
     @property
     def width(self) -> int:

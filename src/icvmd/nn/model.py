@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, check_int
 from .attention import softmax, softmax_backward
 from .layers import (
     ConvLayer,
@@ -71,11 +71,7 @@ class ModelConfig:
     segment_len: int = 100
 
     def __post_init__(self):
-        value = self.segment_len
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ParameterError(f"segment_len must be an integer, got {value!r}")
-        if value < 1:
-            raise ParameterError("segment_len must be >= 1")
+        check_int("segment_len", self.segment_len, 1)
 
 
 @dataclass

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateInputError, ParameterError
+from ..errors import DegenerateInputError, ParameterError, check_int
 from .layers import init_dense
 from .model import NetParams, _buf, _segment_count, cross_entropy, layer_arrays, model_backward, model_forward
 
@@ -15,26 +15,20 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Adam step size, epoch count, minibatch size and the shuffling seed."""
+    """Adam step size, epoch count, minibatch size and the shuffling seed;
+    the defaults are the recipe each few-shot classifier fits with."""
 
     learning_rate: float = 2e-3
-    epochs: int = 20
-    batch_size: int = 128
+    epochs: int = 30
+    batch_size: int = 32
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
+        check_int("epochs", self.epochs, 0)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("seed", self.seed, 0)
         if self.learning_rate < 0 or not np.isfinite(self.learning_rate):
             raise ParameterError("learning_rate must be >= 0")
-        if self.epochs < 0:
-            raise ParameterError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ParameterError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -46,11 +46,12 @@ keeps the centers about 1.6x nearer the fixed point than stopping there.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError
+from .errors import DegenerateInputError, ParameterError, check_int
 
 # Mode energies below this are treated as numerically zero in ratio guards.
 _ENERGY_GUARD = 1e-30
@@ -74,33 +75,35 @@ _PEAK_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class VmdConfig:
-    """Solver knobs.
+    """Solver knobs; the defaults are the config every experiment decomposes
+    both sides of a capture with.
 
     n_modes      -- number of modes extracted
     alpha        -- bandwidth penalty; larger alpha gives narrower modes
     tol          -- convergence threshold on sum_k ||du_k||^2 / ||u_k_prev||^2,
                     the squared per-mode relative change of an unrelaxed step
     max_iter     -- iteration cap
+
+    The default bandwidth weight is deliberately lower than the generic VMD
+    one: each center-frequency update only attracts a mode toward spectral
+    mass inside a basin of width ~1/sqrt(alpha).  The solver starts the
+    centers at the side's strongest spectral peaks, but weaker bands (the
+    distortion the features describe) lie between them, and a loose prior
+    lets a mode reach the band nearest its start.
     """
 
-    n_modes: int = 5
-    alpha: float = 2000.0
-    tol: float = 1e-7
-    max_iter: int = 500
+    n_modes: int = 4
+    alpha: float = 200.0
+    tol: float = 1e-6
+    max_iter: int = 300
 
     def __post_init__(self):
-        for name in ("n_modes", "max_iter"):
+        check_int("n_modes", self.n_modes, 1)
+        check_int("max_iter", self.max_iter, 1)
+        for name in ("alpha", "tol"):  # a checkpoint's manifest reaches both through `icvmd eval`
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if self.n_modes < 1:
-            raise ParameterError(f"n_modes must be >= 1, got {self.n_modes}")
-        if not (self.alpha > 0 and np.isfinite(self.alpha)):
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
-        if not (self.tol > 0 and np.isfinite(self.tol)):
-            raise ParameterError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
+            if not (isinstance(value, numbers.Real) and value > 0 and np.isfinite(value)):
+                raise ParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

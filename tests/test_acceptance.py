@@ -18,7 +18,7 @@ from icvmd.classify import classify, evaluate, fit_nearest_centroid
 from icvmd.dataset import DatasetSpec, generate_dataset, load_entry, load_manifest, split_manifest, subsample_manifest
 from icvmd.decompose import FULL_SELECTION, ModeLabel, icvmd_decompose, reconstruct
 from icvmd.features import extract_features, raw_cumulant_features
-from icvmd.fewshot import Pipeline, default_icvmd_config, run_fewshot, sat_inputs
+from icvmd.fewshot import Pipeline, run_fewshot, sat_inputs
 from icvmd.modulation import ModulationKind, ModulationSpec, gen_baseband
 from icvmd.nn.attention import softmax
 from icvmd.nn.model import ModelConfig, features_forward, init_params, model_forward
@@ -233,7 +233,7 @@ def test_08b_model_attention_rows_are_distributions():
 # ---------------------------------------------------------------------------
 @pytest.mark.slow
 def test_09_features_beat_raw_baseline(tmp_path):
-    icvmd_cfg = default_icvmd_config()
+    icvmd_cfg = VmdConfig()
     # Each block of the feature vector, scored alone for the printed ablation.
     blocks = {"geometry": slice(0, 18), "feature part": slice(18, 22), "input": slice(22, 26),
               "SIGNAL part": slice(26, 30)}
@@ -293,7 +293,7 @@ def test_09_features_beat_raw_baseline(tmp_path):
 # ---------------------------------------------------------------------------
 @pytest.mark.slow
 def test_10_attention_transfer_beats_scratch(tmp_path):
-    icvmd_cfg = default_icvmd_config()
+    icvmd_cfg = VmdConfig()
     model_cfg = ModelConfig()
 
     spec = DatasetSpec(snr_grid_db=(18.0,), signals_per_emitter=150, n_samples=700, seed=11)

@@ -11,10 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icvmd.fewshot import default_icvmd_config
 from icvmd.nn.layers import conv_backward, conv_forward, init_conv
 from icvmd.nn.model import ModelConfig, init_params, model_forward
-from icvmd.vmd import vmd_decompose
+from icvmd.vmd import VmdConfig, vmd_decompose
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -37,13 +36,15 @@ def test_every_traced_target_exists(bench):
 def test_the_workloads_import(bench):
     workloads = bench("workloads")
     assert set(workloads.PIPELINES) == {"icvmd_features", "icvmd_sat", "raw_nn"}
+    # The workloads decompose with the config the pipelines use.
+    assert workloads.default_icvmd_config() == VmdConfig()
 
 
 def test_the_info_extractors_read_real_results(bench):
     spans = bench("spans")
     t = np.arange(256)
     side = np.cos(2 * np.pi * 0.1 * t) + 0.5 * np.cos(2 * np.pi * 0.3 * t)
-    cfg = default_icvmd_config()
+    cfg = VmdConfig()
     assert spans._side_info((side, cfg), {}, vmd_decompose(side, cfg)) >= 1
 
     x = np.random.default_rng(0).normal(size=(3, 2, 40)).astype(np.float32)

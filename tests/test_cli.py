@@ -14,10 +14,10 @@ from icvmd.dataset import DatasetSpec, generate_dataset
 from icvmd.decompose import dump_modes, icvmd_decompose
 from icvmd.errors import DegenerateInputError
 from icvmd.features import extract_features
-from icvmd.fewshot import FewshotResult, default_icvmd_config
+from icvmd.fewshot import FewshotResult
 from icvmd.iqfile import read_iqf32, write_iqf32
 from icvmd.nn.model import ModelConfig
-from icvmd.nn.train import TrainResult
+from icvmd.nn.train import TrainConfig, TrainResult
 from icvmd.vmd import VmdConfig, vmd_decompose
 
 
@@ -90,8 +90,10 @@ def test_option_defaults_are_the_config_defaults():
         assert {f: defaults[f] for f in fields} == {f: getattr(spec, f) for f in fields}
     train = option_defaults("train")
     assert train["segment_len"] == ModelConfig().segment_len
-    assert train["n_modes"] == default_icvmd_config().n_modes
     side = VmdConfig()
+    assert train["n_modes"] == side.n_modes
+    recipe = ("epochs", "learning_rate", "batch_size", "seed")
+    assert {f: train[f] for f in recipe} == {f: getattr(TrainConfig(), f) for f in recipe}
     decompose = option_defaults("decompose")
     solver = ("n_modes", "alpha", "tol", "max_iter")
     assert {f: decompose.pop(f) for f in solver} == {f: getattr(side, f) for f in solver}
@@ -253,7 +255,8 @@ def test_decompose_defaults_are_the_config_defaults(runner, tmp_path):
     res = runner.invoke(main, ["decompose", str(src), "--out", str(tmp_path / "cli")])
     assert res.exit_code == 0, res.output
     dump_modes(icvmd_decompose(read_iqf32(src), VmdConfig()), tmp_path / "api")
-    assert (tmp_path / "cli" / "modes.json").read_bytes() == (tmp_path / "api" / "modes.json").read_bytes()
+    for name in ("modes.json", "modes.npz"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
 
 
 def test_reconstruct_single_selection(runner, tmp_path):
@@ -580,7 +583,7 @@ def test_train_manifest_records_the_training_run(runner, tmp_path):
     meta = read_manifest(ck)
     assert meta["format_version"] == 3
     assert meta["config"] == {"segment_len": 32}
-    assert (meta["class_ids"], meta["representation"], meta["n_modes"]) == (list(range(7)), "raw", default_icvmd_config().n_modes)
+    assert (meta["class_ids"], meta["representation"], meta["vmd"]) == (list(range(7)), "raw", dataclasses.asdict(VmdConfig()))
     assert (meta["epochs"], meta["learning_rate"], meta["batch_size"], meta["seed"]) == (2, 0.01, 8, 3)
     assert len(meta["history"]) == 2
     assert all(loss > 0 for loss in meta["history"])
@@ -675,18 +678,23 @@ def test_a_manifest_with_no_captures_exits_2(runner, tmp_path, command):
     assert f"error: the manifest in {data} lists no captures" in res.stderr
 
 
-def eval_with_edited_manifest(runner, tmp_path, edit):
-    """Train an untrained checkpoint, apply ``edit`` to its manifest, then run eval on it."""
-    data = gen_tiny(runner, tmp_path / "data", spe=2)
-    ck = tmp_path / "model.npz"
-    res = runner.invoke(main, ["train", "--data", str(data), "--out", str(ck), "--epochs", "0", "--segment-len", "32"])
-    assert res.exit_code == 0, res.output
+def edit_manifest(ck, edit) -> None:
+    """Apply ``edit`` to a checkpoint's manifest in place."""
     with np.load(ck) as z:
         files = dict(z.items())
     manifest = json.loads(bytes(files["manifest"].tobytes()).decode())
     edit(manifest)
     files["manifest"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
     np.savez(ck, **files)
+
+
+def eval_with_edited_manifest(runner, tmp_path, edit):
+    """Train an untrained checkpoint, apply ``edit`` to its manifest, then run eval on it."""
+    data = gen_tiny(runner, tmp_path / "data", spe=2)
+    ck = tmp_path / "model.npz"
+    res = runner.invoke(main, ["train", "--data", str(data), "--out", str(ck), "--epochs", "0", "--segment-len", "32"])
+    assert res.exit_code == 0, res.output
+    edit_manifest(ck, edit)
     return runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(ck)])
 
 
@@ -721,6 +729,28 @@ def test_eval_rejects_a_checkpoint_with_a_bad_class_count(runner, tmp_path):
 def test_eval_rejects_a_bad_label_map(runner, tmp_path, edit, message):
     res = eval_with_edited_manifest(runner, tmp_path, edit)
     assert res.exit_code == 2, res.output
+    assert "error: " in res.stderr and message in res.stderr
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m.pop("vmd"), "manifest vmd must be a JSON object, got None"),
+        (lambda m: m.update(n_modes=m.pop("vmd")["n_modes"]), "manifest vmd must be a JSON object, got None"),
+        (lambda m: m.update(vmd=[4, 200.0, 1e-6, 300]), "manifest vmd must be a JSON object, got [4, 200.0, 1e-06, 300]"),
+        (lambda m: m["vmd"].pop("alpha"), "checkpoint vmd mismatch: missing ['alpha'], extra []"),
+        (lambda m: m["vmd"].update(beta=1.7), "checkpoint vmd mismatch: missing [], extra ['beta']"),
+        (lambda m: m["vmd"].update(alpha="200"), "alpha must be positive and finite, got '200'"),
+        (lambda m: m["vmd"].update(n_modes=2.5), "n_modes must be an integer, got 2.5"),
+    ],
+    ids=["no_vmd", "n_modes_only", "vmd_list", "missing_field", "unknown_field", "string_alpha", "float_n_modes"],
+)
+def test_eval_refuses_a_solver_config_it_cannot_rebuild_whole(runner, tmp_path, edit, message):
+    # No field falls back to a default, so a checkpoint written before the
+    # manifest carried the whole solver config (n_modes alone) is refused too.
+    res = eval_with_edited_manifest(runner, tmp_path, edit)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
     assert "error: " in res.stderr and message in res.stderr
 
 
@@ -767,7 +797,7 @@ def test_eval_decomposes_with_the_trained_n_modes(runner, tmp_path, monkeypatch)
         ],
     )
     assert res.exit_code == 0, res.output
-    assert read_manifest(ck)["n_modes"] == 3
+    assert read_manifest(ck)["vmd"] == dataclasses.asdict(VmdConfig(n_modes=3))
 
     used = []
 
@@ -780,6 +810,27 @@ def test_eval_decomposes_with_the_trained_n_modes(runner, tmp_path, monkeypatch)
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["n_test"] == 14
     assert used and all(n_modes == 3 for n_modes in used)
+
+
+def test_eval_decomposes_with_the_solver_config_the_checkpoint_records(runner, tmp_path, monkeypatch):
+    data = gen_tiny(runner, tmp_path / "data", spe=2)
+    ck = tmp_path / "model.npz"
+    args = ["train", "--data", str(data), "--out", str(ck), "--representation", "icvmd", "--epochs", "0", "--segment-len", "32"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert read_manifest(ck)["vmd"] == dataclasses.asdict(VmdConfig())
+    edit_manifest(ck, lambda m: m["vmd"].update(alpha=50.0))
+
+    used = []
+
+    def spy(sig, cfg):
+        used.append(cfg)
+        return icvmd_decompose(sig, cfg)
+
+    monkeypatch.setattr(fewshot, "icvmd_decompose", spy)
+    res = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(ck)])
+    assert res.exit_code == 0, res.output
+    assert len(used) == 14 and set(used) == {VmdConfig(alpha=50.0)}
 
 
 def test_a_near_nyquist_noise_capture_is_represented(runner, tmp_path):

@@ -61,7 +61,9 @@ def test_spec_validation():
     "kw",
     [{"n_samples": 100.5}, {"seed": "x"}, {"seed": -1}, {"signals_per_emitter": True},
      {"samples_per_symbol": 8.0}, {"carrier": "0.1"}, {"snr_grid_db": (18.0, None)},
-     {"snr_grid_db": (float("nan"),)}, {"carrier": float("inf")}],
+     {"snr_grid_db": (float("nan"),)}, {"carrier": float("inf")}, {"n_samples": 15},
+     {"signals_per_emitter": 0}, {"samples_per_symbol": 0}, {"modulations": ("cw",)},
+     {"modulations": (ModulationKind.CW, "bpsk")}],
 )
 def test_spec_rejects_wrong_types(kw):
     with pytest.raises(ParameterError):

@@ -16,7 +16,6 @@ from icvmd.decompose import (
 )
 from icvmd.dataset import DatasetSpec, synthesize_one
 from icvmd.errors import ParameterError
-from icvmd.fewshot import default_icvmd_config
 from icvmd.modulation import ModulationKind
 from icvmd.pa import emitter_bank
 from icvmd.signals import ComplexSignal
@@ -85,7 +84,7 @@ def test_near_nyquist_carrier_is_signal():
     # 2.888 and 2.892 rad), so only about half of it lands in the one SIGNAL
     # mode; labelling every mode near the strongest one's energy as SIGNAL
     # would take the rest.  The bar is for one mode holding half the line.
-    cfg = default_icvmd_config()
+    cfg = VmdConfig()
     for n in (700, 2100):
         spec = DatasetSpec(carrier=0.46, modulations=(ModulationKind.CW,), n_samples=n)
         for profile in emitter_bank()[:3]:
@@ -203,7 +202,7 @@ def test_a_dump_rebuilds_every_selection_exactly(tmp_path):
     selections = [s for size in range(len(parts) + 1) for s in itertools.combinations(parts, size)]
     assert len(selections) == 8
     for i, sig in enumerate(captures):
-        res = icvmd_decompose(sig, default_icvmd_config())
+        res = icvmd_decompose(sig, VmdConfig())
         assert (min(res.pos.omegas) < np.pi / 700) == (i == 0)
         dump_modes(res, tmp_path / str(i))
         for selection in selections:
@@ -221,7 +220,7 @@ def test_dump_roundtrip_loss_is_bounded(tmp_path, snr_db):
         for kind in (ModulationKind.CW, ModulationKind.QPSK):
             sig = synthesize_one(spec, profile, kind, snr_db, symbol_seed=i, noise_seed=100 + i)
             out = tmp_path / f"{profile.emitter_id}_{kind.value}"
-            dump_modes(icvmd_decompose(sig, default_icvmd_config()), out)
+            dump_modes(icvmd_decompose(sig, VmdConfig()), out)
             rebuilt = reconstruct_from_dump(out, FULL_SELECTION).samples
             errors.append(np.linalg.norm(rebuilt - sig.samples) / np.linalg.norm(sig.samples))
     assert max(errors) == 0.0, max(errors)

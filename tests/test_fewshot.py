@@ -1,5 +1,4 @@
 import csv
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from icvmd.features import extract_features
 from icvmd.iqfile import write_iqf32
 from icvmd.fewshot import (
     Pipeline,
-    default_icvmd_config,
     run_fewshot,
     sat_inputs,
     signal_channels,
@@ -23,6 +21,7 @@ from icvmd.nn.layers import DTYPE
 from icvmd.nn.model import ModelConfig, init_params
 from icvmd.pa import emitter_bank
 from icvmd.signals import ComplexSignal
+from icvmd.vmd import VmdConfig
 
 TINY_SPEC = DatasetSpec(
     emitters=tuple(emitter_bank()[:2]),
@@ -59,7 +58,9 @@ def test_run_fewshot_rejects_a_bad_run_before_writing(tmp_path, pipeline, propor
 
 
 def test_default_icvmd_config_shape():
-    cfg = default_icvmd_config(n_modes=3)
+    # The old name survives only as the config class the pipelines use.
+    assert fewshot.default_icvmd_config is VmdConfig
+    cfg = VmdConfig(n_modes=3)
     assert cfg.n_modes == 3
     assert cfg.alpha == 200.0
 
@@ -85,7 +86,7 @@ def test_sat_inputs_partition_the_signal():
     t = np.arange(256)
     z = np.exp(2j * np.pi * 0.2 * t) + 0.2 * np.exp(-2j * np.pi * 0.33 * t)
     sig = ComplexSignal(z)
-    res = icvmd_decompose(sig, default_icvmd_config(n_modes=2))
+    res = icvmd_decompose(sig, VmdConfig(n_modes=2))
     main, branch = sat_inputs(res)
     assert main.shape == (2, 256)
     assert branch.shape == (2, 256)
@@ -181,7 +182,7 @@ def test_represent_raises_when_every_capture_is_dropped(tmp_path, monkeypatch):
         fewshot.represent(
             Pipeline.ICVMD_FEATURES,
             dict(manifest, files=manifest["files"][:2]),
-            default_icvmd_config(n_modes=2),
+            VmdConfig(n_modes=2),
             skipped=skipped,
         )
     assert [path for path, _ in skipped] == sorted(e["path"] for e in manifest["files"][:2])
@@ -190,7 +191,7 @@ def test_represent_raises_when_every_capture_is_dropped(tmp_path, monkeypatch):
 def test_represent_rejects_a_manifest_with_no_captures(tmp_path):
     manifest = {"_dir": str(tmp_path), "files": []}
     with pytest.raises(DegenerateInputError, match="lists no captures"):
-        fewshot.represent(Pipeline.RAW_NN, manifest, default_icvmd_config(n_modes=2))
+        fewshot.represent(Pipeline.RAW_NN, manifest, VmdConfig(n_modes=2))
 
 
 def test_predict_rejects_zero_captures():
@@ -206,7 +207,7 @@ def test_represent_reads_the_captures_in_path_order(tmp_path):
     in_order = sorted(manifest["files"], key=lambda e: e["path"])
     shuffled = [in_order[i] for i in np.random.default_rng(3).permutation(len(in_order))]
     assert shuffled != in_order
-    cfg = default_icvmd_config(n_modes=2)
+    cfg = VmdConfig(n_modes=2)
     kept, (mains, branches) = fewshot.represent(Pipeline.RAW_NN, dict(manifest, files=shuffled), cfg)
     assert kept == in_order
     assert np.array_equal(mains[0], signal_channels(load_entry(manifest, in_order[0])))
@@ -215,7 +216,7 @@ def test_represent_reads_the_captures_in_path_order(tmp_path):
 
 
 def capped(max_iter, n_modes=2):
-    return replace(default_icvmd_config(n_modes=n_modes), max_iter=max_iter)
+    return VmdConfig(n_modes=n_modes, max_iter=max_iter)
 
 
 def test_represent_counts_the_sides_that_stop_at_max_iter(tmp_path):
@@ -250,12 +251,25 @@ def test_represent_does_not_count_an_empty_side(tmp_path):
 
 
 def test_run_fewshot_carries_the_unconverged_count(tmp_path, monkeypatch):
-    monkeypatch.setattr(fewshot, "default_icvmd_config", lambda: capped(2))
+    monkeypatch.setattr(fewshot, "VmdConfig", lambda: capped(2))
     result = run_fewshot(TINY_SPEC, Pipeline.ICVMD_FEATURES, (1.0,), tmp_path / "capped")
     n_captures = len(TINY_SPEC.resolved_emitters()) * TINY_SPEC.signals_per_emitter
     assert result.solved_sides == result.unconverged_sides == 2 * n_captures
     # Nearest centroid has no loss.
     assert result.final_losses == {}
+
+
+@pytest.mark.parametrize("pipeline", [Pipeline.ICVMD_FEATURES, Pipeline.ICVMD_SAT])
+def test_run_fewshot_decomposes_with_the_default_solver_config(tmp_path, monkeypatch, pipeline):
+    used = []
+
+    def spy(sig, cfg):
+        used.append(cfg)
+        return icvmd_decompose(sig, cfg)
+
+    monkeypatch.setattr(fewshot, "icvmd_decompose", spy)
+    run_fewshot(TINY_SPEC, pipeline, (1.0,), tmp_path)
+    assert used and set(used) == {VmdConfig()}
 
 
 def test_represent_propagates_a_config_error(tmp_path):
@@ -267,7 +281,7 @@ def test_represent_propagates_a_config_error(tmp_path):
         fewshot.represent(
             Pipeline.ICVMD_FEATURES,
             dict(manifest, files=manifest["files"][:2]),
-            default_icvmd_config(n_modes=100),
+            VmdConfig(n_modes=100),
             skipped=skipped,
         )
     assert skipped == []

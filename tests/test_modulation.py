@@ -136,8 +136,11 @@ def test_parameter_validation():
         ModulationSpec(kind="cw")  # not the enum
     with pytest.raises(ParameterError):
         ModulationSpec(kind=ModulationKind.CW, carrier=-0.1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^samples_per_symbol must be >= 1, got 0$"):
         ModulationSpec(kind=ModulationKind.BPSK, samples_per_symbol=0)
+    # A fractional symbol length would be cut to a whole one by np.repeat.
+    with pytest.raises(ParameterError, match="samples_per_symbol must be an integer, got 8.5"):
+        ModulationSpec(kind=ModulationKind.BPSK, samples_per_symbol=8.5)
     with pytest.raises(ParameterError):
         ModulationSpec(kind=ModulationKind.LFM, sweep_span=-0.5)
     with pytest.raises(ParameterError):

@@ -186,12 +186,12 @@ def test_conv_validation():
         ConvLayer(np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(ParameterError):
         ConvLayer(np.zeros((2, 2, 3)), np.zeros(3))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^dilation must be >= 1, got 0$"):
         ConvLayer(np.zeros((2, 2, 3)), np.zeros(2), dilation=0)
     with pytest.raises(ParameterError):
         ConvLayer(np.zeros((2, 2, 0)), np.zeros(2))  # width 0
     for dilation in (2.5, 2.0, True, "2"):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="dilation must be an integer"):
             ConvLayer(np.zeros((2, 2, 3)), np.zeros(2), dilation=dilation)
     assert ConvLayer(np.zeros((2, 2, 3)), np.zeros(2), dilation=np.int64(2)).dilation == 2
     layer = ConvLayer(np.zeros((2, 3, 1)), np.zeros(2))

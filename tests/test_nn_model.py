@@ -42,7 +42,7 @@ def tiny_batch(b=2, t=30, seed=0):
 
 
 def test_config_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^segment_len must be >= 1, got 0$"):
         ModelConfig(segment_len=0)
     with pytest.raises(ParameterError, match="integer"):
         ModelConfig(segment_len=2.5)

@@ -116,6 +116,9 @@ def test_train_config_validation():
                         ("seed", 1.0), ("seed", "0")]:
         with pytest.raises(ParameterError, match=f"{name} must be an integer"):
             TrainConfig(**{name: value})
+    for name, low in [("epochs", 0), ("batch_size", 1), ("seed", 0)]:
+        with pytest.raises(ParameterError, match=f"^{name} must be >= {low}, got {low - 1}$"):
+            TrainConfig(**{name: low - 1})
     assert TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), seed=np.uint8(1)).epochs == 2
 
 

@@ -11,7 +11,6 @@ from icvmd.analytic import analytic_split
 from icvmd.dataset import DEFAULT_MODULATIONS, DatasetSpec, synthesize_one
 from icvmd.decompose import icvmd_decompose
 from icvmd.errors import DegenerateInputError, ParameterError
-from icvmd.fewshot import default_icvmd_config
 from icvmd.modulation import ModulationKind
 from icvmd.pa import emitter_bank
 from icvmd import vmd
@@ -117,6 +116,8 @@ def test_config_rejects_non_integer_counts(field, value):
     # A hand-edited checkpoint manifest's n_modes reaches VmdConfig through `icvmd eval`.
     with pytest.raises(ParameterError, match=f"{field} must be an integer"):
         VmdConfig(**{field: value})
+    with pytest.raises(ParameterError, match=f"^{field} must be >= 1, got 0$"):
+        VmdConfig(**{field: 0})
 
 
 # ------------------------------------------------------------------- solver
@@ -355,7 +356,7 @@ FUSED_SWEEP_CASES = [
     (333, VmdConfig(n_modes=6, alpha=300.0)),
     (431, VmdConfig(n_modes=3, alpha=1000.0)),
     (700, VmdConfig(n_modes=4, alpha=200.0, tol=1e-16, max_iter=40)),  # tol below rounding
-    (_colliding_cw_side, default_icvmd_config()),
+    (_colliding_cw_side, VmdConfig()),
 ]
 
 
@@ -402,7 +403,7 @@ def _bench_shaped_sides():
         sig = synthesize_one(spec, profile, DEFAULT_MODULATIONS[i], (18.0, -4.0)[i % 2], i, 100 + i)
         pair = analytic_split(sig)
         sides += [pair.x_plus, pair.x_minus]
-    return default_icvmd_config(), sides
+    return VmdConfig(), sides
 
 
 def test_relaxed_solver_is_no_farther_from_the_fixed_point_in_fewer_sweeps():
@@ -430,7 +431,7 @@ def test_relaxed_solver_converges_where_the_metric_keeps_rising():
     # relaxation that paused for every rise would stall it at the cap.
     sig = synthesize_one(DatasetSpec(n_samples=700), emitter_bank()[3], DEFAULT_MODULATIONS[1], 18.0, 1, 1040)
     x = analytic_split(sig).x_plus
-    cfg = default_icvmd_config()
+    cfg = VmdConfig()
     star = reference_vmd_decompose(x, dataclasses.replace(cfg, tol=1e-11, max_iter=6000), relax=1.0)
     plain = reference_vmd_decompose(x, cfg, relax=1.0)
     assert star.mode_set.converged and not plain.mode_set.converged
@@ -464,7 +465,7 @@ def test_solver_runs_in_the_precision_of_its_input():
 def test_icvmd_residual_closes_each_float64_side():
     sig = synthesize_one(DatasetSpec(n_samples=700), emitter_bank()[2], ModulationKind.QPSK, 18.0, 3, 103)
     pair = analytic_split(sig)
-    res = icvmd_decompose(sig, default_icvmd_config())
+    res = icvmd_decompose(sig, VmdConfig())
     for side, x in ((res.pos, pair.x_plus), (res.neg, pair.x_minus)):
         assert side.mode_set.mode_spectra.dtype == np.complex64
         assert side.residual.dtype == np.float64
