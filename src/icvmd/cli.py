@@ -30,7 +30,12 @@ from .decompose import (
 )
 from .classify import evaluate
 from .errors import DegenerateInputError, ParameterError
-from .fewshot import Pipeline, predict, represent, run_fewshot
+from .fewshot import (
+    Pipeline,
+    predict,
+    represent,
+    run_fewshot,
+)
 from .iqfile import json_object, read_iqf32, write_iqf32
 from .modulation import ModulationKind
 from .nn.checkpoint import _check_keys, load_checkpoint, save_checkpoint
@@ -193,8 +198,13 @@ def _represent_dataset(data_dir, representation, vmd: VmdConfig) -> tuple:
     captures and about sides the solver left unconverged."""
     skipped: list = []
     sides: list = []
-    manifest = load_manifest(data_dir)
-    kept, (mains, branches) = represent(_REPRESENTATIONS[representation], manifest, vmd, skipped=skipped, sides=sides)
+    kept, (mains, branches) = represent(
+        _REPRESENTATIONS[representation],
+        load_manifest(data_dir),
+        vmd,
+        skipped=skipped,
+        sides=sides,
+    )
     for path, reason in skipped:
         click.echo(f"skipped {path}: {reason}", err=True)
     _warn_unconverged(sides.count(False), len(sides))

@@ -102,7 +102,7 @@ class VmdConfig:
         check_int("max_iter", self.max_iter, 1)
         for name in ("alpha", "tol"):  # a checkpoint's manifest reaches both through `icvmd eval`
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and value > 0 and np.isfinite(value)):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value > 0 and np.isfinite(value)):
                 raise ParameterError(f"{name} must be positive and finite, got {value!r}")
 
 

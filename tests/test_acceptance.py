@@ -42,7 +42,7 @@ def test_01_two_tone_center_recovery():
     t = np.arange(n)
     x = np.cos(2 * np.pi * 0.05 * t) + np.cos(2 * np.pi * 0.25 * t)
     t0 = time.perf_counter()
-    res = vmd_decompose(x, VmdConfig(n_modes=2, alpha=2000.0, tol=1e-7))
+    res = vmd_decompose(x, VmdConfig(n_modes=2, alpha=2000.0, tol=1e-7, max_iter=500))
     dt = time.perf_counter() - t0
     want = np.array([0.05, 0.25]) * 2 * np.pi
     err = float(np.max(np.abs(res.omegas - want)))
@@ -65,7 +65,7 @@ def test_02_single_mode_matches_closed_form():
     rng = np.random.default_rng(7)
     n = 512
     x = np.cos(2 * np.pi * 0.13 * np.arange(n)) + 0.1 * rng.normal(size=n)
-    cfg = VmdConfig(n_modes=1, alpha=700.0, tol=1e-9)
+    cfg = VmdConfig(n_modes=1, alpha=700.0, tol=1e-9, max_iter=500)
     res = vmd_decompose(x, cfg)
     grid = half_grid(2 * n)
     f_hat = np.fft.rfft(mirror_extend(x))

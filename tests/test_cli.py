@@ -741,9 +741,10 @@ def test_eval_rejects_a_bad_label_map(runner, tmp_path, edit, message):
         (lambda m: m["vmd"].pop("alpha"), "checkpoint vmd mismatch: missing ['alpha'], extra []"),
         (lambda m: m["vmd"].update(beta=1.7), "checkpoint vmd mismatch: missing [], extra ['beta']"),
         (lambda m: m["vmd"].update(alpha="200"), "alpha must be positive and finite, got '200'"),
+        (lambda m: m["vmd"].update(alpha=True), "alpha must be positive and finite, got True"),
         (lambda m: m["vmd"].update(n_modes=2.5), "n_modes must be an integer, got 2.5"),
     ],
-    ids=["no_vmd", "n_modes_only", "vmd_list", "missing_field", "unknown_field", "string_alpha", "float_n_modes"],
+    ids=["no_vmd", "n_modes_only", "vmd_list", "missing_field", "unknown_field", "string_alpha", "bool_alpha", "float_n_modes"],
 )
 def test_eval_refuses_a_solver_config_it_cannot_rebuild_whole(runner, tmp_path, edit, message):
     # No field falls back to a default, so a checkpoint written before the

@@ -39,7 +39,7 @@ def quick_cfg(n_modes=2):
 def fake_result(freqs, amps, n=256, alpha=500.0):
     t = np.arange(n)
     x = sum(a * np.cos(2 * np.pi * f * t) for f, a in zip(freqs, amps))
-    return vmd_decompose(x, VmdConfig(n_modes=len(freqs), alpha=alpha, tol=1e-7))
+    return vmd_decompose(x, VmdConfig(n_modes=len(freqs), alpha=alpha, tol=1e-7, max_iter=500))
 
 
 def test_partition_strongest_is_signal():
@@ -61,7 +61,7 @@ def test_partition_near_dc_mode():
     n = 512
     for offset, labels in ((3.0, (ModeLabel.SIGNAL, ModeLabel.FEATURE)), (0.3, (ModeLabel.FEATURE, ModeLabel.SIGNAL))):
         x = offset + np.cos(2 * np.pi * 0.2 * np.arange(n))
-        res = vmd_decompose(x, VmdConfig(n_modes=2, alpha=500.0))
+        res = vmd_decompose(x, VmdConfig(n_modes=2, alpha=500.0, tol=1e-7, max_iter=500))
         assert res.omegas[0] < np.pi / n
         assert partition_modes(res) == labels
 
@@ -74,7 +74,7 @@ def test_partition_special_needs_energy():
 
 
 def test_partition_lone_mode_of_a_constant_side_is_signal():
-    res = vmd_decompose(np.full(256, 3.0), VmdConfig(n_modes=1))
+    res = vmd_decompose(np.full(256, 3.0), VmdConfig(n_modes=1, alpha=2000.0, tol=1e-7, max_iter=500))
     assert partition_modes(res) == (ModeLabel.SIGNAL,)
 
 

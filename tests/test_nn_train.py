@@ -33,7 +33,7 @@ def arrays_equal(a, b):
 def test_zero_learning_rate_is_identity():
     params = init_params(TINY, 3, seed=0)
     main, branch, labels = toy_problem()
-    res = train(params, main, branch, labels, TrainConfig(learning_rate=0.0, epochs=2))
+    res = train(params, main, branch, labels, TrainConfig(learning_rate=0.0, epochs=2, batch_size=128))
     assert arrays_equal(res.params, params)
     assert len(res.history) == 2
 

@@ -104,6 +104,10 @@ def test_config_validation():
     for tol in (float("inf"), float("nan")):
         with pytest.raises(ParameterError, match="tol must be positive and finite"):
             VmdConfig(tol=tol)
+    # A manifest's JSON true is not the number 1.
+    for name in ("alpha", "tol"):
+        with pytest.raises(ParameterError, match=f"^{name} must be positive and finite, got True$"):
+            VmdConfig(**{name: True})
     with pytest.raises(ParameterError):
         VmdConfig(max_iter=0)
 
@@ -130,7 +134,7 @@ def tone_mix(n, freqs, amps):
 
 def test_two_tone_recovery():
     x = tone_mix(1024, [0.05, 0.25], [1.0, 1.0])
-    res = vmd_decompose(x, VmdConfig(n_modes=2, alpha=2000.0, tol=1e-7))
+    res = vmd_decompose(x, VmdConfig(n_modes=2, alpha=2000.0, tol=1e-7, max_iter=500))
     want = np.array([0.05, 0.25]) * 2.0 * np.pi
     assert np.allclose(res.omegas, want, atol=0.01)
     assert res.mode_set.converged
@@ -138,21 +142,21 @@ def test_two_tone_recovery():
 
 def test_omegas_sorted_ascending():
     x = tone_mix(600, [0.3, 0.08, 0.17], [1.0, 1.0, 1.0])
-    res = vmd_decompose(x, VmdConfig(n_modes=3, alpha=1000.0))
+    res = vmd_decompose(x, VmdConfig(n_modes=3, alpha=1000.0, tol=1e-7, max_iter=500))
     assert np.all(np.diff(res.omegas) >= 0)
 
 
 def test_modes_plus_residual_reconstruct_exactly():
     rng = np.random.default_rng(0)
     x = rng.normal(size=300)
-    res = vmd_decompose(x, VmdConfig(n_modes=3, alpha=500.0, max_iter=50))
+    res = vmd_decompose(x, VmdConfig(n_modes=3, alpha=500.0, tol=1e-7, max_iter=50))
     assert np.allclose(res.modes.sum(axis=0) + res.residual, x, atol=1e-12)
     assert res.modes.shape == (3, 300)
 
 
 def test_returned_spectra_satisfy_wiener_fixed_point():
     x = tone_mix(512, [0.1], [1.0]) + 0.1 * np.sin(2 * np.pi * 0.33 * np.arange(512))
-    cfg = VmdConfig(n_modes=2, alpha=800.0, tol=1e-8)
+    cfg = VmdConfig(n_modes=2, alpha=800.0, tol=1e-8, max_iter=500)
     res = vmd_decompose(x, cfg)
     ms = res.mode_set
     grid = half_grid(2 * x.size)
@@ -288,7 +292,7 @@ def test_memory_budget_rejects_before_allocating():
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_memory_budget_covers_the_measured_peak(monkeypatch, n, k, dtype):
     x = np.random.default_rng(k).normal(size=n).astype(dtype)
-    cfg = VmdConfig(n_modes=k, alpha=200.0, max_iter=2)
+    cfg = VmdConfig(n_modes=k, alpha=200.0, tol=1e-7, max_iter=2)
     tracemalloc.start()
     try:
         vmd_decompose(x, cfg)
@@ -310,7 +314,7 @@ def test_solve_peaks_at_two_spectra_per_mode_and_keeps_no_extension(dtype):
     x = np.random.default_rng(k).normal(size=n).astype(dtype)
     tracemalloc.start()
     try:
-        res = vmd_decompose(x, VmdConfig(n_modes=k, alpha=200.0, max_iter=2))
+        res = vmd_decompose(x, VmdConfig(n_modes=k, alpha=200.0, tol=1e-7, max_iter=2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -348,13 +352,13 @@ def _case_signal(source):
 
 
 FUSED_SWEEP_CASES = [
-    (300, VmdConfig(n_modes=1, alpha=100.0, tol=1e-8)),
-    (301, VmdConfig(n_modes=2, alpha=500.0)),
-    (512, VmdConfig(n_modes=3, alpha=2000.0)),
+    (300, VmdConfig(n_modes=1, alpha=100.0, tol=1e-8, max_iter=500)),
+    (301, VmdConfig(n_modes=2, alpha=500.0, tol=1e-7, max_iter=500)),
+    (512, VmdConfig(n_modes=3, alpha=2000.0, tol=1e-7, max_iter=500)),
     (257, VmdConfig(n_modes=4, alpha=200.0, tol=1e-6, max_iter=300)),
-    (400, VmdConfig(n_modes=5, alpha=800.0)),
-    (333, VmdConfig(n_modes=6, alpha=300.0)),
-    (431, VmdConfig(n_modes=3, alpha=1000.0)),
+    (400, VmdConfig(n_modes=5, alpha=800.0, tol=1e-7, max_iter=500)),
+    (333, VmdConfig(n_modes=6, alpha=300.0, tol=1e-7, max_iter=500)),
+    (431, VmdConfig(n_modes=3, alpha=1000.0, tol=1e-7, max_iter=500)),
     (700, VmdConfig(n_modes=4, alpha=200.0, tol=1e-16, max_iter=40)),  # tol below rounding
     (_colliding_cw_side, VmdConfig()),
 ]
@@ -452,7 +456,7 @@ def test_peak_start_takes_fewer_sweeps_than_the_uniform_spread(monkeypatch):
 
 def test_solver_runs_in_the_precision_of_its_input():
     x = tone_mix(300, [0.05, 0.2], [1.0, 0.5])
-    cfg = VmdConfig(n_modes=2, alpha=500.0)
+    cfg = VmdConfig(n_modes=2, alpha=500.0, tol=1e-7, max_iter=500)
     single = vmd_decompose(x.astype(np.float32), cfg)
     assert single.mode_set.mode_spectra.dtype == np.complex64
     assert single.modes.dtype == single.residual.dtype == single.omegas.dtype == np.float64
@@ -497,6 +501,6 @@ def test_iteration_cap_respected():
 )
 def test_single_tone_center_found(f, n):
     x = np.cos(2 * np.pi * f * np.arange(n))
-    res = vmd_decompose(x, VmdConfig(n_modes=1, alpha=100.0, tol=1e-8))
+    res = vmd_decompose(x, VmdConfig(n_modes=1, alpha=100.0, tol=1e-8, max_iter=500))
     # One mode, one tone: the center lands on the tone within grid resolution.
     assert res.omegas[0] == pytest.approx(2 * np.pi * f, abs=0.05)
