@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit, and the integer-field check."""
+"""Exception types shared across the toolkit, and the integer and real field checks."""
+import numbers
+
 import numpy as np
 
 
@@ -16,3 +18,11 @@ def check_int(name: str, value, low: int) -> None:
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ParameterError(f"{name} must be >= {low}, got {value}")
+
+
+def check_real(name: str, value, zero: bool = False) -> None:
+    """Raise ParameterError unless value is a finite real number (never a bool)
+    above zero, or at zero when ``zero``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (value > 0 or zero and value == 0) and np.isfinite(value)):
+        raise ParameterError(f"{name} must be {'>= 0' if zero else 'positive'} and finite, got {value!r}")

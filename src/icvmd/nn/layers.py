@@ -11,9 +11,12 @@ not a copy: do not modify that input in place before the backward pass.
 The ReLU overwrites the array it is given (a conv output the caller owns)
 and its cache is that output, which the next conv caches anyway; so a
 training forward keeps each conv input once and nothing beside it.
-conv_backward can continue the parameter gradients of an earlier call, so a
-batch split into consecutive chunks of samples gets the same bytes as one
-call over the whole batch.
+conv_backward and dense_backward can continue the parameter gradients of an
+earlier call, so a batch split into consecutive chunks of samples gets the
+same bytes as one call over the whole batch.  The dense products are a
+broadcast product summed over the contracted axis, so each output row
+depends on its own input row alone; BLAS ``x @ W.T`` picks another kernel for
+fewer rows and rounds a row block differently from the whole batch.
 The conv passes and relu_backward write into ``out`` when given, and each
 lagged tap's product goes into ``scratch`` (shaped like the result) before
 it is added, so a caller that reuses both allocates no activation; the bytes
@@ -100,12 +103,13 @@ def conv_forward(x: np.ndarray, layer: ConvLayer, out=None, scratch=None):
 
 
 def _summed(parts: np.ndarray, prior) -> np.ndarray:
-    """parts.sum(axis=0), continued from ``prior`` (the sum over earlier samples)
-    when given.  NumPy sums a leading axis one row after another, so the result
-    is bit-identical to one sum over the earlier samples' rows and these."""
+    """parts summed over axis 0, continued from ``prior`` (the sum over earlier
+    samples, added into parts[0]) when given.  np.add.accumulate adds one row
+    after another whatever the shape (sum() pairs up an [N, 1] array's rows),
+    so this is bit-identical to one sum over the earlier rows and these."""
     if prior is not None:
         parts[0] += prior
-    return parts.sum(axis=0)
+    return np.add.accumulate(parts, axis=0)[-1]
 
 
 def conv_backward(dy: np.ndarray, cache, total=None, out=None, scratch=None):
@@ -150,21 +154,30 @@ def relu_backward(dy: np.ndarray, cache, out=None):
     return np.multiply(dy, cache > 0.0, out=out)
 
 
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a [N, k] times b [m, k] (or each row's own [N, m, k]) over k: [N, m],
+    each output row from its own row of a.  The product is made in C order, so
+    the sum runs over contiguous k whatever the layout of b."""
+    return np.multiply(a[:, None, :], b, order="C").sum(axis=2)
+
+
 def dense_forward(x: np.ndarray, layer: Dense):
     """x [N, in] -> [N, out]."""
     if x.ndim != 2 or x.shape[1] != layer.weights.shape[1]:
         raise ParameterError(
             f"dense expects [N, {layer.weights.shape[1]}], got shape {x.shape}"
         )
-    return x @ layer.weights.T + layer.bias, x
+    return rowdot(x, layer.weights) + layer.bias, x
 
 
-def dense_backward(dy: np.ndarray, cache, layer: Dense):
+def dense_backward(dy: np.ndarray, cache, layer: Dense, total=None):
+    """Returns (dx [N, in], dweights [out, in], dbias [out]), continuing
+    ``total`` as conv_backward does."""
     x = cache
-    dw = dy.T @ x
-    db = dy.sum(axis=0)
-    dx = dy @ layer.weights
-    return dx, dw, db
+    prior_w, prior_b = (None, None) if total is None else total
+    dw = _summed(dy[:, :, None] * x[:, None, :], prior_w)
+    db = _summed(dy.copy(), prior_b)
+    return rowdot(dy, layer.weights.T), dw, db
 
 
 def init_conv(rng: np.random.Generator, out_ch: int, in_ch: int, width: int, dilation: int) -> ConvLayer:

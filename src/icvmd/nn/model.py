@@ -18,18 +18,23 @@ layers.DTYPE, which signal_channels builds its stacks in; the entry points
 cast an input of any other dtype to it.
 
 The conv trunk and the branch conv stack run over consecutive chunks of
-samples, each small enough that its activations stay in a core's L2 cache;
-the dense heads, the softmax and the loss see the whole batch.  Backward
-continues each conv's weight and bias sums from chunk to chunk in sample
-order, so every result is bit-identical to one pass over the whole batch.
+samples, each small enough that its activations stay in a core's L2 cache.
+Every other step is row by row: the dense heads are row-invariant products
+(see nn/layers.py), and the softmax, the attention sum and the loss reduce
+within a row, so a sample's logits do not depend on the rest of its batch.
+Backward continues each conv's and dense layer's weight and bias sums from
+chunk to chunk in sample order, so every result is bit-identical to one pass
+over the whole batch; train() runs each chunk's forward, loss and backward
+before the next chunk's forward.
 
 The forward cache keeps each conv input once and nothing beside it: a ReLU
 runs in place and its backward reads the output the next conv caches, and
 the residual blocks write straight into the merge conv's input.
 
 Activations live in a workspace, a dict of buffers, one per activation per
-chunk; train() passes one to every step and frees it on return, so no step
-after the first allocates an activation.  Backward keeps its chunk-sized
+chunk; train() passes one chunk at a time, so its workspace holds one chunk's
+set whatever the batch size, and no step after the first allocates an
+activation.  Backward keeps its chunk-sized
 gradients there too, and the next forward borrows them as tap scratch.  A
 forward without a workspace runs every chunk through buffers local to the
 call and keeps only the attention.
@@ -53,6 +58,7 @@ from .layers import (
     init_dense,
     relu_backward,
     relu_forward,
+    rowdot,
 )
 
 
@@ -104,11 +110,6 @@ def _conv(params: NetParams, name: str, dilation: int = 1) -> ConvLayer:
 
 def _dense(params: NetParams, name: str) -> Dense:
     return Dense(params.arrays[f"{name}.weights"], params.arrays[f"{name}.bias"])
-
-
-def _store(grads: dict, name: str, dw: np.ndarray, db: np.ndarray) -> None:
-    grads[f"{name}.weights"] = dw
-    grads[f"{name}.bias"] = db
 
 
 def init_params(config: ModelConfig, n_classes: int, seed: int) -> NetParams:
@@ -169,15 +170,25 @@ def _conv_out(x: np.ndarray, layer: ConvLayer, ws: dict, key, out=None):
     return conv_forward(x, layer, out, _scratch(ws, shape, x.dtype))
 
 
+def _total(grads: dict, name: str):
+    """The weight and bias sums an earlier chunk left in ``grads``, if any."""
+    return (grads[f"{name}.weights"], grads[f"{name}.bias"]) if f"{name}.weights" in grads else None
+
+
 def _conv_grads(dy: np.ndarray, cache, grads: dict, name: str, ws: dict) -> np.ndarray:
     """conv_backward for layer ``name``, continuing the weight and bias sums an
     earlier chunk left in ``grads``; returns the input gradient, in ``ws``."""
-    w_key, b_key = f"{name}.weights", f"{name}.bias"
-    total = (grads[w_key], grads[b_key]) if w_key in grads else None
     x, layer = cache
     out = _buf(ws, ("d", *x.shape[1:]), x.shape, x.dtype)
     tap = _buf(ws, x.shape[1:], x.shape, x.dtype) if layer.width > 1 else None
-    dx, grads[w_key], grads[b_key] = conv_backward(dy, cache, total, out, tap)
+    dx, grads[f"{name}.weights"], grads[f"{name}.bias"] = conv_backward(dy, cache, _total(grads, name), out, tap)
+    return dx
+
+
+def _dense_grads(params: NetParams, dy: np.ndarray, cache, grads: dict, name: str) -> np.ndarray:
+    """dense_backward for layer ``name``, continuing as _conv_grads does."""
+    layer = _dense(params, name)
+    dx, grads[f"{name}.weights"], grads[f"{name}.bias"] = dense_backward(dy, cache, layer, _total(grads, name))
     return dx
 
 
@@ -269,7 +280,7 @@ def _branch_forward(params: NetParams, xb: np.ndarray, s: int, workspace=None):
 
     Segments are processed independently (folded into the batch axis), so the
     score of segment s depends only on the samples inside segment s.  The conv
-    stack runs chunk by chunk, as the trunk does; the head sees the whole batch.
+    stack runs chunk by chunk, as the trunk does, and the head row by row.
     """
     length = params.config.segment_len
     b, c_in, t = xb.shape
@@ -292,9 +303,7 @@ def _branch_backward(params: NetParams, dscores: np.ndarray, cache, grads, ws: d
     chunks, dcache = cache
     length = params.config.segment_len
     b, s = dscores.shape
-    dy = dscores.reshape(b * s, 1)
-    dpooled, dw, db = dense_backward(dy, dcache, _dense(params, "branch.head"))
-    _store(grads, "branch.head", dw, db)
+    dpooled = _dense_grads(params, dscores.reshape(b * s, 1), dcache, grads, "branch.head")
     for rows, caches in chunks:
         n = rows.stop - rows.start
         dp = dpooled[rows.start * s : rows.stop * s, :, None] / length
@@ -320,8 +329,8 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, w
     Returns (logits [B, n_classes], cache); the cache holds the attention
     weights under key 'attention'.  The conv trunk and the branch conv stack
     run over consecutive chunks of samples sized to stay in cache, and the
-    heads over the whole batch; every result is bit-identical to one pass
-    over the whole batch.
+    rest row by row, so each row's logits are bit-identical to those of the
+    row run alone.
 
     With a ``workspace`` (a dict, ``{}`` at first) the cache refers to its
     buffers and to the inputs, valid until the next forward that uses the same
@@ -353,12 +362,12 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, w
 
     flat = pool.transpose(0, 2, 1).reshape(b * s, -1)
     seg_logits_flat, cls1_cache = dense_forward(flat, _dense(params, "classifier1"))
-    seg_logits = seg_logits_flat.reshape(b, s, -1).transpose(0, 2, 1)  # [B, n_classes, S]
+    seg_logits = seg_logits_flat.reshape(b, s, -1)  # [B, S, n_classes]
 
     scores, branch_cache = _branch_forward(params, xb, s, workspace)
     att = softmax(scores, axis=1)  # [B, S]
 
-    z = np.einsum("bs,bos->bo", att, seg_logits)  # [B, n_classes]
+    z = rowdot(att, seg_logits.transpose(0, 2, 1))  # [B, n_classes]
     logits, cls2_cache = dense_forward(z, _dense(params, "classifier2"))
     if workspace is None:
         return logits, {"attention": att}
@@ -376,13 +385,15 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, w
     return logits, cache
 
 
-def model_backward(params: NetParams, dlogits: np.ndarray, cache) -> dict:
+def model_backward(params: NetParams, dlogits: np.ndarray, cache, grads=None) -> dict:
     """Exact gradients of every parameter for the cached forward pass.
 
-    The cache must come from a model_forward given a workspace.  The trunk
-    runs backward chunk by chunk in sample order, each conv's weight and bias
-    sums continuing from the chunk before, so every gradient is bit-identical
-    to one backward pass over the whole batch.
+    The cache must come from a model_forward given a workspace.  Every conv's
+    and dense layer's weight and bias sums continue, in sample order, from
+    those an earlier batch of samples left in ``grads`` (a dict, filled and
+    returned); so a batch run as consecutive chunks, each chunk's forward and
+    backward in turn with one ``grads``, gets gradients bit-identical to one
+    backward pass over the whole batch.
     """
     if "workspace" not in cache:
         raise ParameterError("this cache keeps no activations: pass a workspace (a dict) to model_forward to train")
@@ -391,21 +402,17 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache) -> dict:
     length = params.config.segment_len
     dlogits = np.asarray(dlogits, dtype=params.dtype)
 
-    grads: dict = {}
-    dz, dw, db = dense_backward(dlogits, cache["cls2_cache"], _dense(params, "classifier2"))
-    _store(grads, "classifier2", dw, db)
+    grads = {} if grads is None else grads
+    dz = _dense_grads(params, dlogits, cache["cls2_cache"], grads, "classifier2")
 
     att = cache["attention"]
-    seg_logits = cache["seg_logits"]
-    datt = np.einsum("bo,bos->bs", dz, seg_logits)
-    dseg_logits = np.einsum("bo,bs->bos", dz, att)
+    datt = rowdot(dz, cache["seg_logits"])  # [B, S]
+    dseg_logits = dz[:, None, :] * att[:, :, None]  # [B, S, n_classes]
 
     dscores = softmax_backward(datt, att, axis=1)
     _branch_backward(params, dscores, cache["branch_cache"], grads, ws)
 
-    dflat = dseg_logits.transpose(0, 2, 1).reshape(b * s, -1)
-    dpool_flat, dw, db = dense_backward(dflat, cache["cls1_cache"], _dense(params, "classifier1"))
-    _store(grads, "classifier1", dw, db)
+    dpool_flat = _dense_grads(params, dseg_logits.reshape(b * s, -1), cache["cls1_cache"], grads, "classifier1")
     dpool = dpool_flat.reshape(b, s, -1).transpose(0, 2, 1)  # [B, C, S]
 
     c = CHANNELS
@@ -418,8 +425,19 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache) -> dict:
     return grads
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy over the batch; returns (loss, dlogits in the logits' dtype)."""
+def check_labels(labels: np.ndarray, k: int) -> None:
+    """Raise ParameterError unless labels are integers in [0, k)."""
+    if not np.issubdtype(labels.dtype, np.integer):  # rejects float and bool labels
+        raise ParameterError(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.min() < 0 or labels.max() >= k:
+        raise ParameterError(f"labels must lie in [0, {k})")
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray, batch_size=None):
+    """Per-row cross-entropy; returns (losses [batch], dlogits), both in the
+    logits' dtype.  dlogits is the gradient of the losses' sum divided by
+    ``batch_size`` (default: the rows given, the gradient of their mean), so
+    the chunks of a minibatch, each given the minibatch's size, get its rows."""
     logits = np.asarray(logits)
     labels = np.asarray(labels)
     if logits.ndim != 2:
@@ -429,15 +447,12 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
         raise ParameterError(f"empty batch: logits of shape {logits.shape}")
     if labels.shape != (b,):
         raise ParameterError("labels must be [batch]")
-    if labels.min() < 0 or labels.max() >= k:
-        raise ParameterError(f"labels must lie in [0, {k})")
+    check_labels(labels, k)
     shifted = logits - logits.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logz
-    loss = float(-np.mean(logp[np.arange(b), labels]))
     p = np.exp(logp)
     onehot = np.zeros_like(p)
     onehot[np.arange(b), labels] = 1.0
-    dlogits = (p - onehot) / b
-    return loss, dlogits
+    return -logp[np.arange(b), labels], (p - onehot) / (b if batch_size is None else batch_size)
 

@@ -5,9 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateInputError, ParameterError, check_int
+from ..errors import DegenerateInputError, ParameterError, check_int, check_real
 from .layers import init_dense
-from .model import NetParams, _buf, _segment_count, cross_entropy, layer_arrays, model_backward, model_forward
+from .model import (NetParams, _buf, _chunks, _segment_count, check_labels, cross_entropy, layer_arrays,
+                    model_backward, model_forward)
 
 # Adam moment decays and denominator guard (Kingma & Ba's defaults).
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
@@ -27,8 +28,7 @@ class TrainConfig:
         check_int("epochs", self.epochs, 0)
         check_int("batch_size", self.batch_size, 1)
         check_int("seed", self.seed, 0)
-        if self.learning_rate < 0 or not np.isfinite(self.learning_rate):
-            raise ParameterError("learning_rate must be >= 0")
+        check_real("learning_rate", self.learning_rate, zero=True)
 
 
 @dataclass
@@ -49,10 +49,7 @@ def _check_dataset(main, branch, labels, params: NetParams):
         raise ParameterError("labels must be [N]")
     if main.shape[0] == 0:
         raise DegenerateInputError("empty training set")
-    if not np.issubdtype(labels.dtype, np.integer):  # rejects float and bool labels
-        raise ParameterError(f"labels must be integers, got dtype {labels.dtype}")
-    if labels.min() < 0 or labels.max() >= params.n_classes:
-        raise ParameterError(f"labels must lie in [0, {params.n_classes})")
+    check_labels(labels, params.n_classes)
     _segment_count(params, main.shape[2])  # also at epochs=0, so no model that no input can run comes back
     for name, x in (("main", main), ("branch", branch))[: 1 if same else 2]:
         if not np.isfinite([x.min(), x.max()]).all():  # NaN propagates, no mask; after the cast, so 1e39 counts
@@ -78,8 +75,11 @@ def train(
 
     The inputs are cast to the parameters' dtype, which every result keeps,
     unless already in it, and must be finite; one array passed as both
-    ``main`` and ``branch`` is cast and gathered once.  Every step runs
-    through one workspace (see nn/model.py) that this call frees on return.
+    ``main`` and ``branch`` is cast and gathered once.  A minibatch runs in
+    model._chunks order, each chunk's forward, loss (scaled by the minibatch
+    size) and backward before the next chunk's forward, through one workspace
+    (see nn/model.py) that this call frees on return; every result, and the
+    recorded loss (the mean of its rows'), is that of one whole-batch pass.
     Arrays whose key starts with any of ``freeze_prefixes`` receive no
     updates, so they come back bit-identical; a prefix that matches no key is
     an error.  learning_rate == 0 leaves every parameter bit-identical.  A
@@ -107,13 +107,16 @@ def train(
             idx = order[start : start + cfg.batch_size]
             xm = _gather(ws, "main", main, idx)
             xb = xm if branch is main else _gather(ws, "branch", branch, idx)
+            y, row_losses, grads = labels[idx], np.empty(len(idx), out.dtype), {}
             step += 1
             with np.errstate(over="ignore", invalid="ignore"):  # the checks below name any overflow
-                logits, cache = model_forward(out, xm, xb, ws)
-                loss, dlogits = cross_entropy(logits, labels[idx])
+                for rows in _chunks(len(idx), main.shape[2]):
+                    logits, cache = model_forward(out, xm[rows], xb[rows], ws)
+                    row_losses[rows], dlogits = cross_entropy(logits, y[rows], len(idx))
+                    grads = model_backward(out, dlogits, cache, grads)
+                loss = float(np.mean(row_losses))
                 if not np.isfinite(loss):
                     raise ParameterError(f"non-finite training loss at epoch {epoch}, step {step}; lower the learning rate")
-                grads = model_backward(out, dlogits, cache)
                 losses.append(loss)
                 bc1, bc2 = 1.0 - _BETA1**step, 1.0 - _BETA2**step
                 for k, a in live.items():

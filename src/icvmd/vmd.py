@@ -46,12 +46,11 @@ keeps the centers about 1.6x nearer the fixed point than stopping there.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError, check_int
+from .errors import DegenerateInputError, ParameterError, check_int, check_real
 
 # Mode energies below this are treated as numerically zero in ratio guards.
 _ENERGY_GUARD = 1e-30
@@ -101,9 +100,7 @@ class VmdConfig:
         check_int("n_modes", self.n_modes, 1)
         check_int("max_iter", self.max_iter, 1)
         for name in ("alpha", "tol"):  # a checkpoint's manifest reaches both through `icvmd eval`
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value > 0 and np.isfinite(value)):
-                raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+            check_real(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -351,8 +351,8 @@ def as_float64(params: NetParams) -> NetParams:
 
 def batch_loss(params: NetParams, main, branch, labels) -> float:
     logits, _ = model_forward(params, main, branch)
-    loss, _ = cross_entropy(logits, labels)
-    return loss
+    losses, _ = cross_entropy(logits, labels)
+    return float(np.mean(losses))
 
 
 def kink_margin(params: NetParams, main, branch) -> float:

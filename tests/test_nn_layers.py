@@ -221,6 +221,30 @@ def test_dense_backward_hand_case():
     assert np.array_equal(db, [2.0])
 
 
+@pytest.mark.parametrize("out_dim", [1, 4])
+def test_dense_products_are_row_invariant_and_match_blas_to_rounding(out_dim):
+    # A row block gets the bytes of the whole batch, and a backward continued
+    # over row blocks those of one call (a sum() over [N, 1] rows would not);
+    # BLAS agrees to float32 rounding.
+    rng = np.random.default_rng(12)
+    layer = init_dense(rng, out_dim, 8)
+    x, dy = rng.normal(size=(2, 672, 8)).astype(np.float32)
+    dy = dy[:, :out_dim].copy()
+    y, cache = dense_forward(x, layer)
+    dx, dw, db = dense_backward(dy, cache, layer)
+    total = None
+    for rows in [slice(lo, lo + 147) for lo in range(0, 672, 147)]:  # a chunk's segments at n=2100
+        part, part_cache = dense_forward(x[rows], layer)
+        assert part.tobytes() == y[rows].tobytes()
+        part_dx, *total = dense_backward(dy[rows], part_cache, layer, total)
+        assert part_dx.tobytes() == dx[rows].tobytes()
+    assert total[0].tobytes() == dw.tobytes() and total[1].tobytes() == db.tobytes()
+    tol = {"rtol": 1e-5, "atol": 1e-4}
+    assert np.allclose(y, x @ layer.weights.T + layer.bias, **tol)
+    assert np.allclose(dx, dy @ layer.weights, **tol)
+    assert np.allclose(dw, dy.T @ x, **tol) and np.allclose(db, dy.sum(axis=0), **tol)
+
+
 def test_dense_validation():
     layer = Dense(np.zeros((2, 3)), np.zeros(2))
     with pytest.raises(ParameterError):

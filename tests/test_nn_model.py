@@ -211,6 +211,23 @@ def test_cross_entropy_rejects_logits_that_are_not_batch_by_class():
         cross_entropy(np.zeros((1, 2, 1)), np.array([0]))
 
 
+@pytest.mark.parametrize("labels", [[0.0, 1.0], [1.5, 0.0], [True, False]], ids=["whole_floats", "floats", "bools"])
+def test_cross_entropy_rejects_labels_that_are_not_integers(labels):
+    with pytest.raises(ParameterError, match="^labels must be integers, got dtype (float64|bool)$"):
+        cross_entropy(np.zeros((2, 3)), np.array(labels))
+
+
+def test_cross_entropy_scales_each_row_by_the_batch_size_given():
+    logits = np.random.default_rng(3).normal(size=(5, 3)).astype(np.float32)
+    labels = np.array([0, 2, 1, 1, 0])
+    losses, dlogits = cross_entropy(logits, labels)
+    assert losses.shape == (5,) and losses.dtype == dlogits.dtype == np.float32
+    for rows in (slice(0, 2), slice(2, 5)):
+        part, dpart = cross_entropy(logits[rows], labels[rows], 5)
+        assert part.tobytes() == losses[rows].tobytes()
+        assert dpart.tobytes() == dlogits[rows].tobytes()
+
+
 def test_cross_entropy_rejects_an_empty_batch():
     with pytest.raises(ParameterError, match=r"empty batch.*\(0, 3\)"):
         cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=int))
@@ -277,6 +294,19 @@ def test_chunked_trunk_is_bit_identical_to_one_chunk(monkeypatch, cast):
     assert fit.history == want_fit.history
     for key, want in want_fit.params.arrays.items():
         assert np.array_equal(fit.params.arrays[key], want), key
+
+
+def test_each_row_gets_the_logits_it_gets_alone():
+    # The heads are row-invariant products, so no batch, and no batch of 64
+    # in predict, changes a row's logits or attention by one bit.
+    params = init_params(ModelConfig(segment_len=20), n_classes=4, seed=1)
+    rng = np.random.default_rng(8)
+    xm, xb = rng.normal(size=(2, 64, IN_CHANNELS, 200)).astype(np.float32)
+    logits, cache = model_forward(params, xm, xb)
+    for i in range(64):
+        alone, alone_cache = model_forward(params, xm[i : i + 1], xb[i : i + 1])
+        assert alone.tobytes() == logits[i : i + 1].tobytes(), i
+        assert alone_cache["attention"].tobytes() == cache["attention"][i : i + 1].tobytes(), i
 
 
 # ------------------------------------------------------------- trunk cache

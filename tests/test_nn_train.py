@@ -122,6 +122,18 @@ def test_train_config_validation():
     assert TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), seed=np.uint8(1)).epochs == 2
 
 
+@pytest.mark.parametrize("value", [True, False, "0.1", None, np.nan, np.inf, -1e-3])
+def test_a_learning_rate_that_is_not_a_finite_real_at_or_above_zero_is_refused(value):
+    # True would otherwise train at 1.0, and a string or None fail on `<` with a bare TypeError.
+    with pytest.raises(ParameterError, match=rf"^learning_rate must be >= 0 and finite, got {re.escape(repr(value))}$"):
+        TrainConfig(learning_rate=value)
+
+
+def test_a_learning_rate_of_any_real_type_is_accepted():
+    for value in (0, 0.0, 1, np.float32(2e-3), np.int64(1)):
+        assert TrainConfig(learning_rate=value).learning_rate == value
+
+
 def test_dataset_validation():
     params = init_params(TINY, 3, seed=0)
     main, branch, labels = toy_problem()
@@ -258,17 +270,18 @@ def test_inputs_shorter_than_one_segment_are_rejected(epochs):
 
 def traced_steps(monkeypatch, *args) -> list:
     """Run train(*args) under tracemalloc; returns the traced (current, peak)
-    bytes at the start of each step and at the end, each peak since the mark
-    before it."""
+    bytes at the start of each step (its minibatch's gather) and at the end,
+    each peak since the mark before it."""
     marks = []
-    forward = train_module.model_forward
+    gather = train_module._gather
 
-    def marking(*a):
-        marks.append(tracemalloc.get_traced_memory())
-        tracemalloc.reset_peak()
-        return forward(*a)
+    def marking(ws, key, *a):
+        if key == "main":
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+        return gather(ws, key, *a)
 
-    monkeypatch.setattr(train_module, "model_forward", marking)
+    monkeypatch.setattr(train_module, "_gather", marking)
     tracemalloc.start()
     try:
         train(*args)
@@ -302,16 +315,29 @@ def test_train_copies_an_input_only_to_cast_it():
 
 
 def test_training_peaks_at_one_batch_cache(monkeypatch):
-    # Steps of 32, 32 and 6 share one workspace.  A step that made its cache
-    # while the last step's was still held would peak near two caches.
+    # Steps of 32, 32 and 6 share one workspace, and each step runs its chunks
+    # of 7 samples one after another: it holds one chunk's activations, where
+    # a step that kept every chunk's until the loss would hold five.
     b, t = 32, 2100
     x, labels = raw_problem(70)
     params = init_params(ModelConfig(), n_classes=4, seed=0)
     marks = traced_steps(monkeypatch, params, x, x, labels, TrainConfig(epochs=1, batch_size=b))
-    cache, cast = training_cache_bytes(b, t), x.size * 4
-    # A third of a cache covers the gathered minibatch, backward's chunk-sized
-    # gradient buffers and the heads' small arrays.
-    assert max(peak for _, peak in marks) <= cache + cast + cache // 3
+    rows = model._chunks(b, t)[0].stop
+    chunk, cast, batch = training_cache_bytes(rows, t), x.size * 4, b * IN_CHANNELS * t * 4
+    # Backward's chunk-sized gradient buffers take less than a second chunk
+    # set (84 channel rows against 90); one conv output more covers the tap
+    # products the first forward makes before backward has made their scratch.
+    assert max(peak for _, peak in marks) <= cast + batch + 2 * chunk + rows * CHANNELS * t * 4
+
+
+def test_the_training_peak_does_not_grow_with_the_batch_size():
+    # Twice the batch adds the gathered minibatch's second half and nothing
+    # else; a workspace that held every chunk's activations would add 5 MB.
+    t = 2100
+    x, labels = raw_problem(64, dtype=np.float32)
+    params = init_params(ModelConfig(), n_classes=4, seed=0)
+    peaks = [traced_peak(params, x, x, labels, TrainConfig(epochs=1, batch_size=b)) for b in (32, 64)]
+    assert 0 <= peaks[1] - peaks[0] <= 64 * IN_CHANNELS * t * 4
 
 
 def test_a_training_step_after_the_first_allocates_no_activation(monkeypatch):
