@@ -34,10 +34,10 @@ the residual blocks write straight into the merge conv's input.
 Activations live in a workspace, a dict of buffers, one per activation per
 chunk; train() passes one chunk at a time, so its workspace holds one chunk's
 set whatever the batch size, and no step after the first allocates an
-activation.  Backward keeps its chunk-sized
-gradients there too, and the next forward borrows them as tap scratch.  A
-forward without a workspace runs every chunk through buffers local to the
-call and keeps only the attention.
+activation.  Backward keeps its chunk-sized gradients there too, and the
+next forward borrows them as tap scratch.  A forward without a workspace
+runs every chunk through buffers local to the call and keeps only the
+attention.
 """
 from __future__ import annotations
 
