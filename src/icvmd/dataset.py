@@ -185,8 +185,8 @@ def load_manifest(data_dir) -> dict:
     if not (isinstance(files, list) and all(isinstance(e, dict) and isinstance(e.get("path"), str) for e in files)):
         raise ParameterError(f"{path}: files must be a list of objects, each with a string path")
     for e in files:
-        if not (_is_a(e.get("label"), int) and _is_a(e.get("snr_db"), numbers.Real)):
-            raise ParameterError(f"{path}: {e['path']} needs an integer label and a numeric snr_db")
+        if not (_is_a(e.get("label"), int) and _is_a(e.get("snr_db"), numbers.Real) and abs(e["snr_db"]) < np.inf):
+            raise ParameterError(f"{path}: {e['path']} needs an integer label and a numeric snr_db that is finite")
     dupes = _repeated(e["path"] for e in files)
     if dupes:
         raise ParameterError(f"{path}: files lists these paths more than once: {dupes}")

@@ -10,9 +10,9 @@ Three pipelines over the same generated dataset and the same train/test split:
 
 ``represent`` stacks a manifest's captures, in path order, into the arrays a
 pipeline fits on, decomposing each capture at most once per run and dropping
-(and naming) any capture that cannot be represented; ``predict`` is the
-batched classifier inference.  ``run_fewshot`` and the ``icvmd train``/``eval``
-commands share both.
+(and naming) any capture that cannot be represented; ``predict`` is one
+classifier forward over all the captures, which model_forward runs chunk by
+chunk.  ``run_fewshot`` and the ``icvmd train``/``eval`` commands share both.
 
 For each training proportion the train set is subsampled per class; cells where
 a class would get zero samples are reported as unsupported rather than crashed.
@@ -59,8 +59,6 @@ SUBSAMPLE_SEED = 1
 MODEL_SEED = 0
 AUX_EMITTER_SEED = 77
 AUX_DATASET_SEED = 7700
-# Captures per classifier forward pass in predict.
-PREDICT_BATCH = 64
 # The SAT pretraining on auxiliary emitters, which get the base spec's captures per emitter.
 PRETRAIN = TrainConfig(epochs=40, batch_size=32, learning_rate=5e-3)
 N_AUX_EMITTERS = 5
@@ -179,15 +177,9 @@ def _snrs(entries) -> np.ndarray:
 
 
 def predict(params, mains, branches, class_ids) -> np.ndarray:
-    """Batched classifier inference; returns the predicted class ids."""
-    if mains.shape[0] == 0:
-        raise ParameterError(f"empty batch: inputs of shape {mains.shape} and {branches.shape}")
-    preds = []
-    for start in range(0, mains.shape[0], PREDICT_BATCH):
-        stop = start + PREDICT_BATCH
-        logits, _ = model_forward(params, mains[start:stop], branches[start:stop])
-        preds.append(np.argmax(logits, axis=1))
-    return class_ids[np.concatenate(preds)]
+    """Classifier inference (model_forward chunks the batch); returns the predicted class ids."""
+    logits, _ = model_forward(params, mains, branches)
+    return class_ids[np.argmax(logits, axis=1)]
 
 
 def _pretrain(spec: DatasetSpec, icvmd_cfg: VmdConfig, workdir: Path, memo: dict, skipped: list, sides: list):

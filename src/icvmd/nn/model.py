@@ -17,27 +17,25 @@ affine layer to the final logits.  Every layer runs in the parameters' dtype,
 layers.DTYPE, which signal_channels builds its stacks in; the entry points
 cast an input of any other dtype to it.
 
-The conv trunk and the branch conv stack run over consecutive chunks of
-samples, each small enough that its activations stay in a core's L2 cache.
-Every other step is row by row: the dense heads are row-invariant products
-(see nn/layers.py), and the softmax, the attention sum and the loss reduce
-within a row, so a sample's logits do not depend on the rest of its batch.
-Backward continues each conv's and dense layer's weight and bias sums from
-chunk to chunk in sample order, so every result is bit-identical to one pass
-over the whole batch; train() runs each chunk's forward, loss and backward
-before the next chunk's forward.
+A batch runs in consecutive chunks of samples, each small enough that its
+activations stay in a core's L2 cache, through a workspace: a dict of
+buffers, one per activation.  train() runs each chunk's forward, loss and
+backward before the next chunk's forward, so its workspace holds one chunk's
+set whatever the batch size, and no step after the first allocates an
+activation; backward keeps its chunk-sized gradients there too, and the next
+forward borrows them as tap scratch.  model_forward without a workspace runs
+the chunks through one local to the call and keeps only logits and attention.
+
+Every step after the conv stacks is row by row: the dense heads are
+row-invariant products (see nn/layers.py), and the softmax, the attention sum
+and the loss reduce within a row, so a sample's logits do not depend on the
+rest of its batch.  Backward continues each conv's and dense layer's weight
+and bias sums from chunk to chunk in sample order, so every result is
+bit-identical to one pass over the whole batch.
 
 The forward cache keeps each conv input once and nothing beside it: a ReLU
 runs in place and its backward reads the output the next conv caches, and
 the residual blocks write straight into the merge conv's input.
-
-Activations live in a workspace, a dict of buffers, one per activation per
-chunk; train() passes one chunk at a time, so its workspace holds one chunk's
-set whatever the batch size, and no step after the first allocates an
-activation.  Backward keeps its chunk-sized gradients there too, and the
-next forward borrows them as tap scratch.  A forward without a workspace
-runs every chunk through buffers local to the call and keeps only the
-attention.
 """
 from __future__ import annotations
 
@@ -114,8 +112,7 @@ def _dense(params: NetParams, name: str) -> Dense:
 
 def init_params(config: ModelConfig, n_classes: int, seed: int) -> NetParams:
     """Seeded uniform(+-sqrt(1/fan_in)) initialization; layers draw in key order."""
-    if n_classes < 2:
-        raise ParameterError("n_classes must be >= 2")
+    check_int("n_classes", n_classes, 2)
     rng = np.random.default_rng(seed)
     c = CHANNELS
     arrays: dict = {}
@@ -196,12 +193,12 @@ def _relu_grads(dy: np.ndarray, cache, ws: dict) -> np.ndarray:
     return relu_backward(dy, cache, _buf(ws, ("r", *dy.shape[1:]), dy.shape, dy.dtype))
 
 
-def _residual_forward(h: np.ndarray, params: NetParams, i: int, out=None, ws=None, chunk=0):
+def _residual_forward(h: np.ndarray, params: NetParams, i: int, out=None, ws=None):
     """TCN block i: o = h + conv2(relu(conv1(h))) at the block's dilation,
     written into ``out`` when given (conv2 writes there, then h is added)."""
     d, ws = DILATIONS[i], {} if ws is None else ws
     name = f"tcn.blocks.{i}.conv1"
-    y1, c1 = _conv_out(h, _conv(params, name, d), ws, (name, chunk))
+    y1, c1 = _conv_out(h, _conv(params, name, d), ws, name)
     a1, r1 = relu_forward(y1)
     y2, c2 = _conv_out(a1, _conv(params, f"tcn.blocks.{i}.conv2", d), ws, "y", out)
     return np.add(h, y2, out=y2), (c1, r1, c2)
@@ -214,11 +211,11 @@ def _residual_backward(dout: np.ndarray, cache, grads, prefix, ws):
     return np.add(dout, dh, out=dh)  # skip connection plus the conv path
 
 
-def _stack_forward(params: NetParams, prefix: str, n_layers: int, h: np.ndarray, ws: dict, chunk: int):
+def _stack_forward(params: NetParams, prefix: str, n_layers: int, h: np.ndarray, ws: dict):
     """Layers ``{prefix}.0`` .. ``{prefix}.{n_layers-1}``, each conv then ReLU."""
     caches = []
     for i in range(n_layers):
-        y, cc = _conv_out(h, _conv(params, f"{prefix}.{i}"), ws, (f"{prefix}.{i}", chunk))
+        y, cc = _conv_out(h, _conv(params, f"{prefix}.{i}"), ws, f"{prefix}.{i}")
         h, rc = relu_forward(y)
         caches.append((cc, rc))
     return h, caches
@@ -231,20 +228,20 @@ def _stack_backward(dh: np.ndarray, caches, grads, prefix: str, ws: dict) -> np.
     return dh
 
 
-def features_forward(params: NetParams, x: np.ndarray, ws=None, chunk=0):
+def features_forward(params: NetParams, x: np.ndarray, ws=None):
     """Encoder + TCN + merge: x [B, C_in, T] -> feat [B, channels, T], cache.
 
     Block i writes its output into channel slice i of the merge input, and
     block i+1 reads that slice: each block output is held once.  Activations
-    go into buffers ``chunk`` of ``ws``, feat into its tap scratch if any.
+    go into buffers of ``ws``, feat into its tap scratch if any.
     """
     ws = {} if ws is None else ws
-    h, enc_caches = _stack_forward(params, "encoder", ENCODER_LAYERS, x, ws, chunk)
+    h, enc_caches = _stack_forward(params, "encoder", ENCODER_LAYERS, x, ws)
     c = CHANNELS
-    stacked = _buf(ws, ("tcn.merge", chunk), (h.shape[0], c * N_BLOCKS, h.shape[2]), h.dtype)
+    stacked = _buf(ws, "tcn.merge", (h.shape[0], c * N_BLOCKS, h.shape[2]), h.dtype)
     block_caches = []
     for i in range(N_BLOCKS):
-        h, cache = _residual_forward(h, params, i, stacked[:, i * c : (i + 1) * c], ws, chunk)
+        h, cache = _residual_forward(h, params, i, stacked[:, i * c : (i + 1) * c], ws)
         block_caches.append(cache)
     feat, merge_cache = conv_forward(stacked, _conv(params, "tcn.merge"), _scratch(ws, h.shape, h.dtype))
     return feat, (enc_caches, block_caches, merge_cache)
@@ -275,106 +272,78 @@ def _segment_count(params: NetParams, t: int) -> int:
     return s
 
 
-def _branch_forward(params: NetParams, xb: np.ndarray, s: int, workspace=None):
+def _branch_forward(params: NetParams, xb: np.ndarray, s: int, ws: dict):
     """Per-segment scores: xb [B, C_in, T] -> scores [B, S], cache.
 
     Segments are processed independently (folded into the batch axis), so the
-    score of segment s depends only on the samples inside segment s.  The conv
-    stack runs chunk by chunk, as the trunk does, and the head row by row.
+    score of segment s depends only on the samples inside segment s.
     """
     length = params.config.segment_len
-    b, c_in, t = xb.shape
-    pooled = np.empty((b * s, BRANCH_CHANNELS), dtype=params.dtype)
-    ws = {} if workspace is None else workspace
-    chunks = []
-    for k, rows in enumerate(_chunks(b, t)):
-        n, at = rows.stop - rows.start, 0 if workspace is None else k
-        folded = _buf(ws, ("branch.in", at), (n * s, c_in, length), params.dtype)
-        xs = xb[rows, :, : s * length].reshape(n, c_in, s, length)
-        np.copyto(folded.reshape(n, s, c_in, length), xs.transpose(0, 2, 1, 3))
-        h, caches = _stack_forward(params, "branch.convs", BRANCH_LAYERS, folded, ws, at)
-        pooled[rows.start * s : rows.stop * s] = h.mean(axis=2)
-        chunks.append((rows, caches))
-    scores, dcache = dense_forward(pooled, _dense(params, "branch.head"))
-    return scores.reshape(b, s), (chunks, dcache)
+    b, c_in, _ = xb.shape
+    folded = _buf(ws, "branch.in", (b * s, c_in, length), params.dtype)
+    xs = xb[:, :, : s * length].reshape(b, c_in, s, length)
+    np.copyto(folded.reshape(b, s, c_in, length), xs.transpose(0, 2, 1, 3))
+    h, caches = _stack_forward(params, "branch.convs", BRANCH_LAYERS, folded, ws)
+    scores, dcache = dense_forward(h.mean(axis=2), _dense(params, "branch.head"))
+    return scores.reshape(b, s), (caches, dcache)
 
 
 def _branch_backward(params: NetParams, dscores: np.ndarray, cache, grads, ws: dict) -> None:
-    chunks, dcache = cache
+    caches, dcache = cache
     length = params.config.segment_len
     b, s = dscores.shape
     dpooled = _dense_grads(params, dscores.reshape(b * s, 1), dcache, grads, "branch.head")
-    for rows, caches in chunks:
-        n = rows.stop - rows.start
-        dp = dpooled[rows.start * s : rows.stop * s, :, None] / length
-        dh = np.broadcast_to(dp, (n * s, dp.shape[1], length))
-        _stack_backward(dh, caches, grads, "branch.convs", ws)
+    dh = np.broadcast_to(dpooled[:, :, None] / length, (b * s, dpooled.shape[1], length))
+    _stack_backward(dh, caches, grads, "branch.convs", ws)
+
+
+def _inputs(params: NetParams, *inputs) -> tuple:
+    """The inputs in the parameters' dtype, [B, C, T] with one B >= 1 and one T,
+    then their segment count."""
+    xs = [np.asarray(x, dtype=params.dtype) for x in inputs]
+    shapes = " and ".join(str(x.shape) for x in xs)
+    if any(x.ndim != 3 for x in xs) or len({(x.shape[0], x.shape[2]) for x in xs}) > 1:
+        raise ParameterError(f"inputs must be [B, C, T] with one batch size and length, got {shapes}")
+    if xs[0].shape[0] == 0:
+        raise ParameterError(f"empty batch: inputs of shape {shapes}")
+    return (*xs, _segment_count(params, xs[0].shape[2]))
+
+
+def _by_chunk(params: NetParams, run, *inputs) -> list:
+    """``run(*rows, s, ws)`` on each _chunks slice of the checked inputs through
+    one workspace local to the call; each of run's outputs for the whole batch."""
+    *xs, s = _inputs(params, *inputs)
+    b, _, t = xs[0].shape
+    ws: dict = {}
+    outs = [run(*(x[rows] for x in xs), s, ws) for rows in _chunks(b, t)]
+    return [np.concatenate(parts) for parts in zip(*outs)]
 
 
 def spatial_attention_weights(params: NetParams, branch_x: np.ndarray) -> np.ndarray:
     """Softmax-normalized per-segment weights from the branch path: [B, C, T] -> [B, S]."""
-    xb = np.asarray(branch_x, dtype=params.dtype)
-    if xb.ndim != 3:
-        raise ParameterError(f"expected [B, C, T], got shape {xb.shape}")
-    if xb.shape[0] == 0:
-        raise ParameterError(f"empty batch: input of shape {xb.shape}")
-    scores, _ = _branch_forward(params, xb, _segment_count(params, xb.shape[2]))
-    return softmax(scores, axis=1)
+    return _by_chunk(params, lambda xb, s, ws: (softmax(_branch_forward(params, xb, s, ws)[0], axis=1),), branch_x)[0]
 
 
-def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, workspace=None):
-    """Full forward pass in the parameters' dtype.
-
-    main_x and branch_x are [B, C_in, T] over the same time grid, B >= 1.
-    Returns (logits [B, n_classes], cache); the cache holds the attention
-    weights under key 'attention'.  The conv trunk and the branch conv stack
-    run over consecutive chunks of samples sized to stay in cache, and the
-    rest row by row, so each row's logits are bit-identical to those of the
-    row run alone.
-
-    With a ``workspace`` (a dict, ``{}`` at first) the cache refers to its
-    buffers and to the inputs, valid until the next forward that uses the same
-    workspace.  Without one the cache holds only the attention, and
-    model_backward refuses it.
-    """
-    xm = np.asarray(main_x, dtype=params.dtype)
-    xb = np.asarray(branch_x, dtype=params.dtype)
-    if xm.ndim != 3 or xb.ndim != 3:
-        raise ParameterError(f"inputs must be [B, C, T], got {xm.shape} and {xb.shape}")
-    if xm.shape[0] != xb.shape[0] or xm.shape[2] != xb.shape[2]:
-        raise ParameterError(
-            f"main {xm.shape} and branch {xb.shape} must share batch size and length"
-        )
-    if xm.shape[0] == 0:
-        raise ParameterError(f"empty batch: inputs of shape {xm.shape} and {xb.shape}")
+def _forward(params: NetParams, xm: np.ndarray, xb: np.ndarray, s: int, ws: dict):
+    """Both paths over one block of rows, activations in ``ws``:
+    returns ((logits, attention), cache)."""
     b, _, t = xm.shape
-    s = _segment_count(params, t)
     length = params.config.segment_len
-    c = CHANNELS
+    # The branch first, so the trunk's output is not held while the branch runs.
+    scores, branch_cache = _branch_forward(params, xb, s, ws)
+    att = softmax(scores, axis=1)  # [B, S]
 
-    ws = {} if workspace is None else workspace
-    pool = np.empty((b, c, s), dtype=params.dtype)
-    trunk = []
-    for k, rows in enumerate(_chunks(b, t)):
-        feat, feat_cache = features_forward(params, xm[rows], ws, 0 if workspace is None else k)
-        pool[rows] = feat[:, :, : s * length].reshape(-1, c, s, length).mean(axis=3)
-        trunk.append((rows, feat_cache))
-
+    feat, feat_cache = features_forward(params, xm, ws)
+    pool = feat[:, :, : s * length].reshape(b, CHANNELS, s, length).mean(axis=3)
     flat = pool.transpose(0, 2, 1).reshape(b * s, -1)
     seg_logits_flat, cls1_cache = dense_forward(flat, _dense(params, "classifier1"))
     seg_logits = seg_logits_flat.reshape(b, s, -1)  # [B, S, n_classes]
 
-    scores, branch_cache = _branch_forward(params, xb, s, workspace)
-    att = softmax(scores, axis=1)  # [B, S]
-
     z = rowdot(att, seg_logits.transpose(0, 2, 1))  # [B, n_classes]
     logits, cls2_cache = dense_forward(z, _dense(params, "classifier2"))
-    if workspace is None:
-        return logits, {"attention": att}
-
     cache = {
-        "workspace": workspace,
-        "trunk": trunk,
+        "workspace": ws,
+        "feat_cache": feat_cache,
         "cls1_cache": cls1_cache,
         "seg_logits": seg_logits,
         "branch_cache": branch_cache,
@@ -382,18 +351,40 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, w
         "cls2_cache": cls2_cache,
         "dims": (b, s, t),
     }
+    return (logits, att), cache
+
+
+def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, workspace=None):
+    """Full forward pass in the parameters' dtype.
+
+    main_x and branch_x are [B, C_in, T] over the same time grid, B >= 1.
+    Returns (logits [B, n_classes], cache); the cache holds the attention
+    weights under key 'attention'.  Each row's logits are bit-identical to
+    those of the row run alone.
+
+    With a ``workspace`` (a dict, ``{}`` at first) the batch runs as one
+    block, as train() hands it one chunk, and the cache refers to the
+    workspace's buffers and to the inputs, valid until the next forward that
+    uses the same workspace.  Without one the batch runs chunk by chunk
+    through buffers local to the call; the cache holds only the attention,
+    and model_backward refuses it.
+    """
+    if workspace is None:
+        logits, att = _by_chunk(params, lambda xm, xb, s, ws: _forward(params, xm, xb, s, ws)[0], main_x, branch_x)
+        return logits, {"attention": att}
+    (logits, _), cache = _forward(params, *_inputs(params, main_x, branch_x), workspace)
     return logits, cache
 
 
 def model_backward(params: NetParams, dlogits: np.ndarray, cache, grads=None) -> dict:
     """Exact gradients of every parameter for the cached forward pass.
 
-    The cache must come from a model_forward given a workspace.  Every conv's
-    and dense layer's weight and bias sums continue, in sample order, from
-    those an earlier batch of samples left in ``grads`` (a dict, filled and
-    returned); so a batch run as consecutive chunks, each chunk's forward and
-    backward in turn with one ``grads``, gets gradients bit-identical to one
-    backward pass over the whole batch.
+    The cache must come from a model_forward given a workspace, and its
+    input gradients stay in that workspace.  Every conv's and dense layer's
+    weight and bias sums continue, in sample order, from those an earlier
+    chunk of samples left in ``grads`` (a dict, filled and returned); so a
+    minibatch run as consecutive chunks, each chunk's forward and backward in
+    turn with one ``grads``, gets the gradients of one pass over all of it.
     """
     if "workspace" not in cache:
         raise ParameterError("this cache keeps no activations: pass a workspace (a dict) to model_forward to train")
@@ -415,13 +406,10 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache, grads=None) ->
     dpool_flat = _dense_grads(params, dseg_logits.reshape(b * s, -1), cache["cls1_cache"], grads, "classifier1")
     dpool = dpool_flat.reshape(b, s, -1).transpose(0, 2, 1)  # [B, C, S]
 
-    c = CHANNELS
-    for rows, feat_cache in cache["trunk"]:
-        n = rows.stop - rows.start
-        dfeat = _buf(ws, "dfeat", (n, c, t), params.dtype)
-        dfeat[:, :, s * length :] = 0.0
-        dfeat[:, :, : s * length].reshape(n, c, s, length)[...] = dpool[rows, :, :, None] / length
-        features_backward(params, dfeat, feat_cache, grads, ws)
+    dfeat = _buf(ws, "dfeat", (b, CHANNELS, t), params.dtype)
+    dfeat[:, :, s * length :] = 0.0
+    dfeat[:, :, : s * length].reshape(b, CHANNELS, s, length)[...] = dpool[:, :, :, None] / length
+    features_backward(params, dfeat, cache["feat_cache"], grads, ws)
     return grads
 
 

@@ -148,8 +148,7 @@ def sat_transfer(
     score directions tuned to the pretraining label set, which is exactly the
     specialization transfer is meant to discard.
     """
-    if n_classes_new < 2:
-        raise ParameterError("n_classes_new must be >= 2")
+    check_int("n_classes_new", n_classes_new, 2)
     rng = np.random.default_rng(head_seed)
     start = NetParams(pretrained.config, dict(pretrained.arrays))  # train() copies the arrays
     trunk_channels = start.arrays["classifier1.weights"].shape[1]

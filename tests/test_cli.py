@@ -449,8 +449,9 @@ def test_train_rejects_a_manifest_with_a_bad_files_entry(runner, tmp_path, edit)
         lambda e: e.update(label=True),
         lambda e: e.pop("snr_db"),
         lambda e: e.update(snr_db="18"),
+        lambda e: e.update(snr_db=float("nan")),
     ],
-    ids=["no_label", "string_label", "bool_label", "no_snr", "string_snr"],
+    ids=["no_label", "string_label", "bool_label", "no_snr", "string_snr", "nan_snr"],
 )
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_a_manifest_entry_needs_an_integer_label_and_a_numeric_snr(runner, tmp_path, command, edit):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,18 @@ def test_load_manifest_rejects_a_path_listed_twice(tmp_path):
     content["files"].append(dict(content["files"][0], snr_db=18.4))
     path.write_text(json.dumps(content))
     with pytest.raises(ParameterError, match="more than once"):
+        load_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), -float("inf")])
+def test_load_manifest_rejects_a_non_finite_snr(tmp_path, snr_db):
+    # json.loads reads NaN and Infinity; such an SNR would make an empty bucket.
+    generate_dataset(tiny_spec(), tmp_path)
+    path = tmp_path / "manifest.json"
+    content = json.loads(path.read_text())
+    content["files"][1]["snr_db"] = snr_db
+    path.write_text(json.dumps(content))
+    with pytest.raises(ParameterError, match=re.escape(f"{path}: {content['files'][1]['path']} needs") + ".* finite$"):
         load_manifest(tmp_path)
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from icvmd import fewshot
 from icvmd.errors import ParameterError
 from icvmd.nn import model
 from icvmd.nn.model import (
@@ -62,6 +63,9 @@ def test_param_count_default_architecture():
 def test_init_rejects_single_class():
     with pytest.raises(ParameterError):
         init_params(TINY, n_classes=1, seed=0)
+    for n_classes in (2.0, 2.5, "3", True, None):
+        with pytest.raises(ParameterError, match="^n_classes must be an integer"):
+            init_params(TINY, n_classes=n_classes, seed=0)
 
 
 # ------------------------------------------------------------------- forward
@@ -138,8 +142,8 @@ def test_branch_scores_are_segment_local():
     assert w1[0] / w1[2] == pytest.approx(w2[0] / w2[2], rel=1e-12)
     assert not np.isclose(w1[1], w2[1])
     params = tiny_model()
-    s1, _ = _branch_forward(params, xb.astype(np.float32), 3)
-    s2, _ = _branch_forward(params, xb2.astype(np.float32), 3)
+    s1, _ = _branch_forward(params, xb.astype(np.float32), 3, {})
+    s2, _ = _branch_forward(params, xb2.astype(np.float32), 3, {})
     assert np.array_equal(s1[:, [0, 2]], s2[:, [0, 2]])
     assert s1[0, 1] != s2[0, 1]
 
@@ -264,10 +268,17 @@ def test_samples_past_the_last_full_segment_feed_nothing(edit):
 
 
 def _forward_backward_train(params, xm, xb, labels):
-    logits, cache = model_forward(params, xm, xb, {})
-    _, dlogits = cross_entropy(logits, labels)
+    # As train() runs a minibatch: each chunk's forward, loss (scaled by the
+    # whole batch's size) and backward in turn, one workspace and one grads.
+    ws, grads, logits, attention = {}, {}, [], []
+    for rows in model._chunks(len(labels), xm.shape[2]):
+        chunk_logits, cache = model_forward(params, xm[rows], xb[rows], ws)
+        _, dlogits = cross_entropy(chunk_logits, labels[rows], len(labels))
+        grads = model_backward(params, dlogits, cache, grads)
+        logits.append(chunk_logits)
+        attention.append(cache["attention"])
     fit = train(params, xm, xb, labels, TrainConfig(epochs=2, batch_size=5))
-    return logits, cache["attention"], model_backward(params, dlogits, cache), fit
+    return np.concatenate(logits), np.concatenate(attention), grads, fit
 
 
 @pytest.mark.parametrize("cast", [False, True])
@@ -382,9 +393,35 @@ def test_inference_without_a_workspace_keeps_one_chunk_at_a_time():
         model_backward(params, np.zeros_like(logits), cache)
 
 
+@pytest.mark.parametrize("infer", ["predict", "spatial_attention_weights"])
+def test_inference_on_many_captures_peaks_at_one_chunk(infer):
+    # 96 captures are 13 chunks of 7 and one of 5; each runs through the
+    # buffers of the one before, and only its logits or attention are kept.
+    b, t = 96, 2100
+    params = init_params(ModelConfig(), n_classes=4, seed=0)
+    rng = np.random.default_rng(5)
+    xm = rng.normal(size=(b, IN_CHANNELS, t)).astype(np.float32)
+    xb = rng.normal(size=(b, IN_CHANNELS, t)).astype(np.float32)
+    run = {
+        "predict": lambda: fewshot.predict(params, xm, xb, np.arange(10, 14)),
+        "spatial_attention_weights": lambda: spatial_attention_weights(params, xb),
+    }[infer]
+    rows = model._chunks(b, t)[0].stop
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= training_cache_bytes(rows, t) + 2 * rows * CHANNELS * t * 4 + out.nbytes
+    logits, cache = model_forward(params, xm, xb, {})
+    want = np.arange(10, 14)[np.argmax(logits, axis=1)] if infer == "predict" else cache["attention"]
+    assert out.tobytes() == want.tobytes()
+
+
 def test_a_reused_workspace_gives_the_bytes_of_a_fresh_one():
-    # The batch of 12 runs in chunks of 7 and 5, in the leading rows of the
-    # buffers the batch of 32 made; backward's buffers are reused the same way.
+    # The batch of 12 runs as one block in the leading rows of the buffers
+    # the batch of 32 made; backward's buffers are reused the same way.
     params = init_params(ModelConfig(), n_classes=4, seed=3)
     rng = np.random.default_rng(4)
 

@@ -428,5 +428,6 @@ def test_sat_transfer_head_seed_is_deterministic():
 def test_sat_transfer_validation():
     pre = init_params(TINY, 5, seed=0)
     main, branch, labels = toy_problem(n=12, n_classes=4)
-    with pytest.raises(ParameterError):
-        sat_transfer(pre, 1, main, branch, labels, TrainConfig(epochs=0))
+    for n_classes_new in (1, 2.0, 2.5, "3", True):
+        with pytest.raises(ParameterError, match="^n_classes_new must be"):
+            sat_transfer(pre, n_classes_new, main, branch, labels, TrainConfig(epochs=0))
