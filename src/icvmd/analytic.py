@@ -19,8 +19,6 @@ unselected modes (see ``decompose.reconstruct``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError
@@ -29,20 +27,10 @@ from .signals import ComplexSignal
 _MIN_LEN = 4
 
 
-@dataclass(frozen=True)
-class AnalyticPair:
-    """The two real sequences of the split.
-
-    x_plus / x_minus   -- real sequences whose analytic signals carry the
-                          positive / negative frequency halves of the input
-    """
-
-    x_plus: np.ndarray
-    x_minus: np.ndarray
-
-
-def analytic_split(sig: ComplexSignal) -> AnalyticPair:
-    """Split a complex signal into the real pair described in the module docstring.
+def analytic_split(sig: ComplexSignal) -> tuple:
+    """Split a complex signal into the real pair (x_plus, x_minus) described in
+    the module docstring: real sequences whose analytic signals carry the
+    positive / negative frequency halves of the input.
 
     Interior positive bins go to x_plus, interior negative bins (conjugated and
     index-reflected) to x_minus; the real DC bin goes to x_plus and Nyquist is
@@ -64,7 +52,7 @@ def analytic_split(sig: ComplexSignal) -> AnalyticPair:
     plus[0] = spec[0].real
     if n % 2 == 0:
         plus[n // 2] = minus[n // 2] = spec[n // 2].real / 2.0
-    return AnalyticPair(x_plus=np.fft.ifft(plus).real, x_minus=np.fft.ifft(minus).real)
+    return np.fft.ifft(plus).real, np.fft.ifft(minus).real
 
 
 def combine_analytic(s_plus: np.ndarray, s_minus: np.ndarray) -> np.ndarray:

@@ -58,10 +58,7 @@ def _guarded(fn):
         except (ParameterError, DegenerateInputError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_PARAMETER)
-        except OSError as exc:
-            click.echo(f"i/o error: {exc}", err=True)
-            sys.exit(EXIT_IO)
-        except json.JSONDecodeError as exc:
+        except (OSError, json.JSONDecodeError) as exc:
             click.echo(f"i/o error: {exc}", err=True)
             sys.exit(EXIT_IO)
 
@@ -231,8 +228,8 @@ def train_cmd(data_dir, out_file, representation, epochs, learning_rate, batch_s
 
     params = init_params(ModelConfig(segment_len=segment_len), n_classes=len(class_ids), seed=seed)
     result = train_model(params, mains, branches, labels, cfg)
-    meta = dict(class_ids=class_ids.tolist(), representation=representation, vmd=asdict(vmd), epochs=cfg.epochs)
-    meta |= dict(learning_rate=cfg.learning_rate, batch_size=cfg.batch_size, seed=cfg.seed, history=result.history)
+    meta = dict(class_ids=class_ids.tolist(), representation=representation, vmd=asdict(vmd), **asdict(cfg))
+    meta["history"] = result.history
     save_checkpoint(out_file, result.params, meta)
     loss = f"{result.history[-1]:.4f}" if result.history else "n/a (no epochs)"
     click.echo(f"final epoch loss {loss}; checkpoint at {out_file}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import numbers
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +64,7 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("n_samples", 16), ("signals_per_emitter", 1), ("samples_per_symbol", 1), ("seed", 0)):
+        for name, low in (("n_samples", 16), ("signals_per_emitter", 1), ("seed", 0)):
             check_int(name, getattr(self, name), low)
         for value in (self.carrier, self.sweep_span, *self.snr_grid_db):
             if not (_is_a(value, numbers.Real) and np.isfinite(value)):
@@ -75,6 +75,8 @@ class DatasetSpec:
             raise ParameterError("modulations must be non-empty")
         if not all(isinstance(m, ModulationKind) for m in self.modulations):
             raise ParameterError(f"modulations must be ModulationKind members, got {self.modulations!r}")
+        for kind in self.modulations:  # refuses an aliasing waveform before any file is written
+            ModulationSpec(kind, self.carrier, self.samples_per_symbol, self.sweep_span)
         if not all(isinstance(e, EmitterProfile) for e in self.emitters):
             raise ParameterError("emitters must be EmitterProfile instances")
         # Each of these names the files, so a repeat would overwrite a capture.
@@ -100,9 +102,8 @@ class DatasetSpec:
             dict(emitter_id=e.emitter_id, nonlinear_coeffs=e.nonlinear_coeffs.tolist(), memory_taps=e.memory_taps.tolist())
             for e in self.resolved_emitters()
         ]
-        out = dict(emitters=emitters, modulations=[m.value for m in self.modulations], snr_grid_db=list(self.snr_grid_db))
-        scalars = ("n_samples", "signals_per_emitter", "carrier", "samples_per_symbol", "sweep_span", "seed")
-        return out | {name: getattr(self, name) for name in scalars}
+        mods = [m.value for m in self.modulations]
+        return asdict(self) | dict(emitters=emitters, modulations=mods, snr_grid_db=list(self.snr_grid_db))
 
 
 def _rep_counts(total: int, n_kinds: int) -> list:
@@ -163,9 +164,7 @@ def generate_dataset(spec: DatasetSpec, out_dir) -> dict:
                         "seed": symbol_seed,
                         "noise_seed": noise_seed,
                     }
-                    # The sidecar is the manifest entry with the sample rate in place of the path.
-                    sidecar = {k: v for k, v in entry.items() if k != "path"} | {"sample_rate": 1.0}
-                    write_iqf32(out_dir / fname, sig.samples, sidecar)
+                    write_iqf32(out_dir / fname, sig.samples)
                     entries.append(entry)
 
     manifest = {"schema_version": 1, "spec": spec.echo(), "files": entries}

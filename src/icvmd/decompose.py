@@ -72,7 +72,6 @@ def icvmd_decompose(sig: ComplexSignal, cfg: VmdConfig) -> IcvmdResult:
     frequency input) still yields a result: its modes are all zero and all
     labeled FEATURE, with the residual carrying nothing.
     """
-    pair = analytic_split(sig)
     # A side holding only FFT roundoff from the split (e.g. the negative side
     # of a purely positive-frequency input) is treated as empty rather than
     # decomposed: its "modes" would be arbitrary slices of numerical noise.
@@ -80,7 +79,7 @@ def icvmd_decompose(sig: ComplexSignal, cfg: VmdConfig) -> IcvmdResult:
     k = cfg.n_modes
     results = {}
     labels = {}
-    for name, x in (("pos", pair.x_plus), ("neg", pair.x_minus)):
+    for name, x in zip(("pos", "neg"), analytic_split(sig)):
         if float(np.sum(x**2)) > 1e-24 * input_energy:
             # The sweep runs in float32; the residual against the float64
             # side keeps side_input_energy, and so each energy fraction, that

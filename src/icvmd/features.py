@@ -62,7 +62,7 @@ def _cumulant_block(samples: np.ndarray) -> tuple:
     return abs(c["C20"]), c["C21"], abs(c["C40"]), c["C42"]
 
 
-def _bandwidth_3db(spectrum: np.ndarray, n_bins: int) -> float:
+def _bandwidth_3db(spectrum: np.ndarray) -> float:
     """Width in radians of the contiguous half-power region around the peak."""
     p = np.abs(spectrum) ** 2
     peak = int(np.argmax(p))
@@ -73,7 +73,7 @@ def _bandwidth_3db(spectrum: np.ndarray, n_bins: int) -> float:
     hi = peak
     while hi < p.size - 1 and p[hi + 1] >= half:
         hi += 1
-    step = np.pi / (n_bins - 1)
+    step = np.pi / (p.size - 1)
     return float((hi - lo + 1) * step)
 
 
@@ -93,7 +93,6 @@ def extract_features(result: IcvmdResult) -> np.ndarray:
         (+1.0, result.pos, result.labels_pos),
         (-1.0, result.neg, result.labels_neg),
     ):
-        n_bins = side.mode_set.mode_spectra.shape[1]
         energies = mode_energies(side)
         for k, label in enumerate(labels):
             if label is not ModeLabel.FEATURE or energies[k] == 0.0:
@@ -102,7 +101,7 @@ def extract_features(result: IcvmdResult) -> np.ndarray:
                 (
                     float(energies[k]),
                     side_sign * float(side.omegas[k]),
-                    _bandwidth_3db(side.mode_set.mode_spectra[k], n_bins),
+                    _bandwidth_3db(side.mode_set.mode_spectra[k]),
                     float(energies[k] / total),
                 )
             )

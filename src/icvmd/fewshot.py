@@ -62,6 +62,8 @@ AUX_DATASET_SEED = 7700
 # The SAT pretraining on auxiliary emitters, which get the base spec's captures per emitter.
 PRETRAIN = TrainConfig(epochs=40, batch_size=32, learning_rate=5e-3)
 N_AUX_EMITTERS = 5
+# The columns of report.csv, in order.
+REPORT_FIELDS = ("pipeline", "proportion", "snr_db", "accuracy", "n_test", "status")
 
 
 class Pipeline(enum.Enum):
@@ -247,14 +249,7 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
     final_losses: dict = {}
 
     def row(proportion, snr_db, accuracy, n_test, status="ok") -> dict:
-        return {
-            "pipeline": pipeline.value,
-            "proportion": proportion,
-            "snr_db": snr_db,
-            "accuracy": accuracy,
-            "n_test": n_test,
-            "status": status,
-        }
+        return dict(zip(REPORT_FIELDS, (pipeline.value, proportion, snr_db, accuracy, n_test, status)))
 
     # The test set is represented once and shared across proportions.
     test_entries, test_x = represent(pipeline, test_m, icvmd_cfg, memo, skipped, sides)
@@ -296,10 +291,7 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
 
 
 def write_report_csv(rows, path) -> None:
-    path = Path(path)
-    fields = ["pipeline", "proportion", "snr_db", "accuracy", "n_test", "status"]
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=REPORT_FIELDS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

@@ -3,8 +3,7 @@
 Layout: little-endian float32, interleaved I then Q per sample, no header.
 A file of N complex samples is exactly 8*N bytes.  Metadata lives in an
 optional JSON sidecar with the same stem and a ``.json`` suffix; the reader
-takes only its ``sample_rate`` (default 1.0), and the dataset writer adds the
-label, emitter, modulation, SNR and seeds of each capture.
+takes only its ``sample_rate`` (default 1.0), and the dataset writer writes none.
 
 The module also holds the two readers that the other formats share:
 ``json_object`` for JSON manifests and ``load_npz`` for npz archives.
@@ -54,14 +53,18 @@ def sidecar_path(path) -> Path:
 
 
 def write_iqf32(path, samples, sidecar: dict | None = None) -> Path:
-    """Write interleaved I/Q float32; optionally write the JSON sidecar too."""
+    """Write interleaved I/Q float32, and the JSON sidecar when one is given.  Samples
+    float32 cannot hold (NaN, inf, beyond its range) raise ParameterError first."""
     path = Path(path)
     z = np.asarray(samples, dtype=np.complex128)
     if z.ndim != 1:
         raise ParameterError(f"samples must be 1-D, got shape {z.shape}")
     inter = np.empty(2 * z.size, dtype="<f4")
-    inter[0::2] = z.real.astype("<f4")
-    inter[1::2] = z.imag.astype("<f4")
+    with np.errstate(over="ignore"):  # an out-of-range value becomes inf, refused below
+        inter[0::2] = z.real
+        inter[1::2] = z.imag
+    if not np.isfinite(inter).all():
+        raise ParameterError(f"{path}: samples must be finite in float32")
     path.parent.mkdir(parents=True, exist_ok=True)
     inter.tofile(path)
     if sidecar is not None:

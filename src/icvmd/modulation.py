@@ -53,6 +53,7 @@ class ModulationSpec:
         if not (0.0 <= self.carrier < 0.5):
             raise ParameterError(f"carrier must lie in [0, 0.5), got {self.carrier}")
         check_int("samples_per_symbol", self.samples_per_symbol, 1)
+        check_int("seed", self.seed, 0)
         if not (0.0 <= self.sweep_span):
             raise ParameterError("sweep_span must be >= 0")
         hw = occupied_halfwidth(self)
@@ -82,10 +83,11 @@ def gen_baseband(spec: ModulationSpec, n_samples: int) -> ComplexSignal:
     Keyed kinds draw symbols from ``default_rng(spec.seed)``; the same spec and
     length always reproduce the same samples.
     """
-    if n_samples < 1:
-        raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
+    check_int("n_samples", n_samples, 1)
     t = np.arange(n_samples)
     kind = spec.kind
+    rng = np.random.default_rng(spec.seed)  # drawn from by the keyed kinds only
+    n_sym = math.ceil(n_samples / spec.samples_per_symbol)
 
     if kind is ModulationKind.CW:
         x = np.exp(2j * np.pi * spec.carrier * t)
@@ -95,15 +97,11 @@ def gen_baseband(spec: ModulationSpec, n_samples: int) -> ComplexSignal:
         x = np.exp(1j * (2.0 * np.pi * (f0 * t + 0.5 * rate * t**2)))
     elif kind in _PSK_ORDER:
         m = _PSK_ORDER[kind]
-        rng = np.random.default_rng(spec.seed)
-        n_sym = math.ceil(n_samples / spec.samples_per_symbol)
         symbols = rng.integers(0, m, n_sym)
         sym_phase = 2.0 * np.pi * symbols / m
         per_sample = np.repeat(sym_phase, spec.samples_per_symbol)[:n_samples]
         x = np.exp(1j * (2.0 * np.pi * spec.carrier * t + per_sample))
     elif kind is ModulationKind.MSK:
-        rng = np.random.default_rng(spec.seed)
-        n_sym = math.ceil(n_samples / spec.samples_per_symbol)
         bits = 2 * rng.integers(0, 2, n_sym) - 1
         deviation = 1.0 / (4.0 * spec.samples_per_symbol)
         freq = spec.carrier + deviation * np.repeat(bits, spec.samples_per_symbol)[:n_samples]

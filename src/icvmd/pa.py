@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 from .signals import ComplexSignal
 
 
@@ -84,8 +84,7 @@ def auxiliary_bank(n_emitters: int, seed: int) -> list:
     fresh seeded draw), b1 = 1, even orders zero.  Emitter ids continue after
     the main bank so the two sets can never collide.
     """
-    if n_emitters < 1:
-        raise ParameterError("n_emitters must be >= 1")
+    check_int("n_emitters", n_emitters, 1)
     rng = np.random.default_rng(seed)
     profiles = []
     for k in range(n_emitters):

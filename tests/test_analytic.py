@@ -41,9 +41,9 @@ def boundary_content(z):
 
 def roundtrip(sig):
     """Split and combine, then add back what the split drops."""
-    pair = analytic_split(sig)
-    z = combine_analytic(pair.x_plus, pair.x_minus)
-    return z + boundary_content(sig.samples), pair
+    x_plus, x_minus = analytic_split(sig)
+    z = combine_analytic(x_plus, x_minus)
+    return z + boundary_content(sig.samples), (x_plus, x_minus)
 
 
 finite_complex = st.complex_numbers(
@@ -63,23 +63,23 @@ def test_roundtrip_is_lossless(z):
 def test_roundtrip_fixed_cases(n):
     rng = np.random.default_rng(n)
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
-    out, pair = roundtrip(make_sig(z))
+    out, (x_plus, x_minus) = roundtrip(make_sig(z))
     assert np.allclose(out, z, atol=1e-10)
-    assert pair.x_plus.dtype == np.float64
-    assert pair.x_minus.dtype == np.float64
+    assert x_plus.dtype == np.float64
+    assert x_minus.dtype == np.float64
 
 
 def test_halves_are_one_sided():
     rng = np.random.default_rng(3)
     n = 128
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
-    pair = analytic_split(make_sig(z))
+    x_plus, x_minus = analytic_split(make_sig(z))
     # The analytic signal of x_plus must only contain the original positive
     # interior bins; x_minus likewise carries the reflected negative bins.
     spec = np.fft.fft(z)
-    plus_spec = np.fft.fft(scipy.signal.hilbert(pair.x_plus))
+    plus_spec = np.fft.fft(scipy.signal.hilbert(x_plus))
     assert np.allclose(plus_spec[1 : n // 2], spec[1 : n // 2], atol=1e-9)
-    minus_spec = np.fft.fft(scipy.signal.hilbert(pair.x_minus))
+    minus_spec = np.fft.fft(scipy.signal.hilbert(x_minus))
     assert np.allclose(
         minus_spec[1 : n // 2], np.conj(spec[n - 1 : n // 2 : -1]), atol=1e-9
     )
@@ -87,9 +87,9 @@ def test_halves_are_one_sided():
 
 def test_dc_to_positive_routes_all_mean():
     z = np.full(16, 5.0 + 0j) + np.exp(2j * np.pi * 0.25 * np.arange(16))
-    pair = analytic_split(make_sig(z))
-    assert np.mean(pair.x_plus) == pytest.approx(5.0)
-    assert np.mean(pair.x_minus) == pytest.approx(0.0, abs=1e-12)
+    x_plus, x_minus = analytic_split(make_sig(z))
+    assert np.mean(x_plus) == pytest.approx(5.0)
+    assert np.mean(x_minus) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_boundary_amplitudes():
@@ -97,9 +97,9 @@ def test_boundary_amplitudes():
     z = (1.0 + 2.0j) * np.ones(n)  # imaginary mean of 2
     z = z + 3j * alternating(n)  # imaginary Nyquist content
     assert boundary_amplitudes(z) == pytest.approx((2.0, 3.0))
-    pair = analytic_split(make_sig(z))
+    x_plus, x_minus = analytic_split(make_sig(z))
     # The split drops exactly the imaginary DC mean and Nyquist alternation.
-    dropped = z - combine_analytic(pair.x_plus, pair.x_minus)
+    dropped = z - combine_analytic(x_plus, x_minus)
     assert np.allclose(dropped, 2j + 3j * alternating(n), atol=1e-10)
     out, _ = roundtrip(make_sig(z))
     assert np.allclose(out, z, atol=1e-10)
@@ -110,19 +110,19 @@ def test_odd_length_has_no_nyquist_term():
     z = rng.normal(size=33) + 1j * rng.normal(size=33)
     dc_imag, nyquist_imag = boundary_amplitudes(z)
     assert nyquist_imag == 0.0
-    pair = analytic_split(make_sig(z))
-    dropped = z - combine_analytic(pair.x_plus, pair.x_minus)
+    x_plus, x_minus = analytic_split(make_sig(z))
+    dropped = z - combine_analytic(x_plus, x_minus)
     assert np.allclose(dropped, 1j * dc_imag, atol=1e-12)
 
 
 def test_pure_positive_tone_stays_in_plus():
     n = 100
     z = np.exp(2j * np.pi * 0.2 * np.arange(n))
-    pair = analytic_split(make_sig(z))
-    assert np.linalg.norm(pair.x_minus) < 1e-9 * np.linalg.norm(pair.x_plus)
+    x_plus, x_minus = analytic_split(make_sig(z))
+    assert np.linalg.norm(x_minus) < 1e-9 * np.linalg.norm(x_plus)
     z_neg = np.exp(-2j * np.pi * 0.2 * np.arange(n))
-    pair = analytic_split(make_sig(z_neg))
-    assert np.linalg.norm(pair.x_plus) < 1e-9 * np.linalg.norm(pair.x_minus)
+    x_plus, x_minus = analytic_split(make_sig(z_neg))
+    assert np.linalg.norm(x_plus) < 1e-9 * np.linalg.norm(x_minus)
 
 
 def hilbert_oracle(a, b):

@@ -106,6 +106,15 @@ def test_gen_rejects_bad_parameters(runner, tmp_path):
     assert "error" in res.output
 
 
+def test_gen_refuses_an_aliasing_waveform_before_writing_a_capture(runner, tmp_path):
+    # CW fits at carrier 0.45, but the keyed kinds' half-width of 1/8 reaches Nyquist.
+    out = tmp_path / "d"
+    res = runner.invoke(main, ["gen", "--out", str(out), "--carrier", "0.45", "--n-samples", "128"])
+    assert res.exit_code == 2, res.output
+    assert "reaches the Nyquist edge; the waveform would alias" in res.output
+    assert not list(tmp_path.rglob("*.iqf32"))
+
+
 @pytest.mark.parametrize("command", ["gen", "fewshot"])
 @pytest.mark.parametrize(
     "repeat",

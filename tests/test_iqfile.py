@@ -29,6 +29,17 @@ def test_roundtrip_within_float32(tmp_path):
     assert np.array_equal(again.samples, back.samples)
 
 
+@pytest.mark.parametrize("imag", [False, True], ids=["real", "imag"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "inf", "-inf", "overflow"])
+def test_write_refuses_samples_float32_cannot_hold(tmp_path, value, imag):
+    # 1e39 is finite in float64 but casts to inf in float32; the reader would refuse the file.
+    path = tmp_path / "sub" / "x.iqf32"
+    bad = complex(0.5, value) if imag else complex(value, 0.5)
+    with pytest.raises(ParameterError, match=r"x\.iqf32: samples must be finite in float32$"):
+        write_iqf32(path, np.array([1.0 + 1.0j, bad]), sidecar={"sample_rate": 1.0})
+    assert not list(tmp_path.rglob("*"))
+
+
 def test_sidecar_roundtrip(tmp_path):
     side = {"sample_rate": 2.0, "label": 3, "modulation": "qpsk"}
     path = write_iqf32(tmp_path / "x.iqf32", np.ones(4, dtype=complex), sidecar=side)

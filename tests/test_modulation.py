@@ -143,8 +143,16 @@ def test_parameter_validation():
         ModulationSpec(kind=ModulationKind.BPSK, samples_per_symbol=8.5)
     with pytest.raises(ParameterError):
         ModulationSpec(kind=ModulationKind.LFM, sweep_span=-0.5)
-    with pytest.raises(ParameterError):
+    # Every kind builds the symbol RNG, so every kind needs a seed numpy takes.
+    for seed in (-1, 2.5, True):
+        with pytest.raises(ParameterError, match="^seed must be"):
+            ModulationSpec(kind=ModulationKind.CW, seed=seed)
+    with pytest.raises(ParameterError, match="^n_samples must be >= 1, got 0$"):
         gen_baseband(ModulationSpec(kind=ModulationKind.CW), 0)
+    # A fractional count would be rounded up by arange, and True read as 1.
+    for n in (2.5, True, "8", None):
+        with pytest.raises(ParameterError, match=f"^n_samples must be an integer, got {n!r}$"):
+            gen_baseband(ModulationSpec(kind=ModulationKind.BPSK), n)
 
 
 @settings(deadline=None)

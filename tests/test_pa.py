@@ -96,8 +96,11 @@ def test_auxiliary_bank_seeded_and_disjoint_ids():
     for p in a:
         b3, b5 = p.nonlinear_coeffs[2], p.nonlinear_coeffs[4]
         assert 0.1 <= b3 <= 0.5 and 0.1 <= b5 <= 0.5
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^n_emitters must be >= 1, got 0$"):
         auxiliary_bank(0, seed=1)
+    for n in (2.5, True, "3", None):
+        with pytest.raises(ParameterError, match=f"^n_emitters must be an integer, got {n!r}$"):
+            auxiliary_bank(n, seed=1)
 
 
 def test_volterra_identity_and_delay():

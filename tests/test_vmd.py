@@ -343,7 +343,7 @@ def _colliding_cw_side():
     sig = synthesize_one(
         DatasetSpec(n_samples=700), emitter_bank()[6], ModulationKind.CW, 18.0, 2274038596, 4283324809
     )
-    return analytic_split(sig).x_plus
+    return analytic_split(sig)[0]
 
 
 def _case_signal(source):
@@ -405,8 +405,7 @@ def _bench_shaped_sides():
     sides = []
     for i, profile in enumerate(emitter_bank()[:6]):
         sig = synthesize_one(spec, profile, DEFAULT_MODULATIONS[i], (18.0, -4.0)[i % 2], i, 100 + i)
-        pair = analytic_split(sig)
-        sides += [pair.x_plus, pair.x_minus]
+        sides += analytic_split(sig)
     return VmdConfig(), sides
 
 
@@ -434,7 +433,7 @@ def test_relaxed_solver_converges_where_the_metric_keeps_rising():
     # An n=700 LFM side at 18 dB whose metric rises on most late sweeps; a
     # relaxation that paused for every rise would stall it at the cap.
     sig = synthesize_one(DatasetSpec(n_samples=700), emitter_bank()[3], DEFAULT_MODULATIONS[1], 18.0, 1, 1040)
-    x = analytic_split(sig).x_plus
+    x = analytic_split(sig)[0]
     cfg = VmdConfig()
     star = reference_vmd_decompose(x, dataclasses.replace(cfg, tol=1e-11, max_iter=6000), relax=1.0)
     plain = reference_vmd_decompose(x, cfg, relax=1.0)
@@ -468,9 +467,8 @@ def test_solver_runs_in_the_precision_of_its_input():
 
 def test_icvmd_residual_closes_each_float64_side():
     sig = synthesize_one(DatasetSpec(n_samples=700), emitter_bank()[2], ModulationKind.QPSK, 18.0, 3, 103)
-    pair = analytic_split(sig)
     res = icvmd_decompose(sig, VmdConfig())
-    for side, x in ((res.pos, pair.x_plus), (res.neg, pair.x_minus)):
+    for side, x in zip((res.pos, res.neg), analytic_split(sig)):
         assert side.mode_set.mode_spectra.dtype == np.complex64
         assert side.residual.dtype == np.float64
         assert np.array_equal(side.residual, x - side.modes.sum(axis=0))
