@@ -100,16 +100,9 @@ class ExperimentReport:
     label_set: np.ndarray
     confusion: np.ndarray
     n_test: int
-    wall_clock_s: float
 
 
-def evaluate(
-    predictions,
-    true_labels,
-    snrs_db=None,
-    known_labels=None,
-    wall_clock_s: float = 0.0,
-) -> ExperimentReport:
+def evaluate(predictions, true_labels, snrs_db=None, known_labels=None) -> ExperimentReport:
     """Score predictions against truth, bucketed by SNR when provided."""
     pred = np.asarray(predictions)
     truth = np.asarray(true_labels)
@@ -141,6 +134,5 @@ def evaluate(
         label_set=label_set,
         confusion=confusion,
         n_test=int(truth.size),
-        wall_clock_s=wall_clock_s,
     )
 

@@ -41,6 +41,7 @@ from .modulation import ModulationKind
 from .nn.checkpoint import _check_keys, load_checkpoint, save_checkpoint
 from .nn.model import ModelConfig, init_params
 from .nn.train import TrainConfig, train as train_model
+from .pa import EmitterProfile
 from .vmd import VmdConfig
 
 EXIT_PARAMETER = 2
@@ -106,6 +107,8 @@ def _spec_from_options(config, **kw) -> DatasetSpec:
         try:
             if "modulations" in raw:
                 raw["modulations"] = tuple(ModulationKind(m) for m in raw["modulations"])
+            if "emitters" in raw:  # as echo() writes them into a manifest
+                raw["emitters"] = tuple(EmitterProfile(**e) for e in raw["emitters"])
             return DatasetSpec(**raw)
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"bad dataset config: {exc}") from None
@@ -169,7 +172,7 @@ def reconstruct(modes_dir, out_file, select):
     for s in select:
         selection.add(Selection.RESIDUAL if s == Selection.RESIDUAL.value else ModeLabel(s))
     sig = reconstruct_from_dump(modes_dir, selection)
-    write_iqf32(out_file, sig.samples, {"sample_rate": sig.sample_rate, "selection": sorted(select)})
+    write_iqf32(out_file, sig.samples)
     click.echo(f"wrote {len(sig)} samples to {out_file}")
 
 

@@ -66,9 +66,9 @@ class DatasetSpec:
     def __post_init__(self):
         for name, low in (("n_samples", 16), ("signals_per_emitter", 1), ("seed", 0)):
             check_int(name, getattr(self, name), low)
-        for value in (self.carrier, self.sweep_span, *self.snr_grid_db):
+        for value in self.snr_grid_db:
             if not (_is_a(value, numbers.Real) and np.isfinite(value)):
-                raise ParameterError(f"carrier, sweep_span and SNRs must be finite numbers, got {value!r}")
+                raise ParameterError(f"SNRs must be finite numbers, got {value!r}")
         if len(self.snr_grid_db) == 0:
             raise ParameterError("snr_grid_db must be non-empty")
         if len(self.modulations) == 0:

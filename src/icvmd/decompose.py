@@ -134,7 +134,7 @@ def reconstruct(result: IcvmdResult, selection) -> ComplexSignal:
     selection yields an all-zero signal.
     """
     sides = {"pos": (result.labels_pos, result.pos.modes), "neg": (result.labels_neg, result.neg.modes)}
-    return result.input_signal.with_samples(_assemble(selection, sides, result.input_signal.samples))
+    return ComplexSignal(_assemble(selection, sides, result.input_signal.samples))
 
 
 FULL_SELECTION = frozenset(ModeLabel) | frozenset({Selection.RESIDUAL})
@@ -169,11 +169,7 @@ def dump_modes(result: IcvmdResult, out_dir) -> dict:
             "final_delta": ms.final_delta if math.isfinite(ms.final_delta) else None,
         }
     np.savez(out_dir / "modes.npz", **arrays)
-    manifest = {
-        "schema_version": DUMP_VERSION,
-        "sample_rate": result.input_signal.sample_rate,
-        "sides": sides,
-    }
+    manifest = {"schema_version": DUMP_VERSION, "sides": sides}
     (out_dir / "modes.json").write_text(json.dumps(manifest, indent=2))
     return manifest
 
@@ -203,7 +199,6 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
         labels = {name: [ModeLabel(v) for v in sides[name]["labels"]] for name in ("pos", "neg")}
         if len(sides) != 2:
             raise ValueError(f"sides must hold only pos and neg, got {sorted(sides)}")
-        sample_rate = float(manifest.get("sample_rate", 1.0))
     except KeyError as exc:
         raise ParameterError(f"modes.json lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -224,5 +219,5 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
                 f"the input has shape {samples.shape}"
             )
         parts[name] = (labels[name], modes)
-    sig = ComplexSignal(samples, sample_rate)  # rejects an empty or non-finite input
-    return sig.with_samples(_assemble(selection, parts, sig.samples))
+    sig = ComplexSignal(samples)  # rejects an empty or non-finite input
+    return ComplexSignal(_assemble(selection, parts, sig.samples))

@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import enum
 import functools
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -103,7 +102,7 @@ def sat_inputs(result) -> tuple:
     attention where the waveform actually carries structure.
     """
     signal_side = reconstruct(result, {ModeLabel.SIGNAL})
-    feature_side = result.input_signal.with_samples(result.input_signal.samples - signal_side.samples)
+    feature_side = ComplexSignal(result.input_signal.samples - signal_side.samples)
     return signal_channels(feature_side), signal_channels(signal_side)
 
 
@@ -130,10 +129,10 @@ def represent(
     ``arrays`` is what the pipeline's fit consumes, stacked over the kept
     entries: ``(features,)`` for ICVMD_FEATURES, ``(mains, branches)`` in the
     classifier's float32 for the classifier pipelines, where RAW_NN's two are
-    one array.  A capture that cannot be loaded (missing file, bad length, bad
-    sidecar) or whose representation raises DegenerateInputError (for example
-    a decomposition that keeps no FEATURE mode to describe) is dropped and
-    ``(path, reason)`` is appended to ``skipped``; a ParameterError from the
+    one array.  A capture that cannot be loaded (missing file, bad length, a
+    non-finite sample) or whose representation raises DegenerateInputError
+    (for example a decomposition that keeps no FEATURE mode to describe) is
+    dropped and ``(path, reason)`` is appended to ``skipped``; a ParameterError from the
     solver config propagates.  Pass one ``memo`` dict for a whole run so each
     capture is decomposed at most once; it is keyed by (manifest directory,
     entry path).  Raises DegenerateInputError when the manifest lists no
@@ -258,7 +257,6 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
     pretrained = functools.cache(lambda: _pretrain(spec, icvmd_cfg, workdir, memo, skipped, sides))
 
     for proportion in proportions:
-        t0 = time.perf_counter()
         try:
             sub_m = subsample_manifest(train_m, proportion, SUBSAMPLE_SEED)
             sub_entries, train_x = represent(pipeline, sub_m, icvmd_cfg, memo, skipped, sides)
@@ -271,13 +269,7 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
         if loss is not None:
             final_losses[proportion] = (loss, len(class_ids))
 
-        report = evaluate(
-            preds,
-            test_truth,
-            snrs_db=test_snrs,
-            known_labels=class_ids,
-            wall_clock_s=time.perf_counter() - t0,
-        )
+        report = evaluate(preds, test_truth, snrs_db=test_snrs, known_labels=class_ids)
         reports[proportion] = report
         for snr, acc in sorted(report.per_snr.items()):
             rows.append(row(proportion, snr, f"{acc:.6f}", int(np.sum(test_snrs == snr))))

@@ -1,9 +1,8 @@
 """The iqf32 on-disk sample format.
 
 Layout: little-endian float32, interleaved I then Q per sample, no header.
-A file of N complex samples is exactly 8*N bytes.  Metadata lives in an
-optional JSON sidecar with the same stem and a ``.json`` suffix; the reader
-takes only its ``sample_rate`` (default 1.0), and the dataset writer writes none.
+A file of N complex samples is exactly 8*N bytes.  The reader looks at no
+other file: a dataset's metadata lives in its manifest.
 
 The module also holds the two readers that the other formats share:
 ``json_object`` for JSON manifests and ``load_npz`` for npz archives.
@@ -48,13 +47,9 @@ def load_npz(path) -> dict:
         raise ParameterError(f"{path} is not a readable .npz archive: {exc}") from None
 
 
-def sidecar_path(path) -> Path:
-    return Path(path).with_suffix(".json")
-
-
-def write_iqf32(path, samples, sidecar: dict | None = None) -> Path:
-    """Write interleaved I/Q float32, and the JSON sidecar when one is given.  Samples
-    float32 cannot hold (NaN, inf, beyond its range) raise ParameterError first."""
+def write_iqf32(path, samples) -> Path:
+    """Write interleaved I/Q float32.  Samples float32 cannot hold (NaN, inf,
+    beyond its range) raise ParameterError before any byte is written."""
     path = Path(path)
     z = np.asarray(samples, dtype=np.complex128)
     if z.ndim != 1:
@@ -67,17 +62,14 @@ def write_iqf32(path, samples, sidecar: dict | None = None) -> Path:
         raise ParameterError(f"{path}: samples must be finite in float32")
     path.parent.mkdir(parents=True, exist_ok=True)
     inter.tofile(path)
-    if sidecar is not None:
-        sidecar_path(path).write_text(json.dumps(sidecar, indent=2, sort_keys=True))
     return path
 
 
 def read_iqf32(path) -> ComplexSignal:
     """Read an iqf32 file back into a ComplexSignal (complex128 in memory).
 
-    The sidecar's sample_rate is honored when the sidecar exists; otherwise
-    sample_rate defaults to 1.0.  A sidecar sample_rate that is not a number
-    raises ParameterError.
+    A missing file raises FileNotFoundError; a float32 count that is zero or
+    odd, or a non-finite sample, raises ParameterError.
     """
     path = Path(path)
     if not path.exists():
@@ -89,10 +81,4 @@ def read_iqf32(path) -> ComplexSignal:
             "positive, even count (interleaved I,Q)"
         )
     z = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
-    rate = 1.0
-    side = sidecar_path(path)
-    if side.exists():
-        rate = json_object(side.read_text(), side).get("sample_rate", 1.0)
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-            raise ParameterError(f"{side}: sample_rate must be a number, got {rate!r}")
-    return ComplexSignal(z, float(rate))
+    return ComplexSignal(z)

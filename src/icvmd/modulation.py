@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_int
+from .errors import ParameterError, check_int, check_real
 from .signals import ComplexSignal
 
 
@@ -50,12 +50,12 @@ class ModulationSpec:
     def __post_init__(self):
         if not isinstance(self.kind, ModulationKind):
             raise ParameterError(f"kind must be a ModulationKind, got {self.kind!r}")
-        if not (0.0 <= self.carrier < 0.5):
+        check_real("carrier", self.carrier, zero=True)
+        if not self.carrier < 0.5:
             raise ParameterError(f"carrier must lie in [0, 0.5), got {self.carrier}")
         check_int("samples_per_symbol", self.samples_per_symbol, 1)
         check_int("seed", self.seed, 0)
-        if not (0.0 <= self.sweep_span):
-            raise ParameterError("sweep_span must be >= 0")
+        check_real("sweep_span", self.sweep_span, zero=True)
         hw = occupied_halfwidth(self)
         if self.carrier + hw >= 0.5:
             raise ParameterError(

@@ -39,6 +39,7 @@ class EmitterProfile:
     memory_taps: np.ndarray
 
     def __post_init__(self):
+        check_int("emitter_id", self.emitter_id, 0)  # it names files and is the class label
         b = _check_coeffs("nonlinear_coeffs", self.nonlinear_coeffs)
         c = _check_coeffs("memory_taps", self.memory_taps)
         b.setflags(write=False)
@@ -109,4 +110,4 @@ def hammerstein_apply(sig: ComplexSignal, profile: EmitterProfile) -> ComplexSig
         if bk != 0.0:
             v += bk * x * mag ** (k - 1)
     y = np.convolve(v, profile.memory_taps)[: x.size]
-    return sig.with_samples(y)
+    return ComplexSignal(y)

@@ -21,21 +21,18 @@ def _as_complex_samples(samples) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ComplexSignal:
-    """An immutable 1-D complex128 sample sequence with its sample rate.
+    """An immutable, non-empty, finite 1-D complex128 sample sequence.
 
-    ``sample_rate`` is in Hz; all synthesis code works in normalized
-    cycles/sample, so 1.0 is the usual value.
+    It carries no sample rate: every stage works in normalized frequency
+    (cycles/sample in synthesis, rad/sample in the decomposition).
     """
 
     samples: np.ndarray
-    sample_rate: float = 1.0
 
     def __post_init__(self):
         arr = _as_complex_samples(self.samples)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        if not (self.sample_rate > 0 and np.isfinite(self.sample_rate)):
-            raise ParameterError(f"sample_rate must be positive, got {self.sample_rate}")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -44,9 +41,6 @@ class ComplexSignal:
     def power(self) -> float:
         """Mean squared magnitude of the samples."""
         return float(np.mean(np.abs(self.samples) ** 2))
-
-    def with_samples(self, samples) -> "ComplexSignal":
-        return ComplexSignal(samples, self.sample_rate)
 
 
 def normalize_power(sig: ComplexSignal, target_power: float = 1.0) -> ComplexSignal:
@@ -60,7 +54,7 @@ def normalize_power(sig: ComplexSignal, target_power: float = 1.0) -> ComplexSig
     p = sig.power
     if p <= 0.0:
         raise DegenerateInputError("cannot normalize an all-zero signal")
-    return sig.with_samples(sig.samples * np.sqrt(target_power / p))
+    return ComplexSignal(sig.samples * np.sqrt(target_power / p))
 
 
 def add_awgn(sig: ComplexSignal, snr_db: float, seed: int) -> ComplexSignal:
@@ -80,4 +74,4 @@ def add_awgn(sig: ComplexSignal, snr_db: float, seed: int) -> ComplexSignal:
     scale = np.sqrt(noise_var / 2.0)
     n = sig.samples.size
     noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return sig.with_samples(sig.samples + noise)
+    return ComplexSignal(sig.samples + noise)

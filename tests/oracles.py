@@ -504,7 +504,7 @@ def volterra_apply(sig: ComplexSignal, kernels: VolterraKernels) -> ComplexSigna
             for q in idx:
                 term = term * shifted[q]
             y += coeff * term
-    return sig.with_samples(y)
+    return ComplexSignal(y)
 
 
 def hammerstein_as_volterra(profile: EmitterProfile) -> VolterraKernels:

@@ -16,8 +16,10 @@ from icvmd.errors import DegenerateInputError
 from icvmd.features import extract_features
 from icvmd.fewshot import FewshotResult
 from icvmd.iqfile import read_iqf32, write_iqf32
+from icvmd.modulation import ModulationKind
 from icvmd.nn.model import ModelConfig
 from icvmd.nn.train import TrainConfig, TrainResult
+from icvmd.pa import auxiliary_bank
 from icvmd.vmd import VmdConfig, vmd_decompose
 
 
@@ -49,13 +51,9 @@ def gen_tiny(runner, out_dir, spe=2, extra=()):
 
 
 def break_first_capture(data_dir, fault) -> str:
-    """Break the first capture (by name) of a dataset in one of four ways; returns its name."""
+    """Break the first capture (by name) of a dataset in one of two ways; returns its name."""
     path = sorted(Path(data_dir).glob("*.iqf32"))[0]
-    if fault == "bad_sidecar":
-        path.with_suffix(".json").write_text(json.dumps({"sample_rate": "x"}))
-    elif fault == "malformed_sidecar":
-        path.with_suffix(".json").write_text("{not json")
-    elif fault == "odd_float_count":
+    if fault == "odd_float_count":
         path.write_bytes(path.read_bytes()[:-4])
     else:
         path.unlink()
@@ -163,6 +161,19 @@ def test_gen_from_config_json(runner, tmp_path):
     assert len(list((tmp_path / "d").glob("*.iqf32"))) == 7
 
 
+def test_gen_regenerates_a_dataset_from_its_echoed_spec(runner, tmp_path):
+    spec = DatasetSpec(emitters=tuple(auxiliary_bank(5, 77)), n_samples=128, signals_per_emitter=2,
+                       snr_grid_db=(18.0, 0.0), modulations=(ModulationKind.LFM, ModulationKind.QPSK), seed=3)
+    manifest = generate_dataset(spec, tmp_path / "a")
+    (tmp_path / "spec.json").write_text(json.dumps(manifest["spec"] | {"schema_version": 1}))
+    res = runner.invoke(main, ["gen", "--out", str(tmp_path / "b"), "--config", str(tmp_path / "spec.json")])
+    assert res.exit_code == 0, res.output
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir()) and len(names) == 21
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
 def test_gen_rejects_malformed_config(runner, tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text("{not json")
@@ -187,9 +198,11 @@ def test_gen_rejects_wrong_config_schema(runner, tmp_path):
         {"n_samples": 100.5},
         {"seed": "x"},
         {"signals_per_emitter": True},
+        {"emitters": [{"emitter_id": 0}]},
+        {"emitters": ["emitter0"]},
     ],
     ids=["unknown-key", "unknown-modulation", "string-n-samples", "float-n-samples",
-         "string-seed", "bool-signals-per-emitter"],
+         "string-seed", "bool-signals-per-emitter", "emitter-without-coeffs", "string-emitter"],
 )
 def test_bad_config_payload_is_a_parameter_error(runner, tmp_path, command, payload):
     cfg_path = tmp_path / "spec.json"
@@ -282,7 +295,7 @@ def test_reconstruct_single_selection(runner, tmp_path):
     assert res.exit_code == 0, res.output
     sig = read_iqf32(out_file)
     assert sig.samples.size == 256
-    assert json.loads(out_file.with_suffix(".json").read_text())["selection"] == ["signal"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m", "sig.iqf32", "tone.iqf32"]
 
 
 def test_reconstruct_rejects_a_manifest_with_an_unknown_label(runner, tmp_path):
@@ -296,18 +309,6 @@ def test_reconstruct_rejects_a_manifest_with_an_unknown_label(runner, tmp_path):
     res = runner.invoke(main, ["reconstruct", str(tmp_path / "m"), "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
     assert "error: bad modes.json: 'carrier'" in res.output
-
-
-@pytest.mark.parametrize("rate", ["fast", None])
-def test_reconstruct_rejects_a_non_numeric_sample_rate(runner, tmp_path, rate):
-    src = tmp_path / "tone.iqf32"
-    write_tone(src)
-    runner.invoke(main, ["decompose", str(src), "--out", str(tmp_path / "m"), "--n-modes", "2"])
-    manifest_path = tmp_path / "m" / "modes.json"
-    manifest_path.write_text(json.dumps(json.loads(manifest_path.read_text()) | {"sample_rate": rate}))
-    res = runner.invoke(main, ["reconstruct", str(tmp_path / "m"), "--out", str(tmp_path / "o")])
-    assert res.exit_code == 2, res.output
-    assert "error: bad modes.json" in res.output
 
 
 @pytest.mark.parametrize(
@@ -341,14 +342,6 @@ def test_reconstruct_rejects_a_bad_modes_json(runner, tmp_path, edit, message):
     assert f"error: {message}" in res.output
 
 
-def test_decompose_rejects_a_non_numeric_sidecar_sample_rate(runner, tmp_path):
-    src = tmp_path / "tone.iqf32"
-    write_iqf32(src, np.exp(2j * np.pi * 0.2 * np.arange(256)), sidecar={"sample_rate": "fast"})
-    res = runner.invoke(main, ["decompose", str(src), "--out", str(tmp_path / "m")])
-    assert res.exit_code == 2, res.output
-    assert "tone.json: sample_rate must be a number, got 'fast'" in res.output
-
-
 def test_decompose_rejects_an_infinite_tol(runner, tmp_path):
     src = tmp_path / "tone.iqf32"
     write_tone(src)
@@ -356,13 +349,6 @@ def test_decompose_rejects_an_infinite_tol(runner, tmp_path):
     assert res.exit_code == 2, res.output
     assert "error: tol must be positive and finite, got inf" in res.output
     assert not (tmp_path / "m").exists()
-
-
-def non_object_sidecar(runner, tmp_path, payload):
-    src = tmp_path / "tone.iqf32"
-    write_tone(src)
-    src.with_suffix(".json").write_text(payload)
-    return ["decompose", str(src), "--out", str(tmp_path / "m")], "tone.json"
 
 
 def non_object_dataset_config(runner, tmp_path, payload):
@@ -400,13 +386,12 @@ def non_object_checkpoint_manifest(runner, tmp_path, payload):
 EACH_JSON_FILE = pytest.mark.parametrize(
     "setup",
     [
-        non_object_sidecar,
         non_object_dataset_config,
         non_object_dataset_manifest,
         non_object_modes_json,
         non_object_checkpoint_manifest,
     ],
-    ids=["sidecar", "dataset_config", "dataset_manifest", "modes_json", "checkpoint_manifest"],
+    ids=["dataset_config", "dataset_manifest", "modes_json", "checkpoint_manifest"],
 )
 
 
@@ -655,7 +640,7 @@ def test_train_warns_when_the_final_loss_sits_at_chance(runner, tmp_path, monkey
     assert res.stderr.splitlines() == ([line] if warns else [])
 
 
-@pytest.mark.parametrize("fault", ["bad_sidecar", "odd_float_count", "missing_file"])
+@pytest.mark.parametrize("fault", ["odd_float_count", "missing_file"])
 def test_train_and_eval_skip_an_unreadable_capture(runner, tmp_path, fault):
     data = gen_tiny(runner, tmp_path / "data", spe=2)
     bad = break_first_capture(data, fault)
@@ -669,6 +654,24 @@ def test_train_and_eval_skip_an_unreadable_capture(runner, tmp_path, fault):
     assert res.exit_code == 0, res.output
     assert f"skipped {bad}: " in res.stderr
     assert json.loads(res.stdout)["n_test"] == 13
+
+
+# What a .json beside a capture may hold; no command reads it.
+JSON_BESIDE = pytest.mark.parametrize("payload", ["{not json", '{"sample_rate": "x"}'], ids=["malformed", "rate"])
+
+
+@JSON_BESIDE
+def test_train_and_eval_keep_a_capture_with_a_json_file_beside_it(runner, tmp_path, payload):
+    data = gen_tiny(runner, tmp_path / "data", spe=2)
+    sorted(data.glob("*.iqf32"))[0].with_suffix(".json").write_text(payload)
+    ck = tmp_path / "model.npz"
+    res = runner.invoke(main, ["train", "--data", str(data), "--out", str(ck), "--epochs", "1", "--segment-len", "32"])
+    assert res.exit_code == 0, res.output
+    assert "skipped" not in res.stderr
+    res = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(ck)])
+    assert res.exit_code == 0, res.output
+    assert "skipped" not in res.stderr
+    assert json.loads(res.stdout)["n_test"] == 14
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -967,59 +970,20 @@ def test_fewshot_cli_names_a_skipped_capture(runner, tmp_path, monkeypatch):
     assert skipped[0].endswith(": no FEATURE modes were retained")
 
 
-def test_fewshot_cli_skips_a_capture_with_a_bad_sidecar(runner, tmp_path, monkeypatch):
-    broken = []
-
-    def generate_then_break(spec, out_dir):
+@JSON_BESIDE
+def test_fewshot_cli_keeps_a_capture_with_a_json_file_beside_it(runner, tmp_path, monkeypatch, payload):
+    def generate_then_add_json(spec, out_dir):
         manifest = generate_dataset(spec, out_dir)
-        broken.append(break_first_capture(out_dir, "bad_sidecar"))
+        sorted(Path(out_dir).glob("*.iqf32"))[0].with_suffix(".json").write_text(payload)
         return manifest
 
-    monkeypatch.setattr(fewshot, "generate_dataset", generate_then_break)
-    res = runner.invoke(
-        main,
-        [
-            "fewshot",
-            "--workdir",
-            str(tmp_path / "exp"),
-            "--proportions",
-            "1.0",
-            "--n-samples",
-            "128",
-            "--signals-per-emitter",
-            "2",
-            "--snr-db",
-            "18",
-            "--modulations",
-            "cw",
-            "--modulations",
-            "bpsk",
-        ],
-    )
-    assert res.exit_code == 0, res.output
-    skipped = [line for line in res.output.splitlines() if line.startswith("skipped ")]
-    assert len(skipped) == 1
-    assert skipped[0].startswith(f"skipped {broken[0]}: ")
-    assert skipped[0].endswith("sample_rate must be a number, got 'x'")
-
-
-def test_fewshot_cli_names_a_sidecar_that_does_not_parse(runner, tmp_path, monkeypatch):
-    broken = []
-
-    def generate_then_break(spec, out_dir):
-        manifest = generate_dataset(spec, out_dir)
-        broken.append(break_first_capture(out_dir, "malformed_sidecar"))
-        return manifest
-
-    monkeypatch.setattr(fewshot, "generate_dataset", generate_then_break)
+    monkeypatch.setattr(fewshot, "generate_dataset", generate_then_add_json)
     args = ["fewshot", "--workdir", str(tmp_path / "exp"), "--proportions", "1.0", "--n-samples", "128"]
     args += ["--signals-per-emitter", "2", "--snr-db", "18", "--modulations", "cw", "--modulations", "bpsk"]
     res = runner.invoke(main, args)
     assert res.exit_code == 0, res.output
-    skipped = [line for line in res.output.splitlines() if line.startswith("skipped ")]
-    sidecar = tmp_path / "exp" / "data" / Path(broken[0]).with_suffix(".json")
-    assert skipped == [f"skipped {broken[0]}: malformed JSON in {sidecar}: Expecting property name "
-                       "enclosed in double quotes: line 1 column 2 (char 1)"]
+    assert "skipped" not in res.output
+    assert len(list((tmp_path / "exp" / "data").glob("*.json"))) == 2  # the manifest and the added file
 
 
 def test_fewshot_cli_refuses_a_repeated_proportion(runner, tmp_path):

@@ -64,7 +64,8 @@ def test_spec_validation():
      {"samples_per_symbol": 8.0}, {"carrier": "0.1"}, {"snr_grid_db": (18.0, None)},
      {"snr_grid_db": (float("nan"),)}, {"carrier": float("inf")}, {"n_samples": 15},
      {"signals_per_emitter": 0}, {"samples_per_symbol": 0}, {"modulations": ("cw",)},
-     {"modulations": (ModulationKind.CW, "bpsk")}, {"carrier": 0.45}],
+     {"modulations": (ModulationKind.CW, "bpsk")}, {"carrier": 0.45},
+     {"sweep_span": None}],
 )
 def test_spec_rejects_wrong_types(kw):
     with pytest.raises(ParameterError):
@@ -162,13 +163,12 @@ def test_seed_changes_the_data(tmp_path):
     assert dir_digest(tmp_path / "a") != dir_digest(tmp_path / "b")
 
 
-def test_entries_load_at_unit_rate_with_no_sidecar(tmp_path):
+def test_entries_load_with_no_file_beside_them(tmp_path):
     generate_dataset(tiny_spec(), tmp_path)
     loaded = load_manifest(tmp_path)
     for entry in loaded["files"]:
         sig = load_entry(loaded, entry)
         assert sig.samples.size == 128
-        assert sig.sample_rate == 1.0
     # The manifest is the only metadata: no capture has a .json beside it.
     assert sorted(p.name for p in tmp_path.glob("*.json")) == ["manifest.json"]
 

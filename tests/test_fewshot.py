@@ -111,7 +111,7 @@ def test_run_fewshot_features_with_unsupported_cell(tmp_path):
     result = run_fewshot(TINY_SPEC, Pipeline.ICVMD_FEATURES, (1.0, 0.1), tmp_path)
 
     rows = read_csv(result.csv_path)
-    assert rows == [dict(r) for r in result.rows] or len(rows) == len(result.rows)
+    assert rows == [{k: str(v) for k, v in r.items()} for r in result.rows]
     ok_rows = [r for r in rows if r["status"] == "ok"]
     bad_rows = [r for r in rows if r["status"] == "unsupported"]
     assert bad_rows and bad_rows[0]["proportion"] == "0.1"

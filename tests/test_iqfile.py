@@ -1,11 +1,10 @@
-import json
 import struct
 
 import numpy as np
 import pytest
 
 from icvmd.errors import ParameterError
-from icvmd.iqfile import load_npz, read_iqf32, sidecar_path, write_iqf32
+from icvmd.iqfile import load_npz, read_iqf32, write_iqf32
 
 
 def test_golden_byte_layout(tmp_path):
@@ -36,23 +35,16 @@ def test_write_refuses_samples_float32_cannot_hold(tmp_path, value, imag):
     path = tmp_path / "sub" / "x.iqf32"
     bad = complex(0.5, value) if imag else complex(value, 0.5)
     with pytest.raises(ParameterError, match=r"x\.iqf32: samples must be finite in float32$"):
-        write_iqf32(path, np.array([1.0 + 1.0j, bad]), sidecar={"sample_rate": 1.0})
+        write_iqf32(path, np.array([1.0 + 1.0j, bad]))
     assert not list(tmp_path.rglob("*"))
 
 
-def test_sidecar_roundtrip(tmp_path):
-    side = {"sample_rate": 2.0, "label": 3, "modulation": "qpsk"}
-    path = write_iqf32(tmp_path / "x.iqf32", np.ones(4, dtype=complex), sidecar=side)
-    assert sidecar_path(path) == tmp_path / "x.json"
-    sig = read_iqf32(path)
-    assert sig.sample_rate == 2.0
-
-
-@pytest.mark.parametrize("rate", ["fast", "2.0", None, [2.0], True])
-def test_sidecar_non_numeric_sample_rate_rejected(tmp_path, rate):
-    path = write_iqf32(tmp_path / "x.iqf32", np.ones(4, dtype=complex), sidecar={"sample_rate": rate})
-    with pytest.raises(ParameterError, match=r"x\.json: sample_rate must be a number"):
-        read_iqf32(path)
+@pytest.mark.parametrize("payload", ["{not json", "[]", '{"sample_rate": "x"}'], ids=["malformed", "list", "rate"])
+def test_a_json_file_beside_the_capture_is_not_read(tmp_path, payload):
+    z = np.array([1.0 + 2.0j, -0.5j, 3.0])
+    path = write_iqf32(tmp_path / "x.iqf32", z)
+    (tmp_path / "x.json").write_text(payload)
+    assert np.array_equal(read_iqf32(path).samples, z)
 
 
 def test_missing_file(tmp_path):
@@ -82,13 +74,6 @@ def test_write_rejects_2d(tmp_path):
 def test_write_creates_parent_dirs(tmp_path):
     path = write_iqf32(tmp_path / "a" / "b" / "x.iqf32", np.ones(2, dtype=complex))
     assert path.exists()
-
-
-def test_sidecar_json_is_sorted_and_readable(tmp_path):
-    side = {"sample_rate": 1.0, "label": 0, "modulation": "cw", "snr_db": 0.0, "seed": 1}
-    path = write_iqf32(tmp_path / "x.iqf32", np.ones(2, dtype=complex), sidecar=side)
-    loaded = json.loads(sidecar_path(path).read_text())
-    assert loaded == side
 
 
 def test_load_npz_reads_every_array(tmp_path):

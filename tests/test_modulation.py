@@ -143,6 +143,11 @@ def test_parameter_validation():
         ModulationSpec(kind=ModulationKind.BPSK, samples_per_symbol=8.5)
     with pytest.raises(ParameterError):
         ModulationSpec(kind=ModulationKind.LFM, sweep_span=-0.5)
+    # A carrier or span that is not a number is refused before any range test.
+    for name in ("carrier", "sweep_span"):
+        for value in ("0.1", None, True, float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match=f"^{name} must be >= 0 and finite, got"):
+                ModulationSpec(kind=ModulationKind.LFM, **{name: value})
     # Every kind builds the symbol RNG, so every kind needs a seed numpy takes.
     for seed in (-1, 2.5, True):
         with pytest.raises(ParameterError, match="^seed must be"):

@@ -23,21 +23,11 @@ def test_signal_rejects_bad_shapes_and_values():
         ComplexSignal([1.0, np.nan])
     with pytest.raises(ParameterError):
         ComplexSignal([1.0 + 1j * np.inf])
-    with pytest.raises(ParameterError):
-        ComplexSignal([1.0], sample_rate=0.0)
-    with pytest.raises(ParameterError):
-        ComplexSignal([1.0], sample_rate=-1.0)
 
 
 def test_power_is_mean_squared_magnitude():
     sig = ComplexSignal([3.0, 4.0j])
     assert sig.power == pytest.approx((9.0 + 16.0) / 2.0)
-
-
-def test_with_samples_keeps_rate():
-    sig = ComplexSignal([1.0], sample_rate=2.0)
-    out = sig.with_samples([5.0, 6.0])
-    assert out.sample_rate == 2.0
 
 
 def test_normalize_power_hits_target_exactly():
