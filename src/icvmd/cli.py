@@ -9,7 +9,6 @@ import functools
 import json
 import sys
 from dataclasses import asdict, fields
-from pathlib import Path
 
 import click
 import numpy as np
@@ -20,6 +19,7 @@ from .dataset import (
     DatasetSpec,
     generate_dataset,
     load_manifest,
+    load_spec,
 )
 from .decompose import (
     ModeLabel,
@@ -36,12 +36,11 @@ from .fewshot import (
     represent,
     run_fewshot,
 )
-from .iqfile import json_object, read_iqf32, write_iqf32
+from .iqfile import read_iqf32, write_iqf32
 from .modulation import ModulationKind
 from .nn.checkpoint import _check_keys, load_checkpoint, save_checkpoint
 from .nn.model import ModelConfig, init_params
 from .nn.train import TrainConfig, train as train_model
-from .pa import EmitterProfile
 from .vmd import VmdConfig
 
 EXIT_PARAMETER = 2
@@ -100,18 +99,7 @@ def _spec_from_options(config, **kw) -> DatasetSpec:
         given = [p.opts[0] for p in ctx.command.params if p.name in kw and ctx.get_parameter_source(p.name) is not default]
         if given:
             raise ParameterError(f"{', '.join(given)} cannot be given with --config, which sets every dataset option")
-        raw = json_object(Path(config).read_text(), config)
-        if raw.get("schema_version") != 1:
-            raise ParameterError("dataset config must carry schema_version 1")
-        raw = {k: v for k, v in raw.items() if k != "schema_version"}
-        try:
-            if "modulations" in raw:
-                raw["modulations"] = tuple(ModulationKind(m) for m in raw["modulations"])
-            if "emitters" in raw:  # as echo() writes them into a manifest
-                raw["emitters"] = tuple(EmitterProfile(**e) for e in raw["emitters"])
-            return DatasetSpec(**raw)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"bad dataset config: {exc}") from None
+        return load_spec(config)
     mods = kw.pop("modulations")
     snrs = kw.pop("snr_db")
     return DatasetSpec(

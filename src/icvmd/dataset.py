@@ -14,14 +14,13 @@ two runs with the same spec are byte-identical.
 from __future__ import annotations
 
 import json
-import numbers
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError, check_int
+from .errors import DegenerateInputError, ParameterError, check_int, is_real
 from .iqfile import json_object, read_iqf32, write_iqf32
 from .modulation import ModulationKind, ModulationSpec, gen_baseband
 from .pa import EmitterProfile, emitter_bank, hammerstein_apply
@@ -38,11 +37,6 @@ DEFAULT_MODULATIONS = (
 )
 
 
-def _is_a(value, kind) -> bool:
-    """isinstance, except that a bool is never a number here."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 def _repeated(values) -> list:
     """The values that occur more than once, sorted."""
     return sorted(v for v, n in Counter(values).items() if n > 1)
@@ -50,10 +44,12 @@ def _repeated(values) -> list:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """What to simulate.  ``signals_per_emitter`` counts signals per emitter
-    per SNR point (desk-scale default 60; crank it for full-scale runs)."""
+    """What to simulate.  ``emitters`` defaults to the seven-emitter
+    ``emitter_bank()`` and may not be empty.  ``signals_per_emitter`` counts
+    signals per emitter per SNR point (desk-scale default 60; crank it for
+    full-scale runs).  Specs compare and hash by value."""
 
-    emitters: tuple = ()  # empty -> the standard seven-emitter bank
+    emitters: tuple = tuple(emitter_bank())
     modulations: tuple = DEFAULT_MODULATIONS
     snr_grid_db: tuple = DEFAULT_SNR_GRID
     n_samples: int = 2100
@@ -66,13 +62,12 @@ class DatasetSpec:
     def __post_init__(self):
         for name, low in (("n_samples", 16), ("signals_per_emitter", 1), ("seed", 0)):
             check_int(name, getattr(self, name), low)
+        for name in ("emitters", "modulations", "snr_grid_db"):
+            if len(getattr(self, name)) == 0:
+                raise ParameterError(f"{name} must be non-empty")
         for value in self.snr_grid_db:
-            if not (_is_a(value, numbers.Real) and np.isfinite(value)):
+            if not is_real(value):
                 raise ParameterError(f"SNRs must be finite numbers, got {value!r}")
-        if len(self.snr_grid_db) == 0:
-            raise ParameterError("snr_grid_db must be non-empty")
-        if len(self.modulations) == 0:
-            raise ParameterError("modulations must be non-empty")
         if not all(isinstance(m, ModulationKind) for m in self.modulations):
             raise ParameterError(f"modulations must be ModulationKind members, got {self.modulations!r}")
         for kind in self.modulations:  # refuses an aliasing waveform before any file is written
@@ -93,17 +88,30 @@ class DatasetSpec:
         object.__setattr__(self, "snr_grid_db", tuple(self.snr_grid_db))
         object.__setattr__(self, "emitters", tuple(self.emitters))
 
-    def resolved_emitters(self) -> list:
-        return list(self.emitters) or emitter_bank()
-
     def echo(self) -> dict:
         """JSON-serializable summary embedded in manifests and reports."""
         emitters = [
-            dict(emitter_id=e.emitter_id, nonlinear_coeffs=e.nonlinear_coeffs.tolist(), memory_taps=e.memory_taps.tolist())
-            for e in self.resolved_emitters()
+            dict(emitter_id=e.emitter_id, nonlinear_coeffs=list(e.nonlinear_coeffs), memory_taps=list(e.memory_taps))
+            for e in self.emitters
         ]
         mods = [m.value for m in self.modulations]
         return asdict(self) | dict(emitters=emitters, modulations=mods, snr_grid_db=list(self.snr_grid_db))
+
+
+def load_spec(path) -> DatasetSpec:
+    """Read a JSON DatasetSpec: ``schema_version`` 1 and any fields, written as
+    ``echo`` writes them.  A bad field raises ParameterError."""
+    raw = json_object(Path(path).read_text(), path)
+    if raw.pop("schema_version", None) != 1:
+        raise ParameterError("dataset config must carry schema_version 1")
+    try:
+        if "modulations" in raw:
+            raw["modulations"] = tuple(ModulationKind(m) for m in raw["modulations"])
+        if "emitters" in raw:
+            raw["emitters"] = tuple(EmitterProfile(**e) for e in raw["emitters"])
+        return DatasetSpec(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"bad dataset config: {exc}") from None
 
 
 def _rep_counts(total: int, n_kinds: int) -> list:
@@ -139,12 +147,11 @@ def generate_dataset(spec: DatasetSpec, out_dir) -> dict:
     """Write every signal and the manifest; returns the manifest dict."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    emitters = spec.resolved_emitters()
     n_kinds = len(spec.modulations)
     counts = _rep_counts(spec.signals_per_emitter, n_kinds)
 
     entries = []
-    for e_idx, profile in enumerate(emitters):
+    for e_idx, profile in enumerate(spec.emitters):
         for s_idx, snr_db in enumerate(spec.snr_grid_db):
             for m_idx, kind in enumerate(spec.modulations):
                 for rep in range(counts[m_idx]):
@@ -184,7 +191,7 @@ def load_manifest(data_dir) -> dict:
     if not (isinstance(files, list) and all(isinstance(e, dict) and isinstance(e.get("path"), str) for e in files)):
         raise ParameterError(f"{path}: files must be a list of objects, each with a string path")
     for e in files:
-        if not (_is_a(e.get("label"), int) and _is_a(e.get("snr_db"), numbers.Real) and abs(e["snr_db"]) < np.inf):
+        if not (type(e.get("label")) is int and is_real(e.get("snr_db"))):
             raise ParameterError(f"{path}: {e['path']} needs an integer label and a numeric snr_db that is finite")
     dupes = _repeated(e["path"] for e in files)
     if dupes:
@@ -205,7 +212,7 @@ def split_manifest(manifest: dict, test_fraction: float, seed: int) -> tuple:
     more than one entry).  The two sides are disjoint by construction, given
     that no path is listed twice; a manifest that does is rejected.
     """
-    if not (0.0 < test_fraction < 1.0):
+    if not (is_real(test_fraction) and 0.0 < test_fraction < 1.0):
         raise ParameterError("test_fraction must lie in (0, 1)")
     dupes = _repeated(entry["path"] for entry in manifest["files"])
     if dupes:
@@ -237,7 +244,7 @@ def subsample_manifest(manifest: dict, proportion: float, seed: int) -> dict:
     Raises DegenerateInputError if any class would end up empty -- callers
     treat that as an unsupported experiment cell, not a crash site.
     """
-    if not (0.0 < proportion <= 1.0):
+    if not (is_real(proportion) and 0.0 < proportion <= 1.0):
         raise ParameterError("proportion must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     by_label: dict = {}

@@ -65,45 +65,34 @@ def partition_modes(result: VmdResult) -> tuple:
     return tuple(labels)
 
 
-def icvmd_decompose(sig: ComplexSignal, cfg: VmdConfig) -> IcvmdResult:
-    """Split, decompose each side independently with ``cfg``, and label the modes.
-
-    A side whose sequence is numerically all-zero (e.g. a purely positive-
-    frequency input) still yields a result: its modes are all zero and all
-    labeled FEATURE, with the residual carrying nothing.
-    """
+def _decompose_side(x: np.ndarray, cfg: VmdConfig, floor: float) -> tuple:
+    """Decompose one side sequence; returns its ``(VmdResult, labels)``."""
     # A side holding only FFT roundoff from the split (e.g. the negative side
     # of a purely positive-frequency input) is treated as empty rather than
     # decomposed: its "modes" would be arbitrary slices of numerical noise.
-    input_energy = float(np.sum(np.abs(sig.samples) ** 2))
-    k = cfg.n_modes
-    results = {}
-    labels = {}
-    for name, x in zip(("pos", "neg"), analytic_split(sig)):
-        if float(np.sum(x**2)) > 1e-24 * input_energy:
-            # The sweep runs in float32; the residual against the float64
-            # side keeps side_input_energy, and so each energy fraction, that
-            # of the float64 side.
-            res = vmd_decompose(x.astype(np.float32), cfg)
-            res = VmdResult(res.modes, res.mode_set, residual=x - res.modes.sum(axis=0))
-            labels[name] = partition_modes(res)
-        else:
-            n = x.size
-            check_memory_budget(n, k)
-            # n + 1 rfft bins of the mirror-extended (2n) sequence; no sweep ran.
-            spectra = np.zeros((k, n + 1), dtype=np.complex64)
-            empty = ModeSet(spectra, np.zeros(k), 0, True, 0.0)
-            res = VmdResult(modes=np.zeros((k, n)), mode_set=empty, residual=np.zeros(n))
-            labels[name] = tuple([ModeLabel.FEATURE] * k)
-        results[name] = res
+    if float(np.sum(x**2)) <= floor:
+        n, k = x.size, cfg.n_modes
+        check_memory_budget(n, k)
+        # n + 1 rfft bins of the mirror-extended (2n) sequence; no sweep ran.
+        empty = ModeSet(np.zeros((k, n + 1), dtype=np.complex64), np.zeros(k), 0, True, 0.0)
+        return VmdResult(np.zeros((k, n)), empty, residual=np.zeros(n)), (ModeLabel.FEATURE,) * k
+    # The sweep runs in float32; the residual against the float64 side keeps
+    # side_input_energy, and so each energy fraction, that of the float64 side.
+    res = vmd_decompose(x.astype(np.float32), cfg)
+    res = VmdResult(res.modes, res.mode_set, residual=x - res.modes.sum(axis=0))
+    return res, partition_modes(res)
 
-    return IcvmdResult(
-        pos=results["pos"],
-        neg=results["neg"],
-        labels_pos=labels["pos"],
-        labels_neg=labels["neg"],
-        input_signal=sig,
-    )
+
+def icvmd_decompose(sig: ComplexSignal, cfg: VmdConfig) -> IcvmdResult:
+    """Split, decompose each side independently with ``cfg``, and label the modes.
+
+    A side with at most 1e-24 of the input's energy (e.g. the negative side
+    of a one-sided input) is not solved: its modes are all zero and all
+    labeled FEATURE, with the residual carrying nothing.
+    """
+    floor = 1e-24 * float(np.sum(np.abs(sig.samples) ** 2))
+    (pos, labels_pos), (neg, labels_neg) = (_decompose_side(x, cfg, floor) for x in analytic_split(sig))
+    return IcvmdResult(pos, neg, labels_pos, labels_neg, input_signal=sig)
 
 
 def _assemble(selection, sides: dict, samples: np.ndarray) -> np.ndarray:
@@ -112,6 +101,8 @@ def _assemble(selection, sides: dict, samples: np.ndarray) -> np.ndarray:
     Selection.RESIDUAL this combines the selected modes; with it, it subtracts
     the unselected modes from the input, so the residual carries everything
     the modes do not, the boundary bins the split drops included."""
+    if selection is None or isinstance(selection, (str, enum.Enum)):
+        raise ParameterError(f"selection must be a collection of ModeLabel and Selection members, got {selection!r}")
     selection = frozenset(selection)
     bad = selection - (set(ModeLabel) | set(Selection))
     if bad:

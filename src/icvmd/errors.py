@@ -1,4 +1,5 @@
 """Exception types shared across the toolkit, and the integer and real field checks."""
+import math
 import numbers
 
 import numpy as np
@@ -20,9 +21,16 @@ def check_int(name: str, value, low: int) -> None:
         raise ParameterError(f"{name} must be >= {low}, got {value}")
 
 
+def is_real(value) -> bool:
+    """Whether value is a real number (never a bool) that is a finite float."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def check_real(name: str, value, zero: bool = False) -> None:
     """Raise ParameterError unless value is a finite real number (never a bool)
     above zero, or at zero when ``zero``."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and (value > 0 or zero and value == 0) and np.isfinite(value)):
+    if not (is_real(value) and (value > 0 or zero and value == 0)):
         raise ParameterError(f"{name} must be {'>= 0' if zero else 'positive'} and finite, got {value!r}")

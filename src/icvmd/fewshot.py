@@ -40,7 +40,7 @@ from .dataset import (
     subsample_manifest,
 )
 from .decompose import ModeLabel, icvmd_decompose, reconstruct
-from .errors import DegenerateInputError, ParameterError
+from .errors import DegenerateInputError, ParameterError, is_real
 from .features import extract_features
 from .nn.layers import DTYPE
 from .nn.model import ModelConfig, init_params, model_forward
@@ -77,8 +77,7 @@ default_icvmd_config = VmdConfig
 
 @dataclass
 class FewshotResult:
-    rows: list  # CSV rows as dicts
-    reports: dict  # proportion -> ExperimentReport (supported cells only)
+    rows: list  # report.csv's rows as dicts, each cell's accuracy and test count
     csv_path: str
     skipped: list = field(default_factory=list)  # (path, reason) per dropped capture
     solved_sides: int = 0  # sides the solver ran on
@@ -228,7 +227,7 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
     """
     if not isinstance(pipeline, Pipeline):
         raise ParameterError(f"pipeline must be a Pipeline, got {pipeline!r}")
-    if not proportions or any(not (0 < p <= 1) for p in proportions):
+    if not proportions or not all(is_real(p) and 0 < p <= 1 for p in proportions):
         raise ParameterError("proportions must be fractions in (0, 1]")
     dupes = sorted({p for p in proportions if proportions.count(p) > 1})
     if dupes:
@@ -244,7 +243,6 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
     skipped: list = []
     sides: list = []
     rows: list = []
-    reports: dict = {}
     final_losses: dict = {}
 
     def row(proportion, snr_db, accuracy, n_test, status="ok") -> dict:
@@ -270,14 +268,13 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
             final_losses[proportion] = (loss, len(class_ids))
 
         report = evaluate(preds, test_truth, snrs_db=test_snrs, known_labels=class_ids)
-        reports[proportion] = report
         for snr, acc in sorted(report.per_snr.items()):
             rows.append(row(proportion, snr, f"{acc:.6f}", int(np.sum(test_snrs == snr))))
         rows.append(row(proportion, "all", f"{report.accuracy:.6f}", len(test_entries)))
 
     csv_path = workdir / "report.csv"
     write_report_csv(rows, csv_path)
-    return FewshotResult(rows=rows, reports=reports, csv_path=str(csv_path), skipped=skipped,
+    return FewshotResult(rows=rows, csv_path=str(csv_path), skipped=skipped,
                          solved_sides=len(sides), unconverged_sides=sides.count(False),
                          final_losses=final_losses)
 

@@ -13,20 +13,21 @@ from .errors import ParameterError, check_int
 from .signals import ComplexSignal
 
 
-def _check_coeffs(name: str, arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
+def _check_coeffs(name: str, values) -> tuple:
+    arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ParameterError(f"{name} must be a non-empty 1-D array")
     if not np.all(np.isfinite(arr)):
         raise ParameterError(f"{name} must be finite")
     if not np.any(arr != 0.0):
         raise ParameterError(f"{name} must have at least one nonzero entry")
-    return arr
+    return tuple(arr.tolist())
 
 
 @dataclass(frozen=True)
 class EmitterProfile:
-    """Hammerstein fingerprint of one emitter.
+    """Hammerstein fingerprint of one emitter, kept as tuples of floats so that
+    profiles compare and hash by value.
 
     nonlinear_coeffs b[k], k = 1..K -- weights of the odd polynomial
         sum_k b[k] * x * |x|**(k-1); even-order entries are normally zero.
@@ -35,17 +36,13 @@ class EmitterProfile:
     """
 
     emitter_id: int
-    nonlinear_coeffs: np.ndarray
-    memory_taps: np.ndarray
+    nonlinear_coeffs: tuple
+    memory_taps: tuple
 
     def __post_init__(self):
         check_int("emitter_id", self.emitter_id, 0)  # it names files and is the class label
-        b = _check_coeffs("nonlinear_coeffs", self.nonlinear_coeffs)
-        c = _check_coeffs("memory_taps", self.memory_taps)
-        b.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "nonlinear_coeffs", b)
-        object.__setattr__(self, "memory_taps", c)
+        object.__setattr__(self, "nonlinear_coeffs", _check_coeffs("nonlinear_coeffs", self.nonlinear_coeffs))
+        object.__setattr__(self, "memory_taps", _check_coeffs("memory_taps", self.memory_taps))
 
 
 # Odd-order envelope coefficients of the seven-emitter bank: (b3, b5) pairs with
@@ -73,8 +70,7 @@ def emitter_bank() -> list:
     """
     profiles = []
     for idx, (b3, b5) in enumerate(_BANK_B3_B5):
-        b = np.array([1.0, 0.0, b3, 0.0, b5])
-        profiles.append(EmitterProfile(idx, b, DEFAULT_MEMORY_TAPS))
+        profiles.append(EmitterProfile(idx, (1.0, 0.0, b3, 0.0, b5), DEFAULT_MEMORY_TAPS))
     return profiles
 
 
@@ -90,8 +86,7 @@ def auxiliary_bank(n_emitters: int, seed: int) -> list:
     profiles = []
     for k in range(n_emitters):
         b3, b5 = rng.uniform(0.1, 0.5, 2)
-        b = np.array([1.0, 0.0, b3, 0.0, b5])
-        profiles.append(EmitterProfile(len(_BANK_B3_B5) + k, b, DEFAULT_MEMORY_TAPS))
+        profiles.append(EmitterProfile(len(_BANK_B3_B5) + k, (1.0, 0.0, b3, 0.0, b5), DEFAULT_MEMORY_TAPS))
     return profiles
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError
+from .errors import DegenerateInputError, ParameterError, check_int, check_real, is_real
 
 
 def _as_complex_samples(samples) -> np.ndarray:
@@ -47,10 +47,9 @@ def normalize_power(sig: ComplexSignal, target_power: float = 1.0) -> ComplexSig
     """Rescale so the mean squared magnitude equals ``target_power``.
 
     Raises DegenerateInputError on an all-zero signal, ParameterError on a
-    non-positive target.
+    target that is not a positive finite number.
     """
-    if not (target_power > 0 and np.isfinite(target_power)):
-        raise ParameterError(f"target_power must be positive, got {target_power}")
+    check_real("target_power", target_power)
     p = sig.power
     if p <= 0.0:
         raise DegenerateInputError("cannot normalize an all-zero signal")
@@ -62,10 +61,11 @@ def add_awgn(sig: ComplexSignal, snr_db: float, seed: int) -> ComplexSignal:
 
     The noise variance per complex sample is ``signal_power / 10**(snr_db/10)``,
     split equally between the real and imaginary parts.  Same ``seed`` in,
-    same noise out.
+    same noise out, so ``seed`` must be an integer >= 0.
     """
-    if not np.isfinite(snr_db):
-        raise ParameterError(f"snr_db must be finite, got {snr_db}")
+    if not is_real(snr_db):
+        raise ParameterError(f"snr_db must be a finite number, got {snr_db!r}")
+    check_int("seed", seed, 0)
     p = sig.power
     if p <= 0.0:
         raise DegenerateInputError("SNR is undefined for an all-zero signal")

@@ -514,12 +514,12 @@ def hammerstein_as_volterra(profile: EmitterProfile) -> VolterraKernels:
     input x the cubic envelope term x|x|^2 equals x^3, so the order-3 kernel is
     the separable product c[q] * b3 placed on the diagonal.
     """
-    b = profile.nonlinear_coeffs
+    b = np.asarray(profile.nonlinear_coeffs)
     if b.size > 3 and np.any(b[3:] != 0):
         raise ParameterError("expansion helper only covers orders up to 3")
     if b.size > 1 and b[1] != 0:
         raise ParameterError("expansion helper expects zero even-order coefficients")
-    c = profile.memory_taps
+    c = np.asarray(profile.memory_taps)
     q = c.size
     h1 = b[0] * c.astype(complex)
     kernels = [h1]

@@ -996,7 +996,7 @@ def test_fewshot_cli_refuses_a_repeated_proportion(runner, tmp_path):
 @pytest.mark.parametrize("loss, warns", [(np.log(7) - 0.04, True), (np.log(7) - 0.06, False)],
                          ids=["within_margin", "outside_margin"])
 def test_fewshot_warns_for_each_proportion_whose_loss_sits_at_chance(runner, tmp_path, monkeypatch, loss, warns):
-    result = FewshotResult(rows=[], reports={}, csv_path="report.csv", final_losses={0.3: (loss, 7), 0.1: (1.2, 7)})
+    result = FewshotResult(rows=[], csv_path="report.csv", final_losses={0.3: (loss, 7), 0.1: (1.2, 7)})
     monkeypatch.setattr(cli, "run_fewshot", lambda spec, pipeline, proportions, workdir: result)
     res = runner.invoke(main, ["fewshot", "--workdir", str(tmp_path / "exp")])
     assert res.exit_code == 0, res.output

@@ -11,13 +11,14 @@ from icvmd.dataset import (
     generate_dataset,
     load_entry,
     load_manifest,
+    load_spec,
     split_manifest,
     subsample_manifest,
     synthesize_one,
 )
 from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.modulation import ModulationKind
-from icvmd.pa import emitter_bank
+from icvmd.pa import auxiliary_bank, emitter_bank
 
 
 def tiny_spec(**kw):
@@ -55,7 +56,7 @@ def test_spec_validation():
     with pytest.raises(ParameterError):
         tiny_spec(modulations=())
     with pytest.raises(ParameterError):
-        tiny_spec(emitters=("not a profile",)).resolved_emitters()
+        tiny_spec(emitters=("not a profile",))
 
 
 @pytest.mark.parametrize(
@@ -113,8 +114,36 @@ def test_load_manifest_rejects_a_non_finite_snr(tmp_path, snr_db):
 
 def test_default_emitters_are_the_bank():
     spec = DatasetSpec()
-    ids = [e.emitter_id for e in spec.resolved_emitters()]
+    ids = [e.emitter_id for e in spec.emitters]
     assert ids == [0, 1, 2, 3, 4, 5, 6]
+    assert spec.emitters == tuple(emitter_bank())
+
+
+def test_an_empty_emitters_sequence_is_refused():
+    for empty in ((), []):
+        with pytest.raises(ParameterError, match="^emitters must be non-empty$"):
+            tiny_spec(emitters=empty)
+
+
+def test_specs_compare_and_hash_by_value():
+    assert DatasetSpec() == DatasetSpec()
+    assert hash(DatasetSpec()) == hash(DatasetSpec())
+    aux = DatasetSpec(emitters=tuple(auxiliary_bank(5, 77)))
+    assert hash(aux) == hash(DatasetSpec(emitters=list(auxiliary_bank(5, 77))))
+    assert aux != DatasetSpec() and len({aux, DatasetSpec(), DatasetSpec()}) == 2
+
+
+def test_load_spec_reads_what_echo_writes(tmp_path):
+    spec = tiny_spec(emitters=tuple(auxiliary_bank(2, 77)), snr_grid_db=(18.0, -4))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.echo() | {"schema_version": 1}))
+    assert load_spec(path) == spec
+    path.write_text(json.dumps({"emitters": []}))
+    with pytest.raises(ParameterError, match="^dataset config must carry schema_version 1$"):
+        load_spec(path)
+    path.write_text(json.dumps({"schema_version": 1, "emitters": []}))
+    with pytest.raises(ParameterError, match="^bad dataset config: emitters must be non-empty$"):
+        load_spec(path)
 
 
 def test_echo_is_json_serializable():
@@ -239,11 +268,16 @@ def test_split_keeps_at_least_one_on_each_side():
         assert len(stratum_entries) > 0
 
 
+def test_split_puts_a_single_entry_stratum_in_train():
+    manifest = make_manifest(per_class=1, classes=(0,), snrs=(0.0,))
+    train, test = split_manifest(manifest, 0.5, seed=0)
+    assert train["files"] == manifest["files"] and test["files"] == []
+
+
 def test_split_validation():
-    with pytest.raises(ParameterError):
-        split_manifest(make_manifest(), 0.0, seed=0)
-    with pytest.raises(ParameterError):
-        split_manifest(make_manifest(), 1.0, seed=0)
+    for fraction in (0.0, 1.0, "0.3", True, None, np.nan):
+        with pytest.raises(ParameterError, match=r"^test_fraction must lie in \(0, 1\)$"):
+            split_manifest(make_manifest(), fraction, seed=0)
 
 
 def test_split_rejects_a_path_listed_twice():
@@ -281,10 +315,9 @@ def test_subsample_full_keeps_everything():
 
 
 def test_subsample_validation():
-    with pytest.raises(ParameterError):
-        subsample_manifest(make_manifest(), 0.0, seed=0)
-    with pytest.raises(ParameterError):
-        subsample_manifest(make_manifest(), 1.5, seed=0)
+    for proportion in (0.0, 1.5, "1", True, None, np.nan):
+        with pytest.raises(ParameterError, match=r"^proportion must lie in \(0, 1\]$"):
+            subsample_manifest(make_manifest(), proportion, seed=0)
 
 
 def test_subsample_is_seeded():

@@ -134,10 +134,16 @@ def test_selection_additivity():
     assert np.allclose(sum(parts), total, atol=1e-9)
 
 
-def test_reconstruct_rejects_unknown_selection():
+def test_reconstruct_rejects_unknown_selection(tmp_path):
     res = icvmd_decompose(two_sided_tone_mix(), quick_cfg())
     with pytest.raises(ParameterError):
         reconstruct(res, {"signal"})
+    # A bare label, string or None is not a collection of labels.
+    dump_modes(res, tmp_path)
+    for bare in (ModeLabel.SIGNAL, Selection.RESIDUAL, "signal", None):
+        for rebuild in (lambda s: reconstruct(res, s), lambda s: reconstruct_from_dump(tmp_path, s)):
+            with pytest.raises(ParameterError, match="^selection must be a collection of ModeLabel and Selection"):
+                rebuild(bare)
 
 
 def test_one_sided_input_gives_degenerate_side():

@@ -46,10 +46,12 @@ def read_csv(path):
         (Pipeline.RAW_NN, (), r"proportions must be fractions in \(0, 1\]"),
         (Pipeline.RAW_NN, (0.0,), r"proportions must be fractions in \(0, 1\]"),
         (Pipeline.RAW_NN, (1.5,), r"proportions must be fractions in \(0, 1\]"),
+        (Pipeline.RAW_NN, (0.5, "x"), r"proportions must be fractions in \(0, 1\]"),
+        (Pipeline.RAW_NN, (True,), r"proportions must be fractions in \(0, 1\]"),
         ("raw_nn", (0.5,), "pipeline must be a Pipeline, got 'raw_nn'"),
         (Pipeline.ICVMD_FEATURES, (0.3, 0.5, 0.3), r"each proportion may appear only once; repeated: \[0.3\]"),
     ],
-    ids=["empty", "zero", "above_one", "pipeline_string", "repeated"],
+    ids=["empty", "zero", "above_one", "string", "bool", "pipeline_string", "repeated"],
 )
 def test_run_fewshot_rejects_a_bad_run_before_writing(tmp_path, pipeline, proportions, message):
     with pytest.raises(ParameterError, match=message):
@@ -120,10 +122,10 @@ def test_run_fewshot_features_with_unsupported_cell(tmp_path):
     assert {r["snr_db"] for r in ok_rows} == {"18.0", "all"}
     for r in ok_rows:
         assert 0.0 <= float(r["accuracy"]) <= 1.0
-    assert 1.0 in result.reports
-    assert 0.1 not in result.reports
-    report = result.reports[1.0]
-    assert report.n_test == sum(1 for _ in (tmp_path / "data").glob("*.iqf32")) // 3
+    overall = {r["proportion"]: r for r in result.rows if r["snr_db"] == "all"}
+    assert overall[1.0]["status"] == "ok"
+    assert overall[0.1]["status"] == "unsupported"
+    assert overall[1.0]["n_test"] == sum(1 for _ in (tmp_path / "data").glob("*.iqf32")) // 3
 
 
 def test_run_fewshot_is_deterministic(tmp_path):
@@ -132,7 +134,7 @@ def test_run_fewshot_is_deterministic(tmp_path):
     assert (tmp_path / "a" / "report.csv").read_bytes() == (
         tmp_path / "b" / "report.csv"
     ).read_bytes()
-    assert a.reports[1.0].accuracy == b.reports[1.0].accuracy
+    assert a.rows == b.rows
 
 
 def test_run_fewshot_skips_a_capture_it_cannot_represent(tmp_path, monkeypatch):
@@ -164,7 +166,8 @@ def test_run_fewshot_skips_a_capture_it_cannot_represent(tmp_path, monkeypatch):
     overall = [r for r in result.rows if r["snr_db"] == "all"]
     assert [r["status"] for r in overall] == ["ok", "ok"]
     assert all(r["n_test"] == len(test_m["files"]) - 1 for r in overall)
-    assert result.reports[1.0].n_test == len(test_m["files"]) - 1
+    per_snr = [r for r in result.rows if r["proportion"] == 1.0 and r["snr_db"] != "all"]
+    assert sum(r["n_test"] for r in per_snr) == len(test_m["files"]) - 1
     # Each capture is decomposed once per run, whether it was kept or skipped.
     assert len(decomposed) == len(manifest["files"])
 
@@ -253,7 +256,7 @@ def test_represent_does_not_count_an_empty_side(tmp_path):
 def test_run_fewshot_carries_the_unconverged_count(tmp_path, monkeypatch):
     monkeypatch.setattr(fewshot, "VmdConfig", lambda: capped(2))
     result = run_fewshot(TINY_SPEC, Pipeline.ICVMD_FEATURES, (1.0,), tmp_path / "capped")
-    n_captures = len(TINY_SPEC.resolved_emitters()) * TINY_SPEC.signals_per_emitter
+    n_captures = len(TINY_SPEC.emitters) * TINY_SPEC.signals_per_emitter
     assert result.solved_sides == result.unconverged_sides == 2 * n_captures
     # Nearest centroid has no loss.
     assert result.final_losses == {}

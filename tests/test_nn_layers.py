@@ -197,6 +197,8 @@ def test_conv_validation():
     layer = ConvLayer(np.zeros((2, 3, 1)), np.zeros(2))
     with pytest.raises(ParameterError):
         conv_forward(np.zeros((1, 2, 5)), layer)  # wrong channel count
+    with pytest.raises(ParameterError, match=r"^conv input must be \[B, C, T\], got shape \(3, 5\)$"):
+        conv_forward(np.zeros((3, 5)), layer)
     with pytest.raises(ParameterError):
         causal_dilated_conv(np.zeros((1, 2, 5)), layer)  # 3-D to 2-D wrapper
 

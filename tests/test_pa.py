@@ -25,7 +25,16 @@ def test_profile_validation():
         with pytest.raises(ParameterError, match="^emitter_id must be"):
             EmitterProfile(emitter_id, [1.0], [1.0])
     p = EmitterProfile(3, [1.0, 0.0, 0.2], [1.0, 0.1])
-    assert p.nonlinear_coeffs.shape == (3,) and p.memory_taps.shape == (2,)
+    assert len(p.nonlinear_coeffs) == 3 and len(p.memory_taps) == 2
+
+
+def test_profiles_compare_and_hash_by_value():
+    assert emitter_bank()[0] == emitter_bank()[0]
+    assert emitter_bank()[0] != emitter_bank()[1]
+    p = EmitterProfile(3, np.array([1.0, 0.0, 0.2]), [1, 0.1])
+    same = EmitterProfile(3, (1.0, 0.0, 0.2), (1.0, 0.1))
+    assert p == same and hash(p) == hash(same)
+    assert all(type(v) is float for v in p.nonlinear_coeffs + p.memory_taps)
 
 
 def test_hammerstein_unit_impulse_gain():

@@ -1,0 +1,60 @@
+"""Every top-level private name of the package is used somewhere in the package.
+
+A deletion can leave a helper behind (``_rep_counts`` after its last caller
+goes); this catches it.  A name counts as used when any package module loads
+it, reads it as an attribute or imports it by name, its own definition aside.
+"""
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "icvmd"
+MODULES = sorted([*PACKAGE.glob("*.py"), *PACKAGE.glob("nn/*.py")])
+
+
+def private_definitions(tree: ast.Module) -> dict:
+    """Top-level private names (dunders aside) defined in a module, by line."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    return {n: line for n, line in defined.items() if n.startswith("_") and not n.endswith("__")}
+
+
+def referenced_names(tree: ast.Module) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def orphans(sources: dict) -> list:
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = set().union(*(referenced_names(tree) for tree in trees.values()))
+    return sorted(
+        f"{module} line {line}: {name}"
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in used
+    )
+
+
+def test_the_check_finds_an_orphaned_helper():
+    sources = {
+        "a.py": "_KEPT = 1\n_gone = 2\n\ndef _helper():\n    return _KEPT\n\ndef __getattr__(name):\n    pass\n",
+        "b.py": "from a import _helper\n",
+    }
+    assert orphans(sources) == ["a.py line 2: _gone"]
+
+
+def test_every_private_name_is_used_in_the_package():
+    assert orphans({str(p.relative_to(PACKAGE)): p.read_text() for p in MODULES}) == []

@@ -39,10 +39,9 @@ def test_normalize_power_hits_target_exactly():
 def test_normalize_power_rejects_degenerate_and_bad_target():
     with pytest.raises(DegenerateInputError):
         normalize_power(ComplexSignal([0.0, 0.0]))
-    with pytest.raises(ParameterError):
-        normalize_power(ComplexSignal([1.0]), target_power=0.0)
-    with pytest.raises(ParameterError):
-        normalize_power(ComplexSignal([1.0]), target_power=-2.0)
+    for target in (0.0, -2.0, True, "3", None, np.nan):
+        with pytest.raises(ParameterError, match="^target_power must be positive and finite"):
+            normalize_power(ComplexSignal([1.0]), target_power=target)
 
 
 def test_awgn_matches_requested_snr_statistically():
@@ -74,8 +73,15 @@ def test_awgn_noise_is_circular():
 def test_awgn_rejects_zero_signal_and_bad_snr():
     with pytest.raises(DegenerateInputError):
         add_awgn(ComplexSignal([0.0]), 10.0, seed=0)
-    with pytest.raises(ParameterError):
-        add_awgn(ComplexSignal([1.0]), np.inf, seed=0)
+    for snr_db in (np.inf, np.nan, 10**400, True, "3", None):
+        with pytest.raises(ParameterError, match="^snr_db must be a finite number"):
+            add_awgn(ComplexSignal([1.0]), snr_db, seed=0)
+    # No seed would draw fresh entropy on every call: same seed in, same noise out.
+    for seed in (None, -1, 1.0, True, "3"):
+        with pytest.raises(ParameterError, match="^seed must be"):
+            add_awgn(ComplexSignal([1.0]), 3.0, seed)
+    numpy_scalars = add_awgn(ComplexSignal([1.0]), np.float64(3), np.uint32(5))
+    assert np.array_equal(numpy_scalars.samples, add_awgn(ComplexSignal([1.0]), 3, 5).samples)
 
 
 @settings(deadline=None)
