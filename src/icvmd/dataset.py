@@ -63,7 +63,10 @@ class DatasetSpec:
         for name, low in (("n_samples", 16), ("signals_per_emitter", 1), ("seed", 0)):
             check_int(name, getattr(self, name), low)
         for name in ("emitters", "modulations", "snr_grid_db"):
-            if len(getattr(self, name)) == 0:
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ParameterError(f"{name} must be a list or tuple, got {value!r}")
+            if len(value) == 0:
                 raise ParameterError(f"{name} must be non-empty")
         for value in self.snr_grid_db:
             if not is_real(value):

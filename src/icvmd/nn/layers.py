@@ -3,7 +3,10 @@
 Every function computes in the dtype of its arrays and casts nothing; fresh
 layers are in DTYPE.  Forward functions return (output, cache); the matching
 backward consumes (upstream_grad, cache) and returns input and parameter
-gradients.  Batched tensors are [batch, channels, time].
+gradients.  conv_param_grads returns a conv's parameter gradients alone, for
+a layer whose input gradient nothing reads (the first of a stack, or a 1x1
+conv whose input gradient the caller forms a slice at a time).  Batched
+tensors are [batch, channels, time].
 
 A convolution runs one BLAS matmul per kernel tap against a lag-shifted view
 of the unpadded input, and its cache holds the caller's input by reference,
@@ -11,12 +14,13 @@ not a copy: do not modify that input in place before the backward pass.
 The ReLU overwrites the array it is given (a conv output the caller owns)
 and its cache is that output, which the next conv caches anyway; so a
 training forward keeps each conv input once and nothing beside it.
-conv_backward and dense_backward can continue the parameter gradients of an
-earlier call, so a batch split into consecutive chunks of samples gets the
-same bytes as one call over the whole batch.  The dense products are a
-broadcast product summed over the contracted axis, so each output row
-depends on its own input row alone; BLAS ``x @ W.T`` picks another kernel for
-fewer rows and rounds a row block differently from the whole batch.
+conv_param_grads, conv_backward and dense_backward can continue the
+parameter gradients of an earlier call, so a batch split into consecutive
+chunks of samples gets the same bytes as one call over the whole batch.
+The dense products are a broadcast product summed over the contracted
+axis, so each output row depends on its own input row alone; BLAS
+``x @ W.T`` picks another kernel for fewer rows and rounds a row block
+differently from the whole batch.
 The conv passes and relu_backward write into ``out`` when given, and each
 lagged tap's product goes into ``scratch`` (shaped like the result) before
 it is added, so a caller that reuses both allocates no activation; the bytes
@@ -112,30 +116,41 @@ def _summed(parts: np.ndarray, prior) -> np.ndarray:
     return np.add.accumulate(parts, axis=0)[-1]
 
 
-def conv_backward(dy: np.ndarray, cache, total=None, out=None, scratch=None):
-    """Returns (dx [B, C_in, T], dweights [C_out, C_in, W], dbias [C_out]).
+def conv_param_grads(dy: np.ndarray, cache, total=None):
+    """Returns (dweights [C_out, C_in, W], dbias [C_out]) and no input gradient.
 
     ``total``, the (dweights, dbias) of an earlier call over the preceding
     samples, is continued: the parameter gradients then sum over those samples
     and these, bit-identical to one call over the concatenated batch.
+    """
+    x, layer = cache
+    t = x.shape[2]
+    width, d = layer.width, layer.dilation
+    prior_w, prior_b = (None, None) if total is None else total
+    dw = np.zeros_like(layer.weights)
+    for j in range(width):
+        lag = (width - 1 - j) * d
+        if lag < t:
+            parts = dy[:, :, lag:] @ x[:, :, : t - lag].transpose(0, 2, 1)
+            dw[:, :, j] = _summed(parts, None if prior_w is None else prior_w[:, :, j])
+    return dw, _summed(dy.sum(axis=2), prior_b)
+
+
+def conv_backward(dy: np.ndarray, cache, total=None, out=None, scratch=None):
+    """Returns (dx [B, C_in, T], dweights [C_out, C_in, W], dbias [C_out]),
+    the parameter gradients continuing ``total`` as in conv_param_grads.
     ``out`` and ``scratch`` are [B, C_in, T] and must not overlap dy.
     """
     x, layer = cache
     t = x.shape[2]
     w, width, d = layer.weights, layer.width, layer.dilation
-    prior_w, prior_b = (None, None) if total is None else total
-    dw = np.zeros_like(w)
     dx = np.matmul(w[:, :, width - 1].T, dy, out=out)
-    for j in range(width):
+    for j in range(width - 1):
         lag = (width - 1 - j) * d
         if lag < t:
-            if lag:
-                tap = None if scratch is None else scratch[:, :, : t - lag]
-                dx[:, :, : t - lag] += np.matmul(w[:, :, j].T, dy[:, :, lag:], out=tap)
-            parts = dy[:, :, lag:] @ x[:, :, : t - lag].transpose(0, 2, 1)
-            dw[:, :, j] = _summed(parts, None if prior_w is None else prior_w[:, :, j])
-    db = _summed(dy.sum(axis=2), prior_b)
-    return dx, dw, db
+            tap = None if scratch is None else scratch[:, :, : t - lag]
+            dx[:, :, : t - lag] += np.matmul(w[:, :, j].T, dy[:, :, lag:], out=tap)
+    return (dx, *conv_param_grads(dy, cache, total))
 
 
 def relu_forward(x: np.ndarray):

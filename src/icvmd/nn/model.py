@@ -26,6 +26,15 @@ activation; backward keeps its chunk-sized gradients there too, and the next
 forward borrows them as tap scratch.  model_forward without a workspace runs
 the chunks through one local to the call and keeps only logits and attention.
 
+Backward forms only the gradients something reads.  The first encoder conv
+and the first branch conv get their parameter gradients alone
+(layers.conv_param_grads), as no caller reads an input gradient of the
+model.  The 1x1 merge conv gets its parameter gradients alone too: each
+residual block's upstream gradient is that block's 8 columns of the merge
+weights times the merge's output gradient, formed into one reused
+[chunk, 8, T] buffer just before the block's backward, so the merge
+input's [chunk, 32, T] gradient is never held whole.
+
 Every step after the conv stacks is row by row: the dense heads are
 row-invariant products (see nn/layers.py), and the softmax, the attention sum
 and the loss reduce within a row, so a sample's logits do not depend on the
@@ -50,6 +59,7 @@ from .layers import (
     Dense,
     conv_backward,
     conv_forward,
+    conv_param_grads,
     dense_backward,
     dense_forward,
     init_conv,
@@ -182,6 +192,11 @@ def _conv_grads(dy: np.ndarray, cache, grads: dict, name: str, ws: dict) -> np.n
     return dx
 
 
+def _param_grads(dy: np.ndarray, cache, grads: dict, name: str) -> None:
+    """conv_param_grads for layer ``name``, continuing as _conv_grads does."""
+    grads[f"{name}.weights"], grads[f"{name}.bias"] = conv_param_grads(dy, cache, _total(grads, name))
+
+
 def _dense_grads(params: NetParams, dy: np.ndarray, cache, grads: dict, name: str) -> np.ndarray:
     """dense_backward for layer ``name``, continuing as _conv_grads does."""
     layer = _dense(params, name)
@@ -221,11 +236,14 @@ def _stack_forward(params: NetParams, prefix: str, n_layers: int, h: np.ndarray,
     return h, caches
 
 
-def _stack_backward(dh: np.ndarray, caches, grads, prefix: str, ws: dict) -> np.ndarray:
-    for i in range(len(caches) - 1, -1, -1):
+def _stack_backward(dh: np.ndarray, caches, grads, prefix: str, ws: dict) -> None:
+    """The stack's parameter gradients; the input gradient of ``{prefix}.0``
+    is not formed, as no caller reads it."""
+    for i in range(len(caches) - 1, 0, -1):
         cc, rc = caches[i]
         dh = _conv_grads(_relu_grads(dh, rc, ws), cc, grads, f"{prefix}.{i}", ws)
-    return dh
+    cc, rc = caches[0]
+    _param_grads(_relu_grads(dh, rc, ws), cc, grads, f"{prefix}.0")
 
 
 def features_forward(params: NetParams, x: np.ndarray, ws=None):
@@ -247,20 +265,24 @@ def features_forward(params: NetParams, x: np.ndarray, ws=None):
     return feat, (enc_caches, block_caches, merge_cache)
 
 
-def features_backward(params: NetParams, dfeat: np.ndarray, cache, grads, ws=None) -> np.ndarray:
-    """Input gradient of features_forward; adds the trunk's parameter gradients
-    to any that an earlier chunk of samples left in ``grads``.  Each input
-    gradient goes into a buffer of ``ws``, valid until the next backward."""
+def features_backward(params: NetParams, dfeat: np.ndarray, cache, grads, ws=None) -> None:
+    """Adds the trunk's parameter gradients to any that an earlier chunk of
+    samples left in ``grads``, and returns nothing: no caller reads the
+    trunk's input gradient, so it is not formed.  The merge input's gradient
+    is formed one block at a time, block i's 8 channels of it being its
+    columns of the 1x1 merge weights times dfeat, so only one block's share is
+    held.  Each gradient goes into a buffer of ``ws``."""
     ws = {} if ws is None else ws
     enc_caches, block_caches, merge_cache = cache
-    dstacked = _conv_grads(dfeat, merge_cache, grads, "tcn.merge", ws)
-    c = CHANNELS
+    _param_grads(dfeat, merge_cache, grads, "tcn.merge")
+    w, c = merge_cache[1].weights[:, :, 0], CHANNELS
+    dout = _buf(ws, "dblock", dfeat.shape, dfeat.dtype)
     dh = 0.0
     for i in range(N_BLOCKS - 1, -1, -1):
-        dout = dstacked[:, i * c : (i + 1) * c, :]
+        np.matmul(w[:, i * c : (i + 1) * c].T, dfeat, out=dout)
         dout += dh  # adds +0.0 above the top block, as a zero array would
         dh = _residual_backward(dout, block_caches[i], grads, f"tcn.blocks.{i}", ws)
-    return _stack_backward(dh, enc_caches, grads, "encoder", ws)
+    _stack_backward(dh, enc_caches, grads, "encoder", ws)
 
 
 def _segment_count(params: NetParams, t: int) -> int:
@@ -379,8 +401,8 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, w
 def model_backward(params: NetParams, dlogits: np.ndarray, cache, grads=None) -> dict:
     """Exact gradients of every parameter for the cached forward pass.
 
-    The cache must come from a model_forward given a workspace, and its
-    input gradients stay in that workspace.  Every conv's and dense layer's
+    The cache must come from a model_forward given a workspace, and the
+    layers' gradients stay in that workspace.  Every conv's and dense layer's
     weight and bias sums continue, in sample order, from those an earlier
     chunk of samples left in ``grads`` (a dict, filled and returned); so a
     minibatch run as consecutive chunks, each chunk's forward and backward in

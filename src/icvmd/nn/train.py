@@ -76,10 +76,11 @@ def train(
     The inputs are cast to the parameters' dtype, which every result keeps,
     unless already in it, and must be finite; one array passed as both
     ``main`` and ``branch`` is cast and gathered once.  A minibatch runs in
-    model._chunks order, each chunk's forward, loss (scaled by the minibatch
-    size) and backward before the next chunk's forward, through one workspace
-    (see nn/model.py) that this call frees on return; every result, and the
-    recorded loss (the mean of its rows'), is that of one whole-batch pass.
+    model._chunks order: each chunk gathers its own rows, then runs its
+    forward, loss (scaled by the minibatch size) and backward before the next
+    chunk's gather, through one workspace (see nn/model.py) that this call
+    frees on return; every result, and the recorded loss (the mean of its
+    rows'), is that of one whole-batch pass.
     Arrays whose key starts with any of ``freeze_prefixes`` receive no
     updates, so they come back bit-identical; a prefix that matches no key is
     an error.  learning_rate == 0 leaves every parameter bit-identical.  A
@@ -105,13 +106,13 @@ def train(
         losses = []
         for start in range(0, len(main), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xm = _gather(ws, "main", main, idx)
-            xb = xm if branch is main else _gather(ws, "branch", branch, idx)
             y, row_losses, grads = labels[idx], np.empty(len(idx), out.dtype), {}
             step += 1
             with np.errstate(over="ignore", invalid="ignore"):  # the checks below name any overflow
                 for rows in _chunks(len(idx), main.shape[2]):
-                    logits, cache = model_forward(out, xm[rows], xb[rows], ws)
+                    xm = _gather(ws, "main", main, idx[rows])
+                    xb = xm if branch is main else _gather(ws, "branch", branch, idx[rows])
+                    logits, cache = model_forward(out, xm, xb, ws)
                     row_losses[rows], dlogits = cross_entropy(logits, y[rows], len(idx))
                     grads = model_backward(out, dlogits, cache, grads)
                 loss = float(np.mean(row_losses))

@@ -9,19 +9,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_int
+from .errors import ParameterError, check_int, is_real
 from .signals import ComplexSignal
 
 
 def _check_coeffs(name: str, values) -> tuple:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+    """values, a non-empty list, tuple or 1-D array of finite real numbers
+    (ints too, never a bool) with one nonzero at least, as a tuple of floats."""
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    if not isinstance(values, (list, tuple)) or not values:
         raise ParameterError(f"{name} must be a non-empty 1-D array")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{name} must be finite")
-    if not np.any(arr != 0.0):
+    if not all(is_real(v) for v in values):
+        raise ParameterError(f"{name} must hold finite real numbers, not bools, got {values!r}")
+    if not any(v != 0 for v in values):
         raise ParameterError(f"{name} must have at least one nonzero entry")
-    return tuple(arr.tolist())
+    return tuple(float(v) for v in values)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import numpy as np
 from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.nn import model
 from icvmd.nn.attention import softmax
-from icvmd.nn.layers import ConvLayer, conv_forward
+from icvmd.nn.layers import ConvLayer, conv_backward, conv_forward, relu_backward
 from icvmd.nn.model import NetParams, _conv, _residual_forward, cross_entropy, model_backward, model_forward
 from icvmd.pa import EmitterProfile
 from icvmd.signals import ComplexSignal
@@ -333,6 +333,30 @@ def reference_features_forward(params: NetParams, x: np.ndarray):
     stacked = np.concatenate(block_outs, axis=1)
     feat, merge_cache = conv_forward(stacked, _conv(params, "tcn.merge"))
     return feat, (enc_caches, block_caches, merge_cache)
+
+
+def reference_features_backward(dfeat: np.ndarray, cache, grads: dict) -> None:
+    """The trunk's backward as it was before it formed only what it reads:
+    one conv_backward over the merge conv makes the whole [B, 4*CHANNELS, T]
+    gradient of its input, each block reads its slice of it, and every
+    encoder conv, the first too, forms its input gradient.  Fills ``grads``
+    for one chunk, from a cache in the layout ``features_backward`` reads."""
+    enc_caches, block_caches, merge_cache = cache
+
+    def conv(dy, cc, name):
+        dx, grads[f"{name}.weights"], grads[f"{name}.bias"] = conv_backward(dy, cc)
+        return dx
+
+    dstacked = conv(dfeat, merge_cache, "tcn.merge")
+    c, dh = model.CHANNELS, 0.0
+    for i in range(model.N_BLOCKS - 1, -1, -1):
+        c1, r1, c2 = block_caches[i]
+        dout = dstacked[:, i * c : (i + 1) * c] + dh
+        da1 = conv(dout, c2, f"tcn.blocks.{i}.conv2")
+        dh = dout + conv(relu_backward(da1, r1), c1, f"tcn.blocks.{i}.conv1")
+    for i in range(model.ENCODER_LAYERS - 1, -1, -1):
+        cc, rc = enc_caches[i]
+        dh = conv(relu_backward(dh, rc), cc, f"encoder.{i}")
 
 
 def training_cache_bytes(b: int, t: int, itemsize: int = 4) -> int:

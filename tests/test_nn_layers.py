@@ -10,6 +10,7 @@ from icvmd.nn.layers import (
     Dense,
     conv_backward,
     conv_forward,
+    conv_param_grads,
     dense_backward,
     dense_forward,
     init_conv,
@@ -168,13 +169,19 @@ def test_conv_backward_continues_a_running_total(dtype, width, dilation, t):
     )
     x = rng.normal(size=(6, 3, t)).astype(dtype)
     dy = rng.normal(size=(6, 4, t)).astype(dtype)
-    want = conv_backward(dy, conv_forward(x, layer)[1])
+    # conv_param_grads gives the same (dw, db) bytes without forming dx.
+    cache = conv_forward(x, layer)[1]
+    want = conv_backward(dy, cache)
     assert [a.shape for a in want] == [(6, 3, t), (4, 3, width), (4,)]
+    assert [a.tobytes() for a in conv_param_grads(dy, cache)] == [a.tobytes() for a in want[1:]]
     total, dxs = None, []
     for rows in (slice(0, 3), slice(3, 4), slice(4, 6)):
-        dx, dw, db = conv_backward(dy[rows], conv_forward(x[rows], layer)[1], total)
+        cache = conv_forward(x[rows], layer)[1]
+        params_only = conv_param_grads(dy[rows], cache, total)
+        dx, dw, db = conv_backward(dy[rows], cache, total)
         n = rows.stop - rows.start
         assert [a.shape for a in (dx, dw, db)] == [(n, 3, t), (4, 3, width), (4,)]
+        assert [a.tobytes() for a in params_only] == [dw.tobytes(), db.tobytes()]
         total = (dw, db)
         dxs.append(dx)
     for got, ref in zip((np.concatenate(dxs), *total), want):

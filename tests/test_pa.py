@@ -21,6 +21,9 @@ def test_profile_validation():
         EmitterProfile(0, [1.0], [0.0, 0.0])
     with pytest.raises(ParameterError):
         EmitterProfile(0, [np.nan], [1.0])
+    for coeffs in (["a"], [True, 0.5], np.array([True, False]), [None], [[1.0]], "1", [1 + 0j]):
+        with pytest.raises(ParameterError, match="^nonlinear_coeffs must"):
+            EmitterProfile(0, coeffs, [1.0])
     for emitter_id in ("3", 2.0, -1, True):  # the id names files and is the class label
         with pytest.raises(ParameterError, match="^emitter_id must be"):
             EmitterProfile(emitter_id, [1.0], [1.0])
