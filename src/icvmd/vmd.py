@@ -14,25 +14,26 @@ that hold at least _PEAK_FLOOR of its maximum, at least
 pi / (_PEAK_SEP_DIV * K) apart, then midpoints of the widest gaps between 0,
 the chosen centers and pi until there are K.
 
-The sweep carries one residual spectrum ``r = f - sum_k u_k``, so the
-Wiener update of mode k with the others held fixed reads
+The extension is half-sample symmetric about n//2 - 1/2, so its rfft is real
+coefficients (a DCT-II) times the fixed phase exp(-1j*w*(n//2 - 1/2))
+(Makhoul 1980).  The Wiener filters are real and the centroids read only
+|u_k|^2, so the sweep runs on real [K, n_bins] coefficient rows: the modes
+u_k and one residual r = f - sum_k u_k, in which the update of mode k reads
 
-    u_k <- (r + u_k) / (1 + 2*alpha*(w - w_k)^2),    then  r <- r - du_k,
+    u_k <- (r + u_k) / (1 + 2*alpha*(w - w_k)^2),    then  r <- r - du_k.
 
-and runs in place on interleaved (re, im) float views of preallocated
-buffers.  No center moves before its own mode's update, so each sweep first
-builds all K filter denominators as one [K, 2 * n_bins] block at the centers
-it starts from.  The update yields ||du_k||^2, and one product of the fixed
-rows (1, w) with |u_k|^2 gives the mode's energy and first moment, hence its
-centroid.  That energy is carried into the next sweep as the mode's previous
-norm in the convergence metric sum_k ||du_k||^2 / ||u_k_prev||^2, so no copy
-of the spectra is kept between sweeps; the centers are Python floats.
+The centers move only after all K updates, so each sweep first builds the K
+filters, as 1 + (s*w - s*w_k)^2 with s = sqrt(2*alpha), in one block; the
+spent block then takes |u|^2, whose one product with the columns (1, w)
+gives every mode's energy and first moment, hence its centroid.  Each energy
+is the mode's previous norm in the next sweep's metric
+sum_k ||du_k||^2 / ||u_k_prev||^2, so no copy of the modes is kept between
+sweeps.  The returned spectra are the final rows times the phase.
 
-The sweep runs in the precision of its input: a float32 signal is solved
-with complex64 mode and residual spectra and float32 grid and work buffers,
-any other dtype in float64.  The start (read off the float64 rfft), the
-centers, the convergence metric, the final irfft, the time-domain modes and
-the residual stay float64 either way.
+The sweep runs in the precision of its input: float32 rows (complex64
+spectra) for a float32 signal, float64 rows for any other dtype.  The start
+(read off the float64 rfft), the centers, the metric, the irfft, the
+time-domain modes and the residual stay float64 either way.
 
 The sweep is over-relaxed (Boyd et al. 2011, sec. 3.4.3): each mode takes
 its plain step du_k, moves by beta*du_k, and re-centers with
@@ -46,6 +47,7 @@ keeps the centers about 1.6x nearer the fixed point than stopping there.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,8 +110,9 @@ class ModeSet:
     """Converged frequency-domain state on the half grid.
 
     mode_spectra    -- complex array [n_modes, n_bins] on the rfft grid of the
-                       mirror-extended signal; complex64 for a float32 input,
-                       complex128 otherwise (the centers stay float64)
+                       mirror-extended signal: each mode's real coefficients
+                       times the extension's phase (module docstring);
+                       complex64 for a float32 input, complex128 otherwise
     omegas          -- center frequencies in radians, ascending, within [0, pi]
     iterations      -- sweeps actually run
     converged       -- True when the relative-change metric of a plain sweep
@@ -148,6 +151,15 @@ def mirror_extend(x: np.ndarray) -> np.ndarray:
 def half_grid(n_ext: int) -> np.ndarray:
     """Non-negative rfft frequency grid in radians: 2*pi*m/n_ext, m = 0..n_ext//2."""
     return 2.0 * np.pi * np.arange(n_ext // 2 + 1) / n_ext
+
+
+def _phase(n: int) -> np.ndarray:
+    """exp(-1j*w*(n//2 - 1/2)) on the half grid w = pi*m/n of the 2n-sample extension,
+    with each angle cut to a multiple of pi/(2n) below 2*pi; m = b*q + s makes it
+    an outer product of two exps about sqrt(n) long (one exp per bin costs a sweep)."""
+    b = math.isqrt(n) + 1
+    turn = lambda m: np.exp(-0.5j * np.pi / n * (m * (2 * (n // 2) - 1) % (4 * n)))
+    return np.multiply.outer(turn(b * np.arange(b)), turn(np.arange(b))).ravel()[: n + 1]
 
 
 def smoothed_power(spectrum: np.ndarray, width: int) -> np.ndarray:
@@ -195,6 +207,11 @@ def _reseed_collisions(omegas: list | np.ndarray, min_gap: float) -> None:
     deterministic reseed breaks the tie in favor of empty spectrum.  Mode 0 is
     never moved.
     """
+    # Subtraction is monotone, so some pair is under min_gap exactly when
+    # some pair adjacent in sorted order is.
+    ordered = sorted(omegas)
+    if all(b - a >= min_gap for a, b in zip(ordered, ordered[1:])):
+        return
     for j in range(1, len(omegas)):
         if any(abs(omegas[j] - omegas[i]) < min_gap for i in range(j)):
             omegas[j] = float(_widest_gap_midpoint(np.delete(omegas, j)))
@@ -203,12 +220,10 @@ def _reseed_collisions(omegas: list | np.ndarray, min_gap: float) -> None:
 def check_memory_budget(n: int, n_modes: int) -> None:
     """Raise ParameterError when decomposing an n-sample signal into n_modes
     modes would hold more than _MEMORY_BUDGET_BYTES at its peak.  Per rfft
-    bin of the 2n-sample extension, each mode holds at most 32 bytes at a
-    time: its spectrum and filter row during the sweeps, its spectrum before
-    and after sorting, then its sorted spectrum and time-domain output.
-    Twelve 16-byte buffers per bin come on top: the extension, grid,
-    spectrum, residual, work buffers, the (1, g2) basis and transient copies."""
-    need = 16 * (n + 1) * (2 * n_modes + 12)
+    bin of the 2n-sample extension, each mode holds at most 24 bytes at a
+    time (a complex128 spectrum beside a real row), and the shared buffers
+    about eleven 8-byte ones, counted as fourteen."""
+    need = 8 * (n + 1) * (3 * n_modes + 14)
     if need > _MEMORY_BUDGET_BYTES:
         raise ParameterError(
             f"{n_modes} modes of a {n}-sample signal need about {need / 2**20:.0f} MiB, "
@@ -220,10 +235,10 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     """Decompose a real 1-D signal into ``cfg.n_modes`` band-limited modes.
 
     The ADMM loop sweeps modes in index order, refreshing each spectrum with
-    the Wiener update (using the freshest other-mode sum) and immediately
-    re-centering it.  Once the centers settle, sweeps over-relax both steps by
-    _RELAX; convergence is declared only on a plain sweep (see the module
-    docstring).
+    the Wiener update (using the freshest other-mode sum), then re-centers
+    every mode on its refreshed spectrum.  Once the centers settle, sweeps
+    over-relax both steps by _RELAX; convergence is declared only on a plain
+    sweep (see the module docstring).
     After the loop one plain mode-update sweep is run at the final centers so
     the returned spectra satisfy the Wiener fixed-point form exactly.
 
@@ -237,67 +252,56 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     if x.ndim != 1:
         raise ParameterError(f"signal must be 1-D, got shape {x.shape}")
     if x.size < 2 * cfg.n_modes:
-        raise ParameterError(
-            f"signal of length {x.size} is too short for {cfg.n_modes} modes"
-        )
+        raise ParameterError(f"signal of length {x.size} is too short for {cfg.n_modes} modes")
     check_memory_budget(x.size, cfg.n_modes)
+    root = math.sqrt(2.0 * cfg.alpha)  # a Python float, so it promotes no float32 ufunc
+    if not 1.0 + (root * np.pi) ** 2 <= float(np.finfo(real).max):
+        raise ParameterError(f"alpha {cfg.alpha} overflows the {np.dtype(real).name} Wiener filter 1 + 2*alpha*pi^2")
     if not np.all(np.isfinite(x)):
         raise ParameterError("signal must be finite")
     if not np.any(x != 0.0):
         raise DegenerateInputError("cannot decompose an all-zero signal")
 
     n = x.size
-    ext = mirror_extend(x)
-    n_ext = ext.size
+    n_ext = 2 * n
     grid = half_grid(n_ext)
     n_bins = grid.size
     min_gap = 2.0 * np.pi / n_ext
 
     k_modes = cfg.n_modes
-    # Python floats throughout, so no scalar promotes a float32 ufunc.
-    two_alpha = 2.0 * float(cfg.alpha)
-    u = np.zeros((k_modes, n_bins), dtype=np.result_type(real, 1j))
-    f_hat = np.fft.rfft(ext)
+    f_hat = np.fft.rfft(mirror_extend(x))
     omegas = _init_omegas(cfg, f_hat).tolist()
-    r = f_hat.astype(u.dtype, copy=False)  # the residual f_hat - sum(u), with u = 0
-    # Interleaved (re, im) float views: the Wiener filter is real, so every
-    # update runs as real arithmetic against the grid repeated per component.
-    uv = list(u.view(real))
-    rv = r.view(real)
-    g2 = np.repeat(grid, 2).astype(real)
-    # One product of the rows (1, g2) with |u_k|^2 gives energy and first moment.
-    basis = np.stack([np.ones_like(g2), g2])
+    phase = _phase(n)
+    r = (f_hat * phase.conj()).real.astype(real)  # the residual f_hat - sum(u), with u = 0
+    del f_hat
+    u = np.zeros((k_modes, n_bins), dtype=real)
+    rows = list(u)
+    scaled = (root * grid).astype(real)
+    basis = np.stack([np.ones_like(grid), grid], axis=1).astype(real)
     centers = np.empty((k_modes, 1), dtype=real)
-    den = np.empty((k_modes, g2.size), dtype=real)
+    den = np.empty((k_modes, n_bins), dtype=real)
     dens = list(den)
-    d = np.empty_like(g2)
-    p = np.empty_like(g2)
-    energies = [0.0] * k_modes
+    d = np.empty(n_bins, dtype=real)
     prev_norms = [0.0] * k_modes
-    diffs = [0.0] * k_modes
 
     def filters():
         """Every mode's Wiener denominator 1 + 2*alpha*(w - w_k)^2 into den."""
-        centers[:, 0] = omegas
-        np.subtract(g2, centers, den)
+        centers[:, 0] = [root * w for w in omegas]
+        np.subtract(scaled, centers, den)
         np.multiply(den, den, den)
-        np.multiply(den, two_alpha, den)
         np.add(den, 1.0, den)
 
     def update(k, beta=1.0):
-        """Move mode k by beta times its Wiener step du_k from the residual;
-        returns ||du_k||^2 of the unrelaxed step and leaves |u_k|^2 per
-        component in p."""
-        uk = uv[k]
-        np.add(rv, uk, d)
+        """Move mode k by beta times its Wiener step du_k; returns ||du_k||^2 unrelaxed."""
+        uk = rows[k]
+        np.add(r, uk, d)
         np.divide(d, dens[k], d)
         np.subtract(d, uk, d)
         diff = float(d.dot(d))
         if beta != 1.0:
             np.multiply(d, beta, d)
         np.add(uk, d, uk)
-        np.subtract(rv, d, rv)
-        np.multiply(uk, uk, p)
+        np.subtract(r, d, r)
         return diff
 
     converged = False
@@ -306,11 +310,11 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     beta = 1.0
     for iterations in range(1, cfg.max_iter + 1):
         filters()  # one block serves the sweep (module docstring)
+        diffs = [update(k, beta) for k in range(k_modes)]
+        np.multiply(u, u, den)  # the filters are spent; den holds |u|^2
+        sums = den.dot(basis).tolist()
         shift = 0.0
-        for k in range(k_modes):
-            diffs[k] = update(k, beta)
-            energy, moment = basis.dot(p).tolist()
-            energies[k] = energy
+        for k, (energy, moment) in enumerate(sums):
             if energy > _ENERGY_GUARD:
                 move = moment / energy - omegas[k]
                 shift = max(shift, abs(move))
@@ -322,8 +326,7 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
             converged = delta < cfg.tol and beta == 1.0
             # A settled sweep not under tol relaxes the next (module docstring).
             beta = _RELAX if shift < _SETTLE_RAD and delta >= cfg.tol else 1.0
-        # This sweep's energies are the next sweep's previous norms.
-        prev_norms, energies = energies, prev_norms
+        prev_norms = [energy for energy, _ in sums]  # the next sweep's previous norms
         if converged:
             break
 
@@ -333,23 +336,19 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     for k in range(k_modes):
         update(k)
 
-    omegas = np.array(omegas)
     order = np.argsort(omegas, kind="stable")
-    omegas = omegas[order]
-    del den, dens, uv  # so neither the filters nor the unsorted spectra outlive the sort
-    u = u[order]
+    omegas = np.array(omegas)[order]
+    del den, dens  # so the filters do not outlive the sweeps
+    spectra = np.empty((k_modes, n_bins), dtype=np.result_type(real, 1j))
+    phase = phase.astype(spectra.dtype)
+    for row, k in zip(spectra, order):  # one complex row at a time
+        np.multiply(rows[k], phase, row)
+    del u, rows  # so the coefficients do not outlive the spectra
 
-    start = n // 2
     modes = np.empty((k_modes, n))
-    for row, spectrum in zip(modes, u):  # only the kept half outlives each irfft
-        row[:] = np.fft.irfft(spectrum.astype(complex, copy=False), n_ext)[start : start + n]
+    for row, spectrum in zip(modes, spectra):  # only the kept half outlives each irfft
+        row[:] = np.fft.irfft(spectrum.astype(complex, copy=False), n_ext)[n // 2 : n // 2 + n]
     residual = x - modes.sum(axis=0)
 
-    mode_set = ModeSet(
-        mode_spectra=u,
-        omegas=omegas,
-        iterations=iterations,
-        converged=converged,
-        final_delta=final_delta,
-    )
+    mode_set = ModeSet(spectra, omegas, iterations, converged, final_delta)
     return VmdResult(modes=modes, mode_set=mode_set, residual=residual)

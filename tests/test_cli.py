@@ -351,6 +351,17 @@ def test_decompose_rejects_an_infinite_tol(runner, tmp_path):
     assert not (tmp_path / "m").exists()
 
 
+def test_decompose_refuses_an_alpha_whose_filter_overflows_float32(runner, tmp_path):
+    # Each side is solved in float32, where 1 + 2*alpha*pi^2 is inf: the
+    # solve would write NaN modes and energy fractions and exit 0.
+    src = tmp_path / "tone.iqf32"
+    write_tone(src)
+    res = runner.invoke(main, ["decompose", str(src), "--out", str(tmp_path / "m"), "--alpha", "1e39"])
+    assert res.exit_code == 2, res.output
+    assert "error: alpha 1e+39 overflows the float32 Wiener filter" in res.output
+    assert not (tmp_path / "m").exists()
+
+
 def non_object_dataset_config(runner, tmp_path, payload):
     (tmp_path / "spec.json").write_text(payload)
     return ["gen", "--out", str(tmp_path / "d"), "--config", str(tmp_path / "spec.json")], "spec.json"

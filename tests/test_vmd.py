@@ -44,6 +44,19 @@ def test_half_grid_endpoints_and_spacing():
     assert np.allclose(np.diff(g), 2.0 * np.pi / 8)
 
 
+@pytest.mark.parametrize("n", [4, 5, 16, 17, 700, 701, 2100])
+def test_extension_rfft_is_real_coefficients_times_the_phase(n):
+    # The extension is half-sample symmetric about n//2 - 1/2, so its rfft is
+    # real coefficients times exp(-1j*w*(n//2 - 1/2)) (Makhoul 1980): the
+    # sweep runs on those coefficients.
+    f_hat = np.fft.rfft(mirror_extend(np.random.default_rng(n).normal(size=n)))
+    phase = vmd._phase(n)
+    assert np.max(np.abs((f_hat * phase.conj()).imag)) <= 1e-12 * np.max(np.abs(f_hat))
+    # The outer product is the phase at angles reduced to [0, 2*pi) one bin at a time.
+    angles = 0.5 * np.pi / n * (np.arange(n + 1) * (2 * (n // 2) - 1) % (4 * n))
+    assert np.max(np.abs(phase - np.exp(-1j * angles))) <= 1e-14
+
+
 def test_wiener_update_closed_form_by_hand():
     grid = np.array([0.0, 0.5, 1.0])
     f = np.array([1.0 + 0j, 2.0, 3.0])
@@ -193,6 +206,37 @@ def test_reseed_moves_the_later_of_two_equal_centers(before, after):
     assert omegas[0] == before[0]
 
 
+def pairwise_reseed(omegas, min_gap):
+    """_reseed_collisions without its sorted-gap test: every pair is compared."""
+    for j in range(1, len(omegas)):
+        if any(abs(omegas[j] - omegas[i]) < min_gap for i in range(j)):
+            omegas[j] = float(vmd._widest_gap_midpoint(np.delete(omegas, j)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    case=st.one_of(
+        # Multiples of a power-of-two gap: equal centers, and pairs exactly min_gap apart.
+        st.integers(2, 8).flatmap(
+            lambda e: st.tuples(
+                st.just(2.0**-e), st.lists(st.integers(0, 12).map(lambda i: i * 2.0**-e), min_size=1, max_size=8)
+            )
+        ),
+        st.tuples(st.floats(1e-6, 1.0), st.lists(st.floats(0.0, np.pi), min_size=1, max_size=8)),
+    )
+)
+def test_reseed_gap_test_agrees_with_the_pairwise_rule(case):
+    min_gap, centers = case
+    ordered = sorted(centers)
+    adjacent = any(b - a < min_gap for a, b in zip(ordered, ordered[1:]))
+    pairwise = any(abs(c - d) < min_gap for j, c in enumerate(centers) for d in centers[:j])
+    assert adjacent == pairwise
+    want, got = list(centers), list(centers)
+    pairwise_reseed(want, min_gap)
+    _reseed_collisions(got, min_gap)
+    assert got == want
+
+
 def _start(x, cfg):
     return vmd._init_omegas(cfg, np.fft.rfft(mirror_extend(x)))
 
@@ -281,6 +325,18 @@ def test_solver_rejects_complex_input():
             vmd_decompose(np.exp(2j * np.pi * 0.1 * np.arange(200)), VmdConfig(n_modes=2))
 
 
+def test_an_alpha_whose_filter_overflows_the_sweep_dtype_is_refused():
+    # 1 + 2*alpha*pi^2 passes float32's largest value from alpha ~1.7e37; the
+    # filters would turn every mode into NaN over max_iter sweeps.
+    x = tone_mix(300, [0.05, 0.2], [1.0, 0.5])
+    with pytest.raises(ParameterError, match="^alpha 1e\\+39 overflows the float32 Wiener filter"):
+        vmd_decompose(x.astype(np.float32), VmdConfig(n_modes=2, alpha=1e39))
+    with pytest.raises(ParameterError, match="float64"):
+        vmd_decompose(x, VmdConfig(n_modes=2, alpha=1e308))
+    res = vmd_decompose(x, VmdConfig(n_modes=2, alpha=1e39))  # float64 holds that filter
+    assert res.mode_set.converged and np.all(np.isfinite(res.modes))
+
+
 def test_memory_budget_rejects_before_allocating():
     # 5e5 modes of a 1e6-sample signal would need ~16 TB of spectra; the
     # check must refuse it before any of them exists.
@@ -309,7 +365,7 @@ def test_memory_budget_covers_the_measured_peak(monkeypatch, n, k, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_solve_peaks_at_two_spectra_per_mode_and_keeps_no_extension(dtype):
+def test_solve_peaks_at_a_spectrum_and_a_half_per_mode_and_keeps_no_extension(dtype):
     n, k = 4_000, 64
     x = np.random.default_rng(k).normal(size=n).astype(dtype)
     tracemalloc.start()
@@ -318,9 +374,11 @@ def test_solve_peaks_at_two_spectra_per_mode_and_keeps_no_extension(dtype):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # A spectrum-sized buffer is one complex128 rfft of the 2n-sample
-    # extension; check_memory_budget's estimate is this bound.
-    assert peak <= 16 * (n + 1) * (2 * k + 12)
+    # A spectrum is 16 bytes per rfft bin of the 2n-sample extension; each
+    # mode holds at most 24 at a time (its complex spectrum and a real row),
+    # and fourteen 8-byte buffers per bin cover the rest.  This bound is
+    # check_memory_budget's estimate.
+    assert peak <= 8 * (n + 1) * (3 * k + 14)
     # The modes own their [K, n] rows, not a view of the [K, 2n] irfft.
     assert res.modes.shape == (k, n) and res.modes.base is None
 
