@@ -24,7 +24,7 @@ from .errors import DegenerateInputError, ParameterError, check_int, is_real
 from .iqfile import json_object, read_iqf32, write_iqf32
 from .modulation import ModulationKind, ModulationSpec, gen_baseband
 from .pa import EmitterProfile, emitter_bank, hammerstein_apply
-from .signals import ComplexSignal, add_awgn, normalize_power
+from .signals import ComplexSignal, add_awgn, noise_variance, normalize_power
 
 DEFAULT_SNR_GRID = tuple(range(-4, 21, 2))
 DEFAULT_MODULATIONS = (
@@ -68,9 +68,8 @@ class DatasetSpec:
                 raise ParameterError(f"{name} must be a list or tuple, got {value!r}")
             if len(value) == 0:
                 raise ParameterError(f"{name} must be non-empty")
-        for value in self.snr_grid_db:
-            if not is_real(value):
-                raise ParameterError(f"SNRs must be finite numbers, got {value!r}")
+        for value in self.snr_grid_db:  # at unit power, the synthesis's power before the amplifier
+            noise_variance(1.0, value)
         if not all(isinstance(m, ModulationKind) for m in self.modulations):
             raise ParameterError(f"modulations must be ModulationKind members, got {self.modulations!r}")
         for kind in self.modulations:  # refuses an aliasing waveform before any file is written

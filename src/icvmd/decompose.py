@@ -74,7 +74,7 @@ def _decompose_side(x: np.ndarray, cfg: VmdConfig, floor: float) -> tuple:
         n, k = x.size, cfg.n_modes
         check_memory_budget(n, k)
         # n + 1 rfft bins of the mirror-extended (2n) sequence; no sweep ran.
-        empty = ModeSet(np.zeros((k, n + 1), dtype=np.complex64), np.zeros(k), 0, True, 0.0)
+        empty = ModeSet(np.zeros((k, n + 1), dtype=np.float32), np.zeros(k), 0, True, 0.0)
         return VmdResult(np.zeros((k, n)), empty, residual=np.zeros(n)), (ModeLabel.FEATURE,) * k
     # The sweep runs in float32; the residual against the float64 side keeps
     # side_input_energy, and so each energy fraction, that of the float64 side.

@@ -62,19 +62,14 @@ def _cumulant_block(samples: np.ndarray) -> tuple:
     return abs(c["C20"]), c["C21"], abs(c["C40"]), c["C42"]
 
 
-def _bandwidth_3db(spectrum: np.ndarray) -> float:
-    """Width in radians of the contiguous half-power region around the peak."""
-    p = np.abs(spectrum) ** 2
+def _bandwidth_3db(coefficients: np.ndarray) -> float:
+    """Width in radians of the contiguous half-power region around the peak of a mode's coefficient row."""
+    p = coefficients**2
     peak = int(np.argmax(p))
-    half = p[peak] / 2.0
-    lo = peak
-    while lo > 0 and p[lo - 1] >= half:
-        lo -= 1
-    hi = peak
-    while hi < p.size - 1 and p[hi + 1] >= half:
-        hi += 1
-    step = np.pi / (p.size - 1)
-    return float((hi - lo + 1) * step)
+    under = np.flatnonzero(p < p[peak] / 2.0)  # the bins below half power
+    lo = under[under < peak].max(initial=-1) + 1
+    hi = under[under > peak].min(initial=p.size) - 1
+    return float((hi - lo + 1) * (np.pi / (p.size - 1)))
 
 
 def extract_features(result: IcvmdResult) -> np.ndarray:
@@ -97,14 +92,8 @@ def extract_features(result: IcvmdResult) -> np.ndarray:
         for k, label in enumerate(labels):
             if label is not ModeLabel.FEATURE or energies[k] == 0.0:
                 continue
-            rows.append(
-                (
-                    float(energies[k]),
-                    side_sign * float(side.omegas[k]),
-                    _bandwidth_3db(side.mode_set.mode_spectra[k]),
-                    float(energies[k] / total),
-                )
-            )
+            bandwidth = _bandwidth_3db(side.mode_set.coefficients[k])
+            rows.append((float(energies[k]), side_sign * float(side.omegas[k]), bandwidth, float(energies[k] / total)))
     rows.sort(key=lambda r: -r[0])
     rows = rows[:MAX_MODES]
 

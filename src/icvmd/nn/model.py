@@ -208,10 +208,10 @@ def _relu_grads(dy: np.ndarray, cache, ws: dict) -> np.ndarray:
     return relu_backward(dy, cache, _buf(ws, ("r", *dy.shape[1:]), dy.shape, dy.dtype))
 
 
-def _residual_forward(h: np.ndarray, params: NetParams, i: int, out=None, ws=None):
+def _residual_forward(h: np.ndarray, params: NetParams, i: int, out, ws: dict):
     """TCN block i: o = h + conv2(relu(conv1(h))) at the block's dilation,
-    written into ``out`` when given (conv2 writes there, then h is added)."""
-    d, ws = DILATIONS[i], {} if ws is None else ws
+    written into ``out`` unless it is None (conv2 writes there, then h is added)."""
+    d = DILATIONS[i]
     name = f"tcn.blocks.{i}.conv1"
     y1, c1 = _conv_out(h, _conv(params, name, d), ws, name)
     a1, r1 = relu_forward(y1)
@@ -246,14 +246,13 @@ def _stack_backward(dh: np.ndarray, caches, grads, prefix: str, ws: dict) -> Non
     _param_grads(_relu_grads(dh, rc, ws), cc, grads, f"{prefix}.0")
 
 
-def features_forward(params: NetParams, x: np.ndarray, ws=None):
+def features_forward(params: NetParams, x: np.ndarray, ws: dict):
     """Encoder + TCN + merge: x [B, C_in, T] -> feat [B, channels, T], cache.
 
     Block i writes its output into channel slice i of the merge input, and
     block i+1 reads that slice: each block output is held once.  Activations
     go into buffers of ``ws``, feat into its tap scratch if any.
     """
-    ws = {} if ws is None else ws
     h, enc_caches = _stack_forward(params, "encoder", ENCODER_LAYERS, x, ws)
     c = CHANNELS
     stacked = _buf(ws, "tcn.merge", (h.shape[0], c * N_BLOCKS, h.shape[2]), h.dtype)
@@ -265,14 +264,13 @@ def features_forward(params: NetParams, x: np.ndarray, ws=None):
     return feat, (enc_caches, block_caches, merge_cache)
 
 
-def features_backward(params: NetParams, dfeat: np.ndarray, cache, grads, ws=None) -> None:
+def features_backward(params: NetParams, dfeat: np.ndarray, cache, grads, ws: dict) -> None:
     """Adds the trunk's parameter gradients to any that an earlier chunk of
     samples left in ``grads``, and returns nothing: no caller reads the
     trunk's input gradient, so it is not formed.  The merge input's gradient
     is formed one block at a time, block i's 8 channels of it being its
     columns of the 1x1 merge weights times dfeat, so only one block's share is
     held.  Each gradient goes into a buffer of ``ws``."""
-    ws = {} if ws is None else ws
     enc_caches, block_caches, merge_cache = cache
     _param_grads(dfeat, merge_cache, grads, "tcn.merge")
     w, c = merge_cache[1].weights[:, :, 0], CHANNELS

@@ -56,22 +56,35 @@ def normalize_power(sig: ComplexSignal, target_power: float = 1.0) -> ComplexSig
     return ComplexSignal(sig.samples * np.sqrt(target_power / p))
 
 
+def noise_variance(power: float, snr_db) -> float:
+    """``power / 10**(snr_db/10)``, the noise variance per complex sample of a
+    signal of mean power ``power`` at ``snr_db``.  Raises ParameterError
+    naming an SNR that is not a finite number, or whose power ratio or
+    variance is not a finite positive float64."""
+    if not is_real(snr_db):
+        raise ParameterError(f"snr_db must be a finite number, got {snr_db!r}")
+    try:
+        variance = power / 10.0 ** (float(snr_db) / 10.0)
+    except (OverflowError, ZeroDivisionError):  # a ratio past float64's range, or under it
+        variance = 0.0
+    if not 0.0 < variance < float("inf"):
+        raise ParameterError(f"SNR {snr_db} dB is out of range for a float64 power ratio and noise variance")
+    return variance
+
+
 def add_awgn(sig: ComplexSignal, snr_db: float, seed: int) -> ComplexSignal:
     """Add circular complex white Gaussian noise at the requested SNR.
 
-    The noise variance per complex sample is ``signal_power / 10**(snr_db/10)``,
-    split equally between the real and imaginary parts.  Same ``seed`` in,
-    same noise out, so ``seed`` must be an integer >= 0.
+    The noise variance per complex sample is ``noise_variance``, split
+    equally between the real and imaginary parts.  Same ``seed`` in, same
+    noise out, so ``seed`` must be an integer >= 0.
     """
-    if not is_real(snr_db):
-        raise ParameterError(f"snr_db must be a finite number, got {snr_db!r}")
     check_int("seed", seed, 0)
     p = sig.power
     if p <= 0.0:
         raise DegenerateInputError("SNR is undefined for an all-zero signal")
-    noise_var = p / (10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
-    scale = np.sqrt(noise_var / 2.0)
+    scale = np.sqrt(noise_variance(p, snr_db) / 2.0)
     n = sig.samples.size
     noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return ComplexSignal(sig.samples + noise)

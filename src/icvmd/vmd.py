@@ -28,12 +28,12 @@ spent block then takes |u|^2, whose one product with the columns (1, w)
 gives every mode's energy and first moment, hence its centroid.  Each energy
 is the mode's previous norm in the next sweep's metric
 sum_k ||du_k||^2 / ||u_k_prev||^2, so no copy of the modes is kept between
-sweeps.  The returned spectra are the final rows times the phase.
+sweeps.  The rows are returned as they are: only the irfft of each multiplies it by the phase.
 
-The sweep runs in the precision of its input: float32 rows (complex64
-spectra) for a float32 signal, float64 rows for any other dtype.  The start
-(read off the float64 rfft), the centers, the metric, the irfft, the
-time-domain modes and the residual stay float64 either way.
+The sweep runs in the precision of its input: float32 rows for a float32
+signal, float64 rows for any other dtype.  The start (read off the float64
+coefficients), the centers, the metric, the irfft, the time-domain modes and
+the residual stay float64 either way.
 
 The sweep is over-relaxed (Boyd et al. 2011, sec. 3.4.3): each mode takes
 its plain step du_k, moves by beta*du_k, and re-centers with
@@ -109,10 +109,10 @@ class VmdConfig:
 class ModeSet:
     """Converged frequency-domain state on the half grid.
 
-    mode_spectra    -- complex array [n_modes, n_bins] on the rfft grid of the
-                       mirror-extended signal: each mode's real coefficients
+    coefficients    -- real array [n_modes, n_bins] on the rfft grid of the
+                       mirror-extended signal: each mode's rfft is its row
                        times the extension's phase (module docstring);
-                       complex64 for a float32 input, complex128 otherwise
+                       float32 for a float32 input, float64 otherwise
     omegas          -- center frequencies in radians, ascending, within [0, pi]
     iterations      -- sweeps actually run
     converged       -- True when the relative-change metric of a plain sweep
@@ -120,7 +120,7 @@ class ModeSet:
     final_delta     -- last value of the convergence metric
     """
 
-    mode_spectra: np.ndarray
+    coefficients: np.ndarray
     omegas: np.ndarray
     iterations: int
     converged: bool
@@ -175,8 +175,8 @@ def _widest_gap_midpoint(centers) -> float:
 
 
 def _init_omegas(cfg: VmdConfig, spectrum: np.ndarray) -> np.ndarray:
-    """Ascending start centers at the peaks of the rfft ``spectrum`` (see the
-    module docstring)."""
+    """Ascending start centers at the peaks of ``spectrum``, the rfft of the
+    extension or its real coefficients (see the module docstring)."""
     k = cfg.n_modes
     n_bins = spectrum.size
     grid = half_grid(2 * (n_bins - 1))  # the spectrum is of an even-length extension
@@ -220,10 +220,10 @@ def _reseed_collisions(omegas: list | np.ndarray, min_gap: float) -> None:
 def check_memory_budget(n: int, n_modes: int) -> None:
     """Raise ParameterError when decomposing an n-sample signal into n_modes
     modes would hold more than _MEMORY_BUDGET_BYTES at its peak.  Per rfft
-    bin of the 2n-sample extension, each mode holds at most 24 bytes at a
-    time (a complex128 spectrum beside a real row), and the shared buffers
-    about eleven 8-byte ones, counted as fourteen."""
-    need = 8 * (n + 1) * (3 * n_modes + 14)
+    bin of the 2n-sample extension, each mode holds at most two float64 rows
+    at a time (its row beside its filter, its sorted copy or its time-domain
+    mode), and the shared buffers about thirteen, counted as sixteen."""
+    need = 8 * (n + 1) * (2 * n_modes + 16)
     if need > _MEMORY_BUDGET_BYTES:
         raise ParameterError(
             f"{n_modes} modes of a {n}-sample signal need about {need / 2**20:.0f} MiB, "
@@ -240,7 +240,7 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     over-relax both steps by _RELAX; convergence is declared only on a plain
     sweep (see the module docstring).
     After the loop one plain mode-update sweep is run at the final centers so
-    the returned spectra satisfy the Wiener fixed-point form exactly.
+    the returned coefficients satisfy the Wiener fixed-point form exactly.
 
     Modes are returned sorted by ascending center frequency.
     """
@@ -269,11 +269,10 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     min_gap = 2.0 * np.pi / n_ext
 
     k_modes = cfg.n_modes
-    f_hat = np.fft.rfft(mirror_extend(x))
-    omegas = _init_omegas(cfg, f_hat).tolist()
     phase = _phase(n)
-    r = (f_hat * phase.conj()).real.astype(real)  # the residual f_hat - sum(u), with u = 0
-    del f_hat
+    r = (np.fft.rfft(mirror_extend(x)) * phase.conj()).real  # the coefficients of x
+    omegas = _init_omegas(cfg, r).tolist()
+    r = r.astype(real)  # the residual: those coefficients less sum(u), with u = 0
     u = np.zeros((k_modes, n_bins), dtype=real)
     rows = list(u)
     scaled = (root * grid).astype(real)
@@ -339,16 +338,12 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     order = np.argsort(omegas, kind="stable")
     omegas = np.array(omegas)[order]
     del den, dens  # so the filters do not outlive the sweeps
-    spectra = np.empty((k_modes, n_bins), dtype=np.result_type(real, 1j))
-    phase = phase.astype(spectra.dtype)
-    for row, k in zip(spectra, order):  # one complex row at a time
-        np.multiply(rows[k], phase, row)
-    del u, rows  # so the coefficients do not outlive the spectra
+    coefficients = u[order]
+    del u, rows  # so the unsorted rows do not outlive the sort
 
+    phase = phase.astype(np.result_type(real, 1j))
     modes = np.empty((k_modes, n))
-    for row, spectrum in zip(modes, spectra):  # only the kept half outlives each irfft
-        row[:] = np.fft.irfft(spectrum.astype(complex, copy=False), n_ext)[n // 2 : n // 2 + n]
-    residual = x - modes.sum(axis=0)
-
-    mode_set = ModeSet(spectra, omegas, iterations, converged, final_delta)
-    return VmdResult(modes=modes, mode_set=mode_set, residual=residual)
+    for row, c in zip(modes, coefficients):  # one spectrum, and the kept half of its irfft, at a time
+        row[:] = np.fft.irfft((c * phase).astype(complex, copy=False), n_ext)[n // 2 : n // 2 + n]
+    mode_set = ModeSet(coefficients, omegas, iterations, converged, final_delta)
+    return VmdResult(modes=modes, mode_set=mode_set, residual=x - modes.sum(axis=0))

@@ -1,0 +1,175 @@
+"""Byte-identity harness: the sha256 of every artifact the CLI writes, from
+small fixed inputs.
+
+    python tests/identity.py OUT.json              # writes {artifact: sha256}
+    python tests/identity.py --diff A.json B.json  # lists the keys that differ
+
+The package digested is the ``icvmd`` on the import path (``--diff`` needs
+none), so two trees are compared by running the script once with each
+tree's ``src/`` first on PYTHONPATH and diffing the two files:
+
+    PYTHONPATH=before/src python tests/identity.py before.json
+    PYTHONPATH=after/src python tests/identity.py after.json
+    python tests/identity.py --diff before.json after.json
+
+One run invokes every command of the CLI in a fresh directory: ``gen`` (the
+default bank, an auxiliary bank from a ``--config`` file, and a regeneration
+from the first dataset's echoed spec), ``decompose`` and ``reconstruct`` of
+captures at both SNRs, ``fewshot`` for each pipeline at two proportions,
+``train`` for both representations and ``eval`` of each checkpoint.  Every
+file under that directory is digested, keyed by its relative path, so a
+file no list names cannot be missed.  A ``.npz`` is digested by its
+members' names, dtypes, shapes and bytes, because ``np.savez`` stamps each
+member with the time it was written.  Each command's output is digested
+with the directory written as ``<root>``, and so are the features, raw
+cumulants and ``sat_inputs`` of every capture of the first dataset.
+
+A digest holds only on the host that made it: FFT and SIMD reduction order
+may differ between hosts, so compare two runs made on one host.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+# Sizes of the full set and of the reduced one that tier-1 runs.
+FULL = dict(n_samples=2100, signals=6, modulations=("cw", "lfm", "bpsk", "qpsk", "8psk", "msk"),
+            fewshot_samples=256, fewshot_signals=4, epochs=3)
+REDUCED = dict(n_samples=128, signals=2, modulations=("cw", "bpsk"),
+               fewshot_samples=128, fewshot_signals=2, epochs=1)
+SNRS = ("18", "-4")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def array_digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def file_digest(path: Path) -> str:
+    if path.suffix != ".npz":
+        return sha256(path.read_bytes())
+    h = hashlib.sha256()
+    with np.load(path, allow_pickle=False) as members:
+        for name in sorted(members.files):
+            h.update(name.encode())
+            h.update(array_digest(members[name]).encode())
+    return h.hexdigest()
+
+
+def digest_run(root, reduced: bool = False) -> tuple:
+    """Run every command under ``root``, a new or empty directory; returns
+    ``(digests, commands)``, the sha256 of each artifact by key and the
+    commands run, in order."""
+    from click.testing import CliRunner
+
+    from icvmd.cli import main
+    from icvmd.dataset import DatasetSpec, load_entry, load_manifest
+    from icvmd.decompose import icvmd_decompose
+    from icvmd.errors import DegenerateInputError
+    from icvmd.features import extract_features, raw_cumulant_features
+    from icvmd.fewshot import Pipeline, sat_inputs
+    from icvmd.pa import auxiliary_bank
+    from icvmd.vmd import VmdConfig
+
+    size = REDUCED if reduced else FULL
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    runner, digests, commands = CliRunner(), {}, []
+
+    def run(*args) -> None:
+        res = runner.invoke(main, args)
+        if res.exit_code != 0:
+            raise RuntimeError(f"icvmd {' '.join(args)} exited {res.exit_code}: {res.output}") from res.exception
+        commands.append(args[0])
+        digests[f"output/{len(commands):02d}-{args[0]}"] = sha256(res.output.replace(str(root), "<root>").encode())
+
+    mods = [arg for m in size["modulations"] for arg in ("--modulations", m)]
+    snrs = [arg for s in SNRS for arg in ("--snr-db", s)]
+    run("gen", "--out", f"{root}/data", "--n-samples", str(size["n_samples"]),
+        "--signals-per-emitter", str(size["signals"]), *snrs, *mods)
+
+    spec = DatasetSpec(emitters=tuple(auxiliary_bank(3, 77)), snr_grid_db=(10.0,), n_samples=size["n_samples"],
+                       signals_per_emitter=size["signals"], seed=5)
+    (root / "aux.json").write_text(json.dumps(spec.echo() | {"schema_version": 1}))
+    run("gen", "--out", f"{root}/aux", "--config", f"{root}/aux.json")
+    echoed = json.loads((root / "data" / "manifest.json").read_text())["spec"]
+    (root / "regen.json").write_text(json.dumps(echoed | {"schema_version": 1}))
+    run("gen", "--out", f"{root}/regen", "--config", f"{root}/regen.json")
+
+    for snr in ("+18", "-04"):
+        for mod in size["modulations"][:2]:
+            stem = f"emitter0_snr{snr}_{mod}_0000"
+            run("decompose", f"{root}/data/{stem}.iqf32", "--out", f"{root}/modes/{stem}")
+            for select in (["signal"], ["feature"], ["residual"], ["signal", "feature", "residual"]):
+                picks = [arg for s in select for arg in ("--select", s)]
+                out = f"{root}/recon/{stem}_{'+'.join(select)}.iqf32"
+                run("reconstruct", f"{root}/modes/{stem}", "--out", out, *picks)
+
+    for pipeline in Pipeline:
+        run("fewshot", "--workdir", f"{root}/fewshot/{pipeline.value}", "--pipeline", pipeline.value,
+            "--proportions", "1.0,0.5", "--n-samples", str(size["fewshot_samples"]),
+            "--signals-per-emitter", str(size["fewshot_signals"]), *snrs, *mods[:4])
+
+    for representation in ("raw", "icvmd"):
+        checkpoint = f"{root}/checkpoints/{representation}.npz"
+        run("train", "--data", f"{root}/data", "--out", checkpoint, "--representation", representation,
+            "--epochs", str(size["epochs"]), "--segment-len", "64")
+        run("eval", "--data", f"{root}/data", "--checkpoint", checkpoint)
+
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digests[f"file/{path.relative_to(root).as_posix()}"] = file_digest(path)
+    manifest = load_manifest(root / "data")
+    for entry in sorted(manifest["files"], key=lambda e: e["path"]):
+        sig = load_entry(manifest, entry)
+        result = icvmd_decompose(sig, VmdConfig())
+        try:
+            digests[f"features/{entry['path']}"] = array_digest(extract_features(result))
+        except DegenerateInputError as exc:
+            digests[f"features/{entry['path']}"] = sha256(str(exc).encode())
+        digests[f"raw_cumulants/{entry['path']}"] = array_digest(raw_cumulant_features(sig))
+        digests[f"sat_inputs/{entry['path']}"] = array_digest(*sat_inputs(result))
+    return digests, commands
+
+
+def diff(a: dict, b: dict) -> list:
+    """Keys whose digests differ, or that only one side has."""
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
+def cli(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", help="JSON file to write the digests to")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="two digest files to compare")
+    args = parser.parse_args(argv)
+    if args.diff:
+        a, b = (json.loads(Path(p).read_text()) for p in args.diff)
+        keys = diff(a, b)
+        print("\n".join(keys) if keys else f"no difference in {len(a)} digests")
+        return 1 if keys else 0
+    if not args.out:
+        parser.error("give OUT.json or --diff A B")
+    import icvmd
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests, _ = digest_run(tmp)
+    Path(args.out).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"{len(digests)} digests of {Path(icvmd.__file__).parent} written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(cli())

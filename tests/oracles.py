@@ -21,6 +21,7 @@ from icvmd.vmd import (
     ModeSet,
     VmdConfig,
     VmdResult,
+    _phase,
     _reseed_collisions,
     _widest_gap_midpoint,
     half_grid,
@@ -147,8 +148,10 @@ def reference_init_omegas(cfg: VmdConfig, spectrum: np.ndarray) -> np.ndarray:
     return np.sort(np.array(chosen))
 
 
-def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX) -> VmdResult:
+def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX) -> tuple:
     """The unfused Gauss-Seidel loop that vmd_decompose fuses, kept as its oracle.
+    Returns ``(VmdResult, spectra)``: the complex rfft spectra it sweeps, and
+    a result whose real coefficients are those spectra over the phase.
 
     Decompose a real 1-D signal into ``cfg.n_modes`` band-limited modes.
 
@@ -247,13 +250,13 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
     residual = x - modes.sum(axis=0)
 
     mode_set = ModeSet(
-        mode_spectra=u,
+        coefficients=(u * _phase(n).conj()).real,
         omegas=omegas,
         iterations=iterations,
         converged=converged,
         final_delta=final_delta,
     )
-    return VmdResult(modes=modes, mode_set=mode_set, residual=residual)
+    return VmdResult(modes=modes, mode_set=mode_set, residual=residual), u
 
 
 class Stopwatch:
@@ -304,7 +307,7 @@ def residual_block(x: np.ndarray, params: NetParams, i: int) -> np.ndarray:
     w2 = params.arrays[f"tcn.blocks.{i}.conv2.weights"]
     if w1.shape[1] != x.shape[0] or w2.shape[0] != x.shape[0]:
         raise ParameterError("residual block must preserve the channel count")
-    y, _ = _residual_forward(x[None], params, i)
+    y, _ = _residual_forward(x[None], params, i, None, {})
     return y[0]
 
 

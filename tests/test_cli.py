@@ -113,6 +113,18 @@ def test_gen_refuses_an_aliasing_waveform_before_writing_a_capture(runner, tmp_p
     assert not list(tmp_path.rglob("*.iqf32"))
 
 
+@pytest.mark.parametrize("grid", [["4000"], ["-4000"], ["18", "4000"]], ids=["high", "low", "after_a_valid_point"])
+def test_gen_refuses_an_snr_without_a_noise_variance_before_writing_a_capture(runner, tmp_path, grid):
+    # 10**(4000/10) overflows a float and 10**(-4000/10) rounds to zero.
+    out = tmp_path / "d"
+    snrs = [arg for snr in grid for arg in ("--snr-db", snr)]
+    args = ["gen", "--out", str(out), "--modulations", "cw", "--signals-per-emitter", "1", "--n-samples", "64"]
+    res = runner.invoke(main, args + snrs)
+    assert res.exit_code == 2, res.output
+    assert f"error: SNR {float(grid[-1])} dB is out of range" in res.output
+    assert not list(tmp_path.rglob("*.iqf32"))
+
+
 @pytest.mark.parametrize("command", ["gen", "fewshot"])
 @pytest.mark.parametrize(
     "repeat",

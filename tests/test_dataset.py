@@ -66,7 +66,7 @@ def test_spec_validation():
      {"snr_grid_db": (float("nan"),)}, {"carrier": float("inf")}, {"n_samples": 15},
      {"signals_per_emitter": 0}, {"samples_per_symbol": 0}, {"modulations": ("cw",)},
      {"modulations": (ModulationKind.CW, "bpsk")}, {"carrier": 0.45},
-     {"sweep_span": None}, {"emitters": 5}, {"snr_grid_db": None}],
+     {"sweep_span": None}, {"emitters": 5}, {"snr_grid_db": None}, {"snr_grid_db": (18.0, 4000.0)}],
 )
 def test_spec_rejects_wrong_types(kw):
     with pytest.raises(ParameterError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icvmd.decompose import (
     ModeLabel,
@@ -10,6 +12,7 @@ from icvmd.decompose import (
 from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.features import (
     MAX_MODES,
+    _bandwidth_3db,
     cumulants,
     extract_features,
     raw_cumulant_features,
@@ -27,6 +30,45 @@ def decompose_demo(n=512, n_modes=3):
     )
     cfg = VmdConfig(n_modes=n_modes, alpha=300.0, tol=1e-6, max_iter=150)
     return icvmd_decompose(ComplexSignal(z), cfg)
+
+
+# ----------------------------------------------------------------- bandwidth
+
+
+def walked_bandwidth(coefficients):
+    """Walk out from the peak while the power holds at least half of it."""
+    p = coefficients**2
+    peak = int(np.argmax(p))
+    half = p[peak] / 2.0
+    lo = peak
+    while lo > 0 and p[lo - 1] >= half:
+        lo -= 1
+    hi = peak
+    while hi < p.size - 1 and p[hi + 1] >= half:
+        hi += 1
+    return float((hi - lo + 1) * (np.pi / (p.size - 1)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    n_bins=st.integers(2, 300),
+    seed=st.integers(0, 2**16),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    levels=st.integers(1, 4),
+)
+def test_bandwidth_is_the_half_power_run_around_the_peak(n_bins, seed, dtype, levels):
+    # Few levels make ties, half-power edges and peaks at either end common.
+    rng = np.random.default_rng(seed)
+    row = rng.integers(-levels, levels + 1, size=n_bins).astype(dtype) * dtype(rng.random() + 0.5)
+    assert _bandwidth_3db(row) == walked_bandwidth(row)
+    smooth = np.convolve(rng.normal(size=n_bins), np.ones(5), mode="same").astype(dtype)
+    assert _bandwidth_3db(smooth) == walked_bandwidth(smooth)
+
+
+def test_bandwidth_by_hand():
+    # Power 1, 4, 16, 9, 1 on 5 bins (pi/4 apart): 9 >= 16/2 and 4 < 8, so two bins.
+    assert _bandwidth_3db(np.array([1.0, 2.0, 4.0, 3.0, 1.0])) == 2 * np.pi / 4
+    assert _bandwidth_3db(np.zeros(3, dtype=np.float32)) == 3 * np.pi / 2  # no bin is under half of 0
 
 
 # ----------------------------------------------------------------- cumulants

@@ -122,10 +122,10 @@ def test_forward_rejects_an_empty_batch():
 def test_trunk_is_causal():
     params = tiny_model()
     xm, _ = tiny_batch(b=1, t=40)
-    feat, _ = features_forward(params, xm)
+    feat, _ = features_forward(params, xm, {})
     xm2 = xm.copy()
     xm2[:, :, 25:] = 9.0
-    feat2, _ = features_forward(params, xm2)
+    feat2, _ = features_forward(params, xm2, {})
     assert np.array_equal(feat[:, :, :25], feat2[:, :, :25])
 
 
@@ -335,12 +335,12 @@ def test_trunk_matches_the_concatenating_reference(cast):
     rng = np.random.default_rng(6)
     x = rng.normal(size=(3, 2, 250)).astype(params.dtype)
     dfeat = rng.normal(size=(3, CHANNELS, 250)).astype(params.dtype)
-    feat, cache = features_forward(params, x)
+    feat, cache = features_forward(params, x, {})
     want_feat, want_cache = reference_features_forward(params, x)
     assert feat.tobytes() == want_feat.tobytes()
     assert cache[2][0].tobytes() == want_cache[2][0].tobytes()  # the merge input
     grads, want_grads = {}, {}
-    features_backward(params, dfeat, cache, grads)
+    features_backward(params, dfeat, cache, grads, {})
     reference_features_backward(dfeat, want_cache, want_grads)
     assert grads.keys() == want_grads.keys()
     for key, want in want_grads.items():

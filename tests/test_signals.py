@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icvmd.errors import DegenerateInputError, ParameterError
-from icvmd.signals import ComplexSignal, add_awgn, normalize_power
+from icvmd.signals import ComplexSignal, add_awgn, noise_variance, normalize_power
 
 
 def test_signal_holds_complex128_readonly():
@@ -82,6 +82,27 @@ def test_awgn_rejects_zero_signal_and_bad_snr():
             add_awgn(ComplexSignal([1.0]), 3.0, seed)
     numpy_scalars = add_awgn(ComplexSignal([1.0]), np.float64(3), np.uint32(5))
     assert np.array_equal(numpy_scalars.samples, add_awgn(ComplexSignal([1.0]), 3, 5).samples)
+
+
+@pytest.mark.parametrize(
+    "power, snr_db",
+    [(1.0, 4000.0), (1.0, -4000.0), (1.0, -3090.0), (1e-300, 300.0), (1e300, -300.0)],
+    ids=["ratio_overflows", "ratio_underflows", "variance_overflows", "weak_signal", "strong_signal"],
+)
+def test_awgn_refuses_an_snr_without_a_finite_positive_noise_variance(power, snr_db):
+    # 10**400 overflows a float and 10**-400 rounds to 0: the noise variance
+    # (or the ratio behind it) must be a finite positive float64.
+    with pytest.raises(ParameterError, match=f"^SNR {snr_db} dB is out of range"):
+        add_awgn(ComplexSignal([power**0.5]), snr_db, seed=0)
+    with pytest.raises(ParameterError, match=f"^SNR {snr_db} dB is out of range"):
+        noise_variance(power, snr_db)
+
+
+def test_noise_variance_is_the_power_over_the_linear_snr():
+    assert noise_variance(2.0, 10.0) == 0.2
+    assert noise_variance(1.0, -3000) == pytest.approx(1e300, rel=1e-15)
+    noisy = add_awgn(ComplexSignal(np.ones(64)), 3000, seed=0)  # 1e-300 still draws noise
+    assert 0.0 < np.max(np.abs(noisy.samples - 1.0)) < 1e-140
 
 
 @settings(deadline=None)

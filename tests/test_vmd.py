@@ -174,11 +174,12 @@ def test_returned_spectra_satisfy_wiener_fixed_point():
     ms = res.mode_set
     grid = half_grid(2 * x.size)
     f_hat = np.fft.rfft(mirror_extend(x))
-    total = ms.mode_spectra.sum(axis=0)
+    spectra = ms.coefficients * vmd._phase(x.size)
+    total = spectra.sum(axis=0)
     for k in range(2):
-        others = total - ms.mode_spectra[k]
+        others = total - spectra[k]
         expect = wiener_mode_update(f_hat, others, ms.omegas[k], cfg.alpha, grid)
-        err = np.linalg.norm(ms.mode_spectra[k] - expect) / np.linalg.norm(expect)
+        err = np.linalg.norm(spectra[k] - expect) / np.linalg.norm(expect)
         # The refresh is a sequential sweep, so earlier modes lag the later
         # ones by one update; without the refresh this error sits near the
         # convergence tolerance (~1e-4), with it the gap is tiny.
@@ -237,8 +238,29 @@ def test_reseed_gap_test_agrees_with_the_pairwise_rule(case):
     assert got == want
 
 
+def _coefficients(x):
+    """The real coefficients the solver reads its start off."""
+    return (np.fft.rfft(mirror_extend(x)) * vmd._phase(x.size).conj()).real
+
+
 def _start(x, cfg):
-    return vmd._init_omegas(cfg, np.fft.rfft(mirror_extend(x)))
+    return vmd._init_omegas(cfg, _coefficients(x))
+
+
+START_SIGNALS = {
+    "two_tones": lambda: tone_mix(700, [0.05, 0.3], [1.0, 0.5]),
+    "mirror_periodic_tone": lambda: np.cos(2 * np.pi * 0.1 * (np.arange(700) + 0.5)),
+    "noise": lambda: np.random.default_rng(16).normal(size=600),
+    "cw_side": lambda: _colliding_cw_side(),
+}
+
+
+@pytest.mark.parametrize("name", START_SIGNALS)
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_start_reads_the_same_centers_off_the_coefficients_as_off_the_rfft(name, k):
+    x = START_SIGNALS[name]()
+    cfg = VmdConfig(n_modes=k)
+    assert np.array_equal(_start(x, cfg), vmd._init_omegas(cfg, np.fft.rfft(mirror_extend(x))))
 
 
 def test_start_lands_on_the_two_tones():
@@ -365,7 +387,7 @@ def test_memory_budget_covers_the_measured_peak(monkeypatch, n, k, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_solve_peaks_at_a_spectrum_and_a_half_per_mode_and_keeps_no_extension(dtype):
+def test_solve_peaks_at_two_real_rows_per_mode_and_keeps_no_extension(dtype):
     n, k = 4_000, 64
     x = np.random.default_rng(k).normal(size=n).astype(dtype)
     tracemalloc.start()
@@ -374,11 +396,11 @@ def test_solve_peaks_at_a_spectrum_and_a_half_per_mode_and_keeps_no_extension(dt
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # A spectrum is 16 bytes per rfft bin of the 2n-sample extension; each
-    # mode holds at most 24 at a time (its complex spectrum and a real row),
-    # and fourteen 8-byte buffers per bin cover the rest.  This bound is
-    # check_memory_budget's estimate.
-    assert peak <= 8 * (n + 1) * (3 * k + 14)
+    # A float64 row is 8 bytes per rfft bin of the 2n-sample extension; each
+    # mode holds at most two at a time (its row beside its filter, its
+    # sorted copy or its time-domain mode), and sixteen more per bin cover
+    # the shared buffers.  This bound is check_memory_budget's estimate.
+    assert peak <= 8 * (n + 1) * (2 * k + 16)
     # The modes own their [K, n] rows, not a view of the [K, 2n] irfft.
     assert res.modes.shape == (k, n) and res.modes.base is None
 
@@ -426,13 +448,13 @@ FUSED_SWEEP_CASES = [
 def test_fused_sweep_matches_reference_loop(source, cfg):
     x = _case_signal(source)
     got = vmd_decompose(x, cfg)
-    want = reference_vmd_decompose(x, cfg)
+    want, want_spectra = reference_vmd_decompose(x, cfg)
     assert got.mode_set.iterations == want.mode_set.iterations
     assert got.mode_set.converged == want.mode_set.converged
     assert want.mode_set.converged or want.mode_set.iterations == cfg.max_iter
     for a, b in (
         (got.omegas, want.omegas),
-        (got.mode_set.mode_spectra, want.mode_set.mode_spectra),
+        (got.mode_set.coefficients * vmd._phase(x.size), want_spectra),
         (got.modes, want.modes),
     ):
         assert a.shape == b.shape
@@ -472,9 +494,9 @@ def test_relaxed_solver_is_no_farther_from_the_fixed_point_in_fewer_sweeps():
     # tol-1e-6 solve is the bar the relaxed solver must meet.
     cfg, sides = _bench_shaped_sides()
     tight = dataclasses.replace(cfg, tol=1e-11, max_iter=6000)
-    stars = [reference_vmd_decompose(x, tight, relax=1.0) for x in sides]
+    stars = [reference_vmd_decompose(x, tight, relax=1.0)[0] for x in sides]
     assert all(s.mode_set.converged for s in stars)
-    plain = [reference_vmd_decompose(x, cfg, relax=1.0) for x in sides]
+    plain = [reference_vmd_decompose(x, cfg, relax=1.0)[0] for x in sides]
     relaxed = [vmd_decompose(x, cfg) for x in sides]
 
     def distances(results):
@@ -493,8 +515,8 @@ def test_relaxed_solver_converges_where_the_metric_keeps_rising():
     sig = synthesize_one(DatasetSpec(n_samples=700), emitter_bank()[3], DEFAULT_MODULATIONS[1], 18.0, 1, 1040)
     x = analytic_split(sig)[0]
     cfg = VmdConfig()
-    star = reference_vmd_decompose(x, dataclasses.replace(cfg, tol=1e-11, max_iter=6000), relax=1.0)
-    plain = reference_vmd_decompose(x, cfg, relax=1.0)
+    star, _ = reference_vmd_decompose(x, dataclasses.replace(cfg, tol=1e-11, max_iter=6000), relax=1.0)
+    plain, _ = reference_vmd_decompose(x, cfg, relax=1.0)
     assert star.mode_set.converged and not plain.mode_set.converged
     bar = np.max(np.abs(plain.omegas - star.omegas))
     for dtype in (np.float64, np.float32):
@@ -515,11 +537,11 @@ def test_solver_runs_in_the_precision_of_its_input():
     x = tone_mix(300, [0.05, 0.2], [1.0, 0.5])
     cfg = VmdConfig(n_modes=2, alpha=500.0, tol=1e-7, max_iter=500)
     single = vmd_decompose(x.astype(np.float32), cfg)
-    assert single.mode_set.mode_spectra.dtype == np.complex64
+    assert single.mode_set.coefficients.dtype == np.float32
     assert single.modes.dtype == single.residual.dtype == single.omegas.dtype == np.float64
     for other in (x, np.round(100 * x).astype(np.int64), x.astype(np.float16)):
         res = vmd_decompose(other, cfg)
-        assert res.mode_set.mode_spectra.dtype == np.complex128
+        assert res.mode_set.coefficients.dtype == np.float64
         assert res.modes.dtype == np.float64
 
 
@@ -527,7 +549,7 @@ def test_icvmd_residual_closes_each_float64_side():
     sig = synthesize_one(DatasetSpec(n_samples=700), emitter_bank()[2], ModulationKind.QPSK, 18.0, 3, 103)
     res = icvmd_decompose(sig, VmdConfig())
     for side, x in zip((res.pos, res.neg), analytic_split(sig)):
-        assert side.mode_set.mode_spectra.dtype == np.complex64
+        assert side.mode_set.coefficients.dtype == np.float32
         assert side.residual.dtype == np.float64
         assert np.array_equal(side.residual, x - side.modes.sum(axis=0))
 
