@@ -35,6 +35,7 @@ from .fewshot import (
     predict,
     represent,
     run_fewshot,
+    tally,
 )
 from .iqfile import read_iqf32, write_iqf32
 from .modulation import ModulationKind
@@ -168,10 +169,13 @@ def reconstruct(modes_dir, out_file, select):
 _REPRESENTATIONS = {"raw": Pipeline.RAW_NN, "icvmd": Pipeline.ICVMD_SAT}
 
 
-def _warn_unconverged(n_unconverged: int, n_solved: int) -> None:
-    if n_unconverged:
+def _warn_dropped(skipped: list, sides: list) -> None:
+    """Name each dropped capture, and count the solved sides that stopped at max_iter."""
+    for path, reason in skipped:
+        click.echo(f"skipped {path}: {reason}", err=True)
+    if False in sides:
         msg = "decomposed sides stopped at max_iter without converging"
-        click.echo(f"warning: {n_unconverged} of {n_solved} {msg}", err=True)
+        click.echo(f"warning: {sides.count(False)} of {len(sides)} {msg}", err=True)
 
 
 def _warn_plateau(loss: float, n_classes: int, where: str = "") -> None:
@@ -184,18 +188,9 @@ def _warn_plateau(loss: float, n_classes: int, where: str = "") -> None:
 def _represent_dataset(data_dir, representation, vmd: VmdConfig) -> tuple:
     """Represent every capture of a dataset directory; warns about dropped
     captures and about sides the solver left unconverged."""
-    skipped: list = []
-    sides: list = []
-    kept, (mains, branches) = represent(
-        _REPRESENTATIONS[representation],
-        load_manifest(data_dir),
-        vmd,
-        skipped=skipped,
-        sides=sides,
-    )
-    for path, reason in skipped:
-        click.echo(f"skipped {path}: {reason}", err=True)
-    _warn_unconverged(sides.count(False), len(sides))
+    memo: dict = {}
+    kept, (mains, branches) = represent(_REPRESENTATIONS[representation], load_manifest(data_dir), vmd, memo)
+    _warn_dropped(*tally(memo))
     return kept, mains, branches
 
 
@@ -274,9 +269,7 @@ def fewshot(workdir, config, pipeline, proportions, **kw):
             f"{row['pipeline']}  p={row['proportion']}  snr={row['snr_db']}  "
             f"acc={row['accuracy'] or 'n/a'}  [{row['status']}]"
         )
-    for path, reason in result.skipped:
-        click.echo(f"skipped {path}: {reason}")
-    _warn_unconverged(result.unconverged_sides, result.solved_sides)
+    _warn_dropped(result.skipped, result.sides)
     for proportion, (loss, n_classes) in result.final_losses.items():
         _warn_plateau(loss, n_classes, f"p={proportion}: ")
     click.echo(f"report: {result.csv_path}")

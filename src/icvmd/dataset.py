@@ -36,6 +36,10 @@ DEFAULT_MODULATIONS = (
     ModulationKind.MSK,
 )
 
+# How many standard deviations of a noise draw the SNR check keeps inside
+# float32's range; a standard normal passes 10 with odds below 2e-23.
+NOISE_TAIL_SIGMAS = 10.0
+
 
 def _repeated(values) -> list:
     """The values that occur more than once, sorted."""
@@ -68,14 +72,17 @@ class DatasetSpec:
                 raise ParameterError(f"{name} must be a list or tuple, got {value!r}")
             if len(value) == 0:
                 raise ParameterError(f"{name} must be non-empty")
-        for value in self.snr_grid_db:  # at unit power, the synthesis's power before the amplifier
-            noise_variance(1.0, value)
         if not all(isinstance(m, ModulationKind) for m in self.modulations):
             raise ParameterError(f"modulations must be ModulationKind members, got {self.modulations!r}")
         for kind in self.modulations:  # refuses an aliasing waveform before any file is written
             ModulationSpec(kind, self.carrier, self.samples_per_symbol, self.sweep_span)
         if not all(isinstance(e, EmitterProfile) for e in self.emitters):
             raise ParameterError("emitters must be EmitterProfile instances")
+        # A unit-envelope input bounds the amplifier's output power by (sum|b_k| * sum|c_q|)**2.
+        power = max(sum(map(abs, e.nonlinear_coeffs)) * sum(map(abs, e.memory_taps)) for e in self.emitters) ** 2
+        for value in self.snr_grid_db:  # refused before any file is written
+            if not np.sqrt(noise_variance(power, value) / 2.0) * NOISE_TAIL_SIGMAS < np.finfo(np.float32).max:
+                raise ParameterError(f"SNR {value} dB is out of range: its noise would pass float32's range")
         # Each of these names the files, so a repeat would overwrite a capture.
         keys = {
             "SNR point (in whole dB)": [int(round(v)) for v in self.snr_grid_db],

@@ -80,8 +80,7 @@ class FewshotResult:
     rows: list  # report.csv's rows as dicts, each cell's accuracy and test count
     csv_path: str
     skipped: list = field(default_factory=list)  # (path, reason) per dropped capture
-    solved_sides: int = 0  # sides the solver ran on
-    unconverged_sides: int = 0  # of those, sides that stopped at max_iter
+    sides: list = field(default_factory=list)  # the converged flag of each side the solver ran on
     final_losses: dict = field(default_factory=dict)  # proportion -> (last-epoch loss, n_classes)
 
 
@@ -105,67 +104,72 @@ def sat_inputs(result) -> tuple:
     return signal_channels(feature_side), signal_channels(signal_side)
 
 
-def _represent_one(pipeline: Pipeline, sig: ComplexSignal, icvmd_cfg: VmdConfig, sides: list) -> tuple:
+def _represent_one(pipeline: Pipeline, manifest: dict, entry: dict, icvmd_cfg: VmdConfig) -> tuple:
+    """One capture's memo record: ``(arrays or None, reason or None, converged flags of its solved sides)``."""
+    spec = manifest.get("spec")  # a manifest that is not gen's may lack one
+    n_samples = spec.get("n_samples") if isinstance(spec, dict) else None
+    try:
+        sig = load_entry(manifest, entry)
+    except (OSError, ValueError) as exc:
+        return None, str(exc), ()
+    if n_samples is not None and len(sig) != n_samples:
+        return None, f"it holds {len(sig)} samples; the manifest's spec has n_samples {n_samples}", ()
     if pipeline is Pipeline.RAW_NN:
-        return (signal_channels(sig),)
-    result = icvmd_decompose(sig, icvmd_cfg)
-    sides += [s.mode_set.converged for s in (result.pos, result.neg) if s.mode_set.iterations]
-    if pipeline is Pipeline.ICVMD_FEATURES:
-        return (extract_features(result),)
-    return sat_inputs(result)
+        return (signal_channels(sig),), None, ()
+    flags = ()
+    try:
+        result = icvmd_decompose(sig, icvmd_cfg)
+        flags = tuple(s.mode_set.converged for s in (result.pos, result.neg) if s.mode_set.iterations)
+        return ((extract_features(result),) if pipeline is Pipeline.ICVMD_FEATURES else sat_inputs(result)), None, flags
+    except DegenerateInputError as exc:
+        return None, str(exc), flags
 
 
-def represent(
-    pipeline: Pipeline,
-    manifest: dict,
-    icvmd_cfg: VmdConfig,
-    memo: dict | None = None,
-    skipped: list | None = None,
-    sides: list | None = None,
-) -> tuple:
+def represent(pipeline: Pipeline, manifest: dict, icvmd_cfg: VmdConfig, memo: dict) -> tuple:
     """Represent the manifest's captures in path order; returns ``(kept_entries, arrays)``.
 
     ``arrays`` is what the pipeline's fit consumes, stacked over the kept
     entries: ``(features,)`` for ICVMD_FEATURES, ``(mains, branches)`` in the
     classifier's float32 for the classifier pipelines, where RAW_NN's two are
     one array.  A capture that cannot be loaded (missing file, bad length, a
-    non-finite sample) or whose representation raises DegenerateInputError
-    (for example a decomposition that keeps no FEATURE mode to describe) is
-    dropped and ``(path, reason)`` is appended to ``skipped``; a ParameterError from the
-    solver config propagates.  Pass one ``memo`` dict for a whole run so each
-    capture is decomposed at most once; it is keyed by (manifest directory,
-    entry path).  Raises DegenerateInputError when the manifest lists no
-    capture or every capture was dropped.  Each side the solver runs on
-    appends its ``converged`` flag to ``sides``.
+    non-finite sample, or a sample count other than the manifest spec's
+    ``n_samples``) or whose representation raises DegenerateInputError (for
+    example a decomposition that keeps no FEATURE mode to describe) is
+    dropped; a ParameterError from the solver config propagates.  Pass one
+    ``memo`` dict for a whole run: keyed by (manifest directory, entry path),
+    it records each capture's outcome once, so each capture is decomposed at
+    most once and ``tally`` reads the run's dropped captures and solved sides
+    off it.  Raises DegenerateInputError when the manifest lists no capture
+    or every capture was dropped, and ParameterError when the kept arrays
+    differ in shape (captures of two lengths in a manifest without a spec).
     """
-    memo = {} if memo is None else memo
-    skipped = [] if skipped is None else skipped
-    sides = [] if sides is None else sides
     entries = sorted(manifest["files"], key=lambda e: e["path"])
-    kept, reprs = [], []
+    if not entries:
+        raise DegenerateInputError(f"the manifest in {manifest['_dir']} lists no captures")
+    kept, reprs, first_of_shape = [], [], {}
     for entry in entries:
         key = (manifest["_dir"], entry["path"])
         if key not in memo:
-            try:
-                sig = load_entry(manifest, entry)
-            except (OSError, ValueError) as exc:
-                memo[key] = None
-                skipped.append((entry["path"], str(exc)))
-                continue
-            try:
-                memo[key] = _represent_one(pipeline, sig, icvmd_cfg, sides)
-            except DegenerateInputError as exc:
-                memo[key] = None
-                skipped.append((entry["path"], str(exc)))
-        if memo[key] is not None:
+            memo[key] = _represent_one(pipeline, manifest, entry, icvmd_cfg)
+        if memo[key][0] is not None:
             kept.append(entry)
-            reprs.append(memo[key])
-    if not entries:
-        raise DegenerateInputError(f"the manifest in {manifest['_dir']} lists no captures")
+            reprs.append(memo[key][0])
+            first_of_shape.setdefault(reprs[-1][0].shape, entry["path"])
     if not kept:
         raise DegenerateInputError(f"none of {len(entries)} captures could be represented")
+    if len(first_of_shape) > 1:
+        a, b, *_ = first_of_shape.values()
+        raise ParameterError(f"captures {a} and {b} differ in length, and the manifest has no spec to say which to keep")
     arrays = tuple(np.stack(part) for part in zip(*reprs))
     return kept, arrays * 2 if pipeline is Pipeline.RAW_NN else arrays
+
+
+def tally(memo: dict) -> tuple:
+    """A run's ``(skipped, sides)`` off its memo, in the order its captures were
+    met: ``(path, reason)`` per dropped capture, and the ``converged`` flag of
+    every side the solver ran on."""
+    skipped = [(path, reason) for (_, path), (_, reason, _) in memo.items() if reason is not None]
+    return skipped, [flag for _, _, flags in memo.values() for flag in flags]
 
 
 def _labels(entries) -> np.ndarray:
@@ -182,12 +186,12 @@ def predict(params, mains, branches, class_ids) -> np.ndarray:
     return class_ids[np.argmax(logits, axis=1)]
 
 
-def _pretrain(spec: DatasetSpec, icvmd_cfg: VmdConfig, workdir: Path, memo: dict, skipped: list, sides: list):
+def _pretrain(spec: DatasetSpec, icvmd_cfg: VmdConfig, workdir: Path, memo: dict):
     """Train the classifier on auxiliary emitters; SAT transfers from it."""
     emitters = tuple(auxiliary_bank(N_AUX_EMITTERS, AUX_EMITTER_SEED))
     generate_dataset(replace(spec, emitters=emitters, seed=AUX_DATASET_SEED), workdir / "aux_data")
     aux_manifest = load_manifest(workdir / "aux_data")
-    aux_entries, aux_x = represent(Pipeline.ICVMD_SAT, aux_manifest, icvmd_cfg, memo, skipped, sides)
+    aux_entries, aux_x = represent(Pipeline.ICVMD_SAT, aux_manifest, icvmd_cfg, memo)
     aux_ids, aux_y = np.unique(_labels(aux_entries), return_inverse=True)
     base = init_params(ModelConfig(), n_classes=len(aux_ids), seed=MODEL_SEED)
     return train(base, *aux_x, aux_y, PRETRAIN).params
@@ -221,9 +225,8 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
     snr_db) plus an overall row per proportion (snr_db = 'all'); unsupported
     cells carry an empty accuracy and status 'unsupported'.  Captures that
     cannot be represented are left out of every set and listed in
-    ``FewshotResult.skipped``; it also counts the decomposed sides and those
-    that stopped at max_iter without converging, and holds each trained
-    classifier's last-epoch loss.
+    ``FewshotResult.skipped``; it also holds the converged flag of every
+    decomposed side and each trained classifier's last-epoch loss.
     """
     if not isinstance(pipeline, Pipeline):
         raise ParameterError(f"pipeline must be a Pipeline, got {pipeline!r}")
@@ -240,8 +243,6 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
     train_m, test_m = split_manifest(manifest, TEST_FRACTION, SPLIT_SEED)
 
     memo: dict = {}
-    skipped: list = []
-    sides: list = []
     rows: list = []
     final_losses: dict = {}
 
@@ -249,15 +250,15 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
         return dict(zip(REPORT_FIELDS, (pipeline.value, proportion, snr_db, accuracy, n_test, status)))
 
     # The test set is represented once and shared across proportions.
-    test_entries, test_x = represent(pipeline, test_m, icvmd_cfg, memo, skipped, sides)
+    test_entries, test_x = represent(pipeline, test_m, icvmd_cfg, memo)
     test_truth = _labels(test_entries)
     test_snrs = _snrs(test_entries)
-    pretrained = functools.cache(lambda: _pretrain(spec, icvmd_cfg, workdir, memo, skipped, sides))
+    pretrained = functools.cache(lambda: _pretrain(spec, icvmd_cfg, workdir, memo))
 
     for proportion in proportions:
         try:
             sub_m = subsample_manifest(train_m, proportion, SUBSAMPLE_SEED)
-            sub_entries, train_x = represent(pipeline, sub_m, icvmd_cfg, memo, skipped, sides)
+            sub_entries, train_x = represent(pipeline, sub_m, icvmd_cfg, memo)
         except DegenerateInputError:
             rows.append(row(proportion, "all", "", len(test_entries), "unsupported"))
             continue
@@ -274,9 +275,7 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
 
     csv_path = workdir / "report.csv"
     write_report_csv(rows, csv_path)
-    return FewshotResult(rows=rows, csv_path=str(csv_path), skipped=skipped,
-                         solved_sides=len(sides), unconverged_sides=sides.count(False),
-                         final_losses=final_losses)
+    return FewshotResult(rows, str(csv_path), *tally(memo), final_losses)
 
 
 def write_report_csv(rows, path) -> None:

@@ -16,7 +16,9 @@ One run invokes every command of the CLI in a fresh directory: ``gen`` (the
 default bank, an auxiliary bank from a ``--config`` file, and a regeneration
 from the first dataset's echoed spec), ``decompose`` and ``reconstruct`` of
 captures at both SNRs, ``fewshot`` for each pipeline at two proportions,
-``train`` for both representations and ``eval`` of each checkpoint.  Every
+``train`` for both representations and ``eval`` of each checkpoint, on the
+first dataset and on a copy of it whose first capture is cut to an odd
+float32 count, which both commands drop and name.  Every
 file under that directory is digested, keyed by its relative path, so a
 file no list names cannot be missed.  A ``.npz`` is digested by its
 members' names, dtypes, shapes and bytes, because ``np.savez`` stamps each
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -73,7 +76,7 @@ def file_digest(path: Path) -> str:
 def digest_run(root, reduced: bool = False) -> tuple:
     """Run every command under ``root``, a new or empty directory; returns
     ``(digests, commands)``, the sha256 of each artifact by key and the
-    commands run, in order."""
+    arguments of each command run, in order."""
     from click.testing import CliRunner
 
     from icvmd.cli import main
@@ -90,12 +93,13 @@ def digest_run(root, reduced: bool = False) -> tuple:
     root.mkdir(parents=True, exist_ok=True)
     runner, digests, commands = CliRunner(), {}, []
 
-    def run(*args) -> None:
+    def run(*args) -> str:
         res = runner.invoke(main, args)
         if res.exit_code != 0:
             raise RuntimeError(f"icvmd {' '.join(args)} exited {res.exit_code}: {res.output}") from res.exception
-        commands.append(args[0])
+        commands.append(args)
         digests[f"output/{len(commands):02d}-{args[0]}"] = sha256(res.output.replace(str(root), "<root>").encode())
+        return res.output
 
     mods = [arg for m in size["modulations"] for arg in ("--modulations", m)]
     snrs = [arg for s in SNRS for arg in ("--snr-db", s)]
@@ -124,11 +128,17 @@ def digest_run(root, reduced: bool = False) -> tuple:
             "--proportions", "1.0,0.5", "--n-samples", str(size["fewshot_samples"]),
             "--signals-per-emitter", str(size["fewshot_signals"]), *snrs, *mods[:4])
 
-    for representation in ("raw", "icvmd"):
-        checkpoint = f"{root}/checkpoints/{representation}.npz"
-        run("train", "--data", f"{root}/data", "--out", checkpoint, "--representation", representation,
-            "--epochs", str(size["epochs"]), "--segment-len", "64")
-        run("eval", "--data", f"{root}/data", "--checkpoint", checkpoint)
+    shutil.copytree(root / "data", root / "cut")
+    cut = sorted((root / "cut").glob("*.iqf32"))[0]
+    cut.write_bytes(cut.read_bytes()[:-4])
+    for data, prefix in (("data", ""), ("cut", "cut-")):
+        for representation in ("raw", "icvmd"):
+            checkpoint = f"{root}/checkpoints/{prefix}{representation}.npz"
+            outputs = [run("train", "--data", f"{root}/{data}", "--out", checkpoint, "--representation",
+                           representation, "--epochs", str(size["epochs"]), "--segment-len", "64"),
+                       run("eval", "--data", f"{root}/{data}", "--checkpoint", checkpoint)]
+            if [f"skipped {cut.name}: " in out for out in outputs] != [data == "cut"] * 2:
+                raise RuntimeError(f"train and eval on {data} should drop {cut.name} exactly when it is cut")
 
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         digests[f"file/{path.relative_to(root).as_posix()}"] = file_digest(path)

@@ -113,9 +113,15 @@ def test_gen_refuses_an_aliasing_waveform_before_writing_a_capture(runner, tmp_p
     assert not list(tmp_path.rglob("*.iqf32"))
 
 
-@pytest.mark.parametrize("grid", [["4000"], ["-4000"], ["18", "4000"]], ids=["high", "low", "after_a_valid_point"])
+@pytest.mark.parametrize(
+    "grid",
+    [["4000"], ["-4000"], ["18", "4000"], ["18", "-800"], ["18", "-760"]],
+    ids=["high", "low", "after_a_valid_point", "float32_noise", "float32_noise_by_the_draw"],
+)
 def test_gen_refuses_an_snr_without_a_noise_variance_before_writing_a_capture(runner, tmp_path, grid):
-    # 10**(4000/10) overflows a float and 10**(-4000/10) rounds to zero.
+    # 10**(4000/10) overflows a float and 10**(-4000/10) rounds to zero.  At
+    # -800 dB the noise variance is finite in float64 but its samples are not
+    # in float32; at -760 dB only some noise draws pass float32's range.
     out = tmp_path / "d"
     snrs = [arg for snr in grid for arg in ("--snr-db", snr)]
     args = ["gen", "--out", str(out), "--modulations", "cw", "--signals-per-emitter", "1", "--n-samples", "64"]
@@ -679,6 +685,37 @@ def test_train_and_eval_skip_an_unreadable_capture(runner, tmp_path, fault):
     assert json.loads(res.stdout)["n_test"] == 13
 
 
+@pytest.mark.parametrize("representation", ["raw", "icvmd"])
+def test_train_and_eval_skip_a_capture_of_another_length(runner, tmp_path, representation):
+    data = gen_tiny(runner, tmp_path / "data", spe=2)  # 128 samples per capture
+    short = sorted(data.glob("*.iqf32"))[0]
+    short.write_bytes(short.read_bytes()[: 200 * 4])  # 100 samples, still a valid file
+    ck = tmp_path / "model.npz"
+    train = ["train", "--data", str(data), "--out", str(ck), "--representation", representation]
+    res = runner.invoke(main, train + ["--epochs", "1", "--segment-len", "32"])
+    assert res.exit_code == 0, res.output
+    line = f"skipped {short.name}: it holds 100 samples; the manifest's spec has n_samples 128"
+    assert line in res.stderr.splitlines()
+    res = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(ck)])
+    assert res.exit_code == 0, res.output
+    assert line in res.stderr.splitlines()
+    assert json.loads(res.stdout)["n_test"] == 13
+
+
+def test_train_refuses_captures_of_two_lengths_without_a_spec(runner, tmp_path):
+    data = gen_tiny(runner, tmp_path / "data", spe=2)
+    manifest = json.loads((data / "manifest.json").read_text())
+    del manifest["spec"]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    first, second = sorted(data.glob("*.iqf32"))[:2]
+    first.write_bytes(first.read_bytes()[: 200 * 4])
+    ck = tmp_path / "model.npz"
+    res = runner.invoke(main, ["train", "--data", str(data), "--out", str(ck), "--epochs", "1", "--segment-len", "32"])
+    assert res.exit_code == 2, res.output
+    assert f"error: captures {first.name} and {second.name} differ in length" in res.stderr
+    assert not ck.exists()
+
+
 # What a .json beside a capture may hold; no command reads it.
 JSON_BESIDE = pytest.mark.parametrize("payload", ["{not json", '{"sample_rate": "x"}'], ids=["malformed", "rate"])
 
@@ -988,9 +1025,11 @@ def test_fewshot_cli_names_a_skipped_capture(runner, tmp_path, monkeypatch):
         ],
     )
     assert res.exit_code == 0, res.output
-    skipped = [line for line in res.output.splitlines() if line.startswith("skipped ")]
+    # On stderr, as train and eval print it.
+    skipped = [line for line in res.stderr.splitlines() if line.startswith("skipped ")]
     assert len(skipped) == 1
     assert skipped[0].endswith(": no FEATURE modes were retained")
+    assert "skipped" not in res.stdout
 
 
 @JSON_BESIDE

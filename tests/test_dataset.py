@@ -18,7 +18,7 @@ from icvmd.dataset import (
 )
 from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.modulation import ModulationKind
-from icvmd.pa import auxiliary_bank, emitter_bank
+from icvmd.pa import EmitterProfile, auxiliary_bank, emitter_bank
 
 
 def tiny_spec(**kw):
@@ -57,6 +57,19 @@ def test_spec_validation():
         tiny_spec(modulations=())
     with pytest.raises(ParameterError):
         tiny_spec(emitters=("not a profile",))
+
+
+def test_spec_refuses_an_snr_whose_noise_would_pass_float32s_range(tmp_path):
+    with pytest.raises(ParameterError, match=r"SNR -760.0 dB is out of range: its noise would pass float32's range"):
+        tiny_spec(snr_grid_db=(18.0, -760.0))
+    # The bound scales with the loudest emitter: a tap of 1e3 lifts its power 1e6-fold.
+    loud = EmitterProfile(9, (1.0,), (1e3,))
+    with pytest.raises(ParameterError, match=r"SNR -740.0 dB is out of range"):
+        tiny_spec(emitters=(*emitter_bank()[:2], loud), snr_grid_db=(-740.0,))
+    # What the check lets through is written: every sample is finite in float32.
+    spec = tiny_spec(snr_grid_db=(18.0, -740.0))
+    manifest = generate_dataset(spec, tmp_path / "d")
+    assert len(manifest["files"]) == 16
 
 
 @pytest.mark.parametrize(

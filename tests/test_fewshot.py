@@ -180,21 +180,22 @@ def test_represent_raises_when_every_capture_is_dropped(tmp_path, monkeypatch):
         raise DegenerateInputError("no FEATURE modes were retained")
 
     monkeypatch.setattr(fewshot, "extract_features", always_fails)
-    skipped = []
+    memo = {}
     with pytest.raises(DegenerateInputError, match="none of 2 captures"):
         fewshot.represent(
             Pipeline.ICVMD_FEATURES,
             dict(manifest, files=manifest["files"][:2]),
             VmdConfig(n_modes=2),
-            skipped=skipped,
+            memo,
         )
+    skipped, _ = fewshot.tally(memo)
     assert [path for path, _ in skipped] == sorted(e["path"] for e in manifest["files"][:2])
 
 
 def test_represent_rejects_a_manifest_with_no_captures(tmp_path):
     manifest = {"_dir": str(tmp_path), "files": []}
     with pytest.raises(DegenerateInputError, match="lists no captures"):
-        fewshot.represent(Pipeline.RAW_NN, manifest, VmdConfig(n_modes=2))
+        fewshot.represent(Pipeline.RAW_NN, manifest, VmdConfig(n_modes=2), {})
 
 
 def test_predict_rejects_zero_captures():
@@ -211,7 +212,7 @@ def test_represent_reads_the_captures_in_path_order(tmp_path):
     shuffled = [in_order[i] for i in np.random.default_rng(3).permutation(len(in_order))]
     assert shuffled != in_order
     cfg = VmdConfig(n_modes=2)
-    kept, (mains, branches) = fewshot.represent(Pipeline.RAW_NN, dict(manifest, files=shuffled), cfg)
+    kept, (mains, branches) = fewshot.represent(Pipeline.RAW_NN, dict(manifest, files=shuffled), cfg, {})
     assert kept == in_order
     assert np.array_equal(mains[0], signal_channels(load_entry(manifest, in_order[0])))
     assert branches is mains  # stacked once, so train() casts and gathers it once
@@ -226,17 +227,20 @@ def test_represent_counts_the_sides_that_stop_at_max_iter(tmp_path):
     manifest = generate_dataset(TINY_SPEC, tmp_path / "data")
     manifest["_dir"] = str(tmp_path / "data")
     three = dict(manifest, files=manifest["files"][:3])
-    sides = []
-    fewshot.represent(Pipeline.ICVMD_FEATURES, three, capped(max_iter=2), sides=sides)
+    memo = {}
+    fewshot.represent(Pipeline.ICVMD_FEATURES, three, capped(max_iter=2), memo)
+    _, sides = fewshot.tally(memo)
     # Two sweeps cannot meet tol 1e-6: every solved side says so.
     assert sides == [False] * 6
     # A memo hit decomposes nothing, so it counts nothing.
-    memo, again = {}, []
-    fewshot.represent(Pipeline.ICVMD_SAT, three, capped(max_iter=300), memo, sides=again)
-    fewshot.represent(Pipeline.ICVMD_SAT, three, capped(max_iter=300), memo, sides=again)
+    memo = {}
+    fewshot.represent(Pipeline.ICVMD_SAT, three, capped(max_iter=300), memo)
+    fewshot.represent(Pipeline.ICVMD_SAT, three, capped(max_iter=300), memo)
+    _, again = fewshot.tally(memo)
     assert len(again) == 6
-    raw = []
-    fewshot.represent(Pipeline.RAW_NN, three, capped(max_iter=2), sides=raw)
+    memo = {}
+    fewshot.represent(Pipeline.RAW_NN, three, capped(max_iter=2), memo)
+    _, raw = fewshot.tally(memo)
     assert raw == []
 
 
@@ -248,8 +252,9 @@ def test_represent_does_not_count_an_empty_side(tmp_path):
     z = np.array([1, 1j, -1, -1j] * 32)  # exp(2j*pi*t/4), exact in float32
     write_iqf32(data / "tone.iqf32", z)
     manifest = {"_dir": str(data), "files": [{"path": "tone.iqf32", "label": 0, "snr_db": 18.0}]}
-    sides = []
-    fewshot.represent(Pipeline.ICVMD_SAT, manifest, capped(max_iter=2), sides=sides)
+    memo = {}
+    fewshot.represent(Pipeline.ICVMD_SAT, manifest, capped(max_iter=2), memo)
+    _, sides = fewshot.tally(memo)
     assert sides == [False]
 
 
@@ -257,7 +262,7 @@ def test_run_fewshot_carries_the_unconverged_count(tmp_path, monkeypatch):
     monkeypatch.setattr(fewshot, "VmdConfig", lambda: capped(2))
     result = run_fewshot(TINY_SPEC, Pipeline.ICVMD_FEATURES, (1.0,), tmp_path / "capped")
     n_captures = len(TINY_SPEC.emitters) * TINY_SPEC.signals_per_emitter
-    assert result.solved_sides == result.unconverged_sides == 2 * n_captures
+    assert result.sides == [False] * (2 * n_captures)
     # Nearest centroid has no loss.
     assert result.final_losses == {}
 
@@ -278,16 +283,74 @@ def test_run_fewshot_decomposes_with_the_default_solver_config(tmp_path, monkeyp
 def test_represent_propagates_a_config_error(tmp_path):
     manifest = generate_dataset(TINY_SPEC, tmp_path / "data")
     manifest["_dir"] = str(tmp_path / "data")
-    skipped = []
+    memo = {}
     # More modes than a 128-sample capture can hold: a config fault, not a capture fault.
     with pytest.raises(ParameterError, match="too short for 100 modes"):
         fewshot.represent(
             Pipeline.ICVMD_FEATURES,
             dict(manifest, files=manifest["files"][:2]),
             VmdConfig(n_modes=100),
-            skipped=skipped,
+            memo,
         )
+    skipped, _ = fewshot.tally(memo)
     assert skipped == []
+
+
+def test_tally_lists_each_dropped_capture_once_in_the_order_met(tmp_path, monkeypatch):
+    manifest = generate_dataset(TINY_SPEC, tmp_path / "data")
+    manifest["_dir"] = str(tmp_path / "data")
+    f0, f1, f2, f3 = sorted(manifest["files"], key=lambda e: e["path"])[:4]
+    unreadable = tmp_path / "data" / f1["path"]
+    unreadable.write_bytes(unreadable.read_bytes()[:-4])  # an odd float32 count
+    calls = []
+
+    def second_fails(result):
+        calls.append(None)
+        if len(calls) == 2:
+            raise DegenerateInputError("no FEATURE modes were retained")
+        return extract_features(result)
+
+    monkeypatch.setattr(fewshot, "extract_features", second_fails)
+    memo, cfg = {}, VmdConfig(n_modes=2)
+    kept, _ = fewshot.represent(Pipeline.ICVMD_FEATURES, dict(manifest, files=[f1, f0]), cfg, memo)
+    assert kept == [f0]
+    kept, _ = fewshot.represent(Pipeline.ICVMD_FEATURES, dict(manifest, files=[f3, f2, f1]), cfg, memo)
+    assert kept == [f3]
+    skipped, sides = fewshot.tally(memo)
+    assert [path for path, _ in skipped] == [f1["path"], f2["path"]]
+    assert "holds 255 float32 values" in skipped[0][1]
+    assert skipped[1][1] == "no FEATURE modes were retained"
+    # f0, f2 and f3 were decomposed, each once; f2's sides count though it was dropped after.
+    assert len(calls) == 3 and len(sides) == 6
+
+
+def test_represent_drops_a_capture_whose_length_is_not_the_specs(tmp_path):
+    manifest = generate_dataset(TINY_SPEC, tmp_path / "data")
+    manifest["_dir"] = str(tmp_path / "data")
+    first, *rest = sorted(manifest["files"], key=lambda e: e["path"])
+    short = load_entry(manifest, first).samples[:100]
+    write_iqf32(tmp_path / "data" / first["path"], short)
+    for pipeline in Pipeline:
+        memo = {}
+        kept, arrays = fewshot.represent(pipeline, manifest, VmdConfig(n_modes=2), memo)
+        assert kept == rest and len(arrays[0]) == len(rest)
+        skipped, _ = fewshot.tally(memo)
+        assert skipped == [(first["path"], "it holds 100 samples; the manifest's spec has n_samples 128")]
+
+
+@pytest.mark.parametrize("spec", [{}, {"spec": None}, {"spec": [128]}], ids=["absent", "null", "not_an_object"])
+def test_represent_refuses_captures_of_two_lengths_without_a_spec(tmp_path, spec):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, n in (("a.iqf32", 128), ("b.iqf32", 128), ("c.iqf32", 100)):
+        write_iqf32(data / name, np.exp(0.4j * np.arange(n)))
+    files = [{"path": name, "label": 0, "snr_db": 18.0} for name in ("c.iqf32", "b.iqf32", "a.iqf32")]
+    manifest = {"_dir": str(data), "files": files} | spec
+    with pytest.raises(ParameterError, match="captures a.iqf32 and c.iqf32 differ in length"):
+        fewshot.represent(Pipeline.RAW_NN, manifest, VmdConfig(n_modes=2), {})
+    # Of one length, the same captures are kept whatever the manifest says of its spec.
+    kept, _ = fewshot.represent(Pipeline.RAW_NN, dict(manifest, files=files[1:]), VmdConfig(n_modes=2), {})
+    assert [e["path"] for e in kept] == ["a.iqf32", "b.iqf32"]
 
 
 # ------------------------------------------------------------------ NN runs
@@ -298,7 +361,7 @@ def test_run_fewshot_raw_nn(tmp_path):
     rows = read_csv(result.csv_path)
     assert all(r["pipeline"] == "raw_nn" for r in rows)
     assert any(r["snr_db"] == "all" and r["status"] == "ok" for r in rows)
-    assert result.solved_sides == result.unconverged_sides == 0
+    assert result.sides == []
     [(proportion, (loss, n_classes))] = result.final_losses.items()
     assert (proportion, n_classes) == (1.0, 2) and loss > 0
 
