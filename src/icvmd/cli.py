@@ -189,9 +189,9 @@ def _represent_dataset(data_dir, representation, vmd: VmdConfig) -> tuple:
     """Represent every capture of a dataset directory; warns about dropped
     captures and about sides the solver left unconverged."""
     memo: dict = {}
-    kept, (mains, branches) = represent(_REPRESENTATIONS[representation], load_manifest(data_dir), vmd, memo)
+    labels, snrs, (mains, branches) = represent(_REPRESENTATIONS[representation], load_manifest(data_dir), vmd, memo)
     _warn_dropped(*tally(memo))
-    return kept, mains, branches
+    return labels, snrs, mains, branches
 
 
 @main.command("train")
@@ -209,8 +209,8 @@ def train_cmd(data_dir, out_file, representation, epochs, learning_rate, batch_s
     """Train the toy classifier on a dataset directory; writes an .npz checkpoint."""
     cfg = TrainConfig(learning_rate=learning_rate, epochs=epochs, batch_size=batch_size, seed=seed)
     vmd = VmdConfig(n_modes=n_modes)
-    entries, mains, branches = _represent_dataset(data_dir, representation, vmd)
-    class_ids, labels = np.unique([e["label"] for e in entries], return_inverse=True)
+    truth, _, mains, branches = _represent_dataset(data_dir, representation, vmd)
+    class_ids, labels = np.unique(truth, return_inverse=True)
 
     params = init_params(ModelConfig(segment_len=segment_len), n_classes=len(class_ids), seed=seed)
     result = train_model(params, mains, branches, labels, cfg)
@@ -239,11 +239,9 @@ def eval_cmd(data_dir, ck_file):
     if not isinstance(vmd, dict):
         raise ParameterError(f"{ck_file} manifest vmd must be a JSON object, got {vmd!r}")
     _check_keys("vmd", vmd, [f.name for f in fields(VmdConfig)])
-    entries, mains, branches = _represent_dataset(data_dir, representation, VmdConfig(**vmd))
+    truth, snrs, mains, branches = _represent_dataset(data_dir, representation, VmdConfig(**vmd))
     class_ids = np.array(meta["class_ids"])
     predictions = predict(params, mains, branches, class_ids)
-    truth = np.array([e["label"] for e in entries])
-    snrs = np.array([e["snr_db"] for e in entries])
     report = evaluate(predictions, truth, snrs_db=snrs, known_labels=class_ids)
     out = dict(accuracy=report.accuracy, per_snr=report.per_snr, n_test=report.n_test)
     out |= dict(labels=report.label_set.tolist(), confusion=report.confusion.tolist())

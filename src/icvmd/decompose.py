@@ -22,7 +22,7 @@ import numpy as np
 from .analytic import analytic_split, combine_analytic
 from .errors import ParameterError
 from .signals import ComplexSignal
-from .vmd import ModeSet, VmdConfig, VmdResult, check_memory_budget, vmd_decompose
+from .vmd import ModeSet, VmdConfig, VmdResult, check_memory_budget, fits_float32_sweep, vmd_decompose
 
 class ModeLabel(enum.Enum):
     SIGNAL = "signal"  # intentional modulation content
@@ -70,15 +70,16 @@ def _decompose_side(x: np.ndarray, cfg: VmdConfig, floor: float) -> tuple:
     # A side holding only FFT roundoff from the split (e.g. the negative side
     # of a purely positive-frequency input) is treated as empty rather than
     # decomposed: its "modes" would be arbitrary slices of numerical noise.
-    if float(np.sum(x**2)) <= floor:
+    energy = float(np.sum(x**2))
+    if energy <= floor:
         n, k = x.size, cfg.n_modes
         check_memory_budget(n, k)
         # n + 1 rfft bins of the mirror-extended (2n) sequence; no sweep ran.
         empty = ModeSet(np.zeros((k, n + 1), dtype=np.float32), np.zeros(k), 0, True, 0.0)
         return VmdResult(np.zeros((k, n)), empty, residual=np.zeros(n)), (ModeLabel.FEATURE,) * k
-    # The sweep runs in float32; the residual against the float64 side keeps
-    # side_input_energy, and so each energy fraction, that of the float64 side.
-    res = vmd_decompose(x.astype(np.float32), cfg)
+    # Swept in float32 unless too loud for it; the residual against the float64
+    # side keeps side_input_energy, and so each energy fraction, that side's.
+    res = vmd_decompose(x.astype(np.float32) if fits_float32_sweep(x.size, energy) else x, cfg)
     res = VmdResult(res.modes, res.mode_set, residual=x - res.modes.sum(axis=0))
     return res, partition_modes(res)
 

@@ -5,11 +5,12 @@ Layout of the ``3*MAX_MODES + 12`` entries:
     [0 : 3*MAX_MODES)   per retained mode, energy-descending:
                         (center frequency [rad, negative side negated],
                          3 dB bandwidth [rad],
-                         energy fraction of the total input energy)
-                        zero-padded when fewer modes are retained
+                         energy fraction of the two real side sequences'
+                         summed energy, about half the complex input's)
+                        zero-padded when fewer modes, or none, are retained
     [3*MAX_MODES : +4)  |C20|, C21, |C40|, C42 of the feature-part
                         reconstruction (fourth-order mixed cumulants of the
-                        centered complex sequence)
+                        centered complex sequence), zero when none is
     [3*MAX_MODES+4 : +8) the same four cumulants of the input itself, which
                         the full selection returns bit for bit: this block
                         equals raw_cumulant_features
@@ -30,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .decompose import IcvmdResult, ModeLabel, mode_energies, reconstruct, side_input_energy
-from .errors import DegenerateInputError, ParameterError
+from .errors import ParameterError
 from .signals import ComplexSignal
 
 MAX_MODES = 6
@@ -73,15 +74,7 @@ def _bandwidth_3db(coefficients: np.ndarray) -> float:
 
 
 def extract_features(result: IcvmdResult) -> np.ndarray:
-    """Build the fixed-layout vector described in the module docstring.
-
-    Raises DegenerateInputError when no FEATURE mode exists on either side
-    (there is no fingerprint content to describe).
-    """
-    has_feature = ModeLabel.FEATURE in result.labels_pos or ModeLabel.FEATURE in result.labels_neg
-    if not has_feature:
-        raise DegenerateInputError("no FEATURE modes were retained; nothing to extract")
-
+    """Build the fixed-layout vector described in the module docstring."""
     total = max(side_input_energy(result.pos) + side_input_energy(result.neg), 1e-300)
     rows = []
     for side_sign, side, labels in (

@@ -8,11 +8,12 @@ Three pipelines over the same generated dataset and the same train/test split:
                   attention branch pretrained on auxiliary emitters, frozen, and
                   the rest fine-tuned (spatial attention transfer)
 
-``represent`` stacks a manifest's captures, in path order, into the arrays a
-pipeline fits on, decomposing each capture at most once per run and dropping
-(and naming) any capture that cannot be represented; ``predict`` is one
-classifier forward over all the captures, which model_forward runs chunk by
-chunk.  ``run_fewshot`` and the ``icvmd train``/``eval`` commands share both.
+``represent`` stacks a manifest's captures, in path order, into their labels,
+SNRs and the arrays a pipeline fits on, decomposing each capture at most once
+per run and dropping (and naming) any capture that cannot be represented;
+``predict`` is one classifier forward over all the captures, which
+model_forward runs chunk by chunk.  ``run_fewshot`` and the ``icvmd train``
+and ``eval`` commands share both.
 
 For each training proportion the train set is subsampled per class; cells where
 a class would get zero samples are reported as unsupported rather than crashed.
@@ -126,15 +127,16 @@ def _represent_one(pipeline: Pipeline, manifest: dict, entry: dict, icvmd_cfg: V
 
 
 def represent(pipeline: Pipeline, manifest: dict, icvmd_cfg: VmdConfig, memo: dict) -> tuple:
-    """Represent the manifest's captures in path order; returns ``(kept_entries, arrays)``.
+    """Represent the manifest's captures in path order; returns ``(labels, snrs, arrays)``.
 
-    ``arrays`` is what the pipeline's fit consumes, stacked over the kept
-    entries: ``(features,)`` for ICVMD_FEATURES, ``(mains, branches)`` in the
-    classifier's float32 for the classifier pipelines, where RAW_NN's two are
-    one array.  A capture that cannot be loaded (missing file, bad length, a
-    non-finite sample, or a sample count other than the manifest spec's
-    ``n_samples``) or whose representation raises DegenerateInputError (for
-    example a decomposition that keeps no FEATURE mode to describe) is
+    ``labels`` and ``snrs`` are the kept captures' manifest ``label`` and
+    ``snr_db`` arrays, and ``arrays`` is what the pipeline's fit consumes,
+    stacked over the same captures: ``(features,)`` for ICVMD_FEATURES,
+    ``(mains, branches)`` in the classifier's float32 for the classifier
+    pipelines, where RAW_NN's two are one array.  A capture that cannot be
+    loaded (missing file, bad length, a non-finite sample, or a sample count
+    other than the manifest spec's ``n_samples``) or whose representation
+    raises DegenerateInputError (for example an all-zero capture) is
     dropped; a ParameterError from the solver config propagates.  Pass one
     ``memo`` dict for a whole run: keyed by (manifest directory, entry path),
     it records each capture's outcome once, so each capture is decomposed at
@@ -146,22 +148,21 @@ def represent(pipeline: Pipeline, manifest: dict, icvmd_cfg: VmdConfig, memo: di
     entries = sorted(manifest["files"], key=lambda e: e["path"])
     if not entries:
         raise DegenerateInputError(f"the manifest in {manifest['_dir']} lists no captures")
-    kept, reprs, first_of_shape = [], [], {}
+    kept, first_of_shape = [], {}  # (label, snr_db, *arrays) per kept capture
     for entry in entries:
         key = (manifest["_dir"], entry["path"])
         if key not in memo:
             memo[key] = _represent_one(pipeline, manifest, entry, icvmd_cfg)
         if memo[key][0] is not None:
-            kept.append(entry)
-            reprs.append(memo[key][0])
-            first_of_shape.setdefault(reprs[-1][0].shape, entry["path"])
+            kept.append((entry["label"], entry["snr_db"], *memo[key][0]))
+            first_of_shape.setdefault(kept[-1][2].shape, entry["path"])
     if not kept:
         raise DegenerateInputError(f"none of {len(entries)} captures could be represented")
     if len(first_of_shape) > 1:
         a, b, *_ = first_of_shape.values()
         raise ParameterError(f"captures {a} and {b} differ in length, and the manifest has no spec to say which to keep")
-    arrays = tuple(np.stack(part) for part in zip(*reprs))
-    return kept, arrays * 2 if pipeline is Pipeline.RAW_NN else arrays
+    labels, snrs, *arrays = (np.stack(column) for column in zip(*kept))
+    return labels, snrs, tuple(arrays * 2 if pipeline is Pipeline.RAW_NN else arrays)
 
 
 def tally(memo: dict) -> tuple:
@@ -170,14 +171,6 @@ def tally(memo: dict) -> tuple:
     every side the solver ran on."""
     skipped = [(path, reason) for (_, path), (_, reason, _) in memo.items() if reason is not None]
     return skipped, [flag for _, _, flags in memo.values() for flag in flags]
-
-
-def _labels(entries) -> np.ndarray:
-    return np.array([e["label"] for e in entries])
-
-
-def _snrs(entries) -> np.ndarray:
-    return np.array([e["snr_db"] for e in entries])
 
 
 def predict(params, mains, branches, class_ids) -> np.ndarray:
@@ -191,8 +184,8 @@ def _pretrain(spec: DatasetSpec, icvmd_cfg: VmdConfig, workdir: Path, memo: dict
     emitters = tuple(auxiliary_bank(N_AUX_EMITTERS, AUX_EMITTER_SEED))
     generate_dataset(replace(spec, emitters=emitters, seed=AUX_DATASET_SEED), workdir / "aux_data")
     aux_manifest = load_manifest(workdir / "aux_data")
-    aux_entries, aux_x = represent(Pipeline.ICVMD_SAT, aux_manifest, icvmd_cfg, memo)
-    aux_ids, aux_y = np.unique(_labels(aux_entries), return_inverse=True)
+    aux_labels, _, aux_x = represent(Pipeline.ICVMD_SAT, aux_manifest, icvmd_cfg, memo)
+    aux_ids, aux_y = np.unique(aux_labels, return_inverse=True)
     base = init_params(ModelConfig(), n_classes=len(aux_ids), seed=MODEL_SEED)
     return train(base, *aux_x, aux_y, PRETRAIN).params
 
@@ -250,19 +243,16 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
         return dict(zip(REPORT_FIELDS, (pipeline.value, proportion, snr_db, accuracy, n_test, status)))
 
     # The test set is represented once and shared across proportions.
-    test_entries, test_x = represent(pipeline, test_m, icvmd_cfg, memo)
-    test_truth = _labels(test_entries)
-    test_snrs = _snrs(test_entries)
+    test_truth, test_snrs, test_x = represent(pipeline, test_m, icvmd_cfg, memo)
     pretrained = functools.cache(lambda: _pretrain(spec, icvmd_cfg, workdir, memo))
 
     for proportion in proportions:
         try:
             sub_m = subsample_manifest(train_m, proportion, SUBSAMPLE_SEED)
-            sub_entries, train_x = represent(pipeline, sub_m, icvmd_cfg, memo)
+            sub_truth, _, train_x = represent(pipeline, sub_m, icvmd_cfg, memo)
         except DegenerateInputError:
-            rows.append(row(proportion, "all", "", len(test_entries), "unsupported"))
+            rows.append(row(proportion, "all", "", len(test_truth), "unsupported"))
             continue
-        sub_truth = _labels(sub_entries)
         class_ids = np.unique(sub_truth)
         preds, loss = _fit_predict(pipeline, pretrained, train_x, sub_truth, class_ids, test_x)
         if loss is not None:
@@ -271,7 +261,7 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
         report = evaluate(preds, test_truth, snrs_db=test_snrs, known_labels=class_ids)
         for snr, acc in sorted(report.per_snr.items()):
             rows.append(row(proportion, snr, f"{acc:.6f}", int(np.sum(test_snrs == snr))))
-        rows.append(row(proportion, "all", f"{report.accuracy:.6f}", len(test_entries)))
+        rows.append(row(proportion, "all", f"{report.accuracy:.6f}", len(test_truth)))
 
     csv_path = workdir / "report.csv"
     write_report_csv(rows, csv_path)

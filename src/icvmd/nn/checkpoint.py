@@ -8,7 +8,7 @@ the classifier's DTYPE.  Saving refuses a non-finite value, so a diverged
 run writes no file that loading would refuse.  Loading refuses a manifest
 that is not UTF-8 JSON, a missing or unknown key, ``class_ids`` that are
 not at least 2 distinct integers, an array shaped for another head width,
-and a non-finite value.
+and a value that is not finite in DTYPE (such as a float64 1e39).
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import ParameterError
 from ..iqfile import json_object, load_npz
 from .layers import DTYPE
-from .model import ModelConfig, NetParams, init_params
+from .model import CHANNELS, ModelConfig, NetParams, init_params
 
 FORMAT_VERSION = 3
 
@@ -50,8 +50,8 @@ def _check_keys(what: str, stored, expected) -> None:
 def load_checkpoint(path) -> tuple[NetParams, dict]:
     """Rebuild NetParams from a checkpoint; returns them with the metadata it was saved with.
 
-    Every stored array must match the key, the shape and the finiteness of
-    the model with one output per class id.
+    Every stored array must match the key and the shape of the model with
+    one output per class id, and be finite once cast to DTYPE.
     """
     files = load_npz(path)
     if "manifest" not in files:
@@ -71,10 +71,15 @@ def load_checkpoint(path) -> tuple[NetParams, dict]:
     if not (isinstance(ids, list) and all(type(c) is int for c in ids) and len(set(ids)) == len(ids) >= 2):
         raise ParameterError(f"{path} manifest class_ids must list at least 2 distinct integers, got {ids!r}")
     config = ModelConfig(**config)
-    expected = init_params(config, len(ids), seed=0).arrays
+    # Every shape but the head's is a 2-class model's; the head's follow from n, so no [n, n] one is drawn.
+    n = len(ids)
+    expected = {key: a.shape for key, a in init_params(config, 2, seed=0).arrays.items()}
+    expected |= {"classifier1.weights": (n, CHANNELS), "classifier1.bias": (n,), "classifier2.weights": (n, n), "classifier2.bias": (n,)}
     _check_keys("key", files, expected)
-    for key, ref in expected.items():
-        if files[key].shape != ref.shape:
-            raise ParameterError(f"shape mismatch at {key}: {ref.shape} vs {files[key].shape}")
-        _check_finite(key, files[key])
-    return NetParams(config, {key: files[key].astype(DTYPE, copy=False) for key in expected}), meta
+    with np.errstate(over="ignore"):  # a value float32 cannot hold becomes inf, refused below
+        arrays = {key: files[key].astype(DTYPE, copy=False) for key in expected}
+    for key, shape in expected.items():
+        if files[key].shape != shape:
+            raise ParameterError(f"shape mismatch at {key}: {shape} vs {files[key].shape}")
+        _check_finite(key, arrays[key])
+    return NetParams(config, arrays), meta

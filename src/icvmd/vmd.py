@@ -31,9 +31,10 @@ sum_k ||du_k||^2 / ||u_k_prev||^2, so no copy of the modes is kept between
 sweeps.  The rows are returned as they are: only the irfft of each multiplies it by the phase.
 
 The sweep runs in the precision of its input: float32 rows for a float32
-signal, float64 rows for any other dtype.  The start (read off the float64
-coefficients), the centers, the metric, the irfft, the time-domain modes and
-the residual stay float64 either way.
+signal (refused unless fits_float32_sweep admits it), float64 rows for any
+other dtype.  The start (read off the float64 coefficients), the centers,
+the metric, the irfft, the time-domain modes and the residual stay float64
+either way.
 
 The sweep is over-relaxed (Boyd et al. 2011, sec. 3.4.3): each mode takes
 its plain step du_k, moves by beta*du_k, and re-centers with
@@ -231,6 +232,14 @@ def check_memory_budget(n: int, n_modes: int) -> None:
         )
 
 
+def fits_float32_sweep(n: int, energy: float) -> bool:
+    """Whether an n-sample signal with sum(x^2) = energy can be swept in float32.
+    Its rows' squared norm is 2n*energy, kept a factor pi*(1 + _RELAX)^2 under
+    float32's largest value: a relaxed step can move a row by (1 + _RELAX)
+    times its size, and the first moment weighs |u|^2 by w <= pi."""
+    return 2.0 * n * energy * np.pi * (1.0 + _RELAX) ** 2 <= float(np.finfo(np.float32).max)
+
+
 def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     """Decompose a real 1-D signal into ``cfg.n_modes`` band-limited modes.
 
@@ -259,6 +268,8 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
         raise ParameterError(f"alpha {cfg.alpha} overflows the {np.dtype(real).name} Wiener filter 1 + 2*alpha*pi^2")
     if not np.all(np.isfinite(x)):
         raise ParameterError("signal must be finite")
+    if real is np.float32 and not fits_float32_sweep(x.size, float(x.dot(x))):
+        raise ParameterError(f"a float32 signal of energy {x.dot(x):.3g} overflows the float32 sweep; pass it in float64")
     if not np.any(x != 0.0):
         raise DegenerateInputError("cannot decompose an all-zero signal")
 

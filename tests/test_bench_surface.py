@@ -2,10 +2,14 @@
 
 The benchmark's timed runs leave tracing off, so a renamed traced function or
 a changed result shape would otherwise break only a traced run.  These tests
-import perfbench's modules (writing no bytecode there) and change nothing in it.
+import perfbench's modules (writing no bytecode there) and change nothing in
+it; the last two run each workload once at its smallest size, untraced and
+traced, so a package change that breaks a workload fails here first.
 """
 import importlib
+import json
 import sys
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
@@ -58,3 +62,26 @@ def test_the_info_extractors_read_real_results(bench):
     params = init_params(ModelConfig(segment_len=10), n_classes=3, seed=0)
     result = model_forward(params, x, x)
     assert spans._forward_info((params, x, x), {}, result) == 3
+
+
+WORKLOADS = ("icvmd_features", "icvmd_sat", "raw_nn")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_each_workload_runs_untraced_at_its_smallest_size(bench, tmp_path, workload):
+    workloads, spans = bench("workloads"), bench("spans")
+    size = workloads.sizes(workload, 1)
+    data = workloads.setup(workload, 1, size, tmp_path)
+    out = workloads.run_pipeline(workload, data, size, spans.Tracer(()))
+    assert out.checks and all(out.checks.values()), out.checks
+    assert out.failures == []
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_each_workload_reports_every_per_layer_metric_traced(bench, tmp_path, workload):
+    record = bench("run").run(Namespace(workload=workload, seed=1, seconds=2, trace=1), tmp_path)
+    result = record["result"]
+    assert result["correct"] and result["failed"] == 0, record["checks"]
+    declared = [m["name"] for m in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]]
+    assert len(declared) == 37
+    assert sorted(result["metrics"]) == sorted(declared)

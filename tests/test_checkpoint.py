@@ -1,5 +1,7 @@
 import json
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -168,3 +170,28 @@ def test_config_key_mismatch_rejected(tmp_path):
     rewrite(path, lambda _, m: [m["config"].pop(k) for k in ("depth", "segment_len")])
     with pytest.raises(ParameterError, match="missing"):
         load_checkpoint(path)
+
+
+def test_a_float64_value_past_the_float32_range_is_refused(tmp_path):
+    # Finite in the float64 file, so saving takes it; inf once cast to float32.
+    params = as_float64(init_params(TINY, 3, seed=0))
+    params.arrays["classifier2.weights"][0, 0] = 1e39
+    path = save_checkpoint(tmp_path / "m.npz", params, META)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused by name, with no overflow warning from the cast
+        with pytest.raises(ParameterError, match=r"^non-finite value in classifier2\.weights$"):
+            load_checkpoint(path)
+
+
+def test_a_long_class_ids_list_is_refused_before_a_reference_head_is_drawn(tmp_path):
+    path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 2, seed=0), {"class_ids": [3, 5]})
+    rewrite(path, lambda _, m: m.update(class_ids=list(range(2000))))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=re.escape("shape mismatch at classifier1.weights: (2000, 8) vs (2, 8)")):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A 2000-class reference model would draw a [2000, 2000] float64 head, 32 MB.
+    assert peak < 2**20

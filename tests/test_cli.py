@@ -380,6 +380,25 @@ def test_decompose_refuses_an_alpha_whose_filter_overflows_float32(runner, tmp_p
     assert not (tmp_path / "m").exists()
 
 
+def test_a_capture_too_loud_for_the_float32_sweep_is_decomposed_and_trained_on(runner, tmp_path):
+    # Finite in float32, but its cosine rows square past float32's range: the
+    # float32 sweep gave NaN energies, and the NaN modes aborted training.
+    data = tmp_path / "d"
+    gen = ["gen", "--out", str(data), "--snr-db", "18", "--modulations", "cw", "--signals-per-emitter", "2", "--n-samples", "256"]
+    assert runner.invoke(main, gen).exit_code == 0
+    first = sorted(data.glob("*.iqf32"))[0]
+    z = read_iqf32(first).samples
+    write_iqf32(first, 1.8e18 / np.max(np.abs(z)) * z)
+    res = runner.invoke(main, ["decompose", str(first), "--out", str(tmp_path / "m")])
+    assert res.exit_code == 0, res.output
+    energies = [float(e) for e in re.findall(r"energy=(\S+)", res.stdout)]
+    assert len(energies) == 8 and all(np.isfinite(energies))
+    train = ["train", "--data", str(data), "--out", str(tmp_path / "ck.npz"), "--epochs", "1", "--segment-len", "32"]
+    res = runner.invoke(main, [*train, "--representation", "icvmd"])
+    assert res.exit_code == 0, res.output
+    assert "skipped" not in res.stderr
+
+
 def non_object_dataset_config(runner, tmp_path, payload):
     (tmp_path / "spec.json").write_text(payload)
     return ["gen", "--out", str(tmp_path / "d"), "--config", str(tmp_path / "spec.json")], "spec.json"
@@ -803,6 +822,22 @@ def test_eval_rejects_a_bad_label_map(runner, tmp_path, edit, message):
     res = eval_with_edited_manifest(runner, tmp_path, edit)
     assert res.exit_code == 2, res.output
     assert "error: " in res.stderr and message in res.stderr
+
+
+def test_eval_refuses_a_float64_weight_past_the_float32_range(runner, tmp_path):
+    data = tmp_path / "d"
+    gen = ["gen", "--out", str(data), "--snr-db", "18", "--modulations", "cw", "--signals-per-emitter", "2", "--n-samples", "128"]
+    assert runner.invoke(main, gen).exit_code == 0
+    ck = tmp_path / "ck.npz"
+    res = runner.invoke(main, ["train", "--data", str(data), "--out", str(ck), "--epochs", "1", "--segment-len", "32"])
+    assert res.exit_code == 0, res.output
+    with np.load(ck) as z:
+        files = {key: a if key == "manifest" else a.astype(np.float64) for key, a in z.items()}
+    files["classifier2.weights"][0, 0] = 1e39  # finite in float64, inf in float32
+    np.savez(tmp_path / "ck64.npz", **files)
+    res = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(tmp_path / "ck64.npz")])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == "error: non-finite value in classifier2.weights\n"
 
 
 @pytest.mark.parametrize(

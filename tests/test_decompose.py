@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from icvmd.analytic import analytic_split
 from icvmd.decompose import (
     FULL_SELECTION,
     ModeLabel,
@@ -164,6 +165,23 @@ def test_empty_side_stand_in_respects_the_memory_budget():
     side = VmdConfig(n_modes=10**6)
     with pytest.raises(ParameterError, match="budget"):
         icvmd_decompose(ComplexSignal(z), side)
+
+
+def test_a_side_too_loud_for_the_float32_sweep_is_swept_in_float64():
+    # A finite float32 capture: at a peak of 1.9e16 the positive side's cosine
+    # rows square past float32's range, and its float32 sweep ends in NaN.
+    sig = synthesize_one(DatasetSpec(n_samples=2100), emitter_bank()[0], ModulationKind.CW, 18.0, 1, 2)
+    unit = sig.samples / np.max(np.abs(sig.samples))
+    cfg = VmdConfig()
+    loud = icvmd_decompose(ComplexSignal(1.9e16 * unit), cfg)
+    quiet = icvmd_decompose(ComplexSignal(unit), cfg)
+    for a, b in ((loud.pos, quiet.pos), (loud.neg, quiet.neg)):
+        assert np.all(np.isfinite(a.modes))
+        assert np.max(np.abs(a.omegas - b.omegas)) <= 1e-3
+    # Handed that side in float32 itself, the solver refuses it before any sweep.
+    pos = analytic_split(ComplexSignal(1.9e16 * unit))[0]
+    with pytest.raises(ParameterError, match="^a float32 signal of energy .* overflows the float32 sweep"):
+        vmd_decompose(pos.astype(np.float32), cfg)
 
 
 # ------------------------------------------------------------ dump + reload

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icvmd.dataset import DatasetSpec, synthesize_one
 from icvmd.decompose import (
     ModeLabel,
     icvmd_decompose,
     mode_energies,
     side_input_energy,
 )
-from icvmd.errors import DegenerateInputError, ParameterError
+from icvmd.errors import ParameterError
 from icvmd.features import (
     MAX_MODES,
     _bandwidth_3db,
@@ -17,6 +18,8 @@ from icvmd.features import (
     extract_features,
     raw_cumulant_features,
 )
+from icvmd.modulation import ModulationKind
+from icvmd.pa import emitter_bank
 from icvmd.signals import ComplexSignal
 from icvmd.vmd import VmdConfig
 
@@ -235,15 +238,12 @@ def test_degenerate_side_still_extracts():
     assert np.all(vec[0:3] == 0)  # the zero-energy feature mode contributes nothing
 
 
-def test_all_signal_labels_raise_degenerate():
-    res = decompose_demo(n_modes=1)
-    # Force every label to SIGNAL.
-    from dataclasses import replace
-
-    forced = replace(
-        res,
-        labels_pos=tuple(ModeLabel.SIGNAL for _ in res.labels_pos),
-        labels_neg=tuple(ModeLabel.SIGNAL for _ in res.labels_neg),
-    )
-    with pytest.raises(DegenerateInputError):
-        extract_features(forced)
+def test_a_decomposition_without_feature_modes_zero_pads():
+    # One mode per side of a noisy capture: both are SIGNAL, so no mode is retained.
+    sig = synthesize_one(DatasetSpec(n_samples=256), emitter_bank()[0], ModulationKind.CW, 18.0, 1, 2)
+    res = icvmd_decompose(sig, VmdConfig(n_modes=1))
+    assert res.labels_pos == res.labels_neg == (ModeLabel.SIGNAL,)
+    vec = extract_features(res)
+    base = 3 * MAX_MODES
+    assert np.all(vec[: base + 4] == 0)  # the geometry and the feature-part cumulants
+    assert np.array_equal(vec[base + 4 : base + 8], raw_cumulant_features(sig))

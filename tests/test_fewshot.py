@@ -211,12 +211,19 @@ def test_represent_reads_the_captures_in_path_order(tmp_path):
     in_order = sorted(manifest["files"], key=lambda e: e["path"])
     shuffled = [in_order[i] for i in np.random.default_rng(3).permutation(len(in_order))]
     assert shuffled != in_order
-    cfg = VmdConfig(n_modes=2)
-    kept, (mains, branches) = fewshot.represent(Pipeline.RAW_NN, dict(manifest, files=shuffled), cfg, {})
-    assert kept == in_order
+    cfg, memo = VmdConfig(n_modes=2), {}
+    labels, snrs, (mains, branches) = fewshot.represent(Pipeline.RAW_NN, dict(manifest, files=shuffled), cfg, memo)
+    assert kept_paths(memo) == [e["path"] for e in in_order]
+    assert labels.tolist() == [e["label"] for e in in_order]
+    assert snrs.tolist() == [e["snr_db"] for e in in_order]
     assert np.array_equal(mains[0], signal_channels(load_entry(manifest, in_order[0])))
     assert branches is mains  # stacked once, so train() casts and gathers it once
     assert mains.dtype == np.float32  # and in the model's dtype, so the cast copies nothing
+
+
+def kept_paths(memo):
+    """The paths of the captures a memo kept, in the order they were met."""
+    return [path for (_, path), (arrays, _, _) in memo.items() if arrays is not None]
 
 
 def capped(max_iter, n_modes=2):
@@ -312,10 +319,12 @@ def test_tally_lists_each_dropped_capture_once_in_the_order_met(tmp_path, monkey
 
     monkeypatch.setattr(fewshot, "extract_features", second_fails)
     memo, cfg = {}, VmdConfig(n_modes=2)
-    kept, _ = fewshot.represent(Pipeline.ICVMD_FEATURES, dict(manifest, files=[f1, f0]), cfg, memo)
-    assert kept == [f0]
-    kept, _ = fewshot.represent(Pipeline.ICVMD_FEATURES, dict(manifest, files=[f3, f2, f1]), cfg, memo)
-    assert kept == [f3]
+    fewshot.represent(Pipeline.ICVMD_FEATURES, dict(manifest, files=[f1, f0]), cfg, memo)
+    assert kept_paths(memo) == [f0["path"]]
+    labels, _, (features,) = fewshot.represent(Pipeline.ICVMD_FEATURES, dict(manifest, files=[f3, f2, f1]), cfg, memo)
+    assert kept_paths(memo) == [f0["path"], f3["path"]]
+    assert labels.tolist() == [f3["label"]]
+    assert np.array_equal(features, [memo[(manifest["_dir"], f3["path"])][0][0]])
     skipped, sides = fewshot.tally(memo)
     assert [path for path, _ in skipped] == [f1["path"], f2["path"]]
     assert "holds 255 float32 values" in skipped[0][1]
@@ -332,8 +341,9 @@ def test_represent_drops_a_capture_whose_length_is_not_the_specs(tmp_path):
     write_iqf32(tmp_path / "data" / first["path"], short)
     for pipeline in Pipeline:
         memo = {}
-        kept, arrays = fewshot.represent(pipeline, manifest, VmdConfig(n_modes=2), memo)
-        assert kept == rest and len(arrays[0]) == len(rest)
+        labels, _, arrays = fewshot.represent(pipeline, manifest, VmdConfig(n_modes=2), memo)
+        assert kept_paths(memo) == [e["path"] for e in rest]
+        assert len(labels) == len(arrays[0]) == len(rest)
         skipped, _ = fewshot.tally(memo)
         assert skipped == [(first["path"], "it holds 100 samples; the manifest's spec has n_samples 128")]
 
@@ -349,8 +359,9 @@ def test_represent_refuses_captures_of_two_lengths_without_a_spec(tmp_path, spec
     with pytest.raises(ParameterError, match="captures a.iqf32 and c.iqf32 differ in length"):
         fewshot.represent(Pipeline.RAW_NN, manifest, VmdConfig(n_modes=2), {})
     # Of one length, the same captures are kept whatever the manifest says of its spec.
-    kept, _ = fewshot.represent(Pipeline.RAW_NN, dict(manifest, files=files[1:]), VmdConfig(n_modes=2), {})
-    assert [e["path"] for e in kept] == ["a.iqf32", "b.iqf32"]
+    memo = {}
+    fewshot.represent(Pipeline.RAW_NN, dict(manifest, files=files[1:]), VmdConfig(n_modes=2), memo)
+    assert kept_paths(memo) == ["a.iqf32", "b.iqf32"]
 
 
 # ------------------------------------------------------------------ NN runs
