@@ -196,7 +196,8 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"bad modes.json: {exc}") from None
 
-    arrays = load_npz(dump_dir / "modes.npz")
+    with load_npz(dump_dir / "modes.npz") as (sizes, read):
+        arrays = read(sizes)
     for key, dtype in (("modes_pos", "float64"), ("modes_neg", "float64"), ("input", "complex128")):
         found = arrays[key].dtype.name if key in arrays else "nothing"
         if found != dtype:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -31,20 +32,27 @@ def json_object(text: str, source) -> dict:
     return value
 
 
-def load_npz(path) -> dict:
-    """Read every array of an ``.npz`` archive, refusing pickled objects.
-
+@contextmanager
+def load_npz(path):
+    """Open an ``.npz`` archive as (sizes, read), refusing pickled objects:
+    each member's unpacked bytes from the zip directory, so a caller can refuse
+    a member before it is read, and a reader of the named members into a dict.
     A missing file raises FileNotFoundError; a file numpy cannot read as an
-    npz archive (truncated, corrupt or not a zip) raises ParameterError naming it.
-    """
-    try:
-        archive = np.load(path, allow_pickle=False)
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise ValueError("it holds a single .npy array")
-        with archive:
-            return dict(archive.items())
-    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
-        raise ParameterError(f"{path} is not a readable .npz archive: {exc}") from None
+    npz archive (truncated, corrupt or not a zip) raises ParameterError naming it."""
+    def readable(get):
+        try:
+            return get()
+        except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+            raise ParameterError(f"{path} is not a readable .npz archive: {exc}") from None
+
+    def read(names) -> dict:
+        return readable(lambda: {key: archive[key] for key in names})
+
+    archive = readable(lambda: np.load(path, allow_pickle=False))
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ParameterError(f"{path} is not a readable .npz archive: it holds a single .npy array")
+    with archive:
+        yield {i.filename.removesuffix(".npy"): i.file_size for i in archive.zip.infolist()}, read
 
 
 def write_iqf32(path, samples) -> Path:

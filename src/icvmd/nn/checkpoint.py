@@ -6,13 +6,15 @@ which must include ``class_ids``, the emitter label of each model output.
 The arrays are stored as trained under their parameter keys and load in
 the classifier's DTYPE.  Saving refuses a non-finite value, so a diverged
 run writes no file that loading would refuse.  Loading refuses a manifest
-that is not UTF-8 JSON, a missing or unknown key, ``class_ids`` that are
-not at least 2 distinct integers, an array shaped for another head width,
-and a value that is not finite in DTYPE (such as a float64 1e39).
+that is not UTF-8 JSON, ``class_ids`` that are not at least 2 distinct
+integers, a missing or unknown key or a member larger than its float64 array
+(both before any array is read), an array that is not real floats or is
+shaped for another head width, and a value not finite in DTYPE (a float64 1e39).
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -21,7 +23,7 @@ import numpy as np
 from ..errors import ParameterError
 from ..iqfile import json_object, load_npz
 from .layers import DTYPE
-from .model import CHANNELS, ModelConfig, NetParams, init_params
+from .model import ModelConfig, NetParams, param_shapes
 
 FORMAT_VERSION = 3
 
@@ -50,36 +52,41 @@ def _check_keys(what: str, stored, expected) -> None:
 def load_checkpoint(path) -> tuple[NetParams, dict]:
     """Rebuild NetParams from a checkpoint; returns them with the metadata it was saved with.
 
-    Every stored array must match the key and the shape of the model with
-    one output per class id, and be finite once cast to DTYPE.
+    Every stored array must match the key and the shape of the model with one
+    output per class id, hold real floats, and be finite once cast to DTYPE;
+    names and sizes are checked off the zip directory before any is read.
     """
-    files = load_npz(path)
-    if "manifest" not in files:
-        raise ParameterError(f"{path} is not a model checkpoint (missing manifest)")
-    try:
-        text = files.pop("manifest").astype(np.uint8, casting="equiv").tobytes().decode()
-    except (TypeError, UnicodeDecodeError) as exc:
-        raise ParameterError(f"{path} manifest is not UTF-8 bytes: {exc}") from None
-    meta = json_object(text, f"{path} manifest")
-    version, config = meta.pop("format_version", None), meta.pop("config", None)
-    if version != FORMAT_VERSION:
-        raise ParameterError(f"unsupported checkpoint format_version {version!r}, not {FORMAT_VERSION}")
-    if not isinstance(config, dict):
-        raise ParameterError(f"{path} manifest config must be a JSON object, got {config!r}")
-    _check_keys("config", config, [f.name for f in fields(ModelConfig)])
-    ids = meta.get("class_ids")
-    if not (isinstance(ids, list) and all(type(c) is int for c in ids) and len(set(ids)) == len(ids) >= 2):
-        raise ParameterError(f"{path} manifest class_ids must list at least 2 distinct integers, got {ids!r}")
-    config = ModelConfig(**config)
-    # Every shape but the head's is a 2-class model's; the head's follow from n, so no [n, n] one is drawn.
-    n = len(ids)
-    expected = {key: a.shape for key, a in init_params(config, 2, seed=0).arrays.items()}
-    expected |= {"classifier1.weights": (n, CHANNELS), "classifier1.bias": (n,), "classifier2.weights": (n, n), "classifier2.bias": (n,)}
-    _check_keys("key", files, expected)
-    with np.errstate(over="ignore"):  # a value float32 cannot hold becomes inf, refused below
-        arrays = {key: files[key].astype(DTYPE, copy=False) for key in expected}
-    for key, shape in expected.items():
-        if files[key].shape != shape:
-            raise ParameterError(f"shape mismatch at {key}: {shape} vs {files[key].shape}")
-        _check_finite(key, arrays[key])
-    return NetParams(config, arrays), meta
+    with load_npz(path) as (sizes, read):
+        if "manifest" not in sizes:
+            raise ParameterError(f"{path} is not a model checkpoint (missing manifest)")
+        try:
+            text = read(["manifest"])["manifest"].astype(np.uint8, casting="equiv").tobytes().decode()
+        except (TypeError, UnicodeDecodeError) as exc:
+            raise ParameterError(f"{path} manifest is not UTF-8 bytes: {exc}") from None
+        meta = json_object(text, f"{path} manifest")
+        version, config = meta.pop("format_version", None), meta.pop("config", None)
+        if version != FORMAT_VERSION:
+            raise ParameterError(f"unsupported checkpoint format_version {version!r}, not {FORMAT_VERSION}")
+        if not isinstance(config, dict):
+            raise ParameterError(f"{path} manifest config must be a JSON object, got {config!r}")
+        _check_keys("config", config, [f.name for f in fields(ModelConfig)])
+        ids = meta.get("class_ids")
+        if not (isinstance(ids, list) and all(type(c) is int for c in ids) and len(set(ids)) == len(ids) >= 2):
+            raise ParameterError(f"{path} manifest class_ids must list at least 2 distinct integers, got {ids!r}")
+        config = ModelConfig(**config)
+        expected = param_shapes(len(ids))
+        _check_keys("key", sizes.keys() - {"manifest"}, expected)
+        for key, shape in expected.items():
+            if sizes[key] > 8 * math.prod(shape) + 1024:  # numpy's .npy header takes 128 of the 1 KiB allowed
+                raise ParameterError(f"{key} unpacks to {sizes[key]} bytes, more than a float64 array of shape {shape}")
+        files = read(expected)
+    for key, shape in expected.items():  # files holds the keys in this order
+        a = np.asarray(files[key])  # numpy reads a member that is not .npy data as bytes
+        if not np.issubdtype(a.dtype, np.floating):
+            raise ParameterError(f"{key} must hold real floats, got dtype {a.dtype}")
+        if a.shape != shape:
+            raise ParameterError(f"shape mismatch at {key}: {shape} vs {a.shape}")
+        with np.errstate(over="ignore"):  # a value float32 cannot hold becomes inf, refused below
+            files[key] = a.astype(DTYPE, copy=False)
+        _check_finite(key, files[key])
+    return NetParams(config, files), meta

@@ -1,12 +1,12 @@
 """Causal dilated convolutions, dense layers, and their exact backward passes.
 
-Every function computes in the dtype of its arrays and casts nothing; fresh
-layers are in DTYPE.  Forward functions return (output, cache); the matching
-backward consumes (upstream_grad, cache) and returns input and parameter
-gradients.  conv_param_grads returns a conv's parameter gradients alone, for
-a layer whose input gradient nothing reads (the first of a stack, or a 1x1
-conv whose input gradient the caller forms a slice at a time).  Batched
-tensors are [batch, channels, time].
+Every function computes in the dtype of its arrays and casts nothing; the
+model draws its layers in DTYPE (model.draw_params).  Forward functions
+return (output, cache); the matching backward consumes (upstream_grad,
+cache) and returns input and parameter gradients.  conv_param_grads returns
+a conv's parameter gradients alone, for a layer whose input gradient nothing
+reads (the first of a stack, or a 1x1 conv whose input gradient the caller
+forms a slice at a time).  Batched tensors are [batch, channels, time].
 
 A convolution runs one BLAS matmul per kernel tap against a lag-shifted view
 of the unpadded input, and its cache holds the caller's input by reference,
@@ -34,7 +34,7 @@ import numpy as np
 
 from ..errors import ParameterError, check_int
 
-DTYPE = np.float32  # the classifier's: its fresh layers, loaded checkpoints and input stacks
+DTYPE = np.float32  # the classifier's: its drawn layers, loaded checkpoints and input stacks
 
 
 @dataclass
@@ -193,21 +193,3 @@ def dense_backward(dy: np.ndarray, cache, layer: Dense, total=None):
     dw = _summed(dy[:, :, None] * x[:, None, :], prior_w)
     db = _summed(dy.copy(), prior_b)
     return rowdot(dy, layer.weights.T), dw, db
-
-
-def init_conv(rng: np.random.Generator, out_ch: int, in_ch: int, width: int, dilation: int) -> ConvLayer:
-    """Uniform(+-sqrt(1/fan_in)) weights and biases, drawn in float64 and
-    rounded once to DTYPE: this and init_dense fix every model's dtype.
-
-    Biases are drawn (not zeroed) so no pre-activation sits exactly on the
-    ReLU kink at init, which would poison finite-difference verification.
-    """
-    bound = np.sqrt(1.0 / (in_ch * width))
-    w = rng.uniform(-bound, bound, (out_ch, in_ch, width)).astype(DTYPE)
-    return ConvLayer(w, rng.uniform(-bound, bound, out_ch).astype(DTYPE), dilation)
-
-
-def init_dense(rng: np.random.Generator, out_dim: int, in_dim: int) -> Dense:
-    bound = np.sqrt(1.0 / in_dim)
-    w = rng.uniform(-bound, bound, (out_dim, in_dim)).astype(DTYPE)
-    return Dense(w, rng.uniform(-bound, bound, out_dim).astype(DTYPE))

@@ -55,6 +55,7 @@ import numpy as np
 from ..errors import ParameterError, check_int
 from .attention import softmax, softmax_backward
 from .layers import (
+    DTYPE,
     ConvLayer,
     Dense,
     conv_backward,
@@ -62,8 +63,6 @@ from .layers import (
     conv_param_grads,
     dense_backward,
     dense_forward,
-    init_conv,
-    init_dense,
     relu_backward,
     relu_forward,
     rowdot,
@@ -91,8 +90,7 @@ class ModelConfig:
 @dataclass
 class NetParams:
     """Every trainable array under its layer path (``encoder.0.weights``,
-    ``tcn.blocks.1.conv2.bias``, ...), in one fixed order: encoder, TCN blocks,
-    merge, classifier1, branch convs, branch head, classifier2."""
+    ``tcn.blocks.1.conv2.bias``, ...), in param_shapes order."""
 
     config: ModelConfig
     arrays: dict
@@ -106,11 +104,6 @@ class NetParams:
         return self.arrays["classifier2.weights"].dtype
 
 
-def layer_arrays(name: str, layer) -> dict:
-    """The weights and bias of a ConvLayer or Dense under their parameter keys."""
-    return {f"{name}.weights": layer.weights, f"{name}.bias": layer.bias}
-
-
 def _conv(params: NetParams, name: str, dilation: int = 1) -> ConvLayer:
     a = params.arrays
     return ConvLayer(a[f"{name}.weights"], a[f"{name}.bias"], dilation)
@@ -120,28 +113,35 @@ def _dense(params: NetParams, name: str) -> Dense:
     return Dense(params.arrays[f"{name}.weights"], params.arrays[f"{name}.bias"])
 
 
-def init_params(config: ModelConfig, n_classes: int, seed: int) -> NetParams:
-    """Seeded uniform(+-sqrt(1/fan_in)) initialization; layers draw in key order."""
+def param_shapes(n_classes: int) -> dict:
+    """Every parameter key of an n_classes model with its shape, in NetParams
+    order: each layer's weights [out, in] or [out, in, width], then its bias."""
     check_int("n_classes", n_classes, 2)
-    rng = np.random.default_rng(seed)
-    c = CHANNELS
-    arrays: dict = {}
-    in_ch = IN_CHANNELS
-    for i in range(ENCODER_LAYERS):
-        arrays |= layer_arrays(f"encoder.{i}", init_conv(rng, c, in_ch, ENCODER_WIDTH, 1))
-        in_ch = c
-    for i, d in enumerate(DILATIONS):
-        for sub in ("conv1", "conv2"):
-            arrays |= layer_arrays(f"tcn.blocks.{i}.{sub}", init_conv(rng, c, c, BLOCK_WIDTH, d))
-    arrays |= layer_arrays("tcn.merge", init_conv(rng, c, c * N_BLOCKS, 1, 1))
-    arrays |= layer_arrays("classifier1", init_dense(rng, n_classes, c))
-    in_ch = IN_CHANNELS
-    for i in range(BRANCH_LAYERS):
-        arrays |= layer_arrays(f"branch.convs.{i}", init_conv(rng, BRANCH_CHANNELS, in_ch, BRANCH_WIDTH, 1))
-        in_ch = BRANCH_CHANNELS
-    arrays |= layer_arrays("branch.head", init_dense(rng, 1, BRANCH_CHANNELS))
-    arrays |= layer_arrays("classifier2", init_dense(rng, n_classes, n_classes))
-    return NetParams(config=config, arrays=arrays)
+    c, b = CHANNELS, BRANCH_CHANNELS
+    layers = [(f"encoder.{i}", (c, c if i else IN_CHANNELS, ENCODER_WIDTH)) for i in range(ENCODER_LAYERS)]
+    layers += [(f"tcn.blocks.{i}.{sub}", (c, c, BLOCK_WIDTH)) for i in range(N_BLOCKS) for sub in ("conv1", "conv2")]
+    layers += [("tcn.merge", (c, c * N_BLOCKS, 1)), ("classifier1", (n_classes, c))]
+    layers += [(f"branch.convs.{i}", (b, b if i else IN_CHANNELS, BRANCH_WIDTH)) for i in range(BRANCH_LAYERS)]
+    layers += [("branch.head", (1, b)), ("classifier2", (n_classes, n_classes))]
+    return {key: shape for name, w in layers for key, shape in ((f"{name}.weights", w), (f"{name}.bias", w[:1]))}
+
+
+def draw_params(rng: np.random.Generator, shapes: dict) -> dict:
+    """Uniform(+-sqrt(1/fan_in)) arrays for a param_shapes table, drawn in its
+    order in float64 and rounded once to DTYPE, every model's dtype.  A bias
+    takes its weights' bound and is drawn, not zeroed, so no pre-activation
+    sits on the ReLU kink at init, which would poison finite differences."""
+    arrays = {}
+    for key, shape in shapes.items():
+        if key.endswith(".weights"):
+            bound = np.sqrt(1.0 / np.prod(shape[1:]))
+        arrays[key] = rng.uniform(-bound, bound, shape).astype(DTYPE)
+    return arrays
+
+
+def init_params(config: ModelConfig, n_classes: int, seed: int) -> NetParams:
+    """Seeded draw_params over param_shapes(n_classes)."""
+    return NetParams(config, draw_params(np.random.default_rng(seed), param_shapes(n_classes)))
 
 
 # Samples per chunk of the conv trunk: a chunk's [channels, T] activation holds

@@ -6,9 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateInputError, ParameterError, check_int, check_real
-from .layers import init_dense
-from .model import (NetParams, _buf, _chunks, _segment_count, check_labels, cross_entropy, layer_arrays,
-                    model_backward, model_forward)
+from .model import (NetParams, _buf, _chunks, _segment_count, check_labels, cross_entropy, draw_params,
+                    model_backward, model_forward, param_shapes)
 
 # Adam moment decays and denominator guard (Kingma & Ba's defaults).
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
@@ -150,10 +149,7 @@ def sat_transfer(
     specialization transfer is meant to discard.
     """
     check_int("n_classes_new", n_classes_new, 2)
-    rng = np.random.default_rng(head_seed)
+    heads = {k: shape for k, shape in param_shapes(n_classes_new).items() if k.startswith("classifier")}
     start = NetParams(pretrained.config, dict(pretrained.arrays))  # train() copies the arrays
-    trunk_channels = start.arrays["classifier1.weights"].shape[1]
-    heads = layer_arrays("classifier1", init_dense(rng, n_classes_new, trunk_channels))
-    heads |= layer_arrays("classifier2", init_dense(rng, n_classes_new, n_classes_new))
-    start.arrays |= {k: a.astype(start.dtype, copy=False) for k, a in heads.items()}
+    start.arrays |= {k: a.astype(start.dtype, copy=False) for k, a in draw_params(np.random.default_rng(head_seed), heads).items()}
     return train(start, main, branch, labels, cfg, freeze_prefixes=("branch.",))

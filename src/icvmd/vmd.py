@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, check_int, check_real
 
-# Mode energies below this are treated as numerically zero in ratio guards.
+# Mode energies under this share of the side's are zero in ratio guards (scale-free).
 _ENERGY_GUARD = 1e-30
 
 # Most memory one vmd_decompose call may hold (see check_memory_budget).  Four
@@ -236,8 +236,11 @@ def fits_float32_sweep(n: int, energy: float) -> bool:
     """Whether an n-sample signal with sum(x^2) = energy can be swept in float32.
     Its rows' squared norm is 2n*energy, kept a factor pi*(1 + _RELAX)^2 under
     float32's largest value: a relaxed step can move a row by (1 + _RELAX)
-    times its size, and the first moment weighs |u|^2 by w <= pi."""
-    return 2.0 * n * energy * np.pi * (1.0 + _RELAX) ** 2 <= float(np.finfo(np.float32).max)
+    times its size, and the first moment weighs |u|^2 by w <= pi; and at least
+    float32's smallest normal over eps^2, so a sum down to eps of it (a weak mode's
+    energy, a step's ||du||^2) sees its squares down to eps of itself as normal floats."""
+    rows, f32 = 2.0 * n * energy, np.finfo(np.float32)
+    return float(f32.tiny / f32.eps**2) <= rows and rows * np.pi * (1.0 + _RELAX) ** 2 <= float(f32.max)
 
 
 def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
@@ -268,10 +271,11 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
         raise ParameterError(f"alpha {cfg.alpha} overflows the {np.dtype(real).name} Wiener filter 1 + 2*alpha*pi^2")
     if not np.all(np.isfinite(x)):
         raise ParameterError("signal must be finite")
-    if real is np.float32 and not fits_float32_sweep(x.size, float(x.dot(x))):
-        raise ParameterError(f"a float32 signal of energy {x.dot(x):.3g} overflows the float32 sweep; pass it in float64")
     if not np.any(x != 0.0):
         raise DegenerateInputError("cannot decompose an all-zero signal")
+    if real is np.float32 and not fits_float32_sweep(x.size, energy := float(x.dot(x))):
+        flow = "overflows" if energy > 1.0 else "underflows"  # the bounds lie far above and below 1
+        raise ParameterError(f"a float32 signal of energy {energy:.3g} {flow} the float32 sweep; pass it in float64")
 
     n = x.size
     n_ext = 2 * n
@@ -282,6 +286,7 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     k_modes = cfg.n_modes
     phase = _phase(n)
     r = (np.fft.rfft(mirror_extend(x)) * phase.conj()).real  # the coefficients of x
+    guard = _ENERGY_GUARD * float(r.dot(r))
     omegas = _init_omegas(cfg, r).tolist()
     r = r.astype(real)  # the residual: those coefficients less sum(u), with u = 0
     u = np.zeros((k_modes, n_bins), dtype=real)
@@ -325,14 +330,14 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
         sums = den.dot(basis).tolist()
         shift = 0.0
         for k, (energy, moment) in enumerate(sums):
-            if energy > _ENERGY_GUARD:
+            if energy > guard:
                 move = moment / energy - omegas[k]
                 shift = max(shift, abs(move))
                 omegas[k] = min(max(omegas[k] + beta * move, 0.0), np.pi)
         _reseed_collisions(omegas, min_gap)
         # Out of an all-zero start the first sweep has nothing to compare to.
-        if not all(v <= _ENERGY_GUARD for v in prev_norms):
-            delta = final_delta = sum(dk / max(v, _ENERGY_GUARD) for dk, v in zip(diffs, prev_norms))
+        if not all(v <= guard for v in prev_norms):
+            delta = final_delta = sum(dk / max(v, guard) for dk, v in zip(diffs, prev_norms))
             converged = delta < cfg.tol and beta == 1.0
             # A settled sweep not under tol relaxes the next (module docstring).
             beta = _RELAX if shift < _SETTLE_RAD and delta >= cfg.tol else 1.0

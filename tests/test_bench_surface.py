@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icvmd.nn.layers import conv_backward, conv_forward, init_conv
-from icvmd.nn.model import ModelConfig, init_params, model_forward
+from icvmd.nn.layers import ConvLayer, conv_backward, conv_forward
+from icvmd.nn.model import ModelConfig, draw_params, init_params, model_forward
 from icvmd.vmd import VmdConfig, vmd_decompose
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -52,7 +52,7 @@ def test_the_info_extractors_read_real_results(bench):
     assert spans._side_info((side, cfg), {}, vmd_decompose(side, cfg)) >= 1
 
     x = np.random.default_rng(0).normal(size=(3, 2, 40)).astype(np.float32)
-    layer = init_conv(np.random.default_rng(1), 5, 2, 3, 2)
+    layer = ConvLayer(*draw_params(np.random.default_rng(1), {"c.weights": (5, 2, 3), "c.bias": (5,)}).values(), dilation=2)
     y, cache = conv_forward(x, layer)
     info = spans._conv_forward_info((x, layer), {}, (y, cache))
     assert info["flop"] == 2 * 3 * 5 * 2 * 3 * 40

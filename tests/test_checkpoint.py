@@ -195,3 +195,42 @@ def test_a_long_class_ids_list_is_refused_before_a_reference_head_is_drawn(tmp_p
         tracemalloc.stop()
     # A 2000-class reference model would draw a [2000, 2000] float64 head, 32 MB.
     assert peak < 2**20
+
+
+def peak_of_refused_load(path, message):
+    """The traced allocation peak of a load_checkpoint that raises ``message``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            load_checkpoint(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_extra_member_is_refused_before_it_is_unpacked(tmp_path):
+    # 2e7 float64 zeros compress to about 160 KB; unpacked they are 160 MB.
+    path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 3, seed=0), META)
+    with np.load(path) as z:
+        files = dict(z.items())
+    np.savez_compressed(path, bogus=np.zeros(20_000_000), **files)
+    assert peak_of_refused_load(path, "checkpoint key mismatch: missing [], extra ['bogus']") < 2**20
+
+
+def test_an_oversized_member_is_refused_before_it_is_unpacked(tmp_path):
+    path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 3, seed=0), META)
+    with np.load(path) as z:
+        files = dict(z.items())
+    np.savez_compressed(path, **dict(files, **{"classifier1.bias": np.zeros(20_000_000)}))
+    message = "classifier1.bias unpacks to 160000128 bytes, more than a float64 array of shape (3,)"
+    assert peak_of_refused_load(path, message) < 2**20
+
+
+@pytest.mark.parametrize("bias", [np.array(["ab", "cd", "ef"]), np.array([1 + 2j, 3 - 1j, 0.5j])], ids=["string", "complex"])
+def test_an_array_that_is_not_real_floats_is_refused(tmp_path, bias):
+    # A string array raised numpy's ValueError in the cast, and a complex one
+    # lost its imaginary part with only a ComplexWarning.
+    path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 3, seed=0), META)
+    rewrite(path, lambda files, _: files.update({"classifier1.bias": bias}))
+    with pytest.raises(ParameterError, match=re.escape(f"classifier1.bias must hold real floats, got dtype {bias.dtype}")):
+        load_checkpoint(path)

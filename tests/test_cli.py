@@ -399,6 +399,20 @@ def test_a_capture_too_loud_for_the_float32_sweep_is_decomposed_and_trained_on(r
     assert "skipped" not in res.stderr
 
 
+def test_a_capture_too_quiet_for_the_float32_sweep_decomposes_as_at_unit_scale(runner, tmp_path):
+    # At 1e-30 the float32 sweep's squares underflowed: the centers froze and
+    # the positive side ran to --max-iter with a warning.
+    t = np.arange(256)
+    z = np.exp(2j * np.pi * 0.1 * t) + 0.5 * np.exp(-2j * np.pi * 0.23 * t)
+    outputs = []
+    for name, scale in (("unit", 1.0), ("quiet", 1e-30)):
+        write_iqf32(tmp_path / f"{name}.iqf32", scale * z)
+        res = runner.invoke(main, ["decompose", str(tmp_path / f"{name}.iqf32"), "--out", str(tmp_path / name)])
+        assert res.exit_code == 0 and res.stderr == "", res.output
+        outputs.append([float(w) for w in re.findall(r"omega=(\S+)", res.stdout)])
+    assert len(outputs[0]) == 8 and np.allclose(outputs[1], outputs[0], rtol=0, atol=1e-3)
+
+
 def non_object_dataset_config(runner, tmp_path, payload):
     (tmp_path / "spec.json").write_text(payload)
     return ["gen", "--out", str(tmp_path / "d"), "--config", str(tmp_path / "spec.json")], "spec.json"
@@ -838,6 +852,17 @@ def test_eval_refuses_a_float64_weight_past_the_float32_range(runner, tmp_path):
     res = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(tmp_path / "ck64.npz")])
     assert res.exit_code == 2, res.output
     assert res.stderr == "error: non-finite value in classifier2.weights\n"
+
+
+@pytest.mark.parametrize("bias", [np.array(["ab", "cd"]), np.array([1 + 2j, 3 - 1j])], ids=["string", "complex"])
+def test_eval_refuses_a_weight_that_is_not_real_floats(runner, tmp_path, bias):
+    ck, args = trained_checkpoint(runner, tmp_path)
+    with np.load(ck) as z:
+        files = dict(z.items())
+    np.savez(ck, **dict(files, **{"classifier1.bias": bias}))
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert res.stderr == f"error: classifier1.bias must hold real floats, got dtype {bias.dtype}\n"
 
 
 @pytest.mark.parametrize(

@@ -184,6 +184,18 @@ def test_a_side_too_loud_for_the_float32_sweep_is_swept_in_float64():
         vmd_decompose(pos.astype(np.float32), cfg)
 
 
+@pytest.mark.parametrize("scale", [1e-30, 1e-46])
+def test_a_side_too_quiet_for_the_float32_sweep_is_swept_in_float64(scale):
+    # Cast to float32, the side at 1e-30 squared to zero in the sweep and its
+    # centers froze; the one at 1e-46 rounded to zero and was dropped as all-zero.
+    t = np.arange(256)
+    z = np.exp(2j * np.pi * 0.1 * t) + 0.5 * np.exp(-2j * np.pi * 0.23 * t)
+    quiet, unit = icvmd_decompose(ComplexSignal(scale * z), VmdConfig()), icvmd_decompose(ComplexSignal(z), VmdConfig())
+    for a, b in ((quiet.pos, unit.pos), (quiet.neg, unit.neg)):
+        assert np.max(np.abs(a.omegas - b.omegas)) <= 1e-3  # as float32 against float64 elsewhere
+        assert a.mode_set.converged and a.mode_set.iterations > 0
+
+
 # ------------------------------------------------------------ dump + reload
 
 

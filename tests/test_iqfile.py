@@ -78,11 +78,13 @@ def test_write_creates_parent_dirs(tmp_path):
 
 def test_load_npz_reads_every_array(tmp_path):
     np.savez(tmp_path / "a.npz", x=np.arange(3.0), y=np.ones((2, 2), dtype=np.float32))
-    arrays = load_npz(tmp_path / "a.npz")
+    with load_npz(tmp_path / "a.npz") as (sizes, read):
+        assert sizes == {"x": 128 + 3 * 8, "y": 128 + 4 * 4}  # each member's .npy header and values
+        arrays = read(sizes)
     assert sorted(arrays) == ["x", "y"]
     assert np.array_equal(arrays["x"], np.arange(3.0)) and arrays["y"].dtype == np.float32
-    with pytest.raises(FileNotFoundError):
-        load_npz(tmp_path / "ghost.npz")
+    with pytest.raises(FileNotFoundError), load_npz(tmp_path / "ghost.npz"):
+        pass
 
 
 @pytest.mark.parametrize("content", [b"", b"junk" * 16, "npy"], ids=["empty", "junk", "npy"])
@@ -93,5 +95,5 @@ def test_load_npz_rejects_what_is_not_an_npz_archive(tmp_path, content):
             np.save(f, np.arange(3.0))
     else:
         path.write_bytes(content)
-    with pytest.raises(ParameterError, match=r"a\.npz is not a readable \.npz archive"):
-        load_npz(path)
+    with pytest.raises(ParameterError, match=r"a\.npz is not a readable \.npz archive"), load_npz(path):
+        pass

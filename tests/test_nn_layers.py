@@ -13,11 +13,10 @@ from icvmd.nn.layers import (
     conv_param_grads,
     dense_backward,
     dense_forward,
-    init_conv,
-    init_dense,
     relu_backward,
     relu_forward,
 )
+from icvmd.nn.model import ModelConfig, draw_params, init_params, param_shapes
 from oracles import causal_dilated_conv, impulse_probe, receptive_field, scaled_softmax_attention
 
 
@@ -236,7 +235,7 @@ def test_dense_products_are_row_invariant_and_match_blas_to_rounding(out_dim):
     # over row blocks those of one call (a sum() over [N, 1] rows would not);
     # BLAS agrees to float32 rounding.
     rng = np.random.default_rng(12)
-    layer = init_dense(rng, out_dim, 8)
+    layer = Dense(*draw_params(rng, {"d.weights": (out_dim, 8), "d.bias": (out_dim,)}).values())
     x, dy = rng.normal(size=(2, 672, 8)).astype(np.float32)
     dy = dy[:, :out_dim].copy()
     y, cache = dense_forward(x, layer)
@@ -392,15 +391,19 @@ def test_attention_weights_always_normalized(n_q, n_k, d, seed):
 
 
 def test_init_is_seeded_and_bounded():
-    a = init_conv(np.random.default_rng(5), 4, 3, 2, 1)
-    b = init_conv(np.random.default_rng(5), 4, 3, 2, 1)
-    assert np.array_equal(a.weights, b.weights)
-    assert np.array_equal(a.bias, b.bias)
-    bound = np.sqrt(1.0 / (3 * 2))
-    assert np.all(np.abs(a.weights) <= bound)
-    d = init_dense(np.random.default_rng(5), 4, 9)
-    assert np.all(np.abs(d.weights) <= np.sqrt(1.0 / 9))
-    assert d.weights.shape == (4, 9)
-    # Biases are drawn, not zeroed (keeps ReLU pre-activations off the kink).
-    assert np.any(a.bias != 0)
-    assert np.any(d.bias != 0)
+    a = init_params(ModelConfig(), 3, seed=5).arrays
+    b = init_params(ModelConfig(), 3, seed=5).arrays
+    assert all(a[k].tobytes() == b[k].tobytes() for k in a)
+    for key, w in a.items():
+        if key.endswith(".weights"):
+            bound = np.sqrt(1.0 / np.prod(w.shape[1:]))
+            bias = a[key.replace(".weights", ".bias")]
+            assert np.all(np.abs(w) <= bound) and np.all(np.abs(bias) <= bound), key
+            # Biases are drawn, not zeroed (keeps ReLU pre-activations off the kink).
+            assert np.any(bias != 0), key
+
+
+@pytest.mark.parametrize("n_classes", [2, 7])
+def test_param_shapes_lists_the_keys_order_and_shapes_of_a_drawn_model(n_classes):
+    arrays = init_params(ModelConfig(), n_classes, seed=0).arrays
+    assert list(param_shapes(n_classes).items()) == [(k, a.shape) for k, a in arrays.items()]

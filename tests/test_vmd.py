@@ -13,6 +13,7 @@ from icvmd.decompose import icvmd_decompose
 from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.modulation import ModulationKind
 from icvmd.pa import emitter_bank
+from icvmd.signals import ComplexSignal
 from icvmd import vmd
 from icvmd.vmd import VmdConfig, _reseed_collisions, half_grid, mirror_extend, vmd_decompose
 from oracles import (
@@ -563,6 +564,30 @@ def test_float32_solve_stays_near_the_float64_solve():
     assert [r.mode_set.converged for r in single] == [r.mode_set.converged for r in double]
     sweeps = [sum(r.mode_set.iterations for r in rs) for rs in (double, single)]
     assert abs(sweeps[1] - sweeps[0]) <= 0.02 * sweeps[0], sweeps
+
+
+def _quiet_two_tone_side(n=256):
+    """The positive side of tones at 0.1 and -0.23 cycles/sample (amplitudes 1 and 0.5)."""
+    t = np.arange(n)
+    return analytic_split(ComplexSignal(np.exp(2j * np.pi * 0.1 * t) + 0.5 * np.exp(-2j * np.pi * 0.23 * t)))[0]
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e-30, 1e-100])
+def test_the_float64_solve_does_not_depend_on_the_signal_scale(scale):
+    # An absolute energy guard froze the centers from about 1e-15 down and
+    # ran every sweep without converging from 1e-20.
+    x = _quiet_two_tone_side()
+    unit, quiet = vmd_decompose(x, VmdConfig()), vmd_decompose(scale * x, VmdConfig())
+    assert np.max(np.abs(quiet.omegas - unit.omegas)) <= 1e-9
+    assert quiet.mode_set.converged == unit.mode_set.converged
+
+
+def test_a_float32_signal_too_quiet_for_the_float32_sweep_is_refused():
+    # Its squares would underflow in a float32 sweep.
+    x = 1e-30 * _quiet_two_tone_side()
+    assert not vmd.fits_float32_sweep(x.size, float(x.dot(x)))
+    with pytest.raises(ParameterError, match="^a float32 signal of energy .* underflows the float32 sweep; pass it in float64"):
+        vmd_decompose(x.astype(np.float32), VmdConfig())
 
 
 def test_iteration_cap_respected():
