@@ -213,8 +213,24 @@ def load_entry(manifest: dict, entry: dict) -> ComplexSignal:
     return read_iqf32(Path(manifest["_dir"]) / entry["path"])
 
 
+def _draw(manifest: dict, key, count, seed: int) -> tuple:
+    """(drawn, rest): each group of entries by ``key(entry)``, in key and then path
+    order, draws the first ``count(group_key, size)`` of one seeded permutation of it."""
+    rng = np.random.default_rng(seed)
+    groups: dict = {}
+    for entry in manifest["files"]:
+        groups.setdefault(key(entry), []).append(entry)
+    drawn, rest = [], []
+    for k in sorted(groups):
+        group = sorted(groups[k], key=lambda e: e["path"])
+        chosen = set(rng.permutation(len(group))[: count(k, len(group))].tolist())
+        for i, entry in enumerate(group):
+            (drawn if i in chosen else rest).append(entry)
+    return drawn, rest
+
+
 def split_manifest(manifest: dict, test_fraction: float, seed: int) -> tuple:
-    """Deterministic stratified split into (train, test) manifests.
+    """Deterministic stratified split into (train, test) manifests, one _draw.
 
     Strata are (label, snr_db); each stratum contributes
     round(test_fraction * size) test entries (at least 1 when the stratum has
@@ -226,48 +242,32 @@ def split_manifest(manifest: dict, test_fraction: float, seed: int) -> tuple:
     dupes = _repeated(entry["path"] for entry in manifest["files"])
     if dupes:
         raise ParameterError(f"manifest lists these paths more than once: {dupes}")
-    rng = np.random.default_rng(seed)
-    strata: dict = {}
-    for entry in manifest["files"]:
-        strata.setdefault((entry["label"], entry["snr_db"]), []).append(entry)
-
-    train, test = [], []
-    for key in sorted(strata):
-        group = sorted(strata[key], key=lambda e: e["path"])
-        k = int(round(test_fraction * len(group)))
-        if len(group) > 1:
-            k = min(max(k, 1), len(group) - 1)
-        else:
-            k = 0
-        order = rng.permutation(len(group))
-        chosen = set(order[:k].tolist())
-        for i, entry in enumerate(group):
-            (test if i in chosen else train).append(entry)
-
+    test, train = _draw(manifest, lambda e: (e["label"], e["snr_db"]),
+                        lambda _, n: min(max(int(round(test_fraction * n)), 1), n - 1), seed)
     return dict(manifest, files=train), dict(manifest, files=test)
 
 
+# proportion * n can land a rounding error under the whole number it names
+# (0.29 * 100 is 28.999999999999996), so the floor is taken after adding this
+# slack: only a proportion less than 1e-9 / n under k / n keeps k, not k - 1.
+_FLOOR_SLACK = 1e-9
+
+
 def subsample_manifest(manifest: dict, proportion: float, seed: int) -> dict:
-    """Keep floor(proportion * n) entries per label class.
+    """Keep floor(proportion * n) entries per label class, one _draw; the floor
+    is taken after float rounding, so 0.29 of 100 keeps 29.  At one seed the
+    kept entries of a smaller proportion are among those of a larger one.
 
     Raises DegenerateInputError if any class would end up empty -- callers
     treat that as an unsupported experiment cell, not a crash site.
     """
+    def count(label, n: int) -> int:
+        k = int(np.floor(proportion * n + _FLOOR_SLACK))
+        if k < 1:
+            raise DegenerateInputError(f"class {label} would keep 0 of {n} entries at proportion {proportion}")
+        return k
+
     if not (is_real(proportion) and 0.0 < proportion <= 1.0):
         raise ParameterError("proportion must lie in (0, 1]")
-    rng = np.random.default_rng(seed)
-    by_label: dict = {}
-    for entry in manifest["files"]:
-        by_label.setdefault(entry["label"], []).append(entry)
-
-    kept = []
-    for label in sorted(by_label):
-        group = sorted(by_label[label], key=lambda e: e["path"])
-        k = int(np.floor(proportion * len(group)))
-        if k < 1:
-            raise DegenerateInputError(
-                f"class {label} would keep 0 of {len(group)} entries at proportion {proportion}"
-            )
-        order = rng.permutation(len(group))
-        kept.extend(group[i] for i in sorted(order[:k].tolist()))
+    kept, _ = _draw(manifest, lambda e: e["label"], count, seed)
     return dict(manifest, files=kept)

@@ -4,12 +4,13 @@ The manifest records the format version, the model's ``config`` (its segment
 length, as the rest of the architecture is fixed) and the caller's metadata,
 which must include ``class_ids``, the emitter label of each model output.
 The arrays are stored as trained under their parameter keys and load in
-the classifier's DTYPE.  Saving refuses a non-finite value, so a diverged
-run writes no file that loading would refuse.  Loading refuses a manifest
-that is not UTF-8 JSON, ``class_ids`` that are not at least 2 distinct
-integers, a missing or unknown key or a member larger than its float64 array
-(both before any array is read), an array that is not real floats or is
-shaped for another head width, and a value not finite in DTYPE (a float64 1e39).
+the classifier's DTYPE.  Saving refuses a non-finite value or a manifest over
+its bound, so no file it writes is one that loading would refuse.  Loading
+refuses a manifest over that bound (before it is read) or not UTF-8 JSON,
+``class_ids`` that are not at least 2 distinct integers, a missing or unknown
+key or a member larger than its float64 array (both before any array is
+read), an array that is not real floats or is shaped for another head width,
+and a value not finite in DTYPE (a float64 1e39).
 """
 from __future__ import annotations
 
@@ -27,6 +28,11 @@ from .model import ModelConfig, NetParams, param_shapes
 
 FORMAT_VERSION = 3
 
+# The manifest's bound, checked before it is written or read: icvmd train
+# writes under 1 KiB of settings beside its class_ids and one history float
+# per epoch, each at most 26 bytes of JSON, so 1 MiB holds 40,000 of them.
+_MANIFEST_BYTES = 1 << 20
+
 
 def _check_finite(key: str, a: np.ndarray) -> None:
     if not np.all(np.isfinite(a)):
@@ -37,9 +43,11 @@ def save_checkpoint(path, params: NetParams, meta: dict) -> Path:
     for key, a in params.arrays.items():
         _check_finite(key, a)
     path = Path(path)
-    manifest = dict(meta, format_version=FORMAT_VERSION, config=asdict(params.config))
+    manifest = json.dumps(dict(meta, format_version=FORMAT_VERSION, config=asdict(params.config))).encode()
+    if len(manifest) > _MANIFEST_BYTES:
+        raise ParameterError(f"checkpoint manifest of {len(manifest)} bytes is over its bound of {_MANIFEST_BYTES}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, manifest=np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8), **params.arrays)
+    np.savez(path, manifest=np.frombuffer(manifest, dtype=np.uint8), **params.arrays)
     return path
 
 
@@ -59,6 +67,8 @@ def load_checkpoint(path) -> tuple[NetParams, dict]:
     with load_npz(path) as (sizes, read):
         if "manifest" not in sizes:
             raise ParameterError(f"{path} is not a model checkpoint (missing manifest)")
+        if sizes["manifest"] > _MANIFEST_BYTES + 1024:  # as below, 1 KiB for the .npy header
+            raise ParameterError(f"{path} manifest unpacks to {sizes['manifest']} bytes, over its bound of {_MANIFEST_BYTES}")
         try:
             text = read(["manifest"])["manifest"].astype(np.uint8, casting="equiv").tobytes().decode()
         except (TypeError, UnicodeDecodeError) as exc:

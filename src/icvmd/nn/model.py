@@ -177,31 +177,21 @@ def _conv_out(x: np.ndarray, layer: ConvLayer, ws: dict, key, out=None):
     return conv_forward(x, layer, out, _scratch(ws, shape, x.dtype))
 
 
-def _total(grads: dict, name: str):
-    """The weight and bias sums an earlier chunk left in ``grads``, if any."""
-    return (grads[f"{name}.weights"], grads[f"{name}.bias"]) if f"{name}.weights" in grads else None
+def _grads(grads: dict, name: str, backward, *args, **kw):
+    """``backward(*args, total=..., **kw)`` for layer ``name``, continuing the
+    weight and bias sums an earlier chunk left in ``grads``: stores the new
+    sums there and returns the input gradient, if ``backward`` forms one."""
+    w, b = f"{name}.weights", f"{name}.bias"
+    *dx, grads[w], grads[b] = backward(*args, total=(grads[w], grads[b]) if w in grads else None, **kw)
+    return dx[0] if dx else None
 
 
 def _conv_grads(dy: np.ndarray, cache, grads: dict, name: str, ws: dict) -> np.ndarray:
-    """conv_backward for layer ``name``, continuing the weight and bias sums an
-    earlier chunk left in ``grads``; returns the input gradient, in ``ws``."""
+    """conv_backward for layer ``name`` through _grads; the input gradient goes into ``ws``."""
     x, layer = cache
     out = _buf(ws, ("d", *x.shape[1:]), x.shape, x.dtype)
     tap = _buf(ws, x.shape[1:], x.shape, x.dtype) if layer.width > 1 else None
-    dx, grads[f"{name}.weights"], grads[f"{name}.bias"] = conv_backward(dy, cache, _total(grads, name), out, tap)
-    return dx
-
-
-def _param_grads(dy: np.ndarray, cache, grads: dict, name: str) -> None:
-    """conv_param_grads for layer ``name``, continuing as _conv_grads does."""
-    grads[f"{name}.weights"], grads[f"{name}.bias"] = conv_param_grads(dy, cache, _total(grads, name))
-
-
-def _dense_grads(params: NetParams, dy: np.ndarray, cache, grads: dict, name: str) -> np.ndarray:
-    """dense_backward for layer ``name``, continuing as _conv_grads does."""
-    layer = _dense(params, name)
-    dx, grads[f"{name}.weights"], grads[f"{name}.bias"] = dense_backward(dy, cache, layer, _total(grads, name))
-    return dx
+    return _grads(grads, name, conv_backward, dy, cache, out=out, scratch=tap)
 
 
 def _relu_grads(dy: np.ndarray, cache, ws: dict) -> np.ndarray:
@@ -243,7 +233,7 @@ def _stack_backward(dh: np.ndarray, caches, grads, prefix: str, ws: dict) -> Non
         cc, rc = caches[i]
         dh = _conv_grads(_relu_grads(dh, rc, ws), cc, grads, f"{prefix}.{i}", ws)
     cc, rc = caches[0]
-    _param_grads(_relu_grads(dh, rc, ws), cc, grads, f"{prefix}.0")
+    _grads(grads, f"{prefix}.0", conv_param_grads, _relu_grads(dh, rc, ws), cc)
 
 
 def features_forward(params: NetParams, x: np.ndarray, ws: dict):
@@ -272,7 +262,7 @@ def features_backward(params: NetParams, dfeat: np.ndarray, cache, grads, ws: di
     columns of the 1x1 merge weights times dfeat, so only one block's share is
     held.  Each gradient goes into a buffer of ``ws``."""
     enc_caches, block_caches, merge_cache = cache
-    _param_grads(dfeat, merge_cache, grads, "tcn.merge")
+    _grads(grads, "tcn.merge", conv_param_grads, dfeat, merge_cache)
     w, c = merge_cache[1].weights[:, :, 0], CHANNELS
     dout = _buf(ws, "dblock", dfeat.shape, dfeat.dtype)
     dh = 0.0
@@ -312,7 +302,7 @@ def _branch_backward(params: NetParams, dscores: np.ndarray, cache, grads, ws: d
     caches, dcache = cache
     length = params.config.segment_len
     b, s = dscores.shape
-    dpooled = _dense_grads(params, dscores.reshape(b * s, 1), dcache, grads, "branch.head")
+    dpooled = _grads(grads, "branch.head", dense_backward, dscores.reshape(b * s, 1), dcache, _dense(params, "branch.head"))
     dh = np.broadcast_to(dpooled[:, :, None] / length, (b * s, dpooled.shape[1], length))
     _stack_backward(dh, caches, grads, "branch.convs", ws)
 
@@ -396,15 +386,15 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, w
     return logits, cache
 
 
-def model_backward(params: NetParams, dlogits: np.ndarray, cache, grads=None) -> dict:
+def model_backward(params: NetParams, dlogits: np.ndarray, cache, grads: dict) -> dict:
     """Exact gradients of every parameter for the cached forward pass.
 
     The cache must come from a model_forward given a workspace, and the
     layers' gradients stay in that workspace.  Every conv's and dense layer's
     weight and bias sums continue, in sample order, from those an earlier
-    chunk of samples left in ``grads`` (a dict, filled and returned); so a
-    minibatch run as consecutive chunks, each chunk's forward and backward in
-    turn with one ``grads``, gets the gradients of one pass over all of it.
+    chunk of samples left in ``grads`` (a dict, ``{}`` at first, filled and
+    returned); so a minibatch run as consecutive chunks, each chunk's forward
+    and backward in turn with one ``grads``, gets the gradients of one pass.
     """
     if "workspace" not in cache:
         raise ParameterError("this cache keeps no activations: pass a workspace (a dict) to model_forward to train")
@@ -413,17 +403,16 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache, grads=None) ->
     length = params.config.segment_len
     dlogits = np.asarray(dlogits, dtype=params.dtype)
 
-    grads = {} if grads is None else grads
-    dz = _dense_grads(params, dlogits, cache["cls2_cache"], grads, "classifier2")
+    dz = _grads(grads, "classifier2", dense_backward, dlogits, cache["cls2_cache"], _dense(params, "classifier2"))
 
     att = cache["attention"]
     datt = rowdot(dz, cache["seg_logits"])  # [B, S]
-    dseg_logits = dz[:, None, :] * att[:, :, None]  # [B, S, n_classes]
+    dseg = (dz[:, None, :] * att[:, :, None]).reshape(b * s, -1)  # [B*S, n_classes]
 
     dscores = softmax_backward(datt, att, axis=1)
     _branch_backward(params, dscores, cache["branch_cache"], grads, ws)
 
-    dpool_flat = _dense_grads(params, dseg_logits.reshape(b * s, -1), cache["cls1_cache"], grads, "classifier1")
+    dpool_flat = _grads(grads, "classifier1", dense_backward, dseg, cache["cls1_cache"], _dense(params, "classifier1"))
     dpool = dpool_flat.reshape(b, s, -1).transpose(0, 2, 1)  # [B, C, S]
 
     dfeat = _buf(ws, "dfeat", (b, CHANNELS, t), params.dtype)

@@ -4,7 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from icvmd.errors import DegenerateInputError, ParameterError
+from icvmd.dataset import _FLOOR_SLACK
+from icvmd.errors import DegenerateInputError, ParameterError, is_real
 from icvmd.nn import model
 from icvmd.nn.attention import softmax
 from icvmd.nn.layers import ConvLayer, conv_backward, conv_forward, relu_backward
@@ -439,7 +440,7 @@ def grad_check(
 
     logits, cache = model_forward(params, main, branch, {})
     _, dlogits = cross_entropy(logits, labels)
-    grads = model_backward(params, dlogits, cache)
+    grads = model_backward(params, dlogits, cache, {})
 
     paths = list(params.arrays)
     sizes = np.array([a.size for a in params.arrays.values()])
@@ -557,3 +558,48 @@ def hammerstein_as_volterra(profile: EmitterProfile) -> VolterraKernels:
         kernels.append(np.zeros((q, q), dtype=complex))
         kernels.append(h3)
     return VolterraKernels(tuple(kernels))
+
+
+def reference_split_manifest(manifest: dict, test_fraction: float, seed: int) -> tuple:
+    """split_manifest as its own loop: strata by (label, snr_db) in sorted
+    order, each sorted by path, one permutation per stratum."""
+    if not (is_real(test_fraction) and 0.0 < test_fraction < 1.0):
+        raise ParameterError("test_fraction must lie in (0, 1)")
+    paths = [entry["path"] for entry in manifest["files"]]
+    dupes = sorted({p for p in paths if paths.count(p) > 1})
+    if dupes:
+        raise ParameterError(f"manifest lists these paths more than once: {dupes}")
+    rng = np.random.default_rng(seed)
+    strata: dict = {}
+    for entry in manifest["files"]:
+        strata.setdefault((entry["label"], entry["snr_db"]), []).append(entry)
+    train, test = [], []
+    for key in sorted(strata):
+        group = sorted(strata[key], key=lambda e: e["path"])
+        k = int(round(test_fraction * len(group)))
+        k = min(max(k, 1), len(group) - 1) if len(group) > 1 else 0
+        order = rng.permutation(len(group))
+        chosen = set(order[:k].tolist())
+        for i, entry in enumerate(group):
+            (test if i in chosen else train).append(entry)
+    return dict(manifest, files=train), dict(manifest, files=test)
+
+
+def reference_subsample_manifest(manifest: dict, proportion: float, seed: int) -> dict:
+    """subsample_manifest as its own loop: classes in sorted order, each
+    sorted by path, one permutation per class, floor(proportion * n) kept."""
+    if not (is_real(proportion) and 0.0 < proportion <= 1.0):
+        raise ParameterError("proportion must lie in (0, 1]")
+    rng = np.random.default_rng(seed)
+    by_label: dict = {}
+    for entry in manifest["files"]:
+        by_label.setdefault(entry["label"], []).append(entry)
+    kept = []
+    for label in sorted(by_label):
+        group = sorted(by_label[label], key=lambda e: e["path"])
+        k = int(np.floor(proportion * len(group) + _FLOOR_SLACK))
+        if k < 1:
+            raise DegenerateInputError(f"class {label} would keep 0 of {len(group)} entries at proportion {proportion}")
+        order = rng.permutation(len(group))
+        kept.extend(group[i] for i in sorted(order[:k].tolist()))
+    return dict(manifest, files=kept)

@@ -2,12 +2,13 @@ import json
 import re
 import tracemalloc
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
 
 from icvmd.errors import ParameterError
-from icvmd.nn.checkpoint import load_checkpoint, save_checkpoint
+from icvmd.nn.checkpoint import _MANIFEST_BYTES, load_checkpoint, save_checkpoint
 from icvmd.nn.model import ModelConfig, init_params, model_forward
 from oracles import as_float64
 
@@ -224,6 +225,46 @@ def test_an_oversized_member_is_refused_before_it_is_unpacked(tmp_path):
     np.savez_compressed(path, **dict(files, **{"classifier1.bias": np.zeros(20_000_000)}))
     message = "classifier1.bias unpacks to 160000128 bytes, more than a float64 array of shape (3,)"
     assert peak_of_refused_load(path, message) < 2**20
+
+
+def pad_manifest(path, spaces: int):
+    """Rewrite a checkpoint compressed, its manifest JSON followed by ``spaces``
+    spaces (still valid JSON); returns the manifest member's unpacked size."""
+    with np.load(path) as z:
+        files = dict(z.items())
+    padded = files["manifest"].tobytes() + b" " * spaces
+    np.savez_compressed(path, **dict(files, manifest=np.frombuffer(padded, dtype=np.uint8)))
+    with zipfile.ZipFile(path) as archive:
+        return archive.getinfo("manifest.npy").file_size
+
+
+def test_an_oversized_manifest_is_refused_before_it_is_read(tmp_path):
+    # 2e7 spaces compress to about 20 KB; read whole, they peaked at 40 MB.
+    path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 2, seed=0), {"class_ids": [3, 5]})
+    size = pad_manifest(path, 20_000_000)
+    assert path.stat().st_size < 50_000
+    message = f"{path} manifest unpacks to {size} bytes, over its bound of {_MANIFEST_BYTES}"
+    assert peak_of_refused_load(path, message) < 2**20
+
+
+def test_a_manifest_over_the_bound_is_not_saved(tmp_path):
+    path = tmp_path / "out" / "m.npz"
+    meta = dict(META, history=[1 / 3] * 60_000)  # 20 bytes of JSON each
+    with pytest.raises(ParameterError, match=r"^checkpoint manifest of \d+ bytes is over its bound of 1048576$"):
+        save_checkpoint(path, init_params(TINY, 3, seed=0), meta)
+    assert not path.parent.exists()
+
+
+def test_a_manifest_at_the_bound_saves_and_loads(tmp_path):
+    params = init_params(TINY, 3, seed=0)
+    short = save_checkpoint(tmp_path / "short.npz", params, dict(META, note=""))
+    with np.load(short) as z:
+        room = _MANIFEST_BYTES - z["manifest"].size
+    meta = dict(META, note="x" * room)
+    path = save_checkpoint(tmp_path / "m.npz", params, meta)
+    with np.load(path) as z:
+        assert z["manifest"].size == _MANIFEST_BYTES
+    assert load_checkpoint(path)[1] == meta
 
 
 @pytest.mark.parametrize("bias", [np.array(["ab", "cd", "ef"]), np.array([1 + 2j, 3 - 1j, 0.5j])], ids=["string", "complex"])

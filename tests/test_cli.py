@@ -909,6 +909,18 @@ def test_eval_rejects_a_manifest_that_is_not_utf8_bytes(runner, tmp_path, payloa
     assert f"error: {ck} manifest is not UTF-8 bytes" in res.stderr
 
 
+def test_eval_refuses_a_manifest_over_its_bound(runner, tmp_path):
+    ck, args = trained_checkpoint(runner, tmp_path)
+    with np.load(ck) as z:
+        files = dict(z.items())
+    padded = files["manifest"].tobytes() + b" " * 20_000_000  # valid JSON, 20 MB unpacked
+    np.savez_compressed(ck, **dict(files, manifest=np.frombuffer(padded, dtype=np.uint8)))
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"error: {ck} manifest unpacks to " in res.stderr and "over its bound of 1048576" in res.stderr
+
+
 def test_eval_decomposes_with_the_trained_n_modes(runner, tmp_path, monkeypatch):
     data = gen_tiny(runner, tmp_path / "data", spe=2)
     ck = tmp_path / "model.npz"

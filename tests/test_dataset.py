@@ -19,6 +19,7 @@ from icvmd.dataset import (
 from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.modulation import ModulationKind
 from icvmd.pa import EmitterProfile, auxiliary_bank, emitter_bank
+from oracles import reference_split_manifest, reference_subsample_manifest
 
 
 def tiny_spec(**kw):
@@ -340,3 +341,61 @@ def test_subsample_is_seeded():
     c = subsample_manifest(manifest, 0.5, seed=2)
     assert [e["path"] for e in a["files"]] == [e["path"] for e in b["files"]]
     assert [e["path"] for e in a["files"]] != [e["path"] for e in c["files"]]
+
+
+def test_subsample_floors_after_float_rounding():
+    # 0.29 * 100 is 28.999999999999996 in floating point; a plain floor kept 28.
+    manifest = make_manifest(per_class=50)  # 100 entries per class
+    for proportion, keep in [(0.29, 29), (0.57, 57), (0.58, 58), (0.295, 29)]:
+        sub = subsample_manifest(manifest, proportion, seed=0)
+        for c in (0, 1):
+            assert sum(1 for e in sub["files"] if e["label"] == c) == keep, proportion
+
+
+def test_subsamples_of_one_seed_are_nested_across_proportions():
+    # run_fewshot's memo reuses a capture's decomposition across proportions.
+    manifest = make_manifest(per_class=20, classes=(0, 1, 2))  # 40 entries per class
+    for seed in range(5):
+        subs = [subsample_manifest(manifest, p, seed) for p in (0.1, 0.3, 1.0)]
+        for c in (0, 1, 2):
+            kept = [{e["path"] for e in sub["files"] if e["label"] == c} for sub in subs]
+            assert [len(k) for k in kept] == [4, 12, 40]
+            assert kept[0] < kept[1] < kept[2]
+
+
+def random_manifest(rng) -> dict:
+    """Labels x SNRs x 1-9 entries each, listed in a shuffled order under
+    random path names, now and then with one path listed twice."""
+    labels = rng.choice(7, size=rng.integers(1, 4), replace=False).tolist()
+    snrs = rng.choice([-4.0, 0.0, 6.0, 18.0], size=rng.integers(1, 3), replace=False).tolist()
+    files = [
+        {"path": f"{rng.integers(1 << 40):011x}.iqf32", "label": c, "snr_db": s}
+        for c in labels for s in snrs for _ in range(rng.integers(1, 10))
+    ]
+    files = [files[i] for i in rng.permutation(len(files))]
+    if rng.random() < 0.05:
+        files.append(dict(files[0]))
+    return {"schema_version": 1, "spec": {}, "files": files}
+
+
+def outcome(draw, *args):
+    try:
+        return draw(*args)
+    except (ParameterError, DegenerateInputError) as exc:
+        return type(exc), str(exc)
+
+
+def test_split_and_subsample_match_their_reference_loops():
+    rng = np.random.default_rng(2024)
+    refused = {"split": 0, "subsample": 0}
+    for _ in range(600):
+        manifest, seed = random_manifest(rng), int(rng.integers(1 << 31))
+        fraction = [0.01, 1 / 3, 0.25, 0.5, 0.99, rng.uniform(0.001, 0.999)][rng.integers(6)]
+        proportion = [0.01, 0.1, 0.29, 0.5, 1.0, rng.uniform(0.01, 1.0)][rng.integers(6)]
+        got = outcome(split_manifest, manifest, fraction, seed)
+        assert got == outcome(reference_split_manifest, manifest, fraction, seed)
+        got_sub = outcome(subsample_manifest, manifest, proportion, seed)
+        assert got_sub == outcome(reference_subsample_manifest, manifest, proportion, seed)
+        refused["split"] += got[0] is ParameterError  # a path listed twice
+        refused["subsample"] += isinstance(got_sub, tuple)  # an empty class
+    assert min(refused.values()) >= 10, refused  # the refusals are compared too, not only the lists

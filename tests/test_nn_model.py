@@ -183,7 +183,7 @@ def test_forward_and_backward_run_in_the_parameters_dtype(cast):
     assert logits.dtype == cache["attention"].dtype == dtype
     _, dlogits = cross_entropy(logits, np.array([0, 2]))
     assert dlogits.dtype == dtype
-    grads = model_backward(params, dlogits.astype(np.float64), cache)
+    grads = model_backward(params, dlogits.astype(np.float64), cache, {})
     assert {k: g.dtype for k, g in grads.items()} == {k: np.dtype(dtype) for k in grads}
     assert spatial_attention_weights(params, xb).dtype == dtype
     assert residual_block(np.ones((CHANNELS, 20)), params, 0).dtype == dtype
@@ -246,7 +246,7 @@ def test_backward_produces_gradient_for_every_array():
     xm, xb = tiny_batch(b=2, t=30)
     logits, cache = model_forward(params, xm, xb, {})
     _, dlogits = cross_entropy(logits, np.array([0, 1]))
-    grads = model_backward(params, dlogits, cache)
+    grads = model_backward(params, dlogits, cache, {})
     assert grads.keys() == params.arrays.keys()
     for path, arr in params.arrays.items():
         assert grads[path].shape == arr.shape
@@ -392,7 +392,7 @@ def test_inference_without_a_workspace_keeps_one_chunk_at_a_time():
     assert logits.tobytes() == want.tobytes()
     assert cache["attention"].tobytes() == want_cache["attention"].tobytes()
     with pytest.raises(ParameterError, match="pass a workspace"):
-        model_backward(params, np.zeros_like(logits), cache)
+        model_backward(params, np.zeros_like(logits), cache, {})
 
 
 @pytest.mark.parametrize("infer", ["predict", "spatial_attention_weights"])
@@ -431,7 +431,7 @@ def test_a_reused_workspace_gives_the_bytes_of_a_fresh_one():
         xm, xb = rng.normal(size=(2, b, IN_CHANNELS, 2100)).astype(np.float32)
         logits, cache = model_forward(params, xm, xb, ws)
         _, dlogits = cross_entropy(logits, np.arange(b) % 4)
-        return [logits, cache["attention"], *model_backward(params, dlogits, cache).values()]
+        return [logits, cache["attention"], *model_backward(params, dlogits, cache, {}).values()]
 
     ws: dict = {}
     step(32, ws)
