@@ -39,7 +39,7 @@ from .fewshot import (
 )
 from .iqfile import read_iqf32, write_iqf32
 from .modulation import ModulationKind
-from .nn.checkpoint import _check_keys, load_checkpoint, save_checkpoint
+from .nn.checkpoint import MAX_EPOCHS, _check_keys, load_checkpoint, save_checkpoint
 from .nn.model import ModelConfig, init_params
 from .nn.train import TrainConfig, train as train_model
 from .vmd import VmdConfig
@@ -208,6 +208,8 @@ def _represent_dataset(data_dir, representation, vmd: VmdConfig) -> tuple:
 def train_cmd(data_dir, out_file, representation, epochs, learning_rate, batch_size, seed, segment_len, n_modes):
     """Train the toy classifier on a dataset directory; writes an .npz checkpoint."""
     cfg = TrainConfig(learning_rate=learning_rate, epochs=epochs, batch_size=batch_size, seed=seed)
+    if epochs > MAX_EPOCHS:
+        raise ParameterError(f"--epochs {epochs} is over {MAX_EPOCHS}, the most whose loss history a checkpoint holds")
     vmd = VmdConfig(n_modes=n_modes)
     truth, _, mains, branches = _represent_dataset(data_dir, representation, vmd)
     class_ids, labels = np.unique(truth, return_inverse=True)

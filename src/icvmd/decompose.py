@@ -22,7 +22,7 @@ import numpy as np
 from .analytic import analytic_split, combine_analytic
 from .errors import ParameterError
 from .signals import ComplexSignal
-from .vmd import ModeSet, VmdConfig, VmdResult, check_memory_budget, fits_float32_sweep, vmd_decompose
+from .vmd import ModeSet, VmdConfig, VmdResult, check_memory_budget, vmd_decompose
 
 class ModeLabel(enum.Enum):
     SIGNAL = "signal"  # intentional modulation content
@@ -65,23 +65,23 @@ def partition_modes(result: VmdResult) -> tuple:
     return tuple(labels)
 
 
-def _decompose_side(x: np.ndarray, cfg: VmdConfig, floor: float) -> tuple:
+def _decompose_side(x: np.ndarray, cfg: VmdConfig, e: int, floor: float) -> tuple:
     """Decompose one side sequence; returns its ``(VmdResult, labels)``."""
     # A side holding only FFT roundoff from the split (e.g. the negative side
     # of a purely positive-frequency input) is treated as empty rather than
     # decomposed: its "modes" would be arbitrary slices of numerical noise.
-    energy = float(np.sum(x**2))
-    if energy <= floor:
+    if float(np.sum(np.ldexp(x, -e) ** 2)) <= floor:
         n, k = x.size, cfg.n_modes
         check_memory_budget(n, k)
         # n + 1 rfft bins of the mirror-extended (2n) sequence; no sweep ran.
         empty = ModeSet(np.zeros((k, n + 1), dtype=np.float32), np.zeros(k), 0, True, 0.0)
         return VmdResult(np.zeros((k, n)), empty, residual=np.zeros(n)), (ModeLabel.FEATURE,) * k
-    # Swept in float32 unless too loud for it; the residual against the float64
+    # Swept in float32 and labelled at its own unit peak; the residual against the float64
     # side keeps side_input_energy, and so each energy fraction, that side's.
-    res = vmd_decompose(x.astype(np.float32) if fits_float32_sweep(x.size, energy) else x, cfg)
-    res = VmdResult(res.modes, res.mode_set, residual=x - res.modes.sum(axis=0))
-    return res, partition_modes(res)
+    e_side = int(np.frexp(np.abs(x).max())[1])
+    res = vmd_decompose(np.ldexp(x, -e_side).astype(np.float32), cfg)
+    modes = np.ldexp(res.modes, e_side)
+    return VmdResult(modes, res.mode_set, residual=x - modes.sum(axis=0)), partition_modes(res)
 
 
 def icvmd_decompose(sig: ComplexSignal, cfg: VmdConfig) -> IcvmdResult:
@@ -91,8 +91,10 @@ def icvmd_decompose(sig: ComplexSignal, cfg: VmdConfig) -> IcvmdResult:
     of a one-sided input) is not solved: its modes are all zero and all
     labeled FEATURE, with the residual carrying nothing.
     """
-    floor = 1e-24 * float(np.sum(np.abs(sig.samples) ** 2))
-    (pos, labels_pos), (neg, labels_neg) = (_decompose_side(x, cfg, floor) for x in analytic_split(sig))
+    magnitudes = np.abs(sig.samples)
+    e = int(np.frexp(magnitudes.max())[1])  # both energies are taken at unit peak, where no square over- or underflows
+    floor = 1e-24 * float(np.sum(np.ldexp(magnitudes, -e) ** 2))
+    (pos, labels_pos), (neg, labels_neg) = (_decompose_side(x, cfg, e, floor) for x in analytic_split(sig))
     return IcvmdResult(pos, neg, labels_pos, labels_neg, input_signal=sig)
 
 

@@ -32,6 +32,7 @@ FORMAT_VERSION = 3
 # writes under 1 KiB of settings beside its class_ids and one history float
 # per epoch, each at most 26 bytes of JSON, so 1 MiB holds 40,000 of them.
 _MANIFEST_BYTES = 1 << 20
+MAX_EPOCHS = (_MANIFEST_BYTES - 1024) // 26  # icvmd train refuses more before it reads any data
 
 
 def _check_finite(key: str, a: np.ndarray) -> None:

@@ -30,11 +30,11 @@ is the mode's previous norm in the next sweep's metric
 sum_k ||du_k||^2 / ||u_k_prev||^2, so no copy of the modes is kept between
 sweeps.  The rows are returned as they are: only the irfft of each multiplies it by the phase.
 
-The sweep runs in the precision of its input: float32 rows for a float32
-signal (refused unless fits_float32_sweep admits it), float64 rows for any
-other dtype.  The start (read off the float64 coefficients), the centers,
-the metric, the irfft, the time-domain modes and the residual stay float64
-either way.
+The solve runs on x / 2^e, with e from the frexp of the peak: a power of two passes
+through every step exactly, so at any finite scale the modes and rows are 2^e times
+those of the unit-peak solve.  The sweep runs in the precision of its input (float32
+rows for a float32 signal, float64 otherwise); at unit peak no float32 square over- or
+underflows.  The start, the centers, the metric, the irfft, the modes and the residual stay float64.
 
 The sweep is over-relaxed (Boyd et al. 2011, sec. 3.4.3): each mode takes
 its plain step du_k, moves by beta*du_k, and re-centers with
@@ -113,7 +113,8 @@ class ModeSet:
     coefficients    -- real array [n_modes, n_bins] on the rfft grid of the
                        mirror-extended signal: each mode's rfft is its row
                        times the extension's phase (module docstring);
-                       float32 for a float32 input, float64 otherwise
+                       float32 for a float32 input, float64 otherwise (an
+                       icvmd_decompose side keeps its unit-peak sweep's rows)
     omegas          -- center frequencies in radians, ascending, within [0, pi]
     iterations      -- sweeps actually run
     converged       -- True when the relative-change metric of a plain sweep
@@ -232,17 +233,6 @@ def check_memory_budget(n: int, n_modes: int) -> None:
         )
 
 
-def fits_float32_sweep(n: int, energy: float) -> bool:
-    """Whether an n-sample signal with sum(x^2) = energy can be swept in float32.
-    Its rows' squared norm is 2n*energy, kept a factor pi*(1 + _RELAX)^2 under
-    float32's largest value: a relaxed step can move a row by (1 + _RELAX)
-    times its size, and the first moment weighs |u|^2 by w <= pi; and at least
-    float32's smallest normal over eps^2, so a sum down to eps of it (a weak mode's
-    energy, a step's ||du||^2) sees its squares down to eps of itself as normal floats."""
-    rows, f32 = 2.0 * n * energy, np.finfo(np.float32)
-    return float(f32.tiny / f32.eps**2) <= rows and rows * np.pi * (1.0 + _RELAX) ** 2 <= float(f32.max)
-
-
 def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     """Decompose a real 1-D signal into ``cfg.n_modes`` band-limited modes.
 
@@ -273,9 +263,7 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
         raise ParameterError("signal must be finite")
     if not np.any(x != 0.0):
         raise DegenerateInputError("cannot decompose an all-zero signal")
-    if real is np.float32 and not fits_float32_sweep(x.size, energy := float(x.dot(x))):
-        flow = "overflows" if energy > 1.0 else "underflows"  # the bounds lie far above and below 1
-        raise ParameterError(f"a float32 signal of energy {energy:.3g} {flow} the float32 sweep; pass it in float64")
+    e = int(np.frexp(np.abs(x).max())[1])  # x / 2^e has its peak in [1/2, 1) (module docstring)
 
     n = x.size
     n_ext = 2 * n
@@ -285,7 +273,7 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
 
     k_modes = cfg.n_modes
     phase = _phase(n)
-    r = (np.fft.rfft(mirror_extend(x)) * phase.conj()).real  # the coefficients of x
+    r = (np.fft.rfft(mirror_extend(np.ldexp(x, -e))) * phase.conj()).real  # the coefficients of x / 2^e
     guard = _ENERGY_GUARD * float(r.dot(r))
     omegas = _init_omegas(cfg, r).tolist()
     r = r.astype(real)  # the residual: those coefficients less sum(u), with u = 0
@@ -361,5 +349,10 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     modes = np.empty((k_modes, n))
     for row, c in zip(modes, coefficients):  # one spectrum, and the kept half of its irfft, at a time
         row[:] = np.fft.irfft((c * phase).astype(complex, copy=False), n_ext)[n // 2 : n // 2 + n]
+    with np.errstate(over="ignore"):  # a row its dtype cannot hold at the input's scale is inf
+        np.ldexp(coefficients, e, out=coefficients)
+    if not (np.isfinite(coefficients.max()) and np.isfinite(coefficients.min())):  # no [K, n + 1] mask
+        raise ParameterError(f"the {coefficients.dtype} coefficient rows of a signal with peak {np.abs(x).max():.3g} overflow at its scale")
+    np.ldexp(modes, e, out=modes)
     mode_set = ModeSet(coefficients, omegas, iterations, converged, final_delta)
     return VmdResult(modes=modes, mode_set=mode_set, residual=x - modes.sum(axis=0))

@@ -3,13 +3,16 @@ import re
 import tracemalloc
 import warnings
 import zipfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from icvmd.errors import ParameterError
-from icvmd.nn.checkpoint import _MANIFEST_BYTES, load_checkpoint, save_checkpoint
+from icvmd.nn.checkpoint import _MANIFEST_BYTES, MAX_EPOCHS, load_checkpoint, save_checkpoint
 from icvmd.nn.model import ModelConfig, init_params, model_forward
+from icvmd.nn.train import TrainConfig
+from icvmd.vmd import VmdConfig
 from oracles import as_float64
 
 TINY = ModelConfig(segment_len=10)
@@ -253,6 +256,15 @@ def test_a_manifest_over_the_bound_is_not_saved(tmp_path):
     with pytest.raises(ParameterError, match=r"^checkpoint manifest of \d+ bytes is over its bound of 1048576$"):
         save_checkpoint(path, init_params(TINY, 3, seed=0), meta)
     assert not path.parent.exists()
+
+
+def test_the_longest_run_icvmd_train_starts_saves_its_history(tmp_path):
+    # icvmd train's manifest, each history float at its longest JSON (26 bytes with ", ").
+    cfg = TrainConfig(epochs=MAX_EPOCHS)
+    history = [-2.2250738585072014e-308] * MAX_EPOCHS
+    meta = dict(class_ids=list(range(7)), representation="icvmd", vmd=asdict(VmdConfig()), **asdict(cfg), history=history)
+    path = save_checkpoint(tmp_path / "m.npz", init_params(TINY, 7, seed=0), meta)
+    assert load_checkpoint(path)[1] == meta
 
 
 def test_a_manifest_at_the_bound_saves_and_loads(tmp_path):

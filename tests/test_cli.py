@@ -17,6 +17,7 @@ from icvmd.features import extract_features
 from icvmd.fewshot import FewshotResult
 from icvmd.iqfile import read_iqf32, write_iqf32
 from icvmd.modulation import ModulationKind
+from icvmd.nn.checkpoint import MAX_EPOCHS
 from icvmd.nn.model import ModelConfig
 from icvmd.nn.train import TrainConfig, TrainResult
 from icvmd.pa import auxiliary_bank
@@ -677,6 +678,19 @@ def test_train_writes_no_checkpoint_for_a_diverged_run(runner, tmp_path):
     assert "error: non-finite training loss at epoch " in res.stderr
     assert res.stderr == "error: non-finite training loss at epoch 1, step 2; lower the learning rate\n"
     assert not ck.exists()
+
+
+def test_train_refuses_an_epoch_count_past_the_checkpoint_bound_before_reading_data(runner, tmp_path):
+    # Such a run trained to the end, then found its loss history over the
+    # manifest's bound and saved nothing.  The directory holds no dataset, so
+    # a run that reads it exits 3.
+    ck = tmp_path / "model.npz"
+    train = ["train", "--data", str(tmp_path), "--out", str(ck), "--epochs"]
+    res = runner.invoke(main, [*train, str(MAX_EPOCHS + 1)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == f"error: --epochs {MAX_EPOCHS + 1} is over {MAX_EPOCHS}, the most whose loss history a checkpoint holds\n"
+    assert not ck.exists()
+    assert runner.invoke(main, [*train, str(MAX_EPOCHS)]).exit_code == 3
 
 
 def test_train_refuses_a_segment_longer_than_every_capture(runner, tmp_path):

@@ -167,9 +167,9 @@ def test_empty_side_stand_in_respects_the_memory_budget():
         icvmd_decompose(ComplexSignal(z), side)
 
 
-def test_a_side_too_loud_for_the_float32_sweep_is_swept_in_float64():
-    # A finite float32 capture: at a peak of 1.9e16 the positive side's cosine
-    # rows square past float32's range, and its float32 sweep ends in NaN.
+def test_a_loud_capture_decomposes_as_at_unit_scale():
+    # At a peak of 1.9e16 the positive side's cosine rows squared past float32's
+    # range, and its float32 sweep ended in NaN.
     sig = synthesize_one(DatasetSpec(n_samples=2100), emitter_bank()[0], ModulationKind.CW, 18.0, 1, 2)
     unit = sig.samples / np.max(np.abs(sig.samples))
     cfg = VmdConfig()
@@ -178,14 +178,10 @@ def test_a_side_too_loud_for_the_float32_sweep_is_swept_in_float64():
     for a, b in ((loud.pos, quiet.pos), (loud.neg, quiet.neg)):
         assert np.all(np.isfinite(a.modes))
         assert np.max(np.abs(a.omegas - b.omegas)) <= 1e-3
-    # Handed that side in float32 itself, the solver refuses it before any sweep.
-    pos = analytic_split(ComplexSignal(1.9e16 * unit))[0]
-    with pytest.raises(ParameterError, match="^a float32 signal of energy .* overflows the float32 sweep"):
-        vmd_decompose(pos.astype(np.float32), cfg)
 
 
 @pytest.mark.parametrize("scale", [1e-30, 1e-46])
-def test_a_side_too_quiet_for_the_float32_sweep_is_swept_in_float64(scale):
+def test_a_quiet_capture_decomposes_as_at_unit_scale(scale):
     # Cast to float32, the side at 1e-30 squared to zero in the sweep and its
     # centers froze; the one at 1e-46 rounded to zero and was dropped as all-zero.
     t = np.arange(256)
@@ -194,6 +190,25 @@ def test_a_side_too_quiet_for_the_float32_sweep_is_swept_in_float64(scale):
     for a, b in ((quiet.pos, unit.pos), (quiet.neg, unit.neg)):
         assert np.max(np.abs(a.omegas - b.omegas)) <= 1e-3  # as float32 against float64 elsewhere
         assert a.mode_set.converged and a.mode_set.iterations > 0
+
+
+@pytest.mark.parametrize("k", [-600, -120, 60, 520])
+def test_a_capture_at_a_power_of_two_scale_decomposes_as_the_unit_capture_scaled_bit_for_bit(k):
+    # At 2^-600 and 2^520 the squares of the empty-side test under- or
+    # overflowed, and both sides came back empty with no warning.
+    t = np.arange(256)
+    z = np.exp(2j * np.pi * 0.1 * t) + 0.5 * np.exp(-2j * np.pi * 0.23 * t)
+    unit, res = icvmd_decompose(ComplexSignal(z), VmdConfig()), icvmd_decompose(ComplexSignal(np.ldexp(1.0, k) * z), VmdConfig())
+    assert (res.labels_pos, res.labels_neg) == (unit.labels_pos, unit.labels_neg)
+    for a, b in ((res.pos, unit.pos), (res.neg, unit.neg)):
+        assert b.mode_set.iterations > 0
+        assert np.array_equal(a.modes, np.ldexp(b.modes, k)) and np.array_equal(a.residual, np.ldexp(b.residual, k))
+        # Each side keeps the float32 rows of its sweep, at its own unit peak.
+        assert np.array_equal(a.mode_set.coefficients, b.mode_set.coefficients)
+        assert np.array_equal(a.omegas, b.omegas)
+        assert (a.mode_set.iterations, a.mode_set.converged) == (b.mode_set.iterations, b.mode_set.converged)
+    signal = reconstruct(res, {ModeLabel.SIGNAL}).samples
+    assert np.array_equal(signal, np.ldexp(1.0, k) * reconstruct(unit, {ModeLabel.SIGNAL}).samples)
 
 
 # ------------------------------------------------------------ dump + reload

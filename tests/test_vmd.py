@@ -582,12 +582,32 @@ def test_the_float64_solve_does_not_depend_on_the_signal_scale(scale):
     assert quiet.mode_set.converged == unit.mode_set.converged
 
 
-def test_a_float32_signal_too_quiet_for_the_float32_sweep_is_refused():
-    # Its squares would underflow in a float32 sweep.
-    x = 1e-30 * _quiet_two_tone_side()
-    assert not vmd.fits_float32_sweep(x.size, float(x.dot(x)))
-    with pytest.raises(ParameterError, match="^a float32 signal of energy .* underflows the float32 sweep; pass it in float64"):
-        vmd_decompose(x.astype(np.float32), VmdConfig())
+@pytest.mark.parametrize("scale", [1e-36, 1e-30, 1e30, 1e34])
+def test_a_float32_signal_is_swept_at_any_finite_scale(scale):
+    # At 1e-30 the float32 sweep's squares underflowed, and such an input was refused.
+    x = _quiet_two_tone_side()
+    unit, res = (vmd_decompose((s * x).astype(np.float32), VmdConfig()) for s in (1.0, scale))
+    assert res.mode_set.coefficients.dtype == np.float32
+    assert np.max(np.abs(res.omegas - unit.omegas)) <= 1e-3
+    assert res.mode_set.converged == unit.mode_set.converged
+    assert np.max(np.abs(res.modes / scale - unit.modes)) <= 1e-3 * np.max(np.abs(unit.modes))
+
+
+def test_a_float32_signal_whose_rows_overflow_at_its_scale_is_refused():
+    # Finite in float32 (its peak is 9.15e37), but its coefficient rows are not.
+    x = np.ldexp(_quiet_two_tone_side(), 126).astype(np.float32)
+    with pytest.raises(ParameterError, match="^the float32 coefficient rows of a signal with peak 9.15e[+]37 overflow at its scale$"):
+        vmd_decompose(x, VmdConfig())
+
+
+@pytest.mark.parametrize("k", [-100, 100])
+def test_a_float32_solve_at_a_power_of_two_scale_is_the_unit_solve_scaled_bit_for_bit(k):
+    x = _quiet_two_tone_side().astype(np.float32)
+    unit, res = vmd_decompose(x, VmdConfig()), vmd_decompose(np.ldexp(x, k), VmdConfig())
+    for got, want in ((res.modes, unit.modes), (res.residual, unit.residual), (res.mode_set.coefficients, unit.mode_set.coefficients)):
+        assert got.dtype == want.dtype and np.array_equal(got, np.ldexp(want, k))
+    assert np.array_equal(res.omegas, unit.omegas)
+    assert (res.mode_set.iterations, res.mode_set.converged) == (unit.mode_set.iterations, unit.mode_set.converged)
 
 
 def test_iteration_cap_respected():
