@@ -56,7 +56,8 @@ def analytic_split(sig: ComplexSignal) -> tuple:
 
 
 def combine_analytic(s_plus: np.ndarray, s_minus: np.ndarray) -> np.ndarray:
-    """Rebuild a complex sequence from the two real parts.
+    """Rebuild a complex sequence, or a stack of them along the last axis,
+    from the two real parts.
 
     The boundary bins come back real, so combining the split of z misses the
     imaginary DC and Nyquist content of z (module docstring).
@@ -67,14 +68,13 @@ def combine_analytic(s_plus: np.ndarray, s_minus: np.ndarray) -> np.ndarray:
     2*P[m], negative interior bin n-m is 2*conj(M[m]), and for even n the
     Nyquist bin n/2 is P[n/2] + M[n/2].
     """
-    n = len(s_plus)
-    p = np.fft.rfft(np.asarray(s_plus, dtype=float))
-    m = np.fft.rfft(np.asarray(s_minus, dtype=float))
+    p, m = np.fft.rfft(np.array([s_plus, s_minus], dtype=float))
+    n = np.shape(s_plus)[-1]
     top = (n + 1) // 2  # first index past the positive interior
-    spec = np.empty(n, dtype=complex)
-    spec[0] = p[0] + m[0]
-    spec[1:top] = 2.0 * p[1:top]
-    spec[n - 1 : n - top : -1] = 2.0 * np.conj(m[1:top])
+    spec = np.empty(p.shape[:-1] + (n,), dtype=complex)
+    spec[..., 0] = p[..., 0] + m[..., 0]
+    spec[..., 1:top] = 2.0 * p[..., 1:top]
+    spec[..., n - 1 : n - top : -1] = 2.0 * np.conj(m[..., 1:top])
     if n % 2 == 0:
-        spec[n // 2] = p[n // 2] + m[n // 2]
+        spec[..., n // 2] = p[..., n // 2] + m[..., n // 2]
     return np.fft.ifft(spec)

@@ -111,12 +111,13 @@ def _assemble(selection, sides: dict, samples: np.ndarray) -> np.ndarray:
     if bad:
         raise ParameterError(f"unknown selection entries: {sorted(str(b) for b in bad)}")
     selected = Selection.RESIDUAL not in selection  # combine the selected modes, or the others
-    summed = {}
-    for name, (labels, modes) in sides.items():
-        picked = [mode for label, mode in zip(labels, modes) if (label in selection) == selected]
-        summed[name] = sum(picked, np.zeros(samples.size))
-    z = combine_analytic(summed["pos"], summed["neg"])
+    z = combine_analytic(*_mode_sums([sides["pos"], sides["neg"]], lambda label: (label in selection) == selected))
     return z if selected else samples - z
+
+
+def _mode_sums(sides, keep) -> list:
+    """Per side, given as (labels, modes [K, n]), the sum of the modes whose label ``keep`` accepts."""
+    return [sum([mode for label, mode in zip(labels, modes) if keep(label)], np.zeros(modes.shape[1])) for labels, modes in sides]
 
 
 def reconstruct(result: IcvmdResult, selection) -> ComplexSignal:

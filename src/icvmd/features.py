@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decompose import IcvmdResult, ModeLabel, mode_energies, reconstruct, side_input_energy
+from .analytic import combine_analytic
+from .decompose import IcvmdResult, ModeLabel, _mode_sums, mode_energies, side_input_energy
 from .errors import ParameterError
 from .signals import ComplexSignal
 
@@ -94,10 +95,14 @@ def extract_features(result: IcvmdResult) -> np.ndarray:
     for i, (_, omega, bw, frac) in enumerate(rows):
         vec[3 * i : 3 * i + 3] = (omega, bw, frac)
 
+    # The FEATURE and SIGNAL reconstructions, as two reconstruct calls build them, in one pass.
+    sides = ((result.labels_pos, result.pos.modes), (result.labels_neg, result.neg.modes))
+    pos, neg = zip(*(_mode_sums(sides, lambda label: label is wanted) for wanted in (ModeLabel.FEATURE, ModeLabel.SIGNAL)))
+    feature, signal = combine_analytic(np.array(pos), np.array(neg))
     base = 3 * MAX_MODES
-    vec[base : base + 4] = _cumulant_block(reconstruct(result, {ModeLabel.FEATURE}).samples)
     vec[base + 4 : base + 8] = _cumulant_block(result.input_signal.samples)
-    vec[base + 8 :] = _cumulant_block(reconstruct(result, {ModeLabel.SIGNAL}).samples)
+    vec[base : base + 4] = _cumulant_block(feature)
+    vec[base + 8 :] = _cumulant_block(signal)
     return vec
 
 

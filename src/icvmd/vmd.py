@@ -48,6 +48,7 @@ keeps the centers about 1.6x nearer the fixed point than stopping there.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -155,6 +156,16 @@ def half_grid(n_ext: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n_ext // 2 + 1) / n_ext
 
 
+@functools.lru_cache(maxsize=4)
+def _tables(n: int) -> tuple:
+    """The read-only tables of an n-sample solve, built once per length: the
+    half grid of the extension and the extension's phase."""
+    tables = (half_grid(2 * n), _phase(n))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def _phase(n: int) -> np.ndarray:
     """exp(-1j*w*(n//2 - 1/2)) on the half grid w = pi*m/n of the 2n-sample extension,
     with each angle cut to a multiple of pi/(2n) below 2*pi; m = b*q + s makes it
@@ -181,21 +192,20 @@ def _init_omegas(cfg: VmdConfig, spectrum: np.ndarray) -> np.ndarray:
     extension or its real coefficients (see the module docstring)."""
     k = cfg.n_modes
     n_bins = spectrum.size
-    grid = half_grid(2 * (n_bins - 1))  # the spectrum is of an even-length extension
     power = smoothed_power(spectrum, max(1, n_bins // _PEAK_WINDOW_DIV))
     inner = power[1:-1]
     peaks = 1 + np.flatnonzero((inner > power[:-2]) & (inner >= power[2:]))
     peaks = peaks[power[peaks] >= _PEAK_FLOOR * power.max()]
     sep = np.pi / (_PEAK_SEP_DIV * k)
-    # Greedy in power order: take the strongest peak still free, then free
-    # only the peaks at least sep from it.
-    cand = grid[peaks[np.argsort(-power[peaks], kind="stable")]]
+    # Greedy in power order: take the strongest peak still free (the first on a
+    # tie), then free only the peaks at least sep from it.
+    cand, p = _tables(n_bins - 1)[0][peaks], power[peaks]
     chosen = []
-    free = np.ones(cand.size, dtype=bool)
-    while len(chosen) < k and free.any():
-        c = cand[np.argmax(free)]
+    while len(chosen) < k and cand.size:
+        c = cand[np.argmax(p)]
         chosen.append(c)
-        free &= np.abs(cand - c) >= sep
+        free = np.abs(cand - c) >= sep
+        cand, p = cand[free], p[free]
     while len(chosen) < k:
         chosen.append(_widest_gap_midpoint(chosen))
     return np.sort(np.array(chosen))
@@ -259,20 +269,18 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     root = math.sqrt(2.0 * cfg.alpha)  # a Python float, so it promotes no float32 ufunc
     if not 1.0 + (root * np.pi) ** 2 <= float(np.finfo(real).max):
         raise ParameterError(f"alpha {cfg.alpha} overflows the {np.dtype(real).name} Wiener filter 1 + 2*alpha*pi^2")
-    if not np.all(np.isfinite(x)):
+    peak = float(np.abs(x).max())  # NaN or inf for a non-finite signal
+    if not math.isfinite(peak):
         raise ParameterError("signal must be finite")
-    if not np.any(x != 0.0):
+    if peak == 0.0:
         raise DegenerateInputError("cannot decompose an all-zero signal")
-    e = int(np.frexp(np.abs(x).max())[1])  # x / 2^e has its peak in [1/2, 1) (module docstring)
+    e = math.frexp(peak)[1]  # x / 2^e has its peak in [1/2, 1) (module docstring)
 
     n = x.size
-    n_ext = 2 * n
-    grid = half_grid(n_ext)
-    n_bins = grid.size
-    min_gap = 2.0 * np.pi / n_ext
-
     k_modes = cfg.n_modes
-    phase = _phase(n)
+    grid, phase = _tables(n)
+    n_bins = grid.size
+    min_gap = np.pi / n
     r = (np.fft.rfft(mirror_extend(np.ldexp(x, -e))) * phase.conj()).real  # the coefficients of x / 2^e
     guard = _ENERGY_GUARD * float(r.dot(r))
     omegas = _init_omegas(cfg, r).tolist()
@@ -287,72 +295,68 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     d = np.empty(n_bins, dtype=real)
     prev_norms = [0.0] * k_modes
 
-    def filters():
-        """Every mode's Wiener denominator 1 + 2*alpha*(w - w_k)^2 into den."""
-        centers[:, 0] = [root * w for w in omegas]
-        np.subtract(scaled, centers, den)
-        np.multiply(den, den, den)
-        np.add(den, 1.0, den)
-
-    def update(k, beta=1.0):
-        """Move mode k by beta times its Wiener step du_k; returns ||du_k||^2 unrelaxed."""
-        uk = rows[k]
-        np.add(r, uk, d)
-        np.divide(d, dens[k], d)
-        np.subtract(d, uk, d)
-        diff = float(d.dot(d))
-        if beta != 1.0:
-            np.multiply(d, beta, d)
-        np.add(uk, d, uk)
-        np.subtract(r, d, r)
-        return diff
-
-    converged = False
+    # One flat loop of sweeps (module docstring).  After the last, the centers
+    # freeze and one more plain pass refreshes every row at them, so the output
+    # is an exact Wiener fixed point of its own reported state.
+    add, subtract, multiply, divide, reseed = np.add, np.subtract, np.multiply, np.divide, _reseed_collisions
+    tol, max_iter, pi = cfg.tol, cfg.max_iter, math.pi
+    converged = last = False
     final_delta = float("inf")
     iterations = 0
     beta = 1.0
-    for iterations in range(1, cfg.max_iter + 1):
-        filters()  # one block serves the sweep (module docstring)
-        diffs = [update(k, beta) for k in range(k_modes)]
-        np.multiply(u, u, den)  # the filters are spent; den holds |u|^2
+    while True:
+        centers[:, 0] = [root * w for w in omegas]  # every Wiener denominator 1 + (s*w - s*w_k)^2
+        subtract(scaled, centers, den)
+        multiply(den, den, den)
+        add(den, 1.0, den)
+        delta = 0.0
+        for k in range(k_modes):  # mode k moves by beta times its Wiener step du_k
+            uk = rows[k]
+            add(r, uk, d)
+            divide(d, dens[k], d)
+            subtract(d, uk, d)
+            delta += float(d.dot(d)) / max(prev_norms[k], guard)  # on the unrelaxed du_k
+            if beta != 1.0:
+                multiply(d, beta, d)
+            add(uk, d, uk)
+            subtract(r, d, r)
+        if last:
+            break
+        iterations += 1
+        multiply(u, u, den)  # the filters are spent; den holds |u|^2
         sums = den.dot(basis).tolist()
         shift = 0.0
-        for k, (energy, moment) in enumerate(sums):
+        for k in range(k_modes):
+            energy, moment = sums[k]
             if energy > guard:
                 move = moment / energy - omegas[k]
                 shift = max(shift, abs(move))
-                omegas[k] = min(max(omegas[k] + beta * move, 0.0), np.pi)
-        _reseed_collisions(omegas, min_gap)
+                omegas[k] = min(max(omegas[k] + beta * move, 0.0), pi)
+        reseed(omegas, min_gap)
         # Out of an all-zero start the first sweep has nothing to compare to.
-        if not all(v <= guard for v in prev_norms):
-            delta = final_delta = sum(dk / max(v, guard) for dk, v in zip(diffs, prev_norms))
-            converged = delta < cfg.tol and beta == 1.0
+        if max(prev_norms) > guard:
+            final_delta = delta
+            converged = delta < tol and beta == 1.0
             # A settled sweep not under tol relaxes the next (module docstring).
-            beta = _RELAX if shift < _SETTLE_RAD and delta >= cfg.tol else 1.0
+            beta = _RELAX if shift < _SETTLE_RAD and delta >= tol else 1.0
         prev_norms = [energy for energy, _ in sums]  # the next sweep's previous norms
-        if converged:
-            break
-
-    # Freeze the centers, then refresh every spectrum once so the output
-    # is an exact Wiener fixed point of its own reported state.
-    filters()
-    for k in range(k_modes):
-        update(k)
+        if converged or iterations == max_iter:
+            last, beta = True, 1.0
 
     order = np.argsort(omegas, kind="stable")
     omegas = np.array(omegas)[order]
     del den, dens  # so the filters do not outlive the sweeps
     coefficients = u[order]
-    del u, rows  # so the unsorted rows do not outlive the sort
+    del u, rows, uk  # so the unsorted rows do not outlive the sort
 
     phase = phase.astype(np.result_type(real, 1j))
     modes = np.empty((k_modes, n))
     for row, c in zip(modes, coefficients):  # one spectrum, and the kept half of its irfft, at a time
-        row[:] = np.fft.irfft((c * phase).astype(complex, copy=False), n_ext)[n // 2 : n // 2 + n]
+        row[:] = np.fft.irfft((c * phase).astype(complex, copy=False), 2 * n)[n // 2 : n // 2 + n]
     with np.errstate(over="ignore"):  # a row its dtype cannot hold at the input's scale is inf
         np.ldexp(coefficients, e, out=coefficients)
     if not (np.isfinite(coefficients.max()) and np.isfinite(coefficients.min())):  # no [K, n + 1] mask
-        raise ParameterError(f"the {coefficients.dtype} coefficient rows of a signal with peak {np.abs(x).max():.3g} overflow at its scale")
+        raise ParameterError(f"the {coefficients.dtype} coefficient rows of a signal with peak {peak:.3g} overflow at its scale")
     np.ldexp(modes, e, out=modes)
     mode_set = ModeSet(coefficients, omegas, iterations, converged, final_delta)
     return VmdResult(modes=modes, mode_set=mode_set, residual=x - modes.sum(axis=0))
