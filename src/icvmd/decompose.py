@@ -51,10 +51,14 @@ def mode_energies(result: VmdResult) -> np.ndarray:
     return np.sum(result.modes**2, axis=1)
 
 
-def side_input_energy(result: VmdResult) -> float:
-    """Energy of the side sequence the modes were decomposed from."""
-    side_input = result.modes.sum(axis=0) + result.residual
-    return float(np.sum(side_input**2))
+def side_energies(*sides: VmdResult) -> tuple:
+    """Each side's mode energies and the summed energy of the side sequences, all
+    taken on the sides over 2^e, e from the frexp of their joint peak: there no
+    square over- or underflows, and a power of two passes through every ratio."""
+    inputs = [side.modes.sum(axis=0) + side.residual for side in sides]
+    e = math.frexp(max(float(np.abs(x).max()) for x in inputs))[1]
+    total = max(sum(float(np.sum(np.ldexp(x, -e) ** 2)) for x in inputs), 1e-300)
+    return [np.sum(np.ldexp(side.modes, -e) ** 2, axis=1) for side in sides], total
 
 
 def partition_modes(result: VmdResult) -> tuple:
@@ -73,11 +77,11 @@ def _decompose_side(x: np.ndarray, cfg: VmdConfig, e: int, floor: float) -> tupl
     if float(np.sum(np.ldexp(x, -e) ** 2)) <= floor:
         n, k = x.size, cfg.n_modes
         check_memory_budget(n, k)
-        # n + 1 rfft bins of the mirror-extended (2n) sequence; no sweep ran.
+        # n + 1 coefficients per mode (vmd module docstring); no sweep ran.
         empty = ModeSet(np.zeros((k, n + 1), dtype=np.float32), np.zeros(k), 0, True, 0.0)
         return VmdResult(np.zeros((k, n)), empty, residual=np.zeros(n)), (ModeLabel.FEATURE,) * k
     # Swept in float32 and labelled at its own unit peak; the residual against the float64
-    # side keeps side_input_energy, and so each energy fraction, that side's.
+    # side keeps its energy, and so each energy fraction, that side's.
     e_side = int(np.frexp(np.abs(x).max())[1])
     res = vmd_decompose(np.ldexp(x, -e_side).astype(np.float32), cfg)
     modes = np.ldexp(res.modes, e_side)
@@ -153,12 +157,12 @@ def dump_modes(result: IcvmdResult, out_dir) -> dict:
     arrays, sides = {"input": result.input_signal.samples}, {}
     for name, side, labels in (("pos", result.pos, result.labels_pos), ("neg", result.neg, result.labels_neg)):
         ms = side.mode_set
-        total = max(side_input_energy(side), 1e-300)
+        (energies,), total = side_energies(side)
         arrays[f"modes_{name}"] = side.modes
         sides[name] = {
             "labels": [label.value for label in labels],
             "omegas": [float(w) for w in side.omegas],
-            "energy_fractions": [float(e / total) for e in mode_energies(side)],
+            "energy_fractions": [float(e / total) for e in energies],
             "iterations": ms.iterations,
             "converged": ms.converged,
             "final_delta": ms.final_delta if math.isfinite(ms.final_delta) else None,

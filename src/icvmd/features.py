@@ -31,8 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from .analytic import combine_analytic
-from .decompose import IcvmdResult, ModeLabel, _mode_sums, mode_energies, side_input_energy
-from .errors import ParameterError
+from .decompose import IcvmdResult, ModeLabel, _mode_sums, side_energies
+from .errors import DegenerateInputError, ParameterError
 from .signals import ComplexSignal
 
 MAX_MODES = 6
@@ -45,17 +45,22 @@ def cumulants(z: np.ndarray) -> dict:
         C40 = E[y^4] - 3*C20^2
         C42 = E[|y|^4] - |C20|^2 - 2*C21^2
 
-    where y = z - mean(z).
+    where y = z - mean(z), taken as products of y*y and of |y|^2 = re^2 + im^2.
+    A sequence whose cumulants overflow float64 raises DegenerateInputError.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim != 1 or z.size < 2:
         raise ParameterError("cumulants need a 1-D sequence of at least 2 samples")
-    y = z - z.mean()
-    c20 = np.mean(y**2)
-    c21 = float(np.mean(np.abs(y) ** 2))
-    c40 = np.mean(y**4) - 3.0 * c20**2
-    c42 = float(np.mean(np.abs(y) ** 4)) - abs(c20) ** 2 - 2.0 * c21**2
-    return {"C20": complex(c20), "C21": c21, "C40": complex(c40), "C42": c42}
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = z - z.mean()
+        y2 = y * y
+        a2 = y.real * y.real + y.imag * y.imag
+        c20, c21 = y2.mean(), a2.mean()
+        c40 = (y2 * y2).mean() - 3.0 * c20**2
+        c42 = (a2 * a2).mean() - abs(c20) ** 2 - 2.0 * c21**2
+    if not np.isfinite([c40, c42]).all():
+        raise DegenerateInputError(f"the cumulants of a sequence with peak {np.abs(z).max():.3g} overflow float64")
+    return {"C20": complex(c20), "C21": float(c21), "C40": complex(c40), "C42": float(c42)}
 
 
 def _cumulant_block(samples: np.ndarray) -> tuple:
@@ -76,18 +81,14 @@ def _bandwidth_3db(coefficients: np.ndarray) -> float:
 
 def extract_features(result: IcvmdResult) -> np.ndarray:
     """Build the fixed-layout vector described in the module docstring."""
-    total = max(side_input_energy(result.pos) + side_input_energy(result.neg), 1e-300)
+    energies, total = side_energies(result.pos, result.neg)
+    sides = ((+1.0, result.pos, result.labels_pos), (-1.0, result.neg, result.labels_neg))
     rows = []
-    for side_sign, side, labels in (
-        (+1.0, result.pos, result.labels_pos),
-        (-1.0, result.neg, result.labels_neg),
-    ):
-        energies = mode_energies(side)
+    for (side_sign, side, labels), side_energy in zip(sides, energies):
         for k, label in enumerate(labels):
-            if label is not ModeLabel.FEATURE or energies[k] == 0.0:
-                continue
-            bandwidth = _bandwidth_3db(side.mode_set.coefficients[k])
-            rows.append((float(energies[k]), side_sign * float(side.omegas[k]), bandwidth, float(energies[k] / total)))
+            if label is ModeLabel.FEATURE and side_energy[k] != 0.0:
+                bandwidth = _bandwidth_3db(side.mode_set.coefficients[k])
+                rows.append((float(side_energy[k]), side_sign * float(side.omegas[k]), bandwidth, float(side_energy[k] / total)))
     rows.sort(key=lambda r: -r[0])
     rows = rows[:MAX_MODES]
 
@@ -95,12 +96,11 @@ def extract_features(result: IcvmdResult) -> np.ndarray:
     for i, (_, omega, bw, frac) in enumerate(rows):
         vec[3 * i : 3 * i + 3] = (omega, bw, frac)
 
-    # The FEATURE and SIGNAL reconstructions, as two reconstruct calls build them, in one pass.
-    sides = ((result.labels_pos, result.pos.modes), (result.labels_neg, result.neg.modes))
-    pos, neg = zip(*(_mode_sums(sides, lambda label: label is wanted) for wanted in (ModeLabel.FEATURE, ModeLabel.SIGNAL)))
-    feature, signal = combine_analytic(np.array(pos), np.array(neg))
     base = 3 * MAX_MODES
-    vec[base + 4 : base + 8] = _cumulant_block(result.input_signal.samples)
+    vec[base + 4 : base + 8] = _cumulant_block(result.input_signal.samples)  # first, so an overflow names the capture's peak
+    # The FEATURE and SIGNAL reconstructions, as two reconstruct calls build them, in one pass.
+    sums = [_mode_sums([(labels, side.modes) for _, side, labels in sides], lambda label: label is wanted) for wanted in (ModeLabel.FEATURE, ModeLabel.SIGNAL)]
+    feature, signal = combine_analytic(*np.swapaxes(sums, 0, 1))
     vec[base : base + 4] = _cumulant_block(feature)
     vec[base + 8 :] = _cumulant_block(signal)
     return vec

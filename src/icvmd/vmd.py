@@ -1,24 +1,30 @@
 """Variational mode decomposition of real signals via frequency-domain ADMM.
 
-The signal is mirror-extended to suppress boundary artifacts, transformed with
-an rfft, and decomposed on the non-negative frequency half-grid
-``w[m] = 2*pi*m / n_ext`` (radians/sample, inclusive of 0 and pi).  Each mode
-spectrum is refreshed with a Wiener-style update, its center frequency tracked
-as the spectral power centroid.  There is no dual step: the modes need not
-sum to the signal, since the residual returned beside them closes the sum.
+The signal is mirror-extended to suppress boundary artifacts (half of it is
+reflected onto each end) and decomposed on the non-negative frequency
+half-grid ``w[m] = pi*m / n`` of the 2n-sample extension (radians/sample,
+m = 0..n, inclusive of 0 and pi).  Each mode spectrum is refreshed with a
+Wiener-style update, its center frequency tracked as the spectral power
+centroid.  There is no dual step: the modes need not sum to the signal,
+since the residual returned beside them closes the sum.
 
 The centers start at the side's own spectral peaks, since each is drawn only
 to spectral mass within about 1/sqrt(alpha) of where it starts: the highest
-local maxima of the rfft power smoothed over n_bins // _PEAK_WINDOW_DIV bins
+local maxima of the coefficient power smoothed over n_bins // _PEAK_WINDOW_DIV bins
 that hold at least _PEAK_FLOOR of its maximum, at least
 pi / (_PEAK_SEP_DIV * K) apart, then midpoints of the widest gaps between 0,
 the chosen centers and pi until there are K.
 
 The extension is half-sample symmetric about n//2 - 1/2, so its rfft is real
-coefficients (a DCT-II) times the fixed phase exp(-1j*w*(n//2 - 1/2))
-(Makhoul 1980).  The Wiener filters are real and the centroids read only
-|u_k|^2, so the sweep runs on real [K, n_bins] coefficient rows: the modes
-u_k and one residual r = f - sum_k u_k, in which the update of mode k reads
+coefficients c (a DCT-II) times the fixed phase exp(-1j*w*(n//2 - 1/2)), and
+neither the extension nor the phase is formed (Makhoul 1980): with v the even
+samples followed by the odd ones reversed and W = rfft(v) * 2*exp(-1j*w/2),
+one length-n transform, c[m] = Re W[m] and c[n-m] = -Im W[m], and c[n] = 0.
+A mode's n samples, the middle of its extension, come back the same way: one
+length-n irfft of (c[m] - 1j*c[n-m]) * exp(1j*w/2)/2 is its v.  The Wiener
+filters are real and the centroids read only |u_k|^2, so the sweep runs on
+real [K, n + 1] coefficient rows: the modes u_k and one residual
+r = f - sum_k u_k, in which the update of mode k reads
 
     u_k <- (r + u_k) / (1 + 2*alpha*(w - w_k)^2),    then  r <- r - du_k.
 
@@ -28,13 +34,13 @@ spent block then takes |u|^2, whose one product with the columns (1, w)
 gives every mode's energy and first moment, hence its centroid.  Each energy
 is the mode's previous norm in the next sweep's metric
 sum_k ||du_k||^2 / ||u_k_prev||^2, so no copy of the modes is kept between
-sweeps.  The rows are returned as they are: only the irfft of each multiplies it by the phase.
+sweeps.  The rows are returned as they are.
 
 The solve runs on x / 2^e, with e from the frexp of the peak: a power of two passes
 through every step exactly, so at any finite scale the modes and rows are 2^e times
 those of the unit-peak solve.  The sweep runs in the precision of its input (float32
 rows for a float32 signal, float64 otherwise); at unit peak no float32 square over- or
-underflows.  The start, the centers, the metric, the irfft, the modes and the residual stay float64.
+underflows.  The transforms, the start, the centers, the metric, the modes and the residual stay float64.
 
 The sweep is over-relaxed (Boyd et al. 2011, sec. 3.4.3): each mode takes
 its plain step du_k, moves by beta*du_k, and re-centers with
@@ -111,11 +117,12 @@ class VmdConfig:
 class ModeSet:
     """Converged frequency-domain state on the half grid.
 
-    coefficients    -- real array [n_modes, n_bins] on the rfft grid of the
-                       mirror-extended signal: each mode's rfft is its row
-                       times the extension's phase (module docstring);
-                       float32 for a float32 input, float64 otherwise (an
-                       icvmd_decompose side keeps its unit-peak sweep's rows)
+    coefficients    -- real array [n_modes, n + 1], each mode's DCT-II
+                       coefficients on the half grid (the rfft of its mirror
+                       extension over the extension's phase, module
+                       docstring), the last 0; float32 for a float32 input,
+                       float64 otherwise (an icvmd_decompose side keeps its
+                       unit-peak sweep's rows)
     omegas          -- center frequencies in radians, ascending, within [0, pi]
     iterations      -- sweeps actually run
     converged       -- True when the relative-change metric of a plain sweep
@@ -143,14 +150,6 @@ class VmdResult:
         return self.mode_set.omegas
 
 
-def mirror_extend(x: np.ndarray) -> np.ndarray:
-    """Reflect half of the signal onto each end, doubling the length."""
-    n = x.size
-    left = x[: n // 2][::-1]
-    right = x[n // 2 :][::-1]
-    return np.concatenate([left, x, right])
-
-
 def half_grid(n_ext: int) -> np.ndarray:
     """Non-negative rfft frequency grid in radians: 2*pi*m/n_ext, m = 0..n_ext//2."""
     return 2.0 * np.pi * np.arange(n_ext // 2 + 1) / n_ext
@@ -158,21 +157,35 @@ def half_grid(n_ext: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _tables(n: int) -> tuple:
-    """The read-only tables of an n-sample solve, built once per length: the
-    half grid of the extension and the extension's phase."""
-    tables = (half_grid(2 * n), _phase(n))
+    """The tables of an n-sample solve, built once per length and read-only: the half
+    grid of the extension, and on its first n//2 + 1 bins the twiddles
+    2*exp(-1j*w/2) and exp(1j*w/2)/2 of the length-n transforms (module docstring)."""
+    grid = half_grid(2 * n)
+    turn = np.exp(-0.5j * grid[: n // 2 + 1])
+    tables = (grid, 2.0 * turn, 0.5 * turn.conj())
     for t in tables:
         t.flags.writeable = False
     return tables
 
 
-def _phase(n: int) -> np.ndarray:
-    """exp(-1j*w*(n//2 - 1/2)) on the half grid w = pi*m/n of the 2n-sample extension,
-    with each angle cut to a multiple of pi/(2n) below 2*pi; m = b*q + s makes it
-    an outer product of two exps about sqrt(n) long (one exp per bin costs a sweep)."""
-    b = math.isqrt(n) + 1
-    turn = lambda m: np.exp(-0.5j * np.pi / n * (m * (2 * (n // 2) - 1) % (4 * n)))
-    return np.multiply.outer(turn(b * np.arange(b)), turn(np.arange(b))).ravel()[: n + 1]
+def _dct(x: np.ndarray) -> np.ndarray:
+    """The n + 1 real coefficients of x's extension, from one length-n rfft (module docstring)."""
+    n, h = x.size, x.size // 2
+    w = np.fft.rfft(np.concatenate([x[::2], x[1::2][::-1]])) * _tables(n)[1]
+    return np.concatenate([w.real, -w.imag[n - h - 1 : 0 : -1], [0.0]])
+
+
+def _idct(rows: np.ndarray, out: np.ndarray) -> None:
+    """Each row's n samples, the middle of its extension, into ``out`` [K, n], with one
+    length-n irfft per block of two rows, so no [K, n] spectrum is held (module
+    docstring); each row's last coefficient is 0, as every row of a solve's is."""
+    n = out.shape[1]
+    h = n // 2
+    for i in range(0, len(rows), 2):
+        c = rows[i : i + 2]
+        v = np.fft.irfft((c[:, : h + 1] - 1j * c[:, n : n - h - 1 : -1]) * _tables(n)[2], n)
+        out[i : i + 2, ::2] = v[:, : n - h]
+        out[i : i + 2, 1::2] = v[:, n - 1 : n - h - 1 : -1]
 
 
 def smoothed_power(spectrum: np.ndarray, width: int) -> np.ndarray:
@@ -231,10 +244,11 @@ def _reseed_collisions(omegas: list | np.ndarray, min_gap: float) -> None:
 
 def check_memory_budget(n: int, n_modes: int) -> None:
     """Raise ParameterError when decomposing an n-sample signal into n_modes
-    modes would hold more than _MEMORY_BUDGET_BYTES at its peak.  Per rfft
-    bin of the 2n-sample extension, each mode holds at most two float64 rows
-    at a time (its row beside its filter, its sorted copy or its time-domain
-    mode), and the shared buffers about thirteen, counted as sixteen."""
+    modes would hold more than _MEMORY_BUDGET_BYTES at its peak.  Per
+    coefficient (n + 1 of them), each mode holds at most two float64 rows at
+    a time (its row beside its filter, or its sorted copy beside its
+    time-domain mode), and the shared buffers, the per-length tables and a
+    two-row block of the inverse about twelve, counted as sixteen."""
     need = 8 * (n + 1) * (2 * n_modes + 16)
     if need > _MEMORY_BUDGET_BYTES:
         raise ParameterError(
@@ -278,10 +292,10 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
 
     n = x.size
     k_modes = cfg.n_modes
-    grid, phase = _tables(n)
+    grid = _tables(n)[0]
     n_bins = grid.size
     min_gap = np.pi / n
-    r = (np.fft.rfft(mirror_extend(np.ldexp(x, -e))) * phase.conj()).real  # the coefficients of x / 2^e
+    r = _dct(np.ldexp(x, -e))  # the coefficients of x / 2^e
     guard = _ENERGY_GUARD * float(r.dot(r))
     omegas = _init_omegas(cfg, r).tolist()
     r = r.astype(real)  # the residual: those coefficients less sum(u), with u = 0
@@ -300,10 +314,7 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     # is an exact Wiener fixed point of its own reported state.
     add, subtract, multiply, divide, reseed = np.add, np.subtract, np.multiply, np.divide, _reseed_collisions
     tol, max_iter, pi = cfg.tol, cfg.max_iter, math.pi
-    converged = last = False
-    final_delta = float("inf")
-    iterations = 0
-    beta = 1.0
+    iterations, beta, final_delta, converged, last = 0, 1.0, float("inf"), False, False
     while True:
         centers[:, 0] = [root * w for w in omegas]  # every Wiener denominator 1 + (s*w - s*w_k)^2
         subtract(scaled, centers, den)
@@ -326,8 +337,7 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
         multiply(u, u, den)  # the filters are spent; den holds |u|^2
         sums = den.dot(basis).tolist()
         shift = 0.0
-        for k in range(k_modes):
-            energy, moment = sums[k]
+        for k, (energy, moment) in enumerate(sums):
             if energy > guard:
                 move = moment / energy - omegas[k]
                 shift = max(shift, abs(move))
@@ -345,14 +355,12 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
 
     order = np.argsort(omegas, kind="stable")
     omegas = np.array(omegas)[order]
-    del den, dens  # so the filters do not outlive the sweeps
+    del den, dens, scaled, basis, d, r  # so the work buffers do not outlive the sweeps
     coefficients = u[order]
     del u, rows, uk  # so the unsorted rows do not outlive the sort
 
-    phase = phase.astype(np.result_type(real, 1j))
     modes = np.empty((k_modes, n))
-    for row, c in zip(modes, coefficients):  # one spectrum, and the kept half of its irfft, at a time
-        row[:] = np.fft.irfft((c * phase).astype(complex, copy=False), 2 * n)[n // 2 : n // 2 + n]
+    _idct(coefficients, modes)
     with np.errstate(over="ignore"):  # a row its dtype cannot hold at the input's scale is inf
         np.ldexp(coefficients, e, out=coefficients)
     if not (np.isfinite(coefficients.max()) and np.isfinite(coefficients.min())):  # no [K, n + 1] mask

@@ -1,4 +1,5 @@
 """Reference helpers that only the tests use."""
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -22,13 +23,29 @@ from icvmd.vmd import (
     ModeSet,
     VmdConfig,
     VmdResult,
-    _phase,
     _reseed_collisions,
     _widest_gap_midpoint,
     half_grid,
-    mirror_extend,
     smoothed_power,
 )
+
+
+def mirror_extend(x: np.ndarray) -> np.ndarray:
+    """Reflect half of the signal onto each end, doubling the length."""
+    n = x.size
+    left = x[: n // 2][::-1]
+    right = x[n // 2 :][::-1]
+    return np.concatenate([left, x, right])
+
+
+def extension_phase(n: int) -> np.ndarray:
+    """exp(-1j*w*(n//2 - 1/2)) on the half grid w = pi*m/n of the 2n-sample extension,
+    with each angle cut to a multiple of pi/(2n) below 2*pi; m = b*q + s makes it
+    an outer product of two exps about sqrt(n) long.  The extension's rfft is the
+    solver's real coefficients times this phase."""
+    b = math.isqrt(n) + 1
+    turn = lambda m: np.exp(-0.5j * np.pi / n * (m * (2 * (n // 2) - 1) % (4 * n)))
+    return np.multiply.outer(turn(b * np.arange(b)), turn(np.arange(b))).ravel()[: n + 1]
 
 
 def causal_dilated_conv(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
@@ -118,6 +135,12 @@ def convergence_metric(prev_spectra: np.ndarray, curr_spectra: np.ndarray) -> fl
         raise DegenerateInputError("metric undefined while every previous mode is all-zero")
     diff = np.sum(np.abs(curr - prev) ** 2, axis=-1)
     return float(np.sum(diff / np.maximum(prev_norms, _ENERGY_GUARD)))
+
+
+def side_input_energy(result: VmdResult) -> float:
+    """Energy of the side sequence the modes were decomposed from, at its own scale."""
+    side_input = result.modes.sum(axis=0) + result.residual
+    return float(np.sum(side_input**2))
 
 
 def uniform_spread(cfg: VmdConfig) -> np.ndarray:
@@ -251,7 +274,7 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
     residual = x - modes.sum(axis=0)
 
     mode_set = ModeSet(
-        coefficients=(u * _phase(n).conj()).real,
+        coefficients=(u * extension_phase(n).conj()).real,
         omegas=omegas,
         iterations=iterations,
         converged=converged,

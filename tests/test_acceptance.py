@@ -25,8 +25,8 @@ from icvmd.nn.model import ModelConfig, features_forward, init_params, model_for
 from icvmd.nn.train import TrainConfig, sat_transfer, train
 from icvmd.pa import auxiliary_bank, emitter_bank
 from icvmd.signals import ComplexSignal, add_awgn, normalize_power
-from icvmd.vmd import VmdConfig, _phase, half_grid, mirror_extend, vmd_decompose
-from oracles import grad_check, impulse_probe, receptive_field, wiener_mode_update
+from icvmd.vmd import VmdConfig, half_grid, vmd_decompose
+from oracles import extension_phase, grad_check, impulse_probe, mirror_extend, receptive_field, wiener_mode_update
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -72,7 +72,7 @@ def test_02_single_mode_matches_closed_form():
     f_hat = np.fft.rfft(mirror_extend(x))
     expect = wiener_mode_update(f_hat, np.zeros_like(f_hat), res.omegas[0], cfg.alpha, grid)
     rel = float(
-        np.linalg.norm(res.mode_set.coefficients[0] * _phase(n) - expect) / np.linalg.norm(expect)
+        np.linalg.norm(res.mode_set.coefficients[0] * extension_phase(n) - expect) / np.linalg.norm(expect)
     )
     ok = rel <= 1e-9
     _report("closed-form filter", ok, f"relative error {rel:.2e} (tol 1e-9)")

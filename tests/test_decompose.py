@@ -211,6 +211,18 @@ def test_a_capture_at_a_power_of_two_scale_decomposes_as_the_unit_capture_scaled
     assert np.array_equal(signal, np.ldexp(1.0, k) * reconstruct(unit, {ModeLabel.SIGNAL}).samples)
 
 
+@pytest.mark.parametrize("k", [-540, 520])
+def test_dumped_energy_fractions_at_a_power_of_two_scale_are_the_unit_fractions(tmp_path, k):
+    # Taken at the capture's own scale they read NaN at 2^520 and 0 at 2^-540.
+    t = np.arange(256)
+    z = np.exp(2j * np.pi * 0.1 * t) + 0.5 * np.exp(-2j * np.pi * 0.23 * t)
+    unit, res = (dump_modes(icvmd_decompose(ComplexSignal(s * z), VmdConfig()), tmp_path / str(s)) for s in (1.0, np.ldexp(1.0, k)))
+    for side in ("pos", "neg"):
+        fractions = unit["sides"][side]["energy_fractions"]
+        assert res["sides"][side]["energy_fractions"] == fractions
+    assert max(unit["sides"]["pos"]["energy_fractions"]) > 0.9
+
+
 # ------------------------------------------------------------ dump + reload
 
 

@@ -1,19 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icvmd.dataset import DatasetSpec, synthesize_one
-from icvmd.decompose import (
-    ModeLabel,
-    icvmd_decompose,
-    mode_energies,
-    side_input_energy,
-)
-from icvmd.errors import ParameterError
+from icvmd.decompose import ModeLabel, icvmd_decompose, mode_energies, reconstruct
+from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.features import (
     MAX_MODES,
     _bandwidth_3db,
+    _cumulant_block,
     cumulants,
     extract_features,
     raw_cumulant_features,
@@ -22,6 +20,7 @@ from icvmd.modulation import ModulationKind
 from icvmd.pa import emitter_bank
 from icvmd.signals import ComplexSignal
 from icvmd.vmd import VmdConfig
+from oracles import side_input_energy
 
 
 def decompose_demo(n=512, n_modes=3):
@@ -247,3 +246,44 @@ def test_a_decomposition_without_feature_modes_zero_pads():
     base = 3 * MAX_MODES
     assert np.all(vec[: base + 4] == 0)  # the geometry and the feature-part cumulants
     assert np.array_equal(vec[base + 4 : base + 8], raw_cumulant_features(sig))
+
+
+def _two_tone_capture(scale=1.0):
+    t = np.arange(256)
+    return ComplexSignal(scale * (np.exp(2j * np.pi * 0.1 * t) + 0.5 * np.exp(-2j * np.pi * 0.23 * t)))
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        lambda: decompose_demo(),
+        lambda: decompose_demo(n=301, n_modes=4),
+        lambda: icvmd_decompose(synthesize_one(DatasetSpec(n_samples=700), emitter_bank()[4], ModulationKind.QPSK, -4.0, 5, 6), VmdConfig()),
+    ],
+    ids=["demo", "odd_length", "noisy_qpsk"],
+)
+def test_the_feature_and_signal_blocks_are_those_of_reconstruct_bit_for_bit(result):
+    # extract_features builds both reconstructions in one pass; they must be
+    # the ones reconstruct returns, to the bit.
+    res = result()
+    vec = extract_features(res)
+    base = 3 * MAX_MODES
+    assert np.array_equal(vec[base : base + 4], _cumulant_block(reconstruct(res, {ModeLabel.FEATURE}).samples))
+    assert np.array_equal(vec[base + 8 :], _cumulant_block(reconstruct(res, {ModeLabel.SIGNAL}).samples))
+
+
+def test_the_energy_fractions_at_a_tiny_power_of_two_scale_are_the_unit_fractions():
+    # Taken at the capture's own scale, every fraction read 0 at 2^-540.
+    unit, tiny = (extract_features(icvmd_decompose(_two_tone_capture(s), VmdConfig())) for s in (1.0, np.ldexp(1.0, -540)))
+    assert np.any(unit[: 3 * MAX_MODES] != 0.0)
+    assert np.array_equal(tiny[: 3 * MAX_MODES], unit[: 3 * MAX_MODES])
+
+
+@pytest.mark.parametrize("k", [256, 520])
+def test_cumulants_that_overflow_float64_are_a_degenerate_capture(k):
+    # At 2^256 the fourth powers overflow; Python's OverflowError escaped from c21**2.
+    res = icvmd_decompose(_two_tone_capture(np.ldexp(1.0, k)), VmdConfig())
+    peak = f"{np.abs(res.input_signal.samples).max():.3g}"
+    for features in (lambda: extract_features(res), lambda: raw_cumulant_features(res.input_signal)):
+        with pytest.raises(DegenerateInputError, match=re.escape(f"the cumulants of a sequence with peak {peak} overflow float64")):
+            features()

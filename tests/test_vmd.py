@@ -15,10 +15,12 @@ from icvmd.modulation import ModulationKind
 from icvmd.pa import emitter_bank
 from icvmd.signals import ComplexSignal
 from icvmd import vmd
-from icvmd.vmd import VmdConfig, _reseed_collisions, half_grid, mirror_extend, vmd_decompose
+from icvmd.vmd import VmdConfig, _reseed_collisions, half_grid, vmd_decompose
 from oracles import (
     center_frequency,
     convergence_metric,
+    extension_phase,
+    mirror_extend,
     reference_init_omegas,
     reference_vmd_decompose,
     uniform_spread,
@@ -51,11 +53,31 @@ def test_extension_rfft_is_real_coefficients_times_the_phase(n):
     # real coefficients times exp(-1j*w*(n//2 - 1/2)) (Makhoul 1980): the
     # sweep runs on those coefficients.
     f_hat = np.fft.rfft(mirror_extend(np.random.default_rng(n).normal(size=n)))
-    phase = vmd._phase(n)
+    phase = extension_phase(n)
     assert np.max(np.abs((f_hat * phase.conj()).imag)) <= 1e-12 * np.max(np.abs(f_hat))
     # The outer product is the phase at angles reduced to [0, 2*pi) one bin at a time.
     angles = 0.5 * np.pi / n * (np.arange(n + 1) * (2 * (n // 2) - 1) % (4 * n))
     assert np.max(np.abs(phase - np.exp(-1j * angles))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [8, 9, 257, 700, 2100])
+def test_the_length_n_transforms_match_the_extension_oracle(n):
+    # The solver takes the coefficients with one length-n rfft and returns
+    # the modes with length-n irffts; the oracle transforms the 2n extension.
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n)
+    want = (np.fft.rfft(mirror_extend(x)) * extension_phase(n).conj()).real
+    got = vmd._dct(x)
+    assert got.shape == (n + 1,) and got[n] == 0.0
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    rows = rng.normal(size=(3, n + 1))  # an odd count: blocks of two rows and one
+    rows[:, n] = 0.0  # as in every row of a solve
+    want_modes = np.array([np.fft.irfft(c * extension_phase(n), 2 * n)[n // 2 : n // 2 + n] for c in rows])
+    for dtype in (np.float64, np.float32):
+        got_modes = np.empty((3, n))
+        vmd._idct(rows.astype(dtype), got_modes)
+        expect = want_modes if dtype == np.float64 else np.array([np.fft.irfft(c * extension_phase(n), 2 * n)[n // 2 : n // 2 + n] for c in rows.astype(dtype).astype(float)])
+        assert np.max(np.abs(got_modes - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 def test_wiener_update_closed_form_by_hand():
@@ -175,7 +197,7 @@ def test_returned_spectra_satisfy_wiener_fixed_point():
     ms = res.mode_set
     grid = half_grid(2 * x.size)
     f_hat = np.fft.rfft(mirror_extend(x))
-    spectra = ms.coefficients * vmd._phase(x.size)
+    spectra = ms.coefficients * extension_phase(x.size)
     total = spectra.sum(axis=0)
     for k in range(2):
         others = total - spectra[k]
@@ -241,7 +263,7 @@ def test_reseed_gap_test_agrees_with_the_pairwise_rule(case):
 
 def _coefficients(x):
     """The real coefficients the solver reads its start off."""
-    return (np.fft.rfft(mirror_extend(x)) * vmd._phase(x.size).conj()).real
+    return (np.fft.rfft(mirror_extend(x)) * extension_phase(x.size).conj()).real
 
 
 def _start(x, cfg):
@@ -455,7 +477,7 @@ def test_fused_sweep_matches_reference_loop(source, cfg):
     assert want.mode_set.converged or want.mode_set.iterations == cfg.max_iter
     for a, b in (
         (got.omegas, want.omegas),
-        (got.mode_set.coefficients * vmd._phase(x.size), want_spectra),
+        (got.mode_set.coefficients * extension_phase(x.size), want_spectra),
         (got.modes, want.modes),
     ):
         assert a.shape == b.shape
