@@ -51,13 +51,14 @@ def cumulants(z: np.ndarray) -> dict:
     z = np.asarray(z, dtype=complex)
     if z.ndim != 1 or z.size < 2:
         raise ParameterError("cumulants need a 1-D sequence of at least 2 samples")
+    n = z.size
     with np.errstate(over="ignore", invalid="ignore"):
-        y = z - z.mean()
+        y = z - z.sum() / n
         y2 = y * y
         a2 = y.real * y.real + y.imag * y.imag
-        c20, c21 = y2.mean(), a2.mean()
-        c40 = (y2 * y2).mean() - 3.0 * c20**2
-        c42 = (a2 * a2).mean() - abs(c20) ** 2 - 2.0 * c21**2
+        c20, c21 = y2.sum() / n, a2.sum() / n
+        c40 = y2.dot(y2) / n - 3.0 * c20**2
+        c42 = a2.dot(a2) / n - abs(c20) ** 2 - 2.0 * c21**2
     if not np.isfinite([c40, c42]).all():
         raise DegenerateInputError(f"the cumulants of a sequence with peak {np.abs(z).max():.3g} overflow float64")
     return {"C20": complex(c20), "C21": float(c21), "C40": complex(c40), "C42": float(c42)}
@@ -73,9 +74,10 @@ def _bandwidth_3db(coefficients: np.ndarray) -> float:
     """Width in radians of the contiguous half-power region around the peak of a mode's coefficient row."""
     p = coefficients**2
     peak = int(np.argmax(p))
-    under = np.flatnonzero(p < p[peak] / 2.0)  # the bins below half power
-    lo = under[under < peak].max(initial=-1) + 1
-    hi = under[under > peak].min(initial=p.size) - 1
+    under = p < p[peak] / 2.0  # the bins below half power; never the peak's
+    down, up = int(under[peak::-1].argmax()), int(under[peak:].argmax())  # steps to the nearest, 0 for none
+    lo = peak - down + 1 if down else 0
+    hi = peak + up - 1 if up else p.size - 1
     return float((hi - lo + 1) * (np.pi / (p.size - 1)))
 
 
@@ -99,7 +101,8 @@ def extract_features(result: IcvmdResult) -> np.ndarray:
     base = 3 * MAX_MODES
     vec[base + 4 : base + 8] = _cumulant_block(result.input_signal.samples)  # first, so an overflow names the capture's peak
     # The FEATURE and SIGNAL reconstructions, as two reconstruct calls build them, in one pass.
-    sums = [_mode_sums([(labels, side.modes) for _, side, labels in sides], lambda label: label is wanted) for wanted in (ModeLabel.FEATURE, ModeLabel.SIGNAL)]
+    picks = [(labels, side.modes) for _, side, labels in sides]
+    sums = [_mode_sums(picks, lambda label: label is wanted) for wanted in (ModeLabel.FEATURE, ModeLabel.SIGNAL)]
     feature, signal = combine_analytic(*np.swapaxes(sums, 0, 1))
     vec[base : base + 4] = _cumulant_block(feature)
     vec[base + 8 :] = _cumulant_block(signal)

@@ -10,7 +10,7 @@ since the residual returned beside them closes the sum.
 
 The centers start at the side's own spectral peaks, since each is drawn only
 to spectral mass within about 1/sqrt(alpha) of where it starts: the highest
-local maxima of the coefficient power smoothed over n_bins // _PEAK_WINDOW_DIV bins
+local maxima of the coefficient power smoothed over (n + 1) // _PEAK_WINDOW_DIV bins
 that hold at least _PEAK_FLOOR of its maximum, at least
 pi / (_PEAK_SEP_DIV * K) apart, then midpoints of the widest gaps between 0,
 the chosen centers and pi until there are K.
@@ -179,8 +179,7 @@ def _idct(rows: np.ndarray, out: np.ndarray) -> None:
     """Each row's n samples, the middle of its extension, into ``out`` [K, n], with one
     length-n irfft per block of two rows, so no [K, n] spectrum is held (module
     docstring); each row's last coefficient is 0, as every row of a solve's is."""
-    n = out.shape[1]
-    h = n // 2
+    n, h = out.shape[1], out.shape[1] // 2
     for i in range(0, len(rows), 2):
         c = rows[i : i + 2]
         v = np.fft.irfft((c[:, : h + 1] - 1j * c[:, n : n - h - 1 : -1]) * _tables(n)[2], n)
@@ -293,20 +292,19 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     n = x.size
     k_modes = cfg.n_modes
     grid = _tables(n)[0]
-    n_bins = grid.size
     min_gap = np.pi / n
     r = _dct(np.ldexp(x, -e))  # the coefficients of x / 2^e
     guard = _ENERGY_GUARD * float(r.dot(r))
     omegas = _init_omegas(cfg, r).tolist()
     r = r.astype(real)  # the residual: those coefficients less sum(u), with u = 0
-    u = np.zeros((k_modes, n_bins), dtype=real)
+    u = np.zeros((k_modes, n + 1), dtype=real)
     rows = list(u)
     scaled = (root * grid).astype(real)
     basis = np.stack([np.ones_like(grid), grid], axis=1).astype(real)
     centers = np.empty((k_modes, 1), dtype=real)
-    den = np.empty((k_modes, n_bins), dtype=real)
+    den = np.empty((k_modes, n + 1), dtype=real)
     dens = list(den)
-    d = np.empty(n_bins, dtype=real)
+    d = np.empty(n + 1, dtype=real)
     prev_norms = [0.0] * k_modes
 
     # One flat loop of sweeps (module docstring).  After the last, the centers
