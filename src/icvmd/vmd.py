@@ -177,7 +177,7 @@ def _dct(x: np.ndarray) -> np.ndarray:
 
 def _idct(rows: np.ndarray, out: np.ndarray) -> None:
     """Each row's n samples, the middle of its extension, into ``out`` [K, n], with one
-    length-n irfft per block of two rows, so no [K, n] spectrum is held (module
+    length-n irfft per block of two rows, so no spectrum of all K rows is held (module
     docstring); each row's last coefficient is 0, as every row of a solve's is."""
     n, h = out.shape[1], out.shape[1] // 2
     for i in range(0, len(rows), 2):

@@ -72,12 +72,11 @@ def test_the_length_n_transforms_match_the_extension_oracle(n):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     rows = rng.normal(size=(3, n + 1))  # an odd count: blocks of two rows and one
     rows[:, n] = 0.0  # as in every row of a solve
-    want_modes = np.array([np.fft.irfft(c * extension_phase(n), 2 * n)[n // 2 : n // 2 + n] for c in rows])
     for dtype in (np.float64, np.float32):
         got_modes = np.empty((3, n))
         vmd._idct(rows.astype(dtype), got_modes)
-        expect = want_modes if dtype == np.float64 else np.array([np.fft.irfft(c * extension_phase(n), 2 * n)[n // 2 : n // 2 + n] for c in rows.astype(dtype).astype(float)])
-        assert np.max(np.abs(got_modes - expect)) <= 1e-13 * np.max(np.abs(expect))
+        want_modes = np.array([np.fft.irfft(c * extension_phase(n), 2 * n)[n // 2 : n // 2 + n] for c in rows.astype(dtype).astype(float)])
+        assert np.max(np.abs(got_modes - want_modes)) <= 1e-13 * np.max(np.abs(want_modes))
 
 
 def test_wiener_update_closed_form_by_hand():
