@@ -21,10 +21,10 @@ The dense products are a broadcast product summed over the contracted
 axis, so each output row depends on its own input row alone; BLAS
 ``x @ W.T`` picks another kernel for fewer rows and rounds a row block
 differently from the whole batch.
-The conv passes and relu_backward write into ``out`` when given, and each
-lagged tap's product goes into ``scratch`` (shaped like the result) before
-it is added, so a caller that reuses both allocates no activation; the bytes
-are the same either way.
+The conv passes and relu_backward write into ``out`` when given.  A tap's
+product goes into ``scratch``, wrap columns zeroed, and is added over one
+contiguous row per sample or per batch, not B*C strided rows (NumPy pays per
+row); reusing both allocates no activation, and the bytes are the same.
 """
 from __future__ import annotations
 
@@ -82,11 +82,13 @@ def conv_forward(x: np.ndarray, layer: ConvLayer, out=None, scratch=None):
     """Batched causal dilated conv: x [B, C_in, T] -> y [B, C_out, T].
 
     Tap j is one matmul at lag (width-1-j)*dilation against a view of x; a
-    lag of T or more reaches no output and is skipped.  The bias is added as
-    one [C_out, T] block, so the add runs over contiguous rows.  The cache
-    holds x by reference (no copy), so x must not be modified in place
-    before conv_backward.  ``out`` and ``scratch`` are [B, C_out, T] and
-    must not overlap x.
+    lag of T or more reaches no output and is skipped.  Its product fills
+    ``scratch[:, :, :T-lag]``, the last lag columns are zeroed, and y's
+    _tap_rows get its rows shifted by lag: a channel's first lag outputs get
+    +0.0, which leaves a matmul sum (never -0.0) as it was.  The cache holds
+    x by reference (no copy), so x must not be modified in place before
+    conv_backward.  ``out`` and ``scratch`` [B, C_out, T] overlap nothing and,
+    at width > 1, hold each sample's block contiguously (else ParameterError).
     """
     if x.ndim != 3:
         raise ParameterError(f"conv input must be [B, C, T], got shape {x.shape}")
@@ -97,13 +99,27 @@ def conv_forward(x: np.ndarray, layer: ConvLayer, out=None, scratch=None):
     t = x.shape[2]
     w, width, d = layer.weights, layer.width, layer.dilation
     y = np.matmul(w[:, :, width - 1], x, out=out)
+    tap, rows, tap_rows = _tap_rows(y, scratch) if width > 1 else (None,) * 3
     for j in range(width - 1):
         lag = (width - 1 - j) * d
         if lag < t:
-            tap = None if scratch is None else scratch[:, :, : t - lag]
-            y[:, :, lag:] += np.matmul(w[:, :, j], x[:, :, : t - lag], out=tap)
+            np.matmul(w[:, :, j], x[:, :, : t - lag], out=tap[:, :, : t - lag])
+            tap[:, :, t - lag :] = 0.0
+            rows[:, lag:] += tap_rows[:, :-lag]
     y += np.repeat(layer.bias[:, None], t, axis=1)
     return y, (x, layer)
+
+
+def _tap_rows(y: np.ndarray, scratch) -> tuple:
+    """(tap, y's rows, tap's rows), the tap being ``scratch`` or a new buffer
+    like y: one row for the batch if both are contiguous, else one per sample,
+    whose [C, T] block must be contiguous (ParameterError naming the buffer)."""
+    tap = np.empty(y.shape, y.dtype) if scratch is None else scratch
+    for a, name in ((y, "out"), (tap, "scratch")):
+        if len(a) and not a[0].flags.c_contiguous:
+            raise ParameterError(f"conv {name} must hold each sample's [C, T] block contiguously")
+    n = 1 if y.flags.c_contiguous and tap.flags.c_contiguous else len(y)
+    return tap, *(a.reshape(n, a.size // n, copy=False) for a in (y, tap))
 
 
 def _summed(parts: np.ndarray, prior) -> np.ndarray:
@@ -138,18 +154,22 @@ def conv_param_grads(dy: np.ndarray, cache, total=None):
 
 def conv_backward(dy: np.ndarray, cache, total=None, out=None, scratch=None):
     """Returns (dx [B, C_in, T], dweights [C_out, C_in, W], dbias [C_out]),
-    the parameter gradients continuing ``total`` as in conv_param_grads.
-    ``out`` and ``scratch`` are [B, C_in, T] and must not overlap dy.
+    the parameter gradients continuing ``total`` as in conv_param_grads.  Tap
+    j's product fills ``scratch[:, :, lag:]``, its first lag columns zeroed,
+    and dx's rows get it shifted back by lag; ``out`` and ``scratch`` are
+    [B, C_in, T], as in conv_forward with dy for x.
     """
     x, layer = cache
     t = x.shape[2]
     w, width, d = layer.weights, layer.width, layer.dilation
     dx = np.matmul(w[:, :, width - 1].T, dy, out=out)
+    tap, rows, tap_rows = _tap_rows(dx, scratch) if width > 1 else (None,) * 3
     for j in range(width - 1):
         lag = (width - 1 - j) * d
         if lag < t:
-            tap = None if scratch is None else scratch[:, :, : t - lag]
-            dx[:, :, : t - lag] += np.matmul(w[:, :, j].T, dy[:, :, lag:], out=tap)
+            np.matmul(w[:, :, j].T, dy[:, :, lag:], out=tap[:, :, lag:])
+            tap[:, :, :lag] = 0.0
+            rows[:, :-lag] += tap_rows[:, lag:]
     return (dx, *conv_param_grads(dy, cache, total))
 
 

@@ -187,6 +187,53 @@ def test_conv_backward_continues_a_running_total(dtype, width, dilation, t):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("dilation", [1, 2, 4, 8])
+@pytest.mark.parametrize("t", [5, 12, 100, 700])
+def test_conv_buffers_poisoned_with_nan_give_the_bytes_of_a_call_without_them(width, dilation, t):
+    # Each lagged tap is added over whole rows, so the lag columns a shift
+    # carries into the next channel (or sample) must be zeroed in the scratch:
+    # a NaN left in one of them reaches an output.  T=5 and 12 put some lags
+    # at or past T.  ``out`` is a whole buffer (one row for the batch), or a
+    # channel slice of a wider one (a row per sample), as the residual blocks
+    # write into the merge input.
+    rng = np.random.default_rng(1000 * width + 10 * dilation + t)
+    layer = ConvLayer(
+        rng.normal(size=(4, 3, width)).astype(np.float32), rng.normal(size=4).astype(np.float32), dilation
+    )
+    x = rng.normal(size=(3, 3, t)).astype(np.float32)
+    dy = rng.normal(size=(3, 4, t)).astype(np.float32)
+    y, cache = conv_forward(x, layer)
+    dx = conv_backward(dy, cache)[0]
+
+    def poisoned(c, wide):
+        buf = np.full((3, 3 * c if wide else c, t), np.nan, np.float32)
+        return buf[:, c : 2 * c] if wide else buf
+
+    for wide in (False, True):
+        got = conv_forward(x, layer, poisoned(4, wide), poisoned(4, False))[0]
+        assert got.tobytes() == y.tobytes()
+        got = conv_backward(dy, cache, out=poisoned(3, wide), scratch=poisoned(3, False))[0]
+        assert got.tobytes() == dx.tobytes()
+
+
+@pytest.mark.parametrize("name", ["out", "scratch"])
+def test_conv_refuses_a_buffer_it_cannot_view_as_per_sample_rows(name):
+    # A time-transposed buffer would be reshaped into a copy, and the lagged
+    # taps added there would be lost.
+    layer = ConvLayer(np.ones((4, 3, 2), np.float32), np.zeros(4, np.float32), dilation=2)
+    x, dy = np.ones((2, 3, 10), np.float32), np.ones((2, 4, 10), np.float32)
+    cache = conv_forward(x, layer)[1]
+
+    def transposed(c):
+        return np.zeros((2, 10, c), np.float32).transpose(0, 2, 1)
+
+    with pytest.raises(ParameterError, match=f"^conv {name} must hold each sample's"):
+        conv_forward(x, layer, **{name: transposed(4)})
+    with pytest.raises(ParameterError, match=f"^conv {name} must hold each sample's"):
+        conv_backward(dy, cache, **{name: transposed(3)})
+
+
 def test_conv_validation():
     with pytest.raises(ParameterError):
         ConvLayer(np.zeros((2, 2)), np.zeros(2))
