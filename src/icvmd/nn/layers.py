@@ -24,7 +24,7 @@ differently from the whole batch.
 The conv passes and relu_backward write into ``out`` when given.  A tap's
 product goes into ``scratch``, wrap columns zeroed, and is added over one
 contiguous row per sample or per batch, not B*C strided rows (NumPy pays per
-row); reusing both allocates no activation, and the bytes are the same.
+row); reusing both allocates no activation; the bytes are the same either way.
 """
 from __future__ import annotations
 
@@ -83,9 +83,9 @@ def conv_forward(x: np.ndarray, layer: ConvLayer, out=None, scratch=None):
 
     Tap j is one matmul at lag (width-1-j)*dilation against a view of x; a
     lag of T or more reaches no output and is skipped.  Its product fills
-    ``scratch[:, :, :T-lag]``, the last lag columns are zeroed, and y's
-    _tap_rows get its rows shifted by lag: a channel's first lag outputs get
-    +0.0, which leaves a matmul sum (never -0.0) as it was.  The cache holds
+    ``scratch[:, :, :T-lag]``, the last lag columns are zeroed, and the rows
+    _tap_rows views get it shifted by lag: a channel's first lag outputs get
+    +0.0, a no-op unless a matmul sum underflowed to -0.0.  The cache holds
     x by reference (no copy), so x must not be modified in place before
     conv_backward.  ``out`` and ``scratch`` [B, C_out, T] overlap nothing and,
     at width > 1, hold each sample's block contiguously (else ParameterError).
