@@ -138,19 +138,20 @@ def represent(pipeline: Pipeline, manifest: dict, icvmd_cfg: VmdConfig, memo: di
     other than the manifest spec's ``n_samples``) or whose representation
     raises DegenerateInputError (for example an all-zero capture) is
     dropped; a ParameterError from the solver config propagates.  Pass one
-    ``memo`` dict for a whole run: keyed by (manifest directory, entry path),
-    it records each capture's outcome once, so each capture is decomposed at
-    most once and ``tally`` reads the run's dropped captures and solved sides
-    off it.  Raises DegenerateInputError when the manifest lists no capture
-    or every capture was dropped, and ParameterError when the kept arrays
-    differ in shape (captures of two lengths in a manifest without a spec).
+    ``memo`` dict for a whole run: keyed by (pipeline, solver config, manifest
+    directory, entry path), it records each capture's outcome once, so each
+    capture is decomposed at most once per pipeline and config and ``tally``
+    reads the run's dropped captures and solved sides off it.  Raises
+    DegenerateInputError when the manifest lists no capture or every capture
+    was dropped, and ParameterError when the kept arrays differ in shape
+    (captures of two lengths in a manifest without a spec).
     """
     entries = sorted(manifest["files"], key=lambda e: e["path"])
     if not entries:
         raise DegenerateInputError(f"the manifest in {manifest['_dir']} lists no captures")
     kept, first_of_shape = [], {}  # (label, snr_db, *arrays) per kept capture
     for entry in entries:
-        key = (manifest["_dir"], entry["path"])
+        key = (pipeline, icvmd_cfg, manifest["_dir"], entry["path"])
         if key not in memo:
             memo[key] = _represent_one(pipeline, manifest, entry, icvmd_cfg)
         if memo[key][0] is not None:
@@ -169,7 +170,7 @@ def tally(memo: dict) -> tuple:
     """A run's ``(skipped, sides)`` off its memo, in the order its captures were
     met: ``(path, reason)`` per dropped capture, and the ``converged`` flag of
     every side the solver ran on."""
-    skipped = [(path, reason) for (_, path), (_, reason, _) in memo.items() if reason is not None]
+    skipped = [(path, reason) for (*_, path), (_, reason, _) in memo.items() if reason is not None]
     return skipped, [flag for _, _, flags in memo.values() for flag in flags]
 
 
@@ -179,8 +180,9 @@ def predict(params, mains, branches, class_ids) -> np.ndarray:
     return class_ids[np.argmax(logits, axis=1)]
 
 
-def _pretrain(spec: DatasetSpec, icvmd_cfg: VmdConfig, workdir: Path, memo: dict):
-    """Train the classifier on auxiliary emitters; SAT transfers from it."""
+def pretrain(spec: DatasetSpec, icvmd_cfg: VmdConfig, workdir: Path, memo: dict):
+    """The classifier trained with PRETRAIN on auxiliary emitters, which get the base
+    spec's captures per emitter in ``workdir/aux_data``; SAT transfers from it."""
     emitters = tuple(auxiliary_bank(N_AUX_EMITTERS, AUX_EMITTER_SEED))
     generate_dataset(replace(spec, emitters=emitters, seed=AUX_DATASET_SEED), workdir / "aux_data")
     aux_manifest = load_manifest(workdir / "aux_data")
@@ -244,7 +246,7 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
 
     # The test set is represented once and shared across proportions.
     test_truth, test_snrs, test_x = represent(pipeline, test_m, icvmd_cfg, memo)
-    pretrained = functools.cache(lambda: _pretrain(spec, icvmd_cfg, workdir, memo))
+    pretrained = functools.cache(lambda: pretrain(spec, icvmd_cfg, workdir, memo))
 
     for proportion in proportions:
         try:

@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 from icvmd.classify import classify, evaluate, fit_nearest_centroid
 from icvmd.dataset import DatasetSpec, generate_dataset, load_entry, load_manifest, split_manifest, subsample_manifest
 from icvmd.decompose import FULL_SELECTION, ModeLabel, icvmd_decompose, reconstruct
-from icvmd.features import extract_features, raw_cumulant_features
-from icvmd.fewshot import Pipeline, run_fewshot, sat_inputs
+from icvmd.fewshot import (
+    MODEL_SEED, SPLIT_SEED, SUBSAMPLE_SEED, TEST_FRACTION, Pipeline, predict, pretrain, represent, run_fewshot, tally
+)
 from icvmd.modulation import ModulationKind, ModulationSpec, gen_baseband
 from icvmd.nn.attention import softmax
 from icvmd.nn.model import ModelConfig, features_forward, init_params, model_forward
 from icvmd.nn.train import TrainConfig, sat_transfer, train
-from icvmd.pa import auxiliary_bank, emitter_bank
+from icvmd.pa import emitter_bank
 from icvmd.signals import ComplexSignal, add_awgn, normalize_power
 from icvmd.vmd import VmdConfig, half_grid, vmd_decompose
 from oracles import extension_phase, grad_check, impulse_probe, mirror_extend, receptive_field, wiener_mode_update
@@ -234,8 +235,9 @@ def test_08b_model_attention_rows_are_distributions():
 # ---------------------------------------------------------------------------
 @pytest.mark.slow
 def test_09_features_beat_raw_baseline(tmp_path):
-    icvmd_cfg = VmdConfig()
     # Each block of the feature vector, scored alone for the printed ablation.
+    # The input block is raw_cumulant_features of the capture, bit for bit, so
+    # it is the raw-signal cumulant baseline.
     blocks = {"geometry": slice(0, 18), "feature part": slice(18, 22), "input": slice(22, 26),
               "SIGNAL part": slice(26, 30)}
 
@@ -246,26 +248,21 @@ def test_09_features_beat_raw_baseline(tmp_path):
         data_dir = tmp_path / f"snr{snr_db:+.0f}"
         generate_dataset(spec, data_dir)
         manifest = load_manifest(data_dir)
-        train_m, test_m = split_manifest(manifest, 1.0 / 3.0, seed=0)
+        train_m, test_m = split_manifest(manifest, TEST_FRACTION, SPLIT_SEED)
+        memo = {}
+        tr_y, _, (tr,) = represent(Pipeline.ICVMD_FEATURES, train_m, VmdConfig(), memo)
+        te_y, _, (te,) = represent(Pipeline.ICVMD_FEATURES, test_m, VmdConfig(), memo)
+        assert tally(memo)[0] == []
 
-        def featurize(entries):
-            icv, raw, rms, labels = [], [], [], []
-            for e in sorted(entries, key=lambda d: d["path"]):
-                sig = load_entry(manifest, e)
-                icv.append(extract_features(icvmd_decompose(sig, icvmd_cfg)))
-                raw.append(raw_cumulant_features(sig))
-                rms.append([np.sqrt(np.mean(np.abs(sig.samples) ** 2))])
-                labels.append(e["label"])
-            return np.stack(icv), np.stack(raw), np.array(rms), np.array(labels)
-
-        *tr_sets, tr_y = featurize(train_m["files"])
-        *te_sets, te_y = featurize(test_m["files"])
+        def rms(m):
+            entries = sorted(m["files"], key=lambda e: e["path"])
+            return np.array([[np.sqrt(np.mean(np.abs(load_entry(manifest, e).samples) ** 2))] for e in entries])
 
         def accuracy(tr, te):
             return evaluate(classify(fit_nearest_centroid(tr, tr_y), te), te_y).accuracy
 
-        totals = [accuracy(tr, te) for tr, te in zip(tr_sets, te_sets)]
-        return totals, {name: accuracy(tr_sets[0][:, cols], te_sets[0][:, cols]) for name, cols in blocks.items()}
+        by_block = {name: accuracy(tr[:, cols], te[:, cols]) for name, cols in blocks.items()}
+        return (accuracy(tr, te), by_block["input"], accuracy(rms(train_m), rms(test_m))), by_block
 
     (icv18, raw18, rms18), blocks18 = run_snr(18.0)
     (icv_m4, _, rms_m4), blocks_m4 = run_snr(-4.0)
@@ -290,74 +287,29 @@ def test_09_features_beat_raw_baseline(tmp_path):
 # 10. Spatial attention transfer: pretraining the attention branch on
 #     auxiliary emitters, freezing it, and fine-tuning on 3 shots per target
 #     emitter beats training the same architecture from scratch; the frozen
-#     branch arrays come back bit-identical.
+#     branch arrays come back bit-identical.  The transfer, its pretraining
+#     included, is the one `icvmd fewshot --pipeline icvmd_sat` fits, and the
+#     scratch model trains with the same TrainConfig() and model seed.
 # ---------------------------------------------------------------------------
 @pytest.mark.slow
 def test_10_attention_transfer_beats_scratch(tmp_path):
-    icvmd_cfg = VmdConfig()
-    model_cfg = ModelConfig()
-
     spec = DatasetSpec(snr_grid_db=(18.0,), signals_per_emitter=150, n_samples=700, seed=11)
     generate_dataset(spec, tmp_path / "data")
-    manifest = load_manifest(tmp_path / "data")
-    train_m, test_m = split_manifest(manifest, 1.0 / 3.0, seed=0)
-
-    def represent(mani, entries):
-        mains, branches, labels = [], [], []
-        for e in sorted(entries, key=lambda d: d["path"]):
-            m, b = sat_inputs(icvmd_decompose(load_entry(mani, e), icvmd_cfg))
-            mains.append(m)
-            branches.append(b)
-            labels.append(e["label"])
-        return np.stack(mains), np.stack(branches), np.array(labels)
-
-    test_main, test_branch, test_y = represent(manifest, test_m["files"])
-
-    aux_spec = DatasetSpec(
-        emitters=tuple(auxiliary_bank(5, seed=77)),
-        snr_grid_db=(18.0,),
-        signals_per_emitter=60,
-        n_samples=700,
-        seed=7700,
-    )
-    generate_dataset(aux_spec, tmp_path / "aux")
-    aux_manifest = load_manifest(tmp_path / "aux")
-    aux_main, aux_branch, aux_labels = represent(aux_manifest, aux_manifest["files"])
-    aux_ids = {c: i for i, c in enumerate(sorted(set(aux_labels.tolist())))}
-    aux_y = np.array([aux_ids[c] for c in aux_labels.tolist()])
-
-    pretrained = train(
-        init_params(model_cfg, n_classes=5, seed=0),
-        aux_main,
-        aux_branch,
-        aux_y,
-        TrainConfig(epochs=40, batch_size=32, learning_rate=5e-3, seed=0),
-    ).params
-
-    few_m = subsample_manifest(train_m, 0.03, seed=1)  # 3 shots per emitter
-    few_main, few_branch, few_labels = represent(manifest, few_m["files"])
+    train_m, test_m = split_manifest(load_manifest(tmp_path / "data"), TEST_FRACTION, SPLIT_SEED)
+    few_m = subsample_manifest(train_m, 0.03, SUBSAMPLE_SEED)  # 3 shots per emitter
+    memo = {}
+    test_y, _, test_x = represent(Pipeline.ICVMD_SAT, test_m, VmdConfig(), memo)
+    few_labels, _, few_x = represent(Pipeline.ICVMD_SAT, few_m, VmdConfig(), memo)
     class_ids = np.unique(few_labels)
-    index = {c: i for i, c in enumerate(class_ids.tolist())}
-    few_y = np.array([index[c] for c in few_labels.tolist()])
-    tune = TrainConfig(epochs=30, batch_size=32, learning_rate=2e-3, seed=0)
+    few_y = np.searchsorted(class_ids, few_labels)
+    pretrained = pretrain(spec, VmdConfig(), tmp_path, memo)
+    assert tally(memo)[0] == []
 
-    sat = sat_transfer(pretrained, len(class_ids), few_main, few_branch, few_y, tune, head_seed=0)
-    scratch = train(
-        init_params(model_cfg, n_classes=len(class_ids), seed=0),
-        few_main,
-        few_branch,
-        few_y,
-        tune,
-    )
+    sat = sat_transfer(pretrained, len(class_ids), *few_x, few_y, TrainConfig(), head_seed=MODEL_SEED)
+    scratch = train(init_params(ModelConfig(), n_classes=len(class_ids), seed=MODEL_SEED), *few_x, few_y, TrainConfig())
 
     def accuracy(params):
-        preds = []
-        for start in range(0, test_main.shape[0], 64):
-            logits, _ = model_forward(
-                params, test_main[start : start + 64], test_branch[start : start + 64]
-            )
-            preds.append(np.argmax(logits, axis=1))
-        return evaluate(class_ids[np.concatenate(preds)], test_y).accuracy
+        return evaluate(predict(params, *test_x, class_ids), test_y).accuracy
 
     acc_sat = accuracy(sat.params)
     acc_scratch = accuracy(scratch.params)

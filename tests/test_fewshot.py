@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from icvmd import fewshot
-from icvmd.dataset import DatasetSpec, generate_dataset, load_entry, split_manifest
+from icvmd.classify import evaluate
+from icvmd.dataset import DatasetSpec, generate_dataset, load_entry, load_manifest, split_manifest, subsample_manifest
 from icvmd.decompose import FULL_SELECTION, ModeLabel, Selection, icvmd_decompose, reconstruct
 from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.features import extract_features
@@ -19,6 +20,7 @@ from icvmd.fewshot import (
 from icvmd.modulation import ModulationKind
 from icvmd.nn.layers import DTYPE
 from icvmd.nn.model import ModelConfig, init_params
+from icvmd.nn.train import TrainConfig, sat_transfer
 from icvmd.pa import emitter_bank
 from icvmd.signals import ComplexSignal
 from icvmd.vmd import VmdConfig
@@ -223,7 +225,22 @@ def test_represent_reads_the_captures_in_path_order(tmp_path):
 
 def kept_paths(memo):
     """The paths of the captures a memo kept, in the order they were met."""
-    return [path for (_, path), (arrays, _, _) in memo.items() if arrays is not None]
+    return [path for (*_, path), (arrays, _, _) in memo.items() if arrays is not None]
+
+
+def test_represent_keys_its_memo_by_pipeline_and_solver_config(tmp_path):
+    manifest = generate_dataset(TINY_SPEC, tmp_path / "data")
+    manifest["_dir"] = str(tmp_path / "data")
+    four = dict(manifest, files=manifest["files"][:4])
+    runs = [(Pipeline.RAW_NN, VmdConfig()), (Pipeline.ICVMD_FEATURES, VmdConfig()),
+            (Pipeline.ICVMD_FEATURES, VmdConfig(n_modes=2))]
+    memo = {}
+    shared = [fewshot.represent(pipeline, four, cfg, memo)[2][0] for pipeline, cfg in runs]
+    # One memo across pipelines and configs returns what a fresh memo returns for each.
+    for (pipeline, cfg), arrays in zip(runs, shared):
+        assert np.array_equal(arrays, fewshot.represent(pipeline, four, cfg, {})[2][0])
+    assert [a.shape for a in shared] == [(4, 2, 128), (4, 30), (4, 30)]
+    assert len(memo) == 12
 
 
 def capped(max_iter, n_modes=2):
@@ -324,7 +341,7 @@ def test_tally_lists_each_dropped_capture_once_in_the_order_met(tmp_path, monkey
     labels, _, (features,) = fewshot.represent(Pipeline.ICVMD_FEATURES, dict(manifest, files=[f3, f2, f1]), cfg, memo)
     assert kept_paths(memo) == [f0["path"], f3["path"]]
     assert labels.tolist() == [f3["label"]]
-    assert np.array_equal(features, [memo[(manifest["_dir"], f3["path"])][0][0]])
+    assert np.array_equal(features, [memo[(Pipeline.ICVMD_FEATURES, cfg, manifest["_dir"], f3["path"])][0][0]])
     skipped, sides = fewshot.tally(memo)
     assert [path for path, _ in skipped] == [f1["path"], f2["path"]]
     assert "holds 255 float32 values" in skipped[0][1]
@@ -387,6 +404,21 @@ def test_run_fewshot_sat(tmp_path):
     rows = read_csv(result.csv_path)
     assert any(r["status"] == "ok" for r in rows)
     assert list(result.final_losses) == [1.0]
+    # Acceptance test 10 builds the transfer from the package's steps; they
+    # must score what icvmd fewshot reports.
+    train_m, test_m = split_manifest(load_manifest(tmp_path / "data"), fewshot.TEST_FRACTION, fewshot.SPLIT_SEED)
+    few_m = subsample_manifest(train_m, 1.0, fewshot.SUBSAMPLE_SEED)
+    memo = {}
+    test_y, _, test_x = fewshot.represent(Pipeline.ICVMD_SAT, test_m, VmdConfig(), memo)
+    few_labels, _, few_x = fewshot.represent(Pipeline.ICVMD_SAT, few_m, VmdConfig(), memo)
+    class_ids = np.unique(few_labels)
+    pretrained = fewshot.pretrain(TINY_SPEC, VmdConfig(), tmp_path / "again", memo)
+    few_y = np.searchsorted(class_ids, few_labels)
+    sat = sat_transfer(pretrained, len(class_ids), *few_x, few_y, TrainConfig(), head_seed=fewshot.MODEL_SEED)
+    accuracy = evaluate(fewshot.predict(sat.params, *test_x, class_ids), test_y).accuracy
+    [overall] = [r for r in rows if r["snr_db"] == "all"]
+    assert overall["accuracy"] == f"{accuracy:.6f}"
+    assert result.final_losses[1.0] == (sat.history[-1], len(class_ids))
 
 
 # ----------------------------------------------------------------------- csv
