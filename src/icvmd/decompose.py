@@ -76,7 +76,7 @@ def _decompose_side(x: np.ndarray, cfg: VmdConfig, e: int, floor: float) -> tupl
     # decomposed: its "modes" would be arbitrary slices of numerical noise.
     if float(np.sum(np.ldexp(x, -e) ** 2)) <= floor:
         n, k = x.size, cfg.n_modes
-        check_memory_budget(n, k)
+        check_memory_budget(n, k, np.float32)  # the dtype a side is swept in
         # n + 1 coefficients per mode (vmd module docstring); no sweep ran.
         empty = ModeSet(np.zeros((k, n + 1), dtype=np.float32), np.zeros(k), 0, True, 0.0)
         return VmdResult(np.zeros((k, n)), empty, residual=np.zeros(n)), (ModeLabel.FEATURE,) * k

@@ -185,7 +185,8 @@ def relu_forward(x: np.ndarray):
 
 
 def relu_backward(dy: np.ndarray, cache, out=None):
-    """dy where the cached ReLU output is positive, zero elsewhere (into ``out`` when given)."""
+    """dy where the cached ReLU output is positive, zero elsewhere, into ``out``
+    when given; ``out`` may be the cache, as the mask is formed before the write."""
     return np.multiply(dy, cache > 0.0, out=out)
 
 

@@ -31,9 +31,8 @@ and the first branch conv get their parameter gradients alone
 (layers.conv_param_grads), as no caller reads an input gradient of the
 model.  The 1x1 merge conv gets its parameter gradients alone too: each
 residual block's upstream gradient is that block's 8 columns of the merge
-weights times the merge's output gradient, formed into one reused
-[chunk, 8, T] buffer just before the block's backward, so the merge
-input's [chunk, 32, T] gradient is never held whole.
+weights times the merge's output gradient, formed just before the block's
+backward, so the merge input's [chunk, 32, T] gradient is never held whole.
 
 Every step after the conv stacks is row by row: the dense heads are
 row-invariant products (see nn/layers.py), and the softmax, the attention sum
@@ -44,7 +43,9 @@ bit-identical to one pass over the whole batch.
 
 The forward cache keeps each conv input once and nothing beside it: a ReLU
 runs in place and its backward reads the output the next conv caches, and
-the residual blocks write straight into the merge conv's input.
+the residual blocks write straight into the merge conv's input.  Backward
+writes each gradient over an activation it has finished reading (a ReLU's
+output, a block's slice of the merge input), so a cache serves one backward.
 """
 from __future__ import annotations
 
@@ -194,10 +195,6 @@ def _conv_grads(dy: np.ndarray, cache, grads: dict, name: str, ws: dict) -> np.n
     return _grads(grads, name, conv_backward, dy, cache, out=out, scratch=tap)
 
 
-def _relu_grads(dy: np.ndarray, cache, ws: dict) -> np.ndarray:
-    return relu_backward(dy, cache, _buf(ws, ("r", *dy.shape[1:]), dy.shape, dy.dtype))
-
-
 def _residual_forward(h: np.ndarray, params: NetParams, i: int, out, ws: dict):
     """TCN block i: o = h + conv2(relu(conv1(h))) at the block's dilation,
     written into ``out`` unless it is None (conv2 writes there, then h is added)."""
@@ -212,7 +209,7 @@ def _residual_forward(h: np.ndarray, params: NetParams, i: int, out, ws: dict):
 def _residual_backward(dout: np.ndarray, cache, grads, prefix, ws):
     c1, r1, c2 = cache
     da1 = _conv_grads(dout, c2, grads, f"{prefix}.conv2", ws)
-    dh = _conv_grads(_relu_grads(da1, r1, ws), c1, grads, f"{prefix}.conv1", ws)
+    dh = _conv_grads(relu_backward(da1, r1, out=r1), c1, grads, f"{prefix}.conv1", ws)
     return np.add(dout, dh, out=dh)  # skip connection plus the conv path
 
 
@@ -231,9 +228,9 @@ def _stack_backward(dh: np.ndarray, caches, grads, prefix: str, ws: dict) -> Non
     is not formed, as no caller reads it."""
     for i in range(len(caches) - 1, 0, -1):
         cc, rc = caches[i]
-        dh = _conv_grads(_relu_grads(dh, rc, ws), cc, grads, f"{prefix}.{i}", ws)
+        dh = _conv_grads(relu_backward(dh, rc, out=rc), cc, grads, f"{prefix}.{i}", ws)
     cc, rc = caches[0]
-    _grads(grads, f"{prefix}.0", conv_param_grads, _relu_grads(dh, rc, ws), cc)
+    _grads(grads, f"{prefix}.0", conv_param_grads, relu_backward(dh, rc, out=rc), cc)
 
 
 def features_forward(params: NetParams, x: np.ndarray, ws: dict):
@@ -259,15 +256,15 @@ def features_backward(params: NetParams, dfeat: np.ndarray, cache, grads, ws: di
     samples left in ``grads``, and returns nothing: no caller reads the
     trunk's input gradient, so it is not formed.  The merge input's gradient
     is formed one block at a time, block i's 8 channels of it being its
-    columns of the 1x1 merge weights times dfeat, so only one block's share is
-    held.  Each gradient goes into a buffer of ``ws``."""
-    enc_caches, block_caches, merge_cache = cache
-    _grads(grads, "tcn.merge", conv_param_grads, dfeat, merge_cache)
-    w, c = merge_cache[1].weights[:, :, 0], CHANNELS
-    dout = _buf(ws, "dblock", dfeat.shape, dfeat.dtype)
+    columns of the 1x1 merge weights times dfeat, written over block i's
+    slice of the merge input, which nothing reads by then; the other
+    gradients go into buffers of ``ws`` or over the ReLU outputs they mask."""
+    enc_caches, block_caches, (stacked, merge) = cache
+    _grads(grads, "tcn.merge", conv_param_grads, dfeat, (stacked, merge))
+    w, c = merge.weights[:, :, 0], CHANNELS
     dh = 0.0
     for i in range(N_BLOCKS - 1, -1, -1):
-        np.matmul(w[:, i * c : (i + 1) * c].T, dfeat, out=dout)
+        dout = np.matmul(w[:, i * c : (i + 1) * c].T, dfeat, out=stacked[:, i * c : (i + 1) * c])
         dout += dh  # adds +0.0 above the top block, as a zero array would
         dh = _residual_backward(dout, block_caches[i], grads, f"tcn.blocks.{i}", ws)
     _stack_backward(dh, enc_caches, grads, "encoder", ws)
@@ -375,9 +372,9 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, w
     With a ``workspace`` (a dict, ``{}`` at first) the batch runs as one
     block, as train() hands it one chunk, and the cache refers to the
     workspace's buffers and to the inputs, valid until the next forward that
-    uses the same workspace.  Without one the batch runs chunk by chunk
-    through buffers local to the call; the cache holds only the attention,
-    and model_backward refuses it.
+    uses the same workspace and serves one backward.  Without one the batch
+    runs chunk by chunk through buffers local to the call; the cache holds
+    only the attention, and model_backward refuses it.
     """
     if workspace is None:
         logits, att = _by_chunk(params, lambda xm, xb, s, ws: _forward(params, xm, xb, s, ws)[0], main_x, branch_x)
@@ -389,16 +386,19 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, w
 def model_backward(params: NetParams, dlogits: np.ndarray, cache, grads: dict) -> dict:
     """Exact gradients of every parameter for the cached forward pass.
 
-    The cache must come from a model_forward given a workspace, and the
-    layers' gradients stay in that workspace.  Every conv's and dense layer's
-    weight and bias sums continue, in sample order, from those an earlier
-    chunk of samples left in ``grads`` (a dict, ``{}`` at first, filled and
-    returned); so a minibatch run as consecutive chunks, each chunk's forward
-    and backward in turn with one ``grads``, gets the gradients of one pass.
+    The cache must come from a model_forward given a workspace and serves
+    one call, as the layers' gradients go into that workspace or over the
+    activations (a second call raises ParameterError).  Every conv's and
+    dense layer's weight and bias sums continue, in sample order, from those
+    an earlier chunk of samples left in ``grads`` (a dict, ``{}`` at first,
+    filled and returned); so a minibatch run as consecutive chunks, each
+    chunk's forward and backward in turn with one ``grads``, gets the
+    gradients of one pass.
     """
-    if "workspace" not in cache:
-        raise ParameterError("this cache keeps no activations: pass a workspace (a dict) to model_forward to train")
-    ws = cache["workspace"]
+    if cache.get("workspace") is None:  # backward marks the cache it consumes with None
+        raise ParameterError("this cache was already used by a backward, which overwrote its activations: run model_forward again"
+                             if "workspace" in cache else "this cache keeps no activations: pass a workspace (a dict) to model_forward to train")
+    ws, cache["workspace"] = cache["workspace"], None
     b, s, t = cache["dims"]
     length = params.config.segment_len
     dlogits = np.asarray(dlogits, dtype=params.dtype)

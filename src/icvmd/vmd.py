@@ -241,14 +241,15 @@ def _reseed_collisions(omegas: list | np.ndarray, min_gap: float) -> None:
             omegas[j] = float(_widest_gap_midpoint(np.delete(omegas, j)))
 
 
-def check_memory_budget(n: int, n_modes: int) -> None:
+def check_memory_budget(n: int, n_modes: int, dtype=np.float64) -> None:
     """Raise ParameterError when decomposing an n-sample signal into n_modes
-    modes would hold more than _MEMORY_BUDGET_BYTES at its peak.  Per
-    coefficient (n + 1 of them), each mode holds at most two float64 rows at
-    a time (its row beside its filter, or its sorted copy beside its
-    time-domain mode), and the shared buffers, the per-length tables and a
-    two-row block of the inverse about twelve, counted as sixteen."""
-    need = 8 * (n + 1) * (2 * n_modes + 16)
+    modes, sweeping rows of ``dtype``, would hold more than
+    _MEMORY_BUDGET_BYTES at its peak.  Per coefficient (n + 1 of them), each
+    mode holds at most one sweep row beside another (its filter or its sorted
+    copy) or its float64 time-domain mode, and the shared buffers, the
+    per-length tables and a two-row block of the inverse about twelve float64
+    rows, counted as sixteen."""
+    need = (n + 1) * ((np.dtype(dtype).itemsize + 8) * n_modes + 8 * 16)
     if need > _MEMORY_BUDGET_BYTES:
         raise ParameterError(
             f"{n_modes} modes of a {n}-sample signal need about {need / 2**20:.0f} MiB, "
@@ -278,7 +279,7 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
         raise ParameterError(f"signal must be 1-D, got shape {x.shape}")
     if x.size < 2 * cfg.n_modes:
         raise ParameterError(f"signal of length {x.size} is too short for {cfg.n_modes} modes")
-    check_memory_budget(x.size, cfg.n_modes)
+    check_memory_budget(x.size, cfg.n_modes, real)
     root = math.sqrt(2.0 * cfg.alpha)  # a Python float, so it promotes no float32 ufunc
     if not 1.0 + (root * np.pi) ** 2 <= float(np.finfo(real).max):
         raise ParameterError(f"alpha {cfg.alpha} overflows the {np.dtype(real).name} Wiener filter 1 + 2*alpha*pi^2")

@@ -326,6 +326,10 @@ def test_relu_backward_from_the_output_matches_the_input_mask(dtype):
     assert cache is y
     assert relu_backward(dy, cache).tobytes() == want.tobytes()
     assert y.tobytes() == np.maximum(x, 0.0).tobytes()
+    # Written over the output it masks with, as model backward does.
+    _, fresh = relu_forward(x.copy())
+    assert relu_backward(dy, fresh, out=fresh) is fresh
+    assert fresh.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------- receptive field

@@ -370,6 +370,48 @@ def test_training_forward_keeps_each_conv_input_once():
     assert trunk <= held <= trunk + allowance
 
 
+def test_training_backward_writes_over_the_activations_it_has_read():
+    # Backward adds to one chunk's forward cache only dfeat and, per row
+    # shape (the trunk's [CHANNELS, T] and the branch's folded segments), one
+    # input gradient and one tap buffer: each ReLU's gradient goes over that
+    # ReLU's output and each block's upstream gradient over its slice of the
+    # merge input.  A buffer of their own for either would exceed the bound.
+    t = 2100
+    b = model._chunks(32, t)[0].stop  # one chunk of a train() step
+    params = init_params(ModelConfig(), n_classes=4, seed=0)
+    rng = np.random.default_rng(1)
+    xm, xb = rng.normal(size=(2, b, IN_CHANNELS, t)).astype(np.float32)
+    f32 = np.dtype(np.float32).itemsize
+    trunk = (ENCODER_LAYERS + 2 * N_BLOCKS) * b * CHANNELS * t * f32
+    allowance = (BRANCH_LAYERS * BRANCH_CHANNELS + 2 * IN_CHANNELS) * b * t * f32
+    gradients = (3 * CHANNELS + 2 * BRANCH_CHANNELS) * b * t * f32
+    tracemalloc.start()
+    try:
+        logits, cache = model_forward(params, xm, xb, {})
+        _, dlogits = cross_entropy(logits, np.arange(b) % 4)
+        model_backward(params, dlogits, cache, {})
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert trunk <= held <= trunk + allowance + gradients
+
+
+def test_a_second_backward_on_one_cache_raises():
+    # The first backward wrote gradients over the cached activations; a new
+    # forward through the same workspace serves one backward again.
+    params = tiny_model()
+    xm, xb = tiny_batch(b=2, t=30)
+    ws: dict = {}
+    logits, cache = model_forward(params, xm, xb, ws)
+    _, dlogits = cross_entropy(logits, np.array([0, 1]))
+    want = model_backward(params, dlogits, cache, {})
+    with pytest.raises(ParameterError, match="^this cache was already used by a backward"):
+        model_backward(params, dlogits, cache, {})
+    _, cache = model_forward(params, xm, xb, ws)
+    got = model_backward(params, dlogits, cache, {})
+    assert [g.tobytes() for g in got.values()] == [g.tobytes() for g in want.values()]
+
+
 def test_inference_without_a_workspace_keeps_one_chunk_at_a_time():
     # Every chunk runs through the same buffers and none is kept, so the peak
     # is one chunk's activations plus a tap product and the merge output,

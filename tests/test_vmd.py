@@ -403,9 +403,9 @@ def test_memory_budget_covers_the_measured_peak(monkeypatch, n, k, dtype):
     # refuses the solve) and less than twice it.
     monkeypatch.setattr(vmd, "_MEMORY_BUDGET_BYTES", peak - 1)
     with pytest.raises(ParameterError, match="budget"):
-        vmd.check_memory_budget(n, k)
+        vmd.check_memory_budget(n, k, dtype)
     monkeypatch.setattr(vmd, "_MEMORY_BUDGET_BYTES", 2 * peak)
-    vmd.check_memory_budget(n, k)
+    vmd.check_memory_budget(n, k, dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
