@@ -259,9 +259,9 @@ def features_backward(params: NetParams, dfeat: np.ndarray, cache, grads, ws: di
     columns of the 1x1 merge weights times dfeat, written over block i's
     slice of the merge input, which nothing reads by then; the other
     gradients go into buffers of ``ws`` or over the ReLU outputs they mask."""
-    enc_caches, block_caches, (stacked, merge) = cache
-    _grads(grads, "tcn.merge", conv_param_grads, dfeat, (stacked, merge))
-    w, c = merge.weights[:, :, 0], CHANNELS
+    enc_caches, block_caches, merge_cache = cache
+    _grads(grads, "tcn.merge", conv_param_grads, dfeat, merge_cache)
+    stacked, w, c = merge_cache[0], merge_cache[1].weights[:, :, 0], CHANNELS
     dh = 0.0
     for i in range(N_BLOCKS - 1, -1, -1):
         dout = np.matmul(w[:, i * c : (i + 1) * c].T, dfeat, out=stacked[:, i * c : (i + 1) * c])
