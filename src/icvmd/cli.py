@@ -76,13 +76,10 @@ _MOD_CHOICES = [m.value for m in ModulationKind]
 # The DatasetSpec options shared by ``gen`` and ``fewshot``, in help order.
 _DATASET_OPTIONS = (
     click.option("--config", type=click.Path(exists=True), default=None, help="JSON DatasetSpec (schema_version 1); no other dataset option may be given with it."),
-    click.option("--snr-db", multiple=True, type=float, help="SNR grid point (repeatable)."),
+    click.option("--snr-db", "snr_grid_db", multiple=True, type=float, help="SNR grid point (repeatable)."),
     click.option("--modulations", multiple=True, type=click.Choice(_MOD_CHOICES)),
     click.option("--n-samples", default=DatasetSpec.n_samples, show_default=True),
     click.option("--signals-per-emitter", default=DatasetSpec.signals_per_emitter, show_default=True, help="Per emitter per SNR point."),
-    click.option("--carrier", default=DatasetSpec.carrier, show_default=True),
-    click.option("--samples-per-symbol", default=DatasetSpec.samples_per_symbol, show_default=True),
-    click.option("--sweep-span", default=DatasetSpec.sweep_span, show_default=True),
     click.option("--seed", default=DatasetSpec.seed, show_default=True),
 )
 
@@ -102,7 +99,7 @@ def _spec_from_options(config, **kw) -> DatasetSpec:
             raise ParameterError(f"{', '.join(given)} cannot be given with --config, which sets every dataset option")
         return load_spec(config)
     mods = kw.pop("modulations")
-    snrs = kw.pop("snr_db")
+    snrs = kw.pop("snr_grid_db")
     return DatasetSpec(
         modulations=tuple(ModulationKind(m) for m in mods) if mods else DEFAULT_MODULATIONS,
         snr_grid_db=tuple(snrs) if snrs else DEFAULT_SNR_GRID,

@@ -7,9 +7,11 @@ kind).  Each signal is generated as:
 
     baseband -> unit power -> emitter amplifier model -> AWGN at the SNR
 
-with per-signal seeds derived from (dataset seed, emitter index, SNR index,
-modulation index, repetition) so any file can be regenerated in isolation and
-two runs with the same spec are byte-identical.
+The baseband is keyed at ``modulation``'s one recipe (carrier, symbol
+length, sweep span), which no spec field changes.  Per-signal seeds are
+derived from (dataset seed, emitter index, SNR index, modulation index,
+repetition) so any file can be regenerated in isolation and two runs with
+the same spec are byte-identical.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, check_int, is_real
 from .iqfile import json_object, read_iqf32, write_iqf32
-from .modulation import ModulationKind, ModulationSpec, gen_baseband
+from .modulation import ModulationKind, gen_baseband
 from .pa import EmitterProfile, emitter_bank, hammerstein_apply
 from .signals import ComplexSignal, add_awgn, noise_variance, normalize_power
 
@@ -58,9 +60,6 @@ class DatasetSpec:
     snr_grid_db: tuple = DEFAULT_SNR_GRID
     n_samples: int = 2100
     signals_per_emitter: int = 60
-    carrier: float = 0.1
-    samples_per_symbol: int = 8
-    sweep_span: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -74,8 +73,6 @@ class DatasetSpec:
                 raise ParameterError(f"{name} must be non-empty")
         if not all(isinstance(m, ModulationKind) for m in self.modulations):
             raise ParameterError(f"modulations must be ModulationKind members, got {self.modulations!r}")
-        for kind in self.modulations:  # refuses an aliasing waveform before any file is written
-            ModulationSpec(kind, self.carrier, self.samples_per_symbol, self.sweep_span)
         if not all(isinstance(e, EmitterProfile) for e in self.emitters):
             raise ParameterError("emitters must be EmitterProfile instances")
         # A unit-envelope input bounds the amplifier's output power by (sum|b_k| * sum|c_q|)**2.
@@ -109,7 +106,8 @@ class DatasetSpec:
 
 def load_spec(path) -> DatasetSpec:
     """Read a JSON DatasetSpec: ``schema_version`` 1 and any fields, written as
-    ``echo`` writes them.  A bad field raises ParameterError."""
+    ``echo`` writes them.  A bad field, or a key that names no field (such as
+    ``carrier``, a module constant), raises ParameterError naming it."""
     raw = json_object(Path(path).read_text(), path)
     if raw.pop("schema_version", None) != 1:
         raise ParameterError("dataset config must carry schema_version 1")
@@ -139,15 +137,7 @@ def synthesize_one(
     noise_seed: int,
 ) -> ComplexSignal:
     """The full single-signal chain used for every dataset entry."""
-    mod = ModulationSpec(
-        kind=kind,
-        carrier=spec.carrier,
-        samples_per_symbol=spec.samples_per_symbol,
-        sweep_span=spec.sweep_span,
-        seed=symbol_seed,
-    )
-    x = gen_baseband(mod, spec.n_samples)
-    x = normalize_power(x, 1.0)
+    x = normalize_power(gen_baseband(kind, spec.n_samples, symbol_seed), 1.0)
     y = hammerstein_apply(x, profile)
     return add_awgn(y, snr_db, noise_seed)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import analytic_split, combine_analytic
-from .errors import ParameterError
+from .errors import DegenerateInputError, ParameterError
 from .signals import ComplexSignal
 from .vmd import ModeSet, VmdConfig, VmdResult, check_memory_budget, vmd_decompose
 
@@ -93,10 +93,14 @@ def icvmd_decompose(sig: ComplexSignal, cfg: VmdConfig) -> IcvmdResult:
 
     A side with at most 1e-24 of the input's energy (e.g. the negative side
     of a one-sided input) is not solved: its modes are all zero and all
-    labeled FEATURE, with the residual carrying nothing.
+    labeled FEATURE, with the residual carrying nothing.  An all-zero input
+    raises DegenerateInputError.
     """
     magnitudes = np.abs(sig.samples)
-    e = int(np.frexp(magnitudes.max())[1])  # both energies are taken at unit peak, where no square over- or underflows
+    peak = magnitudes.max()
+    if peak == 0:
+        raise DegenerateInputError("cannot decompose an all-zero signal")
+    e = int(np.frexp(peak)[1])  # both energies are taken at unit peak, where no square over- or underflows
     floor = 1e-24 * float(np.sum(np.ldexp(magnitudes, -e) ** 2))
     (pos, labels_pos), (neg, labels_neg) = (_decompose_side(x, cfg, e, floor) for x in analytic_split(sig))
     return IcvmdResult(pos, neg, labels_pos, labels_neg, input_signal=sig)

@@ -2,16 +2,17 @@
 
 All frequencies are normalized (cycles/sample); the emitted signals have unit
 magnitude per sample, so nonlinear amplifier models act on a constant envelope.
+Every kind is keyed at one recipe, the module constants below; only the kind,
+the length and the symbol seed vary.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_int, check_real
+from .errors import ParameterError, check_int
 from .signals import ComplexSignal
 
 
@@ -31,83 +32,45 @@ _PSK_ORDER = {
 }
 
 
-@dataclass(frozen=True)
-class ModulationSpec:
-    """Waveform recipe: what to key, where to sit in the band, and the symbol RNG seed.
-
-    carrier       -- center frequency in cycles/sample
-    samples_per_symbol -- rectangular symbol length for keyed kinds
-    sweep_span    -- total swept width (cycles/sample) for LFM
-    seed          -- drives the symbol/bit draw only (noise is seeded separately)
-    """
-
-    kind: ModulationKind
-    carrier: float = 0.1
-    samples_per_symbol: int = 8
-    sweep_span: float = 0.2
-    seed: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.kind, ModulationKind):
-            raise ParameterError(f"kind must be a ModulationKind, got {self.kind!r}")
-        check_real("carrier", self.carrier, zero=True)
-        if not self.carrier < 0.5:
-            raise ParameterError(f"carrier must lie in [0, 0.5), got {self.carrier}")
-        check_int("samples_per_symbol", self.samples_per_symbol, 1)
-        check_int("seed", self.seed, 0)
-        check_real("sweep_span", self.sweep_span, zero=True)
-        hw = occupied_halfwidth(self)
-        if self.carrier + hw >= 0.5:
-            raise ParameterError(
-                f"carrier {self.carrier} + occupied half-width {hw:.4f} reaches the "
-                "Nyquist edge; the waveform would alias"
-            )
+# The one waveform recipe every dataset keys: the amplifier, not the waveform,
+# carries the fingerprint.  The widest kind, a keyed one budgeted a first-null
+# half-width of one symbol rate, reaches 0.1 + 1/8 = 0.225, clear of Nyquist.
+CARRIER = 0.1  # center frequency, cycles/sample
+SAMPLES_PER_SYMBOL = 8  # rectangular symbol length of the keyed kinds
+SWEEP_SPAN = 0.2  # total swept width of LFM, cycles/sample
 
 
-def occupied_halfwidth(spec: ModulationSpec) -> float:
-    """Rough one-sided occupied bandwidth used by the aliasing guard.
-
-    CW occupies a line; LFM half its sweep span; keyed kinds are budgeted a
-    first-null half-width of one symbol rate.
-    """
-    if spec.kind is ModulationKind.CW:
-        return 0.0
-    if spec.kind is ModulationKind.LFM:
-        return spec.sweep_span / 2.0
-    return 1.0 / spec.samples_per_symbol
-
-
-def gen_baseband(spec: ModulationSpec, n_samples: int) -> ComplexSignal:
+def gen_baseband(kind: ModulationKind, n_samples: int, seed: int) -> ComplexSignal:
     """Generate ``n_samples`` of the requested unit-envelope waveform.
 
-    Keyed kinds draw symbols from ``default_rng(spec.seed)``; the same spec and
-    length always reproduce the same samples.
+    Keyed kinds draw symbols from ``default_rng(seed)``; the same kind, length
+    and seed always reproduce the same samples.
     """
+    if not isinstance(kind, ModulationKind):
+        raise ParameterError(f"kind must be a ModulationKind, got {kind!r}")
     check_int("n_samples", n_samples, 1)
+    check_int("seed", seed, 0)
     t = np.arange(n_samples)
-    kind = spec.kind
-    rng = np.random.default_rng(spec.seed)  # drawn from by the keyed kinds only
-    n_sym = math.ceil(n_samples / spec.samples_per_symbol)
+    rng = np.random.default_rng(seed)  # drawn from by the keyed kinds only
+    n_sym = math.ceil(n_samples / SAMPLES_PER_SYMBOL)
 
     if kind is ModulationKind.CW:
-        x = np.exp(2j * np.pi * spec.carrier * t)
+        x = np.exp(2j * np.pi * CARRIER * t)
     elif kind is ModulationKind.LFM:
-        f0 = spec.carrier - spec.sweep_span / 2.0
-        rate = spec.sweep_span / max(n_samples - 1, 1)  # one sample: phase 0
+        f0 = CARRIER - SWEEP_SPAN / 2.0
+        rate = SWEEP_SPAN / max(n_samples - 1, 1)  # one sample: phase 0
         x = np.exp(1j * (2.0 * np.pi * (f0 * t + 0.5 * rate * t**2)))
     elif kind in _PSK_ORDER:
         m = _PSK_ORDER[kind]
         symbols = rng.integers(0, m, n_sym)
         sym_phase = 2.0 * np.pi * symbols / m
-        per_sample = np.repeat(sym_phase, spec.samples_per_symbol)[:n_samples]
-        x = np.exp(1j * (2.0 * np.pi * spec.carrier * t + per_sample))
-    elif kind is ModulationKind.MSK:
+        per_sample = np.repeat(sym_phase, SAMPLES_PER_SYMBOL)[:n_samples]
+        x = np.exp(1j * (2.0 * np.pi * CARRIER * t + per_sample))
+    else:  # MSK, the last kind of the closed enum
         bits = 2 * rng.integers(0, 2, n_sym) - 1
-        deviation = 1.0 / (4.0 * spec.samples_per_symbol)
-        freq = spec.carrier + deviation * np.repeat(bits, spec.samples_per_symbol)[:n_samples]
+        deviation = 1.0 / (4.0 * SAMPLES_PER_SYMBOL)
+        freq = CARRIER + deviation * np.repeat(bits, SAMPLES_PER_SYMBOL)[:n_samples]
         phase = np.zeros(n_samples)  # integrated frequency, phase[0] = 0
         phase[1:] = 2.0 * np.pi * np.cumsum(freq[:-1])
         x = np.exp(1j * phase)
-    else:  # pragma: no cover - enum is closed
-        raise ParameterError(f"unsupported modulation kind {kind!r}")
     return ComplexSignal(x)

@@ -251,7 +251,7 @@ def features_forward(params: NetParams, x: np.ndarray, ws: dict):
     return feat, (enc_caches, block_caches, merge_cache)
 
 
-def features_backward(params: NetParams, dfeat: np.ndarray, cache, grads, ws: dict) -> None:
+def _features_backward(params: NetParams, dfeat: np.ndarray, cache, grads, ws: dict) -> None:
     """Adds the trunk's parameter gradients to any that an earlier chunk of
     samples left in ``grads``, and returns nothing: no caller reads the
     trunk's input gradient, so it is not formed.  The merge input's gradient
@@ -418,7 +418,7 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache, grads: dict) -
     dfeat = _buf(ws, "dfeat", (b, CHANNELS, t), params.dtype)
     dfeat[:, :, s * length :] = 0.0
     dfeat[:, :, : s * length].reshape(b, CHANNELS, s, length)[...] = dpool[:, :, :, None] / length
-    features_backward(params, dfeat, cache["feat_cache"], grads, ws)
+    _features_backward(params, dfeat, cache["feat_cache"], grads, ws)
     return grads
 
 

@@ -7,6 +7,7 @@ import numpy as np
 
 from icvmd.dataset import _FLOOR_SLACK
 from icvmd.errors import DegenerateInputError, ParameterError, is_real
+from icvmd.modulation import ModulationKind
 from icvmd.nn import model
 from icvmd.nn.attention import softmax
 from icvmd.nn.layers import ConvLayer, conv_backward, conv_forward, relu_backward
@@ -339,7 +340,7 @@ def reference_features_forward(params: NetParams, x: np.ndarray):
     """The model's trunk forward as it was before its cache was trimmed: each
     ReLU returns a fresh output and caches a bool mask, and the merge conv's
     input is a concatenated copy of the block outputs.  Returns (feat, cache)
-    in the layout ``features_backward`` reads."""
+    in the layout ``_features_backward`` reads."""
 
     def relu(y):
         return np.maximum(y, 0.0), y > 0.0
@@ -367,7 +368,7 @@ def reference_features_backward(dfeat: np.ndarray, cache, grads: dict) -> None:
     one conv_backward over the merge conv makes the whole [B, 4*CHANNELS, T]
     gradient of its input, each block reads its slice of it, and every
     encoder conv, the first too, forms its input gradient.  Fills ``grads``
-    for one chunk, from a cache in the layout ``features_backward`` reads."""
+    for one chunk, from a cache in the layout ``_features_backward`` reads."""
     enc_caches, block_caches, merge_cache = cache
 
     def conv(dy, cc, name):
@@ -581,6 +582,30 @@ def hammerstein_as_volterra(profile: EmitterProfile) -> VolterraKernels:
         kernels.append(np.zeros((q, q), dtype=complex))
         kernels.append(h3)
     return VolterraKernels(tuple(kernels))
+
+
+def reference_baseband(kind: ModulationKind, n: int, seed: int, carrier: float, samples_per_symbol: int,
+                       sweep_span: float) -> np.ndarray:
+    """The waveform generator as it was when the carrier, symbol length and
+    sweep span were dataset fields, in its float order: pins that the recipe's
+    constants key every capture as those fields' defaults did."""
+    t = np.arange(n)
+    rng = np.random.default_rng(seed)
+    n_sym = math.ceil(n / samples_per_symbol)
+    if kind is ModulationKind.CW:
+        return np.exp(2j * np.pi * carrier * t)
+    if kind is ModulationKind.LFM:
+        f0, rate = carrier - sweep_span / 2.0, sweep_span / max(n - 1, 1)
+        return np.exp(1j * (2.0 * np.pi * (f0 * t + 0.5 * rate * t**2)))
+    if kind is ModulationKind.MSK:
+        bits = 2 * rng.integers(0, 2, n_sym) - 1
+        freq = carrier + 1.0 / (4.0 * samples_per_symbol) * np.repeat(bits, samples_per_symbol)[:n]
+        phase = np.zeros(n)
+        phase[1:] = 2.0 * np.pi * np.cumsum(freq[:-1])
+        return np.exp(1j * phase)
+    m = {ModulationKind.BPSK: 2, ModulationKind.QPSK: 4, ModulationKind.PSK8: 8}[kind]
+    per_sample = np.repeat(2.0 * np.pi * rng.integers(0, m, n_sym) / m, samples_per_symbol)[:n]
+    return np.exp(1j * (2.0 * np.pi * carrier * t + per_sample))
 
 
 def reference_split_manifest(manifest: dict, test_fraction: float, seed: int) -> tuple:

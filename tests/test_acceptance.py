@@ -20,7 +20,7 @@ from icvmd.decompose import FULL_SELECTION, ModeLabel, icvmd_decompose, reconstr
 from icvmd.fewshot import (
     MODEL_SEED, SPLIT_SEED, SUBSAMPLE_SEED, TEST_FRACTION, Pipeline, predict, pretrain, represent, run_fewshot, tally
 )
-from icvmd.modulation import ModulationKind, ModulationSpec, gen_baseband
+from icvmd.modulation import ModulationKind, gen_baseband
 from icvmd.nn.attention import softmax
 from icvmd.nn.model import ModelConfig, features_forward, init_params, model_forward
 from icvmd.nn.train import TrainConfig, sat_transfer, train
@@ -109,7 +109,7 @@ def test_03_roundtrip_100_signals():
 def test_04_signal_selection_denoises():
     n = 1024
     clean = normalize_power(
-        gen_baseband(ModulationSpec(kind=ModulationKind.CW, carrier=0.1), n), 1.0
+        gen_baseband(ModulationKind.CW, n, 0), 1.0
     )
     cfg = VmdConfig(n_modes=4, alpha=200.0, tol=1e-6, max_iter=300)
 

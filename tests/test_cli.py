@@ -20,8 +20,10 @@ from icvmd.modulation import ModulationKind
 from icvmd.nn.checkpoint import MAX_EPOCHS
 from icvmd.nn.model import ModelConfig
 from icvmd.nn.train import TrainConfig, TrainResult
-from icvmd.pa import auxiliary_bank
+from icvmd.pa import auxiliary_bank, emitter_bank, hammerstein_apply
+from icvmd.signals import ComplexSignal, add_awgn, normalize_power
 from icvmd.vmd import VmdConfig, vmd_decompose
+from oracles import reference_baseband
 
 
 @pytest.fixture()
@@ -82,11 +84,18 @@ def option_defaults(command):
 
 
 def test_option_defaults_are_the_config_defaults():
-    fields = ("n_samples", "signals_per_emitter", "carrier", "samples_per_symbol", "sweep_span", "seed")
+    # Every DatasetSpec field but emitters, which only --config sets, has a
+    # same-named option, and each option that is not repeatable defaults to
+    # the spec's value.
     spec = DatasetSpec()
+    names = {f.name for f in dataclasses.fields(DatasetSpec)} - {"emitters"}
+    repeatable = {"modulations", "snr_grid_db"}
+    dataset_options = {p.name for p in cli._dataset_options(lambda: None).__click_params__}
+    assert dataset_options - {"config"} == names
     for command in ("gen", "fewshot"):
-        defaults = option_defaults(command)
-        assert {f: defaults[f] for f in fields} == {f: getattr(spec, f) for f in fields}
+        options = {p.name: p for p in main.commands[command].params}
+        assert {f for f in names if options[f].multiple} == repeatable, command
+        assert {f: options[f].default for f in names - repeatable} == {f: getattr(spec, f) for f in names - repeatable}
     train = option_defaults("train")
     assert train["segment_len"] == ModelConfig().segment_len
     side = VmdConfig()
@@ -103,15 +112,6 @@ def test_gen_rejects_bad_parameters(runner, tmp_path):
     res = runner.invoke(main, ["gen", "--out", str(tmp_path / "d"), "--n-samples", "4"])
     assert res.exit_code == 2
     assert "error" in res.output
-
-
-def test_gen_refuses_an_aliasing_waveform_before_writing_a_capture(runner, tmp_path):
-    # CW fits at carrier 0.45, but the keyed kinds' half-width of 1/8 reaches Nyquist.
-    out = tmp_path / "d"
-    res = runner.invoke(main, ["gen", "--out", str(out), "--carrier", "0.45", "--n-samples", "128"])
-    assert res.exit_code == 2, res.output
-    assert "reaches the Nyquist edge; the waveform would alias" in res.output
-    assert not list(tmp_path.rglob("*.iqf32"))
 
 
 @pytest.mark.parametrize(
@@ -191,6 +191,51 @@ def test_gen_regenerates_a_dataset_from_its_echoed_spec(runner, tmp_path):
     assert names == sorted(p.name for p in (tmp_path / "b").iterdir()) and len(names) == 21
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+# The spec a manifest echoed while the waveform recipe was three dataset fields.
+PRE_RECIPE_SPEC = {
+    "emitters": [
+        {"emitter_id": 0, "nonlinear_coeffs": [1.0, 0.0, 0.1126, 0.0, 0.2937], "memory_taps": [1.0, 0.05, 0.01, 0.005, 0.001, 0.0005]},
+        {"emitter_id": 1, "nonlinear_coeffs": [1.0, 0.0, 0.2479, 0.0, 0.1396], "memory_taps": [1.0, 0.05, 0.01, 0.005, 0.001, 0.0005]},
+    ],
+    "modulations": ["cw", "lfm", "bpsk", "qpsk", "8psk", "msk"], "snr_grid_db": [18.0], "n_samples": 128,
+    "signals_per_emitter": 6, "carrier": 0.1, "samples_per_symbol": 8, "sweep_span": 0.2, "seed": 4,
+}
+RECIPE_KEYS = ("carrier", "samples_per_symbol", "sweep_span")
+
+
+@pytest.mark.parametrize("command", ["gen", "fewshot"])
+@pytest.mark.parametrize("named", [RECIPE_KEYS, RECIPE_KEYS[1:], RECIPE_KEYS[2:]], ids=["all", "symbol", "span"])
+def test_a_spec_naming_a_recipe_key_is_refused_before_writing_a_capture(runner, tmp_path, command, named):
+    # The recipe is module constants now, so a spec naming one of its keys is
+    # a bad config, and the error names the first such key.
+    cfg = {"schema_version": 1} | {k: v for k, v in PRE_RECIPE_SPEC.items() if k not in RECIPE_KEYS or k in named}
+    (tmp_path / "spec.json").write_text(json.dumps(cfg))
+    where = "--out" if command == "gen" else "--workdir"
+    res = runner.invoke(main, [command, where, str(tmp_path / "d"), "--config", str(tmp_path / "spec.json")])
+    assert res.exit_code == 2, res.output
+    assert "error: bad dataset config" in res.output and f"'{named[0]}'" in res.output
+    assert not list(tmp_path.rglob("*.iqf32"))
+
+
+def test_a_pre_recipe_spec_without_its_recipe_keys_regenerates_the_same_captures(runner, tmp_path):
+    # Every capture is the chain run on the generator as it was with the
+    # recipe's three fields at the values the old spec names.
+    cfg = {"schema_version": 1} | {k: v for k, v in PRE_RECIPE_SPEC.items() if k not in RECIPE_KEYS}
+    (tmp_path / "spec.json").write_text(json.dumps(cfg))
+    res = runner.invoke(main, ["gen", "--out", str(tmp_path / "d"), "--config", str(tmp_path / "spec.json")])
+    assert res.exit_code == 0, res.output
+    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    assert manifest["spec"] == {k: v for k, v in cfg.items() if k != "schema_version"}
+    profiles = {p.emitter_id: p for p in emitter_bank()}
+    recipe = {k: PRE_RECIPE_SPEC[k] for k in RECIPE_KEYS}
+    assert len(manifest["files"]) == 12
+    for entry in manifest["files"]:
+        x = reference_baseband(ModulationKind(entry["modulation"]), 128, entry["seed"], **recipe)
+        y = hammerstein_apply(normalize_power(ComplexSignal(x), 1.0), profiles[entry["emitter_id"]])
+        want = write_iqf32(tmp_path / "want.iqf32", add_awgn(y, entry["snr_db"], entry["noise_seed"]).samples)
+        assert (tmp_path / "d" / entry["path"]).read_bytes() == want.read_bytes(), entry["path"]
 
 
 def test_gen_rejects_malformed_config(runner, tmp_path):
@@ -549,6 +594,15 @@ def test_decompose_reports_solver_state_and_warns_at_the_cap(runner, tmp_path):
     solver = json.loads((out / "modes.json").read_text())["sides"]
     assert all(s["converged"] and 2 < s["iterations"] < 500 for s in solver.values())
     assert "warning" not in res.stderr
+
+
+def test_decompose_refuses_an_all_zero_capture_before_writing_a_dump(runner, tmp_path):
+    src = tmp_path / "silent.iqf32"
+    write_iqf32(src, np.zeros(256))
+    res = runner.invoke(main, ["decompose", str(src), "--out", str(tmp_path / "m")])
+    assert res.exit_code == 2, res.output
+    assert "error: cannot decompose an all-zero signal" in res.output
+    assert not (tmp_path / "m").exists()
 
 
 def test_decompose_missing_input_is_usage_error(runner, tmp_path):

@@ -76,11 +76,9 @@ def test_spec_refuses_an_snr_whose_noise_would_pass_float32s_range(tmp_path):
 @pytest.mark.parametrize(
     "kw",
     [{"n_samples": 100.5}, {"seed": "x"}, {"seed": -1}, {"signals_per_emitter": True},
-     {"samples_per_symbol": 8.0}, {"carrier": "0.1"}, {"snr_grid_db": (18.0, None)},
-     {"snr_grid_db": (float("nan"),)}, {"carrier": float("inf")}, {"n_samples": 15},
-     {"signals_per_emitter": 0}, {"samples_per_symbol": 0}, {"modulations": ("cw",)},
-     {"modulations": (ModulationKind.CW, "bpsk")}, {"carrier": 0.45},
-     {"sweep_span": None}, {"emitters": 5}, {"snr_grid_db": None}, {"snr_grid_db": (18.0, 4000.0)}],
+     {"snr_grid_db": (18.0, None)}, {"snr_grid_db": (float("nan"),)}, {"n_samples": 15},
+     {"signals_per_emitter": 0}, {"modulations": ("cw",)}, {"modulations": (ModulationKind.CW, "bpsk")},
+     {"emitters": 5}, {"snr_grid_db": None}, {"snr_grid_db": (18.0, 4000.0)}],
 )
 def test_spec_rejects_wrong_types(kw):
     with pytest.raises(ParameterError):

@@ -18,8 +18,8 @@ from icvmd.decompose import (
 from icvmd.dataset import DatasetSpec, synthesize_one
 from icvmd.errors import ParameterError
 from icvmd.modulation import ModulationKind
-from icvmd.pa import emitter_bank
-from icvmd.signals import ComplexSignal
+from icvmd.pa import emitter_bank, hammerstein_apply
+from icvmd.signals import ComplexSignal, add_awgn, normalize_power
 from icvmd.vmd import VmdConfig, vmd_decompose
 
 
@@ -85,12 +85,14 @@ def test_near_nyquist_carrier_is_signal():
     # 2.888 and 2.892 rad), so only about half of it lands in the one SIGNAL
     # mode; labelling every mode near the strongest one's energy as SIGNAL
     # would take the rest.  The bar is for one mode holding half the line.
+    # The tone goes through synthesize_one's chain, at 0.46 cycles/sample in
+    # place of the recipe's carrier.
     cfg = VmdConfig()
     for n in (700, 2100):
-        spec = DatasetSpec(carrier=0.46, modulations=(ModulationKind.CW,), n_samples=n)
+        tone = normalize_power(ComplexSignal(np.exp(2j * np.pi * 0.46 * np.arange(n))), 1.0)
         for profile in emitter_bank()[:3]:
             for seed in range(3):
-                sig = synthesize_one(spec, profile, ModulationKind.CW, 18.0, symbol_seed=seed, noise_seed=100 + seed)
+                sig = add_awgn(hammerstein_apply(tone, profile), 18.0, 100 + seed)
                 part = reconstruct(icvmd_decompose(sig, cfg), {ModeLabel.SIGNAL}).samples
                 share = np.sum(np.abs(part) ** 2) / np.sum(np.abs(sig.samples) ** 2)
                 assert share >= 0.3, (n, profile.emitter_id, seed, share)

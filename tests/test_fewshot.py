@@ -365,6 +365,24 @@ def test_represent_drops_a_capture_whose_length_is_not_the_specs(tmp_path):
         assert skipped == [(first["path"], "it holds 100 samples; the manifest's spec has n_samples 128")]
 
 
+def test_represent_drops_an_all_zero_capture_from_the_decomposition_pipelines(tmp_path):
+    # The solver has nothing to decompose in a silent capture, so both
+    # decomposition pipelines drop it and name it; the raw pipeline keeps it.
+    manifest = generate_dataset(TINY_SPEC, tmp_path / "data")
+    manifest["_dir"] = str(tmp_path / "data")
+    first, *rest = sorted(manifest["files"], key=lambda e: e["path"])
+    write_iqf32(tmp_path / "data" / first["path"], np.zeros(128))
+    for pipeline in Pipeline:
+        memo = {}
+        labels, _, _ = fewshot.represent(pipeline, manifest, VmdConfig(n_modes=2), memo)
+        skipped, _ = fewshot.tally(memo)
+        if pipeline is Pipeline.RAW_NN:
+            assert len(labels) == len(rest) + 1 and skipped == []
+        else:
+            assert kept_paths(memo) == [e["path"] for e in rest]
+            assert skipped == [(first["path"], "cannot decompose an all-zero signal")]
+
+
 @pytest.mark.parametrize("spec", [{}, {"spec": None}, {"spec": [128]}], ids=["absent", "null", "not_an_object"])
 def test_represent_refuses_captures_of_two_lengths_without_a_spec(tmp_path, spec):
     data = tmp_path / "data"

@@ -15,8 +15,8 @@ from icvmd.nn.model import (
     N_BLOCKS,
     ModelConfig,
     _branch_forward,
+    _features_backward,
     cross_entropy,
-    features_backward,
     features_forward,
     init_params,
     model_backward,
@@ -340,7 +340,7 @@ def test_trunk_matches_the_concatenating_reference(cast):
     assert feat.tobytes() == want_feat.tobytes()
     assert cache[2][0].tobytes() == want_cache[2][0].tobytes()  # the merge input
     grads, want_grads = {}, {}
-    features_backward(params, dfeat, cache, grads, {})
+    _features_backward(params, dfeat, cache, grads, {})
     reference_features_backward(dfeat, want_cache, want_grads)
     assert grads.keys() == want_grads.keys()
     for key, want in want_grads.items():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from icvmd.errors import ParameterError
-from icvmd.modulation import ModulationKind, ModulationSpec, gen_baseband
+from icvmd.modulation import ModulationKind, gen_baseband
 from icvmd.pa import (
     DEFAULT_MEMORY_TAPS,
     EmitterProfile,
@@ -72,7 +72,7 @@ def test_hammerstein_constant_envelope_is_pure_gain():
     # On a unit-envelope waveform the odd polynomial collapses to one scalar.
     profile = emitter_bank()[2]
     g = 1.0 + 0.3959 + 0.1948
-    sig = gen_baseband(ModulationSpec(kind=ModulationKind.CW, carrier=0.1), 64)
+    sig = gen_baseband(ModulationKind.CW, 64, 0)
     memoryless = EmitterProfile(2, profile.nonlinear_coeffs, [1.0])
     out = hammerstein_apply(sig, memoryless)
     assert np.allclose(out.samples, g * sig.samples, atol=1e-12)
@@ -168,7 +168,7 @@ def test_bank_gains_order_matches_envelope_power():
     # experiments rely on these being stable and distinct.
     bank = emitter_bank()
     gains = [1.0 + p.nonlinear_coeffs[2] + p.nonlinear_coeffs[4] for p in bank]
-    sig = gen_baseband(ModulationSpec(kind=ModulationKind.CW, carrier=0.1), 256)
+    sig = gen_baseband(ModulationKind.CW, 256, 0)
     for p, g in zip(bank, gains):
         memless = EmitterProfile(p.emitter_id, p.nonlinear_coeffs, [1.0])
         out = hammerstein_apply(sig, memless)
