@@ -223,6 +223,7 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
     ``FewshotResult.skipped``; it also holds the converged flag of every
     decomposed side and each trained classifier's last-epoch loss.
     """
+    proportions = tuple(proportions) if np.iterable(proportions) else ()  # read a generator once
     if not isinstance(pipeline, Pipeline):
         raise ParameterError(f"pipeline must be a Pipeline, got {pipeline!r}")
     if not proportions or not all(is_real(p) and 0 < p <= 1 for p in proportions):

@@ -1,7 +1,7 @@
 """Byte-identity harness: the sha256 of every artifact the CLI writes, from
 small fixed inputs.
 
-    python tests/identity.py OUT.json              # writes {artifact: sha256}
+    python tests/identity.py OUT.json              # writes {artifact: sha256}, and OUT.npz
     python tests/identity.py --diff A.json B.json  # lists the keys that differ
 
 The package digested is the ``icvmd`` on the import path (``--diff`` needs
@@ -25,6 +25,12 @@ members' names, dtypes, shapes and bytes, because ``np.savez`` stamps each
 member with the time it was written.  Each command's output is digested
 with the directory written as ``<root>``, and so are the features, raw
 cumulants and ``sat_inputs`` of every capture of the first dataset.
+
+Beside OUT.json, OUT.npz keeps the float arrays behind each ``features/``,
+``raw_cumulants/`` and ``sat_inputs/`` key, stacked along a new first axis.
+Where both files of a ``--diff`` have their ``.npz``, each moved key that
+both hold is followed by how far it moved: the largest ‖a−b‖/‖a‖ over its
+stacked arrays.
 
 A digest holds only on the host that made it: FFT and SIMD reduction order
 may differ between hosts, so compare two runs made on one host.
@@ -73,10 +79,11 @@ def file_digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def digest_run(root, reduced: bool = False) -> tuple:
+def digest_run(root, reduced: bool = False, arrays: dict | None = None) -> tuple:
     """Run every command under ``root``, a new or empty directory; returns
     ``(digests, commands)``, the sha256 of each artifact by key and the
-    arguments of each command run, in order."""
+    arguments of each command run, in order.  A dict given as ``arrays``
+    receives the stacked float arrays behind each per-capture key."""
     from click.testing import CliRunner
 
     from icvmd.cli import main
@@ -89,6 +96,7 @@ def digest_run(root, reduced: bool = False) -> tuple:
     from icvmd.vmd import VmdConfig
 
     size = REDUCED if reduced else FULL
+    arrays = {} if arrays is None else arrays
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     runner, digests, commands = CliRunner(), {}, []
@@ -142,22 +150,41 @@ def digest_run(root, reduced: bool = False) -> tuple:
 
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         digests[f"file/{path.relative_to(root).as_posix()}"] = file_digest(path)
+
+    def record(key, *values):
+        digests[key], arrays[key] = array_digest(*values), np.stack(values)
+
     manifest = load_manifest(root / "data")
     for entry in sorted(manifest["files"], key=lambda e: e["path"]):
         sig = load_entry(manifest, entry)
         result = icvmd_decompose(sig, VmdConfig())
         try:
-            digests[f"features/{entry['path']}"] = array_digest(extract_features(result))
+            record(f"features/{entry['path']}", extract_features(result))
         except DegenerateInputError as exc:
             digests[f"features/{entry['path']}"] = sha256(str(exc).encode())
-        digests[f"raw_cumulants/{entry['path']}"] = array_digest(raw_cumulant_features(sig))
-        digests[f"sat_inputs/{entry['path']}"] = array_digest(*sat_inputs(result))
+        record(f"raw_cumulants/{entry['path']}", raw_cumulant_features(sig))
+        record(f"sat_inputs/{entry['path']}", *sat_inputs(result))
     return digests, commands
 
 
 def diff(a: dict, b: dict) -> list:
     """Keys whose digests differ, or that only one side has."""
     return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
+def moved_by(keys, a_npz: Path, b_npz: Path) -> dict:
+    """The largest ‖a−b‖/‖a‖ over the stacked arrays of each key, for the
+    keys whose arrays both ``.npz`` files hold at one shape."""
+    if not (a_npz.is_file() and b_npz.is_file()):
+        return {}
+    out = {}
+    with np.load(a_npz) as a, np.load(b_npz) as b:
+        for key in sorted(set(keys) & set(a.files) & set(b.files)):
+            x, y = a[key].astype(float), b[key].astype(float)
+            if x.shape == y.shape:
+                rel = [np.linalg.norm(u - v) / np.linalg.norm(u) if np.any(u) else np.inf for u, v in zip(x, y)]
+                out[key] = float(max(rel))
+    return out
 
 
 def cli(argv=None) -> int:
@@ -168,16 +195,20 @@ def cli(argv=None) -> int:
     if args.diff:
         a, b = (json.loads(Path(p).read_text()) for p in args.diff)
         keys = diff(a, b)
-        print("\n".join(keys) if keys else f"no difference in {len(a)} digests")
+        moved = moved_by(keys, *(Path(p).with_suffix(".npz") for p in args.diff))
+        lines = [f"{k}  norm-relative {moved[k]:.2e}" if k in moved else k for k in keys]
+        print("\n".join(lines) if keys else f"no difference in {len(a)} digests")
         return 1 if keys else 0
     if not args.out:
         parser.error("give OUT.json or --diff A B")
     import icvmd
 
+    arrays = {}
     with tempfile.TemporaryDirectory() as tmp:
-        digests, _ = digest_run(tmp)
+        digests, _ = digest_run(tmp, arrays=arrays)
     Path(args.out).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"{len(digests)} digests of {Path(icvmd.__file__).parent} written to {args.out}")
+    np.savez(Path(args.out).with_suffix(".npz"), **arrays)
+    print(f"{len(digests)} digests of {Path(icvmd.__file__).parent} written to {args.out} and its .npz")
     return 0
 
 

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from icvmd.analytic import _MIN_LEN
 from icvmd.dataset import _FLOOR_SLACK
 from icvmd.errors import DegenerateInputError, ParameterError, is_real
 from icvmd.modulation import ModulationKind
@@ -47,6 +48,56 @@ def extension_phase(n: int) -> np.ndarray:
     b = math.isqrt(n) + 1
     turn = lambda m: np.exp(-0.5j * np.pi / n * (m * (2 * (n // 2) - 1) % (4 * n)))
     return np.multiply.outer(turn(b * np.arange(b)), turn(np.arange(b))).ravel()[: n + 1]
+
+
+def halves_split(sig: ComplexSignal) -> tuple:
+    """The analytic split built from the spectrum halves by hand, as the package
+    computed it before its Hilbert-transform form: the reference that form is
+    checked against, and the builder of fixtures whose bytes must not move.
+
+    Interior positive bins go to x_plus, interior negative bins (conjugated and
+    index-reflected) to x_minus; the real DC bin goes to x_plus and Nyquist is
+    split half/half.
+    """
+    z = sig.samples
+    n = z.size
+    if n < _MIN_LEN:
+        raise ParameterError(f"signal must have at least {_MIN_LEN} samples")
+    spec = np.fft.fft(z)
+    top = (n + 1) // 2  # first index past the positive interior
+
+    plus = np.zeros(n, dtype=complex)
+    minus = np.zeros(n, dtype=complex)
+    plus[1:top] = spec[1:top]
+    # Negative bin at -m lives at index n-m; reflect it to +m and conjugate so
+    # the resulting analytic signal is conj(that half of z).
+    minus[1:top] = np.conj(spec[n - 1 : n - top : -1])
+    plus[0] = spec[0].real
+    if n % 2 == 0:
+        plus[n // 2] = minus[n // 2] = spec[n // 2].real / 2.0
+    return np.fft.ifft(plus).real, np.fft.ifft(minus).real
+
+
+def halves_combine(s_plus: np.ndarray, s_minus: np.ndarray) -> np.ndarray:
+    """The inverse of ``halves_split`` as the package computed it before its
+    Hilbert-transform form, on a sequence or a stack along the last axis.
+
+    Returns a_plus + conj(a_minus) for the analytic signals of the inputs, as
+    one inverse FFT of a one-sided spectrum (Marple 1999): with P = rfft(s_plus)
+    and M = rfft(s_minus), bin 0 is P[0] + M[0], positive interior bin m is
+    2*P[m], negative interior bin n-m is 2*conj(M[m]), and for even n the
+    Nyquist bin n/2 is P[n/2] + M[n/2].
+    """
+    p, m = np.fft.rfft(np.array([s_plus, s_minus], dtype=float))
+    n = np.shape(s_plus)[-1]
+    top = (n + 1) // 2  # first index past the positive interior
+    spec = np.empty(p.shape[:-1] + (n,), dtype=complex)
+    spec[..., 0] = p[..., 0] + m[..., 0]
+    spec[..., 1:top] = 2.0 * p[..., 1:top]
+    spec[..., n - 1 : n - top : -1] = 2.0 * np.conj(m[..., 1:top])
+    if n % 2 == 0:
+        spec[..., n // 2] = p[..., n // 2] + m[..., n // 2]
+    return np.fft.ifft(spec)
 
 
 def causal_dilated_conv(x: np.ndarray, layer: ConvLayer) -> np.ndarray:

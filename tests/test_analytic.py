@@ -14,6 +14,7 @@ import icvmd
 from icvmd.analytic import analytic_split, combine_analytic
 from icvmd.errors import ParameterError
 from icvmd.signals import ComplexSignal
+from oracles import halves_combine, halves_split
 
 
 def make_sig(z):
@@ -164,3 +165,37 @@ def test_no_module_loads_scipy():
 def test_split_rejects_short_signals():
     with pytest.raises(ParameterError):
         analytic_split(make_sig([1.0, 2.0, 3.0]))
+
+
+def oracle_inputs(n):
+    """Captures of length n on which the split is checked against the oracle:
+    random, one-sided (positive interior bins only), DC-only and, for even n,
+    Nyquist-only."""
+    rng = np.random.default_rng(n)
+    spec = np.zeros(n, dtype=complex)
+    spec[1 : (n + 1) // 2] = rng.normal(size=(n - 1) // 2) + 1j * rng.normal(size=(n - 1) // 2)
+    yield rng.normal(size=n) + 1j * rng.normal(size=n)
+    yield np.fft.ifft(spec)
+    yield (1.5 - 0.5j) * np.ones(n)
+    if n % 2 == 0:
+        yield (-0.7 + 2.0j) * alternating(n)
+
+
+@pytest.mark.parametrize("n", [*range(4, 10), 64, 65, 700, 2100, 2101])
+def test_split_and_combine_match_the_spectrum_halves_oracle(n):
+    for z in oracle_inputs(n):
+        scale = np.linalg.norm(z)
+        got, want = analytic_split(make_sig(z)), halves_split(make_sig(z))
+        for a, b in zip(got, want):
+            assert np.linalg.norm(a - b) <= 1e-14 * scale
+        ref = halves_combine(*want)
+        assert np.linalg.norm(combine_analytic(*want) - ref) <= 1e-14 * np.linalg.norm(ref)
+    stack = np.random.default_rng(n + 1).normal(size=(2, 3, n))
+    ref = halves_combine(*stack)
+    assert np.linalg.norm(combine_analytic(*stack) - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("shapes", [(8, 9), ((2, 8), 8)])
+def test_combine_refuses_parts_of_unequal_shape(shapes):
+    with pytest.raises(ParameterError, match="differ in shape"):
+        combine_analytic(np.ones(shapes[0]), np.ones(shapes[1]))

@@ -130,6 +130,19 @@ def test_run_fewshot_features_with_unsupported_cell(tmp_path):
     assert overall[1.0]["n_test"] == sum(1 for _ in (tmp_path / "data").glob("*.iqf32")) // 3
 
 
+def test_run_fewshot_reads_any_iterable_of_proportions_once(tmp_path):
+    # A generator was consumed by the validation and ran no proportion.
+    run_fewshot(TINY_SPEC, Pipeline.ICVMD_FEATURES, (1.0, 0.5), tmp_path / "tuple")
+    want = (tmp_path / "tuple" / "report.csv").read_bytes()
+    assert want.count(b"\n") > 1
+    for name, proportions in (("generator", (p for p in (1.0, 0.5))), ("ndarray", np.array([1.0, 0.5]))):
+        run_fewshot(TINY_SPEC, Pipeline.ICVMD_FEATURES, proportions, tmp_path / name)
+        assert (tmp_path / name / "report.csv").read_bytes() == want, name
+    with pytest.raises(ParameterError, match=r"proportions must be fractions in \(0, 1\]"):
+        run_fewshot(TINY_SPEC, Pipeline.ICVMD_FEATURES, 0.5, tmp_path / "bare")
+    assert not (tmp_path / "bare").exists()
+
+
 def test_run_fewshot_is_deterministic(tmp_path):
     a = run_fewshot(TINY_SPEC, Pipeline.ICVMD_FEATURES, (1.0,), tmp_path / "a")
     b = run_fewshot(TINY_SPEC, Pipeline.ICVMD_FEATURES, (1.0,), tmp_path / "b")

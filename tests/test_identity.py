@@ -4,11 +4,15 @@ command of the CLI, every kind of file they write, and a train and eval run
 that drops a capture.  No digest is committed: a digest holds only on the
 host that made it."""
 import fnmatch
+import json
 import time
+
+import numpy as np
+import pytest
 
 from icvmd.cli import main
 from icvmd.fewshot import Pipeline
-from identity import digest_run, diff
+from identity import cli, digest_run, diff
 
 # What each command writes, as patterns over the harness's keys.
 WRITTEN = {
@@ -48,3 +52,28 @@ def test_a_reduced_run_digests_the_same_twice_and_covers_every_cli_output(tmp_pa
     # gen --config of a dataset's echoed spec writes that dataset again.
     regen = {k.replace("file/regen/", "file/data/"): v for k, v in first.items() if k.startswith("file/regen/")}
     assert regen == {k: v for k, v in first.items() if k.startswith("file/data/")}
+
+
+def test_diff_says_how_far_a_moved_key_moved(tmp_path, capsys):
+    # Two small digest files by hand, each with its .npz of arrays: one key
+    # moves by a known norm-relative amount, one does not move, and one moved
+    # key has no arrays behind it.
+    rng = np.random.default_rng(0)
+    stack = rng.normal(size=(2, 3, 16))
+    moved = stack.copy()
+    moved[1] *= 1 + 1e-12
+    files = []
+    for name, digests, arrays in (
+        ("a", {"features/x.iqf32": "1", "sat_inputs/x.iqf32": "2", "file/y.json": "3"}, stack),
+        ("b", {"features/x.iqf32": "1", "sat_inputs/x.iqf32": "4", "file/y.json": "5"}, moved),
+    ):
+        (tmp_path / f"{name}.json").write_text(json.dumps(digests))
+        np.savez(tmp_path / f"{name}.npz", **{"features/x.iqf32": stack, "sat_inputs/x.iqf32": arrays})
+        files.append(str(tmp_path / f"{name}.json"))
+    assert cli(["--diff", *files]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "file/y.json"
+    key, label, magnitude = lines[1].split()
+    assert (key, label) == ("sat_inputs/x.iqf32", "norm-relative")
+    assert float(magnitude) == pytest.approx(1e-12, rel=0.01)
+    assert len(lines) == 2  # the unmoved features key prints nothing

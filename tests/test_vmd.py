@@ -20,6 +20,7 @@ from oracles import (
     center_frequency,
     convergence_metric,
     extension_phase,
+    halves_split,
     mirror_extend,
     reference_init_omegas,
     reference_vmd_decompose,
@@ -441,11 +442,15 @@ def _sweep_case_signal(n, seed):
 
 def _colliding_cw_side():
     """The pos side of one n=700 CW capture, whose solve moves centers
-    through _reseed_collisions; no seeded mix below collides."""
+    through _reseed_collisions; no seeded mix below collides.  It is built by
+    the oracles' spectrum-halves split, on whose bytes the case was found: on
+    the package's split of the same capture, 3e-16 norm-relative away, the
+    reference loop stops two sweeps before the fused solve, at another third
+    center."""
     sig = synthesize_one(
         DatasetSpec(n_samples=700), emitter_bank()[6], ModulationKind.CW, 18.0, 2274038596, 4283324809
     )
-    return analytic_split(sig)[0]
+    return halves_split(sig)[0]
 
 
 def _case_signal(source):
