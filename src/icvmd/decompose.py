@@ -36,79 +36,79 @@ class Selection(enum.Enum):
 
 
 @dataclass(frozen=True)
-class IcvmdResult:
-    """Everything needed to select, inspect, or rebuild: per-side mode sets,
-    labels and residuals, and the decomposed input."""
+class Side(VmdResult):
+    """One decomposed side: its modes and residual at the capture's scale, each
+    mode's label, and each mode's energy and the side sequence's own energy,
+    both at the capture's unit peak (see icvmd_decompose), where no square
+    over- or underflows and a power of two passes through every ratio."""
 
-    pos: VmdResult
-    neg: VmdResult
-    labels_pos: tuple
-    labels_neg: tuple
+    labels: tuple
+    energies: np.ndarray
+    energy: float
+
+
+@dataclass(frozen=True)
+class IcvmdResult:
+    """Everything needed to select, inspect, or rebuild: the two sides and the decomposed input."""
+
+    pos: Side
+    neg: Side
     input_signal: ComplexSignal
 
 
-def mode_energies(result: VmdResult) -> np.ndarray:
-    return np.sum(result.modes**2, axis=1)
-
-
-def side_energies(*sides: VmdResult) -> tuple:
-    """Each side's mode energies and the summed energy of the side sequences, all
-    taken on the sides over 2^e, e from the frexp of their joint peak: there no
-    square over- or underflows, and a power of two passes through every ratio."""
-    inputs = [side.modes.sum(axis=0) + side.residual for side in sides]
-    e = math.frexp(max(float(np.abs(x).max()) for x in inputs))[1]
-    total = max(sum(float(np.sum(np.ldexp(x, -e) ** 2)) for x in inputs), 1e-300)
-    return [np.sum(np.ldexp(side.modes, -e) ** 2, axis=1) for side in sides], total
-
-
-def partition_modes(result: VmdResult) -> tuple:
-    """Label each mode of one side: the strongest is SIGNAL (the lower index
-    on a tie) and the rest are FEATURE."""
-    labels = [ModeLabel.FEATURE] * len(result.omegas)
-    labels[int(np.argmax(mode_energies(result)))] = ModeLabel.SIGNAL
+def partition_modes(energies: np.ndarray) -> tuple:
+    """Label the modes of one side by their energies: the strongest is SIGNAL
+    (the lower index on a tie) and the rest are FEATURE."""
+    labels = [ModeLabel.FEATURE] * len(energies)
+    labels[int(np.argmax(energies))] = ModeLabel.SIGNAL
     return tuple(labels)
 
 
-def _decompose_side(x: np.ndarray, cfg: VmdConfig, e: int, floor: float) -> tuple:
-    """Decompose one side sequence; returns its ``(VmdResult, labels)``."""
+def _decompose_side(x: np.ndarray, cfg: VmdConfig, e: int, floor: float) -> Side:
+    """Decompose one side sequence ``x``, given at the capture's unit peak, and
+    scale its modes and residual back by 2^e."""
+    energy = float(np.sum(x**2))
     # A side holding only FFT roundoff from the split (e.g. the negative side
     # of a purely positive-frequency input) is treated as empty rather than
     # decomposed: its "modes" would be arbitrary slices of numerical noise.
-    if float(np.sum(np.ldexp(x, -e) ** 2)) <= floor:
+    if energy <= floor:
         n, k = x.size, cfg.n_modes
         check_memory_budget(n, k, np.float32)  # the dtype a side is swept in
         # n + 1 coefficients per mode (vmd module docstring); no sweep ran.
         empty = ModeSet(np.zeros((k, n + 1), dtype=np.float32), np.zeros(k), 0, True, 0.0)
-        return VmdResult(np.zeros((k, n)), empty, residual=np.zeros(n)), (ModeLabel.FEATURE,) * k
-    # Swept in float32 and labelled at its own unit peak; the residual against the float64
-    # side keeps its energy, and so each energy fraction, that side's.
-    e_side = int(np.frexp(np.abs(x).max())[1])
-    res = vmd_decompose(np.ldexp(x, -e_side).astype(np.float32), cfg)
-    modes = np.ldexp(res.modes, e_side)
-    return VmdResult(modes, res.mode_set, residual=x - modes.sum(axis=0)), partition_modes(res)
+        return Side(np.zeros((k, n)), empty, np.zeros(n), (ModeLabel.FEATURE,) * k, np.zeros(k), energy)
+    # Cast to float32 at the capture's unit peak (the solver sweeps it at its own);
+    # the residual is taken against the float64 side, so modes and residual sum to it.
+    res = vmd_decompose(x.astype(np.float32), cfg)
+    energies = np.sum(res.modes**2, axis=1)
+    residual = np.ldexp(x - res.modes.sum(axis=0), e)
+    modes = np.ldexp(res.modes, e, out=res.modes)
+    return Side(modes, res.mode_set, residual, partition_modes(energies), energies, energy)
 
 
 def icvmd_decompose(sig: ComplexSignal, cfg: VmdConfig) -> IcvmdResult:
     """Split, decompose each side independently with ``cfg``, and label the modes.
 
-    A side with at most 1e-24 of the input's energy (e.g. the negative side
-    of a one-sided input) is not solved: its modes are all zero and all
-    labeled FEATURE, with the residual carrying nothing.  An all-zero input
-    raises DegenerateInputError.
+    The capture is split at its unit peak, over the power of two 2^e that
+    brings its peak into [1/2, 1), which is exact; each side is swept there
+    and its modes and residual are scaled back by 2^e.  A side with at most
+    1e-24 of the input's energy (e.g. the negative side of a one-sided input)
+    is not solved: its modes are all zero and all labeled FEATURE, with the
+    residual carrying nothing.  An all-zero input raises DegenerateInputError.
     """
-    magnitudes = np.abs(sig.samples)
-    peak = magnitudes.max()
+    peak = np.abs(sig.samples).max()
     if peak == 0:
         raise DegenerateInputError("cannot decompose an all-zero signal")
-    e = int(np.frexp(peak)[1])  # both energies are taken at unit peak, where no square over- or underflows
-    floor = 1e-24 * float(np.sum(np.ldexp(magnitudes, -e) ** 2))
-    (pos, labels_pos), (neg, labels_neg) = (_decompose_side(x, cfg, e, floor) for x in analytic_split(sig))
-    return IcvmdResult(pos, neg, labels_pos, labels_neg, input_signal=sig)
+    e = int(np.frexp(peak)[1])
+    unit = np.ldexp(sig.samples.view(np.float64), -e).view(np.complex128)  # a power of two: exact
+    floor = 1e-24 * float(np.vdot(unit, unit).real)
+    pos, neg = (_decompose_side(x, cfg, e, floor) for x in analytic_split(ComplexSignal(unit)))
+    return IcvmdResult(pos, neg, input_signal=sig)
 
 
-def _assemble(selection, sides: dict, samples: np.ndarray) -> np.ndarray:
-    """Recombine a selection into complex samples.  ``sides`` maps pos and neg
-    to (labels, modes [K, n]) and ``samples`` is the decomposed input.  Without
+def _assemble(selection, sides: list, samples: np.ndarray) -> np.ndarray:
+    """Recombine a selection into complex samples.  ``sides`` holds the pos and
+    neg (labels, modes [K, n]) pairs and ``samples`` is the decomposed input.  Without
     Selection.RESIDUAL this combines the selected modes; with it, it subtracts
     the unselected modes from the input, so the residual carries everything
     the modes do not, the boundary bins the split drops included."""
@@ -119,7 +119,7 @@ def _assemble(selection, sides: dict, samples: np.ndarray) -> np.ndarray:
     if bad:
         raise ParameterError(f"unknown selection entries: {sorted(str(b) for b in bad)}")
     selected = Selection.RESIDUAL not in selection  # combine the selected modes, or the others
-    z = combine_analytic(*_mode_sums([sides["pos"], sides["neg"]], lambda label: (label in selection) == selected))
+    z = combine_analytic(*_mode_sums(sides, lambda label: (label in selection) == selected))
     return z if selected else samples - z
 
 
@@ -136,7 +136,7 @@ def reconstruct(result: IcvmdResult, selection) -> ComplexSignal:
     selection and its complement sum to the input to rounding.  An empty
     selection yields an all-zero signal.
     """
-    sides = {"pos": (result.labels_pos, result.pos.modes), "neg": (result.labels_neg, result.neg.modes)}
+    sides = [(side.labels, side.modes) for side in (result.pos, result.neg)]
     return ComplexSignal(_assemble(selection, sides, result.input_signal.samples))
 
 
@@ -159,14 +159,13 @@ def dump_modes(result: IcvmdResult, out_dir) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     arrays, sides = {"input": result.input_signal.samples}, {}
-    for name, side, labels in (("pos", result.pos, result.labels_pos), ("neg", result.neg, result.labels_neg)):
+    for name, side in (("pos", result.pos), ("neg", result.neg)):
         ms = side.mode_set
-        (energies,), total = side_energies(side)
         arrays[f"modes_{name}"] = side.modes
         sides[name] = {
-            "labels": [label.value for label in labels],
+            "labels": [label.value for label in side.labels],
             "omegas": [float(w) for w in side.omegas],
-            "energy_fractions": [float(e / total) for e in energies],
+            "energy_fractions": [float(e / max(side.energy, 1e-300)) for e in side.energies],
             "iterations": ms.iterations,
             "converged": ms.converged,
             "final_delta": ms.final_delta if math.isfinite(ms.final_delta) else None,
@@ -214,7 +213,7 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
         if found != dtype:
             raise ParameterError(f"modes.npz needs a {dtype} array {key}, found {found}")
     samples = arrays["input"]
-    parts = {}
+    parts = []
     for name in ("pos", "neg"):
         modes = arrays[f"modes_{name}"]
         if samples.ndim != 1 or modes.shape != (len(labels[name]), samples.size):
@@ -222,6 +221,6 @@ def reconstruct_from_dump(dump_dir, selection) -> ComplexSignal:
                 f"bad dump: the {name} side has {len(labels[name])} labels and modes of shape {modes.shape}; "
                 f"the input has shape {samples.shape}"
             )
-        parts[name] = (labels[name], modes)
+        parts.append((labels[name], modes))
     sig = ComplexSignal(samples)  # rejects an empty or non-finite input
     return ComplexSignal(_assemble(selection, parts, sig.samples))

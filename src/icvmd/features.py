@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analytic import combine_analytic
-from .decompose import IcvmdResult, ModeLabel, _mode_sums, side_energies
+from .decompose import IcvmdResult, ModeLabel, _mode_sums
 from .errors import DegenerateInputError, ParameterError
 from .signals import ComplexSignal
 
@@ -83,14 +83,14 @@ def _bandwidth_3db(coefficients: np.ndarray) -> float:
 
 def extract_features(result: IcvmdResult) -> np.ndarray:
     """Build the fixed-layout vector described in the module docstring."""
-    energies, total = side_energies(result.pos, result.neg)
-    sides = ((+1.0, result.pos, result.labels_pos), (-1.0, result.neg, result.labels_neg))
+    sides = ((+1.0, result.pos), (-1.0, result.neg))
+    total = max(result.pos.energy + result.neg.energy, 1e-300)
     rows = []
-    for (side_sign, side, labels), side_energy in zip(sides, energies):
-        for k, label in enumerate(labels):
-            if label is ModeLabel.FEATURE and side_energy[k] != 0.0:
+    for side_sign, side in sides:
+        for k, (label, energy) in enumerate(zip(side.labels, side.energies)):
+            if label is ModeLabel.FEATURE and energy != 0.0:
                 bandwidth = _bandwidth_3db(side.mode_set.coefficients[k])
-                rows.append((float(side_energy[k]), side_sign * float(side.omegas[k]), bandwidth, float(side_energy[k] / total)))
+                rows.append((float(energy), side_sign * float(side.omegas[k]), bandwidth, float(energy / total)))
     rows.sort(key=lambda r: -r[0])
     rows = rows[:MAX_MODES]
 
@@ -101,7 +101,7 @@ def extract_features(result: IcvmdResult) -> np.ndarray:
     base = 3 * MAX_MODES
     vec[base + 4 : base + 8] = _cumulant_block(result.input_signal.samples)  # first, so an overflow names the capture's peak
     # The FEATURE and SIGNAL reconstructions, as two reconstruct calls build them, in one pass.
-    picks = [(labels, side.modes) for _, side, labels in sides]
+    picks = [(side.labels, side.modes) for _, side in sides]
     sums = [_mode_sums(picks, lambda label: label is wanted) for wanted in (ModeLabel.FEATURE, ModeLabel.SIGNAL)]
     feature, signal = combine_analytic(*np.swapaxes(sums, 0, 1))
     vec[base : base + 4] = _cumulant_block(feature)

@@ -122,7 +122,7 @@ class ModeSet:
                        extension over the extension's phase, module
                        docstring), the last 0; float32 for a float32 input,
                        float64 otherwise (an icvmd_decompose side keeps its
-                       unit-peak sweep's rows)
+                       float32 rows at the capture's unit peak)
     omegas          -- center frequencies in radians, ascending, within [0, pi]
     iterations      -- sweeps actually run
     converged       -- True when the relative-change metric of a plain sweep

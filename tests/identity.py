@@ -27,10 +27,13 @@ with the directory written as ``<root>``, and so are the features, raw
 cumulants and ``sat_inputs`` of every capture of the first dataset.
 
 Beside OUT.json, OUT.npz keeps the float arrays behind each ``features/``,
-``raw_cumulants/`` and ``sat_inputs/`` key, stacked along a new first axis.
-Where both files of a ``--diff`` have their ``.npz``, each moved key that
-both hold is followed by how far it moved: the largest ‖a−b‖/‖a‖ over its
-stacked arrays.
+``raw_cumulants/`` and ``sat_inputs/`` key, stacked along a new first axis,
+and for each ``modes.json`` its energy fractions and centers (both sides, one
+row each) with, under the key plus ``:state``, its labels, sweep counts and
+converged flags.  Where both files of a ``--diff`` have their ``.npz``, each
+moved key that both hold is followed by how far it moved: the largest
+‖a−b‖/‖a‖ over its stacked arrays, and for a ``modes.json`` whether its
+state changed.
 
 A digest holds only on the host that made it: FFT and SIMD reduction order
 may differ between hosts, so compare two runs made on one host.
@@ -150,6 +153,11 @@ def digest_run(root, reduced: bool = False, arrays: dict | None = None) -> tuple
 
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         digests[f"file/{path.relative_to(root).as_posix()}"] = file_digest(path)
+    for path in sorted(root.glob("modes/*/modes.json")):
+        sides = json.loads(path.read_text())["sides"].values()
+        key = f"file/{path.relative_to(root).as_posix()}"
+        arrays[key] = np.array([[x for s in sides for x in s[k]] for k in ("energy_fractions", "omegas")])
+        arrays[f"{key}:state"] = np.array([str(v) for s in sides for v in (*s["labels"], s["iterations"], s["converged"])])
 
     def record(key, *values):
         digests[key], arrays[key] = array_digest(*values), np.stack(values)
@@ -173,8 +181,9 @@ def diff(a: dict, b: dict) -> list:
 
 
 def moved_by(keys, a_npz: Path, b_npz: Path) -> dict:
-    """The largest ‖a−b‖/‖a‖ over the stacked arrays of each key, for the
-    keys whose arrays both ``.npz`` files hold at one shape."""
+    """How far each key moved, for the keys whose arrays both ``.npz`` files
+    hold at one shape: the largest ‖a−b‖/‖a‖ over its stacked arrays, and
+    whether its ``:state`` changed where both files hold one."""
     if not (a_npz.is_file() and b_npz.is_file()):
         return {}
     out = {}
@@ -183,7 +192,11 @@ def moved_by(keys, a_npz: Path, b_npz: Path) -> dict:
             x, y = a[key].astype(float), b[key].astype(float)
             if x.shape == y.shape:
                 rel = [np.linalg.norm(u - v) / np.linalg.norm(u) if np.any(u) else np.inf for u, v in zip(x, y)]
-                out[key] = float(max(rel))
+                out[key] = f"norm-relative {max(rel):.2e}"
+                state = f"{key}:state"
+                if state in a.files and state in b.files:
+                    same = np.array_equal(a[state], b[state])
+                    out[key] += f"  labels, iterations and converged {'unchanged' if same else 'CHANGED'}"
     return out
 
 
@@ -196,7 +209,7 @@ def cli(argv=None) -> int:
         a, b = (json.loads(Path(p).read_text()) for p in args.diff)
         keys = diff(a, b)
         moved = moved_by(keys, *(Path(p).with_suffix(".npz") for p in args.diff))
-        lines = [f"{k}  norm-relative {moved[k]:.2e}" if k in moved else k for k in keys]
+        lines = [f"{k}  {moved[k]}" if k in moved else k for k in keys]
         print("\n".join(lines) if keys else f"no difference in {len(a)} digests")
         return 1 if keys else 0
     if not args.out:

@@ -17,6 +17,7 @@ from icvmd.decompose import (
 )
 from icvmd.dataset import DatasetSpec, synthesize_one
 from icvmd.errors import ParameterError
+from icvmd.features import MAX_MODES, extract_features
 from icvmd.modulation import ModulationKind
 from icvmd.pa import emitter_bank, hammerstein_apply
 from icvmd.signals import ComplexSignal, add_awgn, normalize_power
@@ -45,14 +46,14 @@ def fake_result(freqs, amps, n=256, alpha=500.0):
 
 def test_partition_strongest_is_signal():
     res = fake_result([0.1, 0.3], [1.0, 0.3])
-    labels = partition_modes(res)
+    labels = partition_modes(np.sum(res.modes**2, axis=1))
     assert labels == (ModeLabel.SIGNAL, ModeLabel.FEATURE)
 
 
 def test_partition_signal_quota_by_energy_not_frequency():
     # The stronger tone sits at the higher frequency; it must be SIGNAL.
     res = fake_result([0.1, 0.3], [0.3, 1.0])
-    labels = partition_modes(res)
+    labels = partition_modes(np.sum(res.modes**2, axis=1))
     assert labels == (ModeLabel.FEATURE, ModeLabel.SIGNAL)
 
 
@@ -64,19 +65,19 @@ def test_partition_near_dc_mode():
         x = offset + np.cos(2 * np.pi * 0.2 * np.arange(n))
         res = vmd_decompose(x, VmdConfig(n_modes=2, alpha=500.0, tol=1e-7, max_iter=500))
         assert res.omegas[0] < np.pi / n
-        assert partition_modes(res) == labels
+        assert partition_modes(np.sum(res.modes**2, axis=1)) == labels
 
 
 def test_partition_special_needs_energy():
     # Same placement but the in-band tone is tiny: fails the energy bar and
     # falls through to the ordinary signal/feature ranking.
     res = fake_result([0.1, 0.48], [1.0, 0.05])
-    assert partition_modes(res) == (ModeLabel.SIGNAL, ModeLabel.FEATURE)
+    assert partition_modes(np.sum(res.modes**2, axis=1)) == (ModeLabel.SIGNAL, ModeLabel.FEATURE)
 
 
 def test_partition_lone_mode_of_a_constant_side_is_signal():
     res = vmd_decompose(np.full(256, 3.0), VmdConfig(n_modes=1, alpha=2000.0, tol=1e-7, max_iter=500))
-    assert partition_modes(res) == (ModeLabel.SIGNAL,)
+    assert partition_modes(np.sum(res.modes**2, axis=1)) == (ModeLabel.SIGNAL,)
 
 
 def test_near_nyquist_carrier_is_signal():
@@ -154,11 +155,27 @@ def test_one_sided_input_gives_degenerate_side():
     f = 51.0 / n  # bin-aligned: no leakage onto the negative side
     z = np.exp(2j * np.pi * f * np.arange(n))
     res = icvmd_decompose(ComplexSignal(z), quick_cfg(n_modes=2))
-    assert all(label is ModeLabel.FEATURE for label in res.labels_neg)
+    assert all(label is ModeLabel.FEATURE for label in res.neg.labels)
     assert np.all(res.neg.modes == 0)
     assert np.all(res.neg.residual == 0)
     out = reconstruct(res, FULL_SELECTION)
     assert np.allclose(out.samples, z, atol=1e-8)
+
+
+def test_an_exactly_empty_side_gives_zero_fractions_and_finite_features(tmp_path):
+    # The negative side of a real constant capture is exactly zero, and so are
+    # both sides of an imaginary one of 256 samples (the split drops the
+    # imaginary mean, and at 300 samples leaves FFT roundoff): the energy
+    # fractions divide zero by zero unless guarded (warnings are errors here).
+    for value, n, empty in ((3.0, 300, ("neg",)), (3.0j, 256, ("pos", "neg"))):
+        res = icvmd_decompose(ComplexSignal(np.full(n, value)), quick_cfg())
+        manifest = dump_modes(res, tmp_path / str(value))
+        for name in empty:
+            side = getattr(res, name)
+            assert side.energy == 0.0 and side.mode_set.iterations == 0
+            assert side.labels == (ModeLabel.FEATURE,) * 2 and np.all(side.modes == 0)
+            assert manifest["sides"][name]["energy_fractions"] == [0.0, 0.0]
+        assert np.all(np.isfinite(extract_features(res)))
 
 
 def test_empty_side_stand_in_respects_the_memory_budget():
@@ -197,20 +214,28 @@ def test_a_quiet_capture_decomposes_as_at_unit_scale(scale):
 @pytest.mark.parametrize("k", [-600, -120, 60, 520])
 def test_a_capture_at_a_power_of_two_scale_decomposes_as_the_unit_capture_scaled_bit_for_bit(k):
     # At 2^-600 and 2^520 the squares of the empty-side test under- or
-    # overflowed, and both sides came back empty with no warning.
+    # overflowed, and both sides came back empty with no warning.  The second
+    # capture's tones are bin-aligned, so its negative side holds about 1e-12
+    # of the energy, above the 1e-24 floor, with a peak about 1e-6 of the capture's.
     t = np.arange(256)
-    z = np.exp(2j * np.pi * 0.1 * t) + 0.5 * np.exp(-2j * np.pi * 0.23 * t)
-    unit, res = icvmd_decompose(ComplexSignal(z), VmdConfig()), icvmd_decompose(ComplexSignal(np.ldexp(1.0, k) * z), VmdConfig())
-    assert (res.labels_pos, res.labels_neg) == (unit.labels_pos, unit.labels_neg)
-    for a, b in ((res.pos, unit.pos), (res.neg, unit.neg)):
-        assert b.mode_set.iterations > 0
-        assert np.array_equal(a.modes, np.ldexp(b.modes, k)) and np.array_equal(a.residual, np.ldexp(b.residual, k))
-        # Each side keeps the float32 rows of its sweep, at its own unit peak.
-        assert np.array_equal(a.mode_set.coefficients, b.mode_set.coefficients)
-        assert np.array_equal(a.omegas, b.omegas)
-        assert (a.mode_set.iterations, a.mode_set.converged) == (b.mode_set.iterations, b.mode_set.converged)
-    signal = reconstruct(res, {ModeLabel.SIGNAL}).samples
-    assert np.array_equal(signal, np.ldexp(1.0, k) * reconstruct(unit, {ModeLabel.SIGNAL}).samples)
+    two_tone = np.exp(2j * np.pi * 0.1 * t) + 0.5 * np.exp(-2j * np.pi * 0.23 * t)
+    lopsided = np.exp(2j * np.pi * (26 / 256) * t) + 1e-6 * np.exp(-2j * np.pi * (59 / 256) * t)
+    for z, share in ((two_tone, 0.2), (lopsided, 1e-12)):
+        unit, res = icvmd_decompose(ComplexSignal(z), VmdConfig()), icvmd_decompose(ComplexSignal(np.ldexp(1.0, k) * z), VmdConfig())
+        assert unit.neg.energy / (unit.pos.energy + unit.neg.energy) == pytest.approx(share, rel=0.1)
+        for a, b in ((res.pos, unit.pos), (res.neg, unit.neg)):
+            assert b.mode_set.iterations > 0
+            assert np.array_equal(a.modes, np.ldexp(b.modes, k)) and np.array_equal(a.residual, np.ldexp(b.residual, k))
+            # Each side keeps the float32 rows of its sweep at the capture's unit
+            # peak, and the labels and energies it takes there.
+            assert np.array_equal(a.mode_set.coefficients, b.mode_set.coefficients)
+            assert np.array_equal(a.omegas, b.omegas)
+            assert (a.mode_set.iterations, a.mode_set.converged) == (b.mode_set.iterations, b.mode_set.converged)
+            assert a.labels == b.labels and np.array_equal(a.energies, b.energies) and a.energy == b.energy
+        signal = reconstruct(res, {ModeLabel.SIGNAL}).samples
+        assert np.array_equal(signal, np.ldexp(1.0, k) * reconstruct(unit, {ModeLabel.SIGNAL}).samples)
+        if k < 256:  # from 2^256 the cumulants overflow and extract_features refuses the capture
+            assert np.array_equal(extract_features(res)[: 3 * MAX_MODES], extract_features(unit)[: 3 * MAX_MODES])
 
 
 @pytest.mark.parametrize("k", [-540, 520])

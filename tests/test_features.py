@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icvmd.dataset import DatasetSpec, synthesize_one
-from icvmd.decompose import ModeLabel, icvmd_decompose, mode_energies, reconstruct
+from icvmd.decompose import ModeLabel, icvmd_decompose, reconstruct
 from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.features import (
     MAX_MODES,
@@ -144,8 +144,8 @@ def test_vector_layout_and_padding():
     assert vec.shape == (3 * 6 + 12,)
     n_retained = sum(
         1
-        for labels in (res.labels_pos, res.labels_neg)
-        for l in labels
+        for side in (res.pos, res.neg)
+        for l in side.labels
         if l is ModeLabel.FEATURE
     )
     # Trailing geometric slots beyond the retained modes stay zero-padded.
@@ -185,8 +185,8 @@ def test_max_modes_truncates():
     retained = sorted(
         (
             (-e, sign * float(side.omegas[k]), e / total)
-            for sign, side, labels in ((1.0, res.pos, res.labels_pos), (-1.0, res.neg, res.labels_neg))
-            for k, (e, label) in enumerate(zip(mode_energies(side), labels))
+            for sign, side in ((1.0, res.pos), (-1.0, res.neg))
+            for k, (e, label) in enumerate(zip(np.sum(side.modes**2, axis=1), side.labels))
             if label is ModeLabel.FEATURE and e > 0.0
         )
     )
@@ -241,7 +241,7 @@ def test_a_decomposition_without_feature_modes_zero_pads():
     # One mode per side of a noisy capture: both are SIGNAL, so no mode is retained.
     sig = synthesize_one(DatasetSpec(n_samples=256), emitter_bank()[0], ModulationKind.CW, 18.0, 1, 2)
     res = icvmd_decompose(sig, VmdConfig(n_modes=1))
-    assert res.labels_pos == res.labels_neg == (ModeLabel.SIGNAL,)
+    assert res.pos.labels == res.neg.labels == (ModeLabel.SIGNAL,)
     vec = extract_features(res)
     base = 3 * MAX_MODES
     assert np.all(vec[: base + 4] == 0)  # the geometry and the feature-part cumulants

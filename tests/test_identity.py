@@ -34,7 +34,8 @@ BUDGET_S = 10.0
 
 def test_a_reduced_run_digests_the_same_twice_and_covers_every_cli_output(tmp_path):
     start = time.perf_counter()
-    first, commands = digest_run(tmp_path / "a", reduced=True)
+    arrays = {}
+    first, commands = digest_run(tmp_path / "a", reduced=True, arrays=arrays)
     second, _ = digest_run(tmp_path / "b", reduced=True)
     elapsed = time.perf_counter() - start
     assert elapsed < BUDGET_S, f"two reduced runs took {elapsed:.1f} s, over the {BUDGET_S:.0f} s budget"
@@ -49,6 +50,9 @@ def test_a_reduced_run_digests_the_same_twice_and_covers_every_cli_output(tmp_pa
             assert fnmatch.filter(first, pattern), f"{command}: nothing digested matches {pattern}"
     for prefix in ("features/", "raw_cumulants/", "sat_inputs/"):
         assert sum(k.startswith(prefix) for k in first) == len(fnmatch.filter(first, "file/data/*.iqf32"))
+    # Each dump keeps its fractions and centers, and its labels, sweep counts and flags.
+    dumps = fnmatch.filter(first, "file/modes/*/modes.json")
+    assert dumps and all(arrays[k].shape[0] == 2 and f"{k}:state" in arrays for k in dumps)
     # gen --config of a dataset's echoed spec writes that dataset again.
     regen = {k.replace("file/regen/", "file/data/"): v for k, v in first.items() if k.startswith("file/regen/")}
     assert regen == {k: v for k, v in first.items() if k.startswith("file/data/")}
@@ -77,3 +81,24 @@ def test_diff_says_how_far_a_moved_key_moved(tmp_path, capsys):
     assert (key, label) == ("sat_inputs/x.iqf32", "norm-relative")
     assert float(magnitude) == pytest.approx(1e-12, rel=0.01)
     assert len(lines) == 2  # the unmoved features key prints nothing
+
+
+def test_diff_says_how_far_a_moved_dump_moved_and_whether_its_state_changed(tmp_path, capsys):
+    # Two dumps move by 1e-15 norm-relative; one keeps its labels, sweep counts and
+    # flags, the other has a label changed.
+    key = "file/modes/{}/modes.json"
+    floats = np.array([[0.9, 0.1, 0.0, 0.0], [0.6, 1.2, 0.0, 0.0]])
+    state = np.array(["signal", "feature", "12", "True", "feature", "feature", "0", "True"])
+    files = []
+    for name, scale, labels in (("a", 1.0, state), ("b", 1 + 1e-15, np.where(state == "signal", "feature", state))):
+        (tmp_path / f"{name}.json").write_text(json.dumps({key.format(d): name for d in "xy"}))
+        arrays = {key.format(d): floats * scale for d in "xy"}
+        arrays |= {key.format("x") + ":state": state, key.format("y") + ":state": labels}
+        np.savez(tmp_path / f"{name}.npz", **arrays)
+        files.append(str(tmp_path / f"{name}.json"))
+    assert cli(["--diff", *files]) == 1
+    lines = [line.split("  ") for line in capsys.readouterr().out.splitlines()]
+    assert [line[0] for line in lines] == [key.format("x"), key.format("y")]
+    for line, verdict in zip(lines, ("unchanged", "CHANGED")):
+        assert float(line[1].split()[1]) == pytest.approx(1e-15, rel=0.1)
+        assert line[2] == f"labels, iterations and converged {verdict}"
