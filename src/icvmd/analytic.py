@@ -31,13 +31,16 @@ _MIN_LEN = 4
 
 def _hilbert(x: np.ndarray) -> np.ndarray:
     """The discrete Hilbert transform of real x along its last axis: every
-    interior bin times -j, the DC and even-length Nyquist bins zeroed."""
-    n = np.shape(x)[-1]
-    spec = np.fft.rfft(x)
+    interior bin times -j, the DC and even-length Nyquist bins zeroed.  It is
+    taken on x / 2^e, with e from the frexp of x's peak, and scaled back by
+    2^e, so no bin sum overflows at any finite scale and a power of two passes
+    through exactly."""
+    n, e = np.shape(x)[-1], int(np.frexp(np.abs(x).max())[1])
+    spec = np.fft.rfft(np.ldexp(x, -e))
     spec[..., 0] = 0.0
     if n % 2 == 0:
         spec[..., -1] = 0.0
-    return np.fft.irfft(-1j * spec, n)
+    return np.ldexp(np.fft.irfft(-1j * spec, n), e)
 
 
 def analytic_split(sig: ComplexSignal) -> tuple:

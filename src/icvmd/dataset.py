@@ -137,7 +137,7 @@ def synthesize_one(
     noise_seed: int,
 ) -> ComplexSignal:
     """The full single-signal chain used for every dataset entry."""
-    x = normalize_power(gen_baseband(kind, spec.n_samples, symbol_seed), 1.0)
+    x = normalize_power(gen_baseband(kind, spec.n_samples, symbol_seed))
     y = hammerstein_apply(x, profile)
     return add_awgn(y, snr_db, noise_seed)
 

@@ -37,10 +37,11 @@ class Selection(enum.Enum):
 
 @dataclass(frozen=True)
 class Side(VmdResult):
-    """One decomposed side: its modes and residual at the capture's scale, each
-    mode's label, and each mode's energy and the side sequence's own energy,
-    both at the capture's unit peak (see icvmd_decompose), where no square
-    over- or underflows and a power of two passes through every ratio."""
+    """One decomposed side: its modes at the capture's scale, each mode's
+    label, and each mode's energy and the side sequence's own energy, both at
+    the capture's unit peak (see icvmd_decompose), where no square over- or
+    underflows and a power of two passes through every ratio.  The modes need
+    not sum to the side: the residual of a rebuild closes the sum."""
 
     labels: tuple
     energies: np.ndarray
@@ -66,7 +67,7 @@ def partition_modes(energies: np.ndarray) -> tuple:
 
 def _decompose_side(x: np.ndarray, cfg: VmdConfig, e: int, floor: float) -> Side:
     """Decompose one side sequence ``x``, given at the capture's unit peak, and
-    scale its modes and residual back by 2^e."""
+    scale its modes back by 2^e."""
     energy = float(np.sum(x**2))
     # A side holding only FFT roundoff from the split (e.g. the negative side
     # of a purely positive-frequency input) is treated as empty rather than
@@ -76,14 +77,12 @@ def _decompose_side(x: np.ndarray, cfg: VmdConfig, e: int, floor: float) -> Side
         check_memory_budget(n, k, np.float32)  # the dtype a side is swept in
         # n + 1 coefficients per mode (vmd module docstring); no sweep ran.
         empty = ModeSet(np.zeros((k, n + 1), dtype=np.float32), np.zeros(k), 0, True, 0.0)
-        return Side(np.zeros((k, n)), empty, np.zeros(n), (ModeLabel.FEATURE,) * k, np.zeros(k), energy)
-    # Cast to float32 at the capture's unit peak (the solver sweeps it at its own);
-    # the residual is taken against the float64 side, so modes and residual sum to it.
+        return Side(np.zeros((k, n)), empty, (ModeLabel.FEATURE,) * k, np.zeros(k), energy)
+    # Cast to float32 at the capture's unit peak (the solver sweeps it at its own).
     res = vmd_decompose(x.astype(np.float32), cfg)
     energies = np.sum(res.modes**2, axis=1)
-    residual = np.ldexp(x - res.modes.sum(axis=0), e)
     modes = np.ldexp(res.modes, e, out=res.modes)
-    return Side(modes, res.mode_set, residual, partition_modes(energies), energies, energy)
+    return Side(modes, res.mode_set, partition_modes(energies), energies, energy)
 
 
 def icvmd_decompose(sig: ComplexSignal, cfg: VmdConfig) -> IcvmdResult:
@@ -91,10 +90,11 @@ def icvmd_decompose(sig: ComplexSignal, cfg: VmdConfig) -> IcvmdResult:
 
     The capture is split at its unit peak, over the power of two 2^e that
     brings its peak into [1/2, 1), which is exact; each side is swept there
-    and its modes and residual are scaled back by 2^e.  A side with at most
-    1e-24 of the input's energy (e.g. the negative side of a one-sided input)
-    is not solved: its modes are all zero and all labeled FEATURE, with the
-    residual carrying nothing.  An all-zero input raises DegenerateInputError.
+    and its modes are scaled back by 2^e.  A side with at most 1e-24 of the
+    input's energy (e.g. the negative side of a one-sided input) is not
+    solved: its modes are all zero and all labeled FEATURE.  What the modes
+    leave out is the residual of ``reconstruct``, the input minus the
+    unselected modes.  An all-zero input raises DegenerateInputError.
     """
     peak = np.abs(sig.samples).max()
     if peak == 0:

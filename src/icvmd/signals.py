@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError, check_int, check_real, is_real
+from .errors import DegenerateInputError, ParameterError, check_int, is_real
 
 
 def _as_complex_samples(samples) -> np.ndarray:
@@ -43,17 +43,13 @@ class ComplexSignal:
         return float(np.mean(np.abs(self.samples) ** 2))
 
 
-def normalize_power(sig: ComplexSignal, target_power: float = 1.0) -> ComplexSignal:
-    """Rescale so the mean squared magnitude equals ``target_power``.
-
-    Raises DegenerateInputError on an all-zero signal, ParameterError on a
-    target that is not a positive finite number.
-    """
-    check_real("target_power", target_power)
+def normalize_power(sig: ComplexSignal) -> ComplexSignal:
+    """Rescale to unit mean squared magnitude; an all-zero signal raises
+    DegenerateInputError."""
     p = sig.power
     if p <= 0.0:
         raise DegenerateInputError("cannot normalize an all-zero signal")
-    return ComplexSignal(sig.samples * np.sqrt(target_power / p))
+    return ComplexSignal(sig.samples * np.sqrt(1.0 / p))
 
 
 def noise_variance(power: float, snr_db) -> float:

@@ -5,8 +5,8 @@ reflected onto each end) and decomposed on the non-negative frequency
 half-grid ``w[m] = pi*m / n`` of the 2n-sample extension (radians/sample,
 m = 0..n, inclusive of 0 and pi).  Each mode spectrum is refreshed with a
 Wiener-style update, its center frequency tracked as the spectral power
-centroid.  There is no dual step: the modes need not sum to the signal,
-since the residual returned beside them closes the sum.
+centroid.  There is no dual step: the modes need not sum to the signal, and
+the residual of a rebuild (``decompose.reconstruct``) closes the sum.
 
 The centers start at the side's own spectral peaks, since each is drawn only
 to spectral mass within about 1/sqrt(alpha) of where it starts: the highest
@@ -40,7 +40,7 @@ The solve runs on x / 2^e, with e from the frexp of the peak: a power of two pas
 through every step exactly, so at any finite scale the modes and rows are 2^e times
 those of the unit-peak solve.  The sweep runs in the precision of its input (float32
 rows for a float32 signal, float64 otherwise); at unit peak no float32 square over- or
-underflows.  The transforms, the start, the centers, the metric, the modes and the residual stay float64.
+underflows.  The transforms, the start, the centers, the metric and the modes stay float64.
 
 The sweep is over-relaxed (Boyd et al. 2011, sec. 3.4.3): each mode takes
 its plain step du_k, moves by beta*du_k, and re-centers with
@@ -143,7 +143,6 @@ class VmdResult:
 
     modes: np.ndarray  # real, [n_modes, n]
     mode_set: ModeSet
-    residual: np.ndarray  # input minus the sum of modes
 
     @property
     def omegas(self) -> np.ndarray:
@@ -365,5 +364,4 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     if not (np.isfinite(coefficients.max()) and np.isfinite(coefficients.min())):  # no [K, n + 1] mask
         raise ParameterError(f"the {coefficients.dtype} coefficient rows of a signal with peak {peak:.3g} overflow at its scale")
     np.ldexp(modes, e, out=modes)
-    mode_set = ModeSet(coefficients, omegas, iterations, converged, final_delta)
-    return VmdResult(modes=modes, mode_set=mode_set, residual=x - modes.sum(axis=0))
+    return VmdResult(modes, ModeSet(coefficients, omegas, iterations, converged, final_delta))

@@ -189,10 +189,9 @@ def convergence_metric(prev_spectra: np.ndarray, curr_spectra: np.ndarray) -> fl
     return float(np.sum(diff / np.maximum(prev_norms, _ENERGY_GUARD)))
 
 
-def side_input_energy(result: VmdResult) -> float:
-    """Energy of the side sequence the modes were decomposed from, at its own scale."""
-    side_input = result.modes.sum(axis=0) + result.residual
-    return float(np.sum(side_input**2))
+def side_input_energy(x: np.ndarray) -> float:
+    """Energy of a side sequence, one of analytic_split's pair."""
+    return float(np.sum(x**2))
 
 
 def uniform_spread(cfg: VmdConfig) -> np.ndarray:
@@ -323,7 +322,6 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
     modes_ext = np.array([np.fft.irfft(u[k], n_ext) for k in range(k_modes)])
     start = n // 2
     modes = modes_ext[:, start : start + n]
-    residual = x - modes.sum(axis=0)
 
     mode_set = ModeSet(
         coefficients=(u * extension_phase(n).conj()).real,
@@ -332,7 +330,7 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
         converged=converged,
         final_delta=final_delta,
     )
-    return VmdResult(modes=modes, mode_set=mode_set, residual=residual), u
+    return VmdResult(modes=modes, mode_set=mode_set), u
 
 
 class Stopwatch:

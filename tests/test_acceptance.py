@@ -108,9 +108,7 @@ def test_03_roundtrip_100_signals():
 # ---------------------------------------------------------------------------
 def test_04_signal_selection_denoises():
     n = 1024
-    clean = normalize_power(
-        gen_baseband(ModulationKind.CW, n, 0), 1.0
-    )
+    clean = normalize_power(gen_baseband(ModulationKind.CW, n, 0))
     cfg = VmdConfig(n_modes=4, alpha=200.0, tol=1e-6, max_iter=300)
 
     def corr(a, b):

@@ -233,7 +233,7 @@ def test_a_pre_recipe_spec_without_its_recipe_keys_regenerates_the_same_captures
     assert len(manifest["files"]) == 12
     for entry in manifest["files"]:
         x = reference_baseband(ModulationKind(entry["modulation"]), 128, entry["seed"], **recipe)
-        y = hammerstein_apply(normalize_power(ComplexSignal(x), 1.0), profiles[entry["emitter_id"]])
+        y = hammerstein_apply(normalize_power(ComplexSignal(x)), profiles[entry["emitter_id"]])
         want = write_iqf32(tmp_path / "want.iqf32", add_awgn(y, entry["snr_db"], entry["noise_seed"]).samples)
         assert (tmp_path / "d" / entry["path"]).read_bytes() == want.read_bytes(), entry["path"]
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icvmd.analytic import analytic_split
 from icvmd.dataset import DatasetSpec, synthesize_one
 from icvmd.decompose import ModeLabel, icvmd_decompose, reconstruct
 from icvmd.errors import DegenerateInputError, ParameterError
@@ -181,12 +182,14 @@ def test_max_modes_truncates():
     z = sum((1.0 + 0.2 * i) * np.exp(2j * np.pi * f * t) for i, f in enumerate(freqs))
     cfg = VmdConfig(n_modes=5, alpha=300.0, tol=1e-6, max_iter=300)
     res = icvmd_decompose(ComplexSignal(z), cfg)
-    total = side_input_energy(res.pos) + side_input_energy(res.neg)
+    # Energies at the capture's unit peak, where the sides are split and swept.
+    scale = int(np.frexp(np.abs(z).max())[1])
+    total = sum(side_input_energy(x) for x in analytic_split(ComplexSignal(np.ldexp(1.0, -scale) * z)))
     retained = sorted(
         (
             (-e, sign * float(side.omegas[k]), e / total)
             for sign, side in ((1.0, res.pos), (-1.0, res.neg))
-            for k, (e, label) in enumerate(zip(np.sum(side.modes**2, axis=1), side.labels))
+            for k, (e, label) in enumerate(zip(np.sum(np.ldexp(side.modes, -scale) ** 2, axis=1), side.labels))
             if label is ModeLabel.FEATURE and e > 0.0
         )
     )

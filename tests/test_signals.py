@@ -30,18 +30,13 @@ def test_power_is_mean_squared_magnitude():
     assert sig.power == pytest.approx((9.0 + 16.0) / 2.0)
 
 
-def test_normalize_power_hits_target_exactly():
-    sig = ComplexSignal([1.0, 2.0, 3.0, 4.0])
-    for target in (1.0, 0.25, 7.5):
-        assert normalize_power(sig, target).power == pytest.approx(target, rel=1e-12)
+def test_normalize_power_gives_unit_power():
+    assert normalize_power(ComplexSignal([1.0, 2.0, 3.0, 4.0])).power == pytest.approx(1.0, rel=1e-12)
 
 
-def test_normalize_power_rejects_degenerate_and_bad_target():
+def test_normalize_power_rejects_an_all_zero_signal():
     with pytest.raises(DegenerateInputError):
         normalize_power(ComplexSignal([0.0, 0.0]))
-    for target in (0.0, -2.0, True, "3", None, np.nan):
-        with pytest.raises(ParameterError, match="^target_power must be positive and finite"):
-            normalize_power(ComplexSignal([1.0]), target_power=target)
 
 
 def test_awgn_matches_requested_snr_statistically():
@@ -106,15 +101,12 @@ def test_noise_variance_is_the_power_over_the_linear_snr():
 
 
 @settings(deadline=None)
-@given(
-    st.lists(st.floats(-10, 10), min_size=1, max_size=32),
-    st.floats(0.01, 100.0),
-)
-def test_normalize_power_scales_only(values, target):
+@given(st.lists(st.floats(-10, 10), min_size=1, max_size=32))
+def test_normalize_power_scales_only(values):
     arr = np.asarray(values) + 1.0j  # offset keeps the signal nonzero
     sig = ComplexSignal(arr)
-    out = normalize_power(sig, target)
-    assert out.power == pytest.approx(target, rel=1e-9)
+    out = normalize_power(sig)
+    assert out.power == pytest.approx(1.0, rel=1e-9)
     # Pure rescale: the direction of every sample is unchanged.
     ratio = out.samples / sig.samples
     assert np.allclose(ratio, ratio[0])

@@ -182,11 +182,10 @@ def test_omegas_sorted_ascending():
     assert np.all(np.diff(res.omegas) >= 0)
 
 
-def test_modes_plus_residual_reconstruct_exactly():
+def test_modes_hold_one_row_per_mode_on_the_input_support():
     rng = np.random.default_rng(0)
     x = rng.normal(size=300)
     res = vmd_decompose(x, VmdConfig(n_modes=3, alpha=500.0, tol=1e-7, max_iter=50))
-    assert np.allclose(res.modes.sum(axis=0) + res.residual, x, atol=1e-12)
     assert res.modes.shape == (3, 300)
 
 
@@ -565,20 +564,19 @@ def test_solver_runs_in_the_precision_of_its_input():
     cfg = VmdConfig(n_modes=2, alpha=500.0, tol=1e-7, max_iter=500)
     single = vmd_decompose(x.astype(np.float32), cfg)
     assert single.mode_set.coefficients.dtype == np.float32
-    assert single.modes.dtype == single.residual.dtype == single.omegas.dtype == np.float64
+    assert single.modes.dtype == single.omegas.dtype == np.float64
     for other in (x, np.round(100 * x).astype(np.int64), x.astype(np.float16)):
         res = vmd_decompose(other, cfg)
         assert res.mode_set.coefficients.dtype == np.float64
         assert res.modes.dtype == np.float64
 
 
-def test_icvmd_residual_closes_each_float64_side():
+def test_icvmd_sweeps_each_side_in_float32_rows():
     sig = synthesize_one(DatasetSpec(n_samples=700), emitter_bank()[2], ModulationKind.QPSK, 18.0, 3, 103)
     res = icvmd_decompose(sig, VmdConfig())
-    for side, x in zip((res.pos, res.neg), analytic_split(sig)):
+    for side in (res.pos, res.neg):
         assert side.mode_set.coefficients.dtype == np.float32
-        assert side.residual.dtype == np.float64
-        assert np.array_equal(side.residual, x - side.modes.sum(axis=0))
+        assert side.modes.dtype == np.float64
 
 
 def test_float32_solve_stays_near_the_float64_solve():
@@ -630,7 +628,7 @@ def test_a_float32_signal_whose_rows_overflow_at_its_scale_is_refused():
 def test_a_float32_solve_at_a_power_of_two_scale_is_the_unit_solve_scaled_bit_for_bit(k):
     x = _quiet_two_tone_side().astype(np.float32)
     unit, res = vmd_decompose(x, VmdConfig()), vmd_decompose(np.ldexp(x, k), VmdConfig())
-    for got, want in ((res.modes, unit.modes), (res.residual, unit.residual), (res.mode_set.coefficients, unit.mode_set.coefficients)):
+    for got, want in ((res.modes, unit.modes), (res.mode_set.coefficients, unit.mode_set.coefficients)):
         assert got.dtype == want.dtype and np.array_equal(got, np.ldexp(want, k))
     assert np.array_equal(res.omegas, unit.omegas)
     assert (res.mode_set.iterations, res.mode_set.converged) == (unit.mode_set.iterations, unit.mode_set.converged)
