@@ -5,9 +5,9 @@ negative-frequency halves, the DC bin with the positive side), run the
 real-signal mode decomposition on each side independently with one
 ``VmdConfig``, then label every mode by one fixed rule so downstream code can
 select the intentional-modulation content or the distortion features, and
-rebuild a complex signal from any selection.  A selection with the residual
-is rebuilt as the input minus the modes it leaves out, so selecting
-everything returns the input bit for bit.
+rebuild a complex signal from any selection (``label_parts``, the one
+rebuild).  A selection with the residual is the input minus the modes it
+leaves out, so selecting everything returns the input bit for bit.
 """
 from __future__ import annotations
 
@@ -119,13 +119,14 @@ def _assemble(selection, sides: list, samples: np.ndarray) -> np.ndarray:
     if bad:
         raise ParameterError(f"unknown selection entries: {sorted(str(b) for b in bad)}")
     selected = Selection.RESIDUAL not in selection  # combine the selected modes, or the others
-    z = combine_analytic(*_mode_sums(sides, lambda label: (label in selection) == selected))
+    (z,) = label_parts(sides, [selection if selected else set(ModeLabel) - selection])
     return z if selected else samples - z
 
 
-def _mode_sums(sides, keep) -> list:
-    """Per side, given as (labels, modes [K, n]), the sum of the modes whose label ``keep`` accepts."""
-    return [sum([mode for label, mode in zip(labels, modes) if keep(label)], np.zeros(modes.shape[1])) for labels, modes in sides]
+def label_parts(sides, groups) -> np.ndarray:
+    """Per label set in ``groups``, the complex sum of the modes it labels in the (labels, modes [K, n]) ``sides``: [len(groups), n]."""
+    return combine_analytic(*[[sum([m for label, m in zip(labels, modes) if label in group], np.zeros(modes.shape[1]))
+                               for group in groups] for labels, modes in sides])
 
 
 def reconstruct(result: IcvmdResult, selection) -> ComplexSignal:

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analytic import combine_analytic
-from .decompose import IcvmdResult, ModeLabel, _mode_sums
+from .decompose import IcvmdResult, ModeLabel, label_parts
 from .errors import DegenerateInputError, ParameterError
 from .signals import ComplexSignal
 
@@ -101,9 +100,7 @@ def extract_features(result: IcvmdResult) -> np.ndarray:
     base = 3 * MAX_MODES
     vec[base + 4 : base + 8] = _cumulant_block(result.input_signal.samples)  # first, so an overflow names the capture's peak
     # The FEATURE and SIGNAL reconstructions, as two reconstruct calls build them, in one pass.
-    picks = [(side.labels, side.modes) for _, side in sides]
-    sums = [_mode_sums(picks, lambda label: label is wanted) for wanted in (ModeLabel.FEATURE, ModeLabel.SIGNAL)]
-    feature, signal = combine_analytic(*np.swapaxes(sums, 0, 1))
+    feature, signal = label_parts([(side.labels, side.modes) for _, side in sides], ({ModeLabel.FEATURE}, {ModeLabel.SIGNAL}))
     vec[base : base + 4] = _cumulant_block(feature)
     vec[base + 8 :] = _cumulant_block(signal)
     return vec

@@ -86,8 +86,12 @@ class FewshotResult:
 
 
 def signal_channels(sig: ComplexSignal) -> np.ndarray:
-    """Complex sequence -> the [2, T] I/Q stack the classifier eats, built in its DTYPE."""
-    return np.stack([sig.samples.real, sig.samples.imag], dtype=DTYPE)
+    """Complex sequence -> the [2, T] I/Q stack the classifier eats, built in its DTYPE, which must hold it."""
+    with np.errstate(over="ignore"):  # a value DTYPE cannot hold becomes inf, refused below
+        stack = np.stack([sig.samples.real, sig.samples.imag], dtype=DTYPE)
+    if not np.isfinite(stack).all():
+        raise DegenerateInputError(f"the I/Q stack of a sequence with peak {np.abs(sig.samples).max():.3g} overflows float32")
+    return stack
 
 
 def sat_inputs(result) -> tuple:

@@ -1,4 +1,4 @@
-"""Causal dilated convolutions, dense layers, and their exact backward passes.
+"""Causal dilated convolutions, dense layers, softmax, and their exact backward passes.
 
 Every function computes in the dtype of its arrays and casts nothing; the
 model draws its layers in DTYPE (model.draw_params).  Forward functions
@@ -214,3 +214,18 @@ def dense_backward(dy: np.ndarray, cache, layer: Dense, total=None):
     dw = _summed(dy[:, :, None] * x[:, None, :], prior_w)
     db = _summed(dy.copy(), prior_b)
     return rowdot(dy, layer.weights.T), dw, db
+
+
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Stable softmax in the input's dtype; rows sum to one for any finite input."""
+    x = np.asarray(x)
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_backward(dy: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Jacobian-vector product given the forward output y = softmax(x)."""
+    inner = (dy * y).sum(axis=axis, keepdims=True)
+    return y * (dy - inner)
+

@@ -54,7 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError, check_int
-from .attention import softmax, softmax_backward
 from .layers import (
     DTYPE,
     ConvLayer,
@@ -67,6 +66,8 @@ from .layers import (
     relu_backward,
     relu_forward,
     rowdot,
+    softmax,
+    softmax_backward,
 )
 
 

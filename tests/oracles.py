@@ -10,7 +10,7 @@ from icvmd.dataset import _FLOOR_SLACK
 from icvmd.errors import DegenerateInputError, ParameterError, is_real
 from icvmd.modulation import ModulationKind
 from icvmd.nn import model
-from icvmd.nn.attention import softmax
+from icvmd.nn.layers import softmax
 from icvmd.nn.layers import ConvLayer, conv_backward, conv_forward, relu_backward
 from icvmd.nn.model import NetParams, _conv, _residual_forward, cross_entropy, model_backward, model_forward
 from icvmd.pa import EmitterProfile

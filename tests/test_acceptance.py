@@ -21,7 +21,7 @@ from icvmd.fewshot import (
     MODEL_SEED, SPLIT_SEED, SUBSAMPLE_SEED, TEST_FRACTION, Pipeline, predict, pretrain, represent, run_fewshot, tally
 )
 from icvmd.modulation import ModulationKind, gen_baseband
-from icvmd.nn.attention import softmax
+from icvmd.nn.layers import softmax
 from icvmd.nn.model import ModelConfig, features_forward, init_params, model_forward
 from icvmd.nn.train import TrainConfig, sat_transfer, train
 from icvmd.pa import emitter_bank

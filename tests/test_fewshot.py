@@ -107,6 +107,22 @@ def test_sat_inputs_partition_the_signal():
     assert np.array_equal(main, signal_channels(reconstruct(res, rest)))
 
 
+@pytest.mark.parametrize("k", [127, 128, 200])
+def test_sat_inputs_refuse_a_capture_float32_cannot_hold(k):
+    # From 2^128 a float32 stack of the rebuilds would hold inf; it is refused
+    # by name instead of cast.
+    t = np.arange(256)
+    z = np.exp(2j * np.pi * 0.2 * t) + 0.2 * np.exp(-2j * np.pi * 0.33 * t)
+    unit = sat_inputs(icvmd_decompose(ComplexSignal(z), VmdConfig(n_modes=2)))
+    loud = icvmd_decompose(ComplexSignal(np.ldexp(1.0, k) * z), VmdConfig(n_modes=2))
+    if k < 128:  # a power of two passes through the rebuild and the cast exactly
+        for got, want in zip(sat_inputs(loud), unit):
+            assert np.array_equal(got, np.ldexp(want, k))
+        return
+    with pytest.raises(DegenerateInputError, match=r"stack of a sequence with peak .* overflows float32"):
+        sat_inputs(loud)
+
+
 # ------------------------------------------------------------- feature runs
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icvmd.errors import ParameterError
-from icvmd.nn.attention import softmax, softmax_backward
+from icvmd.nn.layers import softmax, softmax_backward
 from icvmd.nn.layers import (
     ConvLayer,
     Dense,

@@ -1,14 +1,27 @@
-"""Every top-level private name of the package is used somewhere in the package.
+"""Every top-level private name of the package is used somewhere in the package,
+and only the listed ones cross a module boundary.
 
 A deletion can leave a helper behind (``_rep_counts`` after its last caller
 goes); this catches it.  A name counts as used when any package module loads
 it, reads it as an attribute or imports it by name, its own definition aside.
+
+A private name one package module imports from another means two modules
+share a decision; each such import is listed in PRIVATE_IMPORTS with the
+reason it stays, so a new one has to be named here or made public.
 """
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "icvmd"
 MODULES = sorted([*PACKAGE.glob("*.py"), *PACKAGE.glob("nn/*.py")])
+
+# (importing module, imported module and name): why the two modules share it.
+PRIVATE_IMPORTS = {
+    ("cli", "nn.checkpoint._check_keys"): "icvmd eval refuses a checkpoint's vmd keys as load_checkpoint refuses its config and array keys",
+    ("nn.train", "nn.model._buf"): "train() keeps its gathered minibatch rows in the model's workspace buffers",
+    ("nn.train", "nn.model._chunks"): "train() runs a minibatch in model_forward's chunks, so its bytes are one whole-batch pass's",
+    ("nn.train", "nn.model._segment_count"): "train() refuses input too short for one segment, even at epochs=0",
+}
 
 
 def private_definitions(tree: ast.Module) -> dict:
@@ -58,3 +71,30 @@ def test_the_check_finds_an_orphaned_helper():
 
 def test_every_private_name_is_used_in_the_package():
     assert orphans({str(p.relative_to(PACKAGE)): p.read_text() for p in MODULES}) == []
+
+
+def private_imports(sources: dict) -> list:
+    """(importing module, imported module and name) for each private name a
+    package module imports by name from another, relative imports resolved;
+    modules are keyed by dotted name within the package ("nn.train")."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("icvmd.")):
+                parts = module.split(".")[: -node.level] if node.level else []
+                target = ".".join([*parts, node.module.removeprefix("icvmd.")] if node.module else parts)
+                found.update((module, f"{target}.{alias.name}") for alias in node.names if alias.name.startswith("_"))
+    return sorted(found)
+
+
+def test_the_check_finds_a_private_import():
+    sources = {
+        "a": "from .b import PUBLIC, _shared\nfrom numpy import _private\n",
+        "nn.c": "from ..b import _helper\nfrom .d import _local\n\ndef f():\n    from icvmd.a import _late\n",
+    }
+    assert private_imports(sources) == [("a", "b._shared"), ("nn.c", "a._late"), ("nn.c", "b._helper"), ("nn.c", "nn.d._local")]
+
+
+def test_only_the_listed_private_names_cross_a_module_boundary():
+    sources = {".".join(p.relative_to(PACKAGE).with_suffix("").parts): p.read_text() for p in MODULES}
+    assert private_imports(sources) == sorted(PRIVATE_IMPORTS)
