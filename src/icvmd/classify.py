@@ -79,8 +79,13 @@ def fit_nearest_centroid(features: np.ndarray, labels) -> NearestCentroid:
 
 
 def classify(model: NearestCentroid, features: np.ndarray) -> np.ndarray:
-    """Predict the class of each row; ties go to the lowest class label."""
-    z = model.transform(features)
+    """Predict the class of each row (finite, as wide as the centroids); ties go to the lowest class label."""
+    x = np.atleast_2d(features)
+    if x.ndim != 2 or x.shape[1] != model.centroids.shape[1]:
+        raise ParameterError(f"features must be rows of {model.centroids.shape[1]} values, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ParameterError("features must be finite")
+    z = model.transform(x)
     d = np.linalg.norm(z[:, None, :] - model.centroids[None, :, :], axis=2)
     idx = np.argmin(d, axis=1)  # argmin returns the first (lowest-class) minimum
     return model.classes[idx]

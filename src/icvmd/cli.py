@@ -29,7 +29,7 @@ from .decompose import (
     reconstruct_from_dump,
 )
 from .classify import evaluate
-from .errors import DegenerateInputError, ParameterError
+from .errors import DegenerateInputError, ParameterError, check_keys
 from .fewshot import (
     Pipeline,
     predict,
@@ -39,7 +39,7 @@ from .fewshot import (
 )
 from .iqfile import read_iqf32, write_iqf32
 from .modulation import ModulationKind
-from .nn.checkpoint import MAX_EPOCHS, _check_keys, load_checkpoint, save_checkpoint
+from .nn.checkpoint import MAX_EPOCHS, load_checkpoint, save_checkpoint
 from .nn.model import ModelConfig, init_params
 from .nn.train import TrainConfig, train as train_model
 from .vmd import VmdConfig
@@ -237,7 +237,7 @@ def eval_cmd(data_dir, ck_file):
     vmd = meta.get("vmd")
     if not isinstance(vmd, dict):
         raise ParameterError(f"{ck_file} manifest vmd must be a JSON object, got {vmd!r}")
-    _check_keys("vmd", vmd, [f.name for f in fields(VmdConfig)])
+    check_keys("checkpoint vmd", vmd, [f.name for f in fields(VmdConfig)])
     truth, snrs, mains, branches = _represent_dataset(data_dir, representation, VmdConfig(**vmd))
     class_ids = np.array(meta["class_ids"])
     predictions = predict(params, mains, branches, class_ids)

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the integer and real field checks."""
+"""Exception types shared across the toolkit, and the integer, real and key-set checks."""
 import math
 import numbers
 
@@ -34,3 +34,10 @@ def check_real(name: str, value, zero: bool = False) -> None:
     above zero, or at zero when ``zero``."""
     if not (is_real(value) and (value > 0 or zero and value == 0)):
         raise ParameterError(f"{name} must be {'>= 0' if zero else 'positive'} and finite, got {value!r}")
+
+
+def check_keys(what: str, stored, expected) -> None:
+    """Raise ParameterError naming missing and extra keys unless stored has expected's."""
+    missing, extra = set(expected) - set(stored), set(stored) - set(expected)
+    if missing or extra:
+        raise ParameterError(f"{what} mismatch: missing {sorted(missing)}, extra {sorted(extra)}")

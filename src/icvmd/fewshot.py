@@ -179,8 +179,10 @@ def tally(memo: dict) -> tuple:
 
 
 def predict(params, mains, branches, class_ids) -> np.ndarray:
-    """Classifier inference (model_forward chunks the batch); returns the predicted class ids."""
+    """Classifier inference (model_forward chunks the batch); the predicted class ids of finite logits."""
     logits, _ = model_forward(params, mains, branches)
+    if not np.isfinite(logits).all():  # argmin: the first row holding a NaN or an inf
+        raise ParameterError(f"non-finite logits for row {np.isfinite(logits).all(axis=1).argmin()} of {len(logits)}")
     return class_ids[np.argmax(logits, axis=1)]
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, check_keys
 from ..iqfile import json_object, load_npz
 from .layers import DTYPE
 from .model import ModelConfig, NetParams, param_shapes
@@ -52,12 +52,6 @@ def save_checkpoint(path, params: NetParams, meta: dict) -> Path:
     return path
 
 
-def _check_keys(what: str, stored, expected) -> None:
-    missing, extra = set(expected) - set(stored), set(stored) - set(expected)
-    if missing or extra:
-        raise ParameterError(f"checkpoint {what} mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-
-
 def load_checkpoint(path) -> tuple[NetParams, dict]:
     """Rebuild NetParams from a checkpoint; returns them with the metadata it was saved with.
 
@@ -80,13 +74,13 @@ def load_checkpoint(path) -> tuple[NetParams, dict]:
             raise ParameterError(f"unsupported checkpoint format_version {version!r}, not {FORMAT_VERSION}")
         if not isinstance(config, dict):
             raise ParameterError(f"{path} manifest config must be a JSON object, got {config!r}")
-        _check_keys("config", config, [f.name for f in fields(ModelConfig)])
+        check_keys("checkpoint config", config, [f.name for f in fields(ModelConfig)])
         ids = meta.get("class_ids")
         if not (isinstance(ids, list) and all(type(c) is int for c in ids) and len(set(ids)) == len(ids) >= 2):
             raise ParameterError(f"{path} manifest class_ids must list at least 2 distinct integers, got {ids!r}")
         config = ModelConfig(**config)
         expected = param_shapes(len(ids))
-        _check_keys("key", sizes.keys() - {"manifest"}, expected)
+        check_keys("checkpoint key", sizes.keys() - {"manifest"}, expected)
         for key, shape in expected.items():
             if sizes[key] > 8 * math.prod(shape) + 1024:  # numpy's .npy header takes 128 of the 1 KiB allowed
                 raise ParameterError(f"{key} unpacks to {sizes[key]} bytes, more than a float64 array of shape {shape}")

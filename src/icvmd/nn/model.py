@@ -19,12 +19,12 @@ cast an input of any other dtype to it.
 
 A batch runs in consecutive chunks of samples, each small enough that its
 activations stay in a core's L2 cache, through a workspace: a dict of
-buffers, one per activation.  train() runs each chunk's forward, loss and
-backward before the next chunk's forward, so its workspace holds one chunk's
-set whatever the batch size, and no step after the first allocates an
-activation; backward keeps its chunk-sized gradients there too, and the next
-forward borrows them as tap scratch.  model_forward without a workspace runs
-the chunks through one local to the call and keeps only logits and attention.
+buffers, one per activation.  minibatch_grads, a training step, runs each
+chunk's gather, forward, loss and backward before the next chunk's, so its
+workspace holds one chunk's set whatever the batch size, and no step after
+the first allocates an activation; backward keeps its chunk-sized gradients
+there too, and the next forward borrows them as tap scratch.  model_forward
+without a workspace runs the chunks through one local to the call.
 
 Backward forms only the gradients something reads.  The first encoder conv
 and the first branch conv get their parameter gradients alone
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ParameterError, check_int
+from ..errors import DegenerateInputError, ParameterError, check_int
 from .layers import (
     DTYPE,
     ConvLayer,
@@ -371,7 +371,7 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, w
     those of the row run alone.
 
     With a ``workspace`` (a dict, ``{}`` at first) the batch runs as one
-    block, as train() hands it one chunk, and the cache refers to the
+    block, as minibatch_grads hands it one chunk, and the cache refers to the
     workspace's buffers and to the inputs, valid until the next forward that
     uses the same workspace and serves one backward.  Without one the batch
     runs chunk by chunk through buffers local to the call; the cache holds
@@ -454,3 +454,44 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray, batch_size=None):
     onehot[np.arange(b), labels] = 1.0
     return -logp[np.arange(b), labels], (p - onehot) / (b if batch_size is None else batch_size)
 
+
+def check_dataset(params: NetParams, main, branch, labels) -> tuple:
+    """(main, branch, labels) checked as a training set, the inputs cast to
+    the parameters' dtype (one array when branch is main)."""
+    same = branch is main
+    main = np.asarray(main, dtype=params.dtype)
+    branch = main if same else np.asarray(branch, dtype=params.dtype)
+    labels = np.asarray(labels)
+    if main.ndim != 3 or branch.shape != main.shape:
+        raise ParameterError("main and branch inputs must both be [N, C, T]")
+    if labels.shape != (main.shape[0],):
+        raise ParameterError("labels must be [N]")
+    if main.shape[0] == 0:
+        raise DegenerateInputError("empty training set")
+    check_labels(labels, params.n_classes)
+    _segment_count(params, main.shape[2])
+    for name, x in (("main", main), ("branch", branch))[: 1 if same else 2]:
+        if not np.isfinite([x.min(), x.max()]).all():  # NaN propagates, no mask; after the cast, so 1e39 counts
+            raise ParameterError(f"{name} input holds a non-finite value in {params.dtype}")
+    return main, branch, labels
+
+
+def _gather(ws: dict, key: str, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """x[idx] in buffer ``key`` of ``ws``; mode "clip" writes straight into it
+    (idx is in range), where "raise" would gather into a copy first."""
+    return np.take(x, idx, axis=0, out=_buf(ws, key, (len(idx), *x.shape[1:]), x.dtype), mode="clip")
+
+
+def minibatch_grads(params: NetParams, main, branch, labels, idx, ws: dict) -> tuple:
+    """(each row's loss, the gradients) of the mean cross-entropy over rows
+    ``idx`` of a check_dataset training set.  Each _chunks slice of idx runs
+    its gather into ``ws`` (a dict, ``{}`` at first), forward, loss and backward
+    before the next slice's, bit-identical to one whole-batch pass."""
+    y, losses, grads = labels[idx], np.empty(len(idx), params.dtype), {}
+    for rows in _chunks(len(idx), main.shape[2]):
+        xm = _gather(ws, "main", main, idx[rows])
+        xb = xm if branch is main else _gather(ws, "branch", branch, idx[rows])
+        logits, cache = model_forward(params, xm, xb, ws)
+        losses[rows], dlogits = cross_entropy(logits, y[rows], len(idx))
+        grads = model_backward(params, dlogits, cache, grads)
+    return losses, grads

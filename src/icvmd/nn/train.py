@@ -5,9 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateInputError, ParameterError, check_int, check_real
-from .model import (NetParams, _buf, _chunks, _segment_count, check_labels, cross_entropy, draw_params,
-                    model_backward, model_forward, param_shapes)
+from ..errors import ParameterError, check_int, check_real
+from .model import NetParams, check_dataset, draw_params, minibatch_grads, param_shapes
 
 # Adam moment decays and denominator guard (Kingma & Ba's defaults).
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
@@ -36,32 +35,6 @@ class TrainResult:
     history: list  # mean loss per epoch
 
 
-def _check_dataset(main, branch, labels, params: NetParams):
-    """The inputs cast to the parameters' dtype (one array when branch is main)."""
-    same = branch is main
-    main = np.asarray(main, dtype=params.dtype)
-    branch = main if same else np.asarray(branch, dtype=params.dtype)
-    labels = np.asarray(labels)
-    if main.ndim != 3 or branch.shape != main.shape:
-        raise ParameterError("main and branch inputs must both be [N, C, T]")
-    if labels.shape != (main.shape[0],):
-        raise ParameterError("labels must be [N]")
-    if main.shape[0] == 0:
-        raise DegenerateInputError("empty training set")
-    check_labels(labels, params.n_classes)
-    _segment_count(params, main.shape[2])  # also at epochs=0, so no model that no input can run comes back
-    for name, x in (("main", main), ("branch", branch))[: 1 if same else 2]:
-        if not np.isfinite([x.min(), x.max()]).all():  # NaN propagates, no mask; after the cast, so 1e39 counts
-            raise ParameterError(f"{name} input holds a non-finite value in {params.dtype}")
-    return main, branch, labels
-
-
-def _gather(ws: dict, key: str, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """x[idx] in buffer ``key`` of ``ws``; mode "clip" writes straight into it
-    (idx is in range), where "raise" would gather into a copy first."""
-    return np.take(x, idx, axis=0, out=_buf(ws, key, (len(idx), *x.shape[1:]), x.dtype), mode="clip")
-
-
 def train(
     params: NetParams,
     main,
@@ -72,21 +45,18 @@ def train(
 ) -> TrainResult:
     """Run Adam on a copy of ``params``; the input object is never mutated.
 
-    The inputs are cast to the parameters' dtype, which every result keeps,
-    unless already in it, and must be finite; one array passed as both
-    ``main`` and ``branch`` is cast and gathered once.  A minibatch runs in
-    model._chunks order: each chunk gathers its own rows, then runs its
-    forward, loss (scaled by the minibatch size) and backward before the next
-    chunk's gather, through one workspace (see nn/model.py) that this call
-    frees on return; every result, and the recorded loss (the mean of its
-    rows'), is that of one whole-batch pass.
+    The inputs pass model.check_dataset even at epochs=0, so no model that
+    no input can run comes back, and every result keeps the parameters'
+    dtype.  Each minibatch is one model.minibatch_grads step, all through one
+    workspace (see nn/model.py) freed on return; every result, and the
+    recorded loss (the mean of its rows'), is that of one whole-batch pass.
     Arrays whose key starts with any of ``freeze_prefixes`` receive no
     updates, so they come back bit-identical; a prefix that matches no key is
     an error.  learning_rate == 0 leaves every parameter bit-identical.  A
     non-finite minibatch loss or updated parameter raises ParameterError
     naming its epoch and step (both counted from 1), and no numpy warning.
     """
-    main, branch, labels = _check_dataset(main, branch, labels, params)
+    main, branch, labels = check_dataset(params, main, branch, labels)
     prefixes = tuple(freeze_prefixes)
     unmatched = [f for f in prefixes if not any(k.startswith(f) for k in params.arrays)]
     if unmatched:
@@ -105,15 +75,9 @@ def train(
         losses = []
         for start in range(0, len(main), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            y, row_losses, grads = labels[idx], np.empty(len(idx), out.dtype), {}
             step += 1
             with np.errstate(over="ignore", invalid="ignore"):  # the checks below name any overflow
-                for rows in _chunks(len(idx), main.shape[2]):
-                    xm = _gather(ws, "main", main, idx[rows])
-                    xb = xm if branch is main else _gather(ws, "branch", branch, idx[rows])
-                    logits, cache = model_forward(out, xm, xb, ws)
-                    row_losses[rows], dlogits = cross_entropy(logits, y[rows], len(idx))
-                    grads = model_backward(out, dlogits, cache, grads)
+                row_losses, grads = minibatch_grads(out, main, branch, labels, idx, ws)
                 loss = float(np.mean(row_losses))
                 if not np.isfinite(loss):
                     raise ParameterError(f"non-finite training loss at epoch {epoch}, step {step}; lower the learning rate")
@@ -126,6 +90,7 @@ def train(
                     a -= cfg.learning_rate * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + _EPS)
                     if not np.isfinite(a).all():
                         raise ParameterError(f"non-finite {k} updated at epoch {epoch}, step {step}; lower the learning rate")
+                del grads  # every key's, frozen ones too, so the next step never holds two sets
         history.append(float(np.mean(losses)))
     return TrainResult(params=out, history=history)
 

@@ -85,3 +85,6 @@ def test_each_workload_reports_every_per_layer_metric_traced(bench, tmp_path, wo
     declared = [m["name"] for m in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]]
     assert len(declared) == 37
     assert sorted(result["metrics"]) == sorted(declared)
+    if workload != "icvmd_features":  # an untraced training call would read 0 here, not fail
+        for name in ("nn.model.forward_ms", "nn.model.backward_ms", "nn.train.step_ms"):
+            assert result["metrics"][name]["value"] > 0, name

@@ -94,6 +94,24 @@ def test_fit_validation():
         fit_nearest_centroid(x, np.zeros(4))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_classify_refuses_a_non_finite_row(value):
+    # Every distance to a NaN or inf row is NaN or inf, which argmin would
+    # read as the lowest class.
+    x, y = two_blob_data()
+    model = fit_nearest_centroid(x, y)
+    with pytest.raises(ParameterError, match="^features must be finite$"):
+        classify(model, np.array([[4.0], [value]]))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3,), (2, 1, 1)])
+def test_classify_refuses_rows_not_as_wide_as_the_centroids(shape):
+    x, y = two_blob_data()
+    model = fit_nearest_centroid(x, y)
+    with pytest.raises(ParameterError, match=r"^features must be rows of 1 values, got shape "):
+        classify(model, np.zeros(shape))
+
+
 def test_transform_standardizes_training_data():
     x, y = two_blob_data()
     model = fit_nearest_centroid(x, y)

@@ -236,6 +236,16 @@ def test_predict_rejects_zero_captures():
         fewshot.predict(params, empty, empty, np.array([3, 5]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_predict_refuses_a_capture_with_a_non_finite_value(value):
+    # A NaN passes model_forward silently, and argmax would label its row class_ids[0].
+    params = init_params(ModelConfig(), n_classes=3, seed=0)
+    x = np.random.default_rng(0).normal(size=(3, 2, 256)).astype(np.float32)
+    x[1, 0, 5] = value
+    with np.errstate(invalid="ignore"), pytest.raises(ParameterError, match=r"^non-finite logits for row 1 of 3$"):
+        fewshot.predict(params, x, x, np.array([10, 20, 30]))
+
+
 def test_represent_reads_the_captures_in_path_order(tmp_path):
     manifest = generate_dataset(TINY_SPEC, tmp_path / "data")
     manifest["_dir"] = str(tmp_path / "data")

@@ -268,18 +268,32 @@ def test_samples_past_the_last_full_segment_feed_nothing(edit):
 # ------------------------------------------------------------- chunked trunk
 
 
-def _forward_backward_train(params, xm, xb, labels):
-    # As train() runs a minibatch: each chunk's forward, loss (scaled by the
-    # whole batch's size) and backward in turn, one workspace and one grads.
-    ws, grads, logits, attention = {}, {}, [], []
+def _chunk_loop(params, xm, xb, labels):
+    # As a training step runs a minibatch: each chunk's forward, loss (scaled
+    # by the whole batch's size) and backward in turn, one workspace and one grads.
+    ws, grads, logits, attention, losses = {}, {}, [], [], []
     for rows in model._chunks(len(labels), xm.shape[2]):
         chunk_logits, cache = model_forward(params, xm[rows], xb[rows], ws)
-        _, dlogits = cross_entropy(chunk_logits, labels[rows], len(labels))
+        chunk_losses, dlogits = cross_entropy(chunk_logits, labels[rows], len(labels))
         grads = model_backward(params, dlogits, cache, grads)
         logits.append(chunk_logits)
         attention.append(cache["attention"])
+        losses.append(chunk_losses)
+    return np.concatenate(logits), np.concatenate(attention), np.concatenate(losses), grads
+
+
+def _forward_backward_train(params, xm, xb, labels):
+    # minibatch_grads is that loop, over the rows in order and over a
+    # permutation of them as the loop over the permuted rows.
+    checked = model.check_dataset(params, xm, xb, labels)
+    for idx in (np.arange(len(labels)), np.array([3, 0, 4, 1, 2])):
+        *_, want_losses, want_grads = _chunk_loop(params, xm[idx], xb[idx], labels[idx])
+        losses, grads = model.minibatch_grads(params, *checked, idx, {})
+        assert losses.tobytes() == want_losses.tobytes()
+        assert grads.keys() == want_grads.keys()
+        assert all(grads[k].tobytes() == want.tobytes() for k, want in want_grads.items())
     fit = train(params, xm, xb, labels, TrainConfig(epochs=2, batch_size=5))
-    return np.concatenate(logits), np.concatenate(attention), grads, fit
+    return (*_chunk_loop(params, xm, xb, labels), fit)
 
 
 @pytest.mark.parametrize("cast", [False, True])
@@ -296,13 +310,13 @@ def test_chunked_trunk_is_bit_identical_to_one_chunk(monkeypatch, cast):
     assert [r.stop - r.start for r in model._chunks(5, 30)] == [2, 2, 1]
     chunked = _forward_backward_train(params, xm, xb, labels)
 
-    for got, want in zip(chunked[:2], whole[:2]):  # logits, attention
+    for got, want in zip(chunked[:3], whole[:3]):  # logits, attention, losses
         assert np.array_equal(got, want)
-    grads, want_grads = chunked[2], whole[2]
+    grads, want_grads = chunked[3], whole[3]
     assert grads.keys() == want_grads.keys() == params.arrays.keys()
     for key, want in want_grads.items():
         assert np.array_equal(grads[key], want), key
-    fit, want_fit = chunked[3], whole[3]
+    fit, want_fit = chunked[4], whole[4]
     assert fit.history == want_fit.history
     for key, want in want_fit.params.arrays.items():
         assert np.array_equal(fit.params.arrays[key], want), key

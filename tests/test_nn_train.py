@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from icvmd.errors import DegenerateInputError, ParameterError
-from icvmd.nn import train as train_module
 from icvmd.nn import model
 from icvmd.nn.model import CHANNELS, IN_CHANNELS, ModelConfig, init_params, model_forward
-from icvmd.nn.train import TrainConfig, _check_dataset, sat_transfer, train
+from icvmd.nn.train import TrainConfig, sat_transfer, train
 from oracles import as_float64, batch_loss, grad_check, training_cache_bytes
 
 TINY = ModelConfig(segment_len=10)
@@ -212,14 +211,14 @@ def test_a_non_finite_parameter_after_an_update_stops_the_run():
 
 def test_a_backward_overflow_on_the_last_step_is_not_returned(monkeypatch):
     # One step in all: no later loss would see the NaN the overflow leaves.
-    backward = train_module.model_backward
+    backward = model.model_backward
 
     def overflowing(*a):
         grads = backward(*a)
         grads["classifier2.bias"][0] = np.inf
         return grads
 
-    monkeypatch.setattr(train_module, "model_backward", overflowing)
+    monkeypatch.setattr(model, "model_backward", overflowing)
     params = init_params(TINY, 3, seed=0)
     main, branch, labels = toy_problem()
     with pytest.raises(ParameterError, match=r"^non-finite classifier2\.bias updated at epoch 1, step 1; "):
@@ -242,11 +241,11 @@ def test_float32_inputs_train_to_the_bytes_of_their_float64_source(shared):
 def test_one_array_as_both_inputs_is_cast_and_gathered_once(monkeypatch):
     params = init_params(TINY, 3, seed=0)
     main, _, labels = toy_problem()
-    cast, branch, _ = _check_dataset(main, main, labels, params)
+    cast, branch, _ = model.check_dataset(params, main, main, labels)
     assert branch is cast and cast.dtype == np.float32
     keys = []
-    gather = train_module._gather
-    monkeypatch.setattr(train_module, "_gather", lambda ws, key, *a: keys.append(key) or gather(ws, key, *a))
+    gather = model._gather
+    monkeypatch.setattr(model, "_gather", lambda ws, key, *a: keys.append(key) or gather(ws, key, *a))
     cfg = TrainConfig(epochs=2, batch_size=10)
     shared = train(params, main, main, labels, cfg)
     assert keys == ["main"] * 6  # 24 samples: steps of 10, 10 and 4, twice
@@ -273,7 +272,7 @@ def traced_steps(monkeypatch, *args) -> list:
     bytes at the start of each step (its first chunk's gather) and at the
     end, each peak since the mark before it."""
     marks, stepping = [], []
-    gather, chunks = train_module._gather, train_module._chunks
+    gather, chunks = model._gather, model._chunks
 
     def splitting(*a):  # once per step, before the step's first gather
         stepping.append(True)
@@ -286,8 +285,8 @@ def traced_steps(monkeypatch, *args) -> list:
             tracemalloc.reset_peak()
         return gather(ws, key, *a)
 
-    monkeypatch.setattr(train_module, "_chunks", splitting)
-    monkeypatch.setattr(train_module, "_gather", marking)
+    monkeypatch.setattr(model, "_chunks", splitting)
+    monkeypatch.setattr(model, "_gather", marking)
     tracemalloc.start()
     try:
         train(*args)

@@ -1,13 +1,14 @@
 """Every top-level private name of the package is used somewhere in the package,
-and only the listed ones cross a module boundary.
+and none crosses a module boundary.
 
 A deletion can leave a helper behind (``_rep_counts`` after its last caller
 goes); this catches it.  A name counts as used when any package module loads
 it, reads it as an attribute or imports it by name, its own definition aside.
 
 A private name one package module imports from another means two modules
-share a decision; each such import is listed in PRIVATE_IMPORTS with the
-reason it stays, so a new one has to be named here or made public.
+share a decision.  PRIVATE_IMPORTS, the allow-list of such imports with the
+reason each stays, is empty: a new one has to be made public, or listed
+there with its reason.
 """
 import ast
 from pathlib import Path
@@ -16,12 +17,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "icvmd"
 MODULES = sorted([*PACKAGE.glob("*.py"), *PACKAGE.glob("nn/*.py")])
 
 # (importing module, imported module and name): why the two modules share it.
-PRIVATE_IMPORTS = {
-    ("cli", "nn.checkpoint._check_keys"): "icvmd eval refuses a checkpoint's vmd keys as load_checkpoint refuses its config and array keys",
-    ("nn.train", "nn.model._buf"): "train() keeps its gathered minibatch rows in the model's workspace buffers",
-    ("nn.train", "nn.model._chunks"): "train() runs a minibatch in model_forward's chunks, so its bytes are one whole-batch pass's",
-    ("nn.train", "nn.model._segment_count"): "train() refuses input too short for one segment, even at epochs=0",
-}
+PRIVATE_IMPORTS: dict = {}
 
 
 def private_definitions(tree: ast.Module) -> dict:
