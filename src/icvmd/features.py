@@ -17,7 +17,7 @@ Layout of the ``3*MAX_MODES + 12`` entries:
     [3*MAX_MODES+8 : +12) the same four cumulants of the narrowband-mode
                         (SIGNAL-labeled) reconstruction only
 
-Retained modes are those labeled FEATURE on either side.
+Retained modes are those labeled FEATURE on either side, with nonzero energy.
 
 The decomposition is linear in the input, so every geometric quantity
 (centers, bandwidths, energy fractions) is invariant to an overall gain; the

@@ -179,10 +179,16 @@ def tally(memo: dict) -> tuple:
 
 
 def predict(params, mains, branches, class_ids) -> np.ndarray:
-    """Classifier inference (model_forward chunks the batch); the predicted class ids of finite logits."""
+    """Classifier inference (model_forward chunks the batch); the predicted class ids.  A value not finite in
+    the parameters' dtype, in an input (before any layer runs) or a logit, raises ParameterError naming its row."""
+    bad_row = lambda x: int(np.isfinite(x.reshape(len(x), -1)).all(axis=1).argmin())  # the first holding a NaN or an inf
+    for name, x in (("main", mains), ("branch", branches)):
+        x = np.asarray(x, dtype=params.dtype)  # model_forward's cast; shape errors are its own
+        if x.ndim == 3 and x.size and not np.isfinite([x.min(), x.max()]).all():  # NaN propagates: a row pass only on failure
+            raise ParameterError(f"{name} input holds a non-finite value in {params.dtype} in row {bad_row(x)} of {len(x)}")
     logits, _ = model_forward(params, mains, branches)
-    if not np.isfinite(logits).all():  # argmin: the first row holding a NaN or an inf
-        raise ParameterError(f"non-finite logits for row {np.isfinite(logits).all(axis=1).argmin()} of {len(logits)}")
+    if not np.isfinite(logits).all():
+        raise ParameterError(f"non-finite logits for row {bad_row(logits)} of {len(logits)}")
     return class_ids[np.argmax(logits, axis=1)]
 
 

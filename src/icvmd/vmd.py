@@ -51,6 +51,13 @@ _SETTLE_RAD and is not under tol, and 1 otherwise.  The metric is always
 taken on the unrelaxed du_k, and only a plain (beta = 1) sweep may declare
 convergence: a relaxed sweep under tol is followed by a plain sweep, which
 keeps the centers about 1.6x nearer the fixed point than stopping there.
+
+Two live modes whose centers lie within one Wiener half-width 1/sqrt(2*alpha)
+share one band.  After each sweep's centroid step the weaker of the first such
+pair in center order (the later index on a tie) is added into the stronger,
+which keeps its center and takes its merged norm as its previous one, so r does
+not change; the weaker is not updated again and returns a zero row at its last
+center.  Below alpha 13 two of the K = 4 start centers may lie within one width.
 """
 from __future__ import annotations
 
@@ -120,7 +127,7 @@ class ModeSet:
     coefficients    -- real array [n_modes, n + 1], each mode's DCT-II
                        coefficients on the half grid (the rfft of its mirror
                        extension over the extension's phase, module
-                       docstring), the last 0; float32 for a float32 input,
+                       docstring), the last 0, and a retired mode's all 0; float32 for a float32 input,
                        float64 otherwise (an icvmd_decompose side keeps its
                        float32 rows at the capture's unit peak)
     omegas          -- center frequencies in radians, ascending, within [0, pi]
@@ -222,24 +229,6 @@ def _init_omegas(cfg: VmdConfig, spectrum: np.ndarray) -> np.ndarray:
     return np.sort(np.array(chosen))
 
 
-def _reseed_collisions(omegas: list | np.ndarray, min_gap: float) -> None:
-    """Move the later of any colliding pair of centers (a list or array,
-    changed in place) to the widest free band.
-
-    Two modes chasing the same spectral line never separate on their own; the
-    deterministic reseed breaks the tie in favor of empty spectrum.  Mode 0 is
-    never moved.
-    """
-    # Subtraction is monotone, so some pair is under min_gap exactly when
-    # some pair adjacent in sorted order is.
-    ordered = sorted(omegas)
-    if all(b - a >= min_gap for a, b in zip(ordered, ordered[1:])):
-        return
-    for j in range(1, len(omegas)):
-        if any(abs(omegas[j] - omegas[i]) < min_gap for i in range(j)):
-            omegas[j] = float(_widest_gap_midpoint(np.delete(omegas, j)))
-
-
 def check_memory_budget(n: int, n_modes: int, dtype=np.float64) -> None:
     """Raise ParameterError when decomposing an n-sample signal into n_modes
     modes, sweeping rows of ``dtype``, would hold more than
@@ -250,22 +239,20 @@ def check_memory_budget(n: int, n_modes: int, dtype=np.float64) -> None:
     rows, counted as sixteen."""
     need = (n + 1) * ((np.dtype(dtype).itemsize + 8) * n_modes + 8 * 16)
     if need > _MEMORY_BUDGET_BYTES:
-        raise ParameterError(
-            f"{n_modes} modes of a {n}-sample signal need about {need / 2**20:.0f} MiB, "
-            f"over the {_MEMORY_BUDGET_BYTES / 2**20:.0f} MiB budget"
-        )
+        raise ParameterError(f"{n_modes} modes of a {n}-sample signal need about {need / 2**20:.0f} MiB, "
+                             f"over the {_MEMORY_BUDGET_BYTES / 2**20:.0f} MiB budget")
 
 
 def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     """Decompose a real 1-D signal into ``cfg.n_modes`` band-limited modes.
 
-    The ADMM loop sweeps modes in index order, refreshing each spectrum with
-    the Wiener update (using the freshest other-mode sum), then re-centers
-    every mode on its refreshed spectrum.  Once the centers settle, sweeps
-    over-relax both steps by _RELAX; convergence is declared only on a plain
-    sweep (see the module docstring).
-    After the loop one plain mode-update sweep is run at the final centers so
-    the returned coefficients satisfy the Wiener fixed-point form exactly.
+    The ADMM loop sweeps the live modes in index order, refreshing each spectrum
+    with the Wiener update (using the freshest other-mode sum), then re-centers
+    every mode on its refreshed spectrum and retires one of two that share a band.
+    Once the centers settle, sweeps over-relax both steps by _RELAX; convergence
+    is declared only on a plain sweep (see the module docstring).  After the loop
+    one plain mode-update sweep is run at the final centers so the returned
+    coefficients satisfy the Wiener fixed-point form exactly.
 
     Modes are returned sorted by ascending center frequency.
     """
@@ -289,10 +276,8 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
         raise DegenerateInputError("cannot decompose an all-zero signal")
     e = math.frexp(peak)[1]  # x / 2^e has its peak in [1/2, 1) (module docstring)
 
-    n = x.size
-    k_modes = cfg.n_modes
+    n, k_modes = x.size, cfg.n_modes
     grid = _tables(n)[0]
-    min_gap = np.pi / n
     r = _dct(np.ldexp(x, -e))  # the coefficients of x / 2^e
     guard = _ENERGY_GUARD * float(r.dot(r))
     omegas = _init_omegas(cfg, r).tolist()
@@ -306,12 +291,13 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     dens = list(den)
     d = np.empty(n + 1, dtype=real)
     prev_norms = [0.0] * k_modes
+    live = list(range(k_modes))  # the modes not retired, in index order
 
     # One flat loop of sweeps (module docstring).  After the last, the centers
     # freeze and one more plain pass refreshes every row at them, so the output
     # is an exact Wiener fixed point of its own reported state.
-    add, subtract, multiply, divide, reseed = np.add, np.subtract, np.multiply, np.divide, _reseed_collisions
-    tol, max_iter, pi = cfg.tol, cfg.max_iter, math.pi
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    tol, max_iter, pi, width = cfg.tol, cfg.max_iter, math.pi, 1.0 / root  # width: the Wiener half-width
     iterations, beta, final_delta, converged, last = 0, 1.0, float("inf"), False, False
     while True:
         centers[:, 0] = [root * w for w in omegas]  # every Wiener denominator 1 + (s*w - s*w_k)^2
@@ -319,7 +305,7 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
         multiply(den, den, den)
         add(den, 1.0, den)
         delta = 0.0
-        for k in range(k_modes):  # mode k moves by beta times its Wiener step du_k
+        for k in live:  # mode k moves by beta times its Wiener step du_k
             uk = rows[k]
             add(r, uk, d)
             divide(d, dens[k], d)
@@ -340,7 +326,6 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
                 move = moment / energy - omegas[k]
                 shift = max(shift, abs(move))
                 omegas[k] = min(max(omegas[k] + beta * move, 0.0), pi)
-        reseed(omegas, min_gap)
         # Out of an all-zero start the first sweep has nothing to compare to.
         if max(prev_norms) > guard:
             final_delta = delta
@@ -348,6 +333,15 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
             # A settled sweep not under tol relaxes the next (module docstring).
             beta = _RELAX if shift < _SETTLE_RAD and delta >= tol else 1.0
         prev_norms = [energy for energy, _ in sums]  # the next sweep's previous norms
+        # Retire the weaker of the first pair within one half-width (module docstring).
+        ordered = sorted(live, key=omegas.__getitem__)
+        pair = next(((a, b) for a, b in zip(ordered, ordered[1:]) if omegas[b] - omegas[a] < width), None)
+        if pair:
+            weak, strong = sorted(pair, key=lambda k: (prev_norms[k], -k))
+            add(rows[strong], rows[weak], rows[strong])
+            rows[weak].fill(0.0)
+            prev_norms[strong] = float(rows[strong].dot(rows[strong]))
+            live.remove(weak)
         if converged or iterations == max_iter:
             last, beta = True, 1.0
 

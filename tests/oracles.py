@@ -25,7 +25,6 @@ from icvmd.vmd import (
     ModeSet,
     VmdConfig,
     VmdResult,
-    _reseed_collisions,
     _widest_gap_midpoint,
     half_grid,
     smoothed_power,
@@ -240,6 +239,8 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
     is the plain loop of Dragomiretskiy & Zosso.
     After the loop one plain mode-update sweep is run at the final centers so
     the returned spectra satisfy the Wiener fixed-point form exactly.
+    After each sweep, of two live modes with centers within one Wiener
+    half-width 1/sqrt(2*alpha), the weaker is retired into the stronger.
 
     Modes are returned sorted by ascending center frequency.
     """
@@ -261,18 +262,19 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
     grid = half_grid(n_ext)
     n_bins = grid.size
     f_hat = np.fft.rfft(ext)
-    min_gap = 2.0 * np.pi / n_ext
+    width = 1.0 / math.sqrt(2.0 * cfg.alpha)
 
     k_modes = cfg.n_modes
     omegas = reference_init_omegas(cfg, f_hat)
     u = np.zeros((k_modes, n_bins), dtype=complex)
+    live = list(range(k_modes))
 
     def sweep(beta):
         """Returns the plain spectra and the largest plain center shift."""
         plain = u.copy()
         shift = 0.0
         sum_u = u.sum(axis=0)
-        for k in range(k_modes):
+        for k in live:
             others = sum_u - u[k]
             plain[k] = wiener_mode_update(f_hat, others, omegas[k], cfg.alpha, grid)
             u[k] = u[k] + beta * (plain[k] - u[k])
@@ -291,7 +293,18 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
     for iterations in range(1, cfg.max_iter + 1):
         u_prev = u.copy()
         plain, shift = sweep(beta)
-        _reseed_collisions(omegas, min_gap)
+        # Of the first two live modes in center order whose centers lie
+        # within one Wiener half-width, the weaker (the later on a tie) is
+        # merged into the other and never updated again.
+        by_center = sorted(live, key=lambda k: omegas[k])
+        close = [(a, b) for a, b in zip(by_center, by_center[1:]) if omegas[b] - omegas[a] < width]
+        if close:
+            a, b = close[0]
+            energy = np.sum(np.abs(u) ** 2, axis=-1)
+            weak, strong = (b, a) if energy[b] < energy[a] or (energy[b] == energy[a] and b > a) else (a, b)
+            u[strong] += u[weak]
+            u[weak] = 0.0
+            live.remove(weak)
         prev_norms = np.sum(np.abs(u_prev) ** 2, axis=-1)
         if np.all(prev_norms <= _ENERGY_GUARD):
             # First sweeps out of an all-zero start: nothing to compare yet.
@@ -310,7 +323,7 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
     # Freeze the centers, then refresh every spectrum once so the output
     # is an exact Wiener fixed point of its own reported state.
     sum_u = u.sum(axis=0)
-    for k in range(k_modes):
+    for k in live:
         others = sum_u - u[k]
         u[k] = wiener_mode_update(f_hat, others, omegas[k], cfg.alpha, grid)
         sum_u = others + u[k]

@@ -15,10 +15,10 @@ from icvmd.decompose import (
     reconstruct,
     reconstruct_from_dump,
 )
-from icvmd.dataset import DatasetSpec, synthesize_one
+from icvmd.dataset import DatasetSpec, generate_dataset, load_entry, load_manifest, synthesize_one
 from icvmd.errors import ParameterError
 from icvmd.features import MAX_MODES, extract_features
-from icvmd.modulation import ModulationKind
+from icvmd.modulation import ModulationKind, gen_baseband
 from icvmd.pa import emitter_bank, hammerstein_apply
 from icvmd.signals import ComplexSignal, add_awgn, normalize_power
 from icvmd.vmd import VmdConfig, vmd_decompose
@@ -82,10 +82,10 @@ def test_partition_lone_mode_of_a_constant_side_is_signal():
 
 def test_near_nyquist_carrier_is_signal():
     # A CW line near Nyquist is an ordinary mode: the strongest, so SIGNAL.
-    # The solver splits this line over two positive-side modes (at about
-    # 2.888 and 2.892 rad), so only about half of it lands in the one SIGNAL
-    # mode; labelling every mode near the strongest one's energy as SIGNAL
-    # would take the rest.  The bar is for one mode holding half the line.
+    # Before the solver retired a mode that closes within one Wiener
+    # half-width of another, it split this line over two positive-side modes
+    # (at about 2.888 and 2.892 rad), and the one SIGNAL mode held 0.43-0.44
+    # of the input; with the retirement it holds 0.90-0.96.
     # The tone goes through synthesize_one's chain, at 0.46 cycles/sample in
     # place of the recipe's carrier.
     cfg = VmdConfig()
@@ -96,7 +96,51 @@ def test_near_nyquist_carrier_is_signal():
                 sig = add_awgn(hammerstein_apply(tone, profile), 18.0, 100 + seed)
                 part = reconstruct(icvmd_decompose(sig, cfg), {ModeLabel.SIGNAL}).samples
                 share = np.sum(np.abs(part) ** 2) / np.sum(np.abs(sig.samples) ** 2)
-                assert share >= 0.3, (n, profile.emitter_id, seed, share)
+                assert share >= 0.85, (n, profile.emitter_id, seed, share)
+
+
+def _cw_captures_at_18_db(tmp_path):
+    """The 14 CW captures of a 2100-sample dataset at 18 dB, each with its
+    noiseless emission (synthesize_one's chain without the AWGN)."""
+    spec = DatasetSpec(snr_grid_db=(18,), signals_per_emitter=12, n_samples=2100, seed=905)
+    generate_dataset(spec, tmp_path)
+    manifest, bank = load_manifest(tmp_path), {p.emitter_id: p for p in spec.emitters}
+    for e in manifest["files"]:
+        if e["modulation"] == "cw":
+            clean = normalize_power(gen_baseband(ModulationKind.CW, spec.n_samples, e["seed"]))
+            yield load_entry(manifest, e), hammerstein_apply(clean, bank[e["emitter_id"]]).samples
+
+
+def test_no_side_returns_the_carrier_split_over_two_modes(tmp_path):
+    # Measured before the solver retired a mode that closes on another: on 12
+    # of these 14 positive sides two nonzero-energy modes sat within one Wiener
+    # half-width, and the SIGNAL rebuild scored a median 1-NMSE of 0.9953
+    # (minimum 0.9881) against the noiseless emission; with the retirement,
+    # 0.9984 (0.9983).
+    cfg = VmdConfig()
+    width = 1.0 / np.sqrt(2.0 * cfg.alpha)
+    scores = []
+    for sig, clean in _cw_captures_at_18_db(tmp_path):
+        res = icvmd_decompose(sig, cfg)
+        for side in (res.pos, res.neg):
+            live = np.sort(side.omegas[side.energies != 0.0])
+            assert np.all(np.diff(live) >= width), live
+        signal = reconstruct(res, {ModeLabel.SIGNAL}).samples
+        scores.append(1.0 - np.sum(np.abs(signal - clean) ** 2) / np.sum(np.abs(clean) ** 2))
+    assert len(scores) == 14
+    assert np.median(scores) >= 0.9953  # the median before the retirement
+
+
+def test_the_sweep_total_stays_within_its_budget(tmp_path):
+    # Both sides of 42 captures (7 emitters x 6 kinds at 18 dB, n=700): 2,073
+    # sweeps, where the solver took 2,470 before it retired a mode that closes
+    # on another.  The counts repeat exactly per seed on one host, so a solver
+    # change that brings the split-carrier tail back fails here.
+    generate_dataset(DatasetSpec(snr_grid_db=(18,), signals_per_emitter=6, n_samples=700), tmp_path)
+    manifest = load_manifest(tmp_path)
+    results = [icvmd_decompose(load_entry(manifest, e), VmdConfig()) for e in manifest["files"]]
+    assert len(results) == 42
+    assert sum(side.mode_set.iterations for res in results for side in (res.pos, res.neg)) <= 2073
 
 
 # ------------------------------------------------------- decompose + rebuild

@@ -143,11 +143,13 @@ def test_vector_layout_and_padding():
     res = decompose_demo()
     vec = extract_features(res)
     assert vec.shape == (3 * 6 + 12,)
+    # Retained: labeled FEATURE with nonzero energy, so neither an empty side's
+    # modes nor a retired solver mode's zero row.
     n_retained = sum(
         1
         for side in (res.pos, res.neg)
-        for l in side.labels
-        if l is ModeLabel.FEATURE
+        for l, energy in zip(side.labels, side.energies)
+        if l is ModeLabel.FEATURE and energy != 0.0
     )
     # Trailing geometric slots beyond the retained modes stay zero-padded.
     for i in range(n_retained, 6):

@@ -242,7 +242,29 @@ def test_predict_refuses_a_capture_with_a_non_finite_value(value):
     params = init_params(ModelConfig(), n_classes=3, seed=0)
     x = np.random.default_rng(0).normal(size=(3, 2, 256)).astype(np.float32)
     x[1, 0, 5] = value
-    with np.errstate(invalid="ignore"), pytest.raises(ParameterError, match=r"^non-finite logits for row 1 of 3$"):
+    with pytest.raises(ParameterError, match=r"^main input holds a non-finite value in float32 in row 1 of 3$"):
+        fewshot.predict(params, x, x, np.array([10, 20, 30]))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, 1e39])
+@pytest.mark.parametrize("which", ["main", "branch"])
+def test_predict_refuses_a_non_finite_input_before_any_layer_runs(which, value):
+    # An inf reaches the first matmul, which warns (an error in this suite)
+    # before any check of the logits; 1e39 is inf once cast to float32.
+    params = init_params(ModelConfig(), n_classes=3, seed=0)
+    inputs = {k: np.random.default_rng(0).normal(size=(3, 2, 256)) for k in ("main", "branch")}
+    inputs[which][2, 1, 200] = value
+    with np.errstate(over="ignore"), pytest.raises(ParameterError, match=rf"^{which} input holds a non-finite value in float32 in row 2 of 3$"):
+        fewshot.predict(params, inputs["main"], inputs["branch"], np.array([10, 20, 30]))
+
+
+def test_predict_refuses_non_finite_logits_by_row():
+    # Finite inputs reach non-finite logits only through the parameters: an
+    # inf in one class's bias (a Python-API model; checkpoints refuse one).
+    params = init_params(ModelConfig(), n_classes=3, seed=0)
+    params.arrays["classifier2.bias"][2] = np.inf
+    x = np.random.default_rng(0).normal(size=(3, 2, 256)).astype(np.float32)
+    with pytest.raises(ParameterError, match=r"^non-finite logits for row 0 of 3$"):
         fewshot.predict(params, x, x, np.array([10, 20, 30]))
 
 

@@ -15,12 +15,11 @@ from icvmd.modulation import ModulationKind
 from icvmd.pa import emitter_bank
 from icvmd.signals import ComplexSignal
 from icvmd import vmd
-from icvmd.vmd import VmdConfig, _reseed_collisions, half_grid, vmd_decompose
+from icvmd.vmd import VmdConfig, half_grid, vmd_decompose
 from oracles import (
     center_frequency,
     convergence_metric,
     extension_phase,
-    halves_split,
     mirror_extend,
     reference_init_omegas,
     reference_vmd_decompose,
@@ -208,58 +207,6 @@ def test_returned_spectra_satisfy_wiener_fixed_point():
         assert err < 1e-8
 
 
-@pytest.mark.parametrize(
-    "before, after",
-    [
-        # Anchors 0, 0.5, 2.0, pi: the widest free band is (0.5, 2.0).
-        ([0.5, 0.5, 2.0], [0.5, 1.25, 2.0]),
-        # The index decides, not the value: mode 1 moves to the middle of (0, 2.0).
-        ([2.0, 2.0], [2.0, 1.0]),
-        # Mode 0 at zero stays there; mode 1 takes (1.0, pi).
-        ([0.0, 0.0, 1.0], [0.0, (1.0 + np.pi) / 2, 1.0]),
-        # Centers farther apart than min_gap stay where they are.
-        ([0.0, 0.5, 0.502, 3.0], [0.0, 0.5, 0.502, 3.0]),
-    ],
-    ids=["widest_band", "index_not_value", "mode_0_at_zero", "separated"],
-)
-def test_reseed_moves_the_later_of_two_equal_centers(before, after):
-    omegas = np.array(before)
-    _reseed_collisions(omegas, min_gap=1e-3)
-    assert omegas.tolist() == pytest.approx(after, abs=1e-15)
-    assert omegas[0] == before[0]
-
-
-def pairwise_reseed(omegas, min_gap):
-    """_reseed_collisions without its sorted-gap test: every pair is compared."""
-    for j in range(1, len(omegas)):
-        if any(abs(omegas[j] - omegas[i]) < min_gap for i in range(j)):
-            omegas[j] = float(vmd._widest_gap_midpoint(np.delete(omegas, j)))
-
-
-@settings(deadline=None, max_examples=300)
-@given(
-    case=st.one_of(
-        # Multiples of a power-of-two gap: equal centers, and pairs exactly min_gap apart.
-        st.integers(2, 8).flatmap(
-            lambda e: st.tuples(
-                st.just(2.0**-e), st.lists(st.integers(0, 12).map(lambda i: i * 2.0**-e), min_size=1, max_size=8)
-            )
-        ),
-        st.tuples(st.floats(1e-6, 1.0), st.lists(st.floats(0.0, np.pi), min_size=1, max_size=8)),
-    )
-)
-def test_reseed_gap_test_agrees_with_the_pairwise_rule(case):
-    min_gap, centers = case
-    ordered = sorted(centers)
-    adjacent = any(b - a < min_gap for a, b in zip(ordered, ordered[1:]))
-    pairwise = any(abs(c - d) < min_gap for j, c in enumerate(centers) for d in centers[:j])
-    assert adjacent == pairwise
-    want, got = list(centers), list(centers)
-    pairwise_reseed(want, min_gap)
-    _reseed_collisions(got, min_gap)
-    assert got == want
-
-
 def _coefficients(x):
     """The real coefficients the solver reads its start off."""
     return (np.fft.rfft(mirror_extend(x)) * extension_phase(x.size).conj()).real
@@ -440,16 +387,13 @@ def _sweep_case_signal(n, seed):
 
 
 def _colliding_cw_side():
-    """The pos side of one n=700 CW capture, whose solve moves centers
-    through _reseed_collisions; no seeded mix below collides.  It is built by
-    the oracles' spectrum-halves split, on whose bytes the case was found: on
-    the package's split of the same capture, 3e-16 norm-relative away, the
-    reference loop stops two sweeps before the fused solve, at another third
-    center."""
+    """The pos side of one n=700 CW capture, on which the solve retires two
+    modes whose centers close within one Wiener half-width; no seeded mix
+    below retires one."""
     sig = synthesize_one(
         DatasetSpec(n_samples=700), emitter_bank()[6], ModulationKind.CW, 18.0, 2274038596, 4283324809
     )
-    return halves_split(sig)[0]
+    return analytic_split(sig)[0]
 
 
 def _case_signal(source):
@@ -487,21 +431,15 @@ def test_fused_sweep_matches_reference_loop(source, cfg):
         assert np.max(np.abs(a - b)) <= 1e-10 * max(np.max(np.abs(b)), 1e-300)
 
 
-def test_fused_sweep_cases_reach_the_collision_reseed(monkeypatch):
-    # The start never collides (its centers are at least pi/(4K) apart), so
-    # the comparison above covers _reseed_collisions only if some case
-    # collides on its way.
-    moved = []
-
-    def counting_reseed(omegas, min_gap):
-        before = list(omegas)
-        _reseed_collisions(omegas, min_gap)
-        moved.append(int(np.sum(np.asarray(omegas) != before)))
-
-    monkeypatch.setattr(vmd, "_reseed_collisions", counting_reseed)
+def test_fused_sweep_cases_retire_a_mode():
+    # At these alphas the start never puts two centers within one half-width
+    # (they are at least pi/(4K) apart), so the comparison above covers the
+    # retirement only if some case retires a mode on its way.
+    retired = 0
     for source, cfg in FUSED_SWEEP_CASES:
-        vmd_decompose(_case_signal(source), cfg)
-    assert sum(moved) >= 1
+        ms = vmd_decompose(_case_signal(source), cfg).mode_set
+        retired += int(np.sum(~ms.coefficients.any(axis=1)))
+    assert retired >= 1
 
 
 def _bench_shaped_sides():
