@@ -179,16 +179,13 @@ def tally(memo: dict) -> tuple:
 
 
 def predict(params, mains, branches, class_ids) -> np.ndarray:
-    """Classifier inference (model_forward chunks the batch); the predicted class ids.  A value not finite in
-    the parameters' dtype, in an input (before any layer runs) or a logit, raises ParameterError naming its row."""
-    bad_row = lambda x: int(np.isfinite(x.reshape(len(x), -1)).all(axis=1).argmin())  # the first holding a NaN or an inf
-    for name, x in (("main", mains), ("branch", branches)):
-        x = np.asarray(x, dtype=params.dtype)  # model_forward's cast; shape errors are its own
-        if x.ndim == 3 and x.size and not np.isfinite([x.min(), x.max()]).all():  # NaN propagates: a row pass only on failure
-            raise ParameterError(f"{name} input holds a non-finite value in {params.dtype} in row {bad_row(x)} of {len(x)}")
+    """Classifier inference (model_forward checks the inputs and chunks the batch); the predicted class ids,
+    one per output of the model.  A logit not finite in the parameters' dtype raises ParameterError naming its row."""
+    if len(class_ids) != params.n_classes:
+        raise ParameterError(f"{len(class_ids)} class ids for a model of {params.n_classes} classes")
     logits, _ = model_forward(params, mains, branches)
     if not np.isfinite(logits).all():
-        raise ParameterError(f"non-finite logits for row {bad_row(logits)} of {len(logits)}")
+        raise ParameterError(f"non-finite logits for row {int(np.isfinite(logits).all(axis=1).argmin())} of {len(logits)}")
     return class_ids[np.argmax(logits, axis=1)]
 
 
@@ -243,6 +240,8 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
     dupes = sorted({p for p in proportions if proportions.count(p) > 1})
     if dupes:
         raise ParameterError(f"each proportion may appear only once; repeated: {dupes}")
+    if pipeline is not Pipeline.ICVMD_FEATURES:
+        ModelConfig().segment_count(spec.n_samples)  # before any file: no classifier runs a shorter capture
     icvmd_cfg = VmdConfig()
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)

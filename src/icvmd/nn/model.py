@@ -14,8 +14,8 @@ spatial attention weights.
 
 Head: the attention-weighted sum of per-segment logit columns is mapped by one
 affine layer to the final logits.  Every layer runs in the parameters' dtype,
-layers.DTYPE, which signal_channels builds its stacks in; the entry points
-cast an input of any other dtype to it.
+layers.DTYPE, which signal_channels builds its stacks in.  Every entry point
+checks its inputs by _inputs, which casts them once, before any layer runs.
 
 A batch runs in consecutive chunks of samples, each small enough that its
 activations stay in a core's L2 cache, through a workspace: a dict of
@@ -87,6 +87,12 @@ class ModelConfig:
 
     def __post_init__(self):
         check_int("segment_len", self.segment_len, 1)
+
+    def segment_count(self, t: int) -> int:
+        """Full segments in t samples; ParameterError below one, which no model can run."""
+        if t < self.segment_len:
+            raise ParameterError(f"need at least one full segment: T={t} < segment_len={self.segment_len}")
+        return t // self.segment_len
 
 
 @dataclass
@@ -271,15 +277,6 @@ def _features_backward(params: NetParams, dfeat: np.ndarray, cache, grads, ws: d
     _stack_backward(dh, enc_caches, grads, "encoder", ws)
 
 
-def _segment_count(params: NetParams, t: int) -> int:
-    s = t // params.config.segment_len
-    if s < 1:
-        raise ParameterError(
-            f"need at least one full segment: T={t} < segment_len={params.config.segment_len}"
-        )
-    return s
-
-
 def _branch_forward(params: NetParams, xb: np.ndarray, s: int, ws: dict):
     """Per-segment scores: xb [B, C_in, T] -> scores [B, S], cache.
 
@@ -305,22 +302,34 @@ def _branch_backward(params: NetParams, dscores: np.ndarray, cache, grads, ws: d
     _stack_backward(dh, caches, grads, "branch.convs", ws)
 
 
-def _inputs(params: NetParams, *inputs) -> tuple:
-    """The inputs in the parameters' dtype, [B, C, T] with one B >= 1 and one T,
-    then their segment count."""
-    xs = [np.asarray(x, dtype=params.dtype) for x in inputs]
+def _inputs(params: NetParams, **inputs) -> tuple:
+    """The named inputs (main, branch or both) in the parameters' dtype, each
+    distinct array cast and checked once, then their segment count.  Refuses
+    all but [B, IN_CHANNELS, T] with one B >= 1 and one T of a segment or more,
+    finite after the cast (a float64 1e39 is not), naming the input and row."""
+    cast: dict = {}  # id of each distinct array given -> its first name, its cast
+    for name, x in inputs.items():
+        if id(x) not in cast:
+            cast[id(x)] = name, np.asarray(x, dtype=params.dtype)
+    xs = [cast[id(x)][1] for x in inputs.values()]
     shapes = " and ".join(str(x.shape) for x in xs)
-    if any(x.ndim != 3 for x in xs) or len({(x.shape[0], x.shape[2]) for x in xs}) > 1:
-        raise ParameterError(f"inputs must be [B, C, T] with one batch size and length, got {shapes}")
-    if xs[0].shape[0] == 0:
+    if any(x.ndim != 3 or x.shape[1] != IN_CHANNELS for x in xs) or len({(x.shape[0], x.shape[2]) for x in xs}) > 1:
+        raise ParameterError(f"inputs must be [B, C, T] with C = {IN_CHANNELS}, one batch size and one length, got {shapes}")
+    b, _, t = xs[0].shape
+    if b == 0:
         raise ParameterError(f"empty batch: inputs of shape {shapes}")
-    return (*xs, _segment_count(params, xs[0].shape[2]))
+    s = params.config.segment_count(t)
+    for name, x in cast.values():
+        if not np.isfinite([x.min(), x.max()]).all():  # NaN propagates: a pass over rows only on failure
+            row = int(np.isfinite(x.reshape(b, -1)).all(axis=1).argmin())
+            raise ParameterError(f"{name} input holds a non-finite value in {params.dtype} in row {row} of {b}")
+    return (*xs, s)
 
 
-def _by_chunk(params: NetParams, run, *inputs) -> list:
+def _by_chunk(params: NetParams, run, **inputs) -> list:
     """``run(*rows, s, ws)`` on each _chunks slice of the checked inputs through
     one workspace local to the call; each of run's outputs for the whole batch."""
-    *xs, s = _inputs(params, *inputs)
+    *xs, s = _inputs(params, **inputs)
     b, _, t = xs[0].shape
     ws: dict = {}
     outs = [run(*(x[rows] for x in xs), s, ws) for rows in _chunks(b, t)]
@@ -329,7 +338,7 @@ def _by_chunk(params: NetParams, run, *inputs) -> list:
 
 def spatial_attention_weights(params: NetParams, branch_x: np.ndarray) -> np.ndarray:
     """Softmax-normalized per-segment weights from the branch path: [B, C, T] -> [B, S]."""
-    return _by_chunk(params, lambda xb, s, ws: (softmax(_branch_forward(params, xb, s, ws)[0], axis=1),), branch_x)[0]
+    return _by_chunk(params, lambda xb, s, ws: (softmax(_branch_forward(params, xb, s, ws)[0], axis=1),), branch=branch_x)[0]
 
 
 def _forward(params: NetParams, xm: np.ndarray, xb: np.ndarray, s: int, ws: dict):
@@ -365,7 +374,7 @@ def _forward(params: NetParams, xm: np.ndarray, xb: np.ndarray, s: int, ws: dict
 def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, workspace=None):
     """Full forward pass in the parameters' dtype.
 
-    main_x and branch_x are [B, C_in, T] over the same time grid, B >= 1.
+    main_x and branch_x pass _inputs: [B, C_in, T] on one time grid, finite.
     Returns (logits [B, n_classes], cache); the cache holds the attention
     weights under key 'attention'.  Each row's logits are bit-identical to
     those of the row run alone.
@@ -378,9 +387,9 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, w
     only the attention, and model_backward refuses it.
     """
     if workspace is None:
-        logits, att = _by_chunk(params, lambda xm, xb, s, ws: _forward(params, xm, xb, s, ws)[0], main_x, branch_x)
+        logits, att = _by_chunk(params, lambda xm, xb, s, ws: _forward(params, xm, xb, s, ws)[0], main=main_x, branch=branch_x)
         return logits, {"attention": att}
-    (logits, _), cache = _forward(params, *_inputs(params, main_x, branch_x), workspace)
+    (logits, _), cache = _forward(params, *_inputs(params, main=main_x, branch=branch_x), workspace)
     return logits, cache
 
 
@@ -423,8 +432,10 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache, grads: dict) -
     return grads
 
 
-def check_labels(labels: np.ndarray, k: int) -> None:
-    """Raise ParameterError unless labels are integers in [0, k)."""
+def check_labels(labels: np.ndarray, n: int, k: int) -> None:
+    """Raise ParameterError unless labels are [n] integers in [0, k)."""
+    if labels.shape != (n,):
+        raise ParameterError(f"labels must be [{n}], got shape {labels.shape}")
     if not np.issubdtype(labels.dtype, np.integer):  # rejects float and bool labels
         raise ParameterError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= k:
@@ -443,9 +454,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray, batch_size=None):
     b, k = logits.shape
     if b == 0:
         raise ParameterError(f"empty batch: logits of shape {logits.shape}")
-    if labels.shape != (b,):
-        raise ParameterError("labels must be [batch]")
-    check_labels(labels, k)
+    check_labels(labels, b, k)
     shifted = logits - logits.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logz
@@ -456,23 +465,13 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray, batch_size=None):
 
 
 def check_dataset(params: NetParams, main, branch, labels) -> tuple:
-    """(main, branch, labels) checked as a training set, the inputs cast to
-    the parameters' dtype (one array when branch is main)."""
-    same = branch is main
-    main = np.asarray(main, dtype=params.dtype)
-    branch = main if same else np.asarray(branch, dtype=params.dtype)
-    labels = np.asarray(labels)
-    if main.ndim != 3 or branch.shape != main.shape:
-        raise ParameterError("main and branch inputs must both be [N, C, T]")
-    if labels.shape != (main.shape[0],):
-        raise ParameterError("labels must be [N]")
-    if main.shape[0] == 0:
+    """(main, branch, labels) checked as a non-empty training set, the inputs
+    by _inputs (one array when branch is main), the labels as [N] classes."""
+    if np.shape(main)[:1] == (0,):
         raise DegenerateInputError("empty training set")
-    check_labels(labels, params.n_classes)
-    _segment_count(params, main.shape[2])
-    for name, x in (("main", main), ("branch", branch))[: 1 if same else 2]:
-        if not np.isfinite([x.min(), x.max()]).all():  # NaN propagates, no mask; after the cast, so 1e39 counts
-            raise ParameterError(f"{name} input holds a non-finite value in {params.dtype}")
+    main, branch, _ = _inputs(params, main=main, branch=branch)
+    labels = np.asarray(labels)
+    check_labels(labels, len(main), params.n_classes)
     return main, branch, labels
 
 

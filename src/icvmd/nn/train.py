@@ -45,9 +45,10 @@ def train(
 ) -> TrainResult:
     """Run Adam on a copy of ``params``; the input object is never mutated.
 
-    The inputs pass model.check_dataset even at epochs=0, so no model that
-    no input can run comes back, and every result keeps the parameters'
-    dtype.  Each minibatch is one model.minibatch_grads step, all through one
+    The inputs pass model.check_dataset even at epochs=0, so no model comes
+    back from inputs no model can run (another channel count, shorter than a
+    segment, not finite), and every result keeps the parameters' dtype.
+    Each minibatch is one model.minibatch_grads step, all through one
     workspace (see nn/model.py) freed on return; every result, and the
     recorded loss (the mean of its rows'), is that of one whole-batch pass.
     Arrays whose key starts with any of ``freeze_prefixes`` receive no

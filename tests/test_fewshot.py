@@ -61,6 +61,17 @@ def test_run_fewshot_rejects_a_bad_run_before_writing(tmp_path, pipeline, propor
     assert not (tmp_path / "exp").exists()
 
 
+@pytest.mark.parametrize("pipeline", [Pipeline.RAW_NN, Pipeline.ICVMD_SAT])
+def test_run_fewshot_refuses_captures_shorter_than_a_segment_before_writing(tmp_path, pipeline):
+    # No classifier runs a 64-sample capture, so generating and decomposing
+    # the captures first would only leave files behind.
+    spec = DatasetSpec(emitters=TINY_SPEC.emitters, modulations=TINY_SPEC.modulations, snr_grid_db=(18.0,), n_samples=64,
+                       signals_per_emitter=2)
+    with pytest.raises(ParameterError, match=r"^need at least one full segment: T=64 < segment_len=100$"):
+        run_fewshot(spec, pipeline, (1.0,), tmp_path / "exp")
+    assert not (tmp_path / "exp").exists()
+
+
 def test_default_icvmd_config_shape():
     # The old name survives only as the config class the pipelines use.
     assert fewshot.default_icvmd_config is VmdConfig
@@ -238,7 +249,7 @@ def test_predict_rejects_zero_captures():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_predict_refuses_a_capture_with_a_non_finite_value(value):
-    # A NaN passes model_forward silently, and argmax would label its row class_ids[0].
+    # Unrefused, a NaN would give NaN logits, and argmax would label its row class_ids[0].
     params = init_params(ModelConfig(), n_classes=3, seed=0)
     x = np.random.default_rng(0).normal(size=(3, 2, 256)).astype(np.float32)
     x[1, 0, 5] = value
@@ -256,6 +267,16 @@ def test_predict_refuses_a_non_finite_input_before_any_layer_runs(which, value):
     inputs[which][2, 1, 200] = value
     with np.errstate(over="ignore"), pytest.raises(ParameterError, match=rf"^{which} input holds a non-finite value in float32 in row 2 of 3$"):
         fewshot.predict(params, inputs["main"], inputs["branch"], np.array([10, 20, 30]))
+
+
+@pytest.mark.parametrize("n_ids", [2, 4])
+def test_predict_refuses_class_ids_that_do_not_match_the_outputs(n_ids):
+    # Four ids would leave one unreachable; two would label a row whose argmax
+    # is the third class with an IndexError.
+    params = init_params(ModelConfig(), n_classes=3, seed=0)
+    x = np.random.default_rng(0).normal(size=(4, 2, 256)).astype(np.float32)
+    with pytest.raises(ParameterError, match=rf"^{n_ids} class ids for a model of 3 classes$"):
+        fewshot.predict(params, x, x, np.arange(n_ids) * 10)
 
 
 def test_predict_refuses_non_finite_logits_by_row():

@@ -119,6 +119,40 @@ def test_forward_rejects_an_empty_batch():
         spatial_attention_weights(params, empty)
 
 
+ENTRY_POINTS = {
+    "model_forward": lambda params, main, branch: model_forward(params, main, branch),
+    "spatial_attention_weights": lambda params, main, branch: spatial_attention_weights(params, branch),
+    "predict": lambda params, main, branch: fewshot.predict(params, main, branch, np.array([10, 20, 30])),
+    "train": lambda params, main, branch: train(params, main, branch, np.arange(3), TrainConfig(epochs=0)),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "inf", "-inf", "1e39"])
+@pytest.mark.parametrize("entry, which", [(e, w) for e in ENTRY_POINTS for w in ("main", "branch", "shared")
+                                          if e != "spatial_attention_weights" or w == "branch"])
+def test_every_entry_point_refuses_a_non_finite_input_by_name_and_row(entry, which, value):
+    # One check for all: a NaN would otherwise pass a forward silently, and an
+    # inf warn in the first matmul.  1e39 is finite in float64 and inf once
+    # cast to the model's float32.  One array given as both inputs is checked
+    # once, under the name main.
+    params = tiny_model()
+    main, branch = tiny_batch(b=3)
+    if which == "shared":
+        branch = main
+    (branch if which == "branch" else main)[1, 0, 17] = value
+    name = "branch" if which == "branch" else "main"
+    with np.errstate(over="ignore"), pytest.raises(ParameterError, match=rf"^{name} input holds a non-finite value in float32 in row 1 of 3$"):
+        ENTRY_POINTS[entry](params, main, branch)
+
+
+def test_training_refuses_inputs_of_another_channel_count_even_at_epochs_0():
+    # No 3-channel input can run the model, so no model may come back from one.
+    main, branch = tiny_batch(b=6)
+    wide = np.concatenate([main, branch[:, :1]], axis=1)
+    with pytest.raises(ParameterError, match=r"^inputs must be \[B, C, T\] with C = 2, .*\(6, 3, 30\)"):
+        train(tiny_model(), wide, wide, np.arange(6) % 3, TrainConfig(epochs=0))
+
+
 def test_trunk_is_causal():
     params = tiny_model()
     xm, _ = tiny_batch(b=1, t=40)

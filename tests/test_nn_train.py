@@ -171,7 +171,7 @@ def test_a_non_finite_input_is_rejected(which):
     main, branch, labels = toy_problem()
     inputs = {"main": main, "branch": branch}
     inputs[which][4, 1, 7] = np.nan
-    with pytest.raises(ParameterError, match=f"^{which} input holds a non-finite value in float32$"):
+    with pytest.raises(ParameterError, match=f"^{which} input holds a non-finite value in float32 in row 4 of 24$"):
         train(params, main, branch, labels, TrainConfig(epochs=1))
 
 
