@@ -182,11 +182,16 @@ def _warn_plateau(loss: float, n_classes: int, where: str = "") -> None:
         click.echo(f"warning: {where}final epoch loss {loss:.3f} {msg}", err=True)
 
 
-def _represent_dataset(data_dir, representation, vmd: VmdConfig) -> tuple:
+def _represent_dataset(data_dir, representation, vmd: VmdConfig, model: ModelConfig) -> tuple:
     """Represent every capture of a dataset directory; warns about dropped
-    captures and about sides the solver left unconverged."""
-    memo: dict = {}
-    labels, snrs, (mains, branches) = represent(_REPRESENTATIONS[representation], load_manifest(data_dir), vmd, memo)
+    captures and about sides the solver left unconverged.  A manifest spec's
+    n_samples too short for one of ``model``'s segments is refused first."""
+    manifest, memo = load_manifest(data_dir), {}
+    spec = manifest.get("spec")  # a manifest that is not gen's may lack one
+    n_samples = spec.get("n_samples") if isinstance(spec, dict) else None
+    if type(n_samples) is int:
+        model.segment_count(n_samples)  # before any capture is decomposed
+    labels, snrs, (mains, branches) = represent(_REPRESENTATIONS[representation], manifest, vmd, memo)
     _warn_dropped(*tally(memo))
     return labels, snrs, mains, branches
 
@@ -207,11 +212,11 @@ def train_cmd(data_dir, out_file, representation, epochs, learning_rate, batch_s
     cfg = TrainConfig(learning_rate=learning_rate, epochs=epochs, batch_size=batch_size, seed=seed)
     if epochs > MAX_EPOCHS:
         raise ParameterError(f"--epochs {epochs} is over {MAX_EPOCHS}, the most whose loss history a checkpoint holds")
-    vmd = VmdConfig(n_modes=n_modes)
-    truth, _, mains, branches = _represent_dataset(data_dir, representation, vmd)
+    vmd, model = VmdConfig(n_modes=n_modes), ModelConfig(segment_len=segment_len)
+    truth, _, mains, branches = _represent_dataset(data_dir, representation, vmd, model)
     class_ids, labels = np.unique(truth, return_inverse=True)
 
-    params = init_params(ModelConfig(segment_len=segment_len), n_classes=len(class_ids), seed=seed)
+    params = init_params(model, n_classes=len(class_ids), seed=seed)
     result = train_model(params, mains, branches, labels, cfg)
     meta = dict(class_ids=class_ids.tolist(), representation=representation, vmd=asdict(vmd), **asdict(cfg))
     meta["history"] = result.history
@@ -238,7 +243,7 @@ def eval_cmd(data_dir, ck_file):
     if not isinstance(vmd, dict):
         raise ParameterError(f"{ck_file} manifest vmd must be a JSON object, got {vmd!r}")
     check_keys("checkpoint vmd", vmd, [f.name for f in fields(VmdConfig)])
-    truth, snrs, mains, branches = _represent_dataset(data_dir, representation, VmdConfig(**vmd))
+    truth, snrs, mains, branches = _represent_dataset(data_dir, representation, VmdConfig(**vmd), params.config)
     class_ids = np.array(meta["class_ids"])
     predictions = predict(params, mains, branches, class_ids)
     report = evaluate(predictions, truth, snrs_db=snrs, known_labels=class_ids)

@@ -180,7 +180,8 @@ def tally(memo: dict) -> tuple:
 
 def predict(params, mains, branches, class_ids) -> np.ndarray:
     """Classifier inference (model_forward checks the inputs and chunks the batch); the predicted class ids,
-    one per output of the model.  A logit not finite in the parameters' dtype raises ParameterError naming its row."""
+    one per output of the model, as a list, tuple or array.  A logit not finite in the parameters' dtype raises ParameterError naming its row."""
+    class_ids = np.asarray(class_ids)
     if len(class_ids) != params.n_classes:
         raise ParameterError(f"{len(class_ids)} class ids for a model of {params.n_classes} classes")
     logits, _ = model_forward(params, mains, branches)

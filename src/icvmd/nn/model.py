@@ -305,10 +305,12 @@ def _branch_backward(params: NetParams, dscores: np.ndarray, cache, grads, ws: d
 def _inputs(params: NetParams, **inputs) -> tuple:
     """The named inputs (main, branch or both) in the parameters' dtype, each
     distinct array cast and checked once, then their segment count.  Refuses
-    all but [B, IN_CHANNELS, T] with one B >= 1 and one T of a segment or more,
-    finite after the cast (a float64 1e39 is not), naming the input and row."""
+    complex input and all but [B, IN_CHANNELS, T] with one B >= 1 and one T of a
+    segment or more, finite after the cast (a float64 1e39 is not), naming the input and row."""
     cast: dict = {}  # id of each distinct array given -> its first name, its cast
     for name, x in inputs.items():
+        if np.iscomplexobj(x):  # before the cast, which would drop the imaginary part
+            raise ParameterError(f"{name} input must be real, got dtype {np.asarray(x).dtype}")
         if id(x) not in cast:
             cast[id(x)] = name, np.asarray(x, dtype=params.dtype)
     xs = [cast[id(x)][1] for x in inputs.values()]
@@ -393,8 +395,10 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, w
     return logits, cache
 
 
-def model_backward(params: NetParams, dlogits: np.ndarray, cache, grads: dict) -> dict:
-    """Exact gradients of every parameter for the cached forward pass.
+def model_backward(params: NetParams, dlogits: np.ndarray, cache, grads: dict, frozen_branch: bool = False) -> dict:
+    """Exact gradients of every parameter for the cached forward pass, or with
+    ``frozen_branch`` of every parameter but the branch's: the attention's
+    gradient, which only the branch reads, and the branch backward are skipped.
 
     The cache must come from a model_forward given a workspace and serves
     one call, as the layers' gradients go into that workspace or over the
@@ -416,11 +420,10 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache, grads: dict) -
     dz = _grads(grads, "classifier2", dense_backward, dlogits, cache["cls2_cache"], _dense(params, "classifier2"))
 
     att = cache["attention"]
-    datt = rowdot(dz, cache["seg_logits"])  # [B, S]
+    if not frozen_branch:
+        dscores = softmax_backward(rowdot(dz, cache["seg_logits"]), att, axis=1)  # through datt [B, S]
+        _branch_backward(params, dscores, cache["branch_cache"], grads, ws)
     dseg = (dz[:, None, :] * att[:, :, None]).reshape(b * s, -1)  # [B*S, n_classes]
-
-    dscores = softmax_backward(datt, att, axis=1)
-    _branch_backward(params, dscores, cache["branch_cache"], grads, ws)
 
     dpool_flat = _grads(grads, "classifier1", dense_backward, dseg, cache["cls1_cache"], _dense(params, "classifier1"))
     dpool = dpool_flat.reshape(b, s, -1).transpose(0, 2, 1)  # [B, C, S]
@@ -481,9 +484,10 @@ def _gather(ws: dict, key: str, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.take(x, idx, axis=0, out=_buf(ws, key, (len(idx), *x.shape[1:]), x.dtype), mode="clip")
 
 
-def minibatch_grads(params: NetParams, main, branch, labels, idx, ws: dict) -> tuple:
+def minibatch_grads(params: NetParams, main, branch, labels, idx, ws: dict, frozen_branch: bool = False) -> tuple:
     """(each row's loss, the gradients) of the mean cross-entropy over rows
-    ``idx`` of a check_dataset training set.  Each _chunks slice of idx runs
+    ``idx`` of a check_dataset training set, those of the branch left out with
+    ``frozen_branch`` (see model_backward).  Each _chunks slice of idx runs
     its gather into ``ws`` (a dict, ``{}`` at first), forward, loss and backward
     before the next slice's, bit-identical to one whole-batch pass."""
     y, losses, grads = labels[idx], np.empty(len(idx), params.dtype), {}
@@ -492,5 +496,5 @@ def minibatch_grads(params: NetParams, main, branch, labels, idx, ws: dict) -> t
         xb = xm if branch is main else _gather(ws, "branch", branch, idx[rows])
         logits, cache = model_forward(params, xm, xb, ws)
         losses[rows], dlogits = cross_entropy(logits, y[rows], len(idx))
-        grads = model_backward(params, dlogits, cache, grads)
+        grads = model_backward(params, dlogits, cache, grads, frozen_branch)
     return losses, grads

@@ -52,10 +52,11 @@ def train(
     workspace (see nn/model.py) freed on return; every result, and the
     recorded loss (the mean of its rows'), is that of one whole-batch pass.
     Arrays whose key starts with any of ``freeze_prefixes`` receive no
-    updates, so they come back bit-identical; a prefix that matches no key is
-    an error.  learning_rate == 0 leaves every parameter bit-identical.  A
-    non-finite minibatch loss or updated parameter raises ParameterError
-    naming its epoch and step (both counted from 1), and no numpy warning.
+    updates, so they come back bit-identical (when they hold every branch key,
+    no branch gradient is formed); a prefix that matches no key is an error.
+    learning_rate == 0 leaves every parameter bit-identical.  A non-finite
+    minibatch loss or updated parameter raises ParameterError naming its
+    epoch and step (both counted from 1), and no numpy warning.
     """
     main, branch, labels = check_dataset(params, main, branch, labels)
     prefixes = tuple(freeze_prefixes)
@@ -64,6 +65,7 @@ def train(
         raise ParameterError(f"freeze_prefixes {unmatched} match no parameter key")
     out = NetParams(params.config, {k: a.copy() for k, a in params.arrays.items()})
     live = {k: a for k, a in out.arrays.items() if not k.startswith(prefixes)}
+    frozen_branch = not any(k.startswith("branch.") for k in live)  # then no branch gradient is formed
 
     m = {k: np.zeros_like(a) for k, a in live.items()}
     v = {k: np.zeros_like(a) for k, a in live.items()}
@@ -78,7 +80,7 @@ def train(
             idx = order[start : start + cfg.batch_size]
             step += 1
             with np.errstate(over="ignore", invalid="ignore"):  # the checks below name any overflow
-                row_losses, grads = minibatch_grads(out, main, branch, labels, idx, ws)
+                row_losses, grads = minibatch_grads(out, main, branch, labels, idx, ws, frozen_branch)
                 loss = float(np.mean(row_losses))
                 if not np.isfinite(loss):
                     raise ParameterError(f"non-finite training loss at epoch {epoch}, step {step}; lower the learning rate")

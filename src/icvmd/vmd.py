@@ -29,12 +29,15 @@ r = f - sum_k u_k, in which the update of mode k reads
     u_k <- (r + u_k) / (1 + 2*alpha*(w - w_k)^2),    then  r <- r - du_k.
 
 The centers move only after all K updates, so each sweep first builds the K
-filters, as 1 + (s*w - s*w_k)^2 with s = sqrt(2*alpha), in one block; the
-spent block then takes |u|^2, whose one product with the columns (1, w)
-gives every mode's energy and first moment, hence its centroid.  Each energy
-is the mode's previous norm in the next sweep's metric
-sum_k ||du_k||^2 / ||u_k_prev||^2, so no copy of the modes is kept between
-sweeps.  The rows are returned as they are.
+filters, as 1 + (s*w - s*w_k)^2 with s = sqrt(2*alpha), in one block, and
+each mode writes its step du_k over its spent filter row, so one np.vecdot
+of the block gives every ||du_k||^2 of the metric
+sum_k ||du_k||^2 / ||u_k_prev||^2 (the bytes of one dot per row).  The block
+then takes |u|^2, whose one product with the columns (1, w) gives every
+mode's energy and first moment, hence its centroid; each energy is the
+mode's previous norm in the next sweep's metric, so no copy of the modes is
+kept between sweeps.  The rows s*w and (1, w) are built once per length,
+alpha and dtype.  The rows are returned as they are.
 
 The solve runs on x / 2^e, with e from the frexp of the peak: a power of two passes
 through every step exactly, so at any finite scale the modes and rows are 2^e times
@@ -161,6 +164,12 @@ def half_grid(n_ext: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n_ext // 2 + 1) / n_ext
 
 
+def _read_only(*tables) -> tuple:
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 @functools.lru_cache(maxsize=4)
 def _tables(n: int) -> tuple:
     """The tables of an n-sample solve, built once per length and read-only: the half
@@ -168,29 +177,45 @@ def _tables(n: int) -> tuple:
     2*exp(-1j*w/2) and exp(1j*w/2)/2 of the length-n transforms (module docstring)."""
     grid = half_grid(2 * n)
     turn = np.exp(-0.5j * grid[: n // 2 + 1])
-    tables = (grid, 2.0 * turn, 0.5 * turn.conj())
-    for t in tables:
-        t.flags.writeable = False
-    return tables
+    return _read_only(grid, 2.0 * turn, 0.5 * turn.conj())
+
+
+@functools.lru_cache(maxsize=4)
+def _sweep_tables(n: int, root: float, real) -> tuple:
+    """What every sweep of an n-sample solve at s = ``root`` reads, built once and
+    read-only, in the sweep's dtype ``real``: s times the half grid w, and the columns
+    (1, w) of the centroid product (module docstring)."""
+    grid = _tables(n)[0]
+    return _read_only((root * grid).astype(real), np.stack([np.ones_like(grid), grid], axis=1).astype(real))
 
 
 def _dct(x: np.ndarray) -> np.ndarray:
     """The n + 1 real coefficients of x's extension, from one length-n rfft (module docstring)."""
     n, h = x.size, x.size // 2
-    w = np.fft.rfft(np.concatenate([x[::2], x[1::2][::-1]])) * _tables(n)[1]
-    return np.concatenate([w.real, -w.imag[n - h - 1 : 0 : -1], [0.0]])
+    w = np.fft.rfft(np.concatenate([x[::2], x[1::2][::-1]]))
+    w *= _tables(n)[1]
+    c = np.empty(n + 1)
+    c[: h + 1], c[n] = w.real, 0.0
+    np.negative(w.imag[n - h - 1 : 0 : -1], out=c[h + 1 : n])
+    return c
 
 
 def _idct(rows: np.ndarray, out: np.ndarray) -> None:
     """Each row's n samples, the middle of its extension, into ``out`` [K, n], with one
-    length-n irfft per block of two rows, so no spectrum of all K rows is held (module
-    docstring); each row's last coefficient is 0, as every row of a solve's is."""
+    length-n irfft for up to four rows and one per block of two beyond that, so no
+    spectrum of more than four rows is held (module docstring); each row's last
+    coefficient is 0, as every row of a solve's is."""
     n, h = out.shape[1], out.shape[1] // 2
-    for i in range(0, len(rows), 2):
-        c = rows[i : i + 2]
-        v = np.fft.irfft((c[:, : h + 1] - 1j * c[:, n : n - h - 1 : -1]) * _tables(n)[2], n)
-        out[i : i + 2, ::2] = v[:, : n - h]
-        out[i : i + 2, 1::2] = v[:, n - 1 : n - h - 1 : -1]
+    step = len(rows) if len(rows) <= 4 else 2
+    spectra = np.empty((step, h + 1), dtype=complex)
+    for i in range(0, len(rows), step):
+        c, z = rows[i : i + step], spectra[: len(rows) - i]
+        z.real = c[:, : h + 1]
+        np.subtract(0.0, c[:, n : n - h - 1 : -1], out=z.imag)  # 0 - c, as the complex c[m] - 1j*c[n-m] has it
+        z *= _tables(n)[2]
+        v = np.fft.irfft(z, n)
+        out[i : i + step, ::2] = v[:, : n - h]
+        out[i : i + step, 1::2] = v[:, n - 1 : n - h - 1 : -1]
 
 
 def smoothed_power(spectrum: np.ndarray, width: int) -> np.ndarray:
@@ -216,14 +241,15 @@ def _init_omegas(cfg: VmdConfig, spectrum: np.ndarray) -> np.ndarray:
     peaks = peaks[power[peaks] >= _PEAK_FLOOR * power.max()]
     sep = np.pi / (_PEAK_SEP_DIV * k)
     # Greedy in power order: take the strongest peak still free (the first on a
-    # tie), then free only the peaks at least sep from it.
+    # tie), then mark those nearer than sep to it taken, with a power of -1.
     cand, p = _tables(n_bins - 1)[0][peaks], power[peaks]
     chosen = []
     while len(chosen) < k and cand.size:
-        c = cand[np.argmax(p)]
-        chosen.append(c)
-        free = np.abs(cand - c) >= sep
-        cand, p = cand[free], p[free]
+        i = p.argmax()
+        if p[i] < 0.0:
+            break
+        chosen.append(cand[i])
+        p[np.abs(cand - cand[i]) < sep] = -1.0
     while len(chosen) < k:
         chosen.append(_widest_gap_midpoint(chosen))
     return np.sort(np.array(chosen))
@@ -235,8 +261,8 @@ def check_memory_budget(n: int, n_modes: int, dtype=np.float64) -> None:
     _MEMORY_BUDGET_BYTES at its peak.  Per coefficient (n + 1 of them), each
     mode holds at most one sweep row beside another (its filter or its sorted
     copy) or its float64 time-domain mode, and the shared buffers, the
-    per-length tables and a two-row block of the inverse about twelve float64
-    rows, counted as sixteen."""
+    per-length tables and a block of up to four rows of the inverse about
+    twelve float64 rows, counted as sixteen."""
     need = (n + 1) * ((np.dtype(dtype).itemsize + 8) * n_modes + 8 * 16)
     if need > _MEMORY_BUDGET_BYTES:
         raise ParameterError(f"{n_modes} modes of a {n}-sample signal need about {need / 2**20:.0f} MiB, "
@@ -277,55 +303,55 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     e = math.frexp(peak)[1]  # x / 2^e has its peak in [1/2, 1) (module docstring)
 
     n, k_modes = x.size, cfg.n_modes
-    grid = _tables(n)[0]
     r = _dct(np.ldexp(x, -e))  # the coefficients of x / 2^e
     guard = _ENERGY_GUARD * float(r.dot(r))
     omegas = _init_omegas(cfg, r).tolist()
     r = r.astype(real)  # the residual: those coefficients less sum(u), with u = 0
     u = np.zeros((k_modes, n + 1), dtype=real)
     rows = list(u)
-    scaled = (root * grid).astype(real)
-    basis = np.stack([np.ones_like(grid), grid], axis=1).astype(real)
+    scaled, basis = _sweep_tables(n, root, real)
     centers = np.empty((k_modes, 1), dtype=real)
     den = np.empty((k_modes, n + 1), dtype=real)
-    dens = list(den)
     d = np.empty(n + 1, dtype=real)
     prev_norms = [0.0] * k_modes
     live = list(range(k_modes))  # the modes not retired, in index order
+    # Each live mode's row and, in the first len(live) rows of den, its filter.
+    spent, slots = den, list(zip(rows, den))
 
     # One flat loop of sweeps (module docstring).  After the last, the centers
     # freeze and one more plain pass refreshes every row at them, so the output
     # is an exact Wiener fixed point of its own reported state.
-    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    add, subtract, multiply, divide, square, vecdot = np.add, np.subtract, np.multiply, np.divide, np.square, np.vecdot
     tol, max_iter, pi, width = cfg.tol, cfg.max_iter, math.pi, 1.0 / root  # width: the Wiener half-width
     iterations, beta, final_delta, converged, last = 0, 1.0, float("inf"), False, False
     while True:
-        centers[:, 0] = [root * w for w in omegas]  # every Wiener denominator 1 + (s*w - s*w_k)^2
-        subtract(scaled, centers, den)
-        multiply(den, den, den)
-        add(den, 1.0, den)
-        delta = 0.0
-        for k in live:  # mode k moves by beta times its Wiener step du_k
-            uk = rows[k]
+        centers[:, 0] = [root * omegas[k] for k in live]  # every Wiener denominator 1 + (s*w - s*w_k)^2
+        spent[...] = scaled  # a copy and an in-place subtraction beat one broadcast subtraction
+        subtract(spent, centers, spent)
+        square(spent, spent)
+        add(spent, 1.0, spent)
+        for uk, dk in slots:  # mode k moves by beta times its Wiener step du_k, left over its filter
             add(r, uk, d)
-            divide(d, dens[k], d)
-            subtract(d, uk, d)
-            delta += float(d.dot(d)) / max(prev_norms[k], guard)  # on the unrelaxed du_k
-            if beta != 1.0:
-                multiply(d, beta, d)
-            add(uk, d, uk)
-            subtract(r, d, r)
+            divide(d, dk, dk)
+            subtract(dk, uk, dk)
+            step = dk if beta == 1.0 else multiply(dk, beta, d)
+            add(uk, step, uk)
+            subtract(r, step, r)
         if last:
             break
         iterations += 1
-        multiply(u, u, den)  # the filters are spent; den holds |u|^2
+        delta = 0.0
+        for k, norm in zip(live, vecdot(spent, spent).tolist()):  # on the unrelaxed du_k
+            delta += norm / max(prev_norms[k], guard)
+        square(u, den)  # the steps are spent; den holds |u|^2
         sums = den.dot(basis).tolist()
         shift = 0.0
         for k, (energy, moment) in enumerate(sums):
             if energy > guard:
                 move = moment / energy - omegas[k]
-                shift = max(shift, abs(move))
-                omegas[k] = min(max(omegas[k] + beta * move, 0.0), pi)
+                shift = abs(move) if abs(move) > shift else shift
+                w = omegas[k] + beta * move
+                omegas[k] = 0.0 if w < 0.0 else pi if w > pi else w  # clipped to [0, pi]
         # Out of an all-zero start the first sweep has nothing to compare to.
         if max(prev_norms) > guard:
             final_delta = delta
@@ -333,29 +359,32 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
             # A settled sweep not under tol relaxes the next (module docstring).
             beta = _RELAX if shift < _SETTLE_RAD and delta >= tol else 1.0
         prev_norms = [energy for energy, _ in sums]  # the next sweep's previous norms
-        # Retire the weaker of the first pair within one half-width (module docstring).
         ordered = sorted(live, key=omegas.__getitem__)
-        pair = next(((a, b) for a, b in zip(ordered, ordered[1:]) if omegas[b] - omegas[a] < width), None)
-        if pair:
-            weak, strong = sorted(pair, key=lambda k: (prev_norms[k], -k))
-            add(rows[strong], rows[weak], rows[strong])
-            rows[weak].fill(0.0)
-            prev_norms[strong] = float(rows[strong].dot(rows[strong]))
-            live.remove(weak)
+        for a, b in zip(ordered, ordered[1:]):
+            if omegas[b] - omegas[a] < width:  # retire the weaker of the first such pair (module docstring)
+                weak, strong = sorted((a, b), key=lambda k: (prev_norms[k], -k))
+                add(rows[strong], rows[weak], rows[strong])
+                rows[weak].fill(0.0)
+                prev_norms[strong] = float(rows[strong].dot(rows[strong]))
+                live.remove(weak)
+                spent, centers = den[: len(live)], centers[: len(live)]
+                slots = list(zip([rows[k] for k in live], spent))
+                break
         if converged or iterations == max_iter:
             last, beta = True, 1.0
 
-    order = np.argsort(omegas, kind="stable")
-    omegas = np.array(omegas)[order]
-    del den, dens, scaled, basis, d, r  # so the work buffers do not outlive the sweeps
-    coefficients = u[order]
+    order = sorted(range(k_modes), key=omegas.__getitem__)  # stable: the lower index first on a tie
+    omegas = np.array([omegas[k] for k in order])
+    del den, spent, slots, dk, step, d, r  # so the work buffers do not outlive the sweeps
+    coefficients = u if order == list(range(k_modes)) else u[order]
     del u, rows, uk  # so the unsorted rows do not outlive the sort
 
     modes = np.empty((k_modes, n))
     _idct(coefficients, modes)
-    with np.errstate(over="ignore"):  # a row its dtype cannot hold at the input's scale is inf
-        np.ldexp(coefficients, e, out=coefficients)
-    if not (np.isfinite(coefficients.max()) and np.isfinite(coefficients.min())):  # no [K, n + 1] mask
-        raise ParameterError(f"the {coefficients.dtype} coefficient rows of a signal with peak {peak:.3g} overflow at its scale")
-    np.ldexp(modes, e, out=modes)
+    if e:  # back to the input's scale, where only a scale-up can overflow
+        with np.errstate(over="ignore"):  # a row its dtype cannot hold at the input's scale is inf
+            np.ldexp(coefficients, e, out=coefficients)
+        if e > 0 and not (np.isfinite(coefficients.max()) and np.isfinite(coefficients.min())):  # no [K, n + 1] mask
+            raise ParameterError(f"the {coefficients.dtype} coefficient rows of a signal with peak {peak:.3g} overflow at its scale")
+        np.ldexp(modes, e, out=modes)
     return VmdResult(modes, ModeSet(coefficients, omegas, iterations, converged, final_delta))

@@ -756,6 +756,26 @@ def test_train_refuses_a_segment_longer_than_every_capture(runner, tmp_path):
     assert not ck.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_train_and_eval_refuse_a_spec_shorter_than_a_segment_before_representing_a_capture(runner, tmp_path, monkeypatch, command):
+    # The manifest's spec says every capture is 64 samples, under one
+    # 100-sample segment: no capture is loaded, let alone decomposed.
+    short = gen_tiny(runner, tmp_path / "short", extra=("--n-samples", "64"))
+    ck = tmp_path / "model.npz"
+    if command == "eval":
+        data = gen_tiny(runner, tmp_path / "data")
+        train = ["train", "--data", str(data), "--out", str(ck), "--representation", "icvmd", "--epochs", "0"]
+        assert runner.invoke(main, train).exit_code == 0
+    loaded = []
+    monkeypatch.setattr(fewshot, "load_entry", lambda *a: loaded.append(a))
+    args = {"train": ["train", "--data", str(short), "--out", str(ck), "--representation", "icvmd", "--epochs", "0"],
+            "eval": ["eval", "--data", str(short), "--checkpoint", str(ck)]}[command]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert res.stderr == "error: need at least one full segment: T=64 < segment_len=100\n"
+    assert loaded == [] and ck.exists() == (command == "eval")
+
+
 @pytest.mark.parametrize(
     "history, warns",
     [([2.5, np.log(7) - 0.04], True), ([2.5, np.log(7) - 0.06], False), ([], False)],

@@ -279,6 +279,15 @@ def test_predict_refuses_class_ids_that_do_not_match_the_outputs(n_ids):
         fewshot.predict(params, x, x, np.arange(n_ids) * 10)
 
 
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_predict_takes_class_ids_as_a_list_or_tuple(kind):
+    params = init_params(ModelConfig(), n_classes=3, seed=0)
+    x = np.random.default_rng(0).normal(size=(4, 2, 256)).astype(np.float32)
+    want = fewshot.predict(params, x, x, np.array([10, 20, 30]))
+    got = fewshot.predict(params, x, x, kind([10, 20, 30]))
+    assert isinstance(got, np.ndarray) and got.tolist() == want.tolist()
+
+
 def test_predict_refuses_non_finite_logits_by_row():
     # Finite inputs reach non-finite logits only through the parameters: an
     # inf in one class's bias (a Python-API model; checkpoints refuse one).

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,26 @@ def test_every_entry_point_refuses_a_non_finite_input_by_name_and_row(entry, whi
     name = "branch" if which == "branch" else "main"
     with np.errstate(over="ignore"), pytest.raises(ParameterError, match=rf"^{name} input holds a non-finite value in float32 in row 1 of 3$"):
         ENTRY_POINTS[entry](params, main, branch)
+
+
+@pytest.mark.parametrize("entry, which", [(e, w) for e in ENTRY_POINTS for w in ("main", "branch", "shared")
+                                          if e != "spatial_attention_weights" or w == "branch"])
+def test_every_entry_point_refuses_a_complex_input_by_name(entry, which):
+    # The float32 cast would keep only the real part, with no more than a
+    # ComplexWarning; the refusal comes first, so none is raised either.
+    params = tiny_model()
+    main, branch = tiny_batch(b=3)
+    name = "branch" if which == "branch" else "main"
+    if name == "main":
+        main = main.astype(np.complex64)
+    else:
+        branch = branch.astype(np.complex64)
+    if which == "shared":
+        branch = main
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=rf"^{name} input must be real, got dtype complex64$"):
+            ENTRY_POINTS[entry](params, main, branch)
 
 
 def test_training_refuses_inputs_of_another_channel_count_even_at_epochs_0():
@@ -354,6 +375,23 @@ def test_chunked_trunk_is_bit_identical_to_one_chunk(monkeypatch, cast):
     assert fit.history == want_fit.history
     for key, want in want_fit.params.arrays.items():
         assert np.array_equal(fit.params.arrays[key], want), key
+
+
+@pytest.mark.parametrize("chunk", [None, 2])
+def test_a_frozen_branch_step_forms_every_other_gradient_bit_for_bit(monkeypatch, chunk):
+    # The attention gradient feeds only the branch, so skipping both leaves
+    # every loss and every other gradient as the full step forms it.
+    params = tiny_model()
+    xm, xb = tiny_batch(b=5, t=30)
+    checked = model.check_dataset(params, xm, xb, np.array([0, 1, 2, 0, 1]))
+    if chunk:
+        monkeypatch.setattr(model, "_CHUNK_ELEMS", chunk * CHANNELS * 30)
+    idx = np.array([3, 0, 4, 1, 2])
+    losses, grads = model.minibatch_grads(params, *checked, idx, {})
+    frozen_losses, frozen = model.minibatch_grads(params, *checked, idx, {}, frozen_branch=True)
+    assert frozen_losses.tobytes() == losses.tobytes()
+    assert list(frozen) == [k for k in grads if not k.startswith("branch.")] and len(frozen) < len(grads)
+    assert all(frozen[k].tobytes() == grads[k].tobytes() for k in frozen)
 
 
 def test_each_row_gets_the_logits_it_gets_alone():

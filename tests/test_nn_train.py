@@ -6,7 +6,8 @@ import pytest
 
 from icvmd.errors import DegenerateInputError, ParameterError
 from icvmd.nn import model
-from icvmd.nn.model import CHANNELS, IN_CHANNELS, ModelConfig, init_params, model_forward
+from icvmd.nn import train as train_module
+from icvmd.nn.model import CHANNELS, IN_CHANNELS, ModelConfig, init_params, minibatch_grads, model_forward
 from icvmd.nn.train import TrainConfig, sat_transfer, train
 from oracles import as_float64, batch_loss, grad_check, training_cache_bytes
 
@@ -77,6 +78,21 @@ def test_freeze_prefixes_pin_arrays():
             assert same, p
         else:
             assert not same, p
+
+
+@pytest.mark.parametrize("prefixes, frozen", [((), False), (("branch.head",), False), (("branch.",), True),
+                                              (("branch.convs", "branch.head", "classifier1"), True)])
+def test_training_skips_the_branch_backward_only_when_every_branch_key_is_frozen(monkeypatch, prefixes, frozen):
+    flags = []
+
+    def record(*args):
+        flags.append(args[-1])
+        return minibatch_grads(*args)
+
+    monkeypatch.setattr(train_module, "minibatch_grads", record)
+    main, branch, labels = toy_problem()
+    train(init_params(TINY, 3, seed=0), main, branch, labels, TrainConfig(epochs=1, batch_size=8), freeze_prefixes=prefixes)
+    assert flags == [frozen] * 3
 
 
 def test_freeze_prefix_matching_no_key_is_rejected():

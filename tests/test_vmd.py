@@ -431,6 +431,17 @@ def test_fused_sweep_matches_reference_loop(source, cfg):
         assert np.max(np.abs(a - b)) <= 1e-10 * max(np.max(np.abs(b)), 1e-300)
 
 
+@pytest.mark.parametrize("n", [81, 701, 2101])
+def test_vecdot_over_float32_rows_gives_the_bytes_of_a_dot_per_row(n):
+    # The sweep metric reads every step's squared norm off one np.vecdot of
+    # the step rows, where it once took one .dot per row; a NumPy whose two
+    # differ in a byte would move sweep counts, so it fails here first.
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        rows = (rng.normal(size=(4, n)) * 10.0 ** rng.uniform(-20, 15, size=(4, 1))).astype(np.float32)
+        assert np.vecdot(rows, rows).tobytes() == np.array([r.dot(r) for r in rows]).tobytes()
+
+
 def test_fused_sweep_cases_retire_a_mode():
     # At these alphas the start never puts two centers within one half-width
     # (they are at least pi/(4K) apart), so the comparison above covers the
