@@ -46,8 +46,8 @@ def fit_nearest_centroid(features: np.ndarray, labels) -> NearestCentroid:
     y = np.asarray(labels)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ParameterError("features must be a non-empty 2-D array")
-    if y.shape != (x.shape[0],):
-        raise ParameterError("labels must be 1-D and match the feature rows")
+    if y.shape != (x.shape[0],) or not (y == y).all():  # a NaN label names no class
+        raise ParameterError("labels must be 1-D, match the feature rows and hold no NaN")
     if not np.all(np.isfinite(x)):
         raise ParameterError("features must be finite")
 
@@ -117,6 +117,8 @@ def evaluate(predictions, true_labels, snrs_db=None, known_labels=None) -> Exper
     pool = [truth, pred]
     if known_labels is not None:
         pool.append(np.asarray(known_labels))
+    if len({a.dtype.kind in "US" for a in pool}) > 1:  # no string label equals a number
+        raise ParameterError(f"labels of dtypes {' and '.join(str(a.dtype) for a in pool)} cannot be compared")
     label_set = np.unique(np.concatenate(pool))
     index = {c: i for i, c in enumerate(label_set.tolist())}
     confusion = np.zeros((label_set.size, label_set.size), dtype=int)

@@ -182,15 +182,10 @@ def _warn_plateau(loss: float, n_classes: int, where: str = "") -> None:
         click.echo(f"warning: {where}final epoch loss {loss:.3f} {msg}", err=True)
 
 
-def _represent_dataset(data_dir, representation, vmd: VmdConfig, model: ModelConfig) -> tuple:
+def _represent_dataset(data_dir, representation, vmd: VmdConfig) -> tuple:
     """Represent every capture of a dataset directory; warns about dropped
-    captures and about sides the solver left unconverged.  A manifest spec's
-    n_samples too short for one of ``model``'s segments is refused first."""
+    captures and about sides the solver left unconverged."""
     manifest, memo = load_manifest(data_dir), {}
-    spec = manifest.get("spec")  # a manifest that is not gen's may lack one
-    n_samples = spec.get("n_samples") if isinstance(spec, dict) else None
-    if type(n_samples) is int:
-        model.segment_count(n_samples)  # before any capture is decomposed
     labels, snrs, (mains, branches) = represent(_REPRESENTATIONS[representation], manifest, vmd, memo)
     _warn_dropped(*tally(memo))
     return labels, snrs, mains, branches
@@ -204,7 +199,7 @@ def _represent_dataset(data_dir, representation, vmd: VmdConfig, model: ModelCon
 @click.option("--learning-rate", default=TrainConfig.learning_rate, show_default=True)
 @click.option("--batch-size", default=TrainConfig.batch_size, show_default=True)
 @click.option("--seed", default=TrainConfig.seed, show_default=True)
-@click.option("--segment-len", default=ModelConfig.segment_len, show_default=True)
+@click.option("--segment-len", default=ModelConfig.segment_len, show_default=True, help="Samples per attention segment; a capture shorter than one is one segment.")
 @click.option("--n-modes", default=VmdConfig.n_modes, show_default=True, help="Modes per side for the icvmd representation.")
 @_guarded
 def train_cmd(data_dir, out_file, representation, epochs, learning_rate, batch_size, seed, segment_len, n_modes):
@@ -213,7 +208,7 @@ def train_cmd(data_dir, out_file, representation, epochs, learning_rate, batch_s
     if epochs > MAX_EPOCHS:
         raise ParameterError(f"--epochs {epochs} is over {MAX_EPOCHS}, the most whose loss history a checkpoint holds")
     vmd, model = VmdConfig(n_modes=n_modes), ModelConfig(segment_len=segment_len)
-    truth, _, mains, branches = _represent_dataset(data_dir, representation, vmd, model)
+    truth, _, mains, branches = _represent_dataset(data_dir, representation, vmd)
     class_ids, labels = np.unique(truth, return_inverse=True)
 
     params = init_params(model, n_classes=len(class_ids), seed=seed)
@@ -243,7 +238,7 @@ def eval_cmd(data_dir, ck_file):
     if not isinstance(vmd, dict):
         raise ParameterError(f"{ck_file} manifest vmd must be a JSON object, got {vmd!r}")
     check_keys("checkpoint vmd", vmd, [f.name for f in fields(VmdConfig)])
-    truth, snrs, mains, branches = _represent_dataset(data_dir, representation, VmdConfig(**vmd), params.config)
+    truth, snrs, mains, branches = _represent_dataset(data_dir, representation, VmdConfig(**vmd))
     class_ids = np.array(meta["class_ids"])
     predictions = predict(params, mains, branches, class_ids)
     report = evaluate(predictions, truth, snrs_db=snrs, known_labels=class_ids)

@@ -231,7 +231,8 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
     cells carry an empty accuracy and status 'unsupported'.  Captures that
     cannot be represented are left out of every set and listed in
     ``FewshotResult.skipped``; it also holds the converged flag of every
-    decomposed side and each trained classifier's last-epoch loss.
+    decomposed side and each trained classifier's last-epoch loss.  A
+    classifier runs any n_samples, as ModelConfig.segments cuts it.
     """
     proportions = tuple(proportions) if np.iterable(proportions) else ()  # read a generator once
     if not isinstance(pipeline, Pipeline):
@@ -241,8 +242,6 @@ def run_fewshot(spec: DatasetSpec, pipeline: Pipeline, proportions, workdir) -> 
     dupes = sorted({p for p in proportions if proportions.count(p) > 1})
     if dupes:
         raise ParameterError(f"each proportion may appear only once; repeated: {dupes}")
-    if pipeline is not Pipeline.ICVMD_FEATURES:
-        ModelConfig().segment_count(spec.n_samples)  # before any file: no classifier runs a shorter capture
     icvmd_cfg = VmdConfig()
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)

@@ -3,7 +3,7 @@
 The architecture is fixed, at toy scale on purpose: on the 2 I/Q channels, a
 trunk 8 channels wide of 2 width-3 encoder convs and 4 residual blocks of two
 width-2 convs at dilations 1, 2, 4 and 8, and a branch of 2 width-3 convs 4
-channels wide.  ``ModelConfig`` holds the one setting, the segment length.
+channels wide.  ``ModelConfig.segments`` cuts every input into attention segments.
 
 Main path: encoder convs -> residual dilated blocks -> 1x1 merge of the
 stacked block outputs -> per-segment mean pooling -> per-segment class logits.
@@ -88,11 +88,10 @@ class ModelConfig:
     def __post_init__(self):
         check_int("segment_len", self.segment_len, 1)
 
-    def segment_count(self, t: int) -> int:
-        """Full segments in t samples; ParameterError below one, which no model can run."""
-        if t < self.segment_len:
-            raise ParameterError(f"need at least one full segment: T={t} < segment_len={self.segment_len}")
-        return t // self.segment_len
+    def segments(self, t: int) -> tuple:
+        """(count, length) of t >= 1 samples' segments: t // segment_len full ones, or one of all t below one."""
+        check_int("t", t, 1)
+        return (t // self.segment_len, self.segment_len) if t >= self.segment_len else (1, t)
 
 
 @dataclass
@@ -277,13 +276,13 @@ def _features_backward(params: NetParams, dfeat: np.ndarray, cache, grads, ws: d
     _stack_backward(dh, enc_caches, grads, "encoder", ws)
 
 
-def _branch_forward(params: NetParams, xb: np.ndarray, s: int, ws: dict):
-    """Per-segment scores: xb [B, C_in, T] -> scores [B, S], cache.
+def _branch_forward(params: NetParams, xb: np.ndarray, seg: tuple, ws: dict):
+    """Per-segment scores: xb [B, C_in, T] cut into seg = (S, length) -> scores [B, S], cache.
 
     Segments are processed independently (folded into the batch axis), so the
     score of segment s depends only on the samples inside segment s.
     """
-    length = params.config.segment_len
+    s, length = seg
     b, c_in, _ = xb.shape
     folded = _buf(ws, "branch.in", (b * s, c_in, length), params.dtype)
     xs = xb[:, :, : s * length].reshape(b, c_in, s, length)
@@ -293,9 +292,8 @@ def _branch_forward(params: NetParams, xb: np.ndarray, s: int, ws: dict):
     return scores.reshape(b, s), (caches, dcache)
 
 
-def _branch_backward(params: NetParams, dscores: np.ndarray, cache, grads, ws: dict) -> None:
+def _branch_backward(params: NetParams, dscores: np.ndarray, length: int, cache, grads, ws: dict) -> None:
     caches, dcache = cache
-    length = params.config.segment_len
     b, s = dscores.shape
     dpooled = _grads(grads, "branch.head", dense_backward, dscores.reshape(b * s, 1), dcache, _dense(params, "branch.head"))
     dh = np.broadcast_to(dpooled[:, :, None] / length, (b * s, dpooled.shape[1], length))
@@ -304,9 +302,9 @@ def _branch_backward(params: NetParams, dscores: np.ndarray, cache, grads, ws: d
 
 def _inputs(params: NetParams, **inputs) -> tuple:
     """The named inputs (main, branch or both) in the parameters' dtype, each
-    distinct array cast and checked once, then their segment count.  Refuses
-    complex input and all but [B, IN_CHANNELS, T] with one B >= 1 and one T of a
-    segment or more, finite after the cast (a float64 1e39 is not), naming the input and row."""
+    distinct array cast and checked once, then ModelConfig.segments of their T.
+    Refuses complex input and all but [B, IN_CHANNELS, T] with one B >= 1 and
+    one T >= 1, finite after the cast (a float64 1e39 is not), naming the input and row."""
     cast: dict = {}  # id of each distinct array given -> its first name, its cast
     for name, x in inputs.items():
         if np.iscomplexobj(x):  # before the cast, which would drop the imaginary part
@@ -318,38 +316,37 @@ def _inputs(params: NetParams, **inputs) -> tuple:
     if any(x.ndim != 3 or x.shape[1] != IN_CHANNELS for x in xs) or len({(x.shape[0], x.shape[2]) for x in xs}) > 1:
         raise ParameterError(f"inputs must be [B, C, T] with C = {IN_CHANNELS}, one batch size and one length, got {shapes}")
     b, _, t = xs[0].shape
-    if b == 0:
-        raise ParameterError(f"empty batch: inputs of shape {shapes}")
-    s = params.config.segment_count(t)
+    if b == 0 or t == 0:
+        raise ParameterError(f"{'empty batch' if b == 0 else 'no samples'}: {' and '.join(inputs)} inputs of shape {shapes}")
     for name, x in cast.values():
         if not np.isfinite([x.min(), x.max()]).all():  # NaN propagates: a pass over rows only on failure
             row = int(np.isfinite(x.reshape(b, -1)).all(axis=1).argmin())
             raise ParameterError(f"{name} input holds a non-finite value in {params.dtype} in row {row} of {b}")
-    return (*xs, s)
+    return (*xs, params.config.segments(t))
 
 
 def _by_chunk(params: NetParams, run, **inputs) -> list:
-    """``run(*rows, s, ws)`` on each _chunks slice of the checked inputs through
+    """``run(*rows, seg, ws)`` on each _chunks slice of the checked inputs through
     one workspace local to the call; each of run's outputs for the whole batch."""
-    *xs, s = _inputs(params, **inputs)
+    *xs, seg = _inputs(params, **inputs)
     b, _, t = xs[0].shape
     ws: dict = {}
-    outs = [run(*(x[rows] for x in xs), s, ws) for rows in _chunks(b, t)]
+    outs = [run(*(x[rows] for x in xs), seg, ws) for rows in _chunks(b, t)]
     return [np.concatenate(parts) for parts in zip(*outs)]
 
 
 def spatial_attention_weights(params: NetParams, branch_x: np.ndarray) -> np.ndarray:
     """Softmax-normalized per-segment weights from the branch path: [B, C, T] -> [B, S]."""
-    return _by_chunk(params, lambda xb, s, ws: (softmax(_branch_forward(params, xb, s, ws)[0], axis=1),), branch=branch_x)[0]
+    return _by_chunk(params, lambda xb, seg, ws: (softmax(_branch_forward(params, xb, seg, ws)[0], axis=1),), branch=branch_x)[0]
 
 
-def _forward(params: NetParams, xm: np.ndarray, xb: np.ndarray, s: int, ws: dict):
-    """Both paths over one block of rows, activations in ``ws``:
-    returns ((logits, attention), cache)."""
+def _forward(params: NetParams, xm: np.ndarray, xb: np.ndarray, seg: tuple, ws: dict):
+    """Both paths over one block of rows cut into seg = (S, length), activations
+    in ``ws``: returns ((logits, attention), cache)."""
     b, _, t = xm.shape
-    length = params.config.segment_len
+    s, length = seg
     # The branch first, so the trunk's output is not held while the branch runs.
-    scores, branch_cache = _branch_forward(params, xb, s, ws)
+    scores, branch_cache = _branch_forward(params, xb, seg, ws)
     att = softmax(scores, axis=1)  # [B, S]
 
     feat, feat_cache = features_forward(params, xm, ws)
@@ -368,7 +365,7 @@ def _forward(params: NetParams, xm: np.ndarray, xb: np.ndarray, s: int, ws: dict
         "branch_cache": branch_cache,
         "attention": att,
         "cls2_cache": cls2_cache,
-        "dims": (b, s, t),
+        "dims": (b, s, length, t),
     }
     return (logits, att), cache
 
@@ -389,7 +386,7 @@ def model_forward(params: NetParams, main_x: np.ndarray, branch_x: np.ndarray, w
     only the attention, and model_backward refuses it.
     """
     if workspace is None:
-        logits, att = _by_chunk(params, lambda xm, xb, s, ws: _forward(params, xm, xb, s, ws)[0], main=main_x, branch=branch_x)
+        logits, att = _by_chunk(params, lambda xm, xb, seg, ws: _forward(params, xm, xb, seg, ws)[0], main=main_x, branch=branch_x)
         return logits, {"attention": att}
     (logits, _), cache = _forward(params, *_inputs(params, main=main_x, branch=branch_x), workspace)
     return logits, cache
@@ -413,8 +410,7 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache, grads: dict, f
         raise ParameterError("this cache was already used by a backward, which overwrote its activations: run model_forward again"
                              if "workspace" in cache else "this cache keeps no activations: pass a workspace (a dict) to model_forward to train")
     ws, cache["workspace"] = cache["workspace"], None
-    b, s, t = cache["dims"]
-    length = params.config.segment_len
+    b, s, length, t = cache["dims"]
     dlogits = np.asarray(dlogits, dtype=params.dtype)
 
     dz = _grads(grads, "classifier2", dense_backward, dlogits, cache["cls2_cache"], _dense(params, "classifier2"))
@@ -422,7 +418,7 @@ def model_backward(params: NetParams, dlogits: np.ndarray, cache, grads: dict, f
     att = cache["attention"]
     if not frozen_branch:
         dscores = softmax_backward(rowdot(dz, cache["seg_logits"]), att, axis=1)  # through datt [B, S]
-        _branch_backward(params, dscores, cache["branch_cache"], grads, ws)
+        _branch_backward(params, dscores, length, cache["branch_cache"], grads, ws)
     dseg = (dz[:, None, :] * att[:, :, None]).reshape(b * s, -1)  # [B*S, n_classes]
 
     dpool_flat = _grads(grads, "classifier1", dense_backward, dseg, cache["cls1_cache"], _dense(params, "classifier1"))

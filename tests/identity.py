@@ -18,7 +18,8 @@ from the first dataset's echoed spec), ``decompose`` and ``reconstruct`` of
 captures at both SNRs, ``fewshot`` for each pipeline at two proportions,
 ``train`` for both representations and ``eval`` of each checkpoint, on the
 first dataset and on a copy of it whose first capture is cut to an odd
-float32 count, which both commands drop and name.  Every
+float32 count, which both commands drop and name, and once more on the first
+dataset with a ``--segment-len`` longer than every capture.  Every
 file under that directory is digested, keyed by its relative path, so a
 file no list names cannot be missed.  A ``.npz`` is digested by its
 members' names, dtypes, shapes and bytes, because ``np.savez`` stamps each
@@ -142,11 +143,13 @@ def digest_run(root, reduced: bool = False, arrays: dict | None = None) -> tuple
     shutil.copytree(root / "data", root / "cut")
     cut = sorted((root / "cut").glob("*.iqf32"))[0]
     cut.write_bytes(cut.read_bytes()[:-4])
-    for data, prefix in (("data", ""), ("cut", "cut-")):
+    # A segment longer than every capture makes each capture one segment.
+    one_segment = str(size["n_samples"] + 1)
+    for data, prefix, segment_len in (("data", "", "64"), ("cut", "cut-", "64"), ("data", "one-segment-", one_segment)):
         for representation in ("raw", "icvmd"):
             checkpoint = f"{root}/checkpoints/{prefix}{representation}.npz"
             outputs = [run("train", "--data", f"{root}/{data}", "--out", checkpoint, "--representation",
-                           representation, "--epochs", str(size["epochs"]), "--segment-len", "64"),
+                           representation, "--epochs", str(size["epochs"]), "--segment-len", segment_len),
                        run("eval", "--data", f"{root}/{data}", "--checkpoint", checkpoint)]
             if [f"skipped {cut.name}: " in out for out in outputs] != [data == "cut"] * 2:
                 raise RuntimeError(f"train and eval on {data} should drop {cut.name} exactly when it is cut")

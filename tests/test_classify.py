@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,29 @@ def test_evaluate_validation():
         evaluate(np.array([]), np.array([]))
     with pytest.raises(ParameterError):
         evaluate(np.array([0, 1]), np.array([0, 1]), snrs_db=np.array([0.0]))
+
+
+def test_fit_refuses_a_nan_label_before_any_numpy_warning():
+    x, _ = two_blob_data()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="^labels must be 1-D, match the feature rows and hold no NaN$"):
+            fit_nearest_centroid(x, [np.nan, 1, 2, 1])
+
+
+@pytest.mark.parametrize(
+    "pred, truth, known, dtypes",
+    [
+        ([1, 2], ["a", "b"], None, "<U1 and int64"),
+        ([1, 2], [1, 2], ["a", "b"], "int64 and int64 and <U1"),
+        (["a", "b"], ["a", "b"], [1, 2], "<U1 and <U1 and int64"),
+    ],
+    ids=["truth", "known_int_labels", "known_str_labels"],
+)
+def test_evaluate_refuses_labels_of_types_that_cannot_be_compared(pred, truth, known, dtypes):
+    known = None if known is None else np.array(known)
+    with pytest.raises(ParameterError, match=f"^labels of dtypes {dtypes} cannot be compared$"):
+        evaluate(np.array(pred), np.array(truth), known_labels=known)
 
 
 def test_accuracy_is_shuffle_invariant():

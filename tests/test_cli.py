@@ -9,15 +9,16 @@ from click.testing import CliRunner
 
 from icvmd import decompose as decompose_module
 from icvmd import cli, fewshot
+from icvmd.classify import evaluate
 from icvmd.cli import main
-from icvmd.dataset import DatasetSpec, generate_dataset
+from icvmd.dataset import DatasetSpec, generate_dataset, load_manifest
 from icvmd.decompose import dump_modes, icvmd_decompose
 from icvmd.errors import DegenerateInputError
 from icvmd.features import extract_features
 from icvmd.fewshot import FewshotResult
 from icvmd.iqfile import read_iqf32, write_iqf32
 from icvmd.modulation import ModulationKind
-from icvmd.nn.checkpoint import MAX_EPOCHS
+from icvmd.nn.checkpoint import MAX_EPOCHS, load_checkpoint
 from icvmd.nn.model import ModelConfig
 from icvmd.nn.train import TrainConfig, TrainResult
 from icvmd.pa import auxiliary_bank, emitter_bank, hammerstein_apply
@@ -747,33 +748,33 @@ def test_train_refuses_an_epoch_count_past_the_checkpoint_bound_before_reading_d
     assert runner.invoke(main, [*train, str(MAX_EPOCHS)]).exit_code == 3
 
 
-def test_train_refuses_a_segment_longer_than_every_capture(runner, tmp_path):
-    data = gen_tiny(runner, tmp_path / "data")  # 128 samples per capture
+def test_train_and_eval_run_a_segment_longer_than_every_capture(runner, tmp_path):
+    # Each 128-sample capture is one segment of a 500-sample segment_len,
+    # which the checkpoint keeps as given.
+    data = gen_tiny(runner, tmp_path / "data")
     ck = tmp_path / "model.npz"
-    res = runner.invoke(main, ["train", "--data", str(data), "--out", str(ck), "--epochs", "0", "--segment-len", "500"])
-    assert res.exit_code == 2, res.output
-    assert "error: need at least one full segment: T=128 < segment_len=500" in res.stderr
-    assert not ck.exists()
+    res = runner.invoke(main, ["train", "--data", str(data), "--out", str(ck), "--epochs", "1", "--segment-len", "500"])
+    assert res.exit_code == 0, res.output
+    assert read_manifest(ck)["config"] == {"segment_len": 500}
+    res = runner.invoke(main, ["eval", "--data", str(data), "--checkpoint", str(ck)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["n_test"] == 14
 
 
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_train_and_eval_refuse_a_spec_shorter_than_a_segment_before_representing_a_capture(runner, tmp_path, monkeypatch, command):
-    # The manifest's spec says every capture is 64 samples, under one
-    # 100-sample segment: no capture is loaded, let alone decomposed.
+def test_train_and_eval_run_icvmd_captures_shorter_than_a_segment(runner, tmp_path):
+    # 64-sample captures under the default 100-sample segment: one segment each.
     short = gen_tiny(runner, tmp_path / "short", extra=("--n-samples", "64"))
     ck = tmp_path / "model.npz"
-    if command == "eval":
-        data = gen_tiny(runner, tmp_path / "data")
-        train = ["train", "--data", str(data), "--out", str(ck), "--representation", "icvmd", "--epochs", "0"]
-        assert runner.invoke(main, train).exit_code == 0
-    loaded = []
-    monkeypatch.setattr(fewshot, "load_entry", lambda *a: loaded.append(a))
-    args = {"train": ["train", "--data", str(short), "--out", str(ck), "--representation", "icvmd", "--epochs", "0"],
-            "eval": ["eval", "--data", str(short), "--checkpoint", str(ck)]}[command]
-    res = runner.invoke(main, args)
-    assert res.exit_code == 2, res.output
-    assert res.stderr == "error: need at least one full segment: T=64 < segment_len=100\n"
-    assert loaded == [] and ck.exists() == (command == "eval")
+    res = runner.invoke(main, ["train", "--data", str(short), "--out", str(ck), "--representation", "icvmd", "--epochs", "1"])
+    assert res.exit_code == 0, res.output
+    assert read_manifest(ck)["config"] == {"segment_len": ModelConfig().segment_len}
+    res = runner.invoke(main, ["eval", "--data", str(short), "--checkpoint", str(ck)])
+    assert res.exit_code == 0, res.output
+    params, meta = load_checkpoint(ck)
+    truth, _, (mains, branches) = fewshot.represent(fewshot.Pipeline.ICVMD_SAT, load_manifest(short), VmdConfig(**meta["vmd"]), {})
+    want = evaluate(fewshot.predict(params, mains, branches, np.array(meta["class_ids"])), truth)
+    assert (want.n_test, mains.shape[2]) == (14, 64)
+    assert json.loads(res.stdout)["accuracy"] == want.accuracy
 
 
 @pytest.mark.parametrize(

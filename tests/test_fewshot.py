@@ -62,14 +62,14 @@ def test_run_fewshot_rejects_a_bad_run_before_writing(tmp_path, pipeline, propor
 
 
 @pytest.mark.parametrize("pipeline", [Pipeline.RAW_NN, Pipeline.ICVMD_SAT])
-def test_run_fewshot_refuses_captures_shorter_than_a_segment_before_writing(tmp_path, pipeline):
-    # No classifier runs a 64-sample capture, so generating and decomposing
-    # the captures first would only leave files behind.
+def test_run_fewshot_runs_captures_shorter_than_a_segment(tmp_path, pipeline):
+    # A 64-sample capture is one segment of the default 100-sample segment_len.
     spec = DatasetSpec(emitters=TINY_SPEC.emitters, modulations=TINY_SPEC.modulations, snr_grid_db=(18.0,), n_samples=64,
                        signals_per_emitter=2)
-    with pytest.raises(ParameterError, match=r"^need at least one full segment: T=64 < segment_len=100$"):
-        run_fewshot(spec, pipeline, (1.0,), tmp_path / "exp")
-    assert not (tmp_path / "exp").exists()
+    res = run_fewshot(spec, pipeline, (1.0,), tmp_path / "exp")
+    rows = read_csv(res.csv_path)
+    assert [row["snr_db"] for row in rows] == ["18.0", "all"] and {row["status"] for row in rows} == {"ok"}
+    assert res.skipped == [] and np.isfinite([loss for loss, _ in res.final_losses.values()]).all()
 
 
 def test_default_icvmd_config_shape():

@@ -1,7 +1,7 @@
 """The byte-identity harness of tests/identity.py: a reduced run digests the
 same twice in one process within its time budget, and it covers every
-command of the CLI, every kind of file they write, and a train and eval run
-that drops a capture.  No digest is committed: a digest holds only on the
+command of the CLI, every kind of file they write, a train and eval run
+that drops a capture, and one whose segment is longer than every capture.  No digest is committed: a digest holds only on the
 host that made it."""
 import fnmatch
 import json
@@ -12,7 +12,7 @@ import pytest
 
 from icvmd.cli import main
 from icvmd.fewshot import Pipeline
-from identity import cli, digest_run, diff
+from identity import REDUCED, cli, digest_run, diff
 
 # What each command writes, as patterns over the harness's keys.
 WRITTEN = {
@@ -23,7 +23,8 @@ WRITTEN = {
     "fewshot": [f"file/fewshot/{p.value}/report.csv" for p in Pipeline]
     + ["file/fewshot/*/data/*.iqf32", "file/fewshot/icvmd_sat/aux_data/*.iqf32"],
     "train": ["file/checkpoints/raw.npz", "file/checkpoints/icvmd.npz", "file/checkpoints/cut-raw.npz",
-              "file/checkpoints/cut-icvmd.npz"],
+              "file/checkpoints/cut-icvmd.npz", "file/checkpoints/one-segment-raw.npz",
+              "file/checkpoints/one-segment-icvmd.npz"],
     "eval": ["output/*-eval"],
 }
 
@@ -45,6 +46,10 @@ def test_a_reduced_run_digests_the_same_twice_and_covers_every_cli_output(tmp_pa
     # checks both commands drop, once per representation.
     cut = [args[0] for args in commands if f"{tmp_path / 'a'}/cut" in args]
     assert cut == ["train", "eval"] * 2
+    # train runs once per representation with every capture one segment.
+    long = [a[a.index("--representation") + 1] for a in commands
+            if a[0] == "train" and int(a[a.index("--segment-len") + 1]) > REDUCED["n_samples"]]
+    assert long == ["raw", "icvmd"]
     for command, patterns in WRITTEN.items():
         for pattern in patterns:
             assert fnmatch.filter(first, pattern), f"{command}: nothing digested matches {pattern}"

@@ -55,6 +55,21 @@ def test_config_validation():
     assert model.DILATIONS == (1, 2, 4, 8)
 
 
+@pytest.mark.parametrize("length", [10, 100])
+def test_segments_cut_full_segments_or_one_of_the_whole_input(length):
+    config = ModelConfig(segment_len=length)
+    table = {1: (1, 1), length - 1: (1, length - 1), length: (1, length), length + 1: (1, length),
+             2 * length - 1: (1, length), 2100: (2100 // length, length)}
+    for t, want in table.items():
+        assert config.segments(t) == want, t
+        if t >= length:
+            assert want == (t // length, length)
+    assert config.segments(np.int64(length + 1)) == (1, length)
+    for t, why in ((0, ">= 1, got 0"), (-1, ">= 1, got -1"), (2.5, "an integer, got 2.5"), (True, "an integer, got True")):
+        with pytest.raises(ParameterError, match=f"^t must be {why}$"):
+            config.segments(t)
+
+
 def test_param_count_default_architecture():
     params = init_params(ModelConfig(), n_classes=4, seed=0)
     # Hand total: encoder 56+200, blocks 4*272, merge 264, cls1 36,
@@ -105,8 +120,10 @@ def test_forward_validation():
         model_forward(params, xm, xb[:1])  # batch mismatch
     with pytest.raises(ParameterError):
         model_forward(params, xm[:, :, :20], xb)  # length mismatch
-    with pytest.raises(ParameterError):
-        model_forward(params, xm[:, :, :5], xb[:, :, :5])  # below one segment
+    with pytest.raises(ParameterError, match=r"^no samples: main and branch inputs of shape \(2, 2, 0\) and \(2, 2, 0\)$"):
+        model_forward(params, xm[:, :, :0], xb[:, :, :0])
+    with pytest.raises(ParameterError, match=r"^no samples: branch inputs of shape \(2, 2, 0\)$"):
+        spatial_attention_weights(params, xb[:, :, :0])
     with pytest.raises(ParameterError):
         spatial_attention_weights(params, np.zeros((1, 1, 2, 30)))
 
@@ -198,8 +215,8 @@ def test_branch_scores_are_segment_local():
     assert w1[0] / w1[2] == pytest.approx(w2[0] / w2[2], rel=1e-12)
     assert not np.isclose(w1[1], w2[1])
     params = tiny_model()
-    s1, _ = _branch_forward(params, xb.astype(np.float32), 3, {})
-    s2, _ = _branch_forward(params, xb2.astype(np.float32), 3, {})
+    s1, _ = _branch_forward(params, xb.astype(np.float32), (3, 10), {})
+    s2, _ = _branch_forward(params, xb2.astype(np.float32), (3, 10), {})
     assert np.array_equal(s1[:, [0, 2]], s2[:, [0, 2]])
     assert s1[0, 1] != s2[0, 1]
 
@@ -318,6 +335,26 @@ def test_samples_past_the_last_full_segment_feed_nothing(edit):
     got, got_cache = model_forward(params, inputs["main"], inputs["branch"])
     assert np.array_equal(got, logits)
     assert np.array_equal(got_cache["attention"], cache["attention"])
+
+
+@pytest.mark.parametrize("t", [1, 7, 9])
+def test_an_input_shorter_than_a_segment_is_one_segment_of_weight_one(t):
+    # Below segment_len the whole input is one segment: the softmax over one
+    # score is exactly 1, so the logits are classifier2 of the mean-pooled
+    # segment logits, and the branch input changes nothing.
+    params = tiny_model()
+    xm, xb = tiny_batch(b=3, t=t)
+    logits, cache = model_forward(params, xm, xb)
+    assert cache["attention"].shape == (3, 1)
+    assert np.array_equal(cache["attention"], np.ones((3, 1), np.float32))
+    assert np.array_equal(spatial_attention_weights(params, xb), np.ones((3, 1), np.float32))
+    assert np.array_equal(model_forward(params, xm, -5.0 * xb)[0], logits)
+    p64 = as_float64(params)
+    feat, _ = features_forward(p64, xm, {})
+    a = p64.arrays
+    seg = feat.mean(axis=2) @ a["classifier1.weights"].T + a["classifier1.bias"]
+    want = seg @ a["classifier2.weights"].T + a["classifier2.bias"]
+    assert np.allclose(model_forward(p64, xm, xb)[0], want, rtol=1e-12, atol=1e-12)
 
 
 # ------------------------------------------------------------- chunked trunk

@@ -272,12 +272,14 @@ def test_one_array_as_both_inputs_is_cast_and_gathered_once(monkeypatch):
 
 
 @pytest.mark.parametrize("epochs", [0, 1])
-def test_inputs_shorter_than_one_segment_are_rejected(epochs):
-    # With no epoch to run, train() would otherwise return a model that no input this short can run.
+def test_inputs_shorter_than_one_segment_train_as_one_segment(epochs):
     params = init_params(TINY, 3, seed=0)
     main, branch, labels = toy_problem(n=6, t=TINY.segment_len - 1)
-    with pytest.raises(ParameterError, match="need at least one full segment: T=9 < segment_len=10"):
-        train(params, main, branch, labels, TrainConfig(epochs=epochs))
+    res = train(params, main, branch, labels, TrainConfig(epochs=epochs))
+    assert len(res.history) == epochs and np.isfinite(res.history).all()
+    assert res.params.arrays.keys() == params.arrays.keys()
+    assert all(np.isfinite(a).all() for a in res.params.arrays.values())
+    assert arrays_equal(res.params, params) == (epochs == 0)
 
 
 # -------------------------------------------------------------------- memory
@@ -414,6 +416,24 @@ def test_grad_check_on_clean_fixture():
     assert out["max_rel_err"] < 1e-4
     assert out["n_coords"] == 80
     assert out["worst_path"] is not None
+
+
+def test_grad_check_on_one_segment():
+    # 60 samples under ModelConfig()'s 100 are one segment of weight exactly
+    # 1, so the branch's gradients are exactly zero and the rest are exact.
+    params = init_params(ModelConfig(), 4, seed=18)
+    rng = np.random.default_rng(1063)  # its kink margin is 6e-5, clear of the step
+    main = rng.normal(size=(3, 2, 60))
+    branch = rng.normal(size=(3, 2, 60))
+    labels = np.array([0, 1, 3])
+    out = grad_check(params, main, branch, labels, n_coords=250, step=1e-5, seed=0)
+    assert out["kink_margin"] > 2e-5
+    assert out["max_rel_err"] <= 1e-4
+    p64 = as_float64(params)
+    logits, cache = model_forward(p64, main, branch, {})
+    grads = model.model_backward(p64, model.cross_entropy(logits, labels)[1], cache, {})
+    assert all(not g.any() for k, g in grads.items() if k.startswith("branch."))
+    assert all(g.any() for k, g in grads.items() if not k.startswith("branch."))
 
 
 def test_grad_check_covers_all_coordinates_when_asked():
