@@ -12,6 +12,17 @@ import numpy as np
 from .errors import DegenerateInputError, ParameterError
 
 
+def _label_set(*labels) -> np.ndarray:
+    """The distinct labels of the arrays given, sorted; labels that do not compare are refused by name."""
+    if len({a.dtype.kind in "US" for a in labels}) > 1:  # no string label equals a number
+        raise ParameterError(f"labels of dtypes {' and '.join(str(a.dtype) for a in labels)} cannot be compared")
+    try:
+        return np.unique(np.concatenate(labels))
+    except TypeError:  # np.unique sorts them, and an int and a str (or None) do not order
+        named = {type(v).__name__: v for a in labels for v in a.tolist()}
+        raise ParameterError(f"labels {' and '.join(f'{v!r} ({t})' for t, v in named.items())} do not order together") from None
+
+
 @dataclass(frozen=True)
 class NearestCentroid:
     """Per-class centroids in a within-class-whitened feature space.
@@ -51,7 +62,7 @@ def fit_nearest_centroid(features: np.ndarray, labels) -> NearestCentroid:
     if not np.all(np.isfinite(x)):
         raise ParameterError("features must be finite")
 
-    classes = np.unique(y)
+    classes = _label_set(y)
     if classes.size < 2:
         raise DegenerateInputError("need at least two classes to fit a classifier")
     mean = x.mean(axis=0)
@@ -114,12 +125,7 @@ def evaluate(predictions, true_labels, snrs_db=None, known_labels=None) -> Exper
     if pred.shape != truth.shape or pred.ndim != 1 or pred.size == 0:
         raise ParameterError("predictions and true labels must be matching non-empty 1-D arrays")
 
-    pool = [truth, pred]
-    if known_labels is not None:
-        pool.append(np.asarray(known_labels))
-    if len({a.dtype.kind in "US" for a in pool}) > 1:  # no string label equals a number
-        raise ParameterError(f"labels of dtypes {' and '.join(str(a.dtype) for a in pool)} cannot be compared")
-    label_set = np.unique(np.concatenate(pool))
+    label_set = _label_set(truth, pred, *([] if known_labels is None else [np.asarray(known_labels)]))
     index = {c: i for i, c in enumerate(label_set.tolist())}
     confusion = np.zeros((label_set.size, label_set.size), dtype=int)
     for t, p in zip(truth.tolist(), pred.tolist()):

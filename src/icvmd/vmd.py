@@ -48,12 +48,12 @@ underflows.  The transforms, the start, the centers, the metric and the modes st
 The sweep is over-relaxed (Boyd et al. 2011, sec. 3.4.3): each mode takes
 its plain step du_k, moves by beta*du_k, and re-centers with
 w_k <- w_k + beta*(w~_k - w_k), clipped to [0, pi], where w~_k is the power
-centroid of the moved spectrum.  beta is _RELAX after a sweep that has a
-metric (every sweep after the first), moves every center by less than
-_SETTLE_RAD and is not under tol, and 1 otherwise.  The metric is always
-taken on the unrelaxed du_k, and only a plain (beta = 1) sweep may declare
-convergence: a relaxed sweep under tol is followed by a plain sweep, which
-keeps the centers about 1.6x nearer the fixed point than stopping there.
+centroid of the moved spectrum.  One rule sets beta: after a sweep that has
+a metric (every sweep after the first), the next sweep takes beta = _RELAX
+unless that metric fell under tol, and beta = 1 otherwise.  The metric is
+always taken on the unrelaxed du_k, and only a plain (beta = 1) sweep may
+declare convergence: a relaxed sweep under tol is followed by a plain sweep,
+which keeps the centers about 1.6x nearer the fixed point than stopping there.
 
 Two live modes whose centers lie within one Wiener half-width 1/sqrt(2*alpha)
 share one band.  After each sweep's centroid step the weaker of the first such
@@ -80,10 +80,8 @@ _ENERGY_GUARD = 1e-30
 # such as n_modes = n/2 on a long capture before any spectrum is allocated.
 _MEMORY_BUDGET_BYTES = 2**30
 
-# Over-relaxation factor, and the largest center shift (in radians) of a
-# sweep after which the next sweep may be relaxed.
+# Over-relaxation factor of every sweep after one not under tol (module docstring).
 _RELAX = 1.7
-_SETTLE_RAD = 1e-2
 
 # Smoothing-window and peak-separation divisors of the start, and the share of
 # the peak power under which a maximum is FFT rounding (module docstring).
@@ -275,10 +273,10 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
     The ADMM loop sweeps the live modes in index order, refreshing each spectrum
     with the Wiener update (using the freshest other-mode sum), then re-centers
     every mode on its refreshed spectrum and retires one of two that share a band.
-    Once the centers settle, sweeps over-relax both steps by _RELAX; convergence
-    is declared only on a plain sweep (see the module docstring).  After the loop
-    one plain mode-update sweep is run at the final centers so the returned
-    coefficients satisfy the Wiener fixed-point form exactly.
+    A sweep after one whose metric is not under tol over-relaxes both steps by
+    _RELAX; only a plain sweep may converge (see the module docstring).  After
+    the loop one plain mode-update sweep is run at the final centers so the
+    returned coefficients satisfy the Wiener fixed-point form exactly.
 
     Modes are returned sorted by ascending center frequency.
     """
@@ -345,19 +343,15 @@ def vmd_decompose(x: np.ndarray, cfg: VmdConfig) -> VmdResult:
             delta += norm / max(prev_norms[k], guard)
         square(u, den)  # the steps are spent; den holds |u|^2
         sums = den.dot(basis).tolist()
-        shift = 0.0
         for k, (energy, moment) in enumerate(sums):
             if energy > guard:
-                move = moment / energy - omegas[k]
-                shift = abs(move) if abs(move) > shift else shift
-                w = omegas[k] + beta * move
+                w = omegas[k] + beta * (moment / energy - omegas[k])
                 omegas[k] = 0.0 if w < 0.0 else pi if w > pi else w  # clipped to [0, pi]
         # Out of an all-zero start the first sweep has nothing to compare to.
         if max(prev_norms) > guard:
             final_delta = delta
             converged = delta < tol and beta == 1.0
-            # A settled sweep not under tol relaxes the next (module docstring).
-            beta = _RELAX if shift < _SETTLE_RAD and delta >= tol else 1.0
+            beta = _RELAX if delta >= tol else 1.0  # the one relaxation rule (module docstring)
         prev_norms = [energy for energy, _ in sums]  # the next sweep's previous norms
         ordered = sorted(live, key=omegas.__getitem__)
         for a, b in zip(ordered, ordered[1:]):

@@ -34,7 +34,8 @@ row each) with, under the key plus ``:state``, its labels, sweep counts and
 converged flags.  Where both files of a ``--diff`` have their ``.npz``, each
 moved key that both hold is followed by how far it moved: the largest
 ‖a−b‖/‖a‖ over its stacked arrays, and for a ``modes.json`` whether its
-state changed.
+state changed and each side's sweep count as ``a -> b``; a last line sums
+the sweep counts of every dump both files hold.
 
 A digest holds only on the host that made it: FFT and SIMD reduction order
 may differ between hosts, so compare two runs made on one host.
@@ -200,7 +201,25 @@ def moved_by(keys, a_npz: Path, b_npz: Path) -> dict:
                 if state in a.files and state in b.files:
                     same = np.array_equal(a[state], b[state])
                     out[key] += f"  labels, iterations and converged {'unchanged' if same else 'CHANGED'}"
+                    out[key] += "  sweeps " + ", ".join(f"{i} -> {j}" for i, j in zip(sweeps(a[state]), sweeps(b[state])))
     return out
+
+
+def sweeps(state) -> list:
+    """Each side's sweep count, from a dump's ``:state`` array: per side, its
+    labels, then its sweep count and converged flag."""
+    return state.reshape(2, -1)[:, -2].astype(int).tolist()
+
+
+def sweep_total(a_npz: Path, b_npz: Path) -> list:
+    """One line with the sweep counts summed over every dump both ``.npz``
+    files hold, or none where either file or every dump is missing."""
+    if not (a_npz.is_file() and b_npz.is_file()):
+        return []
+    with np.load(a_npz) as a, np.load(b_npz) as b:
+        states = sorted(k for k in set(a.files) & set(b.files) if k.endswith(":state"))
+        totals = [sum(sum(sweeps(f[k])) for k in states) for f in (a, b)]
+    return [f"sweeps over {len(states)} dumps: {totals[0]} -> {totals[1]}"] if states else []
 
 
 def cli(argv=None) -> int:
@@ -211,8 +230,9 @@ def cli(argv=None) -> int:
     if args.diff:
         a, b = (json.loads(Path(p).read_text()) for p in args.diff)
         keys = diff(a, b)
-        moved = moved_by(keys, *(Path(p).with_suffix(".npz") for p in args.diff))
-        lines = [f"{k}  {moved[k]}" if k in moved else k for k in keys]
+        npz = [Path(p).with_suffix(".npz") for p in args.diff]
+        moved = moved_by(keys, *npz)
+        lines = [f"{k}  {moved[k]}" if k in moved else k for k in keys] + sweep_total(*npz)
         print("\n".join(lines) if keys else f"no difference in {len(a)} digests")
         return 1 if keys else 0
     if not args.out:

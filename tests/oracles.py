@@ -21,7 +21,6 @@ from icvmd.vmd import (
     _PEAK_SEP_DIV,
     _PEAK_WINDOW_DIV,
     _RELAX,
-    _SETTLE_RAD,
     ModeSet,
     VmdConfig,
     VmdResult,
@@ -231,12 +230,11 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
 
     The ADMM loop sweeps modes in index order, refreshing each spectrum with
     the Wiener update (using the freshest other-mode sum) and immediately
-    re-centering it.  After a sweep that has a metric not under tol and
-    moves no center by _SETTLE_RAD or more, the next sweep moves each
-    spectrum ``relax`` times its plain step and each center ``relax`` times
-    its step to the new spectrum's centroid.  The metric is taken on the
-    plain steps, and only a plain sweep may stop the loop.  ``relax=1.0``
-    is the plain loop of Dragomiretskiy & Zosso.
+    re-centering it.  After a sweep that has a metric not under tol, the
+    next sweep moves each spectrum ``relax`` times its plain step and each
+    center ``relax`` times its step to the new spectrum's centroid.  The
+    metric is taken on the plain steps, and only a plain sweep may stop the
+    loop.  ``relax=1.0`` is the plain loop of Dragomiretskiy & Zosso.
     After the loop one plain mode-update sweep is run at the final centers so
     the returned spectra satisfy the Wiener fixed-point form exactly.
     After each sweep, of two live modes with centers within one Wiener
@@ -270,9 +268,8 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
     live = list(range(k_modes))
 
     def sweep(beta):
-        """Returns the plain spectra and the largest plain center shift."""
+        """Returns the plain spectra."""
         plain = u.copy()
-        shift = 0.0
         sum_u = u.sum(axis=0)
         for k in live:
             others = sum_u - u[k]
@@ -282,9 +279,8 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
             energy = float(np.sum(np.abs(u[k]) ** 2))
             if energy > _ENERGY_GUARD:
                 target = center_frequency(u[k], grid)
-                shift = max(shift, abs(target - omegas[k]))
                 omegas[k] = min(max(omegas[k] + beta * (target - omegas[k]), 0.0), np.pi)
-        return plain, shift
+        return plain
 
     converged = False
     final_delta = float("inf")
@@ -292,7 +288,7 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
     beta = 1.0
     for iterations in range(1, cfg.max_iter + 1):
         u_prev = u.copy()
-        plain, shift = sweep(beta)
+        plain = sweep(beta)
         # Of the first two live modes in center order whose centers lie
         # within one Wiener half-width, the weaker (the later on a tie) is
         # merged into the other and never updated again.
@@ -315,8 +311,6 @@ def reference_vmd_decompose(x: np.ndarray, cfg: VmdConfig, relax: float = _RELAX
                 converged = True
                 break
             beta = 1.0  # a relaxed sweep under tol is confirmed by a plain one
-        elif shift >= _SETTLE_RAD:
-            beta = 1.0
         else:
             beta = relax
 

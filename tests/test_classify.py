@@ -189,6 +189,18 @@ def test_evaluate_refuses_labels_of_types_that_cannot_be_compared(pred, truth, k
         evaluate(np.array(pred), np.array(truth), known_labels=known)
 
 
+def test_evaluate_refuses_object_labels_that_do_not_order_against_the_others():
+    # Neither dtype is a string kind, so only sorting the pooled labels finds the clash.
+    with pytest.raises(ParameterError, match=r"^labels 'b' \(str\) and 2 \(int\) do not order together$"):
+        evaluate(np.array([1, 2]), np.array(["a", "b"], dtype=object))
+
+
+def test_fit_refuses_object_labels_that_do_not_order_against_each_other():
+    x = np.arange(8.0).reshape(4, 2)
+    with pytest.raises(ParameterError, match=r"^labels None \(NoneType\) and 1 \(int\) do not order together$"):
+        fit_nearest_centroid(x, np.array([None, 1, None, 1], dtype=object))
+
+
 def test_accuracy_is_shuffle_invariant():
     rng = np.random.default_rng(3)
     pred = rng.integers(0, 3, 60)

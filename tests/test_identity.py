@@ -102,8 +102,34 @@ def test_diff_says_how_far_a_moved_dump_moved_and_whether_its_state_changed(tmp_
         np.savez(tmp_path / f"{name}.npz", **arrays)
         files.append(str(tmp_path / f"{name}.json"))
     assert cli(["--diff", *files]) == 1
-    lines = [line.split("  ") for line in capsys.readouterr().out.splitlines()]
+    *lines, total = [line.split("  ") for line in capsys.readouterr().out.splitlines()]
     assert [line[0] for line in lines] == [key.format("x"), key.format("y")]
     for line, verdict in zip(lines, ("unchanged", "CHANGED")):
         assert float(line[1].split()[1]) == pytest.approx(1e-15, rel=0.1)
         assert line[2] == f"labels, iterations and converged {verdict}"
+        assert line[3] == "sweeps 12 -> 12, 0 -> 0"
+    assert total == ["sweeps over 2 dumps: 24 -> 24"]
+
+
+def test_diff_prints_each_moved_dumps_sweep_counts_and_their_total_over_every_dump(tmp_path, capsys):
+    # Dump x moves and its sides' sweep counts go 12 -> 15 and 9 -> 8; dump y
+    # does not move, so it has no line, but its 30 + 20 sweeps are in the total.
+    key = "file/modes/{}/modes.json"
+    floats = np.array([[0.9, 0.1, 0.0, 0.0], [0.6, 1.2, 0.0, 0.0]])
+
+    def state(pos, neg):
+        return np.array(["signal", "feature", str(pos), "True", "feature", "feature", str(neg), "False"])
+
+    files = []
+    for name, x_sweeps in (("a", (12, 9)), ("b", (15, 8))):
+        (tmp_path / f"{name}.json").write_text(json.dumps({key.format("x"): name, key.format("y"): "same"}))
+        np.savez(tmp_path / f"{name}.npz", **{key.format("x"): floats * (1.0 if name == "a" else 1.5),
+                                              key.format("x") + ":state": state(*x_sweeps),
+                                              key.format("y"): floats, key.format("y") + ":state": state(30, 20)})
+        files.append(str(tmp_path / f"{name}.json"))
+    assert cli(["--diff", *files]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith(key.format("x") + "  norm-relative ")
+    assert lines[0].endswith("  labels, iterations and converged CHANGED  sweeps 12 -> 15, 9 -> 8")
+    assert lines[1] == "sweeps over 2 dumps: 71 -> 73"

@@ -396,6 +396,13 @@ def _colliding_cw_side():
     return analytic_split(sig)[0]
 
 
+def _short_keyed_side():
+    """The pos side of one n=80 QPSK capture at 18 dB, the paper's 10 symbols,
+    a length at which relaxing costs sweeps: it takes 23, the plain loop 14."""
+    sig = synthesize_one(DatasetSpec(n_samples=80), emitter_bank()[0], ModulationKind.QPSK, 18.0, 1, 81)
+    return analytic_split(sig)[0]
+
+
 def _case_signal(source):
     """A case's input: the seeded mix of that length, or the side a function builds."""
     return source() if callable(source) else _sweep_case_signal(source, seed=source)
@@ -411,6 +418,7 @@ FUSED_SWEEP_CASES = [
     (431, VmdConfig(n_modes=3, alpha=1000.0, tol=1e-7, max_iter=500)),
     (700, VmdConfig(n_modes=4, alpha=200.0, tol=1e-16, max_iter=40)),  # tol below rounding
     (_colliding_cw_side, VmdConfig()),
+    (_short_keyed_side, VmdConfig()),
 ]
 
 
